@@ -32,9 +32,8 @@ pub fn repo_root() -> PathBuf {
     }
 }
 
-/// Serialises one metric value. The vendored `serde` is a no-op
-/// stand-in, so the JSON is emitted by hand; `{}` on `f64` prints the
-/// shortest representation that round-trips, which keeps the files
+/// Serialises one metric value. `{}` on `f64` prints the shortest
+/// representation that round-trips, which keeps the files
 /// byte-stable for identical runs.
 fn json_value(value: f64) -> String {
     if value.is_finite() {

@@ -16,8 +16,6 @@
 //! concrete curve to emit, and so that library builders can attach an
 //! accuracy estimate to each generated downstream model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelLibError;
 
 /// Analytic accuracy-degradation model for bottom-layer freezing.
@@ -26,7 +24,7 @@ use crate::error::ModelLibError;
 ///
 /// with `shape > 1` giving the convex "barely drops until most layers are
 /// frozen" behaviour visible in the paper's Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrozenLayerAccuracy {
     /// Accuracy of full fine-tuning (no frozen layers), in `[0, 1]`.
     pub base_accuracy: f64,
@@ -42,12 +40,20 @@ impl FrozenLayerAccuracy {
     /// The calibration used for the Fig. 1 reproduction:
     /// "transportation" fine-tuned from ResNet-50 (107 trainable layers),
     /// 97% base accuracy, 4.05% drop at 90% frozen.
+    #[expect(
+        clippy::expect_used,
+        reason = "static calibration inside the valid range"
+    )]
     pub fn paper_transportation() -> Self {
         Self::calibrated(0.97, 107, 97, 0.0405).expect("static calibration is valid")
     }
 
     /// The "animal" task calibration: 95% base accuracy, 5.2% drop at 90%
     /// frozen depth.
+    #[expect(
+        clippy::expect_used,
+        reason = "static calibration inside the valid range"
+    )]
     pub fn paper_animal() -> Self {
         Self::calibrated(0.95, 107, 97, 0.052).expect("static calibration is valid")
     }

@@ -7,15 +7,11 @@
 //! otherwise; the classification is computed by
 //! [`ModelLibrary`](crate::library::ModelLibrary).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a parameter block within a [`ModelLibrary`](crate::library::ModelLibrary).
 ///
 /// Block identifiers are dense indices assigned by the library builder;
 /// they are meaningless across different libraries.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockId(pub usize);
 
 impl BlockId {
@@ -38,7 +34,7 @@ impl std::fmt::Display for BlockId {
 }
 
 /// A parameter block: a named, sized unit of model parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParameterBlock {
     id: BlockId,
     size_bytes: u64,

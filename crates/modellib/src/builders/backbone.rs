@@ -7,12 +7,10 @@
 //! sizes whose totals match the real networks (≈46.8 MB, ≈87.2 MB and
 //! ≈102.2 MB at fp32).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelLibError;
 
 /// A backbone architecture: an ordered list of trainable layers with sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Backbone {
     name: String,
     layer_sizes_bytes: Vec<u64>,
@@ -120,6 +118,7 @@ impl Backbone {
 
     /// ResNet-18-like backbone: 44 trainable layers, ≈46.8 MB, freeze range
     /// [29, 40] (Section VII-A).
+    #[expect(clippy::expect_used, reason = "static preset inside the valid range")]
     pub fn resnet18() -> Self {
         Self::synthetic("resnet18", 44, 46_800_000, (29, 40), 205_000)
             .expect("static preset is valid")
@@ -127,6 +126,7 @@ impl Backbone {
 
     /// ResNet-34-like backbone: 76 trainable layers, ≈87.2 MB, freeze range
     /// [49, 72].
+    #[expect(clippy::expect_used, reason = "static preset inside the valid range")]
     pub fn resnet34() -> Self {
         Self::synthetic("resnet34", 76, 87_200_000, (49, 72), 205_000)
             .expect("static preset is valid")
@@ -134,6 +134,7 @@ impl Backbone {
 
     /// ResNet-50-like backbone: 107 trainable layers, ≈102.2 MB, freeze
     /// range [87, 106].
+    #[expect(clippy::expect_used, reason = "static preset inside the valid range")]
     pub fn resnet50() -> Self {
         Self::synthetic("resnet50", 107, 102_200_000, (87, 106), 820_000)
             .expect("static preset is valid")

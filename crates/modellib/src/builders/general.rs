@@ -178,6 +178,10 @@ impl GeneralCaseBuilder {
     ///
     /// Panics if the builder has no backbones or `classes_per_backbone` is
     /// zero.
+    #[expect(
+        clippy::expect_used,
+        reason = "generated models always have blocks, and the asserts above guarantee at least one model"
+    )]
     pub fn build(&self, seed: u64) -> ModelLibrary {
         assert!(
             !self.backbones.is_empty(),

@@ -153,6 +153,10 @@ impl LoraLibraryBuilder {
     ///
     /// Panics if `adapters_per_foundation`, `adapter_size_bytes` or
     /// `head_size_bytes` is zero (configuration errors of the caller).
+    #[expect(
+        clippy::expect_used,
+        reason = "generated models always have blocks, and the asserts above guarantee at least one model"
+    )]
     pub fn build(&self, seed: u64) -> ModelLibrary {
         assert!(
             self.adapters_per_foundation > 0,

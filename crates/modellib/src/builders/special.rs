@@ -130,6 +130,10 @@ impl SpecialCaseBuilder {
     ///
     /// Panics if the builder has no backbones or `models_per_backbone` is
     /// zero (both are configuration errors of the caller).
+    #[expect(
+        clippy::expect_used,
+        reason = "generated models always have blocks, and the asserts above guarantee at least one model"
+    )]
     pub fn build(&self, seed: u64) -> ModelLibrary {
         assert!(
             !self.backbones.is_empty(),

@@ -13,8 +13,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::{BlockId, ParameterBlock};
 use crate::error::ModelLibError;
 use crate::model::{Model, ModelId};
@@ -23,7 +21,7 @@ use crate::model::{Model, ModelId};
 ///
 /// Construct libraries with [`ModelLibraryBuilder`] or with the high-level
 /// generators in [`crate::builders`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelLibrary {
     blocks: Vec<ParameterBlock>,
     models: Vec<Model>,

@@ -1,13 +1,9 @@
 //! Models — ordered collections of parameter blocks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::BlockId;
 
 /// Identifier of a model within a [`ModelLibrary`](crate::library::ModelLibrary).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ModelId(pub usize);
 
 impl ModelId {
@@ -35,7 +31,7 @@ impl std::fmt::Display for ModelId {
 /// The model's total size `D_i` is the sum of its blocks' sizes and is
 /// computed by [`ModelLibrary::model_size_bytes`](crate::library::ModelLibrary::model_size_bytes)
 /// so that it always stays consistent with the library's block table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     id: ModelId,
     name: String,

@@ -9,12 +9,11 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ModelLibError;
 
 /// A Zipf popularity law over `n` items with skew exponent `s`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZipfPopularity {
     num_items: usize,
     exponent: f64,

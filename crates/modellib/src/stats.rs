@@ -9,13 +9,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
+use crate::block::ParameterBlock;
 use crate::library::ModelLibrary;
-use crate::model::ModelId;
 
 /// Aggregate statistics of a [`ModelLibrary`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LibraryStats {
     /// Number of models `|I|`.
     pub num_models: usize,
@@ -60,14 +58,16 @@ impl LibraryStats {
         let mut max_model_bytes = 0u64;
         let mut size_sum = 0u64;
         let mut shared_fraction_sum = 0.0;
-        for i in 0..num_models {
-            let id = ModelId(i);
-            let size = library
-                .model_size_bytes(id)
-                .expect("model ids in range are valid");
-            let shared = library
-                .shared_size_bytes(id)
-                .expect("model ids in range are valid");
+        let block_bytes: Vec<u64> = library.blocks().map(ParameterBlock::size_bytes).collect();
+        for model in library.models() {
+            let mut size = 0u64;
+            let mut shared = 0u64;
+            for &b in model.blocks() {
+                size += block_bytes[b.index()];
+                if library.is_shared_block(b) {
+                    shared += block_bytes[b.index()];
+                }
+            }
             min_model_bytes = min_model_bytes.min(size);
             max_model_bytes = max_model_bytes.max(size);
             size_sum += size;

@@ -48,7 +48,10 @@ impl PlacementAlgorithm for TopPopularity {
     }
 
     fn place(&self, scenario: &Scenario) -> Result<PlacementOutcome, PlacementError> {
-        // audit:allow(wall-clock): measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces"
+        )]
         let start = Instant::now();
         let demand = scenario.demand();
         let num_models = scenario.num_models();
@@ -132,7 +135,10 @@ impl PlacementAlgorithm for RandomPlacement {
     }
 
     fn place(&self, scenario: &Scenario) -> Result<PlacementOutcome, PlacementError> {
-        // audit:allow(wall-clock): measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces"
+        )]
         let start = Instant::now();
         let num_servers = scenario.num_servers();
         let num_models = scenario.num_models();

@@ -146,7 +146,10 @@ impl PlacementAlgorithm for ExhaustiveSearch {
     }
 
     fn place(&self, scenario: &Scenario) -> Result<PlacementOutcome, PlacementError> {
-        // audit:allow(wall-clock): measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces"
+        )]
         let start = Instant::now();
         let num_servers = scenario.num_servers();
         let num_users = scenario.num_users();

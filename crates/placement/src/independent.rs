@@ -33,7 +33,10 @@ impl PlacementAlgorithm for IndependentCaching {
     }
 
     fn place(&self, scenario: &Scenario) -> Result<PlacementOutcome, PlacementError> {
-        // audit:allow(wall-clock): measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces"
+        )]
         let start = Instant::now();
         let (placement, evaluations) = greedy_place(scenario, StorageRule::Independent)?;
         Ok(PlacementOutcome::new(

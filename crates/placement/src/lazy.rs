@@ -174,7 +174,10 @@ impl TrimCachingGenLazy {
         scenario: &Scenario,
         objective: &HitRatioObjective<'_>,
     ) -> Result<PlacementOutcome, PlacementError> {
-        // audit:allow(wall-clock): measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures solver wall time for PlacementOutcome reporting; never enters simulated time or traces"
+        )]
         let start = Instant::now();
         let num_servers = scenario.num_servers();
 

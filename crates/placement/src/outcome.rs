@@ -3,14 +3,12 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use trimcaching_scenario::{Placement, Scenario};
 
 use crate::error::PlacementError;
 
 /// The result of running a placement algorithm on a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementOutcome {
     /// Name of the algorithm that produced this outcome.
     pub algorithm: String,

@@ -109,14 +109,10 @@ impl SharingAnalysis {
         // 1. Per-model shared-block signatures.
         let signatures: Vec<BTreeSet<BlockId>> = library
             .model_ids()
-            .map(|id| {
-                library
-                    .shared_blocks_of_model(id)
-                    .expect("model ids come from the library")
-                    .into_iter()
-                    .collect::<BTreeSet<_>>()
+            .map(|id| -> Result<BTreeSet<BlockId>, PlacementError> {
+                Ok(library.shared_blocks_of_model(id)?.into_iter().collect())
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
 
         // 2. Distinct non-empty signatures.
         let mut distinct: Vec<BTreeSet<BlockId>> = Vec::new();
@@ -202,18 +198,14 @@ impl SharingAnalysis {
             };
             let choices = candidate_sets
                 .into_iter()
-                .map(|blocks| {
+                .map(|blocks| -> Result<Choice, PlacementError> {
                     let bytes = blocks
                         .iter()
-                        .map(|b| {
-                            library
-                                .block_size_bytes(*b)
-                                .expect("blocks come from the library")
-                        })
-                        .sum();
-                    Choice { blocks, bytes }
+                        .map(|b| library.block_size_bytes(*b))
+                        .sum::<Result<u64, _>>()?;
+                    Ok(Choice { blocks, bytes })
                 })
-                .collect();
+                .collect::<Result<_, _>>()?;
             groups.push(Group { choices });
         }
 
@@ -233,24 +225,26 @@ impl SharingAnalysis {
         // 6. Per-model sharing metadata.
         let model_sharing = signatures
             .iter()
-            .map(|sig| {
+            .map(|sig| -> Result<ModelSharing, PlacementError> {
                 if sig.is_empty() {
-                    return ModelSharing::Unshared;
+                    return Ok(ModelSharing::Unshared);
                 }
                 // The group containing this signature is the one whose
                 // choices intersect it (groups are disjoint).
                 let group = groups
                     .iter()
                     .position(|g| g.choices.iter().any(|c| !c.blocks.is_disjoint(sig)))
-                    .expect("every non-empty signature belongs to a group");
+                    .ok_or_else(|| PlacementError::InvalidConfig {
+                        reason: "internal: a shared-block signature belongs to no group".into(),
+                    })?;
                 let eligible_at = groups[group]
                     .choices
                     .iter()
                     .map(|c| sig.is_subset(&c.blocks))
                     .collect();
-                ModelSharing::Grouped { group, eligible_at }
+                Ok(ModelSharing::Grouped { group, eligible_at })
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
 
         Ok(Self {
             groups,

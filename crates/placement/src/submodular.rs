@@ -57,15 +57,21 @@ pub fn check_objective_submodularity<R: Rng + ?Sized>(
         if shuffled.len() < 2 {
             break;
         }
-        let x = shuffled.pop().expect("ground set has at least one element");
+        let Some(x) = shuffled.pop() else {
+            break;
+        };
         let t_len = rng.gen_range(0..=shuffled.len());
         let s_len = rng.gen_range(0..=t_len);
         let mut small = Placement::empty(scenario.num_servers(), scenario.num_models());
         let mut large = Placement::empty(scenario.num_servers(), scenario.num_models());
         for (idx, (srv, model)) in shuffled.iter().take(t_len).enumerate() {
-            large.place(*srv, *model).expect("indices are in range");
+            let Ok(_) = large.place(*srv, *model) else {
+                continue;
+            };
             if idx < s_len {
-                small.place(*srv, *model).expect("indices are in range");
+                let Ok(_) = small.place(*srv, *model) else {
+                    continue;
+                };
             }
         }
         let gain_small = objective.marginal_hits(&small, x.0, x.1);
@@ -100,7 +106,9 @@ pub fn check_storage_submodularity<R: Rng + ?Sized>(
         if shuffled.len() < 2 {
             break;
         }
-        let x = shuffled.pop().expect("library has at least one model");
+        let Some(x) = shuffled.pop() else {
+            break;
+        };
         let t_len = rng.gen_range(0..=shuffled.len());
         let s_len = rng.gen_range(0..=t_len);
         let small: Vec<ModelId> = shuffled.iter().take(s_len).copied().collect();
@@ -142,7 +150,9 @@ pub fn check_objective_monotonicity<R: Rng + ?Sized>(
         for _ in 0..rng.gen_range(1..8usize) {
             let m = ServerId(rng.gen_range(0..scenario.num_servers()));
             let i = ModelId(rng.gen_range(0..scenario.num_models()));
-            placement.place(m, i).expect("indices are in range");
+            let Ok(_) = placement.place(m, i) else {
+                continue;
+            };
             let u = objective.hit_ratio(&placement);
             if u < last - TOLERANCE {
                 violations += 1;

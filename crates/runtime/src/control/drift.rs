@@ -13,12 +13,10 @@
 //!
 //! Pure function of the fed sequence: no clocks, no randomness.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RuntimeError;
 
 /// Why a re-plan fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplanReason {
     /// Sustained hit-ratio degradation (or p95 inflation) versus the
     /// EWMA reference.
@@ -29,7 +27,7 @@ pub enum ReplanReason {
 
 /// Configuration of the drift detector (embedded in
 /// [`ControlConfig`](crate::control::ControlConfig)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Relative hit-ratio drop versus the reference that counts as a
     /// degraded tick (e.g. `0.15` = 15% below reference).

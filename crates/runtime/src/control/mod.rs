@@ -35,8 +35,6 @@ pub mod estimator;
 pub mod planner;
 pub mod reconcile;
 
-use serde::{Deserialize, Serialize};
-
 use trimcaching_modellib::ModelId;
 use trimcaching_scenario::{DemandEstimate, UserId};
 
@@ -49,7 +47,7 @@ pub use planner::{plan_target, plan_target_masked};
 pub use reconcile::{diff, next_victim, ReconcilePlan, ServerDelta};
 
 /// Configuration of the online re-placement controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlConfig {
     /// Control-loop period in seconds: every tick rolls the estimator
     /// epoch and feeds the drift detector.

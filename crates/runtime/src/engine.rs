@@ -40,7 +40,6 @@ use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use trimcaching_modellib::ModelId;
 use trimcaching_scenario::mobility::MobilityModel;
@@ -51,6 +50,7 @@ use crate::cache::ServerCache;
 use crate::control::{plan_target_masked, reconcile, ControlConfig, Controller, ReplanReason};
 use crate::error::RuntimeError;
 use crate::event::{EventKind, EventQueue};
+use crate::fanout::par_map;
 use crate::faults::{FaultConfig, FaultKind, RecoveryMode};
 use crate::metrics::{RequestOutcome, ServeMetrics};
 use crate::persist::checkpoint::{CheckpointSaver, CheckpointState, MobilityState};
@@ -61,7 +61,7 @@ use crate::transfer::BackhaulLink;
 use crate::workload::Workload;
 
 /// What a cache fill puts on the cloud→edge wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillGranularity {
     /// Every fill downloads the full model artifact, even when shared
     /// blocks are already resident — parameter sharing is rewarded in
@@ -75,7 +75,7 @@ pub enum FillGranularity {
 }
 
 /// Configuration of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Simulated duration in seconds.
     pub duration_s: f64,
@@ -276,7 +276,7 @@ impl Default for ServeConfig {
 }
 
 /// Result of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Name of the eviction policy that ran.
     pub policy: String,
@@ -1883,7 +1883,7 @@ pub fn serve_with_workload(
 ///
 /// # Errors
 ///
-/// Returns the first error any run produced.
+/// Returns the error of the lowest-index failing run.
 pub fn serve_ensemble(
     scenario: &Scenario,
     policy: &dyn EvictionPolicy,
@@ -1898,56 +1898,12 @@ pub fn serve_ensemble(
         });
     }
     config.validate()?;
-    let workers = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-    .min(runs)
-    .max(1);
-
-    let results: std::sync::Mutex<Vec<Option<Result<ServeReport, RuntimeError>>>> =
-        std::sync::Mutex::new((0..runs).map(|_| None).collect());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if index >= runs {
-                    break;
-                }
-                let run_config = config
-                    .clone()
-                    .with_seed(config.seed.wrapping_add(index as u64));
-                let outcome = serve(scenario, policy, initial, &run_config);
-                let failed = outcome.is_err();
-                // A poisoned lock only means another worker panicked
-                // after writing its slot — the data inside is still a
-                // plain `Vec` of per-run slots, so recover it rather
-                // than propagating the panic across all runs.
-                results.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(outcome);
-                if failed {
-                    break;
-                }
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                Err(RuntimeError::Internal {
-                    reason: "an ensemble run slot was never claimed by a worker".into(),
-                })
-            })
-        })
-        .collect()
+    par_map(&mut vec![(); runs], threads, |index, _| {
+        let run_config = config
+            .clone()
+            .with_seed(config.seed.wrapping_add(index as u64));
+        serve(scenario, policy, initial, &run_config)
+    })
 }
 
 #[cfg(test)]

@@ -19,12 +19,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::RuntimeError;
 
 /// One fault transition in a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// An edge server goes dark: its cache stops serving, its in-flight
     /// fills are aborted (and re-queued with backoff), and the planner
@@ -69,7 +68,7 @@ impl FaultKind {
 }
 
 /// One timestamped entry of a fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Simulated time at which the transition fires.
     pub at_s: f64,
@@ -78,7 +77,7 @@ pub struct FaultSpec {
 }
 
 /// What a server's cache looks like when it comes back up.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecoveryMode {
     /// The cache survives the outage untouched (a process restart with
     /// persistent local storage).
@@ -97,7 +96,7 @@ pub enum RecoveryMode {
 
 /// A deterministic fault schedule plus the degradation knobs the engine
 /// applies while replaying it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// The fault transitions, replayed as events on the engine queue.
     pub timeline: Vec<FaultSpec>,

@@ -66,7 +66,10 @@
 //!   deterministically (handover, ownership migration, shared
 //!   checkpoints) so the trace is byte-identical across any thread
 //!   count, and one shard reproduces the classic engine bit for bit
-//!   ([`ShardedServeEngine`]).
+//!   ([`ShardedServeEngine`]);
+//! * [`fanout`] — the one scoped-thread fan-out behind shard driving,
+//!   ensembles, Monte-Carlo topologies and sweeps: results in index
+//!   order, and the lowest-index error for any thread count.
 //!
 //! # Example
 //!
@@ -98,12 +101,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod cache;
 pub mod control;
 pub mod engine;
 pub mod error;
 pub mod event;
+pub mod fanout;
 pub mod faults;
 pub mod metrics;
 pub mod persist;

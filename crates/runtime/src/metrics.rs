@@ -8,10 +8,8 @@
 //! two identically seeded runs produce identical metric values — the
 //! property the determinism tests pin down.
 
-use serde::{Deserialize, Serialize};
-
 /// How one request ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestOutcome {
     /// Served from an edge cache within the deadline — a cache hit.
     Hit,
@@ -23,7 +21,7 @@ pub enum RequestOutcome {
 }
 
 /// Hit/request counts of one completed metrics window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowPoint {
     /// End of the window in simulated seconds.
     pub end_s: f64,
@@ -49,7 +47,7 @@ impl WindowPoint {
 /// 120 buckets give ~14% relative resolution — coarse, but quantiles of
 /// a serving run are reported, not asserted to sub-percent precision,
 /// and a fixed layout keeps recording allocation-free.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -157,7 +155,7 @@ impl Default for LatencyHistogram {
 }
 
 /// All metrics of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeMetrics {
     /// Total requests fired.
     pub requests: u64,

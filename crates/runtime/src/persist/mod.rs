@@ -9,10 +9,9 @@
 //! (checkpoint + replay-events-after-checkpoint) applies directly:
 //!
 //! * [`wire`] — a versioned, length-prefixed, CRC-guarded binary codec.
-//!   The vendored `serde` is a no-op stand-in, so engine state is
-//!   hand-encoded: every value has exactly one byte representation,
-//!   which is what makes "byte-identical" a checkable property rather
-//!   than a hope.
+//!   Engine state is hand-encoded: every value has exactly one byte
+//!   representation, which is what makes "byte-identical" a checkable
+//!   property rather than a hope.
 //! * [`journal`] — an append-only log of served events. One framed,
 //!   CRC-guarded [`ServedRecord`] per request, flushed at checkpoint
 //!   boundaries; [`recompute_metrics`] rebuilds the hit-ratio windows
@@ -242,5 +241,48 @@ mod tests {
         assert!(rt.to_string().contains("torn"));
         use std::error::Error;
         assert!(rt.source().is_some());
+    }
+
+    /// FNV-1a-64 over the code lines of the persist layout files:
+    /// `//` comment lines, blank lines, indentation and each file's
+    /// unit-test module are left out, so only a code edit moves it.
+    fn layout_fingerprint() -> u64 {
+        let sources = [
+            include_str!("wire.rs"),
+            include_str!("journal.rs"),
+            include_str!("checkpoint.rs"),
+        ];
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for source in sources {
+            let code = source
+                .lines()
+                .map(str::trim)
+                .take_while(|line| *line != "mod tests {")
+                .filter(|line| !line.is_empty() && !line.starts_with("//"));
+            for line in code {
+                for byte in line.bytes().chain([b'\n']) {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn layout_is_pinned_to_the_format_versions() {
+        let live = (
+            journal::JOURNAL_VERSION,
+            checkpoint::CHECKPOINT_VERSION,
+            layout_fingerprint(),
+        );
+        assert_eq!(
+            live,
+            (1, 3, 0x5776_2912_b6b1_10b1),
+            "the journal/checkpoint layout code changed: bump the version, then re-pin \
+             (JOURNAL_VERSION, CHECKPOINT_VERSION, fingerprint) to ({}, {}, {:#018x})",
+            live.0,
+            live.1,
+            live.2
+        );
     }
 }

@@ -1,8 +1,7 @@
 //! Hand-rolled binary codec for engine state.
 //!
-//! The vendored `serde` facade expands its derives to nothing, so
-//! persistence cannot lean on it; instead this module provides a tiny
-//! deterministic codec with exactly one byte representation per value:
+//! A tiny deterministic codec with exactly one byte representation per
+//! value:
 //!
 //! * all integers are little-endian and fixed-width;
 //! * `f64` is stored as its raw IEEE-754 bit pattern (`to_bits`), so

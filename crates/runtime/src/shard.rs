@@ -40,14 +40,12 @@
 //! and user ownership from the static topology and the checkpointed
 //! positions.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use trimcaching_scenario::{Placement, Scenario, UserId};
 use trimcaching_wireless::geometry::Point;
 
 use crate::engine::{DriveStop, RunState, ServeConfig, ServeEngine, ServeReport, ShardSpec};
 use crate::error::RuntimeError;
+use crate::fanout::par_map;
 use crate::persist::checkpoint::{CheckpointSaver, CheckpointState};
 use crate::persist::{Checkpoint, PersistConfig};
 use crate::policy::EvictionPolicy;
@@ -440,66 +438,11 @@ impl<'a> ShardedServeEngine<'a> {
     /// outcomes come back in shard-id order whatever the thread
     /// scheduling, so everything downstream is deterministic.
     fn drive_all(&mut self, stop_s: f64) -> Result<Vec<DriveStop>, RuntimeError> {
-        let workers = if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-        .min(self.shards.len())
-        .max(1);
-
-        if workers == 1 {
-            let mut outcomes = Vec::with_capacity(self.shards.len());
-            for shard in &mut self.shards {
-                let ShardRun { engine, state } = shard;
-                let state = state.as_mut().ok_or_else(no_run_state)?;
-                outcomes.push(engine.drive(state, stop_s)?);
-            }
-            return Ok(outcomes);
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<&mut ShardRun<'a>>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let results: Vec<Mutex<Option<Result<DriveStop, RuntimeError>>>> =
-            slots.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::SeqCst);
-                    if index >= slots.len() {
-                        break;
-                    }
-                    // A poisoned lock only means another worker panicked
-                    // after writing its slot — recover the data rather
-                    // than propagating the panic across all shards.
-                    let mut slot = slots[index].lock().unwrap_or_else(|e| e.into_inner());
-                    let ShardRun { engine, state } = &mut **slot;
-                    let outcome = match state.as_mut() {
-                        Some(state) => engine.drive(state, stop_s),
-                        None => Err(no_run_state()),
-                    };
-                    let failed = outcome.is_err();
-                    *results[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-                    if failed {
-                        break;
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .unwrap_or_else(|| {
-                        Err(RuntimeError::Internal {
-                            reason: "a shard drive slot was never claimed by a worker".into(),
-                        })
-                    })
-            })
-            .collect()
+        par_map(&mut self.shards, self.threads, |_, shard| {
+            let ShardRun { engine, state } = shard;
+            let state = state.as_mut().ok_or_else(no_run_state)?;
+            engine.drive(state, stop_s)
+        })
     }
 
     /// The deterministic cross-shard merge at mobility boundary `tb`,

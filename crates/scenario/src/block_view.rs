@@ -21,8 +21,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use trimcaching_modellib::{BlockId, ModelId, ModelLibrary};
 
 use crate::entities::ServerId;
@@ -30,7 +28,7 @@ use crate::error::ScenarioError;
 use crate::placement::Placement;
 
 /// A block-level caching decision over `M` servers and `|J|` blocks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockPlacement {
     num_servers: usize,
     num_blocks: usize,

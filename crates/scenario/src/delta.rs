@@ -25,11 +25,9 @@
 //!   reallocated server: exactly the users whose rate or eligibility
 //!   rows could differ from the previous snapshot.
 
-use serde::{Deserialize, Serialize};
-
 /// What one [`crate::Scenario::apply_user_moves`] call recomputed. See
 /// the [module docs](self) for how the sets relate.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotDelta {
     moved_users: Vec<usize>,
     touched_servers: Vec<usize>,

@@ -22,7 +22,6 @@
 //! observed demand instead of the frozen offline snapshot.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use trimcaching_modellib::{ModelId, ZipfPopularity};
 
@@ -46,7 +45,7 @@ use crate::error::ScenarioError;
 /// observationally — and bit-for-bit, including the accumulation order
 /// of [`Demand::total_probability_mass`] — identical to the singleton
 /// form with the same rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Demand {
     /// `probabilities[row][i]` = `p_{k,i}` for every user `k` of `row`'s
     /// class. Rows need not be normalised: the objective of Eq. (2)
@@ -371,7 +370,7 @@ impl DemandView for Demand {
 /// weights (typically EWMA request rates observed by an online
 /// estimator). Satisfies [`DemandView`], so the placement solvers accept
 /// it wherever they accept the ground-truth [`Demand`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandEstimate {
     /// `weights[k][i]` — unnormalised request weight of `(k, i)`.
     weights: Vec<Vec<f64>>,
@@ -445,7 +444,7 @@ impl DemandView for DemandEstimate {
 
 /// Random-demand generator reproducing Section VII-A: Zipf request
 /// popularity and uniform `[0.5, 1]` s end-to-end budgets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandConfig {
     /// Zipf skew exponent for request popularity.
     pub zipf_exponent: f64,

@@ -29,8 +29,6 @@
 //! so floating-point accumulation orders — and therefore hit ratios —
 //! are bit-identical between the dense and sparse paths.
 
-use serde::{Deserialize, Serialize};
-
 use trimcaching_modellib::ModelId;
 
 use crate::entities::UserId;
@@ -93,7 +91,7 @@ pub trait EligibilityView: std::fmt::Debug {
 
 /// Precomputed dense `I1(m, k, i)` indicator for all (server, user, model)
 /// triples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EligibilityTensor {
     num_servers: usize,
     num_users: usize,
@@ -328,7 +326,7 @@ impl EligibilityView for EligibilityTensor {
 ///
 /// Construction never materialises the dense cube; see
 /// [`crate::latency::LatencyEvaluator::sparse_eligibility`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseEligibility {
     num_servers: usize,
     num_users: usize,
@@ -1025,7 +1023,7 @@ impl Iterator for PairsForServer<'_> {
 /// The eligibility indicator of one scenario, in whichever representation
 /// the builder selected. Implements (and mirrors, as inherent methods)
 /// [`EligibilityView`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Eligibility {
     /// Dense `M × K × I` cube.
     Dense(EligibilityTensor),
@@ -1147,7 +1145,7 @@ impl EligibilityView for Eligibility {
 }
 
 /// Which eligibility representation a [`crate::ScenarioBuilder`] derives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EligibilityRepr {
     /// Pick automatically from the problem dimensions and the coverage
     /// density; see [`EligibilityRepr::resolved`].

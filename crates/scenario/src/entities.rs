@@ -1,15 +1,11 @@
 //! Physical entities of a scenario: edge servers and users.
 
-use serde::{Deserialize, Serialize};
-
 use trimcaching_wireless::geometry::Point;
 
 use crate::error::ScenarioError;
 
 /// Identifier of an edge server within a scenario (dense index).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ServerId(pub usize);
 
 impl ServerId {
@@ -26,9 +22,7 @@ impl std::fmt::Display for ServerId {
 }
 
 /// Identifier of a user within a scenario (dense index).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct UserId(pub usize);
 
 impl UserId {
@@ -45,7 +39,7 @@ impl std::fmt::Display for UserId {
 }
 
 /// A wireless edge server (base station) with model storage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeServer {
     id: ServerId,
     position: Point,
@@ -99,7 +93,7 @@ impl EdgeServer {
 }
 
 /// A mobile user requesting AI models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct User {
     id: UserId,
     position: Point,

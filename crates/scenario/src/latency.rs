@@ -18,8 +18,6 @@
 //! [`LatencyEvaluator::sparse_eligibility`] builds the coverage-pruned
 //! [`SparseEligibility`] without ever allocating the `M × K × I` cube.
 
-use serde::{Deserialize, Serialize};
-
 use trimcaching_modellib::{ModelId, ModelLibrary};
 use trimcaching_wireless::allocation::PerUserAllocation;
 use trimcaching_wireless::channel::RateContext;
@@ -43,7 +41,7 @@ use crate::error::ScenarioError;
 /// megabytes and gigabytes at city scale (1000+ servers, 50k+ users).
 /// [`RateMatrix::covered_rates`] iterates a row without paying per-user
 /// lookups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateMatrix {
     num_users: usize,
     /// CSR row offsets, length `M + 1`.

@@ -17,7 +17,6 @@ use std::f64::consts::PI;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use trimcaching_wireless::geometry::{DeploymentArea, Point};
 
@@ -25,7 +24,7 @@ use trimcaching_wireless::geometry::{DeploymentArea, Point};
 pub const PAPER_SLOT_SECONDS: f64 = 5.0;
 
 /// Mobility class of a user.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MobilityClass {
     /// Walking users.
     Pedestrian,
@@ -75,7 +74,7 @@ impl MobilityClass {
 }
 
 /// The kinematic state of one mobile user.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MobileUser {
     /// Current position.
     pub position: Point,
@@ -88,7 +87,7 @@ pub struct MobileUser {
 }
 
 /// A mobility simulation over a set of users inside a deployment area.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MobilityModel {
     area: DeploymentArea,
     slot_seconds: f64,
@@ -243,7 +242,7 @@ impl MobilityModel {
 /// stepping consumes **no** randomness — the whole trajectory is a pure
 /// function of `(num_users, area, half_period_s, seed)` — which is what
 /// lets sweep cells replay commuter scenarios byte-identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommuterFlow {
     area: DeploymentArea,
     half_period_s: f64,

@@ -8,15 +8,13 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use trimcaching_modellib::{BlockId, ModelId, ModelLibrary};
 
 use crate::entities::ServerId;
 use crate::error::ScenarioError;
 
 /// A model placement decision over `M` servers and `I` models.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     num_servers: usize,
     num_models: usize,

@@ -11,7 +11,6 @@
 //! re-derived snapshot used by the mobility study.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use trimcaching_modellib::ModelLibrary;
 use trimcaching_wireless::allocation::PerUserAllocation;
@@ -32,7 +31,7 @@ use crate::placement::Placement;
 use crate::storage::StorageTracker;
 
 /// One snapshot of the system: inputs plus derived radio/latency state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     library: ModelLibrary,
     servers: Vec<EdgeServer>,

@@ -94,9 +94,8 @@ pub fn sharing_depth_sweep(config: &RunConfig) -> Result<ExperimentTable, SimErr
                     (depth.max(1), depth.max(1)),
                     bb.head_size_bytes(),
                 )
-                .expect("paper backbones remain valid at any depth in range")
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let library = SpecialCaseBuilder::with_backbones(backbones)
             .models_per_backbone(config.models_per_backbone)
             .build(config.library_seed);
@@ -157,7 +156,10 @@ pub fn library_scaling(config: &RunConfig) -> Result<ExperimentTable, SimError> 
         let scenario = topology.generate(&library, config.monte_carlo.seed, 0)?;
         let mut cells = Vec::new();
         for algorithm in &algorithms {
-            // audit:allow(wall-clock): times the placement solve for the ablation's runtime column; reporting only, never simulated time
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "times the placement solve for the ablation's runtime column; reporting only, never simulated time"
+            )]
             let start = Instant::now();
             let outcome = algorithm.place(&scenario)?;
             let elapsed = start

@@ -33,8 +33,6 @@ pub mod replacement;
 pub mod serve;
 pub mod sharded;
 
-use serde::{Deserialize, Serialize};
-
 use trimcaching_modellib::builders::{GeneralCaseBuilder, SpecialCaseBuilder};
 use trimcaching_modellib::ModelLibrary;
 use trimcaching_placement::PlacementAlgorithm;
@@ -45,7 +43,7 @@ use crate::topology::TopologyConfig;
 use crate::SimError;
 
 /// Which of the paper's two parameter-sharing libraries an experiment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LibraryKind {
     /// Special case: bottom-layer freezing from three pre-trained backbones.
     Special,
@@ -54,7 +52,7 @@ pub enum LibraryKind {
 }
 
 /// Shared configuration of the experiment drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunConfig {
     /// Monte-Carlo repetition counts.
     pub monte_carlo: MonteCarloConfig,

@@ -21,6 +21,7 @@
 
 use std::time::Instant;
 
+use trimcaching_runtime::fanout::worker_threads;
 use trimcaching_runtime::{CostAwareLfu, ServeConfig, ShardedServeEngine};
 
 use crate::experiments::{LibraryKind, RunConfig};
@@ -53,11 +54,7 @@ fn serve_config(config: &RunConfig, duration_s: f64) -> ServeConfig {
 /// The worker count a pool of `threads` actually uses for `shards`
 /// shards (`0` = all available cores).
 fn effective_workers(threads: usize, shards: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let pool = if threads == 0 { available } else { threads };
-    pool.min(shards).max(1)
+    worker_threads(threads).min(shards).max(1)
 }
 
 /// Shard-count sweep `R ∈ {1, 2, …, max_shards}` (powers of two):
@@ -101,7 +98,10 @@ pub fn sharded_scaling_study(
         let serial = ShardedServeEngine::new(&scenario, &CostAwareLfu, serve_cfg.clone(), shards)?
             .with_threads(1)
             .run()?;
-        // audit:allow(wall-clock): times the pooled run for the throughput column; reporting only, never simulated time
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times the pooled run for the throughput column; reporting only, never simulated time"
+        )]
         let started = Instant::now();
         let pooled = ShardedServeEngine::new(&scenario, &CostAwareLfu, serve_cfg.clone(), shards)?
             .with_threads(threads)
@@ -162,7 +162,10 @@ pub fn sharded_xl_study(config: &RunConfig, threads: usize) -> Result<Experiment
     let serial = ShardedServeEngine::new(&scenario, &CostAwareLfu, serve_cfg.clone(), shards)?
         .with_threads(1)
         .run()?;
-    // audit:allow(wall-clock): times the pooled run for the throughput column; reporting only, never simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "times the pooled run for the throughput column; reporting only, never simulated time"
+    )]
     let started = Instant::now();
     let pooled = ShardedServeEngine::new(&scenario, &CostAwareLfu, serve_cfg, shards)?
         .with_threads(threads)

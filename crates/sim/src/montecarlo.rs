@@ -7,20 +7,19 @@
 //! counts, and [`evaluate_algorithms`] runs a set of placement algorithms
 //! over the topology ensemble in parallel worker threads.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use trimcaching_modellib::ModelLibrary;
 use trimcaching_placement::PlacementAlgorithm;
+use trimcaching_runtime::fanout::par_map;
 
 use crate::report::Measurement;
 use crate::topology::TopologyConfig;
 use crate::SimError;
 
 /// Repetition counts for the Monte-Carlo evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloConfig {
     /// Number of random network topologies (the paper uses 100).
     pub topologies: usize,
@@ -64,16 +63,6 @@ impl MonteCarloConfig {
             threads: 1,
         }
     }
-
-    fn worker_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
 }
 
 impl Default for MonteCarloConfig {
@@ -83,7 +72,7 @@ impl Default for MonteCarloConfig {
 }
 
 /// Per-algorithm samples collected over the topology ensemble.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AlgorithmSamples {
     /// Algorithm name.
     pub algorithm: String,
@@ -115,9 +104,10 @@ impl AlgorithmSamples {
 ///
 /// # Errors
 ///
-/// Returns the first error produced by topology generation or by an
-/// algorithm. Algorithms that refuse an instance
-/// (`PlacementError::InstanceTooLarge`) propagate that refusal.
+/// Returns the error of the lowest-numbered failing topology (for any
+/// thread count), from topology generation or from an algorithm.
+/// Algorithms that refuse an instance (`PlacementError::InstanceTooLarge`)
+/// propagate that refusal.
 pub fn evaluate_algorithms(
     library: &ModelLibrary,
     topology: &TopologyConfig,
@@ -136,61 +126,31 @@ pub fn evaluate_algorithms(
     }
 
     // Per topology: one (hit ratio, runtime, evaluations) triple per
-    // algorithm, filled in by whichever worker claims the index.
-    type TopologySamples = Vec<(f64, f64, u64)>;
-    let results: Mutex<Vec<Option<TopologySamples>>> = Mutex::new(vec![None; mc.topologies]);
-    let error: Mutex<Option<SimError>> = Mutex::new(None);
-    let next_index = std::sync::atomic::AtomicUsize::new(0);
-    let workers = mc.worker_threads().min(mc.topologies).max(1);
+    // algorithm.
+    let per_topology = par_map(
+        &mut vec![(); mc.topologies],
+        mc.threads,
+        |index, _| -> Result<Vec<(f64, f64, u64)>, SimError> {
+            let scenario = topology.generate(library, mc.seed, index as u64)?;
+            let mut per_algorithm = Vec::with_capacity(algorithms.len());
+            for algorithm in algorithms {
+                let result = algorithm.place(&scenario)?;
+                let mut rng = StdRng::seed_from_u64(
+                    mc.seed
+                        .wrapping_add(index as u64)
+                        .wrapping_mul(0xA24B_AED4_963E_E407),
+                );
+                let hit = scenario.average_hit_ratio_under_fading(
+                    &result.placement,
+                    mc.fading_realisations,
+                    &mut rng,
+                )?;
+                per_algorithm.push((hit, result.runtime.as_secs_f64(), result.evaluations));
+            }
+            Ok(per_algorithm)
+        },
+    )?;
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next_index.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if index >= mc.topologies {
-                    break;
-                }
-                if error.lock().is_some() {
-                    break;
-                }
-                let outcome = (|| -> Result<Vec<(f64, f64, u64)>, SimError> {
-                    let scenario = topology.generate(library, mc.seed, index as u64)?;
-                    let mut per_algorithm = Vec::with_capacity(algorithms.len());
-                    for algorithm in algorithms {
-                        let result = algorithm.place(&scenario)?;
-                        let mut rng = StdRng::seed_from_u64(
-                            mc.seed
-                                .wrapping_add(index as u64)
-                                .wrapping_mul(0xA24B_AED4_963E_E407),
-                        );
-                        let hit = scenario.average_hit_ratio_under_fading(
-                            &result.placement,
-                            mc.fading_realisations,
-                            &mut rng,
-                        )?;
-                        per_algorithm.push((hit, result.runtime.as_secs_f64(), result.evaluations));
-                    }
-                    Ok(per_algorithm)
-                })();
-                match outcome {
-                    Ok(v) => results.lock()[index] = Some(v),
-                    Err(e) => {
-                        let mut slot = error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = error.into_inner() {
-        return Err(e);
-    }
-
-    let per_topology = results.into_inner();
     let mut samples: Vec<AlgorithmSamples> = algorithms
         .iter()
         .map(|a| AlgorithmSamples {
@@ -198,7 +158,7 @@ pub fn evaluate_algorithms(
             ..Default::default()
         })
         .collect();
-    for topo in per_topology.into_iter().flatten() {
+    for topo in per_topology {
         for (a, (hit, runtime, evals)) in topo.into_iter().enumerate() {
             samples[a].hit_ratios.push(hit);
             samples[a].runtimes_s.push(runtime);
@@ -289,11 +249,6 @@ mod tests {
         assert_eq!(MonteCarloConfig::paper().fading_realisations, 1000);
         assert!(MonteCarloConfig::reduced().topologies < 100);
         assert_eq!(MonteCarloConfig::default(), MonteCarloConfig::reduced());
-        assert!(MonteCarloConfig::smoke().worker_threads() == 1);
-        let auto = MonteCarloConfig {
-            threads: 0,
-            ..MonteCarloConfig::smoke()
-        };
-        assert!(auto.worker_threads() >= 1);
+        assert_eq!(MonteCarloConfig::smoke().threads, 1);
     }
 }

@@ -21,7 +21,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use trimcaching_placement::PlacementAlgorithm;
 use trimcaching_scenario::mobility::{MobilityModel, PAPER_SLOT_SECONDS};
@@ -31,7 +30,7 @@ use trimcaching_wireless::geometry::DeploymentArea;
 use crate::SimError;
 
 /// Threshold-triggered re-placement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplacementPolicy {
     /// Relative hit-ratio drop that triggers a re-placement: the placement
     /// is recomputed when the current expected-rate hit ratio falls below
@@ -77,7 +76,7 @@ impl Default for ReplacementPolicy {
 }
 
 /// Timing configuration of a mobility replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayConfig {
     /// Total simulated duration in minutes (the paper's Fig. 7 spans 120).
     pub total_minutes: usize,
@@ -122,7 +121,7 @@ impl Default for ReplayConfig {
 }
 
 /// Result of one mobility replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplacementTrace {
     /// Evaluation instants in minutes (starting at 0).
     pub times_min: Vec<f64>,

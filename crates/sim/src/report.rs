@@ -6,10 +6,8 @@
 //! standard deviation — mirroring how the paper reports its figures
 //! (averages over network topologies with error bars).
 
-use serde::{Deserialize, Serialize};
-
 /// A single measured cell: mean ± standard deviation over repetitions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Measurement {
     /// Mean over the repetitions.
     pub mean: f64,
@@ -36,7 +34,7 @@ impl Measurement {
 
 /// One row of an experiment table: an x-axis value plus one measurement per
 /// series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// The x-axis value (e.g. storage capacity in GB, number of servers).
     pub x: f64,
@@ -46,7 +44,7 @@ pub struct Row {
 }
 
 /// A complete experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentTable {
     /// Experiment identifier (e.g. `"fig4a"`).
     pub id: String,
@@ -166,7 +164,7 @@ impl ExperimentTable {
 /// A per-algorithm comparison (used for the running-time studies of
 /// Fig. 6): one row per algorithm with its cache hit ratio and average
 /// running time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonTable {
     /// Experiment identifier (e.g. `"fig6a"`).
     pub id: String,
@@ -177,7 +175,7 @@ pub struct ComparisonTable {
 }
 
 /// One row of a [`ComparisonTable`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     /// Algorithm name.
     pub algorithm: String,

@@ -2,18 +2,16 @@
 //! a sweep grid.
 //!
 //! Each cell runs on **one** engine worker thread inside a
-//! [`ShardedServeEngine`] — parallelism lives at the sweep level, where
-//! workers claim cell indices from an atomic counter exactly like the
-//! Monte-Carlo driver claims topologies. Results land in an
-//! index-addressed slot vector, so the report order (and therefore
-//! every artefact byte) is independent of the worker count; a cell is
+//! [`ShardedServeEngine`] — parallelism lives at the sweep level, on the
+//! same `par_map` fan-out as the Monte-Carlo driver. Results come back
+//! in cell order, so the report (and therefore every artefact byte) is
+//! independent of the worker count; a cell is
 //! also individually reproducible from `(spec, index)` alone, since its
 //! seed derives from the spec fingerprint.
 
-use parking_lot::Mutex;
-
 use trimcaching_modellib::builders::SpecialCaseBuilder;
 use trimcaching_modellib::ModelId;
+use trimcaching_runtime::fanout::par_map;
 use trimcaching_runtime::{
     ControlConfig, FaultConfig, PopularityShift, ServeConfig, ShardedServeEngine, Workload,
 };
@@ -74,57 +72,11 @@ pub struct SweepReport {
 ///
 /// # Errors
 ///
-/// Returns the first [`SimError`] produced by spec validation, topology
-/// generation or a serving engine.
+/// Returns the [`SimError`] of spec validation, or of the lowest-index
+/// failing cell (topology generation or a serving engine).
 pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Result<SweepReport, SimError> {
-    let cells = spec.cells()?;
-    let results: Mutex<Vec<Option<CellOutcome>>> = Mutex::new(vec![None; cells.len()]);
-    let error: Mutex<Option<SimError>> = Mutex::new(None);
-    let next_index = std::sync::atomic::AtomicUsize::new(0);
-    let pool = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    let workers = pool.min(cells.len()).max(1);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next_index.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if index >= cells.len() {
-                    break;
-                }
-                if error.lock().is_some() {
-                    break;
-                }
-                match run_cell(spec, &cells[index]) {
-                    Ok(outcome) => results.lock()[index] = Some(outcome),
-                    Err(e) => {
-                        let mut slot = error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = error.into_inner() {
-        return Err(e);
-    }
-    let Some(outcomes) = results.into_inner().into_iter().collect::<Option<Vec<_>>>() else {
-        // Unreachable in practice: every worker either fills its slot or
-        // records the error handled above. Kept as an error, not a
-        // panic, so a bug here cannot take down a long sweep.
-        return Err(SimError::InvalidConfig {
-            reason: "internal: a sweep cell finished with neither a result nor an error".into(),
-        });
-    };
+    let mut cells = spec.cells()?;
+    let outcomes = par_map(&mut cells, threads, |_, cell| run_cell(spec, cell))?;
     Ok(SweepReport {
         name: spec.name.clone(),
         fingerprint: spec.fingerprint(),

@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use trimcaching_modellib::ModelLibrary;
 use trimcaching_scenario::prelude::*;
@@ -19,7 +18,7 @@ use trimcaching_wireless::params::RadioParams;
 use crate::SimError;
 
 /// Configuration of one random topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyConfig {
     /// Number of edge servers `M`.
     pub num_servers: usize,
@@ -164,7 +163,7 @@ impl Default for TopologyConfig {
 /// handful of servers, which is exactly the regime the coverage-pruned
 /// [`trimcaching_scenario::SparseEligibility`] representation targets —
 /// the default `repr` is therefore [`EligibilityRepr::Sparse`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CityScaleConfig {
     /// Side length of the square deployment region in metres.
     pub area_side_m: f64,
@@ -194,19 +193,16 @@ pub struct CityScaleConfig {
     /// `capacity_gb`, cycled by server index (`server m` gets
     /// `capacity_gb · tiers[m mod tiers.len()]`). `None` keeps the
     /// paper's homogeneous capacity.
-    #[serde(default)]
     pub storage_tiers: Option<Vec<f64>>,
     /// Correlated regional popularity: `Some(g)` cuts the area into a
     /// `g × g` grid of regions and gives each region its own clustered
     /// demand class — users request from the Zipf row of the region they
     /// stand in, so neighbours share a profile. Mutually exclusive with
     /// [`CityScaleConfig::demand_classes`].
-    #[serde(default)]
     pub regional_grid: Option<usize>,
     /// Commuter user placement: drop users at the *home* anchors of a
     /// [`CommuterFlow`] (western residential band) instead of uniformly,
     /// the static snapshot of a home/work commuting population.
-    #[serde(default)]
     pub commuter_homes: bool,
 }
 

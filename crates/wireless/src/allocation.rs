@@ -11,15 +11,13 @@
 //! users* of that server. [`PerUserAllocation`] computes and caches those
 //! shares for a topology described by a [`CoverageMap`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::coverage::CoverageMap;
 use crate::error::WirelessError;
 use crate::params::RadioParams;
 
 /// The expected bandwidth/power share a given server dedicates to each of
 /// its associated users.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerShare {
     /// Expected per-user bandwidth in Hz (`B̄_{m,k}`).
     pub bandwidth_hz: f64,
@@ -31,7 +29,7 @@ pub struct ServerShare {
 }
 
 /// Per-server expected allocation for every edge server in a topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerUserAllocation {
     shares: Vec<ServerShare>,
 }

@@ -8,12 +8,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WirelessError;
 
 /// The edge-to-edge backhaul of a topology with `M` servers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Backhaul {
     num_servers: usize,
     default_rate_bps: f64,

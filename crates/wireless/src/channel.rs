@@ -12,7 +12,6 @@
 //! unit-mean fading factor `|h|²`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::params::RadioParams;
 use crate::pathloss::{PathLossModel, PowerLawPathLoss};
@@ -109,7 +108,7 @@ pub trait Fading: std::fmt::Debug {
 
 /// Rayleigh fading: the amplitude is Rayleigh distributed, so the power gain
 /// `|h|²` is exponentially distributed with the configured mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RayleighFading {
     mean_power_gain: f64,
 }
@@ -160,7 +159,7 @@ impl Fading for RayleighFading {
 ///
 /// Useful in tests and in experiments that isolate placement quality from
 /// channel randomness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoFading;
 
 impl Fading for NoFading {

@@ -5,8 +5,6 @@
 //! servers covering user `k` and `K_m` the set of users associated with
 //! server `m`; both are precomputed by [`CoverageMap`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WirelessError;
 use crate::geometry::Point;
 
@@ -17,7 +15,7 @@ use crate::geometry::Point;
 /// user before or after the move (its member set, its members' distances,
 /// or both may have changed). Downstream layers use it to re-derive only
 /// the affected rows of the allocation, rate and eligibility state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoverageDelta {
     /// Users whose position changed, ascending and deduplicated.
     moved_users: Vec<usize>,
@@ -46,7 +44,7 @@ impl CoverageDelta {
 ///
 /// Indices are positional: user `k` refers to `users[k]` and server `m` to
 /// `servers[m]` as passed to [`CoverageMap::build`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverageMap {
     /// `servers_of_user[k]` = sorted indices of servers covering user `k`
     /// (the paper's `M_k`).
@@ -63,11 +61,9 @@ pub struct CoverageMap {
     coverage_radius_m: f64,
     /// Lazily built spatial bucketing of `server_points`, reused across
     /// [`CoverageMap::apply_user_moves`] batches. Purely derived state:
-    /// ignored by equality, skipped by serde (serialised maps stay
-    /// bit-stable and pre-grid snapshots still deserialise) and rebuilt
-    /// on demand. Any future API that mutates `server_points` must
-    /// reset this with `GridCache::default()`.
-    #[serde(skip)]
+    /// ignored by equality and rebuilt on demand. Any future API that
+    /// mutates `server_points` must reset this with
+    /// `GridCache::default()`.
     grid: GridCache,
 }
 

@@ -7,12 +7,11 @@
 //! uniform sampling, while [`Point`] is the shared 2-D position type.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::WirelessError;
 
 /// A position in the deployment plane, in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate in metres.
     pub x: f64,
@@ -58,7 +57,7 @@ impl Point {
 /// The paper uses a 1 km² square for the main experiments and a 400 m square
 /// for the exhaustive-search comparison; [`DeploymentArea::paper_default`]
 /// and [`DeploymentArea::paper_small`] provide those presets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeploymentArea {
     side_m: f64,
 }

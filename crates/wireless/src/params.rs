@@ -13,8 +13,6 @@
 //! [`RadioParams`] bundles these and offers a builder for experiments that
 //! sweep any of them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WirelessError;
 
 /// Thermal noise power spectral density in dBm/Hz used by default.
@@ -45,7 +43,7 @@ pub fn watts_to_dbm(watts: f64) -> f64 {
 ///
 /// Construct with [`RadioParams::paper_defaults`] for the paper's setting or
 /// with [`RadioParamsBuilder`] to override individual fields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioParams {
     /// Total downlink bandwidth of an edge server, in Hz (`B`).
     pub total_bandwidth_hz: f64,

@@ -5,8 +5,6 @@
 //! exactly that model; the [`PathLossModel`] trait leaves room for
 //! alternative models (e.g. 3GPP urban-macro) in downstream experiments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::WirelessError;
 use crate::params::RadioParams;
 
@@ -30,7 +28,7 @@ pub trait PathLossModel: std::fmt::Debug {
 /// The gain is clamped at the distance floor `min_distance_m` to avoid the
 /// singularity at `d = 0` (a standard convention; the evaluation never
 /// places a user closer than ~1 m from a base station).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawPathLoss {
     /// Antenna-related gain factor `γ₀`.
     pub antenna_gain: f64,

@@ -17,7 +17,6 @@
 //! average, keeping the comparison with the paper's setting fair.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::channel::{Fading, RayleighFading};
 
@@ -25,7 +24,7 @@ use crate::channel::{Fading, RayleighFading};
 const DB_TO_NAT: f64 = core::f64::consts::LN_10 / 10.0;
 
 /// Unit-mean log-normal shadow fading with a configurable dB spread.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormalShadowing {
     sigma_db: f64,
 }
@@ -85,7 +84,7 @@ impl Fading for LogNormalShadowing {
 
 /// Composite channel: log-normal shadowing multiplied by Rayleigh
 /// small-scale fading. Unit mean when both components are unit mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadowedRayleigh {
     shadowing: LogNormalShadowing,
     rayleigh: RayleighFading,

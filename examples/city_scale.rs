@@ -12,6 +12,11 @@
 //! cargo run --release --example city_scale
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the example reports how long building the district takes"
+)]
+
 use std::time::Instant;
 
 use trimcaching::modellib::builders::SpecialCaseBuilder;
