@@ -205,8 +205,15 @@ impl fmt::Display for PersistError {
 impl std::error::Error for PersistError {}
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// 64-bit FNV-1a over a byte string.
+    pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
 
     #[test]
     fn config_paths_and_validation() {
@@ -252,20 +259,19 @@ mod tests {
             include_str!("journal.rs"),
             include_str!("checkpoint.rs"),
         ];
-        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut code = String::new();
         for source in sources {
-            let code = source
+            let lines = source
                 .lines()
                 .map(str::trim)
                 .take_while(|line| *line != "mod tests {")
                 .filter(|line| !line.is_empty() && !line.starts_with("//"));
-            for line in code {
-                for byte in line.bytes().chain([b'\n']) {
-                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-                }
+            for line in lines {
+                code.push_str(line);
+                code.push('\n');
             }
         }
-        hash
+        fnv1a(code.as_bytes())
     }
 
     #[test]

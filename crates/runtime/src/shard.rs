@@ -546,6 +546,7 @@ pub fn serve_sharded(
 mod tests {
     use super::*;
     use crate::engine::serve;
+    use crate::persist::tests::fnv1a;
     use crate::policy::Lru;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -696,6 +697,118 @@ mod tests {
                 "shard {shard} journal must be byte-identical after kill/resume"
             );
         }
+    }
+
+    /// FNV-1a of every journal in `dir` (file-name order) and of the
+    /// report's `Debug` text.
+    fn golden_hashes(dir: &Path, report: &ServeReport) -> (Vec<u64>, u64) {
+        let mut journals: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|x| x == "tcj"))
+            .collect();
+        journals.sort();
+        let journals = journals
+            .into_iter()
+            .map(|p| fnv1a(&journal_bytes(p)))
+            .collect();
+        (journals, fnv1a(format!("{report:?}").as_bytes()))
+    }
+
+    #[test]
+    fn golden_bytes_are_pinned() {
+        use crate::control::ControlConfig;
+        use crate::engine::ServeEngine;
+        use crate::faults::{FaultConfig, FaultKind, FaultSpec};
+
+        let s = scenario(40);
+        let mut live = Vec::new();
+
+        // R = 1 through the classic API, mobile, with control and faults.
+        let dir = temp_dir("golden-classic");
+        let faults = FaultConfig::new(vec![
+            FaultSpec {
+                at_s: 12.0,
+                kind: FaultKind::ServerDown { server: 1 },
+            },
+            FaultSpec {
+                at_s: 33.0,
+                kind: FaultKind::ServerUp { server: 1 },
+            },
+        ]);
+        let classic = config(&dir)
+            .with_control(ControlConfig::paper_defaults().with_tick_s(10.0))
+            .with_faults(faults);
+        let report = ServeEngine::new(&s, &Lru, classic).unwrap().run().unwrap();
+        live.push(("r1-mobile-control-faults", golden_hashes(&dir, &report)));
+
+        for (key, mobile, shards) in [
+            ("r2-static", false, 2),
+            ("r4-static", false, 4),
+            ("r2-mobile", true, 2),
+            ("r4-mobile", true, 4),
+        ] {
+            let dir = temp_dir(&format!("golden-{key}"));
+            let mut run = config(&dir);
+            if !mobile {
+                run.mobility_slot_s = 0.0;
+            }
+            let report = ShardedServeEngine::new(&s, &Lru, run, shards)
+                .unwrap()
+                .with_threads(2)
+                .run()
+                .unwrap();
+            live.push((key, golden_hashes(&dir, &report)));
+        }
+
+        let pinned: Vec<(&str, (Vec<u64>, u64))> = vec![
+            (
+                "r1-mobile-control-faults",
+                (vec![0x7a4e_402f_b0df_8a4e], 0xda29_f107_84d5_1b1f),
+            ),
+            (
+                "r2-static",
+                (
+                    vec![0x31ba_93fc_9661_1096, 0xa44e_3807_d204_4341],
+                    0x18ca_3bd7_4a64_79c6,
+                ),
+            ),
+            (
+                "r4-static",
+                (
+                    vec![
+                        0x99af_f891_4e0e_e0b0,
+                        0x0a67_9a39_1c1b_4f61,
+                        0xf977_3e52_5007_1f2f,
+                        0x83bd_59ae_5808_0149,
+                    ],
+                    0x5eff_8abb_1479_f2b2,
+                ),
+            ),
+            (
+                "r2-mobile",
+                (
+                    vec![0x5ab7_9cc8_dce5_5c74, 0xc205_6991_7f76_1f38],
+                    0x0859_b7fc_7042_268d,
+                ),
+            ),
+            (
+                "r4-mobile",
+                (
+                    vec![
+                        0x1433_ec04_5513_b082,
+                        0xa603_f7e0_bb0e_b9ab,
+                        0x8927_2606_cce5_3405,
+                        0x01f8_98ed_e610_346a,
+                    ],
+                    0xc43f_73f5_1223_4494,
+                ),
+            ),
+        ];
+        assert_eq!(
+            live, pinned,
+            "journal or report bytes moved; the live hashes are printed on the left"
+        );
     }
 
     #[test]
