@@ -100,7 +100,7 @@ fn bench(c: &mut Criterion) {
     let checkpoint_bytes = std::fs::metadata(dir.join("checkpoint.tcp"))
         .expect("checkpoint exists")
         .len();
-    let journal_bytes = std::fs::metadata(dir.join("journal.tcj"))
+    let journal_bytes = std::fs::metadata(dir.join("journal_0.tcj"))
         .expect("journal exists")
         .len();
 

@@ -1,11 +1,21 @@
 //! The event-driven serving engine.
 //!
-//! [`ServeEngine`] replays a live request workload against one scenario:
-//! Poisson request arrivals per user ([`Workload`]), user mobility
-//! advanced in event time with radio-snapshot re-derivation (and thus
-//! server handover), request service through the scenario's
+//! A run replays a live request workload against one scenario: Poisson
+//! request arrivals per user ([`Workload`]), user mobility advanced in
+//! event time with radio-snapshot re-derivation (and thus server
+//! handover), request service through the scenario's
 //! [`LatencyEvaluator`]/eligibility machinery, and per-server caches
 //! maintained online by a pluggable [`EvictionPolicy`].
+//!
+//! There is one engine path. Every run is a coordinator
+//! ([`ShardedServeEngine`]) driving `R` region engines over **one**
+//! shared radio snapshot; [`ServeEngine`] is the `R = 1` constructor of
+//! that coordinator, so the classic trace is the one-region trace by
+//! construction. This module holds the region engine — the serve path,
+//! control loop, fault handling and journal of one region — and
+//! [`crate::shard`] holds the coordinator: strip partition, worker
+//! pool, the snapshot update at mobility boundaries, ownership
+//! migration and checkpoints.
 //!
 //! A request by user `k` for model `i` is served exactly as the paper's
 //! service model prescribes (Eqs. 3–5): any server `m` with
@@ -29,12 +39,13 @@
 //! every fill moves the full model artifact, making sharing invisible
 //! on the wire — the baseline the `block_transfer` bench pins against.
 //!
-//! Determinism: a single seeded RNG, a tie-broken event queue, transfer
-//! rates frozen at transfer start and policies that are pure functions
-//! of cache state make every run a pure function of
-//! `(scenario, policy, config)` — identical seeds produce identical
+//! Determinism: a seeded RNG per region, a tie-broken event queue,
+//! transfer rates frozen at transfer start and policies that are pure
+//! functions of cache state make every run a pure function of
+//! `(scenario, policy, config, R)` — identical seeds produce identical
 //! metric traces, which the integration tests assert.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::path::Path;
 
@@ -44,7 +55,7 @@ use rand::SeedableRng;
 use trimcaching_modellib::ModelId;
 use trimcaching_scenario::mobility::MobilityModel;
 use trimcaching_scenario::{LatencyEvaluator, Placement, Scenario, UserId};
-use trimcaching_wireless::geometry::{DeploymentArea, Point};
+use trimcaching_wireless::geometry::DeploymentArea;
 
 use crate::cache::ServerCache;
 use crate::control::{plan_target_masked, reconcile, ControlConfig, Controller, ReplanReason};
@@ -53,10 +64,11 @@ use crate::event::{EventKind, EventQueue};
 use crate::fanout::par_map;
 use crate::faults::{FaultConfig, FaultKind, RecoveryMode};
 use crate::metrics::{RequestOutcome, ServeMetrics};
-use crate::persist::checkpoint::{CheckpointSaver, CheckpointState, MobilityState};
+use crate::persist::checkpoint::{CheckpointState, MobilityState};
 use crate::persist::journal::{recover_journal, JournalHeader, JournalWriter};
 use crate::persist::{Checkpoint, PersistConfig, PersistError, ServedRecord};
 use crate::policy::EvictionPolicy;
+use crate::shard::ShardedServeEngine;
 use crate::transfer::BackhaulLink;
 use crate::workload::Workload;
 
@@ -291,52 +303,178 @@ pub struct ServeReport {
     pub final_caches: Vec<Vec<ModelId>>,
 }
 
-/// The mutable per-run machinery threaded through the event loop: the
-/// seeded RNG, the pending event queue and (when mobility is on) the
+/// The classic serving engine: one region covering the whole
+/// deployment. It is the `R = 1` constructor of [`ShardedServeEngine`]
+/// and keeps no driving logic of its own, so a classic run and a
+/// one-shard run are the same run.
+pub struct ServeEngine<'a>(ShardedServeEngine<'a>);
+
+impl<'a> ServeEngine<'a> {
+    /// Prepares an engine over `scenario` with empty caches.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] for an invalid
+    /// configuration and propagates scenario errors.
+    pub fn new(
+        scenario: &'a Scenario,
+        policy: &'a dyn EvictionPolicy,
+        config: ServeConfig,
+    ) -> Result<Self, RuntimeError> {
+        ShardedServeEngine::new(scenario, policy, config, 1).map(Self)
+    }
+
+    /// Replaces the request workload — e.g. with a piecewise
+    /// non-stationary [`Workload`] whose popularity shifts at epoch
+    /// boundaries (the demand drift the controller exists to chase).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] when the workload's user
+    /// count disagrees with the scenario's.
+    pub fn set_workload(&mut self, workload: Workload) -> Result<(), RuntimeError> {
+        self.0.set_workload(workload)
+    }
+
+    /// Schedules an *oracle* reconciliation: at simulated time `at_s`
+    /// the caches start converging towards `target` through the same
+    /// staged fill/evict pipeline a controller re-plan uses. This is the
+    /// upper-bound baseline of the `serve-adapt` study — the target was
+    /// computed with knowledge the online controller cannot have, but
+    /// the reconfiguration bytes and latency are paid all the same.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] for a non-finite or
+    /// negative time or a target whose dimensions disagree with the
+    /// scenario.
+    pub fn schedule_reconcile(&mut self, at_s: f64, target: Placement) -> Result<(), RuntimeError> {
+        self.0.schedule_reconcile(at_s, target)
+    }
+
+    /// Warm-starts the caches from an offline placement (e.g. a
+    /// TrimCaching Spec/Gen outcome): every `x_{m,i} = 1` entry is
+    /// preloaded, skipping models that no longer fit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scenario errors for mismatched placements.
+    pub fn warm_start(&mut self, placement: &Placement) -> Result<(), RuntimeError> {
+        self.0.warm_start(placement)
+    }
+
+    /// Runs the engine to completion and returns the report.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scenario errors (which indicate an internally
+    /// inconsistent snapshot) and, for persistent runs, journal and
+    /// checkpoint I/O failures.
+    pub fn run(self) -> Result<ServeReport, RuntimeError> {
+        self.0.run()
+    }
+
+    /// Runs the engine up to simulated time `stop_s` and then drops it —
+    /// the durable-run analogue of the process being killed at `stop_s`.
+    /// The journal is flushed and every checkpoint boundary at or before
+    /// `stop_s` is on disk; continue with [`ServeEngine::resume`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects a non-finite or negative stop time and propagates the
+    /// same errors as [`ServeEngine::run`].
+    pub fn run_until(self, stop_s: f64) -> Result<(), RuntimeError> {
+        self.0.run_until(stop_s)
+    }
+
+    /// Resumes an interrupted durable run from the latest checkpoint
+    /// and journal in `persist.dir`, exactly like
+    /// [`ShardedServeEngine::resume`] (the shard count is read from the
+    /// checkpoint).
+    ///
+    /// The journal is recovered leniently — a torn final record (crash
+    /// mid-write) is truncated away — and every intact record beyond the
+    /// checkpoint's journal offset is queued for verification: the
+    /// resumed run must re-serve those requests *identically* before it
+    /// appends anything new, so [`run`](ServeEngine::run) after resume
+    /// produces a report and journal byte-identical to the uninterrupted
+    /// run's.
+    ///
+    /// # Errors
+    ///
+    /// Fails on I/O errors, corrupt files, or a policy/seed mismatch
+    /// between `policy`, the checkpoint and the journal header.
+    pub fn resume(
+        scenario: &'a Scenario,
+        policy: &'a dyn EvictionPolicy,
+        persist: PersistConfig,
+    ) -> Result<Self, RuntimeError> {
+        ShardedServeEngine::resume(scenario, policy, persist).map(Self)
+    }
+
+    /// Forks a checkpoint into a fresh *in-memory* engine — no journal,
+    /// no further checkpoints — under any eviction policy, including one
+    /// different from the original run's. Two forks of the same
+    /// checkpoint share their entire past and diverge only through their
+    /// policies: diffing their reports isolates the policy's effect on
+    /// the deterministic future (the `fork-ab` study).
+    ///
+    /// # Errors
+    ///
+    /// Fails on I/O errors, a corrupt checkpoint, or a checkpoint whose
+    /// dimensions disagree with `scenario`.
+    pub fn fork(
+        scenario: &'a Scenario,
+        policy: &'a dyn EvictionPolicy,
+        checkpoint_path: &Path,
+    ) -> Result<Self, RuntimeError> {
+        let cp = Checkpoint::load(checkpoint_path)?;
+        ShardedServeEngine::restore(scenario, policy, &cp, None).map(Self)
+    }
+}
+
+/// The mutable per-region machinery threaded through the event loop:
+/// the seeded RNG, the pending event queue and (when mobility is on) the
 /// kinematic mobility model. Checkpoints capture it wholesale;
-/// [`ServeEngine::resume`] and [`ServeEngine::fork`] rebuild it.
+/// [`Region::restore`] rebuilds it.
 pub(crate) struct RunState {
     pub(crate) rng: StdRng,
     pub(crate) queue: EventQueue,
     pub(crate) mobility: Option<MobilityModel>,
 }
 
-/// Membership of one engine in a region-sharded run: which servers this
-/// shard simulates and which users it currently owns. An engine with no
-/// spec (`shard: None`) is the classic single-threaded engine; a shard
-/// with *all* servers and users behaves identically to it.
-pub(crate) struct ShardSpec {
-    /// Shard id — also the offset added to the run seed for this
-    /// shard's RNG stream.
-    pub(crate) id: usize,
-    /// `owned_users[k]`: this shard owns user `k`'s request stream,
-    /// kinematics and handover accounting. Ownership migrates between
-    /// shards at mobility boundaries as users cross strip borders.
-    pub(crate) owned_users: Vec<bool>,
-    /// `member_servers[m]`: server `m`'s cache, backhaul link and fault
-    /// transitions are simulated by this shard. Static for the run.
-    pub(crate) member_servers: Vec<bool>,
+/// What every region of a run reads and only the coordinator writes, at
+/// mobility boundaries: the one radio snapshot, each user's primary
+/// server and each user's owner region. `Scenario` has no interior
+/// mutability, so the regions share it by plain reference across the
+/// worker pool.
+pub(crate) struct Shared<'a> {
+    /// The radio snapshot: borrowed from the caller until the first
+    /// mobility boundary moves a user, owned from then on.
+    pub(crate) snapshot: Cow<'a, Scenario>,
+    /// Per-user primary server (highest-rate covering server) under the
+    /// snapshot; used to count handovers across mobility slots.
+    pub(crate) primary: Vec<Option<usize>>,
+    /// `owner[k]`: the region that owns user `k`'s request stream,
+    /// kinematics and handover accounting.
+    pub(crate) owner: Vec<usize>,
 }
 
-/// Why [`ServeEngine::drive`] stopped pumping events.
+/// Why [`Region::drive`] stopped pumping events.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum DriveStop {
     /// No pending event fires at or before the requested stop time.
     Horizon,
-    /// Shard mode only: a mobility boundary fired at the carried time.
-    /// The shard stepped its kinematics and scheduled the next slot,
-    /// but the position update, handover recount and user-ownership
-    /// migration are cross-shard work the coordinator must merge before
-    /// this queue drains any further.
+    /// A mobility boundary fired at the carried time. The region stepped
+    /// its kinematics and scheduled the next slot; the snapshot update,
+    /// handover recount and ownership migration are the coordinator's
+    /// to merge before this queue drains any further.
     MobilityBoundary(f64),
 }
 
-/// Journal and checkpoint plumbing of a durable run.
+/// The journal of a durable run's region.
 struct PersistState {
-    config: PersistConfig,
     writer: JournalWriter,
-    /// Simulated time of the next checkpoint boundary.
-    next_checkpoint_s: f64,
     /// Journal records beyond the checkpoint this run resumed from,
     /// paired with each record's end offset in the journal file. The
     /// resumed run must re-serve them identically — verified one by
@@ -346,9 +484,6 @@ struct PersistState {
     /// Checkpoints written mid-verification record this position rather
     /// than the file length, so their journal suffix stays correct.
     verified_through: u64,
-    /// Background checkpoint writer — disk latency stays off the
-    /// serving path.
-    saver: CheckpointSaver,
 }
 
 impl PersistState {
@@ -383,29 +518,34 @@ impl PersistState {
     }
 }
 
-/// The discrete-event serving engine. See the module docs for the
-/// service semantics.
-pub struct ServeEngine<'a> {
+/// One region of a run: the servers of one strip (caches, backhaul
+/// links, fault transitions, regional controller) and the request
+/// streams of the users it owns, with its own RNG stream and journal.
+/// A region reads the radio snapshot the coordinator shares with it and
+/// never writes it. See the module docs for the service semantics.
+pub(crate) struct Region<'a> {
+    /// Region id — also the offset added to the run seed for this
+    /// region's RNG stream and the index of its journal file.
+    id: usize,
+    /// `member_servers[m]`: server `m`'s cache, backhaul link and fault
+    /// transitions are simulated by this region. Static for the run.
+    member_servers: Vec<bool>,
     scenario: &'a Scenario,
     policy: &'a dyn EvictionPolicy,
     config: ServeConfig,
-    current: Scenario,
     caches: Vec<ServerCache<'a>>,
     /// Per-server congestion-aware cloud-ingest links.
     links: Vec<BackhaulLink>,
-    workload: Workload,
-    metrics: ServeMetrics,
-    /// Per-user primary server (highest-rate covering server) under the
-    /// current snapshot; used to count handovers across mobility slots.
-    primary: Vec<Option<usize>>,
+    pub(crate) workload: Workload,
+    pub(crate) metrics: ServeMetrics,
     /// The online re-placement controller (present when
     /// [`ServeConfig::control`] is set).
     controller: Option<Controller>,
     /// Pre-scheduled oracle reconciliations: `(time, target placement)`
     /// pairs staged through the same pipeline as controller re-plans.
-    scheduled: Vec<(f64, Placement)>,
-    /// Durable-run journal/checkpoint plumbing, present when
-    /// [`ServeConfig::persist`] is set.
+    pub(crate) scheduled: Vec<(f64, Placement)>,
+    /// The region's journal, present when [`ServeConfig::persist`] is
+    /// set and the run has begun or been restored.
     persist: Option<PersistState>,
     /// Per-server down mask driven by the fault schedule (all `false`
     /// for fault-free runs — the serve path is shared).
@@ -417,27 +557,18 @@ pub struct ServeEngine<'a> {
     /// (warm start or re-plan) — the target recovered servers self-heal
     /// back to.
     last_target: Option<Placement>,
-    /// Run state restored from a checkpoint, consumed by the next
-    /// [`ServeEngine::run`] or [`ServeEngine::run_until`] call.
-    resume_state: Option<RunState>,
-    /// Shard membership when this engine is one region of a sharded
-    /// run; `None` is the classic whole-scenario engine.
-    shard: Option<ShardSpec>,
 }
 
-impl<'a> ServeEngine<'a> {
-    /// Prepares an engine over `scenario` with empty caches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] for an invalid
-    /// configuration and propagates scenario errors.
-    pub fn new(
+impl<'a> Region<'a> {
+    /// Prepares region `id` over `scenario` with empty caches. The
+    /// coordinator has validated `config`.
+    pub(crate) fn new(
         scenario: &'a Scenario,
         policy: &'a dyn EvictionPolicy,
         config: ServeConfig,
+        id: usize,
+        member_servers: Vec<bool>,
     ) -> Result<Self, RuntimeError> {
-        config.validate()?;
         let workload = Workload::from_demand(scenario.demand(), config.request_rate_hz)?;
         let caches = scenario
             .servers()
@@ -449,131 +580,41 @@ impl<'a> ServeEngine<'a> {
             .iter()
             .map(|_| BackhaulLink::new(config.cloud_ingest_bps, config.congestion_aware))
             .collect::<Result<Vec<_>, _>>()?;
-        let primary = primary_servers(scenario)?;
-        if let Some(faults) = &config.faults {
-            faults.validate_servers(scenario.num_servers())?;
-        }
         let controller = config
             .control
             .map(|c| Controller::new(c, scenario.num_users(), scenario.num_models()))
             .transpose()?;
         let num_servers = scenario.num_servers();
         Ok(Self {
+            id,
+            member_servers,
             scenario,
             policy,
             metrics: ServeMetrics::new(config.window_s),
             config,
-            current: scenario.clone(),
             caches,
             links,
             workload,
-            primary,
             controller,
             scheduled: Vec::new(),
             persist: None,
             server_down: vec![false; num_servers],
             down_servers: 0,
             last_target: None,
-            resume_state: None,
-            shard: None,
         })
     }
 
-    /// Marks this engine as one shard of a sharded run. The spec narrows
-    /// the serve path to member servers and the request/mobility streams
-    /// to owned users; everything else (snapshot, RNG discipline, event
-    /// ordering) is untouched, which is what makes a single all-owning
-    /// shard bit-identical to the classic engine.
-    pub(crate) fn set_shard(&mut self, spec: ShardSpec) {
-        self.shard = Some(spec);
-    }
-
-    /// Mutable access to the shard spec (the coordinator flips ownership
-    /// bits during migration).
-    pub(crate) fn shard_spec_mut(&mut self) -> Option<&mut ShardSpec> {
-        self.shard.as_mut()
-    }
-
-    /// True when this engine simulates server `m` (always, outside shard
-    /// mode).
+    /// True when this region simulates server `m`.
     fn is_member(&self, m: usize) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.member_servers[m])
+        self.member_servers[m]
     }
 
-    /// True when this engine owns user `k`'s streams (always, outside
-    /// shard mode).
-    fn owns_user(&self, k: usize) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.owned_users[k])
-    }
-
-    /// Replaces the request workload — e.g. with a piecewise
-    /// non-stationary [`Workload`] whose popularity shifts at epoch
-    /// boundaries (the demand drift the controller exists to chase).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] when the workload's user
-    /// count disagrees with the scenario's.
-    pub fn set_workload(&mut self, workload: Workload) -> Result<(), RuntimeError> {
-        if workload.num_users() != self.scenario.num_users() {
-            return Err(RuntimeError::InvalidConfig {
-                reason: format!(
-                    "workload has {} users but the scenario has {}",
-                    workload.num_users(),
-                    self.scenario.num_users()
-                ),
-            });
-        }
-        self.workload = workload;
-        Ok(())
-    }
-
-    /// Schedules an *oracle* reconciliation: at simulated time `at_s`
-    /// the caches start converging towards `target` through the same
-    /// staged fill/evict pipeline a controller re-plan uses. This is the
-    /// upper-bound baseline of the `serve-adapt` study — the target was
-    /// computed with knowledge the online controller cannot have, but
-    /// the reconfiguration bytes and latency are paid all the same.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] for a non-finite or
-    /// negative time or a target whose dimensions disagree with the
-    /// scenario.
-    pub fn schedule_reconcile(&mut self, at_s: f64, target: Placement) -> Result<(), RuntimeError> {
-        if !(at_s.is_finite() && at_s >= 0.0) {
-            return Err(RuntimeError::InvalidConfig {
-                reason: format!("reconcile time must be non-negative and finite, got {at_s}"),
-            });
-        }
-        if target.num_servers() != self.scenario.num_servers()
-            || target.num_models() != self.scenario.num_models()
-        {
-            return Err(RuntimeError::InvalidConfig {
-                reason: format!(
-                    "target is {}x{} but the scenario is {}x{}",
-                    target.num_servers(),
-                    target.num_models(),
-                    self.scenario.num_servers(),
-                    self.scenario.num_models()
-                ),
-            });
-        }
-        self.scheduled.push((at_s, target));
-        Ok(())
-    }
-
-    /// Warm-starts the caches from an offline placement (e.g. a
-    /// TrimCaching Spec/Gen outcome): every `x_{m,i} = 1` entry is
-    /// preloaded, skipping models that no longer fit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scenario errors for mismatched placements.
-    pub fn warm_start(&mut self, placement: &Placement) -> Result<(), RuntimeError> {
+    /// Warm-starts the member caches from an offline placement: every
+    /// `x_{m,i} = 1` entry of a member server is preloaded, skipping
+    /// models that no longer fit (the rest of the placement is other
+    /// regions' warm start).
+    pub(crate) fn warm_start(&mut self, placement: &Placement) -> Result<(), RuntimeError> {
         for m in 0..self.caches.len() {
-            // In shard mode only member servers are preloaded; the rest
-            // of the placement is other shards' warm start.
             if !self.is_member(m) {
                 continue;
             }
@@ -590,10 +631,10 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Builds the initial run state — the seeded RNG, the primed event
-    /// queue and the mobility model — exactly as every pre-persistence
-    /// run did (the RNG draw order is part of the determinism contract),
-    /// and opens the journal when persistence is configured.
-    pub(crate) fn begin(&mut self) -> Result<RunState, RuntimeError> {
+    /// queue and the mobility model (the RNG draw order is part of the
+    /// determinism contract) — and opens the journal when persistence
+    /// is configured.
+    pub(crate) fn begin(&mut self, owner: &[usize]) -> Result<RunState, RuntimeError> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut queue = EventQueue::new();
         let mobility = if self.config.mobility_slot_s > 0.0 {
@@ -606,13 +647,12 @@ impl<'a> ServeEngine<'a> {
             None
         };
 
-        // Every shard draws the full per-user interarrival sequence (one
-        // draw per user, like the classic engine) but schedules requests
-        // only for the users it owns — identical draw counts keep a
-        // single all-owning shard on the classic RNG stream.
-        for k in 0..self.scenario.num_users() {
+        // Every region draws the full per-user interarrival sequence (one
+        // draw per user) but schedules requests only for the users it
+        // owns — identical draw counts for every region count.
+        for (k, &o) in owner.iter().enumerate() {
             let t = self.workload.next_interarrival_s(&mut rng);
-            if self.owns_user(k) {
+            if o == self.id {
                 queue.push(t, EventKind::Request { user: UserId(k) });
             }
         }
@@ -624,15 +664,15 @@ impl<'a> ServeEngine<'a> {
         }
         if let Some(faults) = &self.config.faults {
             for (index, spec) in faults.timeline.iter().enumerate() {
-                // A shard replays only the transitions of its member
-                // servers; the rest belong to other shards' timelines.
+                // A region replays only the transitions of its member
+                // servers; the rest belong to other regions' timelines.
                 if self.is_member(spec.kind.server()) {
                     queue.push(spec.at_s, EventKind::FaultTransition { index });
                 }
             }
         }
 
-        if let Some(pc) = self.config.persist.clone() {
+        if let Some(pc) = &self.config.persist {
             std::fs::create_dir_all(&pc.dir).map_err(|e| PersistError::io(&pc.dir, e))?;
             let header = JournalHeader {
                 seed: self.config.seed,
@@ -641,18 +681,10 @@ impl<'a> ServeEngine<'a> {
                 duration_s: self.config.duration_s,
                 granularity: self.config.granularity,
             };
-            let journal_path = match &self.shard {
-                Some(spec) => pc.journal_shard_path(spec.id),
-                None => pc.journal_path(),
-            };
-            let writer = JournalWriter::create(&journal_path, &header)?;
             self.persist = Some(PersistState {
-                writer,
-                next_checkpoint_s: 0.0,
+                writer: JournalWriter::create(&pc.journal_shard_path(self.id), &header)?,
                 verify: VecDeque::new(),
                 verified_through: 0,
-                saver: CheckpointSaver::default(),
-                config: pc,
             });
         }
 
@@ -664,37 +696,43 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Pumps the event loop until no pending event fires at or before
-    /// `stop_s`, writing every due checkpoint boundary on the way.
-    /// Events are only ever *peeked* past the horizon, never popped and
-    /// dropped, so a stopped run's queue is byte-identical to the same
-    /// moment of an uninterrupted run.
+    /// `stop_s`, or a mobility boundary hands control back to the
+    /// coordinator. Events are only ever *peeked* past the horizon,
+    /// never popped and dropped, so a stopped run's queue is
+    /// byte-identical to the same moment of an uninterrupted run.
     pub(crate) fn drive(
         &mut self,
         state: &mut RunState,
         stop_s: f64,
+        shared: &Shared<'_>,
     ) -> Result<DriveStop, RuntimeError> {
         loop {
-            self.write_due_checkpoints(state, stop_s)?;
             match state.queue.peek() {
                 Some(event) if event.time_s <= stop_s => {}
-                _ => break,
+                _ => return Ok(DriveStop::Horizon),
             }
             // Peeked above; a concurrent mutation is impossible, but a
             // missing event is a clean loop exit, not a panic.
             let Some(event) = state.queue.pop() else {
-                break;
+                return Ok(DriveStop::Horizon);
             };
             match event.kind {
                 EventKind::Request { user } => {
-                    // A user who migrated to another shard leaves the old
+                    // A user who migrated to another region leaves the old
                     // owner's pending request behind as a tombstone; skip
-                    // it *before* any RNG draw so the shard's stream is
+                    // it *before* any RNG draw so the region's stream is
                     // exactly what its owned users produce.
-                    if !self.owns_user(user.index()) {
+                    if shared.owner[user.index()] != self.id {
                         continue;
                     }
                     let model = self.workload.draw_model(user, event.time_s, &mut state.rng);
-                    self.serve_request(user, model, event.time_s, &mut state.queue)?;
+                    self.serve_request(
+                        &shared.snapshot,
+                        user,
+                        model,
+                        event.time_s,
+                        &mut state.queue,
+                    )?;
                     let gap = self.workload.next_interarrival_s(&mut state.rng);
                     state
                         .queue
@@ -715,7 +753,7 @@ impl<'a> ServeEngine<'a> {
                     }
                 }
                 EventKind::ControlTick => {
-                    self.control_tick(event.time_s, &mut state.queue)?;
+                    self.control_tick(&shared.snapshot, event.time_s, &mut state.queue)?;
                 }
                 EventKind::ScheduledReconcile { index } => {
                     let target = self.scheduled[index].1.clone();
@@ -753,114 +791,56 @@ impl<'a> ServeEngine<'a> {
                         event.time_s + self.config.mobility_slot_s,
                         EventKind::MobilitySlot,
                     );
-                    if self.shard.is_some() {
-                        // Co-owned users' fresh positions live in *their*
-                        // owners' kinematics: hand control back so the
-                        // coordinator can assemble the global position
-                        // vector and run the merge on every shard.
-                        return Ok(DriveStop::MobilityBoundary(event.time_s));
-                    }
-                    let positions = mobility.positions();
-                    self.apply_slot_positions(&positions)?;
+                    // Users owned elsewhere have their fresh positions in
+                    // *their* owners' kinematics: hand control back so the
+                    // coordinator can assemble the global position vector
+                    // and update the one shared snapshot.
+                    return Ok(DriveStop::MobilityBoundary(event.time_s));
                 }
-            }
-        }
-        Ok(DriveStop::Horizon)
-    }
-
-    /// Applies one mobility slot's (globally assembled) positions to the
-    /// radio snapshot: incremental snapshot evolution — only the moved
-    /// users' rows (and the rows of users sharing a reallocated server)
-    /// are re-derived, bit-identical to a full rebuild but O(moved) per
-    /// slot — followed by the handover recount over the refreshed users.
-    /// In shard mode only owned users are counted (each user's handovers
-    /// belong to exactly one shard), but every refreshed user's primary
-    /// is tracked so the assignment survives ownership migration.
-    pub(crate) fn apply_slot_positions(&mut self, positions: &[Point]) -> Result<(), RuntimeError> {
-        let delta = self.current.update_user_positions(positions)?;
-        self.metrics.snapshot_rebuilds += 1;
-        // Primary servers are a pure function of a user's covering set
-        // and rates, both unchanged outside the refreshed set — recount
-        // handovers from the delta instead of re-deriving all K
-        // assignments.
-        for &k in delta.refreshed_users() {
-            let fresh = primary_server_for(&self.current, k)?;
-            if self.owns_user(k) {
-                self.metrics.users_refreshed += 1;
-                if self.primary[k] != fresh {
-                    self.metrics.handovers += 1;
-                }
-            }
-            self.primary[k] = fresh;
-        }
-        Ok(())
-    }
-
-    /// Writes every checkpoint boundary that is due: a boundary `T` is
-    /// written once no pending event fires at or before `T` (events
-    /// *at* the boundary are simulated state of the boundary, so they
-    /// process first) and `T` is within the current horizon. The
-    /// journal is flushed first so the on-disk journal always covers
-    /// the offset the checkpoint records.
-    fn write_due_checkpoints(&mut self, state: &RunState, stop_s: f64) -> Result<(), RuntimeError> {
-        // Shards never write checkpoint files of their own: the
-        // coordinator captures every shard at the same boundary and
-        // writes one multi-shard checkpoint.
-        if self.shard.is_some() {
-            return Ok(());
-        }
-        loop {
-            let Some(p) = self.persist.as_ref() else {
-                return Ok(());
-            };
-            let due = p.next_checkpoint_s;
-            if due > stop_s || state.queue.peek().is_some_and(|ev| ev.time_s <= due) {
-                return Ok(());
-            }
-            let path = p.config.checkpoint_path();
-            let every_s = p.config.checkpoint_every_s;
-            let fsync = p.config.fsync;
-            let journal_offset = match self.persist.as_mut() {
-                Some(p) => {
-                    p.writer.flush()?;
-                    p.journal_position()
-                }
-                // Unreachable (checked at the top of the loop), but a
-                // clean return beats a panic in the serving path.
-                None => return Ok(()),
-            };
-            let checkpoint = Checkpoint {
-                shards: vec![self.capture(due, state, journal_offset)],
-            };
-            if let Some(p) = self.persist.as_mut() {
-                p.saver.save(path, checkpoint, fsync)?;
-                p.next_checkpoint_s = due + every_s;
             }
         }
     }
 
-    /// Captures the complete mutable engine state at boundary `time_s`.
-    /// `journal_offset` is the journal position the checkpoint records
-    /// (read by the caller, who owns the persist plumbing).
+    /// Flushes the journal and returns the position a checkpoint taken
+    /// now records (0 for in-memory runs).
+    pub(crate) fn sync_journal(&mut self) -> Result<u64, RuntimeError> {
+        match self.persist.as_mut() {
+            Some(p) => {
+                p.writer.flush()?;
+                Ok(p.journal_position())
+            }
+            None => Ok(0),
+        }
+    }
+
+    /// Flushes the journal and captures the complete mutable state of
+    /// this region at boundary `time_s`, together with the shared
+    /// snapshot's positions and primaries.
     pub(crate) fn capture(
-        &self,
+        &mut self,
         time_s: f64,
         state: &RunState,
-        journal_offset: u64,
-    ) -> CheckpointState {
+        shared: &Shared<'_>,
+    ) -> Result<CheckpointState, RuntimeError> {
+        let journal_offset = self.sync_journal()?;
         let (events, next_seq) = state.queue.snapshot();
         let (rate_hz, starts_s, phases, user_class) = self.workload.raw_parts();
         let mut config = self.config.clone();
         config.persist = None;
-        CheckpointState {
+        Ok(CheckpointState {
             time_s,
             policy: self.policy.name().to_string(),
             config,
             rng: state.rng.state(),
             events,
             next_seq,
-            positions: self.current.users().iter().map(|u| u.position()).collect(),
-            primary: self.primary.iter().map(|p| p.map(|m| m as u64)).collect(),
+            positions: shared
+                .snapshot
+                .users()
+                .iter()
+                .map(|u| u.position())
+                .collect(),
+            primary: shared.primary.iter().map(|p| p.map(|m| m as u64)).collect(),
             caches: self.caches.iter().map(|c| c.snapshot()).collect(),
             links: self.links.iter().map(|l| l.inflight_snapshot()).collect(),
             workload_rate_hz: rate_hz,
@@ -878,33 +858,14 @@ impl<'a> ServeEngine<'a> {
             link_degrades: self.links.iter().map(|l| l.degrade_factor()).collect(),
             last_target: self.last_target.clone(),
             journal_offset,
-        }
+        })
     }
 
-    /// Runs the engine to completion and returns the report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scenario errors (which indicate an internally
-    /// inconsistent snapshot) and, for persistent runs, journal and
-    /// checkpoint I/O failures.
-    pub fn run(mut self) -> Result<ServeReport, RuntimeError> {
-        let mut state = match self.resume_state.take() {
-            Some(state) => state,
-            None => self.begin()?,
-        };
-        let horizon = self.config.duration_s;
-        self.drive(&mut state, horizon)?;
-        self.finish(horizon)
-    }
-
-    /// The tail of [`ServeEngine::run`]: checks that a resumed run
-    /// re-served its whole journal suffix, flushes persistence, closes
-    /// the metrics windows and builds the report. The sharded
-    /// coordinator calls this per shard after driving them all to the
-    /// horizon.
+    /// Closes the region at `horizon`: checks that a resumed run
+    /// re-served its whole journal suffix, flushes the journal, closes
+    /// the metrics windows and builds the region's report.
     pub(crate) fn finish(mut self, horizon: f64) -> Result<ServeReport, RuntimeError> {
-        if let Some(p) = self.persist.as_mut() {
+        if let Some(p) = &self.persist {
             if !p.verify.is_empty() {
                 return Err(PersistError::Diverged {
                     time_s: horizon,
@@ -915,9 +876,8 @@ impl<'a> ServeEngine<'a> {
                 }
                 .into());
             }
-            p.writer.flush()?;
-            p.saver.wait()?;
         }
+        self.sync_journal()?;
         self.metrics.finish(horizon);
         Ok(ServeReport {
             policy: self.policy.name().to_string(),
@@ -928,134 +888,98 @@ impl<'a> ServeEngine<'a> {
         })
     }
 
-    /// Flushes this shard's journal and captures its state at boundary
-    /// `time_s` — the coordinator assembles the per-shard states into
-    /// one multi-shard checkpoint file.
-    pub(crate) fn capture_for_checkpoint(
-        &mut self,
-        time_s: f64,
-        state: &RunState,
-    ) -> Result<CheckpointState, RuntimeError> {
-        let journal_offset = match self.persist.as_mut() {
-            Some(p) => {
-                p.writer.flush()?;
-                p.journal_position()
-            }
-            None => 0,
-        };
-        Ok(self.capture(time_s, state, journal_offset))
-    }
-
-    /// Flushes the journal without checkpointing (the sharded analogue
-    /// of the flush classic [`ServeEngine::run_until`] does on exit).
-    pub(crate) fn flush_journal(&mut self) -> Result<(), RuntimeError> {
-        if let Some(p) = self.persist.as_mut() {
-            p.writer.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Takes the run state staged by a checkpoint restore, if any — the
-    /// coordinator drives restored shards through it.
-    pub(crate) fn take_resume_state(&mut self) -> Option<RunState> {
-        self.resume_state.take()
-    }
-
-    /// Draws a fresh interarrival gap for a user this shard just took
+    /// Draws a fresh interarrival gap for a user this region just took
     /// ownership of (migration at a mobility boundary) and schedules
-    /// their next request on the shard's queue.
+    /// their next request on the region's queue.
     pub(crate) fn schedule_user_request(&mut self, state: &mut RunState, user: UserId, now_s: f64) {
         let gap = self.workload.next_interarrival_s(&mut state.rng);
         state.queue.push(now_s + gap, EventKind::Request { user });
     }
 
-    /// Runs the engine up to simulated time `stop_s` and then drops it —
-    /// the durable-run analogue of the process being killed at `stop_s`.
-    /// The journal is flushed and every checkpoint boundary at or before
-    /// `stop_s` is on disk; continue with [`ServeEngine::resume`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects a non-finite or negative stop time and propagates the
-    /// same errors as [`ServeEngine::run`].
-    pub fn run_until(mut self, stop_s: f64) -> Result<(), RuntimeError> {
-        if !(stop_s.is_finite() && stop_s >= 0.0) {
-            return Err(RuntimeError::InvalidConfig {
-                reason: format!("stop time must be non-negative and finite, got {stop_s}"),
-            });
-        }
-        let stop_s = stop_s.min(self.config.duration_s);
-        let mut state = match self.resume_state.take() {
-            Some(state) => state,
-            None => self.begin()?,
-        };
-        self.drive(&mut state, stop_s)?;
-        if let Some(p) = self.persist.as_mut() {
-            p.writer.flush()?;
-            p.saver.wait()?;
-        }
-        Ok(())
-    }
-
-    /// Resumes an interrupted durable run from the latest checkpoint
-    /// and journal in `persist.dir`.
-    ///
-    /// The journal is recovered leniently — a torn final record (crash
-    /// mid-write) is truncated away — and every intact record beyond the
-    /// checkpoint's journal offset is queued for verification: the
-    /// resumed run must re-serve those requests *identically* before it
-    /// appends anything new, so [`run`](ServeEngine::run) after resume
-    /// produces a report and journal byte-identical to the uninterrupted
-    /// run's.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, corrupt files, or a policy/seed mismatch
-    /// between `policy`, the checkpoint and the journal header.
-    pub fn resume(
-        scenario: &'a Scenario,
-        policy: &'a dyn EvictionPolicy,
-        persist: PersistConfig,
-    ) -> Result<Self, RuntimeError> {
-        persist.validate()?;
-        let cp = Checkpoint::load(&persist.checkpoint_path())?;
-        if cp.num_shards() != 1 {
+    /// Overwrites every mutable layer of this fresh region with one
+    /// checkpointed state and returns the run state (RNG words, event
+    /// queue, mobility kinematics) to continue from. With `persist` set
+    /// the region's journal is recovered and its suffix beyond the
+    /// checkpoint queued for verification (resume); without it the
+    /// region runs in memory under any policy (fork).
+    pub(crate) fn restore(
+        &mut self,
+        state: &CheckpointState,
+        persist: Option<&PersistConfig>,
+    ) -> Result<RunState, RuntimeError> {
+        let num_servers = self.scenario.num_servers();
+        if state.caches.len() != num_servers
+            || state.server_down.len() != num_servers
+            || state.link_degrades.len() != num_servers
+        {
             return Err(PersistError::Mismatch {
                 reason: format!(
-                    "checkpoint captures {} shards; resume sharded runs through \
-                     ShardedServeEngine::resume",
-                    cp.num_shards()
+                    "checkpoint server state covers {} servers but the scenario has {num_servers}",
+                    state.caches.len()
                 ),
             }
             .into());
         }
-        let journal_path = persist.journal_path();
-        Self::resume_shard(scenario, policy, persist, &cp.shards[0], &journal_path)
+        if let Some(persist) = persist {
+            self.persist = Some(self.recover_journal(state, persist)?);
+        }
+        for (cache, snapshot) in self.caches.iter_mut().zip(state.caches.iter()) {
+            cache.restore(snapshot.clone())?;
+        }
+        for (link, inflight) in self.links.iter_mut().zip(state.links.iter()) {
+            link.restore_inflight(inflight.clone());
+        }
+        self.workload = Workload::from_raw_parts(
+            state.workload_rate_hz,
+            state.workload_starts_s.clone(),
+            state.workload_phases.clone(),
+            state.workload_user_class.clone(),
+        );
+        self.metrics = state.metrics.clone();
+        self.controller = state.controller.clone().map(Controller::restore);
+        self.scheduled = state.scheduled.clone();
+        self.server_down = state.server_down.clone();
+        self.down_servers = state.server_down.iter().filter(|&&d| d).count();
+        for (link, &degrade) in self.links.iter_mut().zip(state.link_degrades.iter()) {
+            link.set_degrade_factor(degrade);
+        }
+        self.last_target = state.last_target.clone();
+        let mobility = match &state.mobility {
+            Some(m) => Some(MobilityModel::new(
+                m.users.clone(),
+                DeploymentArea::new(self.config.area_side_m)
+                    .map_err(trimcaching_scenario::ScenarioError::from)?,
+                m.slot_seconds,
+            )),
+            None => None,
+        };
+        Ok(RunState {
+            rng: StdRng::from_state(state.rng),
+            queue: EventQueue::restore(state.events.clone(), state.next_seq),
+            mobility,
+        })
     }
 
-    /// Rebuilds one engine from an already-decoded checkpoint state plus
-    /// its journal — the shared tail of [`ServeEngine::resume`] (which
-    /// passes the single state of a classic checkpoint) and
-    /// `ShardedServeEngine::resume` (which passes each shard's state and
-    /// per-shard journal).
-    pub(crate) fn resume_shard(
-        scenario: &'a Scenario,
-        policy: &'a dyn EvictionPolicy,
-        persist: PersistConfig,
+    /// Checks a checkpointed state against this region's policy and
+    /// journal, and reopens the journal with every record beyond the
+    /// checkpoint queued for verification.
+    fn recover_journal(
+        &self,
         state: &CheckpointState,
-        journal_path: &Path,
-    ) -> Result<Self, RuntimeError> {
-        if state.policy != policy.name() {
+        persist: &PersistConfig,
+    ) -> Result<PersistState, RuntimeError> {
+        if state.policy != self.policy.name() {
             return Err(PersistError::Mismatch {
                 reason: format!(
                     "checkpoint was taken under policy '{}' but resume was asked to run '{}'",
                     state.policy,
-                    policy.name()
+                    self.policy.name()
                 ),
             }
             .into());
         }
-        let recovered = recover_journal(journal_path)?;
+        let journal_path = persist.journal_shard_path(self.id);
+        let recovered = recover_journal(&journal_path)?;
         if recovered.header.seed != state.config.seed || recovered.header.policy != state.policy {
             return Err(PersistError::Mismatch {
                 reason: format!(
@@ -1077,7 +1001,7 @@ impl<'a> ServeEngine<'a> {
             }
             .into());
         }
-        let verify: VecDeque<(ServedRecord, u64)> = recovered
+        let verify = recovered
             .records
             .iter()
             .copied()
@@ -1085,143 +1009,22 @@ impl<'a> ServeEngine<'a> {
             .filter(|&(_, end)| end > state.journal_offset)
             .collect();
         // Reopening truncates any torn tail before appends continue.
-        let writer = JournalWriter::reopen(journal_path, recovered.valid_len)?;
-        let mut engine = Self::restore_state(scenario, policy, state)?;
-        engine.persist = Some(PersistState {
-            writer,
-            next_checkpoint_s: state.time_s + persist.checkpoint_every_s,
+        Ok(PersistState {
+            writer: JournalWriter::reopen(&journal_path, recovered.valid_len)?,
             verify,
             verified_through: state.journal_offset,
-            saver: CheckpointSaver::default(),
-            config: persist.clone(),
-        });
-        engine.config.persist = Some(persist);
-        Ok(engine)
-    }
-
-    /// Forks a checkpoint into a fresh *in-memory* engine — no journal,
-    /// no further checkpoints — under any eviction policy, including one
-    /// different from the original run's. Two forks of the same
-    /// checkpoint share their entire past and diverge only through their
-    /// policies: diffing their reports isolates the policy's effect on
-    /// the deterministic future (the `fork-ab` study).
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, a corrupt checkpoint, or a checkpoint whose
-    /// dimensions disagree with `scenario`.
-    pub fn fork(
-        scenario: &'a Scenario,
-        policy: &'a dyn EvictionPolicy,
-        checkpoint_path: &Path,
-    ) -> Result<Self, RuntimeError> {
-        let cp = Checkpoint::load(checkpoint_path)?;
-        if cp.num_shards() != 1 {
-            return Err(PersistError::Mismatch {
-                reason: format!(
-                    "checkpoint captures {} shards; fork a sharded run through \
-                     ShardedServeEngine::resume",
-                    cp.num_shards()
-                ),
-            }
-            .into());
-        }
-        Self::restore_state(scenario, policy, &cp.shards[0])
-    }
-
-    /// Rebuilds an engine mid-run from one shard's checkpoint state: a
-    /// fresh engine over the original scenario, every mutable layer
-    /// overwritten with the checkpointed state, and the run state (RNG
-    /// words, event queue, mobility kinematics) staged for the next
-    /// `run`/`run_until` call.
-    fn restore_state(
-        scenario: &'a Scenario,
-        policy: &'a dyn EvictionPolicy,
-        state: &CheckpointState,
-    ) -> Result<Self, RuntimeError> {
-        if state.positions.len() != scenario.num_users()
-            || state.caches.len() != scenario.num_servers()
-        {
-            return Err(PersistError::Mismatch {
-                reason: format!(
-                    "checkpoint captured {} users / {} servers but the scenario has {} / {}",
-                    state.positions.len(),
-                    state.caches.len(),
-                    scenario.num_users(),
-                    scenario.num_servers()
-                ),
-            }
-            .into());
-        }
-        let mut engine = Self::new(scenario, policy, state.config.clone())?;
-        // One-shot position update — bit-identical to the incremental
-        // slot-by-slot evolution that produced the checkpoint (pinned by
-        // `incremental_slots_match_full_rebuild_serving`).
-        engine.current.update_user_positions(&state.positions)?;
-        engine.primary = state
-            .primary
-            .iter()
-            .map(|p| p.map(|m| m as usize))
-            .collect();
-        for (cache, snapshot) in engine.caches.iter_mut().zip(state.caches.iter()) {
-            cache.restore(snapshot.clone())?;
-        }
-        for (link, inflight) in engine.links.iter_mut().zip(state.links.iter()) {
-            link.restore_inflight(inflight.clone());
-        }
-        engine.workload = Workload::from_raw_parts(
-            state.workload_rate_hz,
-            state.workload_starts_s.clone(),
-            state.workload_phases.clone(),
-            state.workload_user_class.clone(),
-        );
-        engine.metrics = state.metrics.clone();
-        engine.controller = state.controller.clone().map(Controller::restore);
-        engine.scheduled = state.scheduled.clone();
-        if state.server_down.len() != scenario.num_servers()
-            || state.link_degrades.len() != scenario.num_servers()
-        {
-            return Err(PersistError::Mismatch {
-                reason: format!(
-                    "checkpoint fault state covers {} servers but the scenario has {}",
-                    state.server_down.len(),
-                    scenario.num_servers()
-                ),
-            }
-            .into());
-        }
-        engine.server_down = state.server_down.clone();
-        engine.down_servers = state.server_down.iter().filter(|&&d| d).count();
-        for (link, &degrade) in engine.links.iter_mut().zip(state.link_degrades.iter()) {
-            link.set_degrade_factor(degrade);
-        }
-        engine.last_target = state.last_target.clone();
-        let mobility = match &state.mobility {
-            Some(m) => Some(MobilityModel::new(
-                m.users.clone(),
-                DeploymentArea::new(engine.config.area_side_m)
-                    .map_err(trimcaching_scenario::ScenarioError::from)?,
-                m.slot_seconds,
-            )),
-            None => None,
-        };
-        engine.resume_state = Some(RunState {
-            rng: StdRng::from_state(state.rng),
-            queue: EventQueue::restore(state.events.clone(), state.next_seq),
-            mobility,
-        });
-        Ok(engine)
+        })
     }
 
     /// Serves one request under the current snapshot.
     fn serve_request(
         &mut self,
+        current: &Scenario,
         user: UserId,
         model: ModelId,
         now_s: f64,
         queue: &mut EventQueue,
     ) -> Result<(), RuntimeError> {
-        let current = &self.current;
         let evaluator = LatencyEvaluator::new(
             current.library(),
             current.demand(),
@@ -1243,7 +1046,7 @@ impl<'a> ServeEngine<'a> {
         let mut best_up_any: Option<(f64, usize)> = None;
         let mut best_up_hit: Option<(f64, usize)> = None;
         for m in eligibility.servers_for(user, model) {
-            // Candidates outside this shard's region are other shards'
+            // Candidates outside this region are other regions'
             // capacity — invisible here, like the planner mask.
             if !self.is_member(m) {
                 continue;
@@ -1344,7 +1147,12 @@ impl<'a> ServeEngine<'a> {
     /// detector, and — when drift or the epoch timer fired — solve a
     /// re-plan over the estimated demand and stage it through the
     /// reconciler. Always schedules the next tick.
-    fn control_tick(&mut self, now_s: f64, queue: &mut EventQueue) -> Result<(), RuntimeError> {
+    fn control_tick(
+        &mut self,
+        snapshot: &Scenario,
+        now_s: f64,
+        queue: &mut EventQueue,
+    ) -> Result<(), RuntimeError> {
         // Ticks are only scheduled when control is on; if the controller
         // is somehow gone, dropping the tick chain is the safe recovery.
         let Some(controller) = self.controller.as_mut() else {
@@ -1367,20 +1175,15 @@ impl<'a> ServeEngine<'a> {
             // and the demand the controller actually observed — with
             // down servers masked out of the eligibility view, so the
             // planner never spends budget on capacity that cannot serve.
-            // In shard mode non-member servers are masked the same way:
-            // they are capacity some other shard's controller plans.
-            let target = match &self.shard {
-                Some(spec) => {
-                    let mask: Vec<bool> = self
-                        .server_down
-                        .iter()
-                        .zip(&spec.member_servers)
-                        .map(|(&down, &member)| down || !member)
-                        .collect();
-                    plan_target_masked(&self.current, &estimate, &mask)?
-                }
-                None => plan_target_masked(&self.current, &estimate, &self.server_down)?,
-            };
+            // Non-member servers are masked the same way: they are
+            // capacity some other region's controller plans.
+            let mask: Vec<bool> = self
+                .server_down
+                .iter()
+                .zip(&self.member_servers)
+                .map(|(&down, &member)| down || !member)
+                .collect();
+            let target = plan_target_masked(snapshot, &estimate, &mask)?;
             self.metrics.replans_triggered += 1;
             if reason == ReplanReason::Drift {
                 self.metrics.replans_drift += 1;
@@ -1412,7 +1215,7 @@ impl<'a> ServeEngine<'a> {
             if self.server_down[m] || !self.is_member(m) {
                 // A down server cannot receive fills; it converges on
                 // recovery via the self-healing pass instead. A
-                // non-member server is another shard's to reconcile.
+                // non-member server is another region's to reconcile.
                 continue;
             }
             for &model in &delta.fills {
@@ -1812,7 +1615,7 @@ impl<'a> ServeEngine<'a> {
 
 /// Per-user primary (highest expected rate) covering server, or `None`
 /// for uncovered users.
-fn primary_servers(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeError> {
+pub(crate) fn primary_servers(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeError> {
     (0..scenario.num_users())
         .map(|k| primary_server_for(scenario, k))
         .collect()
@@ -1820,7 +1623,10 @@ fn primary_servers(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeErr
 
 /// The primary (highest expected rate) covering server of one user, or
 /// `None` if the user is uncovered.
-fn primary_server_for(scenario: &Scenario, k: usize) -> Result<Option<usize>, RuntimeError> {
+pub(crate) fn primary_server_for(
+    scenario: &Scenario,
+    k: usize,
+) -> Result<Option<usize>, RuntimeError> {
     let servers = scenario
         .coverage()
         .servers_of_user(k)
@@ -1847,29 +1653,6 @@ pub fn serve(
     config: &ServeConfig,
 ) -> Result<ServeReport, RuntimeError> {
     let mut engine = ServeEngine::new(scenario, policy, config.clone())?;
-    if let Some(placement) = initial {
-        engine.warm_start(placement)?;
-    }
-    engine.run()
-}
-
-/// Runs one serving replay under an explicit (possibly piecewise
-/// non-stationary) workload: build engine, swap the workload, optional
-/// warm start, run. The `serve-adapt` study drives its demand-shift
-/// scenarios through this entry point.
-///
-/// # Errors
-///
-/// Propagates configuration, workload and scenario errors.
-pub fn serve_with_workload(
-    scenario: &Scenario,
-    policy: &dyn EvictionPolicy,
-    initial: Option<&Placement>,
-    config: &ServeConfig,
-    workload: &Workload,
-) -> Result<ServeReport, RuntimeError> {
-    let mut engine = ServeEngine::new(scenario, policy, config.clone())?;
-    engine.set_workload(workload.clone())?;
     if let Some(placement) = initial {
         engine.warm_start(placement)?;
     }

@@ -131,10 +131,7 @@ pub use cache::{CacheView, FillPlan, ServerCache};
 pub use control::{
     ControlConfig, Controller, DemandEstimator, DriftConfig, DriftDetector, ReplanReason,
 };
-pub use engine::{
-    serve, serve_ensemble, serve_with_workload, FillGranularity, ServeConfig, ServeEngine,
-    ServeReport,
-};
+pub use engine::{serve, serve_ensemble, FillGranularity, ServeConfig, ServeEngine, ServeReport};
 pub use error::RuntimeError;
 pub use event::{Event, EventKind, EventQueue};
 pub use faults::{FaultConfig, FaultKind, FaultSpec, RecoveryMode};
@@ -144,7 +141,7 @@ pub use persist::{
     ServedRecord,
 };
 pub use policy::{CostAwareLfu, EvictionPolicy, Lfu, Lru};
-pub use shard::{serve_sharded, ShardedServeEngine};
+pub use shard::ShardedServeEngine;
 pub use transfer::{BackhaulLink, TransferTicket};
 pub use workload::{
     permute_popularity, rotate_popularity, spike_popularity, PopularityShift, Workload,

@@ -93,14 +93,9 @@ impl PersistConfig {
         self
     }
 
-    /// Path of the run's append-only journal file.
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join("journal.tcj")
-    }
-
-    /// Path of shard `shard`'s append-only journal in a sharded run.
-    /// Each shard journals its own served stream; the shared checkpoint
-    /// file records one journal offset per shard.
+    /// Path of shard `shard`'s append-only journal. Every run journals
+    /// per shard (a classic run is shard 0); the checkpoint file records
+    /// one journal offset per shard.
     pub fn journal_shard_path(&self, shard: usize) -> PathBuf {
         self.dir.join(format!("journal_{shard}.tcj"))
     }
@@ -218,7 +213,10 @@ pub(crate) mod tests {
     #[test]
     fn config_paths_and_validation() {
         let c = PersistConfig::new("/tmp/run").with_checkpoint_every_s(30.0);
-        assert_eq!(c.journal_path(), PathBuf::from("/tmp/run/journal.tcj"));
+        assert_eq!(
+            c.journal_shard_path(0),
+            PathBuf::from("/tmp/run/journal_0.tcj")
+        );
         assert_eq!(
             c.checkpoint_path(),
             PathBuf::from("/tmp/run/checkpoint.tcp")

@@ -1,31 +1,34 @@
-//! Region-sharded serving: one scenario, R deterministic shards.
+//! The run coordinator: `R` region engines over one shared radio
+//! snapshot.
 //!
-//! A single [`ServeEngine`] walks one event queue
-//! with one RNG — correct, but serial. City-scale scenarios are
-//! spatially local: a request only ever considers the handful of
-//! servers covering its user, so servers far apart almost never
-//! interact. [`ShardedServeEngine`] exploits that locality by
-//! partitioning the deployment into `R` vertical strips over the server
-//! x-coordinates. Each strip becomes a *shard*: a full
-//! [`ServeEngine`] that owns the strip's servers
-//! (caches, backhaul links, fault transitions, regional controller) and
-//! the users currently inside the strip (request streams, kinematics,
-//! handover accounting), with its own event queue and its own RNG
-//! stream seeded `run seed + shard id`.
+//! Every serving run — classic or sharded — is a [`ShardedServeEngine`].
+//! It partitions the deployment into `R` vertical strips over the
+//! server x-coordinates. Each strip becomes a *region* engine that owns
+//! the strip's servers (caches, backhaul links, fault transitions,
+//! regional controller) and the users currently inside the strip
+//! (request streams, kinematics, handover accounting), with its own
+//! event queue and its own RNG stream seeded `run seed + region id`.
+//! The classic [`ServeEngine`] is `R = 1`: one region owning every
+//! server and user, so the classic trace is the one-region trace by
+//! construction.
 //!
-//! Between mobility boundaries the shards share nothing and run freely
-//! on a pool of worker threads. At every mobility boundary the
-//! coordinator merges deterministically, in shard-id order: it
-//! assembles the global position vector from the owner shards'
-//! kinematics, applies the same slot update to every shard's radio
-//! snapshot (so all snapshots stay identical), and migrates ownership
-//! of users that crossed a strip border (ascending user id; the old
-//! owner's pending request becomes a tombstone, the new owner copies
-//! the kinematics and schedules a fresh arrival). Because every merge
-//! is single-threaded and ordered, **the trace is a pure function of
+//! The coordinator owns the one radio snapshot of the run (coverage,
+//! rates and eligibility of every user, as the paper's placement reads
+//! it), the per-user primary servers and the ownership map. Regions
+//! borrow them read-only. City-scale scenarios are spatially local: a
+//! request only ever considers the handful of servers covering its
+//! user, so between mobility boundaries the regions share nothing
+//! mutable and run freely on a pool of worker threads. At every
+//! mobility boundary the coordinator merges deterministically: it
+//! assembles the global position vector from the owner regions'
+//! kinematics, updates the snapshot **once**, recounts handovers on the
+//! refreshed users, and migrates ownership of users that crossed a
+//! strip border (ascending user id; the old owner's pending request
+//! becomes a tombstone, the new owner copies the kinematics and
+//! schedules a fresh arrival). Because every merge is single-threaded
+//! and ordered, **the trace is a pure function of
 //! `(scenario, policy, config, R)` — byte-identical across any worker
-//! thread count** — and a run with `R = 1` reproduces the classic
-//! single-engine trace bit for bit.
+//! thread count**.
 //!
 //! Sharding *is* a model change for `R > 1`: a request is served only
 //! by eligible servers of its owner's strip, and each strip plans its
@@ -33,21 +36,28 @@
 //! deployments have (a Shenzhen cell does not fail over to Guangzhou),
 //! and it is what makes the strips independent enough to parallelise.
 //!
-//! Durable sharded runs journal per shard (`journal_<id>.tcj`) and
-//! write one shared checkpoint file whose payload carries one state per
-//! shard (`CHECKPOINT_VERSION` 3); [`ShardedServeEngine::resume`]
-//! restores every shard byte-identically, re-deriving strip membership
-//! and user ownership from the static topology and the checkpointed
+//! Durable runs journal per region (`journal_<id>.tcj`) and write one
+//! checkpoint file whose payload carries one state per region
+//! (`CHECKPOINT_VERSION` 3). There is one restore path: the region
+//! count is read from the checkpoint, strip membership is re-derived
+//! from the static topology and user ownership from the checkpointed
 //! positions.
+//!
+//! [`ServeEngine`]: crate::ServeEngine
+
+use std::borrow::Cow;
 
 use trimcaching_scenario::{Placement, Scenario, UserId};
 use trimcaching_wireless::geometry::Point;
 
-use crate::engine::{DriveStop, RunState, ServeConfig, ServeEngine, ServeReport, ShardSpec};
+use crate::engine::{
+    primary_server_for, primary_servers, DriveStop, Region, RunState, ServeConfig, ServeReport,
+    Shared,
+};
 use crate::error::RuntimeError;
 use crate::fanout::par_map;
 use crate::persist::checkpoint::{CheckpointSaver, CheckpointState};
-use crate::persist::{Checkpoint, PersistConfig};
+use crate::persist::{Checkpoint, PersistConfig, PersistError};
 use crate::policy::EvictionPolicy;
 use crate::workload::Workload;
 
@@ -110,34 +120,34 @@ impl Partition {
     }
 }
 
-/// One shard: its engine plus the run state the coordinator drives it
-/// through.
+/// One region: its engine plus the run state the coordinator drives it
+/// through (`None` until the run begins).
 struct ShardRun<'a> {
-    engine: ServeEngine<'a>,
+    engine: Region<'a>,
     state: Option<RunState>,
 }
 
-/// A serving run partitioned into deterministic region shards — see the
-/// module docs for the model and the determinism contract.
+/// A serving run of `R` deterministic regions over one shared snapshot —
+/// see the module docs for the model and the determinism contract.
 pub struct ShardedServeEngine<'a> {
+    scenario: &'a Scenario,
     config: ServeConfig,
     threads: usize,
     partition: Partition,
-    /// Authoritative user-ownership map (`owner[k]` = shard id),
-    /// mirrored into every shard's spec masks.
-    owner: Vec<usize>,
+    /// The snapshot, primaries and ownership map every region reads.
+    shared: Shared<'a>,
     shards: Vec<ShardRun<'a>>,
-    /// Simulated time of the next shared checkpoint boundary
-    /// (`f64::INFINITY` for in-memory runs).
+    /// Simulated time of the next checkpoint boundary (`f64::INFINITY`
+    /// for in-memory runs).
     next_checkpoint_s: f64,
     saver: CheckpointSaver,
 }
 
 impl<'a> ShardedServeEngine<'a> {
-    /// Prepares a sharded engine over `scenario` with `num_shards`
-    /// strips. `num_shards == 1` is the classic engine behind a thread
-    /// pool of one — its trace is bit-identical to
-    /// [`ServeEngine::run`](crate::ServeEngine::run).
+    /// Prepares a run over `scenario` with `num_shards` strips.
+    /// `num_shards == 1` is the classic engine, [`ServeEngine::new`].
+    ///
+    /// [`ServeEngine::new`]: crate::ServeEngine::new
     ///
     /// # Errors
     ///
@@ -155,33 +165,39 @@ impl<'a> ShardedServeEngine<'a> {
             });
         }
         config.validate()?;
+        if let Some(faults) = &config.faults {
+            faults.validate_servers(scenario.num_servers())?;
+        }
         let partition = Partition::over(scenario, num_shards);
         let positions: Vec<Point> = scenario.users().iter().map(|u| u.position()).collect();
-        let owner = partition.owners_of(&positions);
-        let mut shards = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            let shard_config = config.clone().with_seed(config.seed.wrapping_add(s as u64));
-            let mut engine = ServeEngine::new(scenario, policy, shard_config)?;
-            engine.set_shard(ShardSpec {
-                id: s,
-                owned_users: owner.iter().map(|&o| o == s).collect(),
-                member_servers: partition.member_servers[s].clone(),
-            });
-            shards.push(ShardRun {
-                engine,
-                state: None,
-            });
-        }
+        let shared = Shared {
+            snapshot: Cow::Borrowed(scenario),
+            primary: primary_servers(scenario)?,
+            owner: partition.owners_of(&positions),
+        };
+        let shards = (0..num_shards)
+            .map(|s| {
+                let region_config = config.clone().with_seed(config.seed.wrapping_add(s as u64));
+                let member_servers = partition.member_servers[s].clone();
+                Region::new(scenario, policy, region_config, s, member_servers).map(|engine| {
+                    ShardRun {
+                        engine,
+                        state: None,
+                    }
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let next_checkpoint_s = if config.persist.is_some() {
             0.0
         } else {
             f64::INFINITY
         };
         Ok(Self {
+            scenario,
             config,
             threads: 0,
             partition,
-            owner,
+            shared,
             shards,
             next_checkpoint_s,
             saver: CheckpointSaver::default(),
@@ -197,11 +213,9 @@ impl<'a> ShardedServeEngine<'a> {
         self
     }
 
-    /// Warm-starts every shard's member caches from an offline
-    /// placement, exactly like [`ServeEngine::warm_start`]
-    /// (non-member servers are other shards' rows of the placement).
-    ///
-    /// [`ServeEngine::warm_start`]: crate::ServeEngine::warm_start
+    /// Warm-starts every region's member caches from an offline
+    /// placement: every `x_{m,i} = 1` entry is preloaded by the region
+    /// owning server `m`, skipping models that no longer fit.
     ///
     /// # Errors
     ///
@@ -213,35 +227,74 @@ impl<'a> ShardedServeEngine<'a> {
         Ok(())
     }
 
-    /// Replaces every shard's request-generation workload, exactly like
-    /// [`ServeEngine::set_workload`]: each shard samples its *own*
-    /// users from the shared workload, so piecewise shifts, flash
-    /// crowds and tides apply city-wide.
-    ///
-    /// [`ServeEngine::set_workload`]: crate::ServeEngine::set_workload
+    /// Replaces the request-generation workload of every region: each
+    /// region samples its *own* users from the shared workload, so
+    /// piecewise shifts, flash crowds and tides apply city-wide.
     ///
     /// # Errors
     ///
-    /// Propagates [`RuntimeError::InvalidConfig`] for a workload whose
+    /// Returns [`RuntimeError::InvalidConfig`] for a workload whose
     /// user count differs from the scenario's.
     pub fn set_workload(&mut self, workload: Workload) -> Result<(), RuntimeError> {
+        if workload.num_users() != self.scenario.num_users() {
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!(
+                    "workload has {} users but the scenario has {}",
+                    workload.num_users(),
+                    self.scenario.num_users()
+                ),
+            });
+        }
         for shard in &mut self.shards {
-            shard.engine.set_workload(workload.clone())?;
+            shard.engine.workload = workload.clone();
         }
         Ok(())
     }
 
-    /// Resumes an interrupted durable sharded run from the shared
-    /// checkpoint and the per-shard journals in `persist.dir`. The
-    /// shard count is read from the checkpoint; strip membership is
-    /// re-derived from the (static) topology and user ownership from
-    /// the checkpointed positions — ownership at a boundary is always
-    /// exactly "the strip the user stands in".
+    /// Schedules an oracle reconciliation towards `target` at `at_s`
+    /// (see [`ServeEngine::schedule_reconcile`]); each region stages the
+    /// rows of its member servers.
+    ///
+    /// [`ServeEngine::schedule_reconcile`]: crate::ServeEngine::schedule_reconcile
+    pub(crate) fn schedule_reconcile(
+        &mut self,
+        at_s: f64,
+        target: Placement,
+    ) -> Result<(), RuntimeError> {
+        if !(at_s.is_finite() && at_s >= 0.0) {
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!("reconcile time must be non-negative and finite, got {at_s}"),
+            });
+        }
+        let s = self.scenario;
+        if target.num_servers() != s.num_servers() || target.num_models() != s.num_models() {
+            return Err(RuntimeError::InvalidConfig {
+                reason: format!(
+                    "target is {}x{} but the scenario is {}x{}",
+                    target.num_servers(),
+                    target.num_models(),
+                    s.num_servers(),
+                    s.num_models()
+                ),
+            });
+        }
+        for shard in &mut self.shards {
+            shard.engine.scheduled.push((at_s, target.clone()));
+        }
+        Ok(())
+    }
+
+    /// Resumes an interrupted durable run from the checkpoint and the
+    /// per-region journals in `persist.dir`. The region count is read
+    /// from the checkpoint; strip membership is re-derived from the
+    /// (static) topology and user ownership from the checkpointed
+    /// positions — ownership at a boundary is always exactly "the strip
+    /// the user stands in".
     ///
     /// # Errors
     ///
     /// Fails on I/O errors, corrupt files, or a policy/seed mismatch
-    /// between `policy`, the checkpoint and any shard journal.
+    /// between `policy`, the checkpoint and any region journal.
     pub fn resume(
         scenario: &'a Scenario,
         policy: &'a dyn EvictionPolicy,
@@ -249,75 +302,87 @@ impl<'a> ShardedServeEngine<'a> {
     ) -> Result<Self, RuntimeError> {
         persist.validate()?;
         let cp = Checkpoint::load(&persist.checkpoint_path())?;
-        let num_shards = cp.num_shards();
-        let partition = Partition::over(scenario, num_shards);
-        // Shard 0's stream is seeded with the run seed itself, so its
-        // captured config is the run config.
-        let mut config = cp.shards[0].config.clone();
-        config.persist = Some(persist.clone());
-        let owner = partition.owners_of(&cp.shards[0].positions);
-        let mut shards = Vec::with_capacity(num_shards);
-        for (s, state) in cp.shards.iter().enumerate() {
-            let mut engine = ServeEngine::resume_shard(
-                scenario,
-                policy,
-                persist.clone(),
-                state,
-                &persist.journal_shard_path(s),
-            )?;
-            engine.set_shard(ShardSpec {
-                id: s,
-                owned_users: owner.iter().map(|&o| o == s).collect(),
-                member_servers: partition.member_servers[s].clone(),
-            });
-            let run_state = engine
-                .take_resume_state()
-                .ok_or_else(|| RuntimeError::Internal {
-                    reason: format!("restored shard {s} has no staged run state"),
-                })?;
-            shards.push(ShardRun {
-                engine,
-                state: Some(run_state),
-            });
-        }
-        let next_checkpoint_s = cp.shards[0].time_s + persist.checkpoint_every_s;
-        Ok(Self {
-            config,
-            threads: 0,
-            partition,
-            owner,
-            shards,
-            next_checkpoint_s,
-            saver: CheckpointSaver::default(),
-        })
+        Self::restore(scenario, policy, &cp, Some(persist))
     }
 
-    /// Runs all shards to the configured horizon and merges the
-    /// per-shard reports: counters sum, histograms add, window traces
+    /// The one restore path: a fresh run over `scenario` with the
+    /// checkpoint's region count, the shared snapshot moved to the
+    /// checkpointed positions, and every region overwritten with its
+    /// checkpointed state. With `persist` the run resumes its journals
+    /// and checkpoints; without it the run is an in-memory fork.
+    pub(crate) fn restore(
+        scenario: &'a Scenario,
+        policy: &'a dyn EvictionPolicy,
+        cp: &Checkpoint,
+        persist: Option<PersistConfig>,
+    ) -> Result<Self, RuntimeError> {
+        let first = &cp.shards[0];
+        if first.positions.len() != scenario.num_users() {
+            return Err(PersistError::Mismatch {
+                reason: format!(
+                    "checkpoint captured {} users but the scenario has {}",
+                    first.positions.len(),
+                    scenario.num_users()
+                ),
+            }
+            .into());
+        }
+        // Region 0's stream is seeded with the run seed itself, so its
+        // captured config is the run config.
+        let mut config = first.config.clone();
+        config.persist = persist.clone();
+        let mut engine = Self::new(scenario, policy, config, cp.num_shards())?;
+        if first.mobility.is_some() {
+            // One-shot position update — bit-identical to the
+            // incremental slot-by-slot evolution that produced the
+            // checkpoint (pinned by
+            // `incremental_slots_match_full_rebuild_serving`).
+            engine
+                .shared
+                .snapshot
+                .to_mut()
+                .update_user_positions(&first.positions)?;
+        }
+        engine.shared.primary = first
+            .primary
+            .iter()
+            .map(|p| p.map(|m| m as usize))
+            .collect();
+        engine.shared.owner = engine.partition.owners_of(&first.positions);
+        for (shard, state) in engine.shards.iter_mut().zip(&cp.shards) {
+            shard.state = Some(shard.engine.restore(state, persist.as_ref())?);
+        }
+        if let Some(p) = &persist {
+            engine.next_checkpoint_s = first.time_s + p.checkpoint_every_s;
+        }
+        Ok(engine)
+    }
+
+    /// Runs all regions to the configured horizon and merges the
+    /// per-region reports: counters sum, histograms add, window traces
     /// merge point-wise, and each server's final cache comes from its
-    /// member shard. For one shard the merged report *is* the classic
-    /// report.
+    /// member region. For one region the merged report *is* that
+    /// region's report.
     ///
     /// # Errors
     ///
-    /// Propagates the first error any shard produced.
+    /// Propagates the first error any region produced.
     pub fn run(mut self) -> Result<ServeReport, RuntimeError> {
         let horizon = self.config.duration_s;
         self.run_to(horizon)?;
         self.saver.wait()?;
-        let member_servers = self.partition.member_servers.clone();
-        let base_seed = self.config.seed;
+        let member_servers = self.partition.member_servers;
         let mut reports = Vec::with_capacity(self.shards.len());
         for shard in self.shards {
             reports.push(shard.engine.finish(horizon)?);
         }
         let mut merged = reports.remove(0);
-        merged.seed = base_seed;
+        merged.seed = self.config.seed;
         for report in &reports {
             merged.metrics.merge_from(&report.metrics);
         }
-        // Each server belongs to exactly one shard; its final cache is
-        // that shard's (non-member caches stay empty for the whole run).
+        // Each server belongs to exactly one region; its final cache is
+        // that region's (non-member caches stay empty for the whole run).
         for (s, report) in reports.iter().enumerate() {
             for (m, &member) in member_servers[s + 1].iter().enumerate() {
                 if member {
@@ -328,13 +393,10 @@ impl<'a> ShardedServeEngine<'a> {
         Ok(merged)
     }
 
-    /// Runs the shards up to simulated time `stop_s` and drops the
+    /// Runs the regions up to simulated time `stop_s` and drops the
     /// engine — the durable-run analogue of the process being killed at
-    /// `stop_s`, like [`ServeEngine::run_until`]. Every due shared
-    /// checkpoint is on disk and every shard journal is flushed;
-    /// continue with [`ShardedServeEngine::resume`].
-    ///
-    /// [`ServeEngine::run_until`]: crate::ServeEngine::run_until
+    /// `stop_s`. Every due checkpoint is on disk and every region
+    /// journal is flushed; continue with [`ShardedServeEngine::resume`].
     ///
     /// # Errors
     ///
@@ -349,55 +411,53 @@ impl<'a> ShardedServeEngine<'a> {
         let stop_s = stop_s.min(self.config.duration_s);
         self.run_to(stop_s)?;
         for shard in &mut self.shards {
-            shard.engine.flush_journal()?;
+            shard.engine.sync_journal()?;
         }
         Ok(self.saver.wait()?)
     }
 
-    /// Drives every shard to `horizon` through checkpoint-bounded
-    /// windows: within a window the shards run in parallel and merge at
-    /// every mobility boundary; at each due checkpoint boundary all
-    /// shards are captured into one shared checkpoint file (the same
-    /// boundary grid, boundary `0.0` included, as the classic engine).
+    /// Drives every region to `horizon` through checkpoint-bounded
+    /// windows: within a window the regions run in parallel and merge at
+    /// every mobility boundary; at each due checkpoint boundary (boundary
+    /// `0.0` included) all regions are captured into one checkpoint file.
+    /// A boundary `T` is written once no pending event fires at or before
+    /// `T` — events *at* the boundary are simulated state of the
+    /// boundary, so they process first.
     fn run_to(&mut self, horizon: f64) -> Result<(), RuntimeError> {
-        if self.shards[0].state.is_none() {
-            for shard in &mut self.shards {
-                let state = shard.engine.begin()?;
-                shard.state = Some(state);
+        for shard in &mut self.shards {
+            if shard.state.is_none() {
+                shard.state = Some(shard.engine.begin(&self.shared.owner)?);
             }
         }
         loop {
             let window_end = horizon.min(self.next_checkpoint_s);
             self.drive_window(window_end)?;
-            if self.next_checkpoint_s > horizon {
+            let Some(pc) = self.config.persist.as_ref() else {
                 return Ok(());
-            }
+            };
             let due = self.next_checkpoint_s;
-            if let Some(pc) = self.config.persist.clone() {
-                let mut states: Vec<CheckpointState> = Vec::with_capacity(self.shards.len());
-                for shard in &mut self.shards {
-                    let state = shard.state.as_ref().ok_or_else(no_run_state)?;
-                    states.push(shard.engine.capture_for_checkpoint(due, state)?);
-                }
-                self.saver.save(
-                    pc.checkpoint_path(),
-                    Checkpoint { shards: states },
-                    pc.fsync,
-                )?;
-                self.next_checkpoint_s = due + pc.checkpoint_every_s;
-            } else {
-                // Unreachable (a finite boundary implies persistence),
-                // but a clean stop beats a spin.
+            if due > horizon {
                 return Ok(());
             }
+            let mut states: Vec<CheckpointState> = Vec::with_capacity(self.shards.len());
+            for shard in &mut self.shards {
+                let state = shard.state.as_ref().ok_or_else(no_run_state)?;
+                states.push(shard.engine.capture(due, state, &self.shared)?);
+            }
+            self.saver.save(
+                pc.checkpoint_path(),
+                Checkpoint { shards: states },
+                pc.fsync,
+            )?;
+            self.next_checkpoint_s = due + pc.checkpoint_every_s;
             if window_end >= horizon {
                 return Ok(());
             }
         }
     }
 
-    /// Drives every shard to `window_end`, running the deterministic
-    /// cross-shard merge at each mobility boundary on the way.
+    /// Drives every region to `window_end`, running the deterministic
+    /// merge at each mobility boundary on the way.
     fn drive_window(&mut self, window_end: f64) -> Result<(), RuntimeError> {
         loop {
             let outcomes = self.drive_all(window_end)?;
@@ -412,7 +472,7 @@ impl<'a> ShardedServeEngine<'a> {
                         Some(prev) => {
                             return Err(RuntimeError::Internal {
                                 reason: format!(
-                                    "shards disagree on the mobility boundary: {prev} vs {t}"
+                                    "regions disagree on the mobility boundary: {prev} vs {t}"
                                 ),
                             });
                         }
@@ -425,7 +485,7 @@ impl<'a> ShardedServeEngine<'a> {
             if at_horizon {
                 return Err(RuntimeError::Internal {
                     reason: format!(
-                        "some shards reached the window end while others stopped at the \
+                        "some regions reached the window end while others stopped at the \
                          mobility boundary {tb} — the slot grids diverged"
                     ),
                 });
@@ -434,118 +494,112 @@ impl<'a> ShardedServeEngine<'a> {
         }
     }
 
-    /// One round of parallel shard driving on the worker pool. The
-    /// outcomes come back in shard-id order whatever the thread
+    /// One round of parallel region driving on the worker pool. The
+    /// outcomes come back in region-id order whatever the thread
     /// scheduling, so everything downstream is deterministic.
     fn drive_all(&mut self, stop_s: f64) -> Result<Vec<DriveStop>, RuntimeError> {
+        let shared = &self.shared;
         par_map(&mut self.shards, self.threads, |_, shard| {
             let ShardRun { engine, state } = shard;
             let state = state.as_mut().ok_or_else(no_run_state)?;
-            engine.drive(state, stop_s)
+            engine.drive(state, stop_s, shared)
         })
     }
 
-    /// The deterministic cross-shard merge at mobility boundary `tb`,
-    /// entirely single-threaded and ordered by shard id then user id:
+    /// The deterministic merge at mobility boundary `tb`, entirely
+    /// single-threaded and ordered by region id then user id:
     ///
-    /// 1. assemble the global position vector from the owner shards'
-    ///    kinematics (each shard steps *all* users for RNG parity, but
+    /// 1. assemble the global position vector from the owner regions'
+    ///    kinematics (each region steps *all* users for RNG parity, but
     ///    only owned rows are authoritative);
-    /// 2. apply the same slot update to every shard's radio snapshot —
-    ///    identical inputs keep all snapshots identical;
+    /// 2. apply the slot update to the one shared snapshot —
+    ///    incremental: only the moved users' rows (and the rows of users
+    ///    sharing a reallocated server) are re-derived, bit-identical to
+    ///    a full rebuild — and recount handovers over the refreshed
+    ///    users, each on its owner's counters;
     /// 3. migrate ownership of users that crossed a strip border: copy
-    ///    the kinematic row to the new owner, flip both masks, and let
-    ///    the new owner schedule a fresh arrival (the old owner's
-    ///    pending request dies as a tombstone).
+    ///    the kinematic row to the new owner, flip the ownership map,
+    ///    and let the new owner schedule a fresh arrival (the old
+    ///    owner's pending request dies as a tombstone).
     fn merge_at(&mut self, tb: f64) -> Result<(), RuntimeError> {
-        let num_users = self.owner.len();
-        let mut global = vec![Point::new(0.0, 0.0); num_users];
+        let owner = &mut self.shared.owner;
+        let mut global = vec![Point::new(0.0, 0.0); owner.len()];
         for (s, shard) in self.shards.iter().enumerate() {
-            let state = shard.state.as_ref().ok_or_else(no_run_state)?;
-            let mobility = state
-                .mobility
-                .as_ref()
-                .ok_or_else(|| RuntimeError::Internal {
-                    reason: "a mobility boundary fired but a shard has no mobility model".into(),
-                })?;
-            let users = mobility.users();
-            for (k, &owner) in self.owner.iter().enumerate() {
-                if owner == s {
+            let users = shard_mobility(shard)?.users();
+            for (k, &o) in owner.iter().enumerate() {
+                if o == s {
                     global[k] = users[k].position;
                 }
             }
         }
+
+        let snapshot = self.shared.snapshot.to_mut();
+        let delta = snapshot.update_user_positions(&global)?;
         for shard in &mut self.shards {
-            shard.engine.apply_slot_positions(&global)?;
+            shard.engine.metrics.snapshot_rebuilds += 1;
         }
+        // Primary servers are a pure function of a user's covering set
+        // and rates, both unchanged outside the refreshed set — recount
+        // handovers from the delta instead of re-deriving all K
+        // assignments.
+        for &k in delta.refreshed_users() {
+            let fresh = primary_server_for(snapshot, k)?;
+            let metrics = &mut self.shards[owner[k]].engine.metrics;
+            metrics.users_refreshed += 1;
+            if self.shared.primary[k] != fresh {
+                metrics.handovers += 1;
+            }
+            self.shared.primary[k] = fresh;
+        }
+
         // Migration order is part of the determinism contract: strictly
-        // ascending user id, so the index loop is deliberate.
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..num_users {
-            let from = self.owner[k];
-            let to = self.partition.strip_of(global[k].x);
+        // ascending user id.
+        for (k, position) in global.iter().enumerate() {
+            let from = owner[k];
+            let to = self.partition.strip_of(position.x);
             if to == from {
                 continue;
             }
-            let row = {
-                let state = self.shards[from].state.as_ref().ok_or_else(no_run_state)?;
-                let mobility = state.mobility.as_ref().ok_or_else(no_run_state)?;
-                mobility.users()[k]
-            };
-            {
-                let state = self.shards[to].state.as_mut().ok_or_else(no_run_state)?;
-                let mobility = state.mobility.as_mut().ok_or_else(no_run_state)?;
-                mobility.set_user(k, row)?;
-            }
-            if let Some(spec) = self.shards[from].engine.shard_spec_mut() {
-                spec.owned_users[k] = false;
-            }
-            if let Some(spec) = self.shards[to].engine.shard_spec_mut() {
-                spec.owned_users[k] = true;
-            }
-            self.owner[k] = to;
+            let row = shard_mobility(&self.shards[from])?.users()[k];
             let ShardRun { engine, state } = &mut self.shards[to];
             let state = state.as_mut().ok_or_else(no_run_state)?;
+            state
+                .mobility
+                .as_mut()
+                .ok_or_else(no_run_state)?
+                .set_user(k, row)?;
+            owner[k] = to;
             engine.schedule_user_request(state, UserId(k), tb);
         }
         Ok(())
     }
 }
 
-/// The internal error for a shard whose run state went missing — only
+/// The kinematics of one region (present whenever a mobility boundary
+/// fires).
+fn shard_mobility<'s>(
+    shard: &'s ShardRun<'_>,
+) -> Result<&'s trimcaching_scenario::mobility::MobilityModel, RuntimeError> {
+    let state = shard.state.as_ref().ok_or_else(no_run_state)?;
+    state
+        .mobility
+        .as_ref()
+        .ok_or_else(|| RuntimeError::Internal {
+            reason: "a mobility boundary fired but a region has no mobility model".into(),
+        })
+}
+
+/// The internal error for a region whose run state went missing — only
 /// reachable through a coordinator bug, never through user input.
 fn no_run_state() -> RuntimeError {
     RuntimeError::Internal {
-        reason: "a shard has no run state".into(),
+        reason: "a region has no run state".into(),
     }
-}
-
-/// Runs one sharded serving replay: build the sharded engine, optional
-/// warm start, run — the sharded analogue of [`serve`](crate::serve).
-///
-/// # Errors
-///
-/// Propagates configuration and scenario errors.
-pub fn serve_sharded(
-    scenario: &Scenario,
-    policy: &dyn EvictionPolicy,
-    initial: Option<&Placement>,
-    config: &ServeConfig,
-    num_shards: usize,
-    threads: usize,
-) -> Result<ServeReport, RuntimeError> {
-    let mut engine = ShardedServeEngine::new(scenario, policy, config.clone(), num_shards)?
-        .with_threads(threads);
-    if let Some(placement) = initial {
-        engine.warm_start(placement)?;
-    }
-    engine.run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::serve;
     use crate::persist::tests::fnv1a;
     use crate::policy::Lru;
     use rand::rngs::StdRng;
@@ -604,24 +658,15 @@ mod tests {
         std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
     }
 
-    #[test]
-    fn one_shard_reproduces_the_classic_trace() {
-        let s = scenario(14);
-        let classic_dir = temp_dir("classic");
-        let sharded_dir = temp_dir("r1");
-        let classic = serve(&s, &Lru, None, &config(&classic_dir)).unwrap();
-        let sharded = serve_sharded(&s, &Lru, None, &config(&sharded_dir), 1, 1).unwrap();
-        assert_eq!(
-            classic, sharded,
-            "R=1 must be bit-equal to the classic engine"
-        );
-        assert!(classic.metrics.requests > 0);
-        assert!(classic.metrics.users_refreshed > 0, "mobility must fire");
-        assert_eq!(
-            journal_bytes(PersistConfig::new(&classic_dir).journal_path()),
-            journal_bytes(PersistConfig::new(&sharded_dir).journal_shard_path(0)),
-            "the single shard's journal must be byte-identical to the classic journal"
-        );
+    fn run_sharded(
+        s: &Scenario,
+        config: &ServeConfig,
+        num_shards: usize,
+        threads: usize,
+    ) -> Result<ServeReport, RuntimeError> {
+        ShardedServeEngine::new(s, &Lru, config.clone(), num_shards)?
+            .with_threads(threads)
+            .run()
     }
 
     #[test]
@@ -629,8 +674,8 @@ mod tests {
         let s = scenario(16);
         let serial_dir = temp_dir("t1");
         let pooled_dir = temp_dir("t4");
-        let serial = serve_sharded(&s, &Lru, None, &config(&serial_dir), 4, 1).unwrap();
-        let pooled = serve_sharded(&s, &Lru, None, &config(&pooled_dir), 4, 4).unwrap();
+        let serial = run_sharded(&s, &config(&serial_dir), 4, 1).unwrap();
+        let pooled = run_sharded(&s, &config(&pooled_dir), 4, 4).unwrap();
         assert_eq!(
             serial, pooled,
             "thread count must not perturb the merged trace"
@@ -650,8 +695,8 @@ mod tests {
         let s = scenario(16);
         let a_dir = temp_dir("det-a");
         let b_dir = temp_dir("det-b");
-        let a = serve_sharded(&s, &Lru, None, &config(&a_dir), 2, 2).unwrap();
-        let b = serve_sharded(&s, &Lru, None, &config(&b_dir), 2, 2).unwrap();
+        let a = run_sharded(&s, &config(&a_dir), 2, 2).unwrap();
+        let b = run_sharded(&s, &config(&b_dir), 2, 2).unwrap();
         assert_eq!(a, b, "same-seed sharded runs must be byte-identical");
         let m = &a.metrics;
         assert_eq!(m.requests, m.hits + m.misses_served + m.rejected);
@@ -672,7 +717,7 @@ mod tests {
         let s = scenario(14);
         let reference_dir = temp_dir("ref");
         let killed_dir = temp_dir("killed");
-        let reference = serve_sharded(&s, &Lru, None, &config(&reference_dir), 2, 2).unwrap();
+        let reference = run_sharded(&s, &config(&reference_dir), 2, 2).unwrap();
 
         // Kill mid-run (past the t=20 checkpoint, mid-window), then
         // resume from disk and run to the horizon.
@@ -818,7 +863,7 @@ mod tests {
         assert!(err.is_err(), "zero shards must be rejected");
         // More shards than distinct strips still runs (empty shards are
         // legal: strips with no servers reject their users' requests).
-        let report = serve_sharded(&s, &Lru, None, &ServeConfig::smoke().with_seed(3), 8, 2);
+        let report = run_sharded(&s, &ServeConfig::smoke().with_seed(3), 8, 2);
         let report = report.unwrap();
         assert_eq!(
             report.metrics.requests,

@@ -18,11 +18,10 @@
 //!   deterministically diverging futures;
 //! * [`journal_stats`] — pure offline analysis of journal artefacts, no
 //!   scenario required: request counts, hit ratios and latency
-//!   percentiles recomputed from the served-event records alone. Reads
-//!   the classic `journal.tcj` when present, and otherwise discovers
-//!   the per-shard `journal_<s>.tcj` files a sharded run leaves,
-//!   merging them in shard order into the same metrics the live merged
-//!   report carried.
+//!   percentiles recomputed from the served-event records alone. Every
+//!   run leaves one `journal_<s>.tcj` per shard (a classic run is shard
+//!   0); they are merged in shard order into the same metrics the live
+//!   merged report carried.
 //!
 //! All four share one deterministic study setting (the seed comes from
 //! the `RunConfig`), so `serve-journal` followed by `resume` or
@@ -117,7 +116,7 @@ fn summary_cells(report: &ServeReport, dir: &Path) -> Vec<Measurement> {
         m.hit_ratio(),
         m.p95_latency_s().unwrap_or(0.0) * 1e3,
         m.backhaul_bytes_moved as f64 / 1e6,
-        file_mb(&persist_config(dir).journal_path()),
+        file_mb(&persist_config(dir).journal_shard_path(0)),
         file_mb(&persist_config(dir).checkpoint_path()),
     ]
     .into_iter()
@@ -138,7 +137,7 @@ pub fn serve_journal(config: &RunConfig, dir: &Path) -> Result<ExperimentTable, 
     let report = ServeEngine::new(&scenario, &CostAwareLfu, serve_config)?.run()?;
 
     let (header, records) =
-        read_journal(&persist_config(dir).journal_path()).map_err(RuntimeError::from)?;
+        read_journal(&persist_config(dir).journal_shard_path(0)).map_err(RuntimeError::from)?;
     let offline = recompute_metrics(&header, &records);
     let matches = request_level_match(&offline, &report.metrics);
 
@@ -270,22 +269,16 @@ pub fn fork_ab(config: &RunConfig, dir: &Path) -> Result<ExperimentTable, SimErr
     Ok(table)
 }
 
-/// Reads whatever journal set `dir` holds: the classic `journal.tcj`
-/// when present, otherwise the per-shard `journal_<s>.tcj` artefacts a
-/// sharded run leaves, discovered ascending from shard 0 and merged in
-/// shard order — the same order the live run merged its shard reports,
-/// so the recomputed request-level metrics match the merged report
-/// bit-for-bit. Returns `(seed, shard count, merged metrics)`; the seed
-/// is shard 0's header seed, which is the run seed.
+/// Reads the per-shard journal set `dir` holds (`journal_<s>.tcj`, one
+/// per shard; a classic run is shard 0), discovered ascending from
+/// shard 0 and merged in shard order — the same order the live run
+/// merged its shard reports, so the recomputed request-level metrics
+/// match the merged report bit-for-bit. Returns `(seed, shard count,
+/// merged metrics)`; the seed is shard 0's header seed, which is the
+/// run seed. A missing shard-0 journal surfaces as the strict read's
+/// usual error.
 pub(crate) fn read_journal_set(dir: &Path) -> Result<(u64, usize, ServeMetrics), SimError> {
     let persist = persist_config(dir);
-    let classic = persist.journal_path();
-    if classic.exists() || !persist.journal_shard_path(0).exists() {
-        // Classic single-journal run — or nothing at all, in which case
-        // the strict read surfaces the usual missing-journal error.
-        let (header, records) = read_journal(&classic).map_err(RuntimeError::from)?;
-        return Ok((header.seed, 1, recompute_metrics(&header, &records)));
-    }
     let (header, records) =
         read_journal(&persist.journal_shard_path(0)).map_err(RuntimeError::from)?;
     let seed = header.seed;

@@ -78,8 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let resumed =
         ServeEngine::resume(&scenario, &CostAwareLfu, config(&dir_b).persist.unwrap())?.run()?;
     assert_eq!(resumed, reference, "resume must be invisible in the report");
-    let journal_a = std::fs::read(dir_a.join("journal.tcj"))?;
-    let journal_b = std::fs::read(dir_b.join("journal.tcj"))?;
+    let journal_a = std::fs::read(dir_a.join("journal_0.tcj"))?;
+    let journal_b = std::fs::read(dir_b.join("journal_0.tcj"))?;
     assert_eq!(journal_a, journal_b, "and invisible on disk");
     println!(
         "killed+resumed: identical report, identical journal ({} bytes)",
@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Offline analysis: the journal alone recomputes the run's
     //    request-level metrics bit-for-bit — no scenario, no replay.
-    let (header, records) = read_journal(&dir_a.join("journal.tcj"))?;
+    let (header, records) = read_journal(&dir_a.join("journal_0.tcj"))?;
     let offline = recompute_metrics(&header, &records);
     assert_eq!(offline.requests, reference.metrics.requests);
     assert_eq!(

@@ -55,15 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ControlConfig::paper_defaults()
     };
 
-    let static_run =
-        serve_with_workload(&scenario, &CostAwareLfu, Some(&initial), &config, &workload)?;
-    let adaptive_run = serve_with_workload(
-        &scenario,
-        &CostAwareLfu,
-        Some(&initial),
-        &config.with_control(control),
-        &workload,
-    )?;
+    let run = |config: ServeConfig| -> Result<ServeReport, Box<dyn std::error::Error>> {
+        let mut engine = ServeEngine::new(&scenario, &CostAwareLfu, config)?;
+        engine.set_workload(workload.clone())?;
+        engine.warm_start(&initial)?;
+        Ok(engine.run()?)
+    };
+    let static_run = run(config.clone())?;
+    let adaptive_run = run(config.with_control(control))?;
 
     println!("\n{:>10} {:>16} {:>16}", "time (s)", "static", "controller");
     for (s, a) in static_run

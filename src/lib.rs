@@ -104,9 +104,9 @@ pub mod prelude {
         RandomPlacement, TopPopularity, TrimCachingGen, TrimCachingGenLazy, TrimCachingSpec,
     };
     pub use trimcaching_runtime::{
-        rotate_popularity, serve, serve_ensemble, serve_with_workload, ControlConfig, CostAwareLfu,
-        DriftConfig, EvictionPolicy, FillGranularity, Lfu, Lru, PersistConfig, PopularityShift,
-        ServeConfig, ServeEngine, ServeReport, Workload,
+        rotate_popularity, serve, serve_ensemble, ControlConfig, CostAwareLfu, DriftConfig,
+        EvictionPolicy, FillGranularity, Lfu, Lru, PersistConfig, PopularityShift, ServeConfig,
+        ServeEngine, ServeReport, Workload,
     };
     pub use trimcaching_scenario::prelude::*;
     pub use trimcaching_sim::{

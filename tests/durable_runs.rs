@@ -73,7 +73,7 @@ fn persistence_does_not_change_results() {
         plain, durable,
         "journaling and checkpointing must be invisible to the simulation"
     );
-    assert!(dir.join("journal.tcj").exists());
+    assert!(dir.join("journal_0.tcj").exists());
     assert!(dir.join("checkpoint.tcp").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -86,7 +86,7 @@ fn resume_is_byte_identical_at_any_interrupt_point() {
     // The uninterrupted reference run, journaled for byte comparison.
     let base_dir = scratch_dir("anywhere-base");
     let reference = run_full(&s, &persisted(&config, &base_dir, 60.0));
-    let reference_journal = std::fs::read(base_dir.join("journal.tcj")).expect("journal exists");
+    let reference_journal = std::fs::read(base_dir.join("journal_0.tcj")).expect("journal exists");
 
     // Kill points: before the first request, mid-interval, exactly at a
     // checkpoint boundary, and deep into the run.
@@ -105,7 +105,7 @@ fn resume_is_byte_identical_at_any_interrupt_point() {
             resumed, reference,
             "report after a kill at t={stop_s} must match the uninterrupted run"
         );
-        let journal = std::fs::read(dir.join("journal.tcj")).expect("journal exists");
+        let journal = std::fs::read(dir.join("journal_0.tcj")).expect("journal exists");
         assert_eq!(
             journal, reference_journal,
             "journal after a kill at t={stop_s} must be byte-identical"
@@ -187,7 +187,7 @@ fn torn_journal_tail_is_recovered_from_the_last_checkpoint() {
 
     // Crash injection: chop bytes off the journal tail, leaving the
     // final record torn — as if the process died mid-`write`.
-    let journal_path = dir.join("journal.tcj");
+    let journal_path = dir.join("journal_0.tcj");
     let len = std::fs::metadata(&journal_path)
         .expect("journal exists")
         .len();
@@ -252,7 +252,7 @@ fn journal_recomputes_the_request_level_metrics_bit_for_bit() {
     let config = persisted(&full_config(46), &dir, 60.0);
     let report = run_full(&s, &config);
 
-    let (header, records) = read_journal(&dir.join("journal.tcj")).expect("journal reads");
+    let (header, records) = read_journal(&dir.join("journal_0.tcj")).expect("journal reads");
     assert_eq!(records.len() as u64, report.metrics.requests);
     let offline = recompute_metrics(&header, &records);
     let live = &report.metrics;

@@ -199,7 +199,7 @@ fn resume_mid_outage_is_byte_identical() {
         "the outage caught fills"
     );
     assert!(reference.metrics.fill_retries > 0, "retries were scheduled");
-    let reference_journal = std::fs::read(base_dir.join("journal.tcj")).expect("journal exists");
+    let reference_journal = std::fs::read(base_dir.join("journal_0.tcj")).expect("journal exists");
 
     // Kill points inside the outage window (checkpoints at 60 and 120
     // both persist down-server state) and after full recovery.
@@ -218,7 +218,7 @@ fn resume_mid_outage_is_byte_identical() {
             resumed, reference,
             "report after a kill at t={stop_s} must match the uninterrupted run"
         );
-        let journal = std::fs::read(dir.join("journal.tcj")).expect("journal exists");
+        let journal = std::fs::read(dir.join("journal_0.tcj")).expect("journal exists");
         assert_eq!(
             journal, reference_journal,
             "journal after a kill at t={stop_s} must be byte-identical"

@@ -61,8 +61,12 @@ fn controller_runs_are_byte_identical_per_seed() {
     let (workload, _) = flip_workload(&scenario);
     let config = serve_config(7).with_control(study_control_config());
     let run = |config: &ServeConfig| {
-        serve_with_workload(&scenario, &CostAwareLfu, None, config, &workload)
-            .expect("controller run")
+        let mut engine =
+            ServeEngine::new(&scenario, &CostAwareLfu, config.clone()).expect("engine builds");
+        engine
+            .set_workload(workload.clone())
+            .expect("workload fits");
+        engine.run().expect("controller run")
     };
     let a = run(&config);
     let b = run(&config);

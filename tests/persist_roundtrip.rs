@@ -174,7 +174,7 @@ proptest! {
         cp.save(&copy).expect("copy saves");
         prop_assert_eq!(std::fs::read(&copy).unwrap(), std::fs::read(&cp_path).unwrap());
         // The interrupted journal is always a valid strict read.
-        read_journal(&dir.join("journal.tcj")).expect("journal is intact");
+        read_journal(&dir.join("journal_0.tcj")).expect("journal is intact");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

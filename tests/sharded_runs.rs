@@ -7,13 +7,15 @@
 //! * the merged trace of a sharded run is **byte-identical for any
 //!   worker-thread count** (journal files compared byte for byte);
 //! * a sharded run killed mid-window resumes from the shared checkpoint
-//!   and its per-shard journals into a byte-identical continuation;
-//! * one shard reproduces the classic single-engine trace exactly.
+//!   and its per-shard journals into a byte-identical continuation.
+//!
+//! One shard *is* the classic engine by construction (`ServeEngine` is
+//! the one-shard coordinator), so no test compares the two.
 
 use std::path::{Path, PathBuf};
 
 use trimcaching::runtime::{
-    serve, ControlConfig, CostAwareLfu, PersistConfig, ServeConfig, ShardedServeEngine,
+    ControlConfig, CostAwareLfu, PersistConfig, ServeConfig, ShardedServeEngine,
 };
 use trimcaching::scenario::Scenario;
 use trimcaching::sim::experiments::{LibraryKind, RunConfig};
@@ -131,30 +133,4 @@ fn sharded_determinism_smoke() {
             "shard {shard} journal must be byte-identical after kill/resume"
         );
     }
-}
-
-/// `R = 1` is the classic engine: same report, and the single shard
-/// journal is byte-for-byte the classic journal file.
-#[test]
-fn one_shard_matches_the_classic_engine_on_a_city() {
-    let scenario = city_scenario();
-    let classic_dir = scratch_dir("classic");
-    let sharded_dir = scratch_dir("r1");
-    let classic = serve(
-        &scenario,
-        &CostAwareLfu,
-        None,
-        &full_config(7, &classic_dir),
-    )
-    .expect("classic run");
-    let sharded =
-        ShardedServeEngine::new(&scenario, &CostAwareLfu, full_config(7, &sharded_dir), 1)
-            .expect("engine builds")
-            .run()
-            .expect("sharded run");
-    assert_eq!(classic, sharded, "R=1 must reproduce the classic engine");
-    assert_eq!(
-        journal_bytes(PersistConfig::new(&classic_dir).journal_path()),
-        journal_bytes(PersistConfig::new(&sharded_dir).journal_shard_path(0)),
-    );
 }
