@@ -445,7 +445,7 @@ pub(crate) struct RunState {
 
 /// What every region of a run reads and only the coordinator writes, at
 /// mobility boundaries: the one radio snapshot, each user's primary
-/// server and each user's owner region. `Scenario` has no interior
+/// server, owner region and request generation. `Scenario` has no interior
 /// mutability, so the regions share it by plain reference across the
 /// worker pool.
 pub(crate) struct Shared<'a> {
@@ -458,6 +458,9 @@ pub(crate) struct Shared<'a> {
     /// `owner[k]`: the region that owns user `k`'s request stream,
     /// kinematics and handover accounting.
     pub(crate) owner: Vec<usize>,
+    /// `generation[k]`: bumped on every migration of user `k`. Only a
+    /// `Request` event carrying the current generation is live.
+    pub(crate) generation: Vec<u32>,
 }
 
 /// Why [`Region::drive`] stopped pumping events.
@@ -634,7 +637,7 @@ impl<'a> Region<'a> {
     /// queue and the mobility model (the RNG draw order is part of the
     /// determinism contract) — and opens the journal when persistence
     /// is configured.
-    pub(crate) fn begin(&mut self, owner: &[usize]) -> Result<RunState, RuntimeError> {
+    pub(crate) fn begin(&mut self, shared: &Shared<'_>) -> Result<RunState, RuntimeError> {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut queue = EventQueue::new();
         let mobility = if self.config.mobility_slot_s > 0.0 {
@@ -650,10 +653,11 @@ impl<'a> Region<'a> {
         // Every region draws the full per-user interarrival sequence (one
         // draw per user) but schedules requests only for the users it
         // owns — identical draw counts for every region count.
-        for (k, &o) in owner.iter().enumerate() {
+        for (k, &owner) in shared.owner.iter().enumerate() {
             let t = self.workload.next_interarrival_s(&mut rng);
-            if o == self.id {
-                queue.push(t, EventKind::Request { user: UserId(k) });
+            if owner == self.id {
+                let (user, generation) = (UserId(k), shared.generation[k]);
+                queue.push(t, EventKind::Request { user, generation });
             }
         }
         if let Some(controller) = &self.controller {
@@ -717,12 +721,14 @@ impl<'a> Region<'a> {
                 return Ok(DriveStop::Horizon);
             };
             match event.kind {
-                EventKind::Request { user } => {
-                    // A user who migrated to another region leaves the old
-                    // owner's pending request behind as a tombstone; skip
-                    // it *before* any RNG draw so the region's stream is
-                    // exactly what its owned users produce.
-                    if shared.owner[user.index()] != self.id {
+                EventKind::Request { user, generation } => {
+                    // A user who migrated leaves the old chain's pending
+                    // request behind as a tombstone — in the old owner's
+                    // queue, where it stays stale even if the user later
+                    // migrates back; skip it *before* any RNG draw so the
+                    // region's stream is exactly what its owned users
+                    // produce.
+                    if shared.generation[user.index()] != generation {
                         continue;
                     }
                     let model = self.workload.draw_model(user, event.time_s, &mut state.rng);
@@ -736,7 +742,7 @@ impl<'a> Region<'a> {
                     let gap = self.workload.next_interarrival_s(&mut state.rng);
                     state
                         .queue
-                        .push(event.time_s + gap, EventKind::Request { user });
+                        .push(event.time_s + gap, EventKind::Request { user, generation });
                 }
                 EventKind::TransferComplete { server, model } => {
                     // Fills aborted by a server failure leave their
@@ -841,6 +847,7 @@ impl<'a> Region<'a> {
                 .map(|u| u.position())
                 .collect(),
             primary: shared.primary.iter().map(|p| p.map(|m| m as u64)).collect(),
+            generation: shared.generation.clone(),
             caches: self.caches.iter().map(|c| c.snapshot()).collect(),
             links: self.links.iter().map(|l| l.inflight_snapshot()).collect(),
             workload_rate_hz: rate_hz,
@@ -889,11 +896,19 @@ impl<'a> Region<'a> {
     }
 
     /// Draws a fresh interarrival gap for a user this region just took
-    /// ownership of (migration at a mobility boundary) and schedules
-    /// their next request on the region's queue.
-    pub(crate) fn schedule_user_request(&mut self, state: &mut RunState, user: UserId, now_s: f64) {
+    /// ownership of (migration at a mobility boundary) and starts their
+    /// request chain of `generation` on the region's queue.
+    pub(crate) fn schedule_user_request(
+        &mut self,
+        state: &mut RunState,
+        user: UserId,
+        generation: u32,
+        now_s: f64,
+    ) {
         let gap = self.workload.next_interarrival_s(&mut state.rng);
-        state.queue.push(now_s + gap, EventKind::Request { user });
+        state
+            .queue
+            .push(now_s + gap, EventKind::Request { user, generation });
     }
 
     /// Overwrites every mutable layer of this fresh region with one

@@ -21,6 +21,11 @@ pub enum EventKind {
     Request {
         /// The requesting user.
         user: UserId,
+        /// The user's request generation when the event was scheduled.
+        /// Every migration to another region bumps the generation and
+        /// starts a fresh chain there, so an event whose generation is
+        /// no longer current is a tombstone of an abandoned chain.
+        generation: u32,
     },
     /// Users move for one mobility slot and the radio snapshot (coverage,
     /// rates, eligibility) is re-derived — server handover happens here.
@@ -149,6 +154,11 @@ impl EventQueue {
         self.heap.is_empty()
     }
 
+    /// The pending events in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
+        self.heap.iter()
+    }
+
     /// A canonical snapshot of the queue for checkpointing: the pending
     /// events in pop order plus the next sequence number. Restoring via
     /// [`EventQueue::restore`] reproduces the exact pop order (including
@@ -180,8 +190,20 @@ mod tests {
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
         q.push(3.0, EventKind::MobilitySlot);
-        q.push(1.0, EventKind::Request { user: UserId(0) });
-        q.push(2.0, EventKind::Request { user: UserId(1) });
+        q.push(
+            1.0,
+            EventKind::Request {
+                user: UserId(0),
+                generation: 0,
+            },
+        );
+        q.push(
+            2.0,
+            EventKind::Request {
+                user: UserId(1),
+                generation: 0,
+            },
+        );
         let times: Vec<f64> = std::iter::from_fn(|| q.pop().map(|e| e.time_s)).collect();
         assert_eq!(times, vec![1.0, 2.0, 3.0]);
     }
@@ -190,11 +212,17 @@ mod tests {
     fn equal_times_pop_in_push_order() {
         let mut q = EventQueue::new();
         for k in 0..100 {
-            q.push(5.0, EventKind::Request { user: UserId(k) });
+            q.push(
+                5.0,
+                EventKind::Request {
+                    user: UserId(k),
+                    generation: 0,
+                },
+            );
         }
         let users: Vec<usize> = std::iter::from_fn(|| {
             q.pop().map(|e| match e.kind {
-                EventKind::Request { user } => user.index(),
+                EventKind::Request { user, .. } => user.index(),
                 _ => unreachable!(),
             })
         })
@@ -209,10 +237,16 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().time_s, 2.0);
         q.push(4.0, EventKind::MobilitySlot);
-        q.push(3.0, EventKind::Request { user: UserId(7) });
+        q.push(
+            3.0,
+            EventKind::Request {
+                user: UserId(7),
+                generation: 0,
+            },
+        );
         let first = q.pop().unwrap();
         assert_eq!(first.time_s, 3.0);
-        assert!(matches!(first.kind, EventKind::Request { user } if user == UserId(7)));
+        assert!(matches!(first.kind, EventKind::Request { user, .. } if user == UserId(7)));
         assert_eq!(q.pop().unwrap().time_s, 4.0);
         assert!(q.is_empty());
     }

@@ -49,7 +49,12 @@ pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"TCKP";
 /// followed by one engine state per shard (a classic single-threaded
 /// run writes shard count 1) — and added the workload's optional
 /// user→class map for clustered demand.
-pub(crate) const CHECKPOINT_VERSION: u8 = 3;
+///
+/// Version 4 added per-user request generations: the generation vector
+/// after the primary servers, and a `u32` generation on every `Request`
+/// event, so a checkpoint taken after migrations restores which request
+/// chains are live.
+pub(crate) const CHECKPOINT_VERSION: u8 = 4;
 
 /// Mobility kinematics captured alongside the radio snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +87,8 @@ pub(crate) struct CheckpointState {
     pub positions: Vec<Point>,
     /// Per-user primary server (`None` = uncovered).
     pub primary: Vec<Option<u64>>,
+    /// Per-user request generation (bumped on every migration).
+    pub generation: Vec<u32>,
     /// Per-server cache state.
     pub caches: Vec<CacheSnapshot>,
     /// Per-server in-flight backhaul transfer finish times.
@@ -546,9 +553,10 @@ fn encode_event(e: &mut Encoder, event: &Event) {
     e.put_f64(event.time_s);
     e.put_u64(event.seq);
     match event.kind {
-        EventKind::Request { user } => {
+        EventKind::Request { user, generation } => {
             e.put_u8(0);
             e.put_u64(user.0 as u64);
+            e.put_u32(generation);
         }
         EventKind::MobilitySlot => e.put_u8(1),
         EventKind::TransferComplete { server, model } => {
@@ -584,6 +592,7 @@ fn decode_event(d: &mut Decoder<'_>) -> Result<Event, PersistError> {
     let kind = match d.get_u8()? {
         0 => EventKind::Request {
             user: UserId(d.get_u64()? as usize),
+            generation: d.get_u32()?,
         },
         1 => EventKind::MobilitySlot,
         2 => EventKind::TransferComplete {
@@ -952,6 +961,10 @@ pub(crate) fn encode_state_into(e: &mut Encoder, s: &CheckpointState) {
             None => e.put_i64(-1),
         }
     }
+    e.put_seq_len(s.generation.len());
+    for &g in &s.generation {
+        e.put_u32(g);
+    }
     e.put_seq_len(s.caches.len());
     for c in &s.caches {
         encode_cache(e, c);
@@ -1053,6 +1066,10 @@ pub(crate) fn decode_state_from(d: &mut Decoder<'_>) -> Result<CheckpointState, 
         })
         .collect::<Result<Vec<_>, PersistError>>()?;
     let n = d.get_seq_len()?;
+    let generation = (0..n)
+        .map(|_| d.get_u32())
+        .collect::<Result<Vec<_>, PersistError>>()?;
+    let n = d.get_seq_len()?;
     let caches = (0..n)
         .map(|_| decode_cache(d))
         .collect::<Result<Vec<_>, PersistError>>()?;
@@ -1132,6 +1149,7 @@ pub(crate) fn decode_state_from(d: &mut Decoder<'_>) -> Result<CheckpointState, 
         next_seq,
         positions,
         primary,
+        generation,
         caches,
         links,
         workload_rate_hz,
@@ -1212,7 +1230,10 @@ mod tests {
                 Event {
                     time_s: 31.5,
                     seq: 7,
-                    kind: EventKind::Request { user: UserId(3) },
+                    kind: EventKind::Request {
+                        user: UserId(3),
+                        generation: 2,
+                    },
                 },
                 Event {
                     time_s: 33.0,
@@ -1255,6 +1276,7 @@ mod tests {
             next_seq: 15,
             positions: vec![Point::new(1.0, 2.0), Point::new(-0.0, 999.5)],
             primary: vec![Some(0), None],
+            generation: vec![0, 2],
             caches: vec![CacheSnapshot {
                 resident: vec![ModelId(0), ModelId(2)],
                 last_access_s: vec![1.0, f64::NEG_INFINITY, 2.5],

@@ -281,7 +281,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             live,
-            (1, 3, 0x5776_2912_b6b1_10b1),
+            (1, 4, 0x171e_e2c4_5eba_bdbd),
             "the journal/checkpoint layout code changed: bump the version, then re-pin \
              (JOURNAL_VERSION, CHECKPOINT_VERSION, fingerprint) to ({}, {}, {:#018x})",
             live.0,

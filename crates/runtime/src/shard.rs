@@ -55,6 +55,7 @@ use crate::engine::{
     Shared,
 };
 use crate::error::RuntimeError;
+use crate::event::EventKind;
 use crate::fanout::par_map;
 use crate::persist::checkpoint::{CheckpointSaver, CheckpointState};
 use crate::persist::{Checkpoint, PersistConfig, PersistError};
@@ -174,6 +175,7 @@ impl<'a> ShardedServeEngine<'a> {
             snapshot: Cow::Borrowed(scenario),
             primary: primary_servers(scenario)?,
             owner: partition.owners_of(&positions),
+            generation: vec![0; scenario.num_users()],
         };
         let shards = (0..num_shards)
             .map(|s| {
@@ -317,12 +319,12 @@ impl<'a> ShardedServeEngine<'a> {
         persist: Option<PersistConfig>,
     ) -> Result<Self, RuntimeError> {
         let first = &cp.shards[0];
-        if first.positions.len() != scenario.num_users() {
+        let num_users = scenario.num_users();
+        if first.positions.len() != num_users || first.generation.len() != num_users {
             return Err(PersistError::Mismatch {
                 reason: format!(
-                    "checkpoint captured {} users but the scenario has {}",
-                    first.positions.len(),
-                    scenario.num_users()
+                    "checkpoint captured {} users but the scenario has {num_users}",
+                    first.positions.len()
                 ),
             }
             .into());
@@ -349,6 +351,7 @@ impl<'a> ShardedServeEngine<'a> {
             .map(|p| p.map(|m| m as usize))
             .collect();
         engine.shared.owner = engine.partition.owners_of(&first.positions);
+        engine.shared.generation = first.generation.clone();
         for (shard, state) in engine.shards.iter_mut().zip(&cp.shards) {
             shard.state = Some(shard.engine.restore(state, persist.as_ref())?);
         }
@@ -426,7 +429,7 @@ impl<'a> ShardedServeEngine<'a> {
     fn run_to(&mut self, horizon: f64) -> Result<(), RuntimeError> {
         for shard in &mut self.shards {
             if shard.state.is_none() {
-                shard.state = Some(shard.engine.begin(&self.shared.owner)?);
+                shard.state = Some(shard.engine.begin(&self.shared)?);
             }
         }
         loop {
@@ -491,6 +494,9 @@ impl<'a> ShardedServeEngine<'a> {
                 });
             }
             self.merge_at(tb)?;
+            if cfg!(debug_assertions) {
+                self.check_request_chains()?;
+            }
         }
     }
 
@@ -519,8 +525,9 @@ impl<'a> ShardedServeEngine<'a> {
     ///    users, each on its owner's counters;
     /// 3. migrate ownership of users that crossed a strip border: copy
     ///    the kinematic row to the new owner, flip the ownership map,
-    ///    and let the new owner schedule a fresh arrival (the old
-    ///    owner's pending request dies as a tombstone).
+    ///    bump the user's request generation and let the new owner start
+    ///    a fresh chain of that generation (the old chain's pending
+    ///    request dies as a tombstone, for good).
     fn merge_at(&mut self, tb: f64) -> Result<(), RuntimeError> {
         let owner = &mut self.shared.owner;
         let mut global = vec![Point::new(0.0, 0.0); owner.len()];
@@ -569,9 +576,47 @@ impl<'a> ShardedServeEngine<'a> {
                 .ok_or_else(no_run_state)?
                 .set_user(k, row)?;
             owner[k] = to;
-            engine.schedule_user_request(state, UserId(k), tb);
+            let generation = &mut self.shared.generation[k];
+            *generation = generation.wrapping_add(1);
+            engine.schedule_user_request(state, UserId(k), *generation, tb);
         }
         Ok(())
+    }
+
+    /// The merge invariant, checked after every merge in debug builds:
+    /// every user has exactly one live request chain — one pending
+    /// `Request` event of the current generation — and it sits in the
+    /// queue of the user's owner region.
+    fn check_request_chains(&self) -> Result<(), RuntimeError> {
+        let mut live = vec![0u32; self.shared.owner.len()];
+        for (s, shard) in self.shards.iter().enumerate() {
+            let state = shard.state.as_ref().ok_or_else(no_run_state)?;
+            for event in state.queue.iter() {
+                let EventKind::Request { user, generation } = event.kind else {
+                    continue;
+                };
+                let k = user.index();
+                if generation != self.shared.generation[k] {
+                    continue;
+                }
+                if self.shared.owner[k] != s {
+                    return Err(RuntimeError::Internal {
+                        reason: format!(
+                            "user {k} has a live request chain in region {s} but is owned by \
+                             region {}",
+                            self.shared.owner[k]
+                        ),
+                    });
+                }
+                live[k] += 1;
+            }
+        }
+        match live.iter().position(|&chains| chains != 1) {
+            Some(k) => Err(RuntimeError::Internal {
+                reason: format!("user {k} has {} live request chains, not one", live[k]),
+            }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -842,11 +887,11 @@ mod tests {
                 (
                     vec![
                         0x1433_ec04_5513_b082,
-                        0xa603_f7e0_bb0e_b9ab,
-                        0x8927_2606_cce5_3405,
-                        0x01f8_98ed_e610_346a,
+                        0x26a9_fc1b_6e8d_c70f,
+                        0xd0ca_9c75_bf73_eae7,
+                        0x1e56_27c1_5700_fcc6,
                     ],
-                    0xc43f_73f5_1223_4494,
+                    0x7f21_5a9f_7c8a_c4fb,
                 ),
             ),
         ];
@@ -869,5 +914,32 @@ mod tests {
             report.metrics.requests,
             report.metrics.hits + report.metrics.misses_served + report.metrics.rejected
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// Every user is one Poisson stream of rate `rate` whatever its
+        /// region: a migration restarts the stream with a fresh
+        /// (memoryless) gap, so the request count of a mobile run is
+        /// Poisson with mean K·rate·T for every R.
+        #[test]
+        fn mobile_request_load_is_poisson_for_any_shard_count(seed in 0u64..1_000) {
+            let (users, rate_hz, duration_s) = (150, 0.2, 120.0);
+            let s = scenario(users);
+            let config = ServeConfig::smoke()
+                .with_seed(seed)
+                .with_request_rate_hz(rate_hz)
+                .with_duration_s(duration_s)
+                .with_mobility_slot_s(5.0);
+            let mean = users as f64 * rate_hz * duration_s;
+            for shards in [1, 2, 4, 8] {
+                let requests = run_sharded(&s, &config, shards, 2).unwrap().metrics.requests;
+                proptest::prop_assert!(
+                    (requests as f64 - mean).abs() <= 5.0 * mean.sqrt(),
+                    "{requests} requests at R = {shards}; Poisson mean {mean}"
+                );
+            }
+        }
     }
 }
