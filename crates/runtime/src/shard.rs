@@ -23,10 +23,11 @@
 //! assembles the global position vector from the owner regions'
 //! kinematics, updates the snapshot **once**, recounts handovers on the
 //! refreshed users, and migrates ownership of users that crossed a
-//! strip border (ascending user id; the old owner's pending request
-//! becomes a tombstone, the new owner copies the kinematics and
-//! schedules a fresh arrival). Because every merge is single-threaded
-//! and ordered, **the trace is a pure function of
+//! strip border (ascending user id; the user's request generation is
+//! bumped so the old chain's pending request becomes a tombstone, and
+//! the new owner copies the kinematics and starts a fresh chain).
+//! Because every merge is single-threaded and ordered, **the trace is
+//! a pure function of
 //! `(scenario, policy, config, R)` — byte-identical across any worker
 //! thread count**.
 //!
@@ -38,7 +39,7 @@
 //!
 //! Durable runs journal per region (`journal_<id>.tcj`) and write one
 //! checkpoint file whose payload carries one state per region
-//! (`CHECKPOINT_VERSION` 3). There is one restore path: the region
+//! (`CHECKPOINT_VERSION` 4). There is one restore path: the region
 //! count is read from the checkpoint, strip membership is re-derived
 //! from the static topology and user ownership from the checkpointed
 //! positions.
@@ -334,17 +335,6 @@ impl<'a> ShardedServeEngine<'a> {
         let mut config = first.config.clone();
         config.persist = persist.clone();
         let mut engine = Self::new(scenario, policy, config, cp.num_shards())?;
-        if first.mobility.is_some() {
-            // One-shot position update — bit-identical to the
-            // incremental slot-by-slot evolution that produced the
-            // checkpoint (pinned by
-            // `incremental_slots_match_full_rebuild_serving`).
-            engine
-                .shared
-                .snapshot
-                .to_mut()
-                .update_user_positions(&first.positions)?;
-        }
         engine.shared.primary = first
             .primary
             .iter()
@@ -354,6 +344,19 @@ impl<'a> ShardedServeEngine<'a> {
         engine.shared.generation = first.generation.clone();
         for (shard, state) in engine.shards.iter_mut().zip(&cp.shards) {
             shard.state = Some(shard.engine.restore(state, persist.as_ref())?);
+        }
+        if first.mobility.is_some() {
+            // One-shot position update — bit-identical to the
+            // incremental slot-by-slot evolution that produced the
+            // checkpoint (pinned by
+            // `incremental_slots_match_full_rebuild_serving`). It runs
+            // after the regions restore so the snapshot copy is not
+            // live next to the journals they read back.
+            engine
+                .shared
+                .snapshot
+                .to_mut()
+                .update_user_positions(&first.positions)?;
         }
         if let Some(p) = &persist {
             engine.next_checkpoint_s = first.time_s + p.checkpoint_every_s;
