@@ -24,14 +24,14 @@
 //!   and LFU baselines plus the shared-block-aware [`CostAwareLfu`],
 //!   which ranks victims by observed demand per *reclaimable* byte
 //!   (evicting a model only frees its unshared blocks);
-//! * [`engine`] — the serving loop: requests served through the
+//! * [`engine`] — the region engine: requests served through the
 //!   eligibility indicator `I1(m, k, i)` and end-to-end latencies of
 //!   Eqs. (3)–(5), misses turned into block-granular fill pipelines
 //!   ([`FillGranularity::Block`] moves only missing blocks over the
 //!   backhaul; [`FillGranularity::WholeModel`] is the sharing-blind
-//!   baseline), user mobility advanced in event time with server
-//!   handover, caches maintained online, and independent runs fanned out
-//!   across worker threads;
+//!   baseline), caches maintained online, and independent runs fanned
+//!   out across worker threads. [`ServeEngine`] is the classic
+//!   whole-deployment engine: the one-region [`ShardedServeEngine`];
 //! * [`control`] — the **online re-placement loop**: an EWMA demand
 //!   estimator over the served stream, a drift detector on the windowed
 //!   hit-ratio / p95 trace, re-plans through the shared-block-aware
@@ -59,14 +59,15 @@
 //!   ([`ServeEngine::resume`]) and A/B forks of one checkpoint under
 //!   different policies ([`ServeEngine::fork`]) — enable with
 //!   [`ServeConfig::with_persist`];
-//! * [`shard`] — **region-sharded serving**: the deployment is split
-//!   into vertical strips, each strip a full engine with its own event
-//!   queue, RNG stream, caches and regional controller; shards run on a
-//!   worker-thread pool between mobility boundaries and merge
-//!   deterministically (handover, ownership migration, shared
-//!   checkpoints) so the trace is byte-identical across any thread
-//!   count, and one shard reproduces the classic engine bit for bit
-//!   ([`ShardedServeEngine`]);
+//! * [`shard`] — **the run coordinator**: every run is `R` region
+//!   engines (vertical strips of the deployment, each with its own
+//!   event queue, RNG stream, caches and regional controller) over
+//!   **one** shared radio snapshot. User mobility advances in event
+//!   time; at each mobility boundary the coordinator updates the one
+//!   snapshot, recounts server handovers and migrates user ownership
+//!   deterministically, so the trace is byte-identical across any
+//!   thread count; regions run on a worker pool between boundaries
+//!   ([`ShardedServeEngine`]; `R = 1` is [`ServeEngine`]);
 //! * [`fanout`] — the one scoped-thread fan-out behind shard driving,
 //!   ensembles, Monte-Carlo topologies and sweeps: results in index
 //!   order, and the lowest-index error for any thread count.

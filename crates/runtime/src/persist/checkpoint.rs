@@ -65,9 +65,9 @@ pub(crate) struct MobilityState {
     pub users: Vec<MobileUser>,
 }
 
-/// The complete mutable state of a [`ServeEngine`] at a slot boundary.
-///
-/// [`ServeEngine`]: crate::engine::ServeEngine
+/// The complete mutable state of one region engine at a slot boundary,
+/// plus the run's shared positions, primary servers and request
+/// generations (the same in every region's state).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CheckpointState {
     /// Simulated time of the boundary.
