@@ -1,11 +1,21 @@
 //! Per-slot mobility snapshot refresh: full `with_user_positions`
 //! rebuild vs. the incremental `update_user_positions` delta path.
 //!
-//! For `M ∈ {100, 500, 1000}` Poisson-deployed servers (the largest is
-//! the 1 000-server / 50 000-user city preset) a fraction of the users
-//! takes one mobility-sized step, and the time to bring the snapshot up
-//! to date is measured both ways. The two paths are asserted to produce
-//! bit-identical snapshots (and hit ratios) before any timing starts.
+//! Two regimes:
+//!
+//! * for `M ∈ {100, 500, 1000}` Poisson-deployed servers on sparse
+//!   eligibility (the largest is the 1 000-server / 50 000-user city
+//!   preset) a 1% / 5% fraction of the users takes one mobility-sized
+//!   step;
+//! * the regime the serving engine actually runs: the dense 5 000-user
+//!   LoRA market (10 servers, 24 models) advanced by one `paper_mix`
+//!   slot, which moves ~86% of the users and, through share
+//!   reallocation, refreshes nearly every row.
+//!
+//! The time to bring the snapshot up to date is measured both ways. The
+//! two paths are asserted to produce bit-identical snapshots (and hit
+//! ratios) before any timing starts; the LoRA row's eligibility is also
+//! checked triple by triple against `LatencyEvaluator::eligible`.
 //!
 //! The incremental path is timed by flip-flopping one snapshot between
 //! the two position sets, so every iteration performs exactly one slot
@@ -21,13 +31,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use trimcaching_modellib::builders::SpecialCaseBuilder;
-use trimcaching_modellib::ModelLibrary;
+use trimcaching_modellib::builders::{FoundationSpec, LoraLibraryBuilder, SpecialCaseBuilder};
+use trimcaching_modellib::{ModelId, ModelLibrary};
 use trimcaching_placement::{PlacementAlgorithm, TopPopularity};
-use trimcaching_scenario::mobility::MobilityClass;
-use trimcaching_scenario::{EligibilityRepr, Scenario};
-use trimcaching_sim::CityScaleConfig;
-use trimcaching_wireless::Point;
+use trimcaching_scenario::mobility::{MobilityClass, MobilityModel};
+use trimcaching_scenario::{EligibilityRepr, LatencyEvaluator, Scenario, UserId};
+use trimcaching_sim::{CityScaleConfig, TopologyConfig};
+use trimcaching_wireless::{DeploymentArea, Point};
 
 fn library() -> ModelLibrary {
     SpecialCaseBuilder::paper_setup()
@@ -54,6 +64,62 @@ fn district(target_servers: usize) -> Scenario {
     config
         .generate(&library(), 2024, 0)
         .expect("district generates")
+}
+
+/// The `serve_scaling` LoRA market with 5 000 users on the paper's
+/// 10-server footprint (the perfbench `mobile-durable` deployment):
+/// coverage density ~0.7, so `Auto` resolves to the dense tensor.
+fn lora_market() -> Scenario {
+    let foundations = (0..3)
+        .map(|f| FoundationSpec::new(format!("edge-fm{f}"), 4, 8_000_000))
+        .collect();
+    let library = LoraLibraryBuilder::with_foundations(foundations)
+        .adapters_per_foundation(8)
+        .adapter_size_bytes(1_500_000)
+        .head_size_bytes(500_000)
+        .build(2024);
+    let mut topology = TopologyConfig::paper_defaults()
+        .with_users(5_000)
+        .with_capacity_gb(0.04);
+    topology.radio.activity_probability = 0.01;
+    topology
+        .generate(&library, 2024, 0)
+        .expect("LoRA market generates")
+}
+
+/// Positions after one `paper_mix` slot of the whole population.
+fn paper_mix_slot(scenario: &Scenario, seed: u64) -> Vec<Point> {
+    let area = DeploymentArea::new(TopologyConfig::paper_defaults().area_side_m).expect("area");
+    let positions: Vec<Point> = scenario.users().iter().map(|u| u.position()).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut model = MobilityModel::paper_mix(&positions, area, &mut rng);
+    model.step(&mut rng);
+    model.positions()
+}
+
+/// Asserts that every triple of the snapshot's eligibility equals the
+/// pointwise definition `LatencyEvaluator::eligible`.
+fn assert_matches_oracle(scenario: &Scenario) {
+    let oracle = LatencyEvaluator::new(
+        scenario.library(),
+        scenario.demand(),
+        scenario.coverage(),
+        scenario.backhaul(),
+        scenario.rates(),
+    )
+    .expect("evaluator");
+    let view = scenario.eligibility();
+    for m in 0..scenario.num_servers() {
+        for k in 0..scenario.num_users() {
+            for i in 0..scenario.num_models() {
+                assert_eq!(
+                    view.eligible(m, UserId(k), ModelId(i)),
+                    oracle.eligible(m, UserId(k), ModelId(i)).expect("in range"),
+                    "eligibility disagrees with the oracle at ({m}, {k}, {i})"
+                );
+            }
+        }
+    }
 }
 
 /// Positions after moving `fraction` of the users by one 5-second slot
@@ -187,6 +253,44 @@ fn bench(c: &mut Criterion) {
             );
         }
     }
+
+    // The engine's regime: dense LoRA market, one paper_mix slot.
+    let scenario = lora_market();
+    assert!(
+        !scenario.eligibility().is_sparse(),
+        "the LoRA market is dense"
+    );
+    let (m, k) = (scenario.num_servers(), scenario.num_users());
+    let original: Vec<Point> = scenario.users().iter().map(|u| u.position()).collect();
+    let moved = paper_mix_slot(&scenario, 2024);
+    let rebuilt = scenario.with_user_positions(&moved).expect("rebuild");
+    let mut incremental = scenario.clone();
+    let delta = incremental.update_user_positions(&moved).expect("delta");
+    assert_eq!(incremental, rebuilt, "delta must equal full rebuild");
+    assert_matches_oracle(&incremental);
+    let full_s = time_full(&scenario, &moved, 5);
+    let delta_s = time_delta(&scenario, &original, &moved, 16);
+    eprintln!(
+        "[mobility_slot] LoRA market M = {m}, K = {k}, dense, one paper_mix slot \
+         ({} users moved, {} refreshed): full {:.2?} vs delta {:.2?} ({:.1}x)",
+        delta.moved_users().len(),
+        delta.refreshed_users().len(),
+        std::time::Duration::from_secs_f64(full_s),
+        std::time::Duration::from_secs_f64(delta_s),
+        full_s / delta_s,
+    );
+    group.bench_with_input(BenchmarkId::new("full/paper_mix", m), &scenario, |b, s| {
+        b.iter(|| s.with_user_positions(&moved).expect("rebuild"))
+    });
+    let mut flip = scenario.clone();
+    let mut toggle = false;
+    group.bench_with_input(BenchmarkId::new("delta/paper_mix", m), &scenario, |b, _| {
+        b.iter(|| {
+            let target = if toggle { &original } else { &moved };
+            toggle = !toggle;
+            flip.update_user_positions(target).expect("delta applies")
+        })
+    });
     group.finish();
 
     // Acceptance: at the city scale (1000 servers / 50k users) a ≤ 5%

@@ -86,6 +86,66 @@ pub trait EligibilityView: std::fmt::Debug {
 }
 
 // ---------------------------------------------------------------------------
+// Per-user candidate rows
+// ---------------------------------------------------------------------------
+
+/// Candidate-server lists of a batch of users, in the form the per-user
+/// eligibility kernel ([`crate::latency::LatencyEvaluator`]) emits them:
+/// row `u · I + i` holds, ascending, the servers able to serve the
+/// batch's `u`-th user for model `i`. Both representations are built
+/// and refreshed from these rows.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CandidateRows {
+    num_models: usize,
+    /// CSR offsets, length `rows + 1`.
+    offsets: Vec<usize>,
+    /// Candidate server indices, ascending within each row.
+    servers: Vec<u32>,
+}
+
+impl CandidateRows {
+    /// An empty batch over `num_models` models, with room for the rows
+    /// of `users` users.
+    pub(crate) fn with_capacity(num_models: usize, users: usize) -> Self {
+        let mut offsets = Vec::with_capacity(users * num_models + 1);
+        offsets.push(0);
+        Self {
+            num_models,
+            offsets,
+            servers: Vec::new(),
+        }
+    }
+
+    /// Number of complete rows.
+    fn num_rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Appends one candidate server to the row being filled.
+    pub(crate) fn push_server(&mut self, m: usize) {
+        self.servers.push(m as u32);
+    }
+
+    /// Closes the row being filled (servers pushed since the last close,
+    /// ascending).
+    pub(crate) fn end_row(&mut self) {
+        self.offsets.push(self.servers.len());
+    }
+
+    /// The candidate servers of the batch's `u`-th user for model `i`.
+    pub(crate) fn row(&self, u: usize, i: usize) -> &[u32] {
+        let row = u * self.num_models + i;
+        &self.servers[self.offsets[row]..self.offsets[row + 1]]
+    }
+
+    /// Drops every row, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.offsets.truncate(1);
+        self.servers.clear();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Dense representation
 // ---------------------------------------------------------------------------
 
@@ -97,9 +157,10 @@ pub struct EligibilityTensor {
     num_users: usize,
     num_models: usize,
     bits: Vec<bool>,
-    /// `candidates[m * I + i]` — whether any user is eligible at `(m, i)`;
-    /// lets [`EligibilityView::server_models`] answer in `O(1)` per model.
-    candidates: Vec<bool>,
+    /// `cell_users[m * I + i]` — how many users are eligible at
+    /// `(m, i)`; lets [`EligibilityView::server_models`] answer in `O(1)`
+    /// per model and stays exact under per-user row replacement.
+    cell_users: Vec<u32>,
 }
 
 impl EligibilityTensor {
@@ -134,107 +195,110 @@ impl EligibilityTensor {
         self.bits.iter().filter(|b| **b).count()
     }
 
+    /// An all-ineligible tensor.
+    fn empty(num_servers: usize, num_users: usize, num_models: usize) -> Self {
+        Self {
+            num_servers,
+            num_users,
+            num_models,
+            bits: vec![false; num_servers * num_users * num_models],
+            cell_users: vec![0; num_servers * num_models],
+        }
+    }
+
+    /// Sets or clears the `(m, k, i)` bit, keeping `cell_users` exact.
+    fn set(&mut self, m: usize, k: usize, i: usize, value: bool) {
+        let bit = &mut self.bits[(m * self.num_users + k) * self.num_models + i];
+        if *bit != value {
+            *bit = value;
+            let count = &mut self.cell_users[m * self.num_models + i];
+            if value {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+        }
+    }
+
     /// Builds a tensor directly from a closure; exposed for tests and for
     /// synthetic experiments that bypass the radio model.
     pub fn from_fn<F>(num_servers: usize, num_users: usize, num_models: usize, mut f: F) -> Self
     where
         F: FnMut(usize, usize, usize) -> bool,
     {
-        match Self::try_from_fn(num_servers, num_users, num_models, |m, k, i| {
-            Ok::<bool, std::convert::Infallible>(f(m, k, i))
-        }) {
-            Ok(tensor) => tensor,
-            Err(infallible) => match infallible {},
-        }
-    }
-
-    /// Builds a tensor from a fallible closure, propagating the first
-    /// error. Used by [`crate::latency::LatencyEvaluator`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error produced by `f`.
-    pub fn try_from_fn<F, E>(
-        num_servers: usize,
-        num_users: usize,
-        num_models: usize,
-        mut f: F,
-    ) -> Result<Self, E>
-    where
-        F: FnMut(usize, usize, usize) -> Result<bool, E>,
-    {
-        let mut bits = vec![false; num_servers * num_users * num_models];
-        let mut candidates = vec![false; num_servers * num_models];
+        let mut tensor = Self::empty(num_servers, num_users, num_models);
         for m in 0..num_servers {
             for k in 0..num_users {
                 for i in 0..num_models {
-                    let eligible = f(m, k, i)?;
-                    bits[(m * num_users + k) * num_models + i] = eligible;
-                    if eligible {
-                        candidates[m * num_models + i] = true;
+                    if f(m, k, i) {
+                        tensor.set(m, k, i, true);
                     }
                 }
             }
         }
-        Ok(Self {
-            num_servers,
-            num_users,
-            num_models,
-            bits,
-            candidates,
-        })
+        tensor
     }
 
-    /// Recomputes the `(m, ·, i)` bits of the given users in place from a
-    /// fallible predicate, keeping the per-server candidate summary
-    /// exact. `users` must be ascending and deduplicated. All predicate
-    /// evaluations happen before any mutation, so the tensor is left
-    /// unchanged when `f` errors. The result is indistinguishable from a
-    /// full [`EligibilityTensor::try_from_fn`] rebuild in which `f`
-    /// answers the unnamed users exactly as before.
-    pub(crate) fn replace_user_rows<F, E>(&mut self, users: &[usize], mut f: F) -> Result<(), E>
+    /// Builds a tensor one user at a time: `fill(k, rows)` appends user
+    /// `k`'s `I` candidate rows to an empty one-user batch, and their
+    /// servers' bits are set. Only one user's rows are ever staged.
+    pub(crate) fn from_user_rows<F, E>(
+        num_servers: usize,
+        num_users: usize,
+        num_models: usize,
+        mut fill: F,
+    ) -> Result<Self, E>
     where
-        F: FnMut(usize, usize, usize) -> Result<bool, E>,
+        F: FnMut(usize, &mut CandidateRows) -> Result<(), E>,
     {
-        if users.is_empty() {
-            return Ok(());
-        }
-        // Stage: fresh[(u * M + m) * I + i] for users[u].
-        let mut fresh = vec![false; users.len() * self.num_servers * self.num_models];
-        for (u, &k) in users.iter().enumerate() {
-            for m in 0..self.num_servers {
-                for i in 0..self.num_models {
-                    fresh[(u * self.num_servers + m) * self.num_models + i] = f(m, k, i)?;
+        let mut tensor = Self::empty(num_servers, num_users, num_models);
+        let mut rows = CandidateRows::with_capacity(num_models, 1);
+        for k in 0..num_users {
+            rows.clear();
+            fill(k, &mut rows)?;
+            debug_assert_eq!(rows.num_rows(), num_models, "one user's rows per call");
+            for i in 0..num_models {
+                for &m in rows.row(0, i) {
+                    tensor.set(m as usize, k, i, true);
                 }
             }
         }
-        // Commit, tracking (m, i) cells that lost a set bit: those may
-        // have lost their last eligible user and need a column rescan.
-        let mut cleared: Vec<usize> = Vec::new();
+        Ok(tensor)
+    }
+
+    /// Replaces every `(m, ·, i)` bit of the given users, keeping the
+    /// per-cell user counts exact: `fill(k, rows)` appends user `k`'s
+    /// `I` candidate rows to an empty one-user batch, exactly as for
+    /// [`EligibilityTensor::from_user_rows`]. `users` must be ascending,
+    /// deduplicated and in range. Every user is filled before the first
+    /// bit changes, so the tensor is left unchanged when `fill` errors.
+    /// The result is indistinguishable from a full rebuild whose rows
+    /// agree with `fill` on the named users and with the tensor
+    /// elsewhere.
+    pub(crate) fn replace_user_rows<F, E>(&mut self, users: &[usize], mut fill: F) -> Result<(), E>
+    where
+        F: FnMut(usize, &mut CandidateRows) -> Result<(), E>,
+    {
+        let plane = self.num_servers * self.num_models;
+        // Stage: fresh[u * M * I + m * I + i] for users[u].
+        let mut fresh = vec![false; users.len() * plane];
+        let mut rows = CandidateRows::with_capacity(self.num_models, 1);
         for (u, &k) in users.iter().enumerate() {
-            for m in 0..self.num_servers {
-                for i in 0..self.num_models {
-                    let value = fresh[(u * self.num_servers + m) * self.num_models + i];
-                    let bit = &mut self.bits[(m * self.num_users + k) * self.num_models + i];
-                    if *bit == value {
-                        continue;
-                    }
-                    *bit = value;
-                    let cell = m * self.num_models + i;
-                    if value {
-                        self.candidates[cell] = true;
-                    } else {
-                        cleared.push(cell);
-                    }
+            rows.clear();
+            fill(k, &mut rows)?;
+            debug_assert_eq!(rows.num_rows(), self.num_models, "one user's rows per call");
+            for i in 0..self.num_models {
+                for &m in rows.row(0, i) {
+                    fresh[u * plane + m as usize * self.num_models + i] = true;
                 }
             }
         }
-        cleared.sort_unstable();
-        cleared.dedup();
-        for cell in cleared {
-            let (m, i) = (cell / self.num_models, cell % self.num_models);
-            self.candidates[cell] = (0..self.num_users)
-                .any(|k| self.bits[(m * self.num_users + k) * self.num_models + i]);
+        for (u, &k) in users.iter().enumerate() {
+            for m in 0..self.num_servers {
+                for i in 0..self.num_models {
+                    self.set(m, k, i, fresh[u * plane + m * self.num_models + i]);
+                }
+            }
         }
         Ok(())
     }
@@ -286,7 +350,7 @@ impl EligibilityView for EligibilityTensor {
             return ServerModels(ServerModelsInner::Empty);
         }
         ServerModels(ServerModelsInner::Dense {
-            candidates: &self.candidates[m * self.num_models..(m + 1) * self.num_models],
+            cell_users: &self.cell_users[m * self.num_models..(m + 1) * self.num_models],
             next: 0,
         })
     }
@@ -342,20 +406,22 @@ pub struct SparseEligibility {
 }
 
 impl SparseEligibility {
-    /// Builds the sparse representation from per-request-class candidate
-    /// lists (the forward CSR); the per-server reverse index is derived by
-    /// a counting sort. `pair_offsets` must have length `K · I + 1` with
-    /// row `k · I + i`, and every row of `pair_servers` must be sorted
-    /// ascending with in-range server indices.
-    pub(crate) fn from_pair_candidates(
+    /// Builds the sparse representation from the candidate rows of every
+    /// user (`rows` holds user `k` as its `k`-th user), which become the
+    /// forward CSR; the per-server reverse index is derived by a counting
+    /// sort.
+    pub(crate) fn from_candidate_rows(
         num_servers: usize,
         num_users: usize,
-        num_models: usize,
-        pair_offsets: Vec<usize>,
-        pair_servers: Vec<u32>,
+        rows: CandidateRows,
     ) -> Self {
-        debug_assert_eq!(pair_offsets.len(), num_users * num_models + 1);
-        debug_assert_eq!(*pair_offsets.last().unwrap_or(&0), pair_servers.len());
+        let num_models = rows.num_models;
+        debug_assert_eq!(rows.num_rows(), num_users * num_models);
+        let CandidateRows {
+            offsets: pair_offsets,
+            servers: pair_servers,
+            ..
+        } = rows;
         // Count entries per (m, i) reverse row.
         let mut server_model_offsets = vec![0usize; num_servers * num_models + 1];
         for k in 0..num_users {
@@ -394,6 +460,25 @@ impl SparseEligibility {
         }
     }
 
+    /// Builds the sparse representation one user at a time:
+    /// `fill(k, rows)` appends user `k`'s `I` candidate rows, and the
+    /// collected rows become the forward CSR.
+    pub(crate) fn from_user_rows<F, E>(
+        num_servers: usize,
+        num_users: usize,
+        num_models: usize,
+        mut fill: F,
+    ) -> Result<Self, E>
+    where
+        F: FnMut(usize, &mut CandidateRows) -> Result<(), E>,
+    {
+        let mut rows = CandidateRows::with_capacity(num_models, num_users);
+        for k in 0..num_users {
+            fill(k, &mut rows)?;
+        }
+        Ok(Self::from_candidate_rows(num_servers, num_users, rows))
+    }
+
     /// Builds a sparse eligibility directly from a closure; the dense cube
     /// is enumerated (so this is meant for tests and synthetic
     /// experiments) but never allocated.
@@ -401,26 +486,18 @@ impl SparseEligibility {
     where
         F: FnMut(usize, usize, usize) -> bool,
     {
-        let mut pair_offsets = Vec::with_capacity(num_users * num_models + 1);
-        pair_offsets.push(0usize);
-        let mut pair_servers = Vec::new();
+        let mut rows = CandidateRows::with_capacity(num_models, num_users);
         for k in 0..num_users {
             for i in 0..num_models {
                 for m in 0..num_servers {
                     if f(m, k, i) {
-                        pair_servers.push(m as u32);
+                        rows.push_server(m);
                     }
                 }
-                pair_offsets.push(pair_servers.len());
+                rows.end_row();
             }
         }
-        Self::from_pair_candidates(
-            num_servers,
-            num_users,
-            num_models,
-            pair_offsets,
-            pair_servers,
-        )
+        Self::from_candidate_rows(num_servers, num_users, rows)
     }
 
     /// Number of servers `M`.
@@ -473,18 +550,18 @@ impl SparseEligibility {
             .is_ok()
     }
 
-    /// Replaces the forward candidate rows of the given users (the
-    /// closure appends the new ascending candidate-server list of each
-    /// `(k, i)` class to its output buffer) and patches the per-server
-    /// reverse index incrementally: only reverse rows whose membership
-    /// changed are merge-rebuilt, and every row keeps its ascending user
-    /// order, so the result is indistinguishable from a batch rebuild
-    /// via `from_pair_candidates`. `users` must be ascending and
-    /// deduplicated. All closure calls happen before any mutation, so
-    /// the structure is left unchanged when `f` errors.
-    pub(crate) fn replace_user_rows<F, E>(&mut self, users: &[usize], mut f: F) -> Result<(), E>
+    /// Replaces the forward candidate rows of the given users —
+    /// `fill(k, rows)` appends user `k`'s `I` new rows, exactly as for
+    /// [`SparseEligibility::from_user_rows`] — and patches the
+    /// per-server reverse index incrementally: only reverse rows whose
+    /// membership changed are merge-rebuilt, and every row keeps its
+    /// ascending user order, so the result is indistinguishable from a
+    /// batch rebuild. `users` must be ascending, deduplicated and in
+    /// range. Every user is filled before the first write, so the
+    /// structure is left unchanged when `fill` errors.
+    pub(crate) fn replace_user_rows<F, E>(&mut self, users: &[usize], mut fill: F) -> Result<(), E>
     where
-        F: FnMut(usize, usize, &mut Vec<u32>) -> Result<(), E>,
+        F: FnMut(usize, &mut CandidateRows) -> Result<(), E>,
     {
         if users.is_empty() {
             return Ok(());
@@ -496,15 +573,12 @@ impl SparseEligibility {
         );
         let i_count = self.num_models;
         // 1. Fresh forward rows of the affected users, in a scratch CSR.
-        let mut fresh_offsets = Vec::with_capacity(users.len() * i_count + 1);
-        fresh_offsets.push(0usize);
-        let mut fresh_servers: Vec<u32> = Vec::new();
+        let mut rows = CandidateRows::with_capacity(i_count, users.len());
         for &k in users {
-            for i in 0..i_count {
-                f(k, i, &mut fresh_servers)?;
-                fresh_offsets.push(fresh_servers.len());
-            }
+            fill(k, &mut rows)?;
         }
+        debug_assert_eq!(rows.num_rows(), users.len() * i_count);
+        let (fresh_offsets, fresh_servers) = (&rows.offsets, &rows.servers);
         // 2. Reverse-index deltas: `(reverse_row, user, added)` for every
         // membership change, produced sorted by user within a row and
         // sorted globally below.
@@ -584,8 +658,8 @@ impl SparseEligibility {
             copy_span(
                 &mut pair_offsets,
                 &mut pair_servers,
-                &fresh_offsets,
-                &fresh_servers,
+                fresh_offsets,
+                fresh_servers,
                 u * i_count,
                 (u + 1) * i_count,
             );
@@ -914,8 +988,8 @@ pub struct ServerModels<'a>(ServerModelsInner<'a>);
 #[derive(Debug, Clone)]
 enum ServerModelsInner<'a> {
     Dense {
-        /// The `candidates` slice of one server (length `I`).
-        candidates: &'a [bool],
+        /// The `cell_users` slice of one server (length `I`).
+        cell_users: &'a [u32],
         next: usize,
     },
     Sparse {
@@ -931,11 +1005,11 @@ impl Iterator for ServerModels<'_> {
 
     fn next(&mut self) -> Option<ModelId> {
         match &mut self.0 {
-            ServerModelsInner::Dense { candidates, next } => {
-                while *next < candidates.len() {
+            ServerModelsInner::Dense { cell_users, next } => {
+                while *next < cell_users.len() {
                     let i = *next;
                     *next += 1;
-                    if candidates[i] {
+                    if cell_users[i] > 0 {
                         return Some(ModelId(i));
                     }
                 }
@@ -1373,29 +1447,65 @@ mod tests {
         }
     }
 
+    /// A `fill` closure answering from `f` over 3 servers and 2 models.
+    fn fill_from(
+        f: fn(usize, usize, usize) -> bool,
+    ) -> impl FnMut(usize, &mut CandidateRows) -> Result<(), &'static str> {
+        move |k, rows| {
+            for i in 0..2 {
+                for m in (0..3).filter(|&m| f(m, k, i)) {
+                    rows.push_server(m);
+                }
+                rows.end_row();
+            }
+            Ok(())
+        }
+    }
+
+    /// A `fill` closure that fails on its second call.
+    fn fails_second() -> impl FnMut(usize, &mut CandidateRows) -> Result<(), &'static str> {
+        let mut calls = 0;
+        move |k, rows| {
+            calls += 1;
+            if calls == 2 {
+                return Err("boom");
+            }
+            fill_from(pattern)(k, rows)
+        }
+    }
+
+    #[test]
+    fn from_user_rows_matches_from_fn() {
+        let dense = EligibilityTensor::from_user_rows(3, 3, 2, fill_from(pattern)).unwrap();
+        assert_eq!(dense, EligibilityTensor::from_fn(3, 3, 2, pattern));
+        let sparse = SparseEligibility::from_user_rows(3, 3, 2, fill_from(pattern)).unwrap();
+        assert_eq!(sparse, SparseEligibility::from_fn(3, 3, 2, pattern));
+        // A failing fill aborts the build.
+        assert!(EligibilityTensor::from_user_rows(3, 3, 2, fails_second()).is_err());
+        assert!(SparseEligibility::from_user_rows(3, 3, 2, fails_second()).is_err());
+    }
+
     #[test]
     fn dense_replace_user_rows_matches_full_rebuild() {
         let mut tensor = EligibilityTensor::from_fn(3, 3, 2, pattern);
         tensor
-            .replace_user_rows(&[1, 2], |m, k, i| {
-                Ok::<bool, std::convert::Infallible>(moved_pattern(m, k, i))
-            })
+            .replace_user_rows(&[1, 2], fill_from(moved_pattern))
             .unwrap();
         let rebuilt = EligibilityTensor::from_fn(3, 3, 2, moved_pattern);
+        // Equality covers the per-cell user counts server_models reads.
         assert_eq!(tensor, rebuilt);
-        // The candidate summary was maintained exactly (server_models
-        // reads it): rebuilt from scratch it must agree.
         for m in 0..3 {
             assert_eq!(
                 tensor.server_models(m).collect::<Vec<_>>(),
                 rebuilt.server_models(m).collect::<Vec<_>>()
             );
         }
-        // No-op batches change nothing.
+        // No-op batches change nothing, and a fill failing on the second
+        // user leaves the first one's bits untouched.
         let before = tensor.clone();
-        tensor
-            .replace_user_rows(&[], |_, _, _| Ok::<bool, std::convert::Infallible>(true))
-            .unwrap();
+        tensor.replace_user_rows(&[], fill_from(pattern)).unwrap();
+        assert_eq!(tensor, before);
+        assert!(tensor.replace_user_rows(&[1, 2], fails_second()).is_err());
         assert_eq!(tensor, before);
     }
 
@@ -1403,21 +1513,14 @@ mod tests {
     fn sparse_replace_user_rows_matches_full_rebuild() {
         let mut sparse = SparseEligibility::from_fn(3, 3, 2, pattern);
         sparse
-            .replace_user_rows(&[1, 2], |k, i, out| {
-                for m in 0..3 {
-                    if moved_pattern(m, k, i) {
-                        out.push(m as u32);
-                    }
-                }
-                Ok::<(), std::convert::Infallible>(())
-            })
+            .replace_user_rows(&[1, 2], fill_from(moved_pattern))
             .unwrap();
         let rebuilt = SparseEligibility::from_fn(3, 3, 2, moved_pattern);
         assert_eq!(sparse, rebuilt);
-        // An erroring closure leaves the structure untouched.
+        // A fill failing on the second user leaves the structure
+        // untouched.
         let before = sparse.clone();
-        let err: Result<(), &str> = sparse.replace_user_rows(&[0], |_, _, _| Err("boom"));
-        assert!(err.is_err());
+        assert!(sparse.replace_user_rows(&[1, 2], fails_second()).is_err());
         assert_eq!(sparse, before);
     }
 

@@ -17,6 +17,8 @@
 //! materialises the dense [`EligibilityTensor`];
 //! [`LatencyEvaluator::sparse_eligibility`] builds the coverage-pruned
 //! [`SparseEligibility`] without ever allocating the `M × K × I` cube.
+//! Both, and their incremental refreshes, derive the indicator through
+//! one per-user candidate kernel (see [`LatencyEvaluator`]).
 
 use trimcaching_modellib::{ModelId, ModelLibrary};
 use trimcaching_wireless::allocation::PerUserAllocation;
@@ -26,7 +28,7 @@ use trimcaching_wireless::params::RadioParams;
 use trimcaching_wireless::Backhaul;
 
 use crate::demand::Demand;
-use crate::eligibility::{EligibilityTensor, SparseEligibility};
+use crate::eligibility::{CandidateRows, EligibilityTensor, SparseEligibility};
 use crate::entities::UserId;
 use crate::error::ScenarioError;
 
@@ -253,6 +255,28 @@ impl RateMatrix {
 
 /// Computes end-to-end latencies and the eligibility indicator for one
 /// scenario snapshot.
+///
+/// [`LatencyEvaluator::latency_s`] and [`LatencyEvaluator::eligible`]
+/// answer one `(m, k, i)` triple and are the pointwise definition.
+/// Every bulk derivation — the dense build
+/// ([`LatencyEvaluator::eligibility`]), the sparse build
+/// ([`LatencyEvaluator::sparse_eligibility`]) and both per-user refreshes
+/// — instead runs one **per-user candidate kernel**: for user `k` it
+/// yields, model by model, the ascending list of servers able to serve
+/// `(k, i)`, bit-identical to probing `eligible` for every server.
+///
+/// * An uncovered user has no candidates.
+/// * On a **uniform** backhaul mesh the covering servers' direct rates
+///   are loaded once per user. A covering server is decided by Eq. (4)
+///   on its own rate; all non-covering servers share one Eq. (5)
+///   latency (constant backhaul transfer plus the best direct leg), so
+///   a single compare decides them together.
+/// * With per-link backhaul **overrides** non-covering servers are no
+///   longer interchangeable, and every server is probed through
+///   `eligible` (the exact fallback).
+///
+/// A user therefore costs `I × |covering|` compares plus `M` pushes per
+/// relayed class, instead of `M × I` latency evaluations.
 #[derive(Debug, Clone)]
 pub struct LatencyEvaluator<'a> {
     library: &'a ModelLibrary,
@@ -370,289 +394,119 @@ impl<'a> LatencyEvaluator<'a> {
         Ok(latency <= self.demand.deadline_s(user, model)?)
     }
 
-    /// Precomputes the full dense `M × K × I` eligibility tensor.
+    /// Precomputes the full dense `M × K × I` eligibility tensor, one
+    /// user at a time through the per-user candidate kernel (see
+    /// [`LatencyEvaluator`]); only one user's candidate rows are staged.
     ///
     /// # Errors
     ///
     /// Returns an error for inconsistent components.
     pub fn eligibility(&self) -> Result<EligibilityTensor, ScenarioError> {
-        EligibilityTensor::try_from_fn(
+        let mut scratch = self.kernel_scratch()?;
+        EligibilityTensor::from_user_rows(
             self.coverage.num_servers(),
             self.coverage.num_users(),
             self.library.num_models(),
-            |m, k, i| self.eligible(m, UserId(k), ModelId(i)),
+            |k, rows| self.append_user_candidates(k, &mut scratch, rows),
         )
     }
 
     /// Builds the coverage-pruned [`SparseEligibility`] without ever
-    /// allocating the dense cube.
+    /// allocating the dense cube: the per-user candidate kernel's rows
+    /// of every user (see [`LatencyEvaluator`]) become the forward CSR
+    /// directly.
     ///
-    /// The construction walks every request class `(k, i)` once:
-    ///
-    /// * each **covering** server of `k` is probed individually (Eq. 4);
-    /// * **non-covering** servers all share the same relayed latency
-    ///   (Eq. 5) when the backhaul mesh is uniform, so a single probe
-    ///   decides all of them at once. Per-link backhaul overrides force
-    ///   the exact per-server fallback.
-    ///
-    /// The result is indistinguishable from the dense tensor — the same
-    /// `latency_s` decides every triple — but memory follows the number
-    /// of eligible triples. When relaying fits the deadline the candidate
-    /// lists do grow towards `M`; the representation shines in the
-    /// city-scale regime where deadlines preclude backhaul relays for
-    /// most request classes.
+    /// The result is indistinguishable from the dense tensor, but memory
+    /// follows the number of eligible triples. When relaying fits the
+    /// deadline the candidate lists do grow towards `M`; the
+    /// representation shines in the city-scale regime where deadlines
+    /// preclude backhaul relays for most request classes.
     ///
     /// # Errors
     ///
     /// Returns an error for inconsistent components.
     pub fn sparse_eligibility(&self) -> Result<SparseEligibility, ScenarioError> {
-        let m_count = self.coverage.num_servers();
-        let k_count = self.coverage.num_users();
-        let i_count = self.library.num_models();
-        let uniform_backhaul = !self.backhaul.has_overrides();
-        let size_bits = self.model_size_bits()?;
-
-        let mut pair_offsets = Vec::with_capacity(k_count * i_count + 1);
-        pair_offsets.push(0usize);
-        let mut pair_servers: Vec<u32> = Vec::new();
-        // Direct-eligible covering servers of the current request class.
-        let mut direct: Vec<u32> = Vec::new();
-        let mut ctx = UniformUserCtx::default();
-
-        for k in 0..k_count {
-            let user = UserId(k);
-            let covering = self.coverage.servers_of_user(k)?;
-            if covering.is_empty() {
-                for _ in 0..i_count {
-                    pair_offsets.push(pair_servers.len());
-                }
-                continue;
-            }
-            if uniform_backhaul {
-                self.fill_uniform_ctx(k, covering, &mut ctx)?;
-            }
-            for (i, &bits) in size_bits.iter().enumerate() {
-                if uniform_backhaul {
-                    self.class_candidates_uniform(
-                        user,
-                        ModelId(i),
-                        covering,
-                        &ctx,
-                        bits,
-                        &mut pair_servers,
-                    )?;
-                } else {
-                    self.class_candidates_exact(
-                        user,
-                        ModelId(i),
-                        covering,
-                        &mut direct,
-                        &mut pair_servers,
-                    )?;
-                }
-                pair_offsets.push(pair_servers.len());
-            }
-        }
-
-        Ok(SparseEligibility::from_pair_candidates(
-            m_count,
-            k_count,
-            i_count,
-            pair_offsets,
-            pair_servers,
-        ))
-    }
-
-    /// Precomputed per-model download sizes in bits, exactly as
-    /// [`LatencyEvaluator::latency_s`] derives them.
-    fn model_size_bits(&self) -> Result<Vec<f64>, ScenarioError> {
-        (0..self.library.num_models())
-            .map(|i| Ok(self.library.model_size_bytes(ModelId(i))? as f64 * 8.0))
-            .collect()
-    }
-
-    /// Loads the per-user radio context of the uniform-backhaul fast
-    /// path: the covering servers' direct rates and the best of them.
-    fn fill_uniform_ctx(
-        &self,
-        k: usize,
-        covering: &[usize],
-        ctx: &mut UniformUserCtx,
-    ) -> Result<(), ScenarioError> {
-        ctx.rates.clear();
-        ctx.best_rate = 0.0;
-        for &m in covering {
-            let rate = self.rates.rate_bps(m, k)?;
-            ctx.rates.push(rate);
-            if rate > ctx.best_rate {
-                ctx.best_rate = rate;
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends, in ascending server order, the candidate servers of one
-    /// request class under a **uniform** backhaul mesh — the fast path
-    /// shared by [`LatencyEvaluator::sparse_eligibility`] and the
-    /// incremental [`LatencyEvaluator::refresh_sparse_users`].
-    ///
-    /// Bit-identical to probing every server through
-    /// [`LatencyEvaluator::eligible`]: the direct test evaluates the same
-    /// `size_bits / rate + inference` expression as Eq. (4), and because
-    /// the relay transfer term of Eq. (5) is constant on a uniform mesh
-    /// while float rounding is monotone, the minimum relayed latency is
-    /// exactly the one through the best-rate covering server, evaluated
-    /// with the same operation order as `latency_s`.
-    fn class_candidates_uniform(
-        &self,
-        user: UserId,
-        model: ModelId,
-        covering: &[usize],
-        ctx: &UniformUserCtx,
-        size_bits: f64,
-        out: &mut Vec<u32>,
-    ) -> Result<(), ScenarioError> {
-        let m_count = self.coverage.num_servers();
-        let inference = self.demand.inference_s(user, model)?;
-        let deadline = self.demand.deadline_s(user, model)?;
-        let direct_eligible = |rate: f64| rate > 0.0 && size_bits / rate + inference <= deadline;
-        // Non-covering servers all share Eq. (5)'s latency: constant
-        // backhaul transfer plus the best direct leg.
-        let relay_all = covering.len() < m_count && ctx.best_rate > 0.0 && {
-            let backhaul_rate = self.backhaul.default_rate_bps();
-            let transfer = if backhaul_rate.is_infinite() {
-                0.0
-            } else {
-                size_bits / backhaul_rate
-            };
-            (transfer + size_bits / ctx.best_rate) + inference <= deadline
-        };
-        if relay_all {
-            // Every non-covering server qualifies; covering servers
-            // qualify when direct-eligible.
-            let mut cover = covering.iter().zip(&ctx.rates).peekable();
-            for m in 0..m_count {
-                if let Some(&(&cm, &rate)) = cover.peek() {
-                    if cm == m {
-                        cover.next();
-                        if direct_eligible(rate) {
-                            out.push(m as u32);
-                        }
-                        continue;
-                    }
-                }
-                out.push(m as u32);
-            }
-        } else {
-            for (&m, &rate) in covering.iter().zip(&ctx.rates) {
-                if direct_eligible(rate) {
-                    out.push(m as u32);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends, in ascending server order, the candidate servers of one
-    /// request class by probing every server individually — the exact
-    /// fallback for heterogeneous (per-link override) backhaul meshes.
-    fn class_candidates_exact(
-        &self,
-        user: UserId,
-        model: ModelId,
-        covering: &[usize],
-        direct: &mut Vec<u32>,
-        out: &mut Vec<u32>,
-    ) -> Result<(), ScenarioError> {
-        direct.clear();
-        for &m in covering {
-            if self.eligible(m, user, model)? {
-                direct.push(m as u32);
-            }
-        }
-        merge_candidates(self.coverage.num_servers(), covering, direct, out, |m| {
-            self.eligible(m, user, model)
-        })
+        let mut scratch = self.kernel_scratch()?;
+        SparseEligibility::from_user_rows(
+            self.coverage.num_servers(),
+            self.coverage.num_users(),
+            self.library.num_models(),
+            |k, rows| self.append_user_candidates(k, &mut scratch, rows),
+        )
     }
 
     /// Recomputes, in place, the eligibility rows of the given users in a
     /// dense tensor (every `(m, ·, i)` bit of those users, plus the
-    /// per-server candidate summary). `users` must be ascending and
-    /// deduplicated. The result is bit-identical to rebuilding the whole
-    /// tensor with [`LatencyEvaluator::eligibility`].
+    /// per-cell user counts) through the per-user candidate kernel.
+    /// `users` may be in any order and repeat. The result is
+    /// bit-identical to rebuilding the whole tensor with
+    /// [`LatencyEvaluator::eligibility`]. The cost is the kernel's
+    /// (`I × |covering|` compares per user, plus `M` pushes per relayed
+    /// class) plus `M · I` bit writes per refreshed user.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::DimensionMismatch`] when the tensor does
-    /// not match this evaluator's dimensions and propagates point-query
-    /// errors; the tensor is left unchanged on error.
+    /// not match this evaluator's dimensions,
+    /// [`ScenarioError::IndexOutOfRange`] for an unknown user, and
+    /// propagates substrate errors. Every row is derived before the
+    /// first write, so the tensor is left unchanged on error.
     pub fn refresh_dense_users(
         &self,
         tensor: &mut EligibilityTensor,
         users: &[usize],
     ) -> Result<(), ScenarioError> {
-        self.check_refresh_dims(
+        let users = self.refresh_set(
             tensor.num_servers(),
             tensor.num_users(),
             tensor.num_models(),
             users,
         )?;
-        tensor.replace_user_rows(users, |m, k, i| self.eligible(m, UserId(k), ModelId(i)))
+        let mut scratch = self.kernel_scratch()?;
+        tensor.replace_user_rows(&users, |k, rows| {
+            self.append_user_candidates(k, &mut scratch, rows)
+        })
     }
 
     /// Recomputes, in place, the forward candidate rows of the given
     /// users in a sparse eligibility and patches the per-server reverse
-    /// index accordingly. `users` must be ascending and deduplicated.
-    /// The result is bit-identical to rebuilding the structure with
+    /// index accordingly. `users` may be in any order and repeat. The
+    /// result is bit-identical to rebuilding the structure with
     /// [`LatencyEvaluator::sparse_eligibility`].
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::DimensionMismatch`] when the structure
-    /// does not match this evaluator's dimensions and propagates
-    /// point-query errors; the structure is left unchanged on error.
+    /// does not match this evaluator's dimensions,
+    /// [`ScenarioError::IndexOutOfRange`] for an unknown user, and
+    /// propagates substrate errors. Every row is derived before the
+    /// first write, so the structure is left unchanged on error.
     pub fn refresh_sparse_users(
         &self,
         sparse: &mut SparseEligibility,
         users: &[usize],
     ) -> Result<(), ScenarioError> {
-        self.check_refresh_dims(
+        let users = self.refresh_set(
             sparse.num_servers(),
             sparse.num_users(),
             sparse.num_models(),
             users,
         )?;
-        let uniform_backhaul = !self.backhaul.has_overrides();
-        let size_bits = self.model_size_bits()?;
-        let mut direct: Vec<u32> = Vec::new();
-        let mut ctx = UniformUserCtx::default();
-        let mut ctx_user = usize::MAX;
-        sparse.replace_user_rows(users, |k, i, out| {
-            let user = UserId(k);
-            let covering = self.coverage.servers_of_user(k)?;
-            if covering.is_empty() {
-                return Ok(());
-            }
-            if uniform_backhaul {
-                if ctx_user != k {
-                    self.fill_uniform_ctx(k, covering, &mut ctx)?;
-                    ctx_user = k;
-                }
-                self.class_candidates_uniform(user, ModelId(i), covering, &ctx, size_bits[i], out)
-            } else {
-                self.class_candidates_exact(user, ModelId(i), covering, &mut direct, out)
-            }
+        let mut scratch = self.kernel_scratch()?;
+        sparse.replace_user_rows(&users, |k, rows| {
+            self.append_user_candidates(k, &mut scratch, rows)
         })
     }
 
-    /// Shared dimension validation of the refresh entry points.
-    fn check_refresh_dims(
+    /// Validates a refresh target's dimensions and user list, returning
+    /// the users ascending and deduplicated.
+    fn refresh_set(
         &self,
         num_servers: usize,
         num_users: usize,
         num_models: usize,
         users: &[usize],
-    ) -> Result<(), ScenarioError> {
+    ) -> Result<Vec<usize>, ScenarioError> {
         if num_servers != self.coverage.num_servers()
             || num_users != self.coverage.num_users()
             || num_models != self.library.num_models()
@@ -667,67 +521,181 @@ impl<'a> LatencyEvaluator<'a> {
                 ),
             });
         }
-        for &k in users {
-            if k >= num_users {
-                return Err(ScenarioError::IndexOutOfRange {
-                    entity: "user",
-                    index: k,
-                    len: num_users,
-                });
+        if let Some(&k) = users.iter().find(|&&k| k >= num_users) {
+            return Err(ScenarioError::IndexOutOfRange {
+                entity: "user",
+                index: k,
+                len: num_users,
+            });
+        }
+        let mut users = users.to_vec();
+        users.sort_unstable();
+        users.dedup();
+        Ok(users)
+    }
+
+    /// Fresh scratch for [`LatencyEvaluator::append_user_candidates`]:
+    /// the per-model download sizes in bits, exactly as
+    /// [`LatencyEvaluator::latency_s`] derives them, and the backhaul
+    /// regime.
+    fn kernel_scratch(&self) -> Result<KernelScratch, ScenarioError> {
+        let size_bits = (0..self.library.num_models())
+            .map(|i| Ok(self.library.model_size_bytes(ModelId(i))? as f64 * 8.0))
+            .collect::<Result<_, ScenarioError>>()?;
+        Ok(KernelScratch {
+            uniform_backhaul: !self.backhaul.has_overrides(),
+            size_bits,
+            rates: Vec::new(),
+            best_rate: 0.0,
+        })
+    }
+
+    /// The per-user candidate kernel: appends user `k`'s `I` candidate
+    /// rows to `rows`, row `i` listing ascending every server `m` with
+    /// `I1(m, k, i)`. An uncovered user gets `I` empty rows. On a uniform
+    /// backhaul mesh the covering servers' rates are loaded once per
+    /// user and each model is decided by `class_candidates_uniform`;
+    /// per-link overrides fall back to `class_candidates_exact`.
+    fn append_user_candidates(
+        &self,
+        k: usize,
+        scratch: &mut KernelScratch,
+        rows: &mut CandidateRows,
+    ) -> Result<(), ScenarioError> {
+        let covering = self.coverage.servers_of_user(k)?;
+        if covering.is_empty() {
+            for _ in 0..scratch.size_bits.len() {
+                rows.end_row();
+            }
+            return Ok(());
+        }
+        let user = UserId(k);
+        if scratch.uniform_backhaul {
+            scratch.rates.clear();
+            scratch.best_rate = 0.0;
+            for &m in covering {
+                let rate = self.rates.rate_bps(m, k)?;
+                scratch.rates.push(rate);
+                if rate > scratch.best_rate {
+                    scratch.best_rate = rate;
+                }
             }
         }
-        debug_assert!(
-            users.windows(2).all(|w| w[0] < w[1]),
-            "refresh users must be ascending and deduplicated"
-        );
+        for i in 0..scratch.size_bits.len() {
+            let model = ModelId(i);
+            if scratch.uniform_backhaul {
+                self.class_candidates_uniform(user, model, covering, scratch, rows)?;
+            } else {
+                self.class_candidates_exact(user, model, rows)?;
+            }
+            rows.end_row();
+        }
+        Ok(())
+    }
+
+    /// Appends, in ascending server order, the candidate servers of one
+    /// request class under a **uniform** backhaul mesh, from the user's
+    /// covering rates loaded into `scratch`.
+    ///
+    /// Bit-identical to probing every server through
+    /// [`LatencyEvaluator::eligible`]: the direct test evaluates the same
+    /// `size_bits / rate + inference` expression as Eq. (4), and because
+    /// the relay transfer term of Eq. (5) is constant on a uniform mesh
+    /// while float rounding is monotone, the minimum relayed latency is
+    /// exactly the one through the best-rate covering server, evaluated
+    /// with the same operation order as `latency_s`.
+    fn class_candidates_uniform(
+        &self,
+        user: UserId,
+        model: ModelId,
+        covering: &[usize],
+        scratch: &KernelScratch,
+        rows: &mut CandidateRows,
+    ) -> Result<(), ScenarioError> {
+        let size_bits = scratch.size_bits[model.index()];
+        let best_rate = scratch.best_rate;
+        let m_count = self.coverage.num_servers();
+        let inference = self.demand.inference_s(user, model)?;
+        let deadline = self.demand.deadline_s(user, model)?;
+        let direct_eligible = |rate: f64| rate > 0.0 && size_bits / rate + inference <= deadline;
+        // Non-covering servers all share Eq. (5)'s latency: constant
+        // backhaul transfer plus the best direct leg.
+        let relay_all = covering.len() < m_count && best_rate > 0.0 && {
+            let backhaul_rate = self.backhaul.default_rate_bps();
+            let transfer = if backhaul_rate.is_infinite() {
+                0.0
+            } else {
+                size_bits / backhaul_rate
+            };
+            (transfer + size_bits / best_rate) + inference <= deadline
+        };
+        if relay_all {
+            // Every non-covering server qualifies; covering servers
+            // qualify when direct-eligible.
+            let mut cover = covering.iter().zip(&scratch.rates).peekable();
+            for m in 0..m_count {
+                if let Some(&(&cm, &rate)) = cover.peek() {
+                    if cm == m {
+                        cover.next();
+                        if direct_eligible(rate) {
+                            rows.push_server(m);
+                        }
+                        continue;
+                    }
+                }
+                rows.push_server(m);
+            }
+        } else {
+            for (&m, &rate) in covering.iter().zip(&scratch.rates) {
+                if direct_eligible(rate) {
+                    rows.push_server(m);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends, in ascending server order, the candidate servers of one
+    /// request class by probing every server through
+    /// [`LatencyEvaluator::eligible`] — the exact fallback for
+    /// heterogeneous (per-link override) backhaul meshes.
+    fn class_candidates_exact(
+        &self,
+        user: UserId,
+        model: ModelId,
+        rows: &mut CandidateRows,
+    ) -> Result<(), ScenarioError> {
+        for m in 0..self.coverage.num_servers() {
+            if self.eligible(m, user, model)? {
+                rows.push_server(m);
+            }
+        }
         Ok(())
     }
 }
 
-/// Per-user scratch of the uniform-backhaul candidate fast path: the
-/// covering servers' direct downlink rates (aligned with the covering
-/// list) and the best of them, which realises the minimum relayed
-/// latency of Eq. (5) when every backhaul link has the same rate.
-#[derive(Debug, Default)]
-struct UniformUserCtx {
+/// Reusable state of the per-user candidate kernel
+/// ([`LatencyEvaluator::append_user_candidates`]).
+#[derive(Debug)]
+struct KernelScratch {
+    /// Whether every backhaul link has the default rate (no overrides),
+    /// which enables the one-probe relay decision.
+    uniform_backhaul: bool,
+    /// Per-model download sizes in bits.
+    size_bits: Vec<f64>,
+    /// The current user's covering servers' direct downlink rates,
+    /// aligned with its covering list (uniform mesh only).
     rates: Vec<f64>,
+    /// The best of `rates`, which realises the minimum relayed latency
+    /// of Eq. (5) on a uniform mesh.
     best_rate: f64,
-}
-
-/// Appends, in ascending server order, the candidate servers of one
-/// request class: covering servers contribute when direct-eligible
-/// (`direct`, sorted ascending), non-covering servers when
-/// `include_non_covering` says so.
-fn merge_candidates<F>(
-    m_count: usize,
-    covering: &[usize],
-    direct: &[u32],
-    pair_servers: &mut Vec<u32>,
-    mut include_non_covering: F,
-) -> Result<(), ScenarioError>
-where
-    F: FnMut(usize) -> Result<bool, ScenarioError>,
-{
-    let mut cover_iter = covering.iter().peekable();
-    let mut direct_iter = direct.iter().peekable();
-    for m in 0..m_count {
-        if cover_iter.peek() == Some(&&m) {
-            cover_iter.next();
-            if direct_iter.peek() == Some(&&(m as u32)) {
-                direct_iter.next();
-                pair_servers.push(m as u32);
-            }
-        } else if include_non_covering(m)? {
-            pair_servers.push(m as u32);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::demand::DemandConfig;
+    use crate::eligibility::EligibilityView;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use trimcaching_modellib::builders::SpecialCaseBuilder;
@@ -850,6 +818,27 @@ mod tests {
         }
     }
 
+    /// Asserts that `view` answers every triple exactly like the
+    /// pointwise definition [`LatencyEvaluator::eligible`].
+    fn assert_matches_oracle(eval: &LatencyEvaluator<'_>, view: &dyn EligibilityView) {
+        let (m_count, k_count, i_count) = (view.num_servers(), view.num_users(), view.num_models());
+        let mut eligible = 0;
+        for m in 0..m_count {
+            for k in 0..k_count {
+                for i in 0..i_count {
+                    let oracle = eval.eligible(m, UserId(k), ModelId(i)).unwrap();
+                    eligible += usize::from(oracle);
+                    assert_eq!(
+                        view.eligible(m, UserId(k), ModelId(i)),
+                        oracle,
+                        "disagreement with the oracle at ({m},{k},{i})"
+                    );
+                }
+            }
+        }
+        assert_eq!(view.num_eligible(), eligible);
+    }
+
     #[test]
     fn eligibility_tensor_matches_pointwise_queries() {
         let f = fixture();
@@ -859,16 +848,7 @@ mod tests {
         assert_eq!(tensor.num_servers(), 2);
         assert_eq!(tensor.num_users(), 3);
         assert_eq!(tensor.num_models(), f.library.num_models());
-        for m in 0..2 {
-            for k in 0..3 {
-                for i in 0..f.library.num_models() {
-                    assert_eq!(
-                        tensor.eligible(m, UserId(k), ModelId(i)),
-                        eval.eligible(m, UserId(k), ModelId(i)).unwrap()
-                    );
-                }
-            }
-        }
+        assert_matches_oracle(&eval, &tensor);
         // Near users must be served by their own server within 1 s budgets
         // for at least one (small) model under the paper's rates.
         assert!(tensor.num_eligible() > 0);
@@ -879,53 +859,108 @@ mod tests {
     }
 
     #[test]
-    fn sparse_eligibility_matches_the_dense_tensor() {
+    fn sparse_eligibility_matches_pointwise_queries() {
         let f = fixture();
         let eval = LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &f.backhaul, &f.rates)
             .unwrap();
-        let dense = eval.eligibility().unwrap();
         let sparse = eval.sparse_eligibility().unwrap();
-        assert_eq!(sparse.num_servers(), dense.num_servers());
-        assert_eq!(sparse.num_users(), dense.num_users());
-        assert_eq!(sparse.num_models(), dense.num_models());
-        assert_eq!(sparse.num_eligible(), dense.num_eligible());
-        for m in 0..2 {
-            for k in 0..3 {
-                for i in 0..f.library.num_models() {
-                    assert_eq!(
-                        sparse.eligible(m, UserId(k), ModelId(i)),
-                        dense.eligible(m, UserId(k), ModelId(i)),
-                        "disagreement at ({m},{k},{i})"
-                    );
-                }
-            }
-        }
+        assert_eq!(sparse.num_servers(), 2);
+        assert_eq!(sparse.num_users(), 3);
+        assert_eq!(sparse.num_models(), f.library.num_models());
+        assert_matches_oracle(&eval, &sparse);
+    }
+
+    /// The fixture's backhaul with one directed link throttled, so
+    /// non-covering servers are no longer interchangeable and the
+    /// kernel takes its exact fallback.
+    fn throttled_backhaul() -> Backhaul {
+        let mut backhaul = Backhaul::paper_default(2);
+        backhaul.set_link_rate(1, 0, 1.0e6).unwrap();
+        backhaul
     }
 
     #[test]
     fn sparse_eligibility_handles_backhaul_overrides_exactly() {
         let f = fixture();
-        // Throttle one directed link so non-covering servers are no longer
-        // interchangeable: the exact fallback must still agree with the
-        // dense tensor.
-        let mut backhaul = Backhaul::paper_default(2);
-        backhaul.set_link_rate(1, 0, 1.0e6).unwrap();
+        let backhaul = throttled_backhaul();
+        let eval =
+            LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &backhaul, &f.rates).unwrap();
+        assert_matches_oracle(&eval, &eval.sparse_eligibility().unwrap());
+    }
+
+    #[test]
+    fn dense_eligibility_handles_backhaul_overrides_exactly() {
+        let f = fixture();
+        let backhaul = throttled_backhaul();
         let eval =
             LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &backhaul, &f.rates).unwrap();
         let dense = eval.eligibility().unwrap();
-        let sparse = eval.sparse_eligibility().unwrap();
-        assert_eq!(sparse.num_eligible(), dense.num_eligible());
-        for m in 0..2 {
-            for k in 0..3 {
-                for i in 0..f.library.num_models() {
-                    assert_eq!(
-                        sparse.eligible(m, UserId(k), ModelId(i)),
-                        dense.eligible(m, UserId(k), ModelId(i)),
-                        "override disagreement at ({m},{k},{i})"
-                    );
-                }
-            }
+        assert_matches_oracle(&eval, &dense);
+        // The throttled link changes an answer, so the fallback is
+        // exercised on a case the uniform rule would get wrong.
+        let uniform =
+            LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &f.backhaul, &f.rates)
+                .unwrap();
+        assert_ne!(dense, uniform.eligibility().unwrap());
+    }
+
+    /// The fixture's radio state after users 0 and 2 moved next to the
+    /// other server (user 2 out of its former dead zone).
+    fn moved_radio(f: &Fixture) -> (CoverageMap, RateMatrix) {
+        let servers = vec![Point::new(0.0, 0.0), Point::new(600.0, 0.0)];
+        let users = vec![
+            Point::new(580.0, 0.0),
+            Point::new(620.0, 0.0),
+            Point::new(30.0, 10.0),
+        ];
+        let coverage = CoverageMap::build(&users, &servers, f.params.coverage_radius_m).unwrap();
+        let allocation = PerUserAllocation::compute(&coverage, &f.params).unwrap();
+        let rates = RateMatrix::expected(&coverage, &allocation, &f.params).unwrap();
+        (coverage, rates)
+    }
+
+    #[test]
+    fn refreshes_accept_unsorted_and_repeated_users() {
+        let f = fixture();
+        let eval = LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &f.backhaul, &f.rates)
+            .unwrap();
+        let (dense, sparse) = (
+            eval.eligibility().unwrap(),
+            eval.sparse_eligibility().unwrap(),
+        );
+        let (coverage, rates) = moved_radio(&f);
+        let moved =
+            LatencyEvaluator::new(&f.library, &f.demand, &coverage, &f.backhaul, &rates).unwrap();
+        let (dense_moved, sparse_moved) = (
+            moved.eligibility().unwrap(),
+            moved.sparse_eligibility().unwrap(),
+        );
+        assert_ne!(dense, dense_moved, "the move must change eligibility");
+        for users in [&[0usize, 1, 2][..], &[2, 0, 1], &[2, 2, 0, 1, 0]] {
+            // Nothing moved: any refresh order leaves the structure as is.
+            let (mut d, mut s) = (dense.clone(), sparse.clone());
+            eval.refresh_dense_users(&mut d, users).unwrap();
+            eval.refresh_sparse_users(&mut s, users).unwrap();
+            assert_eq!(d, dense, "dense refresh of {users:?} in place");
+            assert_eq!(s, sparse, "sparse refresh of {users:?} in place");
+            // Everyone refreshed after the move: a full rebuild.
+            eval.refresh_dense_users(&mut d, &[]).unwrap();
+            moved.refresh_dense_users(&mut d, users).unwrap();
+            moved.refresh_sparse_users(&mut s, users).unwrap();
+            assert_eq!(d, dense_moved, "dense refresh of {users:?} after the move");
+            assert_eq!(
+                s, sparse_moved,
+                "sparse refresh of {users:?} after the move"
+            );
         }
+        // Unknown users and mismatched dimensions are errors that leave
+        // the structures untouched.
+        let (mut d, mut s) = (dense.clone(), sparse.clone());
+        assert!(moved.refresh_dense_users(&mut d, &[1, 3]).is_err());
+        assert!(moved.refresh_sparse_users(&mut s, &[3, 0]).is_err());
+        assert_eq!((d, s), (dense, sparse));
+        let mut other = EligibilityTensor::from_fn(2, 4, 1, |_, _, _| false);
+        assert!(eval.refresh_dense_users(&mut other, &[0]).is_err());
     }
 
     #[test]

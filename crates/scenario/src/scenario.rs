@@ -301,7 +301,8 @@ impl Scenario {
     ///
     /// Prefer [`Scenario::update_user_positions`] when evolving one
     /// snapshot along a trajectory: it produces a bit-identical result
-    /// in `O(moved users)` instead of `O(M · K)`.
+    /// while re-deriving only the rows a move can change (see there for
+    /// its cost, which approaches this rebuild's when most users move).
     ///
     /// # Errors
     ///
@@ -352,8 +353,16 @@ impl Scenario {
     /// eligibility rows of the refreshed users (see
     /// [`SnapshotDelta`]). The resulting scenario is bit-identical to a
     /// full [`Scenario::with_user_positions`] rebuild — same coverage,
-    /// rates, eligibility and hit ratios — at a cost proportional to the
-    /// moved fraction instead of the whole `M × K` plane.
+    /// rates, eligibility and hit ratios.
+    ///
+    /// The cost follows the *refreshed* users, not the moved ones: the
+    /// eligibility refresh takes refreshed users × `I` × covering
+    /// servers (plus `M · I` bit writes per refreshed user on the dense
+    /// tensor). Share reallocation refreshes every user of a server
+    /// whose covered-user count changed, so under dense mobility (the
+    /// `paper_mix` model moves ~86% of users per 5 s slot) nearly every
+    /// row is refreshed, and the update costs about as much as the
+    /// eligibility part of a rebuild.
     ///
     /// # Errors
     ///

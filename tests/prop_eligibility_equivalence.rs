@@ -1,6 +1,9 @@
 //! Property-based equivalence of the two eligibility representations:
 //! the dense `M × K × I` tensor and the coverage-pruned sparse CSR built
-//! from the same scenario must agree on every point query and produce
+//! from the same scenario must both answer every point query exactly
+//! like the pointwise definition `LatencyEvaluator::eligible` (both are
+//! derived by one per-user kernel, so comparing them with each other
+//! alone would compare the kernel with itself), and produce
 //! **bit-identical** objective values for random placements.
 
 use proptest::prelude::*;
@@ -10,7 +13,11 @@ use rand::{Rng, SeedableRng};
 use trimcaching::modellib::builders::{GeneralCaseBuilder, SpecialCaseBuilder};
 use trimcaching::modellib::ModelId;
 use trimcaching::prelude::*;
+use trimcaching::scenario::LatencyEvaluator;
 use trimcaching::wireless::geometry::{DeploymentArea, Point};
+
+/// A user parked far outside every server's coverage.
+const UNCOVERED: Point = Point { x: 1.0e5, y: 1.0e5 };
 
 /// Deterministically builds the same random snapshot twice: once with the
 /// dense tensor forced, once with the sparse representation forced.
@@ -37,9 +44,10 @@ fn build_pair(
             EdgeServer::new(ServerId(m), area.sample_uniform(&mut rng), gigabytes(0.6)).unwrap()
         })
         .collect();
-    // A mix of users anchored near servers (covered, often multiply) and
-    // fully random ones (sometimes uncovered) keeps both the eligible and
-    // the empty rows of the indicator exercised.
+    // A mix of users anchored near servers (covered, often multiply),
+    // fully random ones (sometimes uncovered) and one parked out of
+    // range (always uncovered) keeps both the eligible and the empty
+    // rows of the indicator exercised.
     let users: Vec<Point> = (0..num_users)
         .map(|k| {
             if k % 3 == 0 {
@@ -51,9 +59,10 @@ fn build_pair(
                 area.clamp(anchor.translated(r * a.cos(), r * a.sin()))
             }
         })
+        .chain([UNCOVERED])
         .collect();
     let demand = DemandConfig::paper_defaults()
-        .generate(num_users, library.num_models(), &mut rng)
+        .generate(users.len(), library.num_models(), &mut rng)
         .unwrap();
     let base = Scenario::builder()
         .library(library)
@@ -72,11 +81,41 @@ fn build_pair(
     (dense, sparse)
 }
 
+/// Requires every `(m, k, i)` triple of the scenario's eligibility to
+/// equal `LatencyEvaluator::eligible` on the scenario's own radio state.
+fn assert_matches_oracle(scenario: &Scenario) {
+    let oracle = LatencyEvaluator::new(
+        scenario.library(),
+        scenario.demand(),
+        scenario.coverage(),
+        scenario.backhaul(),
+        scenario.rates(),
+    )
+    .unwrap();
+    let view = scenario.eligibility();
+    for m in 0..scenario.num_servers() {
+        for k in 0..scenario.num_users() {
+            for i in 0..scenario.num_models() {
+                prop_assert_eq!(
+                    view.eligible(m, UserId(k), ModelId(i)),
+                    oracle.eligible(m, UserId(k), ModelId(i)).unwrap(),
+                    "{:?} disagrees with the oracle at ({}, {}, {})",
+                    view.repr(),
+                    m,
+                    k,
+                    i
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Dense and sparse agree on `eligible(m, k, i)` for every triple,
-    /// and on the candidate iterators.
+    /// Dense and sparse both equal the pointwise definition on every
+    /// triple (uncovered users included), and agree on the candidate
+    /// iterators.
     #[test]
     fn representations_agree_pointwise(
         seed in 0u64..5000,
@@ -88,20 +127,12 @@ proptest! {
         let (dense, sparse) = build_pair(seed, special, num_servers, num_users, models_per_backbone);
         prop_assert!(!dense.eligibility().is_sparse());
         prop_assert!(sparse.eligibility().is_sparse());
+        prop_assert!(dense.coverage().servers_of_user(num_users).unwrap().is_empty());
+        assert_matches_oracle(&dense);
+        assert_matches_oracle(&sparse);
         let d = dense.eligibility();
         let s = sparse.eligibility();
         prop_assert_eq!(d.num_eligible(), s.num_eligible());
-        for m in 0..num_servers {
-            for k in 0..num_users {
-                for i in 0..dense.num_models() {
-                    prop_assert_eq!(
-                        d.eligible(m, UserId(k), ModelId(i)),
-                        s.eligible(m, UserId(k), ModelId(i)),
-                        "disagreement at ({}, {}, {})", m, k, i
-                    );
-                }
-            }
-        }
         for m in 0..num_servers {
             prop_assert_eq!(
                 d.pairs_for_server(m).collect::<Vec<_>>(),
@@ -112,7 +143,7 @@ proptest! {
                 s.server_models(m).collect::<Vec<_>>()
             );
         }
-        for k in 0..num_users {
+        for k in 0..dense.num_users() {
             for i in 0..dense.num_models() {
                 prop_assert_eq!(
                     d.servers_for(UserId(k), ModelId(i)).collect::<Vec<_>>(),

@@ -3,16 +3,54 @@
 //! `Scenario::apply_user_moves` / `update_user_positions` must produce a
 //! snapshot **bit-identical** to `with_user_positions` — same coverage,
 //! allocation, rates, eligibility (dense and sparse) and hit ratios —
-//! after every slot of a random trajectory.
+//! after every slot of a random trajectory. Because the refresh and the
+//! rebuild share one per-user eligibility kernel, every slot's
+//! eligibility is also checked triple by triple against the pointwise
+//! definition `LatencyEvaluator::eligible`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use trimcaching::modellib::builders::SpecialCaseBuilder;
+use trimcaching::modellib::builders::{FoundationSpec, SpecialCaseBuilder};
 use trimcaching::modellib::ModelId;
 use trimcaching::prelude::*;
+use trimcaching::scenario::LatencyEvaluator;
 use trimcaching::wireless::geometry::{DeploymentArea, Point};
+
+/// A user parked far outside every server's coverage (until a move
+/// clamps it into the deployment area).
+const UNCOVERED: Point = Point { x: 1.0e5, y: 1.0e5 };
+
+/// Requires every `(m, k, i)` triple of the scenario's eligibility to
+/// equal `LatencyEvaluator::eligible` on the scenario's own radio state.
+fn assert_matches_oracle(scenario: &Scenario) {
+    let oracle = LatencyEvaluator::new(
+        scenario.library(),
+        scenario.demand(),
+        scenario.coverage(),
+        scenario.backhaul(),
+        scenario.rates(),
+    )
+    .unwrap();
+    let view = scenario.eligibility();
+    let mut eligible = 0;
+    for m in 0..scenario.num_servers() {
+        for k in 0..scenario.num_users() {
+            for i in 0..scenario.num_models() {
+                let expected = oracle.eligible(m, UserId(k), ModelId(i)).unwrap();
+                eligible += usize::from(expected);
+                assert_eq!(
+                    view.eligible(m, UserId(k), ModelId(i)),
+                    expected,
+                    "{:?} disagrees with the oracle at ({m}, {k}, {i})",
+                    view.repr()
+                );
+            }
+        }
+    }
+    assert_eq!(view.num_eligible(), eligible);
+}
 
 /// Deterministically builds one random snapshot with the given forced
 /// eligibility representation.
@@ -32,9 +70,9 @@ fn build_scenario(
             EdgeServer::new(ServerId(m), area.sample_uniform(&mut rng), gigabytes(0.6)).unwrap()
         })
         .collect();
-    // A mix of anchored (covered) and random (sometimes uncovered) users
-    // keeps boundary crossings, uncovered rows and multi-coverage all
-    // exercised as they move.
+    // A mix of anchored (covered), random (sometimes uncovered) and one
+    // parked out-of-range user keeps boundary crossings, uncovered rows
+    // and multi-coverage all exercised as they move.
     let users: Vec<Point> = (0..num_users)
         .map(|k| {
             if k % 3 == 0 {
@@ -46,9 +84,10 @@ fn build_scenario(
                 area.clamp(anchor.translated(r * a.cos(), r * a.sin()))
             }
         })
+        .chain([UNCOVERED])
         .collect();
     let demand = DemandConfig::paper_defaults()
-        .generate(num_users, library.num_models(), &mut rng)
+        .generate(users.len(), library.num_models(), &mut rng)
         .unwrap();
     Scenario::builder()
         .library(library)
@@ -87,7 +126,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Incremental move batches produce snapshots bit-identical to full
-    /// rebuilds, for both eligibility representations, slot after slot.
+    /// rebuilds, for both eligibility representations, slot after slot,
+    /// and every slot's eligibility equals the pointwise definition.
     #[test]
     fn incremental_moves_match_full_rebuild(
         seed in 0u64..5000,
@@ -98,6 +138,7 @@ proptest! {
         let area = DeploymentArea::paper_default();
         for repr in [EligibilityRepr::Dense, EligibilityRepr::Sparse] {
             let base = build_scenario(seed, num_servers, num_users, repr);
+            assert_matches_oracle(&base);
             let mut incremental = base.clone();
             let mut move_rng = StdRng::seed_from_u64(seed ^ 0x0B11);
             let mut placement_rng = StdRng::seed_from_u64(seed ^ 0x51A7);
@@ -113,6 +154,7 @@ proptest! {
                     incremental.users().iter().map(|u| u.position()).collect();
                 let rebuilt = base.with_user_positions(&positions).unwrap();
                 prop_assert_eq!(&incremental, &rebuilt);
+                assert_matches_oracle(&incremental);
                 // Hit ratios are bit-identical for random placements.
                 let mut placement = incremental.empty_placement();
                 for _ in 0..6 {
@@ -161,5 +203,72 @@ proptest! {
             via_batch.apply_user_moves(&moves).unwrap();
             prop_assert_eq!(&via_slice, &via_batch);
         }
+    }
+}
+
+/// The `serve_scaling` LoRA market: three foundations with eight small
+/// adapters each.
+fn lora_library() -> ModelLibrary {
+    let foundations = (0..3)
+        .map(|f| FoundationSpec::new(format!("edge-fm{f}"), 4, 8_000_000))
+        .collect();
+    LoraLibraryBuilder::with_foundations(foundations)
+        .adapters_per_foundation(8)
+        .adapter_size_bytes(1_500_000)
+        .head_size_bytes(500_000)
+        .build(2024)
+}
+
+/// The same snapshot with its eligibility derived in `repr`.
+fn with_repr(scenario: &Scenario, repr: EligibilityRepr) -> Scenario {
+    Scenario::builder()
+        .library(scenario.library().clone())
+        .servers(scenario.servers().to_vec())
+        .users(scenario.users().to_vec())
+        .demand(scenario.demand().clone())
+        .radio(*scenario.radio())
+        .backhaul_rate_bps(scenario.backhaul().default_rate_bps())
+        .eligibility_repr(repr)
+        .build()
+        .unwrap()
+}
+
+/// The engine's mobility regime, pinned to the pointwise definition: 20
+/// `paper_mix` slots (most users move every slot, and share
+/// reallocation refreshes nearly every row) over a 500-user LoRA
+/// market, replayed once with the dense tensor and once with the sparse
+/// CSR. After the build and after every slot, every triple must equal
+/// `LatencyEvaluator::eligible`, and the snapshot must equal a full
+/// rebuild.
+#[test]
+fn eligibility_oracle_smoke_paper_mix() {
+    let mut topology = TopologyConfig::paper_defaults()
+        .with_users(500)
+        .with_capacity_gb(0.04);
+    topology.radio.activity_probability = 0.01;
+    let generated = topology.generate(&lora_library(), 2024, 0).unwrap();
+    let area = DeploymentArea::new(topology.area_side_m).unwrap();
+    for repr in [EligibilityRepr::Dense, EligibilityRepr::Sparse] {
+        let base = with_repr(&generated, repr);
+        assert_eq!(base.eligibility_repr(), repr);
+        assert_matches_oracle(&base);
+        let mut current = base.clone();
+        let initial: Vec<Point> = current.users().iter().map(|u| u.position()).collect();
+        let mut rng = StdRng::seed_from_u64(0x51_07);
+        let mut model = MobilityModel::paper_mix(&initial, area, &mut rng);
+        let mut refreshed = 0;
+        for _ in 0..20 {
+            model.step(&mut rng);
+            let positions = model.positions();
+            let delta = current.update_user_positions(&positions).unwrap();
+            refreshed += delta.refreshed_users().len();
+            assert_matches_oracle(&current);
+            assert_eq!(current, base.with_user_positions(&positions).unwrap());
+        }
+        // The regime is the one the engine runs: most rows refresh.
+        assert!(
+            refreshed > 20 * 500 / 2,
+            "{repr:?}: only {refreshed} rows refreshed over 20 slots"
+        );
     }
 }
