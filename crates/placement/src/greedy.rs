@@ -9,6 +9,12 @@
 //! * TrimCaching Gen charges the *deduplicated* (shared) bytes of Eq. (7);
 //! * Independent Caching charges every model its full size `D_i`,
 //!   exactly like a sharing-oblivious content cache would.
+//!
+//! Gains come from one served-set
+//! [`Coverage`](trimcaching_scenario::Coverage) per solve: an evaluation
+//! costs `|users_for(m, i)|` flag reads (a `K`-scan on the dense tensor)
+//! with no `M` factor, bit-identical to the pointwise
+//! [`marginal_hits`](trimcaching_scenario::HitRatioObjective::marginal_hits).
 
 use trimcaching_modellib::ModelId;
 use trimcaching_scenario::{Placement, Scenario, ServerId, StorageTracker};
@@ -35,6 +41,7 @@ pub(crate) fn greedy_place(
     let library = scenario.library();
 
     let mut placement = scenario.empty_placement();
+    let mut coverage = objective.empty_coverage();
     let mut trackers: Vec<StorageTracker<'_>> = (0..num_servers)
         .map(|m| scenario.storage_tracker(ServerId(m)))
         .collect::<Result<_, _>>()?;
@@ -66,7 +73,7 @@ pub(crate) fn greedy_place(
                     continue;
                 }
                 evaluations += 1;
-                let gain = objective.marginal_hits(&placement, ServerId(m), model);
+                let gain = coverage.gain(ServerId(m), model);
                 if gain <= 0.0 {
                     continue;
                 }
@@ -83,6 +90,7 @@ pub(crate) fn greedy_place(
             Some((m, i, _gain)) => {
                 let model = ModelId(i);
                 placement.place(ServerId(m), model)?;
+                coverage.cover(ServerId(m), model);
                 trackers[m].add(model)?;
                 independent_used[m] += library.model_size_bytes(model)?;
             }

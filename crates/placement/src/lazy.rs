@@ -18,6 +18,12 @@
 //! the [`PlacementOutcome::evaluations`] counter and in the
 //! `lazy_greedy_scaling` benchmark.
 //!
+//! Every gain evaluation reads the solve's served-set
+//! [`Coverage`](trimcaching_scenario::Coverage): it costs
+//! `|users_for(m, i)|` flag reads (a `K`-scan on the dense tensor) with
+//! no `M` factor, and returns the same bits as the pointwise
+//! [`HitRatioObjective::marginal_hits`].
+//!
 //! One subtlety of the parameter-sharing storage constraint (Eq. 7): a pair
 //! that does not fit *now* can become feasible later, because placing a
 //! sibling model pays for the shared blocks and shrinks the pair's marginal
@@ -182,6 +188,7 @@ impl TrimCachingGenLazy {
         let num_servers = scenario.num_servers();
 
         let mut placement = scenario.empty_placement();
+        let mut coverage = objective.empty_coverage();
         let mut trackers: Vec<StorageTracker<'_>> = (0..num_servers)
             .map(|m| scenario.storage_tracker(ServerId(m)))
             .collect::<Result<_, _>>()?;
@@ -194,7 +201,7 @@ impl TrimCachingGenLazy {
         for m in 0..num_servers {
             for model in objective.candidate_models(ServerId(m)) {
                 evaluations += 1;
-                let gain = objective.marginal_hits(&placement, ServerId(m), model);
+                let gain = coverage.gain(ServerId(m), model);
                 if gain > 0.0 {
                     heap.push(Candidate {
                         gain,
@@ -219,11 +226,7 @@ impl TrimCachingGenLazy {
                 if top.round != round {
                     // Stale upper bound: refresh and reconsider.
                     evaluations += 1;
-                    top.gain = objective.marginal_hits(
-                        &placement,
-                        ServerId(top.server),
-                        ModelId(top.model),
-                    );
+                    top.gain = coverage.gain(ServerId(top.server), ModelId(top.model));
                     top.round = round;
                     if top.gain > 0.0 {
                         heap.push(top);
@@ -245,6 +248,7 @@ impl TrimCachingGenLazy {
             match selected {
                 Some(best) => {
                     placement.place(ServerId(best.server), ModelId(best.model))?;
+                    coverage.cover(ServerId(best.server), ModelId(best.model));
                     trackers[best.server].add(ModelId(best.model))?;
                 }
                 None => break,

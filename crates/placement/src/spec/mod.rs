@@ -130,6 +130,9 @@ impl PlacementAlgorithm for TrimCachingSpec {
             .collect::<Result<_, _>>()?;
 
         let mut placement = scenario.empty_placement();
+        // The requests served by the servers already processed (the
+        // complement of `I2`).
+        let mut coverage = objective.empty_coverage();
         let mut evaluations = 0u64;
 
         // Algorithm 1: successive greedy over edge servers.
@@ -137,14 +140,14 @@ impl PlacementAlgorithm for TrimCachingSpec {
             let server = ServerId(m);
             let capacity = scenario.capacity_bytes(server)?;
 
-            // u(m, i) of Eq. (14), masked by I2 via the running placement.
+            // u(m, i) of Eq. (14), masked by I2 via the running coverage.
             // Only the server's candidate models (those it can serve for
             // at least one user, via `EligibilityView::server_models`)
             // need a gain evaluation — every other model's weight is
             // structurally zero and stays at the default.
             let mut weights = vec![0.0f64; num_models];
             for model in objective.candidate_models(server) {
-                weights[model.index()] = objective.per_server_weight(&placement, server, model);
+                weights[model.index()] = coverage.gain(server, model);
                 evaluations += 1;
             }
 
@@ -187,6 +190,7 @@ impl PlacementAlgorithm for TrimCachingSpec {
 
             for model in best_models {
                 placement.place(server, model)?;
+                coverage.cover(server, model);
             }
         }
 

@@ -16,7 +16,8 @@
 //! * [`storage`] — shared-storage accounting `g_m` of Eq. (7) with
 //!   incremental (marginal-cost) updates;
 //! * [`objective`] — the expected cache-hit-ratio objective `U(X)` of
-//!   Eq. (2) and its marginal gains;
+//!   Eq. (2), its pointwise marginal gains, and the served-set
+//!   [`Coverage`] the greedy solvers score gains through;
 //! * [`mobility`] — the pedestrian/bike/vehicle mobility models of the
 //!   Fig. 7 robustness study;
 //! * [`scenario`] — the [`Scenario`] aggregate and its builder.
@@ -117,7 +118,7 @@ pub use entities::{gigabytes, EdgeServer, ServerId, User, UserId};
 pub use error::ScenarioError;
 pub use latency::{LatencyEvaluator, RateMatrix};
 pub use mobility::{CommuterFlow, MobilityClass, MobilityModel};
-pub use objective::HitRatioObjective;
+pub use objective::{Coverage, HitRatioObjective};
 pub use placement::Placement;
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use storage::StorageTracker;
@@ -134,7 +135,7 @@ pub mod prelude {
     pub use crate::entities::{gigabytes, EdgeServer, ServerId, User, UserId};
     pub use crate::error::ScenarioError;
     pub use crate::mobility::{CommuterFlow, MobilityClass, MobilityModel};
-    pub use crate::objective::HitRatioObjective;
+    pub use crate::objective::{Coverage, HitRatioObjective};
     pub use crate::placement::Placement;
     pub use crate::scenario::{Scenario, ScenarioBuilder};
     pub use crate::storage::StorageTracker;

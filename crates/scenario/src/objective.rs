@@ -9,9 +9,8 @@
 //! U(X) = Σ_{k,i} p_{k,i} · [1 − Π_m (1 − x_{m,i} I1(m,k,i))] / Σ_{k,i} p_{k,i}
 //! ```
 //!
-//! [`HitRatioObjective`] evaluates `U`, marginal gains (the primitive used
-//! by every greedy algorithm in the paper), and per-request hit
-//! classification. It consumes the eligibility indicator through the
+//! [`HitRatioObjective`] evaluates `U`, marginal gains, and per-request
+//! hit classification. It consumes the eligibility indicator through the
 //! [`EligibilityView`] trait, so the same evaluator runs unchanged over
 //! the dense tensor and the coverage-pruned sparse representation — and
 //! because every view yields indices in ascending order, the two paths
@@ -20,6 +19,27 @@
 //! trait, so the evaluator scores placements against the ground-truth
 //! probabilities `p_{k,i}` or against an online
 //! [`DemandEstimate`](crate::demand::DemandEstimate) interchangeably.
+//!
+//! # Marginal gains: the pointwise definition and the coverage
+//!
+//! [`HitRatioObjective::marginal_hits`] is the pointwise definition of
+//! a pair's gain: it walks `users_for(m, i)` and asks
+//! [`HitRatioObjective::is_served`] of every user, which walks
+//! `servers_for(k, i)` and probes the placement per candidate server —
+//! `|users_for(m, i)| · M` placement lookups on the dense tensor. It is
+//! the oracle the tests and the submodularity checker use; no solver
+//! calls it.
+//!
+//! The greedy solvers instead keep one
+//! [`Coverage`] per solve: the set of request classes `(k, i)` already
+//! served by the pairs placed so far. A pair's gain is then one pass
+//! over `users_for(m, i)` with one flag read per user — `|users_for(m,
+//! i)|` work (a `K`-scan on the dense tensor, the reverse row on the
+//! sparse one) with no `M` factor — and placing a pair marks its users.
+//! The coverage visits the same users in the same ascending order and
+//! skips exactly the users `is_served` would, so every gain is
+//! bit-identical to `marginal_hits`. [`HitRatioObjective::expected_hits`]
+//! scores a placement through the same coverage.
 
 use trimcaching_modellib::ModelId;
 
@@ -147,27 +167,32 @@ impl<'a> HitRatioObjective<'a> {
     }
 
     /// Whether request `(k, i)` is a hit under `placement`: some candidate
-    /// server caches the model.
+    /// server caches the model. Pointwise: one placement lookup per
+    /// candidate server of `(k, i)`.
     pub fn is_served(&self, placement: &Placement, user: UserId, model: ModelId) -> bool {
         self.eligibility
             .servers_for(user, model)
             .any(|m| placement.contains(ServerId(m), model))
     }
 
-    /// Expected number of hits `Σ_{k,i} p_{k,i} · hit(k,i)` — the numerator
-    /// of Eq. (2).
-    pub fn expected_hits(&self, placement: &Placement) -> f64 {
-        let mut total = 0.0;
-        for k in 0..self.num_users() {
-            for i in 0..self.num_models() {
-                let user = UserId(k);
-                let model = ModelId(i);
-                if self.is_served(placement, user, model) {
-                    total += self.weight(user, model);
-                }
-            }
+    /// The coverage of an empty placement: no request class is served.
+    pub fn empty_coverage(&self) -> Coverage<'a> {
+        Coverage {
+            objective: *self,
+            covered: vec![false; self.num_users() * self.num_models()],
         }
-        total
+    }
+
+    /// Expected number of hits `Σ_{k,i} p_{k,i} · hit(k,i)` — the numerator
+    /// of Eq. (2). Every placed pair marks its eligible users in a
+    /// [`Coverage`] (`Σ |users_for(m, i)|` over the placed pairs), then the
+    /// weights of the covered classes are summed in `(k, i)` order.
+    pub fn expected_hits(&self, placement: &Placement) -> f64 {
+        let mut coverage = self.empty_coverage();
+        for (server, model) in placement.iter() {
+            coverage.cover(server, model);
+        }
+        coverage.expected_hits()
     }
 
     /// The expected cache hit ratio `U(X)` in `[0, 1]`.
@@ -183,8 +208,13 @@ impl<'a> HitRatioObjective<'a> {
     /// `server`: `U(X ∪ {x_{m,i}}) − U(X)` multiplied by the total mass
     /// (i.e. expressed in expected-hit units). Only requests for `model`
     /// that are not already served and become eligible through `server`
-    /// contribute; the loop walks exactly the eligible users of
-    /// `(server, model)` instead of scanning all `K`.
+    /// contribute.
+    ///
+    /// This is the pointwise definition: every eligible user of
+    /// `(server, model)` costs one [`Self::is_served`] walk over its
+    /// candidate servers, `|users_for(m, i)| · M` placement lookups on the
+    /// dense tensor. Solvers use [`Coverage::gain`], which returns the
+    /// same bits in `|users_for(m, i)|` work.
     pub fn marginal_hits(&self, placement: &Placement, server: ServerId, model: ModelId) -> f64 {
         if placement.contains(server, model) {
             return 0.0;
@@ -213,21 +243,67 @@ impl<'a> HitRatioObjective<'a> {
         }
         self.marginal_hits(placement, server, model) / mass
     }
+}
 
-    /// The per-server request weight `u(m, i)` of Eq. (14): the probability
-    /// mass of requests for `model` that server `m` can serve within
-    /// deadline *and* that are not already served by the placement
-    /// (the `I2` indicator of the successive greedy decomposition).
+/// The served set of one placement, kept up to date while a solver grows
+/// it: the request classes `(k, i)` some placed pair already serves.
+///
+/// Invariant: `covered[k · I + i]` is `true` exactly when some covered
+/// pair `(m', i)` has `k ∈ users_for(m', i)` — i.e. exactly when
+/// [`HitRatioObjective::is_served`] holds for the placement of the
+/// covered pairs. [`Self::gain`] is therefore bit-identical to
+/// [`HitRatioObjective::marginal_hits`] on that placement, and a pair
+/// already covered scores `0` without a placement lookup, because all
+/// of its users are covered. The flags take `K · I` bytes.
+#[derive(Debug)]
+pub struct Coverage<'a> {
+    objective: HitRatioObjective<'a>,
+    /// `K · I` flags, user-major.
+    covered: Vec<bool>,
+}
+
+impl Coverage<'_> {
+    /// The marginal gain of placing `model` on `server`, in expected-hit
+    /// units: `Σ p_{k,i}` over the users of `users_for(m, i)` not yet
+    /// covered, accumulated in ascending user order. Costs one pass over
+    /// `users_for(m, i)` (a `K`-scan on the dense tensor).
     ///
-    /// With an empty placement this is simply
-    /// `Σ_k p_{k,i} · I1(m,k,i)`.
-    pub fn per_server_weight(
-        &self,
-        already_placed: &Placement,
-        server: ServerId,
-        model: ModelId,
-    ) -> f64 {
-        self.marginal_hits(already_placed, server, model)
+    /// With the pairs of the servers already processed covered, this is
+    /// the per-server weight `u(m, i)` of Eq. (14) under the `I2` mask
+    /// of TrimCaching Spec's successive greedy.
+    pub fn gain(&self, server: ServerId, model: ModelId) -> f64 {
+        let i = model.index();
+        let num_models = self.objective.num_models();
+        let mut gain = 0.0;
+        for user in self.objective.eligibility.users_for(server.index(), model) {
+            if !self.covered[user.index() * num_models + i] {
+                gain += self.objective.weight(user, model);
+            }
+        }
+        gain
+    }
+
+    /// Records `model` as placed on `server`: marks every user of
+    /// `users_for(m, i)` served for `model`.
+    pub fn cover(&mut self, server: ServerId, model: ModelId) {
+        let i = model.index();
+        let num_models = self.objective.num_models();
+        for user in self.objective.eligibility.users_for(server.index(), model) {
+            self.covered[user.index() * num_models + i] = true;
+        }
+    }
+
+    /// Expected number of hits of the covered pairs, summed in `(k, i)`
+    /// order — the same order and terms as the pointwise definition.
+    fn expected_hits(&self) -> f64 {
+        let num_models = self.objective.num_models();
+        let mut total = 0.0;
+        for (idx, _) in self.covered.iter().enumerate().filter(|(_, c)| **c) {
+            total += self
+                .objective
+                .weight(UserId(idx / num_models), ModelId(idx % num_models));
+        }
+        total
     }
 }
 
@@ -303,14 +379,50 @@ mod tests {
     }
 
     #[test]
-    fn per_server_weight_matches_eq_14() {
+    fn empty_coverage_gain_is_the_per_server_weight_of_eq_14() {
         let (demand, elig) = fixture();
         let obj = HitRatioObjective::new(&demand, &elig).unwrap();
-        let empty = Placement::empty(2, 2);
+        let empty = obj.empty_coverage();
         // u(0, 0) = p_{0,0} = 0.6 (only user 0 is eligible at server 0).
-        assert!((obj.per_server_weight(&empty, ServerId(0), ModelId(0)) - 0.6).abs() < 1e-12);
+        assert!((empty.gain(ServerId(0), ModelId(0)) - 0.6).abs() < 1e-12);
         // u(1, 0) = 0 (server 1 cannot serve model 0 for anyone).
-        assert_eq!(obj.per_server_weight(&empty, ServerId(1), ModelId(0)), 0.0);
+        assert_eq!(empty.gain(ServerId(1), ModelId(0)), 0.0);
+    }
+
+    #[test]
+    fn coverage_gains_equal_the_pointwise_marginal_hits() {
+        let (demand, dense) = fixture();
+        let sparse = SparseEligibility::from_fn(2, 2, 2, |m, k, i| {
+            matches!((m, k, i), (0, 0, _) | (1, 1, 1))
+        });
+        let down = [true, false];
+        let masked = crate::eligibility::MaskedEligibility::new(&dense, &down);
+        let views: [&dyn EligibilityView; 3] = [&dense, &sparse, &masked];
+        for view in views {
+            let obj = HitRatioObjective::from_views(&demand, view).unwrap();
+            let mut placement = Placement::empty(2, 2);
+            let mut coverage = obj.empty_coverage();
+            for (srv, model) in [(0, 1), (1, 1), (0, 0), (1, 0)] {
+                for (m, i) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    let (m, i) = (ServerId(m), ModelId(i));
+                    assert_eq!(
+                        coverage.gain(m, i).to_bits(),
+                        obj.marginal_hits(&placement, m, i).to_bits()
+                    );
+                }
+                placement.place(ServerId(srv), ModelId(model)).unwrap();
+                coverage.cover(ServerId(srv), ModelId(model));
+                assert_eq!(coverage.gain(ServerId(srv), ModelId(model)), 0.0);
+                let mut pointwise = 0.0;
+                for (k, i) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    if obj.is_served(&placement, UserId(k), ModelId(i)) {
+                        pointwise += obj.weight(UserId(k), ModelId(i));
+                    }
+                }
+                assert_eq!(coverage.expected_hits().to_bits(), pointwise.to_bits());
+                assert_eq!(obj.expected_hits(&placement).to_bits(), pointwise.to_bits());
+            }
+        }
     }
 
     #[test]
