@@ -59,7 +59,10 @@ impl ExhaustiveSearch {
         let mut current: Vec<ModelId> = Vec::new();
         let mut nodes: usize = 0;
 
-        #[allow(clippy::too_many_arguments)]
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "the recursion threads its search state through plain arguments"
+        )]
         fn recurse(
             tracker: &mut StorageTracker<'_>,
             current: &mut Vec<ModelId>,
@@ -219,7 +222,10 @@ impl PlacementAlgorithm for ExhaustiveSearch {
             total
         }
 
-        #[allow(clippy::too_many_arguments)]
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "the recursion threads its search state through plain arguments"
+        )]
         fn search(
             server: usize,
             num_servers: usize,

@@ -253,14 +253,14 @@ impl SharingAnalysis {
     }
 
     /// Number of sharing groups found.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn num_groups(&self) -> usize {
         self.groups.len()
     }
 
     /// Total number of combinations that [`SharingAnalysis::combinations`]
     /// will yield.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn num_combinations(&self) -> u128 {
         self.groups.iter().fold(1u128, |acc, g| {
             acc.saturating_mul(g.choices.len() as u128 + 1)

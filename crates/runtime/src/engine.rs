@@ -443,12 +443,16 @@ pub(crate) struct RunState {
     pub(crate) mobility: Option<MobilityModel>,
 }
 
-/// What every region of a run reads and only the coordinator writes, at
-/// mobility boundaries: the one radio snapshot, each user's primary
-/// server, owner region and request generation. `Scenario` has no interior
-/// mutability, so the regions share it by plain reference across the
+/// What every region of a run reads and only the coordinator writes: the
+/// request workload, and — updated at mobility boundaries — the one
+/// radio snapshot, each user's primary server, owner region and request
+/// generation. Neither `Workload` nor `Scenario` has interior
+/// mutability, so the regions share them by plain reference across the
 /// worker pool.
 pub(crate) struct Shared<'a> {
+    /// The run's one request workload; each region samples its own
+    /// users from it.
+    pub(crate) workload: Workload,
     /// The radio snapshot: borrowed from the caller until the first
     /// mobility boundary moves a user, owned from then on.
     pub(crate) snapshot: Cow<'a, Scenario>,
@@ -539,7 +543,6 @@ pub(crate) struct Region<'a> {
     caches: Vec<ServerCache<'a>>,
     /// Per-server congestion-aware cloud-ingest links.
     links: Vec<BackhaulLink>,
-    pub(crate) workload: Workload,
     pub(crate) metrics: ServeMetrics,
     /// The online re-placement controller (present when
     /// [`ServeConfig::control`] is set).
@@ -572,7 +575,6 @@ impl<'a> Region<'a> {
         id: usize,
         member_servers: Vec<bool>,
     ) -> Result<Self, RuntimeError> {
-        let workload = Workload::from_demand(scenario.demand(), config.request_rate_hz)?;
         let caches = scenario
             .servers()
             .iter()
@@ -597,7 +599,6 @@ impl<'a> Region<'a> {
             config,
             caches,
             links,
-            workload,
             controller,
             scheduled: Vec::new(),
             persist: None,
@@ -654,7 +655,7 @@ impl<'a> Region<'a> {
         // draw per user) but schedules requests only for the users it
         // owns — identical draw counts for every region count.
         for (k, &owner) in shared.owner.iter().enumerate() {
-            let t = self.workload.next_interarrival_s(&mut rng);
+            let t = shared.workload.next_interarrival_s(&mut rng);
             if owner == self.id {
                 let (user, generation) = (UserId(k), shared.generation[k]);
                 queue.push(t, EventKind::Request { user, generation });
@@ -731,7 +732,9 @@ impl<'a> Region<'a> {
                     if shared.generation[user.index()] != generation {
                         continue;
                     }
-                    let model = self.workload.draw_model(user, event.time_s, &mut state.rng);
+                    let model = shared
+                        .workload
+                        .draw_model(user, event.time_s, &mut state.rng);
                     self.serve_request(
                         &shared.snapshot,
                         user,
@@ -739,7 +742,7 @@ impl<'a> Region<'a> {
                         event.time_s,
                         &mut state.queue,
                     )?;
-                    let gap = self.workload.next_interarrival_s(&mut state.rng);
+                    let gap = shared.workload.next_interarrival_s(&mut state.rng);
                     state
                         .queue
                         .push(event.time_s + gap, EventKind::Request { user, generation });
@@ -830,7 +833,6 @@ impl<'a> Region<'a> {
     ) -> Result<CheckpointState, RuntimeError> {
         let journal_offset = self.sync_journal()?;
         let (events, next_seq) = state.queue.snapshot();
-        let (rate_hz, starts_s, phases, user_class) = self.workload.raw_parts();
         let mut config = self.config.clone();
         config.persist = None;
         Ok(CheckpointState {
@@ -850,10 +852,6 @@ impl<'a> Region<'a> {
             generation: shared.generation.clone(),
             caches: self.caches.iter().map(|c| c.snapshot()).collect(),
             links: self.links.iter().map(|l| l.inflight_snapshot()).collect(),
-            workload_rate_hz: rate_hz,
-            workload_starts_s: starts_s.to_vec(),
-            workload_phases: phases.to_vec(),
-            workload_user_class: user_class.map(<[u32]>::to_vec),
             metrics: self.metrics.clone(),
             controller: self.controller.as_ref().map(|c| c.snapshot()),
             scheduled: self.scheduled.clone(),
@@ -895,22 +893,6 @@ impl<'a> Region<'a> {
         })
     }
 
-    /// Draws a fresh interarrival gap for a user this region just took
-    /// ownership of (migration at a mobility boundary) and starts their
-    /// request chain of `generation` on the region's queue.
-    pub(crate) fn schedule_user_request(
-        &mut self,
-        state: &mut RunState,
-        user: UserId,
-        generation: u32,
-        now_s: f64,
-    ) {
-        let gap = self.workload.next_interarrival_s(&mut state.rng);
-        state
-            .queue
-            .push(now_s + gap, EventKind::Request { user, generation });
-    }
-
     /// Overwrites every mutable layer of this fresh region with one
     /// checkpointed state and returns the run state (RNG words, event
     /// queue, mobility kinematics) to continue from. With `persist` set
@@ -944,12 +926,6 @@ impl<'a> Region<'a> {
         for (link, inflight) in self.links.iter_mut().zip(state.links.iter()) {
             link.restore_inflight(inflight.clone());
         }
-        self.workload = Workload::from_raw_parts(
-            state.workload_rate_hz,
-            state.workload_starts_s.clone(),
-            state.workload_phases.clone(),
-            state.workload_user_class.clone(),
-        );
         self.metrics = state.metrics.clone();
         self.controller = state.controller.clone().map(Controller::restore);
         self.scheduled = state.scheduled.clone();

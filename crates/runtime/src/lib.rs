@@ -102,6 +102,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes)]
 #![cfg_attr(
     not(test),
     deny(
@@ -145,5 +146,5 @@ pub use policy::{CostAwareLfu, EvictionPolicy, Lfu, Lru};
 pub use shard::ShardedServeEngine;
 pub use transfer::{BackhaulLink, TransferTicket};
 pub use workload::{
-    permute_popularity, rotate_popularity, spike_popularity, PopularityShift, Workload,
+    permute_popularity, rotate_popularity, PopularityEdit, PopularityShift, Workload,
 };

@@ -469,7 +469,6 @@ impl ServeMetrics {
     /// Captures the private windowing state for checkpointing. The
     /// public counters are read directly by the persist layer; together
     /// with this tuple they reconstruct the metrics exactly.
-    #[allow(clippy::type_complexity)]
     pub(crate) fn window_state(&self) -> (&[WindowPoint], f64, f64, u64, u64, f64) {
         (
             &self.windows,

@@ -1,16 +1,19 @@
 //! Full engine-state checkpoints at slot boundaries.
 //!
-//! A checkpoint is everything the engine mutates during a run — the
-//! simulation clock, RNG state words, the pending event queue, user
-//! positions and mobility kinematics, per-server cache contents and
-//! in-flight backhaul transfers, the workload's interarrival CDFs, the
+//! A checkpoint is everything a run needs to continue: the request
+//! workload (rate, phase starts, the CDFs of each phase's distinct
+//! popularity rows and the user→row map), and per region everything
+//! the engine mutates — the simulation clock, RNG state words, the
+//! pending event queue, user positions and mobility kinematics,
+//! per-server cache contents and in-flight backhaul transfers, the
 //! cumulative metrics, the controller (estimator epoch log and drift
 //! windows), staged reconciliations, and the journal byte offset the
 //! checkpoint corresponds to. Restoring it and replaying the journal
 //! suffix reproduces the uninterrupted run byte for byte.
 //!
 //! File layout: 4-byte magic (`TCKP`), a format-version byte, a `u32`
-//! payload length, the payload, and a CRC-32 of the payload. Writes go
+//! payload length, the payload (the workload section, a `u32` region
+//! count, one state per region), and a CRC-32 of the payload. Writes go
 //! to a temp file in the same directory and are renamed into place, so
 //! a crash mid-checkpoint leaves the previous checkpoint intact.
 
@@ -34,6 +37,7 @@ use crate::event::Event;
 use crate::event::EventKind;
 use crate::faults::{FaultConfig, FaultKind, FaultSpec, RecoveryMode};
 use crate::metrics::{LatencyHistogram, ServeMetrics, WindowPoint};
+use crate::workload::Workload;
 
 /// Checkpoint file magic: "TrimCaching CheckPoint".
 pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"TCKP";
@@ -54,7 +58,12 @@ pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"TCKP";
 /// after the primary servers, and a `u32` generation on every `Request`
 /// event, so a checkpoint taken after migrations restores which request
 /// chains are live.
-pub(crate) const CHECKPOINT_VERSION: u8 = 4;
+///
+/// Version 5 stores the run's one workload once, ahead of the region
+/// states: the CDFs of each phase's distinct popularity rows and an
+/// always-present user→row map, instead of per-user (or per-class) CDFs
+/// repeated in every region state.
+pub(crate) const CHECKPOINT_VERSION: u8 = 5;
 
 /// Mobility kinematics captured alongside the radio snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,16 +102,6 @@ pub(crate) struct CheckpointState {
     pub caches: Vec<CacheSnapshot>,
     /// Per-server in-flight backhaul transfer finish times.
     pub links: Vec<Vec<f64>>,
-    /// Workload interarrival state: rate, phase starts, per-phase
-    /// per-user popularity CDFs.
-    pub workload_rate_hz: f64,
-    /// Phase start times of the workload.
-    pub workload_starts_s: Vec<f64>,
-    /// Per-phase, per-row cumulative model-popularity distributions
-    /// (one row per user for singleton demand, per class for clustered).
-    pub workload_phases: Vec<Vec<Vec<f64>>>,
-    /// The workload's user→class map (`None` for singleton demand).
-    pub workload_user_class: Option<Vec<u32>>,
     /// Cumulative metrics at the boundary.
     pub metrics: ServeMetrics,
     /// Controller state, when the control loop is on.
@@ -126,9 +125,9 @@ pub(crate) struct CheckpointState {
 
 /// A loaded (or about-to-be-written) checkpoint file.
 ///
-/// Since format version 3 a checkpoint holds one engine state **per
-/// shard** — a classic single-threaded run writes exactly one. The
-/// states themselves are crate-private — consumers go through
+/// A checkpoint holds the run's workload once and one engine state
+/// **per shard** — a classic single-threaded run writes exactly one.
+/// The contents are crate-private — consumers go through
 /// [`ServeEngine::resume`], [`ServeEngine::fork`] and
 /// [`ShardedServeEngine::resume`]; the public surface exposes identity
 /// accessors and the raw byte image for round-trip testing.
@@ -138,6 +137,8 @@ pub(crate) struct CheckpointState {
 /// [`ShardedServeEngine::resume`]: crate::shard::ShardedServeEngine::resume
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
+    /// The run's request workload, shared by every shard.
+    pub(crate) workload: Workload,
     /// One state per shard, shard-id order; never empty.
     pub(crate) shards: Vec<CheckpointState>,
 }
@@ -198,6 +199,7 @@ impl Checkpoint {
     /// always yields the same bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload_enc = Encoder::new();
+        encode_workload(&mut payload_enc, &self.workload);
         payload_enc.put_u32(self.shards.len() as u32);
         for state in &self.shards {
             encode_state_into(&mut payload_enc, state);
@@ -250,6 +252,7 @@ impl Checkpoint {
             });
         }
         let mut d = Decoder::new(payload, "checkpoint state");
+        let workload = decode_workload(&mut d)?;
         let num_shards = d.get_u32()?;
         if num_shards == 0 {
             return Err(PersistError::Corrupt {
@@ -260,7 +263,7 @@ impl Checkpoint {
             .map(|_| decode_state_from(&mut d))
             .collect::<Result<Vec<_>, PersistError>>()?;
         d.finish()?;
-        Ok(Self { shards })
+        Ok(Self { workload, shards })
     }
 
     /// Number of engine shards this checkpoint captures (1 for a
@@ -937,6 +940,58 @@ pub(crate) fn encode_state(s: &CheckpointState) -> Vec<u8> {
     e.into_bytes()
 }
 
+/// The workload section: rate, phase starts, each phase's distinct-row
+/// CDFs, then the user→row map.
+fn encode_workload(e: &mut Encoder, w: &Workload) {
+    e.put_f64(w.rate_hz);
+    e.put_f64_slice(&w.starts_s);
+    e.put_seq_len(w.phases.len());
+    for phase in &w.phases {
+        e.put_seq_len(phase.len());
+        for cdf in phase {
+            e.put_f64_slice(cdf);
+        }
+    }
+    e.put_seq_len(w.user_row.len());
+    for &r in &w.user_row {
+        e.put_u32(r);
+    }
+}
+
+fn decode_workload(d: &mut Decoder<'_>) -> Result<Workload, PersistError> {
+    let rate_hz = d.get_f64()?;
+    let starts_s = d.get_f64_vec()?;
+    let n = d.get_seq_len()?;
+    let phases = (0..n)
+        .map(|_| {
+            let rows = d.get_seq_len()?;
+            (0..rows)
+                .map(|_| d.get_f64_vec())
+                .collect::<Result<Vec<_>, PersistError>>()
+        })
+        .collect::<Result<Vec<_>, PersistError>>()?;
+    let n = d.get_seq_len()?;
+    let user_row = (0..n)
+        .map(|_| d.get_u32())
+        .collect::<Result<Vec<_>, PersistError>>()?;
+    // Every phase must hold every row a user can draw from.
+    let rows = phases.first().map_or(0, Vec::len);
+    if starts_s.len() != phases.len()
+        || phases.iter().any(|phase| phase.len() != rows)
+        || user_row.iter().any(|&r| r as usize >= rows)
+    {
+        return Err(PersistError::Corrupt {
+            context: "checkpoint: inconsistent workload section".into(),
+        });
+    }
+    Ok(Workload {
+        rate_hz,
+        starts_s,
+        phases,
+        user_row,
+    })
+}
+
 pub(crate) fn encode_state_into(e: &mut Encoder, s: &CheckpointState) {
     e.put_f64(s.time_s);
     e.put_str(&s.policy);
@@ -972,25 +1027,6 @@ pub(crate) fn encode_state_into(e: &mut Encoder, s: &CheckpointState) {
     e.put_seq_len(s.links.len());
     for l in &s.links {
         e.put_f64_slice(l);
-    }
-    e.put_f64(s.workload_rate_hz);
-    e.put_f64_slice(&s.workload_starts_s);
-    e.put_seq_len(s.workload_phases.len());
-    for phase in &s.workload_phases {
-        e.put_seq_len(phase.len());
-        for cdf in phase {
-            e.put_f64_slice(cdf);
-        }
-    }
-    match &s.workload_user_class {
-        Some(map) => {
-            e.put_bool(true);
-            e.put_seq_len(map.len());
-            for &c in map {
-                e.put_u32(c);
-            }
-        }
-        None => e.put_bool(false),
     }
     encode_metrics(e, &s.metrics);
     match &s.controller {
@@ -1077,27 +1113,6 @@ pub(crate) fn decode_state_from(d: &mut Decoder<'_>) -> Result<CheckpointState, 
     let links = (0..n)
         .map(|_| d.get_f64_vec())
         .collect::<Result<Vec<_>, PersistError>>()?;
-    let workload_rate_hz = d.get_f64()?;
-    let workload_starts_s = d.get_f64_vec()?;
-    let n = d.get_seq_len()?;
-    let workload_phases = (0..n)
-        .map(|_| {
-            let k = d.get_seq_len()?;
-            (0..k)
-                .map(|_| d.get_f64_vec())
-                .collect::<Result<Vec<_>, PersistError>>()
-        })
-        .collect::<Result<Vec<_>, PersistError>>()?;
-    let workload_user_class = if d.get_bool()? {
-        let n = d.get_seq_len()?;
-        Some(
-            (0..n)
-                .map(|_| d.get_u32())
-                .collect::<Result<Vec<_>, PersistError>>()?,
-        )
-    } else {
-        None
-    };
     let metrics = decode_metrics(d)?;
     let controller = if d.get_bool()? {
         Some(decode_controller(d)?)
@@ -1152,10 +1167,6 @@ pub(crate) fn decode_state_from(d: &mut Decoder<'_>) -> Result<CheckpointState, 
         generation,
         caches,
         links,
-        workload_rate_hz,
-        workload_starts_s,
-        workload_phases,
-        workload_user_class,
         metrics,
         controller,
         scheduled,
@@ -1289,10 +1300,6 @@ mod tests {
                 evictions: 1,
             }],
             links: vec![vec![31.25, 33.0], vec![]],
-            workload_rate_hz: 0.2,
-            workload_starts_s: vec![0.0, 300.0],
-            workload_phases: vec![vec![vec![0.5, 1.0]], vec![vec![0.25, 1.0]]],
-            workload_user_class: Some(vec![0, 0]),
             metrics,
             controller: None,
             scheduled: vec![(90.0, placement)],
@@ -1312,6 +1319,15 @@ mod tests {
         }
     }
 
+    fn sample_workload() -> Workload {
+        Workload {
+            rate_hz: 0.2,
+            starts_s: vec![0.0, 300.0],
+            phases: vec![vec![vec![0.5, 1.0]], vec![vec![0.25, 1.0]]],
+            user_row: vec![0, 0],
+        }
+    }
+
     #[test]
     fn state_round_trips_byte_identically() {
         let state = sample_state();
@@ -1326,6 +1342,7 @@ mod tests {
     fn file_round_trip_is_atomic_and_crc_guarded() {
         let path = temp_path("roundtrip.tcp");
         let cp = Checkpoint {
+            workload: sample_workload(),
             shards: vec![sample_state()],
         };
         cp.save(&path).unwrap();
@@ -1361,6 +1378,7 @@ mod tests {
         second.rng = [9, 8, 7, 6];
         second.journal_offset = 123;
         let cp = Checkpoint {
+            workload: sample_workload(),
             shards: vec![sample_state(), second],
         };
         let loaded = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
@@ -1368,18 +1386,29 @@ mod tests {
         assert_eq!(loaded.num_shards(), 2);
         assert_eq!(loaded.seed(), cp.shards[0].config.seed);
 
-        // A zero shard count is structural corruption.
-        let payload = [0u8; 4];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-        bytes.push(CHECKPOINT_VERSION);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        assert!(matches!(
-            Checkpoint::from_bytes(&bytes),
-            Err(PersistError::Corrupt { .. })
-        ));
+        // A zero shard count and a user drawing from a row no phase
+        // holds are structural corruption.
+        let mut stray_row = sample_workload();
+        stray_row.user_row[1] = 1;
+        for (workload, shards) in [(sample_workload(), 0), (stray_row, 1)] {
+            let mut e = Encoder::new();
+            encode_workload(&mut e, &workload);
+            e.put_u32(shards);
+            for _ in 0..shards {
+                encode_state_into(&mut e, &sample_state());
+            }
+            let payload = e.into_bytes();
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&CHECKPOINT_MAGIC);
+            bytes.push(CHECKPOINT_VERSION);
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            assert!(matches!(
+                Checkpoint::from_bytes(&bytes),
+                Err(PersistError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]

@@ -281,7 +281,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             live,
-            (1, 4, 0x171e_e2c4_5eba_bdbd),
+            (1, 5, 0x19d9_b246_bcd2_bb80),
             "the journal/checkpoint layout code changed: bump the version, then re-pin \
              (JOURNAL_VERSION, CHECKPOINT_VERSION, fingerprint) to ({}, {}, {:#018x})",
             live.0,

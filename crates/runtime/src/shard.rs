@@ -12,24 +12,23 @@
 //! server and user, so the classic trace is the one-region trace by
 //! construction.
 //!
-//! The coordinator owns the one radio snapshot of the run (coverage,
-//! rates and eligibility of every user, as the paper's placement reads
-//! it), the per-user primary servers and the ownership map. Regions
-//! borrow them read-only. City-scale scenarios are spatially local: a
-//! request only ever considers the handful of servers covering its
-//! user, so between mobility boundaries the regions share nothing
-//! mutable and run freely on a pool of worker threads. At every
-//! mobility boundary the coordinator merges deterministically: it
-//! assembles the global position vector from the owner regions'
-//! kinematics, updates the snapshot **once**, recounts handovers on the
-//! refreshed users, and migrates ownership of users that crossed a
-//! strip border (ascending user id; the user's request generation is
-//! bumped so the old chain's pending request becomes a tombstone, and
-//! the new owner copies the kinematics and starts a fresh chain).
-//! Because every merge is single-threaded and ordered, **the trace is
-//! a pure function of
-//! `(scenario, policy, config, R)` — byte-identical across any worker
-//! thread count**.
+//! The coordinator owns the one request workload of the run, the one
+//! radio snapshot (coverage, rates and eligibility of every user, as the
+//! paper's placement reads it), the per-user primary servers and the
+//! ownership map. Regions borrow them read-only. City-scale scenarios
+//! are spatially local: a request only ever considers the handful of
+//! servers covering its user, so between mobility boundaries the
+//! regions share nothing mutable and run freely on a pool of worker
+//! threads. At every mobility boundary the coordinator merges
+//! deterministically: it assembles the global position vector from the
+//! owner regions' kinematics, updates the snapshot **once**, recounts
+//! handovers on the refreshed users, and migrates ownership of users
+//! that crossed a strip border (ascending user id; the user's request
+//! generation is bumped so the old chain's pending request becomes a
+//! tombstone, and the new owner copies the kinematics and starts a
+//! fresh chain). Because every merge is single-threaded and ordered,
+//! **the trace is a pure function of `(scenario, policy, config, R)` —
+//! byte-identical across any worker thread count**.
 //!
 //! Sharding *is* a model change for `R > 1`: a request is served only
 //! by eligible servers of its owner's strip, and each strip plans its
@@ -38,11 +37,11 @@
 //! and it is what makes the strips independent enough to parallelise.
 //!
 //! Durable runs journal per region (`journal_<id>.tcj`) and write one
-//! checkpoint file whose payload carries one state per region
-//! (`CHECKPOINT_VERSION` 4). There is one restore path: the region
-//! count is read from the checkpoint, strip membership is re-derived
-//! from the static topology and user ownership from the checkpointed
-//! positions.
+//! checkpoint file whose payload carries the workload once and one
+//! state per region (`CHECKPOINT_VERSION` 5). There is one restore
+//! path: the region count is read from the checkpoint, strip membership
+//! is re-derived from the static topology and user ownership from the
+//! checkpointed positions.
 //!
 //! [`ServeEngine`]: crate::ServeEngine
 
@@ -136,7 +135,8 @@ pub struct ShardedServeEngine<'a> {
     config: ServeConfig,
     threads: usize,
     partition: Partition,
-    /// The snapshot, primaries and ownership map every region reads.
+    /// The workload, snapshot, primaries and ownership map every region
+    /// reads.
     shared: Shared<'a>,
     shards: Vec<ShardRun<'a>>,
     /// Simulated time of the next checkpoint boundary (`f64::INFINITY`
@@ -173,6 +173,7 @@ impl<'a> ShardedServeEngine<'a> {
         let partition = Partition::over(scenario, num_shards);
         let positions: Vec<Point> = scenario.users().iter().map(|u| u.position()).collect();
         let shared = Shared {
+            workload: Workload::from_demand(scenario.demand(), config.request_rate_hz)?,
             snapshot: Cow::Borrowed(scenario),
             primary: primary_servers(scenario)?,
             owner: partition.owners_of(&positions),
@@ -230,9 +231,9 @@ impl<'a> ShardedServeEngine<'a> {
         Ok(())
     }
 
-    /// Replaces the request-generation workload of every region: each
-    /// region samples its *own* users from the shared workload, so
-    /// piecewise shifts, flash crowds and tides apply city-wide.
+    /// Replaces the run's request workload: each region samples its
+    /// *own* users from it, so piecewise shifts, flash crowds and tides
+    /// apply city-wide.
     ///
     /// # Errors
     ///
@@ -248,9 +249,7 @@ impl<'a> ShardedServeEngine<'a> {
                 ),
             });
         }
-        for shard in &mut self.shards {
-            shard.engine.workload = workload.clone();
-        }
+        self.shared.workload = workload;
         Ok(())
     }
 
@@ -321,7 +320,10 @@ impl<'a> ShardedServeEngine<'a> {
     ) -> Result<Self, RuntimeError> {
         let first = &cp.shards[0];
         let num_users = scenario.num_users();
-        if first.positions.len() != num_users || first.generation.len() != num_users {
+        if first.positions.len() != num_users
+            || first.generation.len() != num_users
+            || cp.workload.num_users() != num_users
+        {
             return Err(PersistError::Mismatch {
                 reason: format!(
                     "checkpoint captured {} users but the scenario has {num_users}",
@@ -342,6 +344,7 @@ impl<'a> ShardedServeEngine<'a> {
             .collect();
         engine.shared.owner = engine.partition.owners_of(&first.positions);
         engine.shared.generation = first.generation.clone();
+        engine.shared.workload = cp.workload.clone();
         for (shard, state) in engine.shards.iter_mut().zip(&cp.shards) {
             shard.state = Some(shard.engine.restore(state, persist.as_ref())?);
         }
@@ -450,11 +453,12 @@ impl<'a> ShardedServeEngine<'a> {
                 let state = shard.state.as_ref().ok_or_else(no_run_state)?;
                 states.push(shard.engine.capture(due, state, &self.shared)?);
             }
-            self.saver.save(
-                pc.checkpoint_path(),
-                Checkpoint { shards: states },
-                pc.fsync,
-            )?;
+            let checkpoint = Checkpoint {
+                workload: self.shared.workload.clone(),
+                shards: states,
+            };
+            self.saver
+                .save(pc.checkpoint_path(), checkpoint, pc.fsync)?;
             self.next_checkpoint_s = due + pc.checkpoint_every_s;
             if window_end >= horizon {
                 return Ok(());
@@ -571,8 +575,7 @@ impl<'a> ShardedServeEngine<'a> {
                 continue;
             }
             let row = shard_mobility(&self.shards[from])?.users()[k];
-            let ShardRun { engine, state } = &mut self.shards[to];
-            let state = state.as_mut().ok_or_else(no_run_state)?;
+            let state = self.shards[to].state.as_mut().ok_or_else(no_run_state)?;
             state
                 .mobility
                 .as_mut()
@@ -581,7 +584,12 @@ impl<'a> ShardedServeEngine<'a> {
             owner[k] = to;
             let generation = &mut self.shared.generation[k];
             *generation = generation.wrapping_add(1);
-            engine.schedule_user_request(state, UserId(k), *generation, tb);
+            // The new owner starts a fresh chain of the new generation.
+            let gap = self.shared.workload.next_interarrival_s(&mut state.rng);
+            let (user, generation) = (UserId(k), *generation);
+            state
+                .queue
+                .push(tb + gap, EventKind::Request { user, generation });
         }
         Ok(())
     }

@@ -10,16 +10,24 @@
 //! empirical request frequencies converge to exactly the `p_{k,i}` the
 //! placement algorithms optimised for.
 //!
-//! A [`Workload`] can hold several *phases*: piecewise-stationary demand
-//! snapshots switching at configured epoch boundaries. Within a phase
-//! the stream is exactly the stationary workload above; at a boundary
-//! the per-user popularity distribution flips to the next snapshot —
-//! the non-stationarity (flash crowds, diurnal shifts, model releases)
-//! the `runtime::control` re-placement loop exists to chase.
-//! [`PopularityShift`] generates such schedules deterministically from a
-//! seed by permuting the Zipf popularity columns of a base demand at
-//! every epoch boundary; [`rotate_popularity`] is the fully explicit
-//! single-shift variant the tests pin behaviour with.
+//! A [`Workload`] can hold several *phases*: piecewise-stationary
+//! popularity switching at configured epoch boundaries — the
+//! non-stationarity (flash crowds, diurnal shifts, model releases) the
+//! `runtime::control` re-placement loop exists to chase. Every schedule
+//! is one base [`Demand`] plus one [`PopularityEdit`] per phase (keep,
+//! permute or spike), applied to every popularity row alike.
+//!
+//! Popularity is stored the way TrimCaching stores shared blocks: once.
+//! Users whose base rows are bit-identical share one *distinct row*, so
+//! the workload holds one user→row map for the whole run plus, per
+//! phase, the CDFs of the distinct rows only. A shared Zipf ranking is
+//! one row per phase however many users there are; personalised
+//! popularity keeps one row per user; a clustered city at most one per
+//! class. [`PopularityShift`] generates seeded permutation schedules;
+//! [`Workload::flash_crowd`] and [`Workload::diurnal_tide`] build the
+//! spike and rotation families.
+
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -30,22 +38,113 @@ use trimcaching_scenario::{Demand, UserId};
 
 use crate::error::RuntimeError;
 
+/// One phase's change to every popularity row of a base demand.
+/// Deadlines and inference latencies stay with the *model* slot, so the
+/// eligibility indicator is untouched — only what users *ask for*
+/// changes, which is exactly the paper's "popularity drift" setting.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PopularityEdit {
+    /// The base rows, unchanged.
+    Keep,
+    /// Model `i` takes the base probability of model `perm[i]`.
+    Permute(Vec<usize>),
+    /// Every row adds `boost` times its own total mass to model `hot`
+    /// and is rescaled back to its original mass, so `hot` holds at
+    /// least `boost / (1 + boost)` of every row while the total request
+    /// mass — the denominator of Eq. (2) — is unchanged.
+    Spike {
+        /// The model everyone suddenly wants.
+        hot: ModelId,
+        /// Extra mass on `hot`, as a multiple of the row's mass.
+        boost: f64,
+    },
+}
+
+impl PopularityEdit {
+    /// The rotation by `shift` positions over `num_models` models: model
+    /// `i` inherits the probabilities of model `(i + shift) mod I`. A
+    /// half-library rotation is the classic "popularity flip" stress
+    /// case.
+    pub fn rotation(num_models: usize, shift: usize) -> Self {
+        Self::Permute((0..num_models).map(|m| (m + shift) % num_models).collect())
+    }
+
+    /// Checks the edit against a library of `num_models` models.
+    fn validate(&self, num_models: usize) -> Result<(), RuntimeError> {
+        let reason = match self {
+            Self::Keep => return Ok(()),
+            Self::Permute(perm) => {
+                let mut seen = vec![false; num_models];
+                if perm.len() == num_models
+                    && perm
+                        .iter()
+                        .all(|&p| p < num_models && !std::mem::replace(&mut seen[p], true))
+                {
+                    return Ok(());
+                }
+                format!("expected a permutation of 0..{num_models}, got {perm:?}")
+            }
+            Self::Spike { hot, .. } if hot.index() >= num_models => {
+                format!(
+                    "hot model {} out of range for {num_models} models",
+                    hot.index()
+                )
+            }
+            Self::Spike { boost, .. } if !(boost.is_finite() && *boost > 0.0) => {
+                format!("spike boost must be positive and finite, got {boost}")
+            }
+            Self::Spike { .. } => return Ok(()),
+        };
+        Err(RuntimeError::InvalidConfig { reason })
+    }
+
+    /// The edited copy of one popularity row (the edit is valid for the
+    /// row's length).
+    fn apply(&self, row: &[f64]) -> Vec<f64> {
+        match self {
+            Self::Keep => row.to_vec(),
+            Self::Permute(perm) => perm.iter().map(|&src| row[src]).collect(),
+            Self::Spike { hot, boost } => {
+                let mut p = row.to_vec();
+                let mass: f64 = p.iter().sum();
+                if mass > 0.0 {
+                    p[hot.index()] += boost * mass;
+                    let scale = 1.0 / (1.0 + boost);
+                    for v in &mut p {
+                        *v *= scale;
+                    }
+                }
+                p
+            }
+        }
+    }
+
+    /// `demand` with every popularity row edited.
+    fn apply_to(&self, demand: &Demand) -> Result<Demand, RuntimeError> {
+        self.validate(demand.num_models())?;
+        let rows = demand
+            .class_probabilities()
+            .iter()
+            .map(|row| self.apply(row))
+            .collect();
+        Ok(demand.with_class_probabilities(rows)?)
+    }
+}
+
 /// Per-user Poisson request stream over one or more piecewise-stationary
-/// demand distributions.
+/// popularity phases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
-    rate_hz: f64,
+    /// Per-user request rate in Hz.
+    pub(crate) rate_hz: f64,
     /// Phase start times in seconds, ascending; the first is always 0.
-    starts_s: Vec<f64>,
-    /// `phases[p][row]` is the normalised cumulative distribution over
-    /// models for demand row `row` during phase `p`. With singleton
-    /// demand row `k` is user `k`; with clustered demand rows are demand
-    /// classes resolved through `user_class`.
-    phases: Vec<Vec<Vec<f64>>>,
-    /// `None`: row `k` is user `k`. `Some(map)`: user `k` draws from row
-    /// `map[k]` — the clustered-demand form whose CDF storage scales
-    /// with the class count instead of the user count.
-    user_class: Option<Vec<u32>>,
+    pub(crate) starts_s: Vec<f64>,
+    /// `phases[p][r]` is the normalised cumulative distribution over
+    /// models of distinct popularity row `r` during phase `p`.
+    pub(crate) phases: Vec<Vec<Vec<f64>>>,
+    /// `user_row[k]`: the distinct row user `k` draws from, in every
+    /// phase.
+    pub(crate) user_row: Vec<u32>,
 }
 
 impl Workload {
@@ -58,26 +157,30 @@ impl Workload {
     /// strictly positive and finite, or if a user's demand row has zero
     /// total mass (such a user could never issue a request).
     pub fn from_demand(demand: &Demand, rate_hz: f64) -> Result<Self, RuntimeError> {
-        Self::piecewise(&[(0.0, demand)], rate_hz)
+        Self::piecewise(demand, &[(0.0, PopularityEdit::Keep)], rate_hz)
     }
 
-    /// Builds a piecewise non-stationary workload: `segments` pairs each
-    /// phase's start time with its demand snapshot. The first start must
-    /// be `0`, starts must be strictly increasing, and every snapshot
-    /// must have the same dimensions.
+    /// Builds a piecewise non-stationary workload over `base`: `segments`
+    /// pairs each phase's start time with the edit applied to every base
+    /// popularity row during that phase. The first start must be `0` and
+    /// starts must be strictly increasing.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] for an invalid rate, an
-    /// empty schedule, unordered or non-zero-based starts, mismatched
-    /// snapshot dimensions, or a zero-mass user row in any phase.
-    pub fn piecewise(segments: &[(f64, &Demand)], rate_hz: f64) -> Result<Self, RuntimeError> {
+    /// empty schedule, unordered or non-zero-based starts, an edit that
+    /// does not fit the library, or a zero-mass row in any phase.
+    pub fn piecewise(
+        base: &Demand,
+        segments: &[(f64, PopularityEdit)],
+        rate_hz: f64,
+    ) -> Result<Self, RuntimeError> {
         if !(rate_hz.is_finite() && rate_hz > 0.0) {
             return Err(RuntimeError::InvalidConfig {
                 reason: format!("request rate must be positive and finite, got {rate_hz}"),
             });
         }
-        let Some(&(first_start, first)) = segments.first() else {
+        let Some(&(first_start, _)) = segments.first() else {
             return Err(RuntimeError::InvalidConfig {
                 reason: "a workload needs at least one phase".into(),
             });
@@ -87,40 +190,49 @@ impl Workload {
                 reason: format!("the first phase must start at 0 s, got {first_start}"),
             });
         }
-        let (num_users, num_models) = (first.num_users(), first.num_models());
-        let user_class = first.user_classes().map(<[u32]>::to_vec);
-        let mut starts_s = Vec::with_capacity(segments.len());
+        // Classes whose base rows are bit-identical share a distinct row.
+        let mut index: BTreeMap<Vec<u64>, u32> = BTreeMap::new();
+        let mut rows: Vec<&[f64]> = Vec::new();
+        let class_row: Vec<u32> = base
+            .class_probabilities()
+            .iter()
+            .map(|row| {
+                let bits = row.iter().map(|p| p.to_bits()).collect();
+                *index.entry(bits).or_insert_with(|| {
+                    rows.push(row);
+                    (rows.len() - 1) as u32
+                })
+            })
+            .collect();
+        let user_row = base
+            .user_classes()
+            .iter()
+            .map(|&c| class_row[c as usize])
+            .collect();
+        let mut starts_s: Vec<f64> = Vec::with_capacity(segments.len());
         let mut phases = Vec::with_capacity(segments.len());
-        for (p, &(start_s, demand)) in segments.iter().enumerate() {
-            if !start_s.is_finite() || (p > 0 && start_s <= starts_s[p - 1]) {
+        for &(start_s, ref edit) in segments {
+            if !start_s.is_finite() || starts_s.last().is_some_and(|&prev| start_s <= prev) {
                 return Err(RuntimeError::InvalidConfig {
                     reason: format!(
                         "phase starts must be finite and strictly increasing at {start_s}"
                     ),
                 });
             }
-            if demand.num_users() != num_users || demand.num_models() != num_models {
-                return Err(RuntimeError::InvalidConfig {
-                    reason: format!(
-                        "phase {p} is {}x{} but phase 0 is {num_users}x{num_models}",
-                        demand.num_users(),
-                        demand.num_models()
-                    ),
-                });
-            }
-            if demand.user_classes() != user_class.as_deref() {
-                return Err(RuntimeError::InvalidConfig {
-                    reason: format!("phase {p} does not share phase 0's user-class map"),
-                });
-            }
+            edit.validate(base.num_models())?;
             starts_s.push(start_s);
-            phases.push(cdfs_of(demand)?);
+            phases.push(
+                rows.iter()
+                    .enumerate()
+                    .map(|(r, row)| cdf_of(r, edit.apply(row)))
+                    .collect::<Result<Vec<_>, _>>()?,
+            );
         }
         Ok(Self {
             rate_hz,
             starts_s,
             phases,
-            user_class,
+            user_row,
         })
     }
 
@@ -131,15 +243,17 @@ impl Workload {
 
     /// Number of users.
     pub fn num_users(&self) -> usize {
-        match &self.user_class {
-            Some(map) => map.len(),
-            None => self.phases[0].len(),
-        }
+        self.user_row.len()
     }
 
     /// Number of piecewise-stationary phases.
     pub fn num_phases(&self) -> usize {
         self.phases.len()
+    }
+
+    /// Number of distinct popularity rows stored per phase.
+    pub fn num_rows(&self) -> usize {
+        self.phases[0].len()
     }
 
     /// The phase active at simulated time `now_s` (times before the
@@ -157,215 +271,73 @@ impl Workload {
     }
 
     /// Draws the model requested by `user` at simulated time `now_s`
-    /// from the demand distribution of the active phase.
+    /// from the popularity of the active phase.
     ///
     /// # Panics
     ///
     /// Panics if `user` is out of range (the engine only passes users the
     /// workload was built from).
     pub fn draw_model(&self, user: UserId, now_s: f64, rng: &mut StdRng) -> ModelId {
-        let row = match &self.user_class {
-            Some(map) => map[user.index()] as usize,
-            None => user.index(),
-        };
-        let cdf = &self.phases[self.phase_at(now_s)][row];
+        let cdf = &self.phases[self.phase_at(now_s)][self.user_row[user.index()] as usize];
         let u: f64 = rng.gen();
         let idx = cdf.partition_point(|&c| c <= u);
         ModelId(idx.min(cdf.len() - 1))
     }
-
-    /// The workload's raw representation
-    /// `(rate_hz, starts_s, phases, user_class)` for checkpointing — the
-    /// CDFs themselves are saved, so a restored workload draws
-    /// bit-identical models without re-deriving anything from a
-    /// `Demand`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn raw_parts(&self) -> (f64, &[f64], &[Vec<Vec<f64>>], Option<&[u32]>) {
-        (
-            self.rate_hz,
-            &self.starts_s,
-            &self.phases,
-            self.user_class.as_deref(),
-        )
-    }
-
-    /// Rebuilds a workload from [`Workload::raw_parts`] output.
-    pub(crate) fn from_raw_parts(
-        rate_hz: f64,
-        starts_s: Vec<f64>,
-        phases: Vec<Vec<Vec<f64>>>,
-        user_class: Option<Vec<u32>>,
-    ) -> Self {
-        Self {
-            rate_hz,
-            starts_s,
-            phases,
-            user_class,
-        }
-    }
 }
 
-/// Normalised per-row CDFs of one demand snapshot: one CDF per stored
-/// demand row (per user for singleton demand, per class for clustered),
-/// so the table scales with the class count.
-fn cdfs_of(demand: &Demand) -> Result<Vec<Vec<f64>>, RuntimeError> {
-    let num_models = demand.num_models();
-    let mut cdfs = Vec::with_capacity(demand.num_classes());
-    for k in 0..demand.num_classes() {
-        let mut row = Vec::with_capacity(num_models);
-        let mut acc = 0.0;
-        for i in 0..num_models {
-            acc += demand
-                .class_probability(k, ModelId(i))
-                .map_err(RuntimeError::from)?;
-            row.push(acc);
-        }
-        if acc <= 0.0 {
-            return Err(RuntimeError::InvalidConfig {
-                reason: format!("demand row {k} has zero total request probability"),
-            });
-        }
-        for c in &mut row {
-            *c /= acc;
-        }
-        cdfs.push(row);
+/// The normalised CDF of popularity row `r`.
+fn cdf_of(r: usize, mut row: Vec<f64>) -> Result<Vec<f64>, RuntimeError> {
+    let mut acc = 0.0;
+    for p in &mut row {
+        acc += *p;
+        *p = acc;
     }
-    Ok(cdfs)
+    if acc <= 0.0 {
+        return Err(RuntimeError::InvalidConfig {
+            reason: format!("popularity row {r} has zero total request probability"),
+        });
+    }
+    for c in &mut row {
+        *c /= acc;
+    }
+    Ok(row)
 }
 
 /// Rebuilds `demand` with its popularity columns permuted: the new
-/// probability of `(k, i)` is the old probability of `(k, perm[i])`.
-/// Deadlines and inference latencies stay with the *model* slot, so the
-/// eligibility indicator is untouched — only what users *ask for*
-/// shifts, which is exactly the paper's "popularity drift" setting.
+/// probability of `(k, i)` is the old probability of `(k, perm[i])`
+/// (see [`PopularityEdit::Permute`]).
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::InvalidConfig`] if `perm` is not a
 /// permutation of `0..num_models`.
 pub fn permute_popularity(demand: &Demand, perm: &[usize]) -> Result<Demand, RuntimeError> {
-    let (rows, i) = (demand.num_classes(), demand.num_models());
-    let mut seen = vec![false; i];
-    if perm.len() != i
-        || !perm
-            .iter()
-            .all(|&p| p < i && !std::mem::replace(&mut seen[p], true))
-    {
-        return Err(RuntimeError::InvalidConfig {
-            reason: format!("expected a permutation of 0..{i}, got {perm:?}"),
-        });
-    }
-    let mut probabilities = Vec::with_capacity(rows);
-    let mut deadlines = Vec::with_capacity(rows);
-    let mut inference = Vec::with_capacity(rows);
-    for row in 0..rows {
-        probabilities.push(
-            perm.iter()
-                .map(|&src| demand.class_probability(row, ModelId(src)))
-                .collect::<Result<Vec<_>, _>>()?,
-        );
-        deadlines.push(
-            (0..i)
-                .map(|m| demand.class_deadline_s(row, ModelId(m)))
-                .collect::<Result<Vec<_>, _>>()?,
-        );
-        inference.push(
-            (0..i)
-                .map(|m| demand.class_inference_s(row, ModelId(m)))
-                .collect::<Result<Vec<_>, _>>()?,
-        );
-    }
-    Ok(match demand.user_classes() {
-        Some(map) => Demand::clustered(probabilities, deadlines, inference, map.to_vec())?,
-        None => Demand::new(probabilities, deadlines, inference)?,
-    })
+    PopularityEdit::Permute(perm.to_vec()).apply_to(demand)
 }
 
-/// Rotates the popularity columns by `shift` positions: model `i`
-/// inherits the request probabilities of model `(i + shift) mod I`. A
-/// half-library rotation is the classic "popularity flip" stress case.
+/// Rebuilds `demand` rotated by `shift` positions (see
+/// [`PopularityEdit::rotation`]).
 ///
 /// # Errors
 ///
-/// Propagates [`permute_popularity`] errors (never fires for in-range
-/// shifts).
+/// Propagates [`permute_popularity`] errors (never fires).
 pub fn rotate_popularity(demand: &Demand, shift: usize) -> Result<Demand, RuntimeError> {
-    let i = demand.num_models();
-    let perm: Vec<usize> = (0..i).map(|m| (m + shift) % i).collect();
-    permute_popularity(demand, &perm)
-}
-
-/// Rebuilds `demand` with one *hot* model boosted: every row adds
-/// `boost` times its own total mass to the hot model's probability and
-/// is then rescaled back to its original mass, so the hot model ends up
-/// holding at least `boost / (1 + boost)` of every row while the total
-/// request mass — the denominator of Eq. (2) — is bit-for-bit
-/// unchanged. Deadlines and inference latencies stay with the model
-/// slot, exactly like [`permute_popularity`]: only what users *ask for*
-/// spikes.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::InvalidConfig`] for an out-of-range hot
-/// model or a non-positive/non-finite boost.
-pub fn spike_popularity(demand: &Demand, hot: ModelId, boost: f64) -> Result<Demand, RuntimeError> {
-    let (rows, i) = (demand.num_classes(), demand.num_models());
-    if hot.index() >= i {
-        return Err(RuntimeError::InvalidConfig {
-            reason: format!("hot model {} out of range for {i} models", hot.index()),
-        });
-    }
-    if !(boost.is_finite() && boost > 0.0) {
-        return Err(RuntimeError::InvalidConfig {
-            reason: format!("spike boost must be positive and finite, got {boost}"),
-        });
-    }
-    let mut probabilities = Vec::with_capacity(rows);
-    let mut deadlines = Vec::with_capacity(rows);
-    let mut inference = Vec::with_capacity(rows);
-    for row in 0..rows {
-        let mut p: Vec<f64> = (0..i)
-            .map(|m| demand.class_probability(row, ModelId(m)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mass: f64 = p.iter().sum();
-        if mass > 0.0 {
-            p[hot.index()] += boost * mass;
-            let scale = 1.0 / (1.0 + boost);
-            for v in &mut p {
-                *v *= scale;
-            }
-        }
-        probabilities.push(p);
-        deadlines.push(
-            (0..i)
-                .map(|m| demand.class_deadline_s(row, ModelId(m)))
-                .collect::<Result<Vec<_>, _>>()?,
-        );
-        inference.push(
-            (0..i)
-                .map(|m| demand.class_inference_s(row, ModelId(m)))
-                .collect::<Result<Vec<_>, _>>()?,
-        );
-    }
-    Ok(match demand.user_classes() {
-        Some(map) => Demand::clustered(probabilities, deadlines, inference, map.to_vec())?,
-        None => Demand::new(probabilities, deadlines, inference)?,
-    })
+    PopularityEdit::rotation(demand.num_models(), shift).apply_to(demand)
 }
 
 impl Workload {
     /// Builds a **flash-crowd** workload: stationary `base` demand with
     /// one transient hot spike — from `spike_start_s` for `spike_s`
     /// seconds every row concentrates an extra `boost / (1 + boost)`
-    /// share of its mass on `hot` (see [`spike_popularity`]), then the
-    /// stream relaxes back to `base`. The classic "everyone suddenly
+    /// share of its mass on `hot` (see [`PopularityEdit::Spike`]), then
+    /// the stream relaxes back to `base`. The classic "everyone suddenly
     /// wants the new model" stress case for eviction and re-placement.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] for a non-positive spike
-    /// start or length, and propagates [`spike_popularity`] and
-    /// [`Workload::piecewise`] errors.
+    /// start or length, an out-of-range hot model or a non-positive
+    /// boost, and propagates [`Workload::piecewise`] errors.
     pub fn flash_crowd(
         base: &Demand,
         rate_hz: f64,
@@ -386,12 +358,12 @@ impl Workload {
                 ),
             });
         }
-        let spiked = spike_popularity(base, hot, boost)?;
         Self::piecewise(
+            base,
             &[
-                (0.0, base),
-                (spike_start_s, &spiked),
-                (spike_start_s + spike_s, base),
+                (0.0, PopularityEdit::Keep),
+                (spike_start_s, PopularityEdit::Spike { hot, boost }),
+                (spike_start_s + spike_s, PopularityEdit::Keep),
             ],
             rate_hz,
         )
@@ -402,15 +374,15 @@ impl Workload {
     /// periods. Each period of `period_s` seconds is cut into
     /// `phases_per_cycle` equal phases; phase `j` of a cycle rotates
     /// the popularity columns by `⌊I · j / phases_per_cycle⌋` (see
-    /// [`rotate_popularity`]), so phase `0` of every cycle is exactly
-    /// `base` — the periodic day/night demand swing of a diurnal
+    /// [`PopularityEdit::rotation`]), so phase `0` of every cycle is
+    /// exactly `base` — the periodic day/night demand swing of a diurnal
     /// serving profile.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] for a non-positive
     /// period or zero phases/cycles, and propagates
-    /// [`rotate_popularity`] and [`Workload::piecewise`] errors.
+    /// [`Workload::piecewise`] errors.
     pub fn diurnal_tide(
         base: &Demand,
         rate_hz: f64,
@@ -430,16 +402,14 @@ impl Workload {
         }
         let i = base.num_models();
         let phase_s = period_s / phases_per_cycle as f64;
-        let phases: Vec<Demand> = (0..phases_per_cycle)
-            .map(|j| rotate_popularity(base, i * j / phases_per_cycle))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut segments = Vec::with_capacity(phases_per_cycle * cycles);
-        for c in 0..cycles {
-            for (j, phase) in phases.iter().enumerate() {
-                segments.push(((c * phases_per_cycle + j) as f64 * phase_s, phase));
-            }
-        }
-        Self::piecewise(&segments, rate_hz)
+        let segments: Vec<(f64, PopularityEdit)> = (0..phases_per_cycle * cycles)
+            .map(|n| {
+                let j = n % phases_per_cycle;
+                let edit = PopularityEdit::rotation(i, i * j / phases_per_cycle);
+                (n as f64 * phase_s, edit)
+            })
+            .collect();
+        Self::piecewise(base, &segments, rate_hz)
     }
 }
 
@@ -468,13 +438,9 @@ impl PopularityShift {
         }
     }
 
-    /// The demand snapshot of every phase (phase 0 is `base` itself).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] for a non-positive epoch
-    /// length or zero epochs.
-    pub fn phases(&self, base: &Demand) -> Result<Vec<Demand>, RuntimeError> {
+    /// The `(start_s, edit)` of every phase over a library of
+    /// `num_models` models.
+    fn segments(&self, num_models: usize) -> Result<Vec<(f64, PopularityEdit)>, RuntimeError> {
         if !(self.epoch_s.is_finite() && self.epoch_s > 0.0) {
             return Err(RuntimeError::InvalidConfig {
                 reason: format!(
@@ -489,14 +455,30 @@ impl PopularityShift {
             });
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut perm: Vec<usize> = (0..base.num_models()).collect();
-        let mut phases = Vec::with_capacity(self.epochs);
-        phases.push(base.clone());
-        for _ in 1..self.epochs {
+        let mut perm: Vec<usize> = (0..num_models).collect();
+        let mut segments = Vec::with_capacity(self.epochs);
+        segments.push((0.0, PopularityEdit::Keep));
+        for p in 1..self.epochs {
             perm.shuffle(&mut rng);
-            phases.push(permute_popularity(base, &perm)?);
+            segments.push((
+                p as f64 * self.epoch_s,
+                PopularityEdit::Permute(perm.clone()),
+            ));
         }
-        Ok(phases)
+        Ok(segments)
+    }
+
+    /// The demand snapshot of every phase (phase 0 equals `base`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] for a non-positive epoch
+    /// length or zero epochs.
+    pub fn phases(&self, base: &Demand) -> Result<Vec<Demand>, RuntimeError> {
+        self.segments(base.num_models())?
+            .iter()
+            .map(|(_, edit)| edit.apply_to(base))
+            .collect()
     }
 
     /// Builds the piecewise [`Workload`] of this schedule over `base`.
@@ -506,13 +488,7 @@ impl PopularityShift {
     /// Propagates [`PopularityShift::phases`] and
     /// [`Workload::piecewise`] errors.
     pub fn workload(&self, base: &Demand, rate_hz: f64) -> Result<Workload, RuntimeError> {
-        let phases = self.phases(base)?;
-        let segments: Vec<(f64, &Demand)> = phases
-            .iter()
-            .enumerate()
-            .map(|(p, d)| (p as f64 * self.epoch_s, d))
-            .collect();
-        Workload::piecewise(&segments, rate_hz)
+        Workload::piecewise(base, &self.segments(base.num_models())?, rate_hz)
     }
 }
 
@@ -594,7 +570,11 @@ mod tests {
     fn piecewise_schedules_switch_phase_at_the_boundaries() {
         let base = demand(4, 6);
         let flipped = rotate_popularity(&base, 3).unwrap();
-        let w = Workload::piecewise(&[(0.0, &base), (100.0, &flipped)], 1.0).unwrap();
+        let segments = [
+            (0.0, PopularityEdit::Keep),
+            (100.0, PopularityEdit::rotation(6, 3)),
+        ];
+        let w = Workload::piecewise(&base, &segments, 1.0).unwrap();
         assert_eq!(w.num_phases(), 2);
         assert_eq!(w.phase_at(0.0), 0);
         assert_eq!(w.phase_at(99.999), 0);
@@ -617,15 +597,50 @@ mod tests {
     #[test]
     fn piecewise_validation_rejects_bad_schedules() {
         let base = demand(3, 4);
-        let other = demand(2, 4);
+        let keep = PopularityEdit::Keep;
         // Non-zero first start.
-        assert!(Workload::piecewise(&[(1.0, &base)], 1.0).is_err());
+        assert!(Workload::piecewise(&base, &[(1.0, keep.clone())], 1.0).is_err());
         // Unordered starts.
-        assert!(Workload::piecewise(&[(0.0, &base), (5.0, &base), (5.0, &base)], 1.0).is_err());
-        // Mismatched dimensions.
-        assert!(Workload::piecewise(&[(0.0, &base), (5.0, &other)], 1.0).is_err());
+        let unordered = [
+            (0.0, keep.clone()),
+            (5.0, keep.clone()),
+            (5.0, keep.clone()),
+        ];
+        assert!(Workload::piecewise(&base, &unordered, 1.0).is_err());
+        // Edits that do not fit the library.
+        for edit in [
+            PopularityEdit::rotation(5, 1),
+            PopularityEdit::Spike {
+                hot: ModelId(4),
+                boost: 1.0,
+            },
+        ] {
+            assert!(Workload::piecewise(&base, &[(0.0, keep.clone()), (5.0, edit)], 1.0).is_err());
+        }
         // Empty schedule.
-        assert!(Workload::piecewise(&[], 1.0).is_err());
+        assert!(Workload::piecewise(&base, &[], 1.0).is_err());
+    }
+
+    #[test]
+    fn users_with_identical_rows_share_one_row_per_phase() {
+        let mut config = DemandConfig::paper_defaults();
+        config.personalised_popularity = false;
+        let shared = config
+            .generate(50, 6, &mut StdRng::seed_from_u64(5))
+            .unwrap();
+        let w = PopularityShift::new(60.0, 4, 11)
+            .workload(&shared, 1.0)
+            .unwrap();
+        assert_eq!(w.num_users(), 50);
+        assert_eq!(w.num_rows(), 1);
+        assert!(w.phases.iter().all(|phase| phase.len() == 1));
+        // Personalised popularity keeps one row per user.
+        assert_eq!(
+            Workload::from_demand(&demand(50, 6), 1.0)
+                .unwrap()
+                .num_rows(),
+            50
+        );
     }
 
     #[test]
@@ -683,39 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn spike_concentrates_mass_and_preserves_row_totals() {
-        let base = demand(3, 6);
-        let hot = ModelId(2);
-        let spiked = spike_popularity(&base, hot, 3.0).unwrap();
-        for row in 0..base.num_classes() {
-            let before: f64 = (0..6)
-                .map(|m| base.class_probability(row, ModelId(m)).unwrap())
-                .sum();
-            let after: f64 = (0..6)
-                .map(|m| spiked.class_probability(row, ModelId(m)).unwrap())
-                .sum();
-            assert!(
-                (before - after).abs() < 1e-12,
-                "row {row}: mass {before} -> {after}"
-            );
-            // boost/(1+boost) = 3/4 of the row now sits on the hot model.
-            let hot_share = spiked.class_probability(row, hot).unwrap() / after;
-            assert!(hot_share >= 0.75, "row {row}: hot share {hot_share:.3}");
-            // Latency columns travel with the model slot, untouched.
-            for m in 0..6 {
-                assert_eq!(
-                    base.class_deadline_s(row, ModelId(m)).unwrap(),
-                    spiked.class_deadline_s(row, ModelId(m)).unwrap()
-                );
-            }
-        }
-        // Out-of-range hot model and degenerate boosts are rejected.
-        assert!(spike_popularity(&base, ModelId(6), 1.0).is_err());
-        assert!(spike_popularity(&base, hot, 0.0).is_err());
-        assert!(spike_popularity(&base, hot, f64::NAN).is_err());
-    }
-
-    #[test]
     fn flash_crowd_spikes_then_relaxes() {
         let base = demand(2, 5);
         let hot = ModelId(1);
@@ -752,6 +734,10 @@ mod tests {
         // Degenerate windows are rejected.
         assert!(Workload::flash_crowd(&base, 1.0, 0.0, 50.0, hot, 4.0).is_err());
         assert!(Workload::flash_crowd(&base, 1.0, 100.0, 0.0, hot, 4.0).is_err());
+        // Out-of-range hot models and degenerate boosts are rejected.
+        assert!(Workload::flash_crowd(&base, 1.0, 100.0, 50.0, ModelId(5), 4.0).is_err());
+        assert!(Workload::flash_crowd(&base, 1.0, 100.0, 50.0, hot, 0.0).is_err());
+        assert!(Workload::flash_crowd(&base, 1.0, 100.0, 50.0, hot, f64::NAN).is_err());
     }
 
     #[test]

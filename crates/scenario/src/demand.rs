@@ -30,21 +30,13 @@ use crate::error::ScenarioError;
 
 /// Per-user, per-model demand description.
 ///
-/// Two storage regimes share one type:
-///
-/// * **singleton** (`user_class == None`) — the original dense form:
-///   row `k` of each matrix belongs to user `k`;
-/// * **clustered** (`user_class == Some(map)`) — row storage is per
-///   *demand class* and `map[k]` names the class of user `k`. A
-///   million-user city only materialises `C × I` rows plus a `K`-length
-///   class map instead of the `K × I` triple.
-///
-/// Every accessor resolves users through the class map, so consumers
-/// (eligibility, latency, objective, workload) are oblivious to the
-/// representation; a clustered demand whose map is the identity is
-/// observationally — and bit-for-bit, including the accumulation order
-/// of [`Demand::total_probability_mass`] — identical to the singleton
-/// form with the same rows.
+/// Row storage is per *demand class* and `user_class[k]` names the
+/// class of user `k`. [`Demand::new`] builds one class per user (the
+/// identity map); [`Demand::clustered`] takes an explicit map, so a
+/// million-user city only materialises `C × I` rows plus a `K`-length
+/// class map instead of the `K × I` triple. Every accessor resolves
+/// users through the map, so consumers (eligibility, latency,
+/// objective, workload) see users, never classes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Demand {
     /// `probabilities[row][i]` = `p_{k,i}` for every user `k` of `row`'s
@@ -55,9 +47,8 @@ pub struct Demand {
     deadlines_s: Vec<Vec<f64>>,
     /// `inference_s[row][i]` = `t_{k,i}` in seconds.
     inference_s: Vec<Vec<f64>>,
-    /// `None`: row `k` is user `k` (singleton). `Some(map)`: user `k`
-    /// reads row `map[k]`.
-    user_class: Option<Vec<u32>>,
+    /// User `k` reads row `user_class[k]`.
+    user_class: Vec<u32>,
 }
 
 impl Demand {
@@ -106,30 +97,24 @@ impl Demand {
             for row in matrix.iter() {
                 for &v in row {
                     if !v.is_finite() || v <= 0.0 {
-                        return Err(ScenarioError::InvalidValue {
-                            name: match name {
-                                "deadline" => "deadline",
-                                _ => "inference latency",
-                            },
-                            value: v,
-                        });
+                        return Err(ScenarioError::InvalidValue { name, value: v });
                     }
                 }
             }
         }
         Ok(Self {
+            user_class: (0..k as u32).collect(),
             probabilities,
             deadlines_s,
             inference_s,
-            user_class: None,
         })
     }
 
     /// Creates a **clustered** demand description: the matrices hold one
     /// row per demand class and `user_class[k]` names the class of user
     /// `k`. With the identity map (`user_class[k] == k` and as many
-    /// classes as users) the result behaves bit-identically to
-    /// [`Demand::new`] over the same rows.
+    /// classes as users) the result equals [`Demand::new`] over the same
+    /// rows.
     ///
     /// # Errors
     ///
@@ -154,56 +139,63 @@ impl Demand {
                 reason: format!("user class {bad} out of range for {num_classes} classes"),
             });
         }
-        Ok(Self {
-            user_class: Some(user_class),
-            ..base
-        })
+        Ok(Self { user_class, ..base })
     }
 
     /// Number of users `K`.
     pub fn num_users(&self) -> usize {
-        match &self.user_class {
-            Some(map) => map.len(),
-            None => self.probabilities.len(),
-        }
+        self.user_class.len()
     }
 
-    /// Number of distinct demand-class rows actually stored (equals
-    /// [`Demand::num_users`] for singleton demand).
+    /// Number of demand-class rows actually stored (equals
+    /// [`Demand::num_users`] for [`Demand::new`]).
     pub fn num_classes(&self) -> usize {
         self.probabilities.len()
     }
 
-    /// The class map: `Some(map)` with `map[k]` naming user `k`'s class
-    /// for clustered demand, `None` for the singleton form.
-    pub fn user_classes(&self) -> Option<&[u32]> {
-        self.user_class.as_deref()
+    /// The class map: `user_classes()[k]` names user `k`'s class.
+    pub fn user_classes(&self) -> &[u32] {
+        &self.user_class
+    }
+
+    /// The stored popularity rows, one per class: `p_{k,·}` of every
+    /// user `k` of that class. Lets consumers that build per-row state
+    /// — e.g. the workload's CDF tables — scale with
+    /// [`Demand::num_classes`] rather than [`Demand::num_users`].
+    pub fn class_probabilities(&self) -> &[Vec<f64>] {
+        &self.probabilities
+    }
+
+    /// This demand with its popularity rows replaced by `probabilities`
+    /// (one row per stored class); deadlines, inference latencies and
+    /// the class map are kept.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Demand::clustered`] for rows of the wrong shape or
+    /// invalid probabilities.
+    pub fn with_class_probabilities(
+        &self,
+        probabilities: Vec<Vec<f64>>,
+    ) -> Result<Self, ScenarioError> {
+        Self::clustered(
+            probabilities,
+            self.deadlines_s.clone(),
+            self.inference_s.clone(),
+            self.user_class.clone(),
+        )
     }
 
     /// The matrix row index of `user`, or an error for unknown users.
     fn row_of(&self, user: UserId) -> Result<usize, ScenarioError> {
-        match &self.user_class {
-            Some(map) => {
-                map.get(user.index())
-                    .map(|&c| c as usize)
-                    .ok_or(ScenarioError::IndexOutOfRange {
-                        entity: "user",
-                        index: user.index(),
-                        len: map.len(),
-                    })
-            }
-            None => {
-                if user.index() < self.probabilities.len() {
-                    Ok(user.index())
-                } else {
-                    Err(ScenarioError::IndexOutOfRange {
-                        entity: "user",
-                        index: user.index(),
-                        len: self.probabilities.len(),
-                    })
-                }
-            }
-        }
+        self.user_class
+            .get(user.index())
+            .map(|&c| c as usize)
+            .ok_or(ScenarioError::IndexOutOfRange {
+                entity: "user",
+                index: user.index(),
+                len: self.user_class.len(),
+            })
     }
 
     /// Number of models `I`.
@@ -238,76 +230,16 @@ impl Demand {
         self.lookup(&self.inference_s, user, model)
     }
 
-    /// Request probability of matrix row `class` (a stored class row for
-    /// clustered demand; user row `class` in the singleton form). Lets
-    /// consumers that build per-row state — e.g. the workload's CDF
-    /// tables — scale with [`Demand::num_classes`] rather than
-    /// [`Demand::num_users`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::IndexOutOfRange`] for unknown indices.
-    pub fn class_probability(&self, class: usize, model: ModelId) -> Result<f64, ScenarioError> {
-        self.class_lookup(&self.probabilities, class, model)
-    }
-
-    /// QoS budget of matrix row `class` (see [`Demand::class_probability`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::IndexOutOfRange`] for unknown indices.
-    pub fn class_deadline_s(&self, class: usize, model: ModelId) -> Result<f64, ScenarioError> {
-        self.class_lookup(&self.deadlines_s, class, model)
-    }
-
-    /// On-device inference latency of matrix row `class` (see
-    /// [`Demand::class_probability`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::IndexOutOfRange`] for unknown indices.
-    pub fn class_inference_s(&self, class: usize, model: ModelId) -> Result<f64, ScenarioError> {
-        self.class_lookup(&self.inference_s, class, model)
-    }
-
-    fn class_lookup(
-        &self,
-        matrix: &[Vec<f64>],
-        class: usize,
-        model: ModelId,
-    ) -> Result<f64, ScenarioError> {
-        let row = matrix.get(class).ok_or(ScenarioError::IndexOutOfRange {
-            entity: "demand class",
-            index: class,
-            len: matrix.len(),
-        })?;
-        row.get(model.index())
-            .copied()
-            .ok_or(ScenarioError::IndexOutOfRange {
-                entity: "model",
-                index: model.index(),
-                len: row.len(),
-            })
-    }
-
-    /// Total request mass `Σ_k Σ_i p_{k,i}` — the denominator of Eq. (2).
-    ///
-    /// The accumulation order is the element order of the singleton form
-    /// (user-major, model-minor) in both regimes, so a clustered demand
-    /// with the identity class map produces the bit-identical sum.
+    /// Total request mass `Σ_k Σ_i p_{k,i}` — the denominator of Eq. (2),
+    /// accumulated user-major, model-minor.
     pub fn total_probability_mass(&self) -> f64 {
-        match &self.user_class {
-            None => self.probabilities.iter().flatten().sum(),
-            Some(map) => {
-                let mut acc = 0.0;
-                for &c in map {
-                    for &p in &self.probabilities[c as usize] {
-                        acc += p;
-                    }
-                }
-                acc
+        let mut acc = 0.0;
+        for &c in &self.user_class {
+            for &p in &self.probabilities[c as usize] {
+                acc += p;
             }
         }
+        acc
     }
 
     fn lookup(
@@ -768,8 +700,8 @@ mod tests {
         assert_eq!(c.num_users(), d.num_users());
         assert_eq!(c.num_models(), d.num_models());
         assert_eq!(c.num_classes(), 2);
-        assert_eq!(c.user_classes(), Some(&[0u32, 1][..]));
-        assert_eq!(d.user_classes(), None);
+        assert_eq!(c.user_classes(), d.user_classes());
+        assert_eq!(c, d);
         for k in 0..2 {
             for i in 0..2 {
                 let (u, m) = (UserId(k), ModelId(i));
@@ -837,7 +769,7 @@ mod tests {
         assert_eq!(d.num_users(), 10_000);
         assert_eq!(d.num_classes(), 4);
         // Round-robin assignment.
-        assert_eq!(d.user_classes().unwrap()[6], 2);
+        assert_eq!(d.user_classes()[6], 2);
         // Rows are drawn exactly as `generate` draws them for 4 users.
         let reference = cfg.generate(4, 6, &mut StdRng::seed_from_u64(3)).unwrap();
         for c in 0..4 {

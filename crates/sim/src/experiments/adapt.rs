@@ -26,7 +26,8 @@
 use trimcaching_placement::TrimCachingGenLazy;
 use trimcaching_runtime::control::DriftConfig;
 use trimcaching_runtime::{
-    rotate_popularity, ControlConfig, CostAwareLfu, ServeConfig, ServeEngine, ServeReport, Workload,
+    rotate_popularity, ControlConfig, CostAwareLfu, PopularityEdit, ServeConfig, ServeEngine,
+    ServeReport, Workload,
 };
 use trimcaching_scenario::Scenario;
 
@@ -93,8 +94,13 @@ fn shifted_scenario(config: &RunConfig) -> Result<Scenario, SimError> {
 fn run_variants(config: &RunConfig) -> Result<AdaptRuns, SimError> {
     let scenario = shifted_scenario(config)?;
     let base = scenario.demand();
-    let flipped = rotate_popularity(base, scenario.num_models() / 2)?;
-    let workload = Workload::piecewise(&[(0.0, base), (SHIFT_S, &flipped)], RATE_HZ)?;
+    let (models, shift) = (scenario.num_models(), scenario.num_models() / 2);
+    let flipped = rotate_popularity(base, shift)?;
+    let segments = [
+        (0.0, PopularityEdit::Keep),
+        (SHIFT_S, PopularityEdit::rotation(models, shift)),
+    ];
+    let workload = Workload::piecewise(base, &segments, RATE_HZ)?;
     let initial = TrimCachingGenLazy::new()
         .place_with_demand(&scenario, base)?
         .placement;

@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes)]
 #![cfg_attr(
     not(test),
     deny(

@@ -617,7 +617,7 @@ mod tests {
             .with_regional_grid(2);
         cfg.area_side_m = 2_000.0;
         let scenario = cfg.generate(&lib, 9, 0).unwrap();
-        let classes = scenario.demand().user_classes().expect("clustered demand");
+        let classes = scenario.demand().user_classes();
         assert_eq!(scenario.demand().num_classes(), 4);
         for (k, u) in scenario.users().iter().enumerate() {
             let p = u.position();

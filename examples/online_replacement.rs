@@ -19,7 +19,7 @@
 //! ```
 
 use trimcaching::prelude::*;
-use trimcaching::runtime::Workload;
+use trimcaching::runtime::{PopularityEdit, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let library = SpecialCaseBuilder::paper_setup()
@@ -37,8 +37,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ten (model i inherits the demand of model i + I/2).
     let shift_s = 600.0;
     let base = scenario.demand();
-    let flipped = rotate_popularity(base, scenario.num_models() / 2)?;
-    let workload = Workload::piecewise(&[(0.0, base), (shift_s, &flipped)], 0.2)?;
+    let (models, shift) = (scenario.num_models(), scenario.num_models() / 2);
+    let segments = [
+        (0.0, PopularityEdit::Keep),
+        (shift_s, PopularityEdit::rotation(models, shift)),
+    ];
+    let workload = Workload::piecewise(base, &segments, 0.2)?;
     let initial = TrimCachingGenLazy::new().place(&scenario)?.placement;
 
     let config = ServeConfig::paper_defaults()

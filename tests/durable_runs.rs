@@ -13,8 +13,8 @@ use std::path::{Path, PathBuf};
 use trimcaching::modellib::builders::SpecialCaseBuilder;
 use trimcaching::prelude::*;
 use trimcaching::runtime::{
-    read_journal, recompute_metrics, ControlConfig, CostAwareLfu, Lru, PersistConfig, RuntimeError,
-    ServeConfig, ServeEngine, ServeReport,
+    read_journal, recompute_metrics, ControlConfig, CostAwareLfu, Lru, PersistConfig,
+    PopularityShift, RuntimeError, ServeConfig, ServeEngine, ServeReport, ShardedServeEngine,
 };
 
 /// A fresh scratch directory under the system temp dir, unique per
@@ -137,6 +137,79 @@ fn repeated_kills_still_converge_to_the_same_run() {
         .expect("final leg");
     assert_eq!(report, reference, "kill/resume chains must converge");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A durable run under a non-stationary workload — one shared
+/// popularity ranking re-shuffled every 60 s — killed inside phases 1, 2
+/// and 3 and resumed, at one and two regions. The workload is restored
+/// from the checkpoint, not rebuilt by the caller, so the resumed
+/// journals and report must still be byte-identical.
+#[test]
+fn resume_under_a_popularity_shift_is_byte_identical() {
+    let library = SpecialCaseBuilder::paper_setup()
+        .models_per_backbone(3)
+        .build(7);
+    let mut topology = TopologyConfig::paper_defaults()
+        .with_users(12)
+        .with_capacity_gb(0.4);
+    topology.demand.personalised_popularity = false;
+    let s = topology
+        .generate(&library, 7, 0)
+        .expect("topology generates");
+    let config = full_config(44);
+    let workload = PopularityShift::new(60.0, 4, 9)
+        .workload(s.demand(), config.request_rate_hz)
+        .expect("shift workload");
+    assert_eq!(workload.num_rows(), 1, "shared popularity is one row");
+    let engine = |shards: usize, config: ServeConfig| {
+        let mut engine =
+            ShardedServeEngine::new(&s, &CostAwareLfu, config, shards).expect("engine builds");
+        engine
+            .set_workload(workload.clone())
+            .expect("workload fits");
+        engine
+    };
+
+    for shards in [1, 2] {
+        let journals = |dir: &Path| -> Vec<Vec<u8>> {
+            (0..shards)
+                .map(|r| std::fs::read(dir.join(format!("journal_{r}.tcj"))).expect("journal"))
+                .collect()
+        };
+        let base_dir = scratch_dir(&format!("shift-base-r{shards}"));
+        let reference = engine(shards, persisted(&config, &base_dir, 45.0))
+            .run()
+            .expect("reference run");
+        let stationary = ShardedServeEngine::new(&s, &CostAwareLfu, config.clone(), shards)
+            .expect("engine builds")
+            .run()
+            .expect("stationary run");
+        assert_ne!(reference, stationary, "the shift must change the run");
+
+        // Checkpoints every 45 s; phase boundaries at 60, 120 and 180 s.
+        for stop_s in [100.0, 150.0, 200.0] {
+            let dir = scratch_dir(&format!("shift-r{shards}-{stop_s}"));
+            let pc = || PersistConfig::new(dir.clone()).with_checkpoint_every_s(45.0);
+            engine(shards, config.clone().with_persist(pc()))
+                .run_until(stop_s)
+                .expect("interrupted run");
+            let resumed = ShardedServeEngine::resume(&s, &CostAwareLfu, pc())
+                .expect("resume succeeds")
+                .run()
+                .expect("resumed run completes");
+            assert_eq!(
+                resumed, reference,
+                "R={shards}: report after a kill at t={stop_s} must match"
+            );
+            assert_eq!(
+                journals(&dir),
+                journals(&base_dir),
+                "R={shards}: journals after a kill at t={stop_s} must be byte-identical"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&base_dir).ok();
+    }
 }
 
 /// The CI smoke test: a 600-slot mobile run is killed mid-flight and

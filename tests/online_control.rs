@@ -8,7 +8,7 @@
 
 use trimcaching::modellib::builders::SpecialCaseBuilder;
 use trimcaching::prelude::*;
-use trimcaching::runtime::Workload;
+use trimcaching::runtime::{PopularityEdit, Workload};
 // The controller tuning and steady-state accounting are shared with the
 // recorded `serve-adapt` experiment — the acceptance asserts run against
 // exactly the configuration EXPERIMENTS.md reports.
@@ -42,9 +42,13 @@ const RATE_HZ: f64 = 0.2;
 
 fn flip_workload(scenario: &Scenario) -> (Workload, Demand) {
     let base = scenario.demand();
-    let flipped = rotate_popularity(base, scenario.num_models() / 2).expect("rotation is valid");
-    let workload =
-        Workload::piecewise(&[(0.0, base), (SHIFT_S, &flipped)], RATE_HZ).expect("piecewise");
+    let (models, shift) = (scenario.num_models(), scenario.num_models() / 2);
+    let flipped = rotate_popularity(base, shift).expect("rotation is valid");
+    let segments = [
+        (0.0, PopularityEdit::Keep),
+        (SHIFT_S, PopularityEdit::rotation(models, shift)),
+    ];
+    let workload = Workload::piecewise(base, &segments, RATE_HZ).expect("piecewise");
     (workload, flipped)
 }
 

@@ -12,8 +12,8 @@ use trimcaching::prelude::*;
 use trimcaching::runtime::persist::wire::{crc32, Decoder, Encoder};
 use trimcaching::runtime::persist::Checkpoint;
 use trimcaching::runtime::{
-    read_journal, ControlConfig, CostAwareLfu, FillGranularity, PersistConfig, ServeConfig,
-    ServeEngine,
+    read_journal, ControlConfig, CostAwareLfu, FillGranularity, PersistConfig, PopularityShift,
+    ServeConfig, ServeEngine,
 };
 
 proptest! {
@@ -177,4 +177,48 @@ proptest! {
         read_journal(&dir.join("journal_0.tcj")).expect("journal is intact");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A shared popularity ranking is one row per phase in the checkpoint:
+/// a whole 300-user, 8-phase checkpoint is smaller than one phase of a
+/// per-user CDF table (`K × I` eight-byte floats). Three servers keep
+/// the per-server block state (~5 kB a server on this library) from
+/// dominating the file.
+#[test]
+fn shared_popularity_checkpoints_store_one_row_per_phase() {
+    let dir = std::env::temp_dir().join(format!("tc-roundtrip-{}-shared", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let library = SpecialCaseBuilder::paper_setup()
+        .models_per_backbone(10)
+        .build(5);
+    let mut topology = TopologyConfig::paper_defaults()
+        .with_servers(3)
+        .with_users(300)
+        .with_capacity_gb(0.4);
+    topology.demand.personalised_popularity = false;
+    let s = topology
+        .generate(&library, 5, 0)
+        .expect("topology generates");
+    let config = ServeConfig::smoke()
+        .with_seed(5)
+        .with_duration_s(80.0)
+        .with_request_rate_hz(0.05)
+        .with_persist(PersistConfig::new(dir.clone()).with_checkpoint_every_s(40.0));
+    let workload = PopularityShift::new(10.0, 8, 3)
+        .workload(s.demand(), config.request_rate_hz)
+        .expect("shift workload");
+    let mut engine = ServeEngine::new(&s, &CostAwareLfu, config).expect("engine builds");
+    engine.set_workload(workload).expect("workload fits");
+    engine.run().expect("run completes");
+
+    let bytes = std::fs::read(dir.join("checkpoint.tcp")).expect("checkpoint exists");
+    let one_phase_table = s.num_users() * s.num_models() * 8;
+    assert!(
+        bytes.len() < one_phase_table,
+        "checkpoint is {} B, one per-user CDF phase is {one_phase_table} B",
+        bytes.len()
+    );
+    let cp = Checkpoint::from_bytes(&bytes).expect("checkpoint decodes");
+    assert_eq!(cp.to_bytes(), bytes);
+    std::fs::remove_dir_all(&dir).ok();
 }
