@@ -22,6 +22,7 @@ use trimcaching_modellib::{ModelId, ModelLibrary};
 use trimcaching_scenario::StorageTracker;
 
 use crate::error::RuntimeError;
+use crate::persist::PersistError;
 
 /// Read-only view of one server cache handed to eviction policies.
 #[derive(Debug, Clone, Copy)]
@@ -418,9 +419,28 @@ impl<'lib> ServerCache<'lib> {
     ///
     /// # Errors
     ///
-    /// Returns an error if a resident model id is unknown to the library
-    /// or does not fit (a corrupt or mismatched checkpoint).
+    /// Returns [`PersistError::Mismatch`] if a per-model or per-block
+    /// vector does not match the library, and an error if a resident
+    /// model id is unknown to the library or does not fit (a corrupt or
+    /// mismatched checkpoint).
     pub(crate) fn restore(&mut self, snapshot: CacheSnapshot) -> Result<(), RuntimeError> {
+        let (n, j) = (self.library.num_models(), self.library.num_blocks());
+        let per_model = [
+            snapshot.last_access_s.len(),
+            snapshot.access_count.len(),
+            snapshot.pending.len(),
+            snapshot.pending_eta_s.len(),
+        ];
+        let per_block = [snapshot.block_arrived.len(), snapshot.block_eta_s.len()];
+        if per_model.iter().any(|&len| len != n) || per_block.iter().any(|&len| len != j) {
+            return Err(PersistError::Mismatch {
+                reason: format!(
+                    "checkpointed cache state has per-model lengths {per_model:?} and per-block \
+                     lengths {per_block:?}, but the library has {n} models and {j} blocks"
+                ),
+            }
+            .into());
+        }
         for m in &snapshot.resident {
             self.tracker.add(*m)?;
         }
@@ -494,6 +514,31 @@ mod tests {
         assert_eq!(cache.insertions(), 2);
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.cached_models(), vec![ModelId(1)]);
+    }
+
+    #[test]
+    fn restore_rejects_vectors_that_do_not_match_the_library() {
+        let lib = library();
+        let mut cache = ServerCache::new(&lib, 200);
+        cache.insert(ModelId(0)).unwrap();
+        let good = cache.snapshot();
+        let mut fresh = ServerCache::new(&lib, 200);
+        fresh.restore(good.clone()).unwrap();
+        assert_eq!(fresh.snapshot(), good);
+
+        // Emptied per-model and per-block vectors would index out of
+        // bounds on the first request after resume.
+        let mut no_models = good.clone();
+        no_models.access_count.clear();
+        let mut no_blocks = good;
+        no_blocks.block_eta_s.clear();
+        for snapshot in [no_models, no_blocks] {
+            let err = ServerCache::new(&lib, 200).restore(snapshot).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::Persist(PersistError::Mismatch { .. })),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::fanout::par_map;
 use crate::faults::{FaultConfig, FaultKind, RecoveryMode};
 use crate::metrics::{RequestOutcome, ServeMetrics};
-use crate::persist::checkpoint::{CheckpointState, MobilityState};
+use crate::persist::checkpoint::{MobilityState, RegionState, ServerState};
 use crate::persist::journal::{recover_journal, JournalHeader, JournalWriter};
 use crate::persist::{Checkpoint, PersistConfig, PersistError, ServedRecord};
 use crate::policy::EvictionPolicy;
@@ -465,6 +465,10 @@ pub(crate) struct Shared<'a> {
     /// `generation[k]`: bumped on every migration of user `k`. Only a
     /// `Request` event carrying the current generation is live.
     pub(crate) generation: Vec<u32>,
+    /// Pre-scheduled oracle reconciliations: `(time, target placement)`
+    /// pairs each region stages for its member servers through the same
+    /// pipeline as controller re-plans.
+    pub(crate) scheduled: Vec<(f64, Placement)>,
 }
 
 /// Why [`Region::drive`] stopped pumping events.
@@ -547,9 +551,6 @@ pub(crate) struct Region<'a> {
     /// The online re-placement controller (present when
     /// [`ServeConfig::control`] is set).
     controller: Option<Controller>,
-    /// Pre-scheduled oracle reconciliations: `(time, target placement)`
-    /// pairs staged through the same pipeline as controller re-plans.
-    pub(crate) scheduled: Vec<(f64, Placement)>,
     /// The region's journal, present when [`ServeConfig::persist`] is
     /// set and the run has begun or been restored.
     persist: Option<PersistState>,
@@ -600,7 +601,6 @@ impl<'a> Region<'a> {
             caches,
             links,
             controller,
-            scheduled: Vec::new(),
             persist: None,
             server_down: vec![false; num_servers],
             down_servers: 0,
@@ -664,7 +664,7 @@ impl<'a> Region<'a> {
         if let Some(controller) = &self.controller {
             queue.push(controller.config().tick_s, EventKind::ControlTick);
         }
-        for (index, (at_s, _)) in self.scheduled.iter().enumerate() {
+        for (index, (at_s, _)) in shared.scheduled.iter().enumerate() {
             queue.push(*at_s, EventKind::ScheduledReconcile { index });
         }
         if let Some(faults) = &self.config.faults {
@@ -765,9 +765,13 @@ impl<'a> Region<'a> {
                     self.control_tick(&shared.snapshot, event.time_s, &mut state.queue)?;
                 }
                 EventKind::ScheduledReconcile { index } => {
-                    let target = self.scheduled[index].1.clone();
+                    let Some((_, target)) = shared.scheduled.get(index) else {
+                        return Err(RuntimeError::Internal {
+                            reason: format!("no scheduled reconciliation {index}"),
+                        });
+                    };
                     self.metrics.replans_triggered += 1;
-                    self.reconcile_to_target(&target, event.time_s, &mut state.queue)?;
+                    self.reconcile_to_target(target, event.time_s, &mut state.queue)?;
                     if let Some(controller) = self.controller.as_mut() {
                         controller.note_replan(event.time_s);
                     }
@@ -822,48 +826,35 @@ impl<'a> Region<'a> {
         }
     }
 
-    /// Flushes the journal and captures the complete mutable state of
-    /// this region at boundary `time_s`, together with the shared
-    /// snapshot's positions and primaries.
-    pub(crate) fn capture(
-        &mut self,
-        time_s: f64,
-        state: &RunState,
-        shared: &Shared<'_>,
-    ) -> Result<CheckpointState, RuntimeError> {
+    /// Flushes the journal and captures what this region owns at a
+    /// boundary: RNG words, pending events, metrics, controller,
+    /// kinematics, last target and journal position.
+    pub(crate) fn capture(&mut self, state: &RunState) -> Result<RegionState, RuntimeError> {
         let journal_offset = self.sync_journal()?;
         let (events, next_seq) = state.queue.snapshot();
-        let mut config = self.config.clone();
-        config.persist = None;
-        Ok(CheckpointState {
-            time_s,
-            policy: self.policy.name().to_string(),
-            config,
+        Ok(RegionState {
             rng: state.rng.state(),
             events,
             next_seq,
-            positions: shared
-                .snapshot
-                .users()
-                .iter()
-                .map(|u| u.position())
-                .collect(),
-            primary: shared.primary.iter().map(|p| p.map(|m| m as u64)).collect(),
-            generation: shared.generation.clone(),
-            caches: self.caches.iter().map(|c| c.snapshot()).collect(),
-            links: self.links.iter().map(|l| l.inflight_snapshot()).collect(),
             metrics: self.metrics.clone(),
             controller: self.controller.as_ref().map(|c| c.snapshot()),
-            scheduled: self.scheduled.clone(),
             mobility: state.mobility.as_ref().map(|m| MobilityState {
                 slot_seconds: m.slot_seconds(),
                 users: m.users().to_vec(),
             }),
-            server_down: self.server_down.clone(),
-            link_degrades: self.links.iter().map(|l| l.degrade_factor()).collect(),
             last_target: self.last_target.clone(),
             journal_offset,
         })
+    }
+
+    /// The state of server `m`, which this region must own.
+    pub(crate) fn server_state(&self, m: usize) -> ServerState {
+        ServerState {
+            cache: self.caches[m].snapshot(),
+            inflight: self.links[m].inflight_snapshot(),
+            down: self.server_down[m],
+            degrade: self.links[m].degrade_factor(),
+        }
     }
 
     /// Closes the region at `horizon`: checks that a resumed run
@@ -893,47 +884,35 @@ impl<'a> Region<'a> {
         })
     }
 
-    /// Overwrites every mutable layer of this fresh region with one
-    /// checkpointed state and returns the run state (RNG words, event
-    /// queue, mobility kinematics) to continue from. With `persist` set
-    /// the region's journal is recovered and its suffix beyond the
-    /// checkpoint queued for verification (resume); without it the
-    /// region runs in memory under any policy (fork).
+    /// Overwrites every mutable layer of this fresh region with its
+    /// checkpointed state — `servers` holds every server's state, of
+    /// which the region restores its members — and returns the run state
+    /// (RNG words, event queue, mobility kinematics) to continue from.
+    /// With `persist` set the region's journal is recovered and its
+    /// suffix beyond the checkpoint queued for verification (resume);
+    /// without it the region runs in memory under any policy (fork).
     pub(crate) fn restore(
         &mut self,
-        state: &CheckpointState,
+        policy: &str,
+        servers: &[ServerState],
+        state: &RegionState,
         persist: Option<&PersistConfig>,
     ) -> Result<RunState, RuntimeError> {
-        let num_servers = self.scenario.num_servers();
-        if state.caches.len() != num_servers
-            || state.server_down.len() != num_servers
-            || state.link_degrades.len() != num_servers
-        {
-            return Err(PersistError::Mismatch {
-                reason: format!(
-                    "checkpoint server state covers {} servers but the scenario has {num_servers}",
-                    state.caches.len()
-                ),
-            }
-            .into());
-        }
         if let Some(persist) = persist {
-            self.persist = Some(self.recover_journal(state, persist)?);
+            self.persist = Some(self.recover_journal(policy, state.journal_offset, persist)?);
         }
-        for (cache, snapshot) in self.caches.iter_mut().zip(state.caches.iter()) {
-            cache.restore(snapshot.clone())?;
-        }
-        for (link, inflight) in self.links.iter_mut().zip(state.links.iter()) {
-            link.restore_inflight(inflight.clone());
+        for (m, server) in servers.iter().enumerate() {
+            if !self.is_member(m) {
+                continue;
+            }
+            self.caches[m].restore(server.cache.clone())?;
+            self.links[m].restore_inflight(server.inflight.clone());
+            self.links[m].set_degrade_factor(server.degrade);
+            self.server_down[m] = server.down;
+            self.down_servers += usize::from(server.down);
         }
         self.metrics = state.metrics.clone();
         self.controller = state.controller.clone().map(Controller::restore);
-        self.scheduled = state.scheduled.clone();
-        self.server_down = state.server_down.clone();
-        self.down_servers = state.server_down.iter().filter(|&&d| d).count();
-        for (link, &degrade) in self.links.iter_mut().zip(state.link_degrades.iter()) {
-            link.set_degrade_factor(degrade);
-        }
         self.last_target = state.last_target.clone();
         let mobility = match &state.mobility {
             Some(m) => Some(MobilityModel::new(
@@ -951,19 +930,19 @@ impl<'a> Region<'a> {
         })
     }
 
-    /// Checks a checkpointed state against this region's policy and
-    /// journal, and reopens the journal with every record beyond the
-    /// checkpoint queued for verification.
+    /// Checks a checkpoint's policy against this region's and its journal
+    /// against the region seed, and reopens the journal with every record
+    /// beyond `journal_offset` queued for verification.
     fn recover_journal(
         &self,
-        state: &CheckpointState,
+        policy: &str,
+        journal_offset: u64,
         persist: &PersistConfig,
     ) -> Result<PersistState, RuntimeError> {
-        if state.policy != self.policy.name() {
+        if policy != self.policy.name() {
             return Err(PersistError::Mismatch {
                 reason: format!(
-                    "checkpoint was taken under policy '{}' but resume was asked to run '{}'",
-                    state.policy,
+                    "checkpoint was taken under policy '{policy}' but resume was asked to run '{}'",
                     self.policy.name()
                 ),
             }
@@ -971,23 +950,22 @@ impl<'a> Region<'a> {
         }
         let journal_path = persist.journal_shard_path(self.id);
         let recovered = recover_journal(&journal_path)?;
-        if recovered.header.seed != state.config.seed || recovered.header.policy != state.policy {
+        let seed = self.config.seed;
+        if recovered.header.seed != seed || recovered.header.policy != policy {
             return Err(PersistError::Mismatch {
                 reason: format!(
-                    "journal belongs to seed {} / policy '{}' but the checkpoint is seed {} / policy '{}'",
+                    "journal belongs to seed {} / policy '{}' but the checkpoint is seed {seed} / policy '{policy}'",
                     recovered.header.seed,
                     recovered.header.policy,
-                    state.config.seed,
-                    state.policy
                 ),
             }
             .into());
         }
-        if state.journal_offset > recovered.valid_len {
+        if journal_offset > recovered.valid_len {
             return Err(PersistError::Corrupt {
                 context: format!(
-                    "checkpoint refers to journal offset {} but only {} valid bytes exist",
-                    state.journal_offset, recovered.valid_len
+                    "checkpoint refers to journal offset {journal_offset} but only {} valid bytes exist",
+                    recovered.valid_len
                 ),
             }
             .into());
@@ -997,13 +975,13 @@ impl<'a> Region<'a> {
             .iter()
             .copied()
             .zip(recovered.record_ends.iter().copied())
-            .filter(|&(_, end)| end > state.journal_offset)
+            .filter(|&(_, end)| end > journal_offset)
             .collect();
         // Reopening truncates any torn tail before appends continue.
         Ok(PersistState {
             writer: JournalWriter::reopen(&journal_path, recovered.valid_len)?,
             verify,
-            verified_through: state.journal_offset,
+            verified_through: journal_offset,
         })
     }
 

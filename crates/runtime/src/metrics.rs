@@ -49,11 +49,12 @@ impl WindowPoint {
 /// and a fixed layout keeps recording allocation-free.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
+    pub(crate) buckets: Vec<u64>,
+    pub(crate) count: u64,
 }
 
-const HIST_BUCKETS: usize = 120;
+/// Bucket count of every [`LatencyHistogram`].
+pub(crate) const HIST_BUCKETS: usize = 120;
 const HIST_MIN_S: f64 = 1e-4;
 const HIST_MAX_S: f64 = 1e3;
 
@@ -108,16 +109,6 @@ impl LatencyHistogram {
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// The raw bucket counts, for checkpointing.
-    pub(crate) fn raw_buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Rebuilds a histogram from raw bucket counts and sample count.
-    pub(crate) fn from_raw(buckets: Vec<u64>, count: u64) -> Self {
-        Self { buckets, count }
     }
 
     /// Adds `other`'s samples bucket-wise (histograms share the fixed
@@ -260,12 +251,12 @@ pub struct ServeMetrics {
     /// was down — the degraded-mode tail the failover path is judged on.
     pub latency_degraded: LatencyHistogram,
     /// Completed hit-ratio windows in time order.
-    windows: Vec<WindowPoint>,
-    window_s: f64,
-    window_end_s: f64,
-    window_requests: u64,
-    window_hits: u64,
-    last_event_s: f64,
+    pub(crate) windows: Vec<WindowPoint>,
+    pub(crate) window_s: f64,
+    pub(crate) window_end_s: f64,
+    pub(crate) window_requests: u64,
+    pub(crate) window_hits: u64,
+    pub(crate) last_event_s: f64,
 }
 
 impl ServeMetrics {
@@ -464,39 +455,6 @@ impl ServeMetrics {
     /// Simulated time of the last recorded event.
     pub fn last_event_s(&self) -> f64 {
         self.last_event_s
-    }
-
-    /// Captures the private windowing state for checkpointing. The
-    /// public counters are read directly by the persist layer; together
-    /// with this tuple they reconstruct the metrics exactly.
-    pub(crate) fn window_state(&self) -> (&[WindowPoint], f64, f64, u64, u64, f64) {
-        (
-            &self.windows,
-            self.window_s,
-            self.window_end_s,
-            self.window_requests,
-            self.window_hits,
-            self.last_event_s,
-        )
-    }
-
-    /// Restores the private windowing state captured by
-    /// [`ServeMetrics::window_state`].
-    pub(crate) fn restore_window_state(
-        &mut self,
-        windows: Vec<WindowPoint>,
-        window_s: f64,
-        window_end_s: f64,
-        window_requests: u64,
-        window_hits: u64,
-        last_event_s: f64,
-    ) {
-        self.windows = windows;
-        self.window_s = window_s;
-        self.window_end_s = window_end_s;
-        self.window_requests = window_requests;
-        self.window_hits = window_hits;
-        self.last_event_s = last_event_s;
     }
 
     /// Folds another run's *finished* metrics into this one — how the

@@ -18,7 +18,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use super::wire::{crc32, Decoder, Encoder};
+use super::wire::{crc32, decode, encode, wire_enum, wire_struct, Encoder};
 use super::PersistError;
 use crate::engine::FillGranularity;
 use crate::metrics::{RequestOutcome, ServeMetrics};
@@ -77,126 +77,34 @@ impl ServedRecord {
     }
 }
 
-fn granularity_tag(g: FillGranularity) -> u8 {
-    match g {
-        FillGranularity::WholeModel => 0,
-        FillGranularity::Block => 1,
-    }
-}
+wire_struct!(JournalHeader tag TAG_HEADER {
+    seed: u64,
+    policy: String,
+    window_s: f64,
+    duration_s: f64,
+    granularity: FillGranularity,
+});
 
-fn granularity_from_tag(tag: u8, d: &Decoder<'_>) -> Result<FillGranularity, PersistError> {
-    match tag {
-        0 => Ok(FillGranularity::WholeModel),
-        1 => Ok(FillGranularity::Block),
-        other => Err(PersistError::Corrupt {
-            context: format!(
-                "journal: unknown fill granularity tag {other} ({} bytes left)",
-                d.remaining()
-            ),
-        }),
-    }
-}
+wire_struct!(ServedRecord tag TAG_SERVED {
+    time_s: f64,
+    user: u32,
+    model: u32,
+    outcome: RequestOutcome,
+    latency_bits: Option<u64>,
+    block_hits: u32,
+    block_requests: u32,
+});
 
-fn outcome_tag(o: RequestOutcome) -> u8 {
-    match o {
-        RequestOutcome::Hit => 0,
-        RequestOutcome::MissServed => 1,
-        RequestOutcome::Rejected => 2,
-    }
-}
+wire_enum!(FillGranularity {
+    WholeModel = 0,
+    Block = 1,
+});
 
-fn outcome_from_tag(tag: u8) -> Result<RequestOutcome, PersistError> {
-    match tag {
-        0 => Ok(RequestOutcome::Hit),
-        1 => Ok(RequestOutcome::MissServed),
-        2 => Ok(RequestOutcome::Rejected),
-        other => Err(PersistError::Corrupt {
-            context: format!("journal: unknown request outcome tag {other}"),
-        }),
-    }
-}
-
-fn encode_header(h: &JournalHeader) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u8(TAG_HEADER);
-    e.put_u64(h.seed);
-    e.put_str(&h.policy);
-    e.put_f64(h.window_s);
-    e.put_f64(h.duration_s);
-    e.put_u8(granularity_tag(h.granularity));
-    e.into_bytes()
-}
-
-fn encode_served_into(r: &ServedRecord, e: &mut Encoder) {
-    e.put_u8(TAG_SERVED);
-    e.put_f64(r.time_s);
-    e.put_u32(r.user);
-    e.put_u32(r.model);
-    e.put_u8(outcome_tag(r.outcome));
-    match r.latency_bits {
-        Some(bits) => {
-            e.put_bool(true);
-            e.put_u64(bits);
-        }
-        None => e.put_bool(false),
-    }
-    e.put_u32(r.block_hits);
-    e.put_u32(r.block_requests);
-}
-
-fn decode_header(payload: &[u8]) -> Result<JournalHeader, PersistError> {
-    let mut d = Decoder::new(payload, "journal header");
-    let tag = d.get_u8()?;
-    if tag != TAG_HEADER {
-        return Err(PersistError::Corrupt {
-            context: format!("journal: first record has tag {tag}, expected header"),
-        });
-    }
-    let seed = d.get_u64()?;
-    let policy = d.get_str()?;
-    let window_s = d.get_f64()?;
-    let duration_s = d.get_f64()?;
-    let granularity = granularity_from_tag(d.get_u8()?, &d)?;
-    d.finish()?;
-    Ok(JournalHeader {
-        seed,
-        policy,
-        window_s,
-        duration_s,
-        granularity,
-    })
-}
-
-fn decode_served(payload: &[u8]) -> Result<ServedRecord, PersistError> {
-    let mut d = Decoder::new(payload, "journal record");
-    let tag = d.get_u8()?;
-    if tag != TAG_SERVED {
-        return Err(PersistError::Corrupt {
-            context: format!("journal: record has tag {tag}, expected served event"),
-        });
-    }
-    let time_s = d.get_f64()?;
-    let user = d.get_u32()?;
-    let model = d.get_u32()?;
-    let outcome = outcome_from_tag(d.get_u8()?)?;
-    let latency_bits = if d.get_bool()? {
-        Some(d.get_u64()?)
-    } else {
-        None
-    };
-    let block_hits = d.get_u32()?;
-    let block_requests = d.get_u32()?;
-    d.finish()?;
-    Ok(ServedRecord {
-        time_s,
-        user,
-        model,
-        outcome,
-        latency_bits,
-        block_hits,
-        block_requests,
-    })
-}
+wire_enum!(RequestOutcome {
+    Hit = 0,
+    MissServed = 1,
+    Rejected = 2,
+});
 
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
@@ -233,7 +141,7 @@ impl JournalWriter {
         };
         writer.write_all(&JOURNAL_MAGIC)?;
         writer.write_all(&[JOURNAL_VERSION])?;
-        writer.write_all(&frame(&encode_header(header)))?;
+        writer.write_all(&frame(&encode(header)))?;
         writer.flush()?;
         Ok(writer)
     }
@@ -275,8 +183,8 @@ impl JournalWriter {
     /// allocation and a single `write_all`.
     pub(crate) fn append(&mut self, record: &ServedRecord) -> Result<(), PersistError> {
         let mut e = Encoder::with_buffer(std::mem::take(&mut self.scratch));
-        e.put_u32(0); // frame-length placeholder, patched below
-        encode_served_into(record, &mut e);
+        e.put(&0u32); // frame-length placeholder, patched below
+        e.put(record);
         let mut frame = e.into_bytes();
         let payload_len = frame.len() - 4;
         frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
@@ -384,11 +292,11 @@ pub(crate) fn recover_journal(path: &Path) -> Result<RecoveredJournal, PersistEr
             context: format!("journal {}: no intact header record", path.display()),
         });
     };
-    let header = decode_header(header_payload)?;
+    let header = decode(header_payload, "journal header")?;
     let mut records = Vec::with_capacity(frames.len() - 1);
     let mut record_ends = Vec::with_capacity(frames.len() - 1);
     for (idx, (payload, end)) in frames[1..].iter().enumerate() {
-        match decode_served(payload) {
+        match decode(payload, "journal record") {
             Ok(record) => {
                 records.push(record);
                 record_ends.push(*end);

@@ -8,22 +8,25 @@
 //! with a single seeded RNG, the classic event-sourcing idiom
 //! (checkpoint + replay-events-after-checkpoint) applies directly:
 //!
-//! * [`wire`] — a versioned, length-prefixed, CRC-guarded binary codec.
-//!   Engine state is hand-encoded: every value has exactly one byte
-//!   representation, which is what makes "byte-identical" a checkable
-//!   property rather than a hope.
+//! * [`wire`] — a length-prefixed binary codec behind one
+//!   [`Wire`](wire::Wire) trait: every persisted type has exactly one
+//!   impl, so its layout is written once, and every value has exactly
+//!   one byte representation, which is what makes "byte-identical" a
+//!   checkable property rather than a hope. Framing adds a CRC-32.
 //! * [`journal`] — an append-only log of served events. One framed,
 //!   CRC-guarded [`ServedRecord`] per request, flushed at checkpoint
 //!   boundaries; [`recompute_metrics`] rebuilds the hit-ratio windows
 //!   and latency quantiles offline, bit-for-bit equal to the live run's
 //!   [`ServeMetrics`](crate::metrics::ServeMetrics).
-//! * [`checkpoint`] — a full snapshot of the engine's mutable state at
-//!   a simulated-time boundary: RNG words, pending event queue, user
-//!   positions and mobility kinematics, per-server cache and in-flight
-//!   transfer state, workload CDFs, metrics, and the controller
-//!   (estimator epoch log, drift windows). Checkpoints are written
-//!   atomically (temp file + rename) so a crash mid-checkpoint leaves
-//!   the previous one intact.
+//! * [`checkpoint`] — a snapshot of the run's mutable state at a
+//!   simulated-time boundary, each fact stored once: a run section
+//!   (config, workload CDFs, user positions, primaries and generations,
+//!   staged reconciliations), one state per server (cache contents,
+//!   in-flight transfers, fault state), and per region only what the
+//!   region owns (RNG words, pending event queue, metrics, controller,
+//!   mobility kinematics). Checkpoints are written atomically (a temp
+//!   file, then a rename) so a crash mid-checkpoint leaves the previous
+//!   one intact.
 //!
 //! Resume loads the latest checkpoint, replays the journal suffix
 //! against the re-simulated stream (any mismatch is a
@@ -281,7 +284,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             live,
-            (1, 5, 0x19d9_b246_bcd2_bb80),
+            (1, 6, 0x2d22_e6fb_3fd2_99eb),
             "the journal/checkpoint layout code changed: bump the version, then re-pin \
              (JOURNAL_VERSION, CHECKPOINT_VERSION, fingerprint) to ({}, {}, {:#018x})",
             live.0,

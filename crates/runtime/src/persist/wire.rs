@@ -1,20 +1,24 @@
-//! Hand-rolled binary codec for engine state.
+//! The persistence wire format: one [`Wire`] impl per persisted type.
 //!
 //! A tiny deterministic codec with exactly one byte representation per
 //! value:
 //!
-//! * all integers are little-endian and fixed-width;
+//! * all integers are little-endian and fixed-width (`usize` as `u64`);
 //! * `f64` is stored as its raw IEEE-754 bit pattern (`to_bits`), so
 //!   negative zero, subnormals and NaN payloads survive a round trip
 //!   untouched — a requirement for byte-identical resume, where the
 //!   restored state must be *bit*-equal, not merely `==`;
 //! * variable-size data (strings, sequences) is length-prefixed with a
-//!   `u64` count;
+//!   `u64` count, `Option` with a presence byte;
+//! * a struct is its fields in the order its `wire_struct!` lists them,
+//!   an enum a `u8` tag followed by the variant's fields;
 //! * framing (done by the journal and checkpoint layers) wraps each
 //!   payload in a `u32` length prefix and a CRC-32 trailer.
 //!
-//! Decoding is strict: reading past the end of the buffer or leaving
-//! trailing bytes is a [`PersistError::Corrupt`], never a panic.
+//! Decoding is strict: reading past the end of the buffer, a length
+//! longer than the remaining input, an unknown tag or leaving trailing
+//! bytes is a [`PersistError::Corrupt`], never a panic or an unbounded
+//! allocation.
 
 use super::PersistError;
 
@@ -77,6 +81,21 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
+/// A value with exactly one wire representation. `put` and `get` are
+/// each other's inverse: `get` reads back exactly the bytes `put`
+/// wrote, and re-encoding a decoded value reproduces them.
+pub trait Wire: Sized {
+    /// Appends the value's bytes.
+    fn put(&self, e: &mut Encoder);
+
+    /// Reads one value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError::Corrupt`] on truncated or malformed input.
+    fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError>;
+}
+
 /// Append-only byte-buffer writer for the persistence wire format.
 #[derive(Debug, Default, Clone)]
 pub struct Encoder {
@@ -111,71 +130,32 @@ impl Encoder {
         self.buf.is_empty()
     }
 
-    /// Writes a single byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+    /// Writes one value.
+    #[inline]
+    pub fn put<T: Wire>(&mut self, v: &T) {
+        v.put(self);
     }
+}
 
-    /// Writes a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
+/// The wire image of one value.
+pub fn encode<T: Wire>(v: &T) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put(v);
+    e.into_bytes()
+}
 
-    /// Writes a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `f64` as its raw IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Writes a boolean as one byte (`0` or `1`).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-
-    /// Writes a sequence length prefix; the caller then writes each of
-    /// the `n` elements.
-    pub fn put_seq_len(&mut self, n: usize) {
-        self.put_u64(n as u64);
-    }
-
-    /// Writes a length-prefixed slice of `f64` bit patterns.
-    pub fn put_f64_slice(&mut self, vs: &[f64]) {
-        self.put_seq_len(vs.len());
-        for &v in vs {
-            self.put_f64(v);
-        }
-    }
-
-    /// Writes a length-prefixed slice of `u64` values.
-    pub fn put_u64_slice(&mut self, vs: &[u64]) {
-        self.put_seq_len(vs.len());
-        for &v in vs {
-            self.put_u64(v);
-        }
-    }
-
-    /// Writes a length-prefixed slice of booleans.
-    pub fn put_bool_slice(&mut self, vs: &[bool]) {
-        self.put_seq_len(vs.len());
-        for &v in vs {
-            self.put_bool(v);
-        }
-    }
+/// Decodes one value that must span all of `bytes`; `context` names
+/// it in corruption errors.
+///
+/// # Errors
+///
+/// Returns [`PersistError::Corrupt`] on malformed input or trailing
+/// bytes.
+pub fn decode<T: Wire>(bytes: &[u8], context: &'static str) -> Result<T, PersistError> {
+    let mut d = Decoder::new(bytes, context);
+    let v = d.get()?;
+    d.finish()?;
+    Ok(v)
 }
 
 /// Strict reader over wire-format bytes produced by [`Encoder`].
@@ -203,7 +183,18 @@ impl<'a> Decoder<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn corrupt(&self, what: &str) -> PersistError {
+    /// Reads one value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError::Corrupt`] on truncated or malformed input.
+    #[inline]
+    pub fn get<T: Wire>(&mut self) -> Result<T, PersistError> {
+        T::get(self)
+    }
+
+    /// A corruption error at the current position.
+    pub(crate) fn invalid(&self, what: impl std::fmt::Display) -> PersistError {
         PersistError::Corrupt {
             context: format!(
                 "{}: {what} at byte {} of {}",
@@ -214,96 +205,248 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         if self.remaining() < n {
-            return Err(self.corrupt("unexpected end of input"));
+            return Err(self.invalid("unexpected end of input"));
         }
         let out = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
     }
 
-    /// Reads a single byte.
-    pub fn get_u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
+    #[inline]
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, PersistError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, PersistError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, PersistError> {
-        Ok(self.get_u64()? as i64)
-    }
-
-    /// Reads an `f64` from its raw bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a boolean; any byte other than `0`/`1` is corruption.
-    pub fn get_bool(&mut self) -> Result<bool, PersistError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(self.corrupt("invalid boolean byte")),
-        }
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, PersistError> {
-        let len = self.get_seq_len()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt("invalid utf-8 string"))
-    }
-
-    /// Reads a sequence length prefix, bounds-checked against the
-    /// remaining input so corrupt lengths fail instead of allocating.
-    pub fn get_seq_len(&mut self) -> Result<usize, PersistError> {
-        let n = self.get_u64()?;
+    /// Reads a sequence length prefix, bounded by the remaining input
+    /// (every element takes at least one byte), so a corrupt length
+    /// fails instead of allocating.
+    #[inline]
+    fn seq_len(&mut self) -> Result<usize, PersistError> {
+        let n: u64 = self.get()?;
         if n > self.remaining() as u64 {
-            return Err(self.corrupt("sequence length exceeds remaining input"));
+            return Err(self.invalid("sequence length exceeds remaining input"));
         }
         Ok(n as usize)
     }
 
-    /// Reads a length-prefixed `f64` slice.
-    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, PersistError> {
-        let n = self.get_seq_len()?;
-        (0..n).map(|_| self.get_f64()).collect()
-    }
-
-    /// Reads a length-prefixed `u64` slice.
-    pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, PersistError> {
-        let n = self.get_seq_len()?;
-        (0..n).map(|_| self.get_u64()).collect()
-    }
-
-    /// Reads a length-prefixed boolean slice.
-    pub fn get_bool_vec(&mut self) -> Result<Vec<bool>, PersistError> {
-        let n = self.get_seq_len()?;
-        (0..n).map(|_| self.get_bool()).collect()
+    /// Reads a record tag and checks it is `tag`.
+    pub(crate) fn expect_tag(&mut self, tag: u8) -> Result<(), PersistError> {
+        match self.get::<u8>()? {
+            found if found == tag => Ok(()),
+            found => Err(self.invalid(format_args!("record tag {found}, expected {tag}"))),
+        }
     }
 
     /// Asserts that every byte has been consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError::Corrupt`] when bytes are left over.
     pub fn finish(self) -> Result<(), PersistError> {
         if self.remaining() != 0 {
-            return Err(self.corrupt("trailing bytes after decoded value"));
+            return Err(self.invalid("trailing bytes after decoded value"));
         }
         Ok(())
     }
 }
+
+// The primitives and `Decoder` helpers are `#[inline]`: they run per
+// field of every journal record, and without the hint they stay calls
+// across codegen units instead of folding into each record's codec.
+macro_rules! wire_le_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, e: &mut Encoder) {
+                e.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError> {
+                Ok(<$t>::from_le_bytes(d.take_array()?))
+            }
+        }
+    )*};
+}
+
+wire_le_int!(u8, u32, u64);
+
+impl Wire for usize {
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        e.put(&(*self as u64));
+    }
+    #[inline]
+    fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError> {
+        let v: u64 = d.get()?;
+        usize::try_from(v).map_err(|_| d.invalid(format_args!("index {v} overflows usize")))
+    }
+}
+
+impl Wire for f64 {
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        e.put(&self.to_bits());
+    }
+    #[inline]
+    fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError> {
+        Ok(f64::from_bits(d.get()?))
+    }
+}
+
+impl Wire for bool {
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        e.put(&u8::from(*self));
+    }
+    #[inline]
+    fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError> {
+        match d.get::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(d.invalid("invalid boolean byte")),
+        }
+    }
+}
+
+impl Wire for String {
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        e.put(&self.len());
+        e.buf.extend_from_slice(self.as_bytes());
+    }
+    #[inline]
+    fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError> {
+        let len = d.seq_len()?;
+        let bytes = d.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| d.invalid("invalid utf-8 string"))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        e.put(&self.len());
+        for v in self {
+            v.put(e);
+        }
+    }
+    #[inline]
+    fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError> {
+        let n = d.seq_len()?;
+        (0..n).map(|_| d.get()).collect()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        e.put(&self.is_some());
+        if let Some(v) = self {
+            v.put(e);
+        }
+    }
+    #[inline]
+    fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError> {
+        Ok(if d.get()? { Some(d.get()?) } else { None })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    #[inline]
+    fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError> {
+        Ok((d.get()?, d.get()?))
+    }
+}
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        for v in self {
+            v.put(e);
+        }
+    }
+    #[inline]
+    fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError> {
+        let items = (0..N).map(|_| d.get()).collect::<Result<Vec<T>, _>>()?;
+        items
+            .try_into()
+            .map_err(|_| d.invalid("fixed-size array length"))
+    }
+}
+
+/// Implements [`Wire`] for a struct with named fields: its layout is
+/// the listed fields in order, optionally after a `u8` record tag
+/// (`Type tag TAG { .. }`). Each field names its type, so the whole
+/// layout is spelled out here and a type edit elsewhere fails to
+/// compile instead of silently changing the bytes. Fields under
+/// `skip { .. }` are not persisted and decode as `Default::default()`;
+/// a `check` predicate rejects decoded values that break the type's
+/// invariants.
+macro_rules! wire_struct {
+    (
+        $ty:ident $(tag $tag:ident)? { $($field:ident: $fty:ty),* $(,)? }
+        $(skip { $($skip:ident),* })?
+        $(check $check:expr)?
+    ) => {
+        impl $crate::persist::wire::Wire for $ty {
+            fn put(&self, e: &mut $crate::persist::wire::Encoder) {
+                $(e.put(&$tag);)?
+                $(e.put::<$fty>(&self.$field);)*
+            }
+            fn get(
+                d: &mut $crate::persist::wire::Decoder<'_>,
+            ) -> Result<Self, $crate::persist::PersistError> {
+                $(d.expect_tag($tag)?;)?
+                let value = Self {
+                    $($field: d.get::<$fty>()?,)*
+                    $($($skip: Default::default(),)*)?
+                };
+                $(if !($check)(&value) {
+                    return Err(d.invalid(concat!("inconsistent ", stringify!($ty))));
+                })?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for a fieldless enum as one `u8` tag per
+/// variant (`Type { Variant = tag, .. }`).
+macro_rules! wire_enum {
+    ($ty:ident { $($variant:ident = $tag:literal),* $(,)? }) => {
+        impl $crate::persist::wire::Wire for $ty {
+            fn put(&self, e: &mut $crate::persist::wire::Encoder) {
+                let tag: u8 = match self {
+                    $($ty::$variant => $tag,)*
+                };
+                e.put(&tag);
+            }
+            fn get(
+                d: &mut $crate::persist::wire::Decoder<'_>,
+            ) -> Result<Self, $crate::persist::PersistError> {
+                match d.get::<u8>()? {
+                    $($tag => Ok($ty::$variant),)*
+                    other => Err(d.invalid(format_args!(
+                        concat!("unknown ", stringify!($ty), " tag {}"),
+                        other
+                    ))),
+                }
+            }
+        }
+    };
+}
+
+pub(crate) use {wire_enum, wire_struct};
 
 #[cfg(test)]
 mod tests {
@@ -318,32 +461,43 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
+        let nan = f64::from_bits(0x7FF8_0000_0000_1234); // NaN payload
         let mut e = Encoder::new();
-        e.put_u8(7);
-        e.put_u32(0xDEAD_BEEF);
-        e.put_u64(u64::MAX);
-        e.put_i64(-42);
-        e.put_f64(-0.0);
-        e.put_f64(f64::from_bits(0x7FF8_0000_0000_1234)); // NaN payload
-        e.put_bool(true);
-        e.put_str("façade");
-        e.put_f64_slice(&[1.5, f64::INFINITY]);
-        e.put_u64_slice(&[1, 2, 3]);
-        e.put_bool_slice(&[true, false]);
+        e.put(&7u8);
+        e.put(&0xDEAD_BEEFu32);
+        e.put(&u64::MAX);
+        e.put(&42usize);
+        e.put(&-0.0f64);
+        e.put(&nan);
+        e.put(&true);
+        e.put(&String::from("façade"));
+        e.put(&vec![1.5, f64::INFINITY]);
+        e.put(&vec![vec![1u64, 2], vec![], vec![3]]);
+        e.put(&vec![true, false]);
+        e.put(&(Some(3u32), None::<u32>));
+        e.put(&[9u64, 8, 7, 6]);
         let bytes = e.into_bytes();
 
         let mut d = Decoder::new(&bytes, "test");
-        assert_eq!(d.get_u8().unwrap(), 7);
-        assert_eq!(d.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(d.get_u64().unwrap(), u64::MAX);
-        assert_eq!(d.get_i64().unwrap(), -42);
-        assert_eq!(d.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(d.get_f64().unwrap().to_bits(), 0x7FF8_0000_0000_1234);
-        assert!(d.get_bool().unwrap());
-        assert_eq!(d.get_str().unwrap(), "façade");
-        assert_eq!(d.get_f64_vec().unwrap(), vec![1.5, f64::INFINITY]);
-        assert_eq!(d.get_u64_vec().unwrap(), vec![1, 2, 3]);
-        assert_eq!(d.get_bool_vec().unwrap(), vec![true, false]);
+        assert_eq!(d.get::<u8>().unwrap(), 7);
+        assert_eq!(d.get::<u32>().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(d.get::<u64>().unwrap(), u64::MAX);
+        assert_eq!(d.get::<usize>().unwrap(), 42);
+        assert_eq!(d.get::<f64>().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(d.get::<f64>().unwrap().to_bits(), nan.to_bits());
+        assert!(d.get::<bool>().unwrap());
+        assert_eq!(d.get::<String>().unwrap(), "façade");
+        assert_eq!(d.get::<Vec<f64>>().unwrap(), vec![1.5, f64::INFINITY]);
+        assert_eq!(
+            d.get::<Vec<Vec<u64>>>().unwrap(),
+            vec![vec![1, 2], vec![], vec![3]]
+        );
+        assert_eq!(d.get::<Vec<bool>>().unwrap(), vec![true, false]);
+        assert_eq!(
+            d.get::<(Option<u32>, Option<u32>)>().unwrap(),
+            (Some(3), None)
+        );
+        assert_eq!(d.get::<[u64; 4]>().unwrap(), [9, 8, 7, 6]);
         d.finish().unwrap();
     }
 
@@ -351,21 +505,27 @@ mod tests {
     fn strict_decoding_rejects_bad_input() {
         // Underrun.
         let mut d = Decoder::new(&[1, 2], "test");
-        assert!(matches!(d.get_u32(), Err(PersistError::Corrupt { .. })));
+        assert!(matches!(d.get::<u32>(), Err(PersistError::Corrupt { .. })));
 
         // Trailing bytes.
         let d = Decoder::new(&[0], "test");
         assert!(matches!(d.finish(), Err(PersistError::Corrupt { .. })));
 
         // Absurd sequence length does not allocate, just errors.
-        let mut e = Encoder::new();
-        e.put_u64(u64::MAX);
-        let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes, "test");
-        assert!(matches!(d.get_f64_vec(), Err(PersistError::Corrupt { .. })));
+        let bytes = encode(&u64::MAX);
+        assert!(matches!(
+            decode::<Vec<f64>>(&bytes, "test"),
+            Err(PersistError::Corrupt { .. })
+        ));
 
-        // Invalid boolean byte.
-        let mut d = Decoder::new(&[2], "test");
-        assert!(matches!(d.get_bool(), Err(PersistError::Corrupt { .. })));
+        // Invalid boolean and option presence bytes.
+        assert!(matches!(
+            decode::<bool>(&[2], "test"),
+            Err(PersistError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            decode::<Option<u8>>(&[2, 0], "test"),
+            Err(PersistError::Corrupt { .. })
+        ));
     }
 }

@@ -37,11 +37,13 @@
 //! and it is what makes the strips independent enough to parallelise.
 //!
 //! Durable runs journal per region (`journal_<id>.tcj`) and write one
-//! checkpoint file whose payload carries the workload once and one
-//! state per region (`CHECKPOINT_VERSION` 5). There is one restore
-//! path: the region count is read from the checkpoint, strip membership
-//! is re-derived from the static topology and user ownership from the
-//! checkpointed positions.
+//! checkpoint file that stores each fact once: the run-wide facts
+//! (workload, positions, primaries, generations, staged
+//! reconciliations), one state per server taken from its owner region,
+//! and per region only what the region owns (RNG, events, metrics,
+//! controller, kinematics). There is one restore path: the region count
+//! is read from the checkpoint, strip membership is re-derived from the
+//! static topology and user ownership from the checkpointed positions.
 //!
 //! [`ServeEngine`]: crate::ServeEngine
 
@@ -57,7 +59,7 @@ use crate::engine::{
 use crate::error::RuntimeError;
 use crate::event::EventKind;
 use crate::fanout::par_map;
-use crate::persist::checkpoint::{CheckpointSaver, CheckpointState};
+use crate::persist::checkpoint::CheckpointSaver;
 use crate::persist::{Checkpoint, PersistConfig, PersistError};
 use crate::policy::EvictionPolicy;
 use crate::workload::Workload;
@@ -70,8 +72,8 @@ struct Partition {
     min_x: f64,
     strip_w: f64,
     num_shards: usize,
-    /// `member_servers[s][m]` — server `m` belongs to shard `s`.
-    member_servers: Vec<Vec<bool>>,
+    /// `server_region[m]` — the shard server `m` belongs to.
+    server_region: Vec<usize>,
 }
 
 impl Partition {
@@ -92,13 +94,9 @@ impl Partition {
             min_x,
             strip_w,
             num_shards,
-            member_servers: Vec::new(),
+            server_region: Vec::new(),
         };
-        let mut member_servers = vec![vec![false; xs.len()]; num_shards];
-        for (m, &x) in xs.iter().enumerate() {
-            member_servers[partition.strip_of(x)][m] = true;
-        }
-        partition.member_servers = member_servers;
+        partition.server_region = xs.iter().map(|&x| partition.strip_of(x)).collect();
         partition
     }
 
@@ -132,6 +130,7 @@ struct ShardRun<'a> {
 /// see the module docs for the model and the determinism contract.
 pub struct ShardedServeEngine<'a> {
     scenario: &'a Scenario,
+    policy: &'a dyn EvictionPolicy,
     config: ServeConfig,
     threads: usize,
     partition: Partition,
@@ -178,11 +177,12 @@ impl<'a> ShardedServeEngine<'a> {
             primary: primary_servers(scenario)?,
             owner: partition.owners_of(&positions),
             generation: vec![0; scenario.num_users()],
+            scheduled: Vec::new(),
         };
         let shards = (0..num_shards)
             .map(|s| {
                 let region_config = config.clone().with_seed(config.seed.wrapping_add(s as u64));
-                let member_servers = partition.member_servers[s].clone();
+                let member_servers = partition.server_region.iter().map(|&r| r == s).collect();
                 Region::new(scenario, policy, region_config, s, member_servers).map(|engine| {
                     ShardRun {
                         engine,
@@ -198,6 +198,7 @@ impl<'a> ShardedServeEngine<'a> {
         };
         Ok(Self {
             scenario,
+            policy,
             config,
             threads: 0,
             partition,
@@ -280,9 +281,7 @@ impl<'a> ShardedServeEngine<'a> {
                 ),
             });
         }
-        for shard in &mut self.shards {
-            shard.engine.scheduled.push((at_s, target.clone()));
-        }
+        self.shared.scheduled.push((at_s, target));
         Ok(())
     }
 
@@ -308,47 +307,50 @@ impl<'a> ShardedServeEngine<'a> {
     }
 
     /// The one restore path: a fresh run over `scenario` with the
-    /// checkpoint's region count, the shared snapshot moved to the
-    /// checkpointed positions, and every region overwritten with its
-    /// checkpointed state. With `persist` the run resumes its journals
-    /// and checkpoints; without it the run is an in-memory fork.
+    /// checkpoint's region count, the shared state and snapshot moved to
+    /// the checkpointed run section, every server restored by its owner
+    /// region and every region overwritten with its own section. With
+    /// `persist` the run resumes its journals and checkpoints; without
+    /// it the run is an in-memory fork.
     pub(crate) fn restore(
         scenario: &'a Scenario,
         policy: &'a dyn EvictionPolicy,
         cp: &Checkpoint,
         persist: Option<PersistConfig>,
     ) -> Result<Self, RuntimeError> {
-        let first = &cp.shards[0];
-        let num_users = scenario.num_users();
-        if first.positions.len() != num_users
-            || first.generation.len() != num_users
-            || cp.workload.num_users() != num_users
-        {
+        let (num_users, num_servers) = (scenario.num_users(), scenario.num_servers());
+        let per_user = [
+            cp.positions.len(),
+            cp.primary.len(),
+            cp.generation.len(),
+            cp.workload.num_users(),
+        ];
+        if per_user.iter().any(|&len| len != num_users) || cp.servers.len() != num_servers {
             return Err(PersistError::Mismatch {
                 reason: format!(
-                    "checkpoint captured {} users but the scenario has {num_users}",
-                    first.positions.len()
+                    "checkpoint captured {} users and {} servers but the scenario has \
+                     {num_users} and {num_servers}",
+                    cp.positions.len(),
+                    cp.servers.len()
                 ),
             }
             .into());
         }
-        // Region 0's stream is seeded with the run seed itself, so its
-        // captured config is the run config.
-        let mut config = first.config.clone();
+        let mut config = cp.config.clone();
         config.persist = persist.clone();
         let mut engine = Self::new(scenario, policy, config, cp.num_shards())?;
-        engine.shared.primary = first
-            .primary
-            .iter()
-            .map(|p| p.map(|m| m as usize))
-            .collect();
-        engine.shared.owner = engine.partition.owners_of(&first.positions);
-        engine.shared.generation = first.generation.clone();
         engine.shared.workload = cp.workload.clone();
-        for (shard, state) in engine.shards.iter_mut().zip(&cp.shards) {
-            shard.state = Some(shard.engine.restore(state, persist.as_ref())?);
+        engine.shared.primary = cp.primary.clone();
+        engine.shared.owner = engine.partition.owners_of(&cp.positions);
+        engine.shared.generation = cp.generation.clone();
+        engine.shared.scheduled = cp.scheduled.clone();
+        for (shard, region) in engine.shards.iter_mut().zip(&cp.regions) {
+            let state = shard
+                .engine
+                .restore(&cp.policy, &cp.servers, region, persist.as_ref())?;
+            shard.state = Some(state);
         }
-        if first.mobility.is_some() {
+        if cp.config.mobility_slot_s > 0.0 {
             // One-shot position update — bit-identical to the
             // incremental slot-by-slot evolution that produced the
             // checkpoint (pinned by
@@ -359,10 +361,10 @@ impl<'a> ShardedServeEngine<'a> {
                 .shared
                 .snapshot
                 .to_mut()
-                .update_user_positions(&first.positions)?;
+                .update_user_positions(&cp.positions)?;
         }
         if let Some(p) = &persist {
-            engine.next_checkpoint_s = first.time_s + p.checkpoint_every_s;
+            engine.next_checkpoint_s = cp.time_s + p.checkpoint_every_s;
         }
         Ok(engine)
     }
@@ -380,7 +382,7 @@ impl<'a> ShardedServeEngine<'a> {
         let horizon = self.config.duration_s;
         self.run_to(horizon)?;
         self.saver.wait()?;
-        let member_servers = self.partition.member_servers;
+        let server_region = self.partition.server_region;
         let mut reports = Vec::with_capacity(self.shards.len());
         for shard in self.shards {
             reports.push(shard.engine.finish(horizon)?);
@@ -392,11 +394,9 @@ impl<'a> ShardedServeEngine<'a> {
         }
         // Each server belongs to exactly one region; its final cache is
         // that region's (non-member caches stay empty for the whole run).
-        for (s, report) in reports.iter().enumerate() {
-            for (m, &member) in member_servers[s + 1].iter().enumerate() {
-                if member {
-                    merged.final_caches[m] = report.final_caches[m].clone();
-                }
+        for (m, &region) in server_region.iter().enumerate() {
+            if region > 0 {
+                merged.final_caches[m] = reports[region - 1].final_caches[m].clone();
             }
         }
         Ok(merged)
@@ -441,22 +441,14 @@ impl<'a> ShardedServeEngine<'a> {
         loop {
             let window_end = horizon.min(self.next_checkpoint_s);
             self.drive_window(window_end)?;
-            let Some(pc) = self.config.persist.as_ref() else {
+            let Some(pc) = self.config.persist.clone() else {
                 return Ok(());
             };
             let due = self.next_checkpoint_s;
             if due > horizon {
                 return Ok(());
             }
-            let mut states: Vec<CheckpointState> = Vec::with_capacity(self.shards.len());
-            for shard in &mut self.shards {
-                let state = shard.state.as_ref().ok_or_else(no_run_state)?;
-                states.push(shard.engine.capture(due, state, &self.shared)?);
-            }
-            let checkpoint = Checkpoint {
-                workload: self.shared.workload.clone(),
-                shards: states,
-            };
+            let checkpoint = self.capture(due)?;
             self.saver
                 .save(pc.checkpoint_path(), checkpoint, pc.fsync)?;
             self.next_checkpoint_s = due + pc.checkpoint_every_s;
@@ -464,6 +456,40 @@ impl<'a> ShardedServeEngine<'a> {
                 return Ok(());
             }
         }
+    }
+
+    /// Captures the run at boundary `time_s`: the shared state once,
+    /// each server from its owner region, and each region's own state
+    /// (flushing its journal).
+    fn capture(&mut self, time_s: f64) -> Result<Checkpoint, RuntimeError> {
+        let mut regions = Vec::with_capacity(self.shards.len());
+        for shard in &mut self.shards {
+            let state = shard.state.as_ref().ok_or_else(no_run_state)?;
+            regions.push(shard.engine.capture(state)?);
+        }
+        let servers = self.partition.server_region.iter().enumerate();
+        let mut config = self.config.clone();
+        config.persist = None;
+        Ok(Checkpoint {
+            time_s,
+            policy: self.policy.name().to_string(),
+            config,
+            workload: self.shared.workload.clone(),
+            positions: self
+                .shared
+                .snapshot
+                .users()
+                .iter()
+                .map(|u| u.position())
+                .collect(),
+            primary: self.shared.primary.clone(),
+            generation: self.shared.generation.clone(),
+            scheduled: self.shared.scheduled.clone(),
+            servers: servers
+                .map(|(m, &region)| self.shards[region].engine.server_state(m))
+                .collect(),
+            regions,
+        })
     }
 
     /// Drives every region to `window_end`, running the deterministic

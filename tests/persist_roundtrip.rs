@@ -9,24 +9,24 @@ use proptest::prelude::*;
 
 use trimcaching::modellib::builders::SpecialCaseBuilder;
 use trimcaching::prelude::*;
-use trimcaching::runtime::persist::wire::{crc32, Decoder, Encoder};
-use trimcaching::runtime::persist::Checkpoint;
+use trimcaching::runtime::persist::wire::{crc32, decode, encode, Decoder, Encoder};
+use trimcaching::runtime::persist::{Checkpoint, PersistError};
 use trimcaching::runtime::{
     read_journal, ControlConfig, CostAwareLfu, FillGranularity, PersistConfig, PopularityShift,
-    ServeConfig, ServeEngine,
+    ServeConfig, ServeEngine, ShardedServeEngine,
 };
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every primitive the codec offers round-trips losslessly through
-    /// an encode/decode cycle, in sequence, with nothing left over.
+    /// Every generic `Wire` impl round-trips losslessly through an
+    /// encode/decode cycle, in sequence, with nothing left over.
     #[test]
     fn wire_primitives_round_trip(
         a in any::<u8>(),
         b in any::<u32>(),
         c in any::<u64>(),
-        d in any::<i64>(),
+        index in any::<usize>(),
         // Arbitrary bit patterns: NaN payloads, negative zero,
         // subnormals and infinities must all survive bit-exactly.
         bits in any::<u64>(),
@@ -35,37 +35,53 @@ proptest! {
         floats in collection::vec(any::<u64>(), 0..20),
         words in collection::vec(any::<u64>(), 0..20),
         flags in collection::vec(any::<bool>(), 0..20),
+        present in any::<bool>(),
+        nested in collection::vec(collection::vec(any::<u32>(), 0..5), 0..6),
+        pair_words in collection::vec(any::<u64>(), 0..6),
+        array_words in collection::vec(any::<u64>(), 4..5),
     ) {
+        let maybe = present.then_some(b);
+        let pairs: Vec<(u64, Option<u8>)> =
+            pair_words.iter().map(|&w| (w, (w % 3 != 0).then_some(w as u8))).collect();
+        let array = [array_words[0], array_words[1], array_words[2], array_words[3]];
         // ASCII payload plus a multi-byte suffix so UTF-8 length
         // prefixes are exercised beyond one byte per char.
         let text: String =
             text_bytes.iter().map(|&b| b as char).collect::<String>() + "—é";
         let fs: Vec<f64> = floats.iter().map(|&b| f64::from_bits(b)).collect();
         let mut e = Encoder::new();
-        e.put_u8(a);
-        e.put_u32(b);
-        e.put_u64(c);
-        e.put_i64(d);
-        e.put_f64(f64::from_bits(bits));
-        e.put_bool(flag);
-        e.put_str(&text);
-        e.put_f64_slice(&fs);
-        e.put_u64_slice(&words);
-        e.put_bool_slice(&flags);
+        e.put(&a);
+        e.put(&b);
+        e.put(&c);
+        e.put(&index);
+        e.put(&f64::from_bits(bits));
+        e.put(&flag);
+        e.put(&text);
+        e.put(&fs);
+        e.put(&words);
+        e.put(&flags);
+        e.put(&maybe);
+        e.put(&nested);
+        e.put(&pairs);
+        e.put(&array);
         let bytes = e.into_bytes();
 
         let mut dec = Decoder::new(&bytes, "proptest");
-        prop_assert_eq!(dec.get_u8().unwrap(), a);
-        prop_assert_eq!(dec.get_u32().unwrap(), b);
-        prop_assert_eq!(dec.get_u64().unwrap(), c);
-        prop_assert_eq!(dec.get_i64().unwrap(), d);
-        prop_assert_eq!(dec.get_f64().unwrap().to_bits(), bits);
-        prop_assert_eq!(dec.get_bool().unwrap(), flag);
-        prop_assert_eq!(dec.get_str().unwrap(), text);
-        let back: Vec<u64> = dec.get_f64_vec().unwrap().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(dec.get::<u8>().unwrap(), a);
+        prop_assert_eq!(dec.get::<u32>().unwrap(), b);
+        prop_assert_eq!(dec.get::<u64>().unwrap(), c);
+        prop_assert_eq!(dec.get::<usize>().unwrap(), index);
+        prop_assert_eq!(dec.get::<f64>().unwrap().to_bits(), bits);
+        prop_assert_eq!(dec.get::<bool>().unwrap(), flag);
+        prop_assert_eq!(dec.get::<String>().unwrap(), text);
+        let back: Vec<u64> = dec.get::<Vec<f64>>().unwrap().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(back, floats);
-        prop_assert_eq!(dec.get_u64_vec().unwrap(), words);
-        prop_assert_eq!(dec.get_bool_vec().unwrap(), flags);
+        prop_assert_eq!(dec.get::<Vec<u64>>().unwrap(), words);
+        prop_assert_eq!(dec.get::<Vec<bool>>().unwrap(), flags);
+        prop_assert_eq!(dec.get::<Option<u32>>().unwrap(), maybe);
+        prop_assert_eq!(dec.get::<Vec<Vec<u32>>>().unwrap(), nested);
+        prop_assert_eq!(dec.get::<Vec<(u64, Option<u8>)>>().unwrap(), pairs);
+        prop_assert_eq!(dec.get::<[u64; 4]>().unwrap(), array);
         dec.finish().unwrap();
     }
 
@@ -85,19 +101,23 @@ proptest! {
     }
 
     /// Truncating an encoded buffer never panics — it decodes to a
-    /// clean corruption error (or a valid shorter prefix read).
+    /// clean corruption error, for flat, optional and nested sequences.
     #[test]
     fn truncated_buffers_fail_cleanly(
         words in collection::vec(any::<u64>(), 1..10),
+        present in any::<bool>(),
+        nested in collection::vec(collection::vec(any::<u32>(), 0..4), 1..5),
         cut in any::<usize>(),
     ) {
-        let mut e = Encoder::new();
-        e.put_u64_slice(&words);
-        let bytes = e.into_bytes();
+        let maybe = present.then_some(words[0]);
+        let value = (words, (maybe, nested));
+        let bytes = encode(&value);
         let cut = cut % bytes.len();
-        let mut dec = Decoder::new(&bytes[..cut], "proptest");
-        // Must not panic; any outcome other than a crash is fine.
-        let _ = dec.get_u64_vec();
+        prop_assert!(matches!(
+            decode::<(Vec<u64>, (Option<u64>, Vec<Vec<u32>>))>(&bytes[..cut], "proptest"),
+            Err(PersistError::Corrupt { .. })
+        ));
+        prop_assert_eq!(decode(&bytes, "proptest"), Ok(value));
     }
 }
 
@@ -118,9 +138,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Checkpoints of real engine states — any seed, duration, fill
-    /// granularity, mobility/control combination and interrupt point —
-    /// decode and re-encode to the identical byte image, and their
-    /// journals stay strictly readable.
+    /// granularity, mobility/control combination, region count and
+    /// interrupt point — decode and re-encode to the identical byte
+    /// image, and every region journal stays strictly readable.
     #[test]
     fn real_checkpoints_reencode_byte_identically(
         seed in 0u64..1_000,
@@ -131,9 +151,11 @@ proptest! {
         mobility in any::<bool>(),
         control in any::<bool>(),
         block in any::<bool>(),
+        region_pick in 0usize..3,
     ) {
+        let regions = [1, 2, 4][region_pick];
         let dir = std::env::temp_dir().join(format!(
-            "tc-roundtrip-{}-{seed}-{users}",
+            "tc-roundtrip-{}-{seed}-{users}-{regions}",
             std::process::id()
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -156,7 +178,7 @@ proptest! {
             config = config.with_control(ControlConfig::paper_defaults().with_tick_s(15.0));
         }
 
-        ServeEngine::new(&s, &CostAwareLfu, config)
+        ShardedServeEngine::new(&s, &CostAwareLfu, config, regions)
             .expect("engine builds")
             .run_until(duration_s * stop_frac)
             .expect("interrupted run");
@@ -164,6 +186,7 @@ proptest! {
         let cp_path = dir.join("checkpoint.tcp");
         let bytes = std::fs::read(&cp_path).expect("checkpoint exists");
         let cp = Checkpoint::from_bytes(&bytes).expect("checkpoint decodes");
+        prop_assert_eq!(cp.num_shards(), regions);
         prop_assert_eq!(
             cp.to_bytes(),
             bytes.clone(),
@@ -173,8 +196,10 @@ proptest! {
         let copy = dir.join("copy.tcp");
         cp.save(&copy).expect("copy saves");
         prop_assert_eq!(std::fs::read(&copy).unwrap(), std::fs::read(&cp_path).unwrap());
-        // The interrupted journal is always a valid strict read.
-        read_journal(&dir.join("journal_0.tcj")).expect("journal is intact");
+        // The interrupted journals are always a valid strict read.
+        for region in 0..regions {
+            read_journal(&dir.join(format!("journal_{region}.tcj"))).expect("journal is intact");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -221,4 +246,44 @@ fn shared_popularity_checkpoints_store_one_row_per_phase() {
     let cp = Checkpoint::from_bytes(&bytes).expect("checkpoint decodes");
     assert_eq!(cp.to_bytes(), bytes);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A region section holds only what its region owns: four regions cost
+/// less than one extra copy of the per-user facts (position 16 B,
+/// primary 8 B, generation 4 B) over one region. Per-server state is
+/// stored once whatever the region count, and regions do not repeat
+/// positions, primaries or generations.
+#[test]
+fn more_regions_do_not_repeat_run_or_server_state() {
+    let s = scenario(11, 2_000);
+    let k = s.num_users();
+    let checkpoint_len = |regions: usize| {
+        let dir = std::env::temp_dir().join(format!(
+            "tc-roundtrip-{}-size-r{regions}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = ServeConfig::smoke()
+            .with_seed(11)
+            .with_duration_s(20.0)
+            .with_request_rate_hz(0.05)
+            .with_mobility_slot_s(0.0)
+            .with_persist(PersistConfig::new(dir.clone()).with_checkpoint_every_s(10.0));
+        assert!(config.control.is_none());
+        ShardedServeEngine::new(&s, &CostAwareLfu, config, regions)
+            .expect("engine builds")
+            .run_until(15.0)
+            .expect("interrupted run");
+        let len = std::fs::metadata(dir.join("checkpoint.tcp"))
+            .expect("checkpoint exists")
+            .len();
+        std::fs::remove_dir_all(&dir).ok();
+        len
+    };
+    let (one, four) = (checkpoint_len(1), checkpoint_len(4));
+    assert!(
+        four < one + k as u64 * 28,
+        "R = 4 checkpoint is {four} B, R = 1 is {one} B: more than {} B apart",
+        k * 28
+    );
 }
