@@ -43,6 +43,7 @@ use crate::metrics::{LatencyHistogram, ServeMetrics};
 
 pub use drift::{DriftConfig, DriftDetector, DriftVerdict, ReplanReason};
 pub use estimator::DemandEstimator;
+pub(crate) use planner::plan_target_masked_on;
 pub use planner::{plan_target, plan_target_masked};
 pub use reconcile::{diff, next_victim, ReconcilePlan, ServerDelta};
 

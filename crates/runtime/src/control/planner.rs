@@ -11,7 +11,7 @@
 //! not where they were at warm-start time.
 
 use trimcaching_placement::TrimCachingGenLazy;
-use trimcaching_scenario::{DemandEstimate, MaskedEligibility, Placement, Scenario};
+use trimcaching_scenario::{DemandEstimate, Eligibility, MaskedEligibility, Placement, Scenario};
 
 use crate::error::RuntimeError;
 
@@ -53,12 +53,35 @@ pub fn plan_target_masked(
     if !down.iter().any(|&d| d) {
         return plan_target(scenario, estimate);
     }
-    let masked = MaskedEligibility::new(scenario.eligibility(), down);
-    TrimCachingGenLazy::new()
-        .place_with_demand_on(scenario, estimate, &masked)
+    plan_target_masked_on(scenario, scenario.eligibility(), estimate, down)
+}
+
+/// [`plan_target_masked`] over an explicit `eligibility` in place of the
+/// scenario's own — the engine passes a copy whose stale rows were
+/// brought fresh for this solve (see [`Scenario::update_radio_positions`]).
+/// Capacities and block sharing still come from `scenario`; passing the
+/// scenario's own eligibility reproduces [`plan_target_masked`], and
+/// with no server down the masking adaptor is skipped the same way.
+pub(crate) fn plan_target_masked_on(
+    scenario: &Scenario,
+    eligibility: &Eligibility,
+    estimate: &DemandEstimate,
+    down: &[bool],
+) -> Result<Placement, RuntimeError> {
+    let solver = TrimCachingGenLazy::new();
+    let outcome = if down.iter().any(|&d| d) {
+        solver.place_with_demand_on(
+            scenario,
+            estimate,
+            &MaskedEligibility::new(eligibility, down),
+        )
+    } else {
+        solver.place_with_demand_on(scenario, estimate, eligibility)
+    };
+    outcome
         .map(|outcome| outcome.placement)
         .map_err(|e| RuntimeError::Control {
-            reason: format!("failure-masked re-placement solve failed: {e}"),
+            reason: format!("re-placement solve failed: {e}"),
         })
 }
 

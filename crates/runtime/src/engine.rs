@@ -54,11 +54,15 @@ use rand::SeedableRng;
 
 use trimcaching_modellib::ModelId;
 use trimcaching_scenario::mobility::MobilityModel;
-use trimcaching_scenario::{LatencyEvaluator, Placement, Scenario, UserId};
-use trimcaching_wireless::geometry::DeploymentArea;
+use trimcaching_scenario::{
+    CandidateScratch, DemandEstimate, LatencyEvaluator, Placement, Scenario, SnapshotDelta, UserId,
+};
+use trimcaching_wireless::geometry::{DeploymentArea, Point};
 
 use crate::cache::ServerCache;
-use crate::control::{plan_target_masked, reconcile, ControlConfig, Controller, ReplanReason};
+use crate::control::{
+    plan_target_masked, plan_target_masked_on, reconcile, ControlConfig, Controller, ReplanReason,
+};
 use crate::error::RuntimeError;
 use crate::event::{EventKind, EventQueue};
 use crate::fanout::par_map;
@@ -445,17 +449,33 @@ pub(crate) struct RunState {
 
 /// What every region of a run reads and only the coordinator writes: the
 /// request workload, and — updated at mobility boundaries — the one
-/// radio snapshot, each user's primary server, owner region and request
+/// radio snapshot, the set of users whose eligibility rows it holds
+/// stale, each user's primary server, owner region and request
 /// generation. Neither `Workload` nor `Scenario` has interior
 /// mutability, so the regions share them by plain reference across the
 /// worker pool.
+///
+/// The eligibility indicator does not depend on the placement, and
+/// between re-plans a user's row is read only by that user's requests.
+/// So a mobility boundary updates the snapshot's radio state only
+/// ([`Scenario::update_radio_positions`]) and marks the users whose rows
+/// could have changed `stale`; their rows are derived on read through
+/// the per-user kernel, by [`Shared::for_each_candidate`] for a request
+/// and by [`Shared::plan_target`] for a re-plan. The stale set is
+/// derived state: a row derived on read equals the fresh row whether
+/// or not it was stale, so a restored run re-derives the set from its
+/// one-shot position update, and checkpoints never store it.
 pub(crate) struct Shared<'a> {
     /// The run's one request workload; each region samples its own
     /// users from it.
     pub(crate) workload: Workload,
     /// The radio snapshot: borrowed from the caller until the first
-    /// mobility boundary moves a user, owned from then on.
+    /// mobility boundary moves a user, owned from then on. Its
+    /// eligibility rows of `stale` users are out of date.
     pub(crate) snapshot: Cow<'a, Scenario>,
+    /// `stale[k]`: user `k`'s eligibility row in `snapshot` may be out
+    /// of date and must be derived instead of read.
+    pub(crate) stale: Vec<bool>,
     /// Per-user primary server (highest-rate covering server) under the
     /// snapshot; used to count handovers across mobility slots.
     pub(crate) primary: Vec<Option<usize>>,
@@ -469,6 +489,64 @@ pub(crate) struct Shared<'a> {
     /// pairs each region stages for its member servers through the same
     /// pipeline as controller re-plans.
     pub(crate) scheduled: Vec<(f64, Placement)>,
+}
+
+impl Shared<'_> {
+    /// Moves the snapshot's users to `positions`, updating its radio
+    /// state only, and marks every user whose eligibility row could
+    /// have changed stale.
+    pub(crate) fn move_users(
+        &mut self,
+        positions: &[Point],
+    ) -> Result<SnapshotDelta, RuntimeError> {
+        let delta = self.snapshot.to_mut().update_radio_positions(positions)?;
+        for &k in delta.refreshed_users() {
+            self.stale[k] = true;
+        }
+        Ok(delta)
+    }
+
+    /// Calls `visit` on each candidate server of the request class
+    /// `(user, model)` under the snapshot, ascending: the snapshot's row
+    /// for a clean user, the per-user kernel's derivation into `scratch`
+    /// for a stale one. `evaluator` must be over the snapshot. The branch
+    /// is taken once per request, outside the candidate loop.
+    pub(crate) fn for_each_candidate(
+        &self,
+        evaluator: &LatencyEvaluator<'_>,
+        scratch: &mut CandidateScratch,
+        user: UserId,
+        model: ModelId,
+        mut visit: impl FnMut(usize) -> Result<(), RuntimeError>,
+    ) -> Result<(), RuntimeError> {
+        if self.stale[user.index()] {
+            for &m in evaluator.class_candidates(user, model, scratch)? {
+                visit(m)?;
+            }
+        } else {
+            for m in self.snapshot.eligibility().servers_for(user, model) {
+                visit(m)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The re-plan target for `estimate` with the servers flagged in
+    /// `down` masked out: [`plan_target_masked`] on the snapshot, solved
+    /// on a copy of its eligibility whose stale rows were brought fresh
+    /// for this solve.
+    pub(crate) fn plan_target(
+        &self,
+        estimate: &DemandEstimate,
+        down: &[bool],
+    ) -> Result<Placement, RuntimeError> {
+        let stale: Vec<usize> = (0..self.stale.len()).filter(|&k| self.stale[k]).collect();
+        if stale.is_empty() {
+            return plan_target_masked(&self.snapshot, estimate, down);
+        }
+        let fresh = self.snapshot.eligibility_with_fresh_rows(&stale)?;
+        plan_target_masked_on(&self.snapshot, &fresh, estimate, down)
+    }
 }
 
 /// Why [`Region::drive`] stopped pumping events.
@@ -564,6 +642,25 @@ pub(crate) struct Region<'a> {
     /// (warm start or re-plan) — the target recovered servers self-heal
     /// back to.
     last_target: Option<Placement>,
+    /// Buffers for deriving a stale user's candidate servers.
+    candidates: CandidateScratch,
+    /// Every re-plan's inputs and target, so tests can re-solve them on
+    /// an eagerly updated snapshot.
+    #[cfg(test)]
+    pub(crate) replans: Vec<ReplanProbe>,
+}
+
+/// One controller re-plan as solved: the estimate, the server mask, the
+/// user positions of the snapshot, whether any eligibility row was
+/// stale, and the target.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct ReplanProbe {
+    pub(crate) estimate: DemandEstimate,
+    pub(crate) mask: Vec<bool>,
+    pub(crate) positions: Vec<Point>,
+    pub(crate) stale: bool,
+    pub(crate) target: Placement,
 }
 
 impl<'a> Region<'a> {
@@ -605,6 +702,9 @@ impl<'a> Region<'a> {
             server_down: vec![false; num_servers],
             down_servers: 0,
             last_target: None,
+            candidates: CandidateScratch::default(),
+            #[cfg(test)]
+            replans: Vec::new(),
         })
     }
 
@@ -735,13 +835,7 @@ impl<'a> Region<'a> {
                     let model = shared
                         .workload
                         .draw_model(user, event.time_s, &mut state.rng);
-                    self.serve_request(
-                        &shared.snapshot,
-                        user,
-                        model,
-                        event.time_s,
-                        &mut state.queue,
-                    )?;
+                    self.serve_request(shared, user, model, event.time_s, &mut state.queue)?;
                     let gap = shared.workload.next_interarrival_s(&mut state.rng);
                     state
                         .queue
@@ -762,7 +856,7 @@ impl<'a> Region<'a> {
                     }
                 }
                 EventKind::ControlTick => {
-                    self.control_tick(&shared.snapshot, event.time_s, &mut state.queue)?;
+                    self.control_tick(shared, event.time_s, &mut state.queue)?;
                 }
                 EventKind::ScheduledReconcile { index } => {
                     let Some((_, target)) = shared.scheduled.get(index) else {
@@ -988,12 +1082,13 @@ impl<'a> Region<'a> {
     /// Serves one request under the current snapshot.
     fn serve_request(
         &mut self,
-        current: &Scenario,
+        shared: &Shared<'_>,
         user: UserId,
         model: ModelId,
         now_s: f64,
         queue: &mut EventQueue,
     ) -> Result<(), RuntimeError> {
+        let current = &*shared.snapshot;
         let evaluator = LatencyEvaluator::new(
             current.library(),
             current.demand(),
@@ -1001,34 +1096,37 @@ impl<'a> Region<'a> {
             current.backhaul(),
             current.rates(),
         )?;
-        let eligibility = current.eligibility();
 
         // Lowest-latency eligible server overall, and among caches
         // holding the model — both fault-obliviously (what a static
         // client would target) and over up servers only (what failover
         // can actually reach). Only candidate servers of the request
         // class are probed — at city scale that is a handful instead of
-        // all M. For fault-free runs the masks never diverge and the
-        // path reduces to the original selection.
+        // all M — read from the snapshot's row, or derived for a user
+        // whose row a mobility boundary left stale. For fault-free runs
+        // the masks never diverge and the path reduces to the original
+        // selection.
         let mut best_any: Option<(f64, usize)> = None;
         let mut best_hit: Option<(f64, usize)> = None;
         let mut best_up_any: Option<(f64, usize)> = None;
         let mut best_up_hit: Option<(f64, usize)> = None;
-        for m in eligibility.servers_for(user, model) {
+        let (member_servers, caches, server_down) =
+            (&self.member_servers, &self.caches, &self.server_down);
+        shared.for_each_candidate(&evaluator, &mut self.candidates, user, model, |m| {
             // Candidates outside this region are other regions'
             // capacity — invisible here, like the planner mask.
-            if !self.is_member(m) {
-                continue;
+            if !member_servers[m] {
+                return Ok(());
             }
             let latency = evaluator.latency_s(m, user, model)?;
-            let holds = self.caches[m].contains(model);
+            let holds = caches[m].contains(model);
             if best_any.is_none_or(|(best, _)| latency < best) {
                 best_any = Some((latency, m));
             }
             if holds && best_hit.is_none_or(|(best, _)| latency < best) {
                 best_hit = Some((latency, m));
             }
-            if !self.server_down[m] {
+            if !server_down[m] {
                 if best_up_any.is_none_or(|(best, _)| latency < best) {
                     best_up_any = Some((latency, m));
                 }
@@ -1036,7 +1134,8 @@ impl<'a> Region<'a> {
                     best_up_hit = Some((latency, m));
                 }
             }
-        }
+            Ok(())
+        })?;
 
         // The server a fault-oblivious client would target: the serving
         // decision of the no-fault engine.
@@ -1118,7 +1217,7 @@ impl<'a> Region<'a> {
     /// reconciler. Always schedules the next tick.
     fn control_tick(
         &mut self,
-        snapshot: &Scenario,
+        shared: &Shared<'_>,
         now_s: f64,
         queue: &mut EventQueue,
     ) -> Result<(), RuntimeError> {
@@ -1140,10 +1239,11 @@ impl<'a> Region<'a> {
             self.metrics.recovery_seconds += after_s;
         }
         if let (Some(reason), Some(estimate)) = (decision.replan, estimate) {
-            // Plan against the *current* snapshot (mobility included)
-            // and the demand the controller actually observed — with
-            // down servers masked out of the eligibility view, so the
-            // planner never spends budget on capacity that cannot serve.
+            // Plan against the *current* snapshot (mobility included,
+            // stale rows brought fresh for the solve) and the demand the
+            // controller actually observed — with down servers masked
+            // out of the eligibility view, so the planner never spends
+            // budget on capacity that cannot serve.
             // Non-member servers are masked the same way: they are
             // capacity some other region's controller plans.
             let mask: Vec<bool> = self
@@ -1152,7 +1252,20 @@ impl<'a> Region<'a> {
                 .zip(&self.member_servers)
                 .map(|(&down, &member)| down || !member)
                 .collect();
-            let target = plan_target_masked(snapshot, &estimate, &mask)?;
+            let target = shared.plan_target(&estimate, &mask)?;
+            #[cfg(test)]
+            self.replans.push(ReplanProbe {
+                estimate: estimate.clone(),
+                mask: mask.clone(),
+                positions: shared
+                    .snapshot
+                    .users()
+                    .iter()
+                    .map(|u| u.position())
+                    .collect(),
+                stale: shared.stale.contains(&true),
+                target: target.clone(),
+            });
             self.metrics.replans_triggered += 1;
             if reason == ReplanReason::Drift {
                 self.metrics.replans_drift += 1;

@@ -27,8 +27,9 @@ pub enum EventKind {
         /// no longer current is a tombstone of an abandoned chain.
         generation: u32,
     },
-    /// Users move for one mobility slot and the radio snapshot (coverage,
-    /// rates, eligibility) is re-derived — server handover happens here.
+    /// Users move for one mobility slot and the radio snapshot's coverage
+    /// and rates are re-derived, with the eligibility rows that could
+    /// change marked stale — server handover happens here.
     MobilitySlot,
     /// The last missing block of a cache fill arrives at an edge server:
     /// the pending model becomes servable.

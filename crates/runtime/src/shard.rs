@@ -14,12 +14,13 @@
 //!
 //! The coordinator owns the one request workload of the run, the one
 //! radio snapshot (coverage, rates and eligibility of every user, as the
-//! paper's placement reads it), the per-user primary servers and the
-//! ownership map. Regions borrow them read-only. City-scale scenarios
-//! are spatially local: a request only ever considers the handful of
-//! servers covering its user, so between mobility boundaries the
-//! regions share nothing mutable and run freely on a pool of worker
-//! threads. At every mobility boundary the coordinator merges
+//! paper's placement reads it, with the eligibility rows a mobility
+//! boundary could change marked stale and derived on read), the
+//! per-user primary servers and the ownership map. Regions borrow them
+//! read-only. City-scale scenarios are spatially local: a request only
+//! ever considers the handful of servers covering its user, so between
+//! mobility boundaries the regions share nothing mutable and run freely
+//! on a pool of worker threads. At every mobility boundary the coordinator merges
 //! deterministically: it assembles the global position vector from the
 //! owner regions' kinematics, updates the snapshot **once**, recounts
 //! handovers on the refreshed users, and migrates ownership of users
@@ -174,6 +175,7 @@ impl<'a> ShardedServeEngine<'a> {
         let shared = Shared {
             workload: Workload::from_demand(scenario.demand(), config.request_rate_hz)?,
             snapshot: Cow::Borrowed(scenario),
+            stale: vec![false; scenario.num_users()],
             primary: primary_servers(scenario)?,
             owner: partition.owners_of(&positions),
             generation: vec![0; scenario.num_users()],
@@ -336,6 +338,7 @@ impl<'a> ShardedServeEngine<'a> {
             }
             .into());
         }
+        check_event_indices(cp, scenario.num_models())?;
         let mut config = cp.config.clone();
         config.persist = persist.clone();
         let mut engine = Self::new(scenario, policy, config, cp.num_shards())?;
@@ -354,14 +357,11 @@ impl<'a> ShardedServeEngine<'a> {
             // One-shot position update — bit-identical to the
             // incremental slot-by-slot evolution that produced the
             // checkpoint (pinned by
-            // `incremental_slots_match_full_rebuild_serving`). It runs
-            // after the regions restore so the snapshot copy is not
-            // live next to the journals they read back.
-            engine
-                .shared
-                .snapshot
-                .to_mut()
-                .update_user_positions(&cp.positions)?;
+            // `incremental_slots_match_full_rebuild_serving`), with the
+            // same lazy rows as a merge. It runs after the regions
+            // restore so the snapshot copy is not live next to the
+            // journals they read back.
+            engine.shared.move_users(&cp.positions)?;
         }
         if let Some(p) = &persist {
             engine.next_checkpoint_s = cp.time_s + p.checkpoint_every_s;
@@ -551,18 +551,21 @@ impl<'a> ShardedServeEngine<'a> {
     /// 1. assemble the global position vector from the owner regions'
     ///    kinematics (each region steps *all* users for RNG parity, but
     ///    only owned rows are authoritative);
-    /// 2. apply the slot update to the one shared snapshot —
-    ///    incremental: only the moved users' rows (and the rows of users
-    ///    sharing a reallocated server) are re-derived, bit-identical to
-    ///    a full rebuild — and recount handovers over the refreshed
-    ///    users, each on its owner's counters;
+    /// 2. apply the slot update to the one shared snapshot's radio
+    ///    state — coverage, allocation and rates of the moved users and
+    ///    of users sharing a reallocated server, bit-identical to a full
+    ///    rebuild — and mark those refreshed users' eligibility rows
+    ///    stale instead of re-deriving them: a row is derived when a
+    ///    request of its user or a re-plan reads it (see [`Shared`]).
+    ///    Then recount handovers over the refreshed users, each on its
+    ///    owner's counters;
     /// 3. migrate ownership of users that crossed a strip border: copy
     ///    the kinematic row to the new owner, flip the ownership map,
     ///    bump the user's request generation and let the new owner start
     ///    a fresh chain of that generation (the old chain's pending
     ///    request dies as a tombstone, for good).
     fn merge_at(&mut self, tb: f64) -> Result<(), RuntimeError> {
-        let owner = &mut self.shared.owner;
+        let owner = &self.shared.owner;
         let mut global = vec![Point::new(0.0, 0.0); owner.len()];
         for (s, shard) in self.shards.iter().enumerate() {
             let users = shard_mobility(shard)?.users();
@@ -573,8 +576,8 @@ impl<'a> ShardedServeEngine<'a> {
             }
         }
 
-        let snapshot = self.shared.snapshot.to_mut();
-        let delta = snapshot.update_user_positions(&global)?;
+        let delta = self.shared.move_users(&global)?;
+        let (snapshot, owner) = (&*self.shared.snapshot, &self.shared.owner);
         for shard in &mut self.shards {
             shard.engine.metrics.snapshot_rebuilds += 1;
         }
@@ -594,6 +597,7 @@ impl<'a> ShardedServeEngine<'a> {
 
         // Migration order is part of the determinism contract: strictly
         // ascending user id.
+        let owner = &mut self.shared.owner;
         for (k, position) in global.iter().enumerate() {
             let from = owner[k];
             let to = self.partition.strip_of(position.x);
@@ -657,6 +661,42 @@ impl<'a> ShardedServeEngine<'a> {
     }
 }
 
+/// Checks every index inside a checkpoint's pending events against
+/// what the restored run holds: users and servers against the
+/// checkpoint's own per-user and per-server state, models against
+/// `num_models`, and scheduled reconciliations and fault transitions
+/// against their lists. A CRC-valid checkpoint can still carry an index
+/// the run would first dereference at dispatch.
+fn check_event_indices(cp: &Checkpoint, num_models: usize) -> Result<(), PersistError> {
+    let (users, servers, scheduled) = (cp.positions.len(), cp.servers.len(), cp.scheduled.len());
+    let faults = cp.config.faults.as_ref().map_or(0, |f| f.timeline.len());
+    for (region, state) in cp.regions.iter().enumerate() {
+        for event in &state.events {
+            let in_range = match event.kind {
+                EventKind::Request { user, .. } => user.index() < users,
+                EventKind::TransferComplete { server, model }
+                | EventKind::RetryFill { server, model, .. } => {
+                    server < servers && model.index() < num_models
+                }
+                EventKind::ScheduledReconcile { index } => index < scheduled,
+                EventKind::FaultTransition { index } => index < faults,
+                EventKind::MobilitySlot | EventKind::ControlTick => true,
+            };
+            if !in_range {
+                return Err(PersistError::Corrupt {
+                    context: format!(
+                        "checkpoint: region {region} holds {:?} at {} s, beyond the run's \
+                         {users} users, {servers} servers, {num_models} models, {scheduled} \
+                         scheduled reconciliations and {faults} fault transitions",
+                        event.kind, event.time_s
+                    ),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The kinematics of one region (present whenever a mobility boundary
 /// fires).
 fn shard_mobility<'s>(
@@ -687,9 +727,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::path::{Path, PathBuf};
-    use trimcaching_modellib::builders::SpecialCaseBuilder;
+    use trimcaching_modellib::builders::{FoundationSpec, LoraLibraryBuilder, SpecialCaseBuilder};
+    use trimcaching_modellib::ModelId;
     use trimcaching_scenario::prelude::*;
+    use trimcaching_scenario::{CandidateScratch, LatencyEvaluator};
     use trimcaching_wireless::geometry::DeploymentArea;
+    use trimcaching_wireless::params::RadioParams;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tc-shard-{}-{name}", std::process::id()));
@@ -936,6 +979,267 @@ mod tests {
             live, pinned,
             "journal or report bytes moved; the live hashes are printed on the left"
         );
+    }
+
+    /// The benchmark's mobile-durable deployment with `users` users: a
+    /// LoRA market of three foundations with eight adapters each on ten
+    /// 0.04 GB servers in a 1 km square, at 1% radio activity.
+    fn lora_market(users: usize, repr: EligibilityRepr) -> Scenario {
+        let foundations = (0..3)
+            .map(|f| FoundationSpec::new(format!("edge-fm{f}"), 4, 8_000_000))
+            .collect();
+        let library = LoraLibraryBuilder::with_foundations(foundations)
+            .adapters_per_foundation(8)
+            .adapter_size_bytes(1_500_000)
+            .head_size_bytes(500_000)
+            .build(2024);
+        let mut rng = StdRng::seed_from_u64(2024);
+        let area = DeploymentArea::new(1000.0).unwrap();
+        let servers = (0..10)
+            .map(|m| {
+                EdgeServer::new(ServerId(m), area.sample_uniform(&mut rng), gigabytes(0.04))
+                    .unwrap()
+            })
+            .collect();
+        let positions = area.sample_uniform_n(users, &mut rng);
+        let demand = DemandConfig::paper_defaults()
+            .generate(users, library.num_models(), &mut rng)
+            .unwrap();
+        let mut radio = RadioParams::paper_defaults();
+        radio.activity_probability = 0.01;
+        Scenario::builder()
+            .library(library)
+            .servers(servers)
+            .users_at(&positions)
+            .demand(demand)
+            .radio(radio)
+            .eligibility_repr(repr)
+            .build()
+            .unwrap()
+    }
+
+    /// Runs `engine` to its horizon like [`ShardedServeEngine::run_to`]
+    /// without checkpoints, calling `after_merge` after every mobility
+    /// merge.
+    fn drive_with(engine: &mut ShardedServeEngine<'_>, mut after_merge: impl FnMut(&Shared<'_>)) {
+        for shard in &mut engine.shards {
+            shard.state = Some(shard.engine.begin(&engine.shared).unwrap());
+        }
+        let horizon = engine.config.duration_s;
+        loop {
+            let outcomes = engine.drive_all(horizon).unwrap();
+            let boundary = outcomes.iter().find_map(|outcome| match outcome {
+                DriveStop::MobilityBoundary(t) => Some(*t),
+                DriveStop::Horizon => None,
+            });
+            let Some(tb) = boundary else {
+                return;
+            };
+            engine.merge_at(tb).unwrap();
+            after_merge(&engine.shared);
+        }
+    }
+
+    /// The lazy rows' contract in the engine's mobility regime: 20
+    /// `paper_mix` slots over a 500-user LoRA market, at R = 1 and 4,
+    /// dense and sparse. After every merge, every request class's
+    /// candidate list as the serve path takes it must equal the row of a
+    /// full rebuild and the pointwise `LatencyEvaluator::eligible`.
+    #[test]
+    fn lazy_row_oracle_smoke_paper_mix() {
+        for repr in [EligibilityRepr::Dense, EligibilityRepr::Sparse] {
+            let base = lora_market(500, repr);
+            assert_eq!(base.eligibility_repr(), repr);
+            let (num_servers, num_models) = (base.num_servers(), base.num_models());
+            for shards in [1, 4] {
+                let config = ServeConfig::smoke()
+                    .with_seed(7)
+                    .with_duration_s(104.0)
+                    .with_mobility_slot_s(5.0);
+                let mut engine = ShardedServeEngine::new(&base, &Lru, config, shards)
+                    .unwrap()
+                    .with_threads(2);
+                let (mut merges, mut stale_rows_differ) = (0, false);
+                let mut scratch = CandidateScratch::default();
+                drive_with(&mut engine, |shared| {
+                    merges += 1;
+                    let snapshot = &*shared.snapshot;
+                    let positions: Vec<Point> =
+                        snapshot.users().iter().map(|u| u.position()).collect();
+                    let rebuilt = base.with_user_positions(&positions).unwrap();
+                    let lazy = evaluator(snapshot);
+                    let pointwise = evaluator(&rebuilt);
+                    for k in 0..snapshot.num_users() {
+                        for i in 0..num_models {
+                            let (user, model) = (UserId(k), ModelId(i));
+                            let mut served = Vec::new();
+                            shared
+                                .for_each_candidate(&lazy, &mut scratch, user, model, |m| {
+                                    served.push(m);
+                                    Ok(())
+                                })
+                                .unwrap();
+                            let row: Vec<usize> =
+                                rebuilt.eligibility().servers_for(user, model).collect();
+                            assert_eq!(served, row, "{repr:?} R={shards} ({k}, {i})");
+                            let eligible: Vec<usize> = (0..num_servers)
+                                .filter(|&m| pointwise.eligible(m, user, model).unwrap())
+                                .collect();
+                            assert_eq!(served, eligible, "{repr:?} R={shards} ({k}, {i})");
+                            if shared.stale[k] {
+                                let held: Vec<usize> =
+                                    snapshot.eligibility().servers_for(user, model).collect();
+                                stale_rows_differ |= held != row;
+                            }
+                        }
+                    }
+                });
+                assert_eq!(merges, 20, "{repr:?} R={shards}");
+                // The lazy path carried real work: some stale row in the
+                // snapshot was out of date when its class was derived.
+                assert!(
+                    stale_rows_differ,
+                    "{repr:?} R={shards}: no stale row differed"
+                );
+            }
+        }
+    }
+
+    fn evaluator(s: &Scenario) -> LatencyEvaluator<'_> {
+        LatencyEvaluator::new(
+            s.library(),
+            s.demand(),
+            s.coverage(),
+            s.backhaul(),
+            s.rates(),
+        )
+        .unwrap()
+    }
+
+    /// A mobile, controller-on run with server 1 down from 12 s: every
+    /// re-plan's target must equal `plan_target_masked` on an eagerly
+    /// updated snapshot, and at least one re-plan must solve while rows
+    /// are stale and the down server is masked.
+    #[test]
+    fn replans_under_stale_rows_match_an_eager_snapshot() {
+        use crate::control::{plan_target_masked, ControlConfig, DriftConfig};
+        use crate::faults::{FaultConfig, FaultKind, FaultSpec};
+
+        let base = scenario(60);
+        let drift = DriftConfig {
+            replan_every_s: 20.0,
+            ..DriftConfig::paper_defaults()
+        };
+        let mut control = ControlConfig::paper_defaults()
+            .with_tick_s(10.0)
+            .with_drift(drift);
+        control.min_observed_requests = 10;
+        let faults = FaultConfig::new(vec![FaultSpec {
+            at_s: 12.0,
+            kind: FaultKind::ServerDown { server: 1 },
+        }]);
+        let config = ServeConfig::smoke()
+            .with_seed(3)
+            .with_duration_s(90.0)
+            .with_mobility_slot_s(5.0)
+            .with_control(control)
+            .with_faults(faults);
+        let mut engine = ShardedServeEngine::new(&base, &Lru, config, 1).unwrap();
+        engine.run_to(90.0).unwrap();
+        let replans = &engine.shards[0].engine.replans;
+        let mut stale_and_masked = 0;
+        for probe in replans {
+            let mut eager = base.clone();
+            eager.update_user_positions(&probe.positions).unwrap();
+            let expected = plan_target_masked(&eager, &probe.estimate, &probe.mask).unwrap();
+            assert_eq!(
+                probe.target, expected,
+                "re-plan diverged from the eager snapshot"
+            );
+            stale_and_masked += usize::from(probe.stale && probe.mask[1]);
+        }
+        assert!(
+            stale_and_masked > 0,
+            "no re-plan solved under stale rows with a masked server ({} re-plans)",
+            replans.len()
+        );
+    }
+
+    /// A one-region run of `scenario(8)` with a fault schedule and a
+    /// scheduled reconciliation, captured at 20 s with the first pending
+    /// event replaced by `kind`; restoring it must fail as corrupt
+    /// instead of dispatching the event.
+    fn assert_hostile_event_is_corrupt(kind: EventKind) {
+        use crate::faults::{FaultConfig, FaultKind, FaultSpec};
+
+        let s = scenario(8);
+        let faults = FaultConfig::new(vec![FaultSpec {
+            at_s: 50.0,
+            kind: FaultKind::ServerDown { server: 0 },
+        }]);
+        let config = ServeConfig::smoke()
+            .with_seed(5)
+            .with_mobility_slot_s(5.0)
+            .with_faults(faults);
+        let mut engine = ShardedServeEngine::new(&s, &Lru, config, 1).unwrap();
+        engine
+            .schedule_reconcile(40.0, s.empty_placement())
+            .unwrap();
+        engine.run_to(20.0).unwrap();
+        let mut cp = engine.capture(20.0).unwrap();
+        cp.regions[0].events[0].kind = kind;
+        let resumed = ShardedServeEngine::restore(&s, &Lru, &cp, None).and_then(|e| e.run());
+        assert!(
+            matches!(
+                resumed,
+                Err(RuntimeError::Persist(PersistError::Corrupt { .. }))
+            ),
+            "{kind:?}: {resumed:?}"
+        );
+    }
+
+    #[test]
+    fn a_hostile_request_user_is_corrupt() {
+        let user = UserId(scenario(8).num_users());
+        assert_hostile_event_is_corrupt(EventKind::Request {
+            user,
+            generation: 0,
+        });
+    }
+
+    #[test]
+    fn a_hostile_transfer_complete_is_corrupt() {
+        let s = scenario(8);
+        let (servers, models) = (s.num_servers(), s.num_models());
+        for (server, model) in [(servers, 0), (0, models)] {
+            assert_hostile_event_is_corrupt(EventKind::TransferComplete {
+                server,
+                model: ModelId(model),
+            });
+        }
+    }
+
+    #[test]
+    fn a_hostile_retry_fill_is_corrupt() {
+        let s = scenario(8);
+        let (servers, models) = (s.num_servers(), s.num_models());
+        for (server, model) in [(servers, 0), (0, models)] {
+            assert_hostile_event_is_corrupt(EventKind::RetryFill {
+                server,
+                model: ModelId(model),
+                attempt: 1,
+            });
+        }
+    }
+
+    #[test]
+    fn a_hostile_scheduled_reconcile_is_corrupt() {
+        assert_hostile_event_is_corrupt(EventKind::ScheduledReconcile { index: 1 });
+    }
+
+    #[test]
+    fn a_hostile_fault_transition_is_corrupt() {
+        assert_hostile_event_is_corrupt(EventKind::FaultTransition { index: 1 });
     }
 
     #[test]

@@ -76,10 +76,13 @@ impl SnapshotDelta {
         &self.reallocated_servers
     }
 
-    /// Users whose rate or eligibility rows were recomputed (moved users
-    /// plus the users of every reallocated server), ascending. Any
-    /// per-user state derived from the snapshot — e.g. the runtime's
-    /// primary-server assignment — is unchanged outside this set.
+    /// Users whose rate or eligibility rows could have changed (moved
+    /// users plus the users of every reallocated server), ascending:
+    /// [`crate::Scenario::update_user_positions`] recomputed their
+    /// eligibility rows, [`crate::Scenario::update_radio_positions`] left
+    /// them stale. Any per-user state derived from the snapshot — e.g.
+    /// the runtime's primary-server assignment — is unchanged outside
+    /// this set.
     pub fn refreshed_users(&self) -> &[usize] {
         &self.refreshed_users
     }

@@ -17,7 +17,8 @@
 //! materialises the dense [`EligibilityTensor`];
 //! [`LatencyEvaluator::sparse_eligibility`] builds the coverage-pruned
 //! [`SparseEligibility`] without ever allocating the `M × K × I` cube.
-//! Both, and their incremental refreshes, derive the indicator through
+//! Both, their incremental refreshes and the one-class derivation
+//! [`LatencyEvaluator::class_candidates`] derive the indicator through
 //! one per-user candidate kernel (see [`LatencyEvaluator`]).
 
 use trimcaching_modellib::{ModelId, ModelLibrary};
@@ -277,6 +278,8 @@ impl RateMatrix {
 ///
 /// A user therefore costs `I × |covering|` compares plus `M` pushes per
 /// relayed class, instead of `M × I` latency evaluations.
+/// [`LatencyEvaluator::class_candidates`] runs the kernel for one class
+/// only — the row a reader needs when the stored one is stale.
 #[derive(Debug, Clone)]
 pub struct LatencyEvaluator<'a> {
     library: &'a ModelLibrary,
@@ -540,14 +543,19 @@ impl<'a> LatencyEvaluator<'a> {
     /// regime.
     fn kernel_scratch(&self) -> Result<KernelScratch, ScenarioError> {
         let size_bits = (0..self.library.num_models())
-            .map(|i| Ok(self.library.model_size_bytes(ModelId(i))? as f64 * 8.0))
+            .map(|i| self.size_bits(ModelId(i)))
             .collect::<Result<_, ScenarioError>>()?;
         Ok(KernelScratch {
             uniform_backhaul: !self.backhaul.has_overrides(),
             size_bits,
-            rates: Vec::new(),
-            best_rate: 0.0,
+            covering: CoveringRates::default(),
         })
+    }
+
+    /// Model `i`'s download size in bits, as [`LatencyEvaluator::latency_s`]
+    /// derives it.
+    fn size_bits(&self, model: ModelId) -> Result<f64, ScenarioError> {
+        Ok(self.library.model_size_bytes(model)? as f64 * 8.0)
     }
 
     /// The per-user candidate kernel: appends user `k`'s `I` candidate
@@ -571,31 +579,72 @@ impl<'a> LatencyEvaluator<'a> {
         }
         let user = UserId(k);
         if scratch.uniform_backhaul {
-            scratch.rates.clear();
-            scratch.best_rate = 0.0;
-            for &m in covering {
-                let rate = self.rates.rate_bps(m, k)?;
-                scratch.rates.push(rate);
-                if rate > scratch.best_rate {
-                    scratch.best_rate = rate;
-                }
-            }
+            scratch.covering.load(self.rates, k, covering)?;
         }
-        for i in 0..scratch.size_bits.len() {
+        for (i, &size_bits) in scratch.size_bits.iter().enumerate() {
             let model = ModelId(i);
+            let push = |m| rows.push_server(m);
             if scratch.uniform_backhaul {
-                self.class_candidates_uniform(user, model, covering, scratch, rows)?;
+                self.class_candidates_uniform(
+                    user,
+                    model,
+                    size_bits,
+                    covering,
+                    &scratch.covering,
+                    push,
+                )?;
             } else {
-                self.class_candidates_exact(user, model, rows)?;
+                self.class_candidates_exact(user, model, push)?;
             }
             rows.end_row();
         }
         Ok(())
     }
 
-    /// Appends, in ascending server order, the candidate servers of one
+    /// The candidate servers of the one request class `(user, model)`,
+    /// ascending: the row the per-user kernel derives for that class
+    /// (see [`LatencyEvaluator`]), without deriving the user's other
+    /// classes. The list lives in `scratch`, so a caller deriving many
+    /// classes allocates nothing per call once the buffers have grown.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for unknown indices.
+    pub fn class_candidates<'s>(
+        &self,
+        user: UserId,
+        model: ModelId,
+        scratch: &'s mut CandidateScratch,
+    ) -> Result<&'s [usize], ScenarioError> {
+        let k = user.index();
+        let covering = self.coverage.servers_of_user(k)?;
+        scratch.servers.clear();
+        if covering.is_empty() {
+            return Ok(&scratch.servers);
+        }
+        let servers = &mut scratch.servers;
+        let push = |m| servers.push(m);
+        if self.backhaul.has_overrides() {
+            self.class_candidates_exact(user, model, push)?;
+        } else {
+            let size_bits = self.size_bits(model)?;
+            scratch.covering.load(self.rates, k, covering)?;
+            self.class_candidates_uniform(
+                user,
+                model,
+                size_bits,
+                covering,
+                &scratch.covering,
+                push,
+            )?;
+        }
+        Ok(&scratch.servers)
+    }
+
+    /// Pushes, in ascending server order, the candidate servers of one
     /// request class under a **uniform** backhaul mesh, from the user's
-    /// covering rates loaded into `scratch`.
+    /// covering rates loaded into `rates` and the model's download size
+    /// `size_bits`.
     ///
     /// Bit-identical to probing every server through
     /// [`LatencyEvaluator::eligible`]: the direct test evaluates the same
@@ -608,12 +657,12 @@ impl<'a> LatencyEvaluator<'a> {
         &self,
         user: UserId,
         model: ModelId,
+        size_bits: f64,
         covering: &[usize],
-        scratch: &KernelScratch,
-        rows: &mut CandidateRows,
+        rates: &CoveringRates,
+        mut push: impl FnMut(usize),
     ) -> Result<(), ScenarioError> {
-        let size_bits = scratch.size_bits[model.index()];
-        let best_rate = scratch.best_rate;
+        let best_rate = rates.best;
         let m_count = self.coverage.num_servers();
         let inference = self.demand.inference_s(user, model)?;
         let deadline = self.demand.deadline_s(user, model)?;
@@ -632,30 +681,30 @@ impl<'a> LatencyEvaluator<'a> {
         if relay_all {
             // Every non-covering server qualifies; covering servers
             // qualify when direct-eligible.
-            let mut cover = covering.iter().zip(&scratch.rates).peekable();
+            let mut cover = covering.iter().zip(&rates.rates).peekable();
             for m in 0..m_count {
                 if let Some(&(&cm, &rate)) = cover.peek() {
                     if cm == m {
                         cover.next();
                         if direct_eligible(rate) {
-                            rows.push_server(m);
+                            push(m);
                         }
                         continue;
                     }
                 }
-                rows.push_server(m);
+                push(m);
             }
         } else {
-            for (&m, &rate) in covering.iter().zip(&scratch.rates) {
+            for (&m, &rate) in covering.iter().zip(&rates.rates) {
                 if direct_eligible(rate) {
-                    rows.push_server(m);
+                    push(m);
                 }
             }
         }
         Ok(())
     }
 
-    /// Appends, in ascending server order, the candidate servers of one
+    /// Pushes, in ascending server order, the candidate servers of one
     /// request class by probing every server through
     /// [`LatencyEvaluator::eligible`] — the exact fallback for
     /// heterogeneous (per-link override) backhaul meshes.
@@ -663,11 +712,11 @@ impl<'a> LatencyEvaluator<'a> {
         &self,
         user: UserId,
         model: ModelId,
-        rows: &mut CandidateRows,
+        mut push: impl FnMut(usize),
     ) -> Result<(), ScenarioError> {
         for m in 0..self.coverage.num_servers() {
             if self.eligible(m, user, model)? {
-                rows.push_server(m);
+                push(m);
             }
         }
         Ok(())
@@ -683,12 +732,46 @@ struct KernelScratch {
     uniform_backhaul: bool,
     /// Per-model download sizes in bits.
     size_bits: Vec<f64>,
-    /// The current user's covering servers' direct downlink rates,
-    /// aligned with its covering list (uniform mesh only).
+    /// The current user's covering rates (uniform mesh only).
+    covering: CoveringRates,
+}
+
+/// One user's covering servers' direct downlink rates, aligned with its
+/// covering list, and their best, which realises the minimum relayed
+/// latency of Eq. (5) on a uniform mesh.
+#[derive(Debug, Clone, Default)]
+struct CoveringRates {
     rates: Vec<f64>,
-    /// The best of `rates`, which realises the minimum relayed latency
-    /// of Eq. (5) on a uniform mesh.
-    best_rate: f64,
+    best: f64,
+}
+
+impl CoveringRates {
+    /// Loads user `k`'s rates from its `covering` servers.
+    fn load(
+        &mut self,
+        rates: &RateMatrix,
+        k: usize,
+        covering: &[usize],
+    ) -> Result<(), ScenarioError> {
+        self.rates.clear();
+        self.best = 0.0;
+        for &m in covering {
+            let rate = rates.rate_bps(m, k)?;
+            self.rates.push(rate);
+            if rate > self.best {
+                self.best = rate;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Reusable buffers of [`LatencyEvaluator::class_candidates`]: the
+/// user's covering rates and the derived candidate list.
+#[derive(Debug, Clone, Default)]
+pub struct CandidateScratch {
+    covering: CoveringRates,
+    servers: Vec<usize>,
 }
 
 #[cfg(test)]

@@ -355,14 +355,17 @@ impl Scenario {
     /// full [`Scenario::with_user_positions`] rebuild — same coverage,
     /// rates, eligibility and hit ratios.
     ///
-    /// The cost follows the *refreshed* users, not the moved ones: the
-    /// eligibility refresh takes refreshed users × `I` × covering
-    /// servers (plus `M · I` bit writes per refreshed user on the dense
-    /// tensor). Share reallocation refreshes every user of a server
-    /// whose covered-user count changed, so under dense mobility (the
-    /// `paper_mix` model moves ~86% of users per 5 s slot) nearly every
-    /// row is refreshed, and the update costs about as much as the
-    /// eligibility part of a rebuild.
+    /// The cost follows the *refreshed* users, not the moved ones, and
+    /// most of it is the eligibility refresh: refreshed users × `I` ×
+    /// covering servers (plus `M · I` bit writes per refreshed user on
+    /// the dense tensor). Share reallocation refreshes every user of a
+    /// server whose covered-user count changed, so under dense mobility
+    /// (the `paper_mix` model moves ~86% of users per 5 s slot) nearly
+    /// every row is refreshed, and the update costs about as much as the
+    /// eligibility part of a rebuild. A caller that reads only some rows
+    /// before the next move — the serving engine between re-plans reads
+    /// only the rows of requesting users — should use
+    /// [`Scenario::update_radio_positions`] and derive the rows it reads.
     ///
     /// # Errors
     ///
@@ -370,6 +373,31 @@ impl Scenario {
     /// positions differs from the number of users; the scenario is left
     /// unchanged in that case.
     pub fn update_user_positions(
+        &mut self,
+        positions: &[Point],
+    ) -> Result<SnapshotDelta, ScenarioError> {
+        let delta = self.update_radio_positions(positions)?;
+        self.refresh_eligibility_rows(delta.refreshed_users())?;
+        Ok(delta)
+    }
+
+    /// The radio half of [`Scenario::update_user_positions`]: moves every
+    /// user to `positions` in place and updates coverage, allocation and
+    /// rates exactly as that call does, but **leaves the eligibility rows
+    /// of [`SnapshotDelta::refreshed_users`] stale** — every other row is
+    /// still exact. The caller owns the stale set: it must not read those
+    /// rows through [`Scenario::eligibility`], nor through anything built
+    /// on it such as [`Scenario::hit_ratio`] or a placement solve.
+    /// Instead [`LatencyEvaluator::class_candidates`] derives any one row
+    /// from the updated radio state, and
+    /// [`Scenario::eligibility_with_fresh_rows`] a fresh copy for a solve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::DimensionMismatch`] if the number of
+    /// positions differs from the number of users; the scenario is left
+    /// unchanged in that case.
+    pub fn update_radio_positions(
         &mut self,
         positions: &[Point],
     ) -> Result<SnapshotDelta, ScenarioError> {
@@ -388,14 +416,14 @@ impl Scenario {
             .filter(|(k, p)| self.users[*k].position() != **p)
             .map(|(k, p)| (k, *p))
             .collect();
-        self.apply_user_moves(&moves)
+        self.apply_radio_moves(&moves)
     }
 
     /// Applies a sparse batch of user moves **in place** — the primitive
     /// behind [`Scenario::update_user_positions`]; see there for the
-    /// exact-equivalence guarantee. Moves to a user's current position
-    /// are ignored; when the batch names a user twice the last move
-    /// wins.
+    /// exact-equivalence guarantee and the cost. Moves to a user's
+    /// current position are ignored; when the batch names a user twice
+    /// the last move wins.
     ///
     /// # Errors
     ///
@@ -404,6 +432,60 @@ impl Scenario {
     /// substrate errors (which indicate an internally inconsistent
     /// scenario).
     pub fn apply_user_moves(
+        &mut self,
+        moves: &[(usize, Point)],
+    ) -> Result<SnapshotDelta, ScenarioError> {
+        let delta = self.apply_radio_moves(moves)?;
+        self.refresh_eligibility_rows(delta.refreshed_users())?;
+        Ok(delta)
+    }
+
+    /// Re-derives, in place, the eligibility rows of `users` (any order,
+    /// repeats allowed) from the current radio state through the
+    /// per-user candidate kernel.
+    fn refresh_eligibility_rows(&mut self, users: &[usize]) -> Result<(), ScenarioError> {
+        if users.is_empty() {
+            return Ok(());
+        }
+        let evaluator = LatencyEvaluator::new(
+            &self.library,
+            &self.demand,
+            &self.coverage,
+            &self.backhaul,
+            &self.rates,
+        )?;
+        refresh_rows(&evaluator, &mut self.eligibility, users)
+    }
+
+    /// A copy of the eligibility indicator with the rows of `users`
+    /// re-derived from the current radio state — the fresh view a solve
+    /// needs while [`Scenario::update_radio_positions`] left those rows
+    /// stale, without writing the snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::IndexOutOfRange`] for an unknown user
+    /// and propagates substrate errors.
+    pub fn eligibility_with_fresh_rows(
+        &self,
+        users: &[usize],
+    ) -> Result<Eligibility, ScenarioError> {
+        let evaluator = LatencyEvaluator::new(
+            &self.library,
+            &self.demand,
+            &self.coverage,
+            &self.backhaul,
+            &self.rates,
+        )?;
+        let mut eligibility = self.eligibility.clone();
+        refresh_rows(&evaluator, &mut eligibility, users)?;
+        Ok(eligibility)
+    }
+
+    /// Moves users in place and updates coverage, allocation and rates,
+    /// returning the delta whose refreshed users' eligibility rows are
+    /// now stale.
+    fn apply_radio_moves(
         &mut self,
         moves: &[(usize, Point)],
     ) -> Result<SnapshotDelta, ScenarioError> {
@@ -429,17 +511,6 @@ impl Scenario {
         }
         refreshed.sort_unstable();
         refreshed.dedup();
-        let evaluator = LatencyEvaluator::new(
-            &self.library,
-            &self.demand,
-            &self.coverage,
-            &self.backhaul,
-            &self.rates,
-        )?;
-        match &mut self.eligibility {
-            Eligibility::Dense(tensor) => evaluator.refresh_dense_users(tensor, &refreshed)?,
-            Eligibility::Sparse(sparse) => evaluator.refresh_sparse_users(sparse, &refreshed)?,
-        }
         // In-place evolution pins the resolved representation exactly
         // like `with_user_positions` does for rebuilds.
         self.requested_repr = self.pinned_repr();
@@ -449,6 +520,19 @@ impl Scenario {
             reallocated,
             refreshed,
         ))
+    }
+}
+
+/// Re-derives the rows of `users` in `eligibility` through the per-user
+/// candidate kernel of `evaluator`.
+fn refresh_rows(
+    evaluator: &LatencyEvaluator<'_>,
+    eligibility: &mut Eligibility,
+    users: &[usize],
+) -> Result<(), ScenarioError> {
+    match eligibility {
+        Eligibility::Dense(tensor) => evaluator.refresh_dense_users(tensor, users),
+        Eligibility::Sparse(sparse) => evaluator.refresh_sparse_users(sparse, users),
     }
 }
 

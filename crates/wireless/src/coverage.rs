@@ -123,7 +123,9 @@ impl CoverageMap {
     /// lists (which stay sorted ascending, as [`CoverageMap::build`]
     /// produces them). The result is indistinguishable from rebuilding
     /// the map from scratch with the updated positions, at a cost of
-    /// `O(moves × M)` distance checks instead of `O(K × M)`.
+    /// `O(moves × M)` distance checks instead of `O(K × M)`, plus one
+    /// merge pass over the member list of each server whose membership
+    /// changed.
     ///
     /// Moves to the current position are ignored (they touch nothing).
     /// When `moves` lists the same user more than once the last entry
@@ -167,7 +169,11 @@ impl CoverageMap {
         };
         let mut moved: Vec<usize> = Vec::new();
         let mut touched: Vec<usize> = Vec::new();
-        for &(k, position) in moves {
+        // Membership changes `(server, user, sequence, joins)`, merged
+        // into each touched member list once after the batch instead of
+        // one `Vec::insert`/`remove` per change.
+        let mut changes: Vec<(usize, usize, usize, bool)> = Vec::new();
+        for (seq, &(k, position)) in moves.iter().enumerate() {
             if self.user_points[k] == position {
                 continue;
             }
@@ -189,24 +195,28 @@ impl CoverageMap {
             // Every server covering the user before or after is touched
             // (member set or member distance changed).
             touched.extend(old_servers.iter().chain(&new_servers));
-            // Patch the sorted member lists where membership changed.
             for &m in &old_servers {
                 if new_servers.binary_search(&m).is_err() {
-                    let row = &mut self.users_of_server[m];
-                    if let Ok(pos) = row.binary_search(&k) {
-                        row.remove(pos);
-                    }
+                    changes.push((m, k, seq, false));
                 }
             }
             for &m in &new_servers {
                 if old_servers.binary_search(&m).is_err() {
-                    let row = &mut self.users_of_server[m];
-                    if let Err(pos) = row.binary_search(&k) {
-                        row.insert(pos, k);
-                    }
+                    changes.push((m, k, seq, true));
                 }
             }
             self.servers_of_user[k] = new_servers;
+        }
+        // A user listed twice can change one membership twice; sorting
+        // by sequence within `(server, user)` lets the last change win.
+        changes.sort_unstable();
+        let mut start = 0;
+        while start < changes.len() {
+            let m = changes[start].0;
+            let end = start + changes[start..].partition_point(|c| c.0 == m);
+            let row = &mut self.users_of_server[m];
+            *row = merge_members(row, &changes[start..end]);
+            start = end;
         }
         moved.sort_unstable();
         moved.dedup();
@@ -335,6 +345,32 @@ impl CoverageMap {
             .unwrap_or_default() as f64;
         (activity_probability * count).max(1.0)
     }
+}
+
+/// One server's member list after a batch: `row` (ascending) with the
+/// batch's membership `changes` for that server, sorted by user then
+/// sequence. Only a user's last change counts, and it is applied
+/// idempotently — a join of a present user or a leave of an absent one
+/// changes nothing — since a user listed twice may join and leave again.
+fn merge_members(row: &[usize], changes: &[(usize, usize, usize, bool)]) -> Vec<usize> {
+    let mut merged = Vec::with_capacity(row.len() + changes.len());
+    let mut rest = row;
+    for (j, &(_, k, _, joins)) in changes.iter().enumerate() {
+        if changes.get(j + 1).is_some_and(|next| next.1 == k) {
+            continue;
+        }
+        let before = rest.partition_point(|&u| u < k);
+        merged.extend_from_slice(&rest[..before]);
+        rest = &rest[before..];
+        if rest.first() == Some(&k) {
+            rest = &rest[1..];
+        }
+        if joins {
+            merged.push(k);
+        }
+    }
+    merged.extend_from_slice(rest);
+    merged
 }
 
 /// Uniform hash grid over server points with cell side equal to the
