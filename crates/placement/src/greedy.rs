@@ -12,8 +12,9 @@
 //!
 //! Gains come from one served-set
 //! [`Coverage`](trimcaching_scenario::Coverage) per solve: an evaluation
-//! costs `|users_for(m, i)|` flag reads (a `K`-scan on the dense tensor)
-//! with no `M` factor, bit-identical to the pointwise
+//! costs `⌈K/64⌉` word ANDs on the dense tensor (one bit test per
+//! eligible user on the sparse one) with no `M` factor, bit-identical to
+//! the pointwise
 //! [`marginal_hits`](trimcaching_scenario::HitRatioObjective::marginal_hits).
 
 use trimcaching_modellib::ModelId;

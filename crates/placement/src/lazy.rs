@@ -19,10 +19,14 @@
 //! `lazy_greedy_scaling` benchmark.
 //!
 //! Every gain evaluation reads the solve's served-set
-//! [`Coverage`](trimcaching_scenario::Coverage): it costs
-//! `|users_for(m, i)|` flag reads (a `K`-scan on the dense tensor) with
-//! no `M` factor, and returns the same bits as the pointwise
-//! [`HitRatioObjective::marginal_hits`].
+//! [`Coverage`](trimcaching_scenario::Coverage), with no `M` factor. On
+//! the dense tensor it ANDs the `(m, i)` cell's user bitset with the
+//! complement of model `i`'s covered bits, `⌈K/64⌉` words, and adds one
+//! weight per user left set. On the sparse representation it makes one
+//! bit test per user of the reverse row. Either way it returns the same
+//! bits as the pointwise [`HitRatioObjective::marginal_hits`]. On the
+//! drift-churn deployment (3 000 users, 30 models, 47 words per cell) a
+//! gain is under 50 word operations plus the adds.
 //!
 //! One subtlety of the parameter-sharing storage constraint (Eq. 7): a pair
 //! that does not fit *now* can become feasible later, because placing a

@@ -5,9 +5,11 @@
 //! indicator through [`EligibilityView`] rather than through a concrete
 //! array, so the storage layout can be chosen per scenario:
 //!
-//! * [`EligibilityTensor`] — the original **dense** `M × K × I` cube.
-//!   Constant-time point queries, `O(M · K · I)` memory. The right choice
-//!   for paper-scale snapshots (tens of servers, tens of users).
+//! * [`EligibilityTensor`] — the original **dense** `M × K × I` cube,
+//!   stored as one bitset of users per `(server, model)` cell.
+//!   Constant-time point queries, `M · I · ⌈K/64⌉` words of memory, and
+//!   marginal gains scored 64 users per word. The right choice for
+//!   paper-scale snapshots (tens of servers, up to thousands of users).
 //! * [`SparseEligibility`] — a **coverage-pruned CSR** representation:
 //!   for every request class `(k, i)` a sorted list of candidate servers,
 //!   plus a per-server reverse index grouping eligible users by model.
@@ -150,13 +152,23 @@ impl CandidateRows {
 // ---------------------------------------------------------------------------
 
 /// Precomputed dense `I1(m, k, i)` indicator for all (server, user, model)
-/// triples.
+/// triples, stored as one bitset of users per `(server, model)` cell.
+///
+/// Cell `(m, i)` is the `W = ⌈K/64⌉` words
+/// `bits[(m · I + i) · W..][..W]`; user `k` is bit `k % 64` of word
+/// `k / 64`, and the bits past `K` in the last word stay zero. The cube
+/// takes `M · I · ⌈K/64⌉` words: a point query is one bit test, a
+/// cell's users are its set bits, and the greedy solvers score a pair
+/// 64 users per word (see [`crate::Coverage`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EligibilityTensor {
     num_servers: usize,
     num_users: usize,
     num_models: usize,
-    bits: Vec<bool>,
+    /// Words per cell, `⌈K/64⌉`.
+    words: usize,
+    /// `M · I` user bitsets of `words` words each, cell `m · I + i`.
+    bits: Vec<u64>,
     /// `cell_users[m * I + i]` — how many users are eligible at
     /// `(m, i)`; lets [`EligibilityView::server_models`] answer in `O(1)`
     /// per model and stays exact under per-user row replacement.
@@ -186,32 +198,42 @@ impl EligibilityTensor {
         if m >= self.num_servers || k >= self.num_users || i >= self.num_models {
             return false;
         }
-        self.bits[(m * self.num_users + k) * self.num_models + i]
+        bit_is_set(self.cell(m, i), k)
     }
 
     /// Number of eligible `(m, k, i)` triples — a coarse measure of how
     /// permissive the latency constraints are.
     pub fn num_eligible(&self) -> usize {
-        self.bits.iter().filter(|b| **b).count()
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// An all-ineligible tensor.
     fn empty(num_servers: usize, num_users: usize, num_models: usize) -> Self {
+        let words = num_users.div_ceil(64);
         Self {
             num_servers,
             num_users,
             num_models,
-            bits: vec![false; num_servers * num_users * num_models],
+            words,
+            bits: vec![0; num_servers * num_models * words],
             cell_users: vec![0; num_servers * num_models],
         }
     }
 
+    /// The user bitset of cell `(m, i)`; both indices must be in range.
+    fn cell(&self, m: usize, i: usize) -> &[u64] {
+        let start = (m * self.num_models + i) * self.words;
+        &self.bits[start..start + self.words]
+    }
+
     /// Sets or clears the `(m, k, i)` bit, keeping `cell_users` exact.
     fn set(&mut self, m: usize, k: usize, i: usize, value: bool) {
-        let bit = &mut self.bits[(m * self.num_users + k) * self.num_models + i];
-        if *bit != value {
-            *bit = value;
-            let count = &mut self.cell_users[m * self.num_models + i];
+        let cell = m * self.num_models + i;
+        let word = &mut self.bits[cell * self.words + k / 64];
+        let mask = 1u64 << (k % 64);
+        if (*word & mask != 0) != value {
+            *word ^= mask;
+            let count = &mut self.cell_users[cell];
             if value {
                 *count += 1;
             } else {
@@ -337,11 +359,11 @@ impl EligibilityView for EligibilityTensor {
         if m >= self.num_servers || model.index() >= self.num_models {
             return UsersFor(UsersForInner::Empty);
         }
+        let cell = self.cell(m, model.index());
         UsersFor(UsersForInner::Dense {
-            tensor: self,
-            m,
-            model,
-            next: 0,
+            cell,
+            word: 0,
+            bits: cell.first().copied().unwrap_or(0),
         })
     }
 
@@ -359,9 +381,10 @@ impl EligibilityView for EligibilityTensor {
         if m >= self.num_servers {
             return PairsForServer(PairsForServerInner::Empty);
         }
+        let plane = self.num_models * self.words;
         PairsForServer(PairsForServerInner::Dense {
-            row: &self.bits
-                [m * self.num_users * self.num_models..(m + 1) * self.num_users * self.num_models],
+            cells: &self.bits[m * plane..(m + 1) * plane],
+            num_users: self.num_users,
             num_models: self.num_models,
             next: 0,
         })
@@ -946,10 +969,12 @@ pub struct UsersFor<'a>(UsersForInner<'a>);
 #[derive(Debug, Clone)]
 enum UsersForInner<'a> {
     Dense {
-        tensor: &'a EligibilityTensor,
-        m: usize,
-        model: ModelId,
-        next: usize,
+        /// The user bitset of one `(server, model)` cell.
+        cell: &'a [u64],
+        /// Index of the word being walked.
+        word: usize,
+        /// The not yet yielded bits of `cell[word]`.
+        bits: u64,
     },
     Sparse(std::slice::Iter<'a, u32>),
     Empty,
@@ -960,25 +985,77 @@ impl Iterator for UsersFor<'_> {
 
     fn next(&mut self) -> Option<UserId> {
         match &mut self.0 {
-            UsersForInner::Dense {
-                tensor,
-                m,
-                model,
-                next,
-            } => {
-                while *next < tensor.num_users {
-                    let k = *next;
-                    *next += 1;
-                    if tensor.eligible(*m, UserId(k), *model) {
-                        return Some(UserId(k));
-                    }
+            UsersForInner::Dense { cell, word, bits } => loop {
+                if *bits != 0 {
+                    let k = *word * 64 + bits.trailing_zeros() as usize;
+                    *bits &= *bits - 1;
+                    return Some(UserId(k));
                 }
-                None
-            }
+                *word += 1;
+                *bits = *cell.get(*word)?;
+            },
             UsersForInner::Sparse(iter) => iter.next().map(|k| UserId(*k as usize)),
             UsersForInner::Empty => None,
         }
     }
+}
+
+impl UsersFor<'_> {
+    /// `Σ weights[k]` over the remaining users `k` whose bit in
+    /// `covered` is clear, added in ascending `k` — the order the
+    /// iterator yields them. `covered` is a user bitset over the view's
+    /// `K` users, `weights` has one entry per user.
+    ///
+    /// The dense cell is scored word by word (`cell & !covered`), the
+    /// sparse reverse row with one bit test per user; a down server's
+    /// empty row scores `0`.
+    pub(crate) fn uncovered_weight(self, covered: &[u64], weights: &[f64]) -> f64 {
+        let mut total = 0.0;
+        match self.0 {
+            UsersForInner::Dense { cell, word, bits } => {
+                for (w, (&c, &cov)) in cell.iter().zip(covered).enumerate().skip(word) {
+                    let mut free = if w == word { bits } else { c } & !cov;
+                    while free != 0 {
+                        total += weights[w * 64 + free.trailing_zeros() as usize];
+                        free &= free - 1;
+                    }
+                }
+            }
+            UsersForInner::Sparse(iter) => {
+                for &k in iter.as_slice() {
+                    if !bit_is_set(covered, k as usize) {
+                        total += weights[k as usize];
+                    }
+                }
+            }
+            UsersForInner::Empty => {}
+        }
+        total
+    }
+
+    /// Sets the bit of every remaining user in `covered`, a user bitset
+    /// over the view's `K` users.
+    pub(crate) fn cover(self, covered: &mut [u64]) {
+        match self.0 {
+            UsersForInner::Dense { cell, word, bits } => {
+                for (w, (&c, cov)) in cell.iter().zip(covered).enumerate().skip(word) {
+                    *cov |= if w == word { bits } else { c };
+                }
+            }
+            UsersForInner::Sparse(iter) => {
+                for &k in iter.as_slice() {
+                    covered[k as usize / 64] |= 1 << (k % 64);
+                }
+            }
+            UsersForInner::Empty => {}
+        }
+    }
+}
+
+/// Whether bit `k` (bit `k % 64` of word `k / 64`) of a user bitset is
+/// set.
+pub(crate) fn bit_is_set(words: &[u64], k: usize) -> bool {
+    words[k / 64] >> (k % 64) & 1 == 1
 }
 
 /// Iterator over the models one server can serve for at least one user.
@@ -1038,9 +1115,11 @@ pub struct PairsForServer<'a>(PairsForServerInner<'a>);
 #[derive(Debug, Clone)]
 enum PairsForServerInner<'a> {
     Dense {
-        /// The `K · I` bit row of one server.
-        row: &'a [bool],
+        /// The `I` user bitsets of one server, model-major.
+        cells: &'a [u64],
+        num_users: usize,
         num_models: usize,
+        /// Next `(user, model)` pair to test, flattened as `k · I + i`.
         next: usize,
     },
     Sparse {
@@ -1056,15 +1135,17 @@ impl Iterator for PairsForServer<'_> {
     fn next(&mut self) -> Option<(UserId, ModelId)> {
         match &mut self.0 {
             PairsForServerInner::Dense {
-                row,
+                cells,
+                num_users,
                 num_models,
                 next,
             } => {
-                while *next < row.len() {
-                    let idx = *next;
+                let words = num_users.div_ceil(64);
+                while *next < *num_users * *num_models {
+                    let (k, i) = (*next / *num_models, *next % *num_models);
                     *next += 1;
-                    if row[idx] {
-                        return Some((UserId(idx / *num_models), ModelId(idx % *num_models)));
+                    if bit_is_set(&cells[i * words..], k) {
+                        return Some((UserId(k), ModelId(i)));
                     }
                 }
                 None
@@ -1233,7 +1314,7 @@ pub enum EligibilityRepr {
 
 impl EligibilityRepr {
     /// `Auto` switches to the sparse representation when the dense cube
-    /// would exceed this many cells (4 Mi cells ≈ 4 MiB of `bool`s) and
+    /// would exceed this many cells (4 Mi cells ≈ 512 KiB of bits) and
     /// the coverage is not mostly dense.
     pub const AUTO_CELL_LIMIT: usize = 1 << 22;
 
@@ -1243,7 +1324,7 @@ impl EligibilityRepr {
     pub const AUTO_COVERAGE_THRESHOLD: f64 = 0.10;
 
     /// Above this coverage density `Auto` never picks sparse: the CSR
-    /// spends ~8 bytes per eligible triple against the cube's 1 byte per
+    /// spends ~8 bytes per eligible triple against the cube's 1 bit per
     /// cell, so a mostly covered topology would make the "compact"
     /// representation the bigger one.
     pub const AUTO_COVERAGE_CEILING: f64 = 0.5;
@@ -1289,7 +1370,7 @@ impl EligibilityRepr {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A small asymmetric pattern exercising every iterator.
@@ -1415,7 +1496,7 @@ mod tests {
             EligibilityRepr::Sparse
         );
         // Huge cube but mostly covered: the CSR would outgrow the cube
-        // (~8 bytes/triple vs 1 byte/cell), so dense wins.
+        // (~8 bytes/triple vs 1 bit/cell), so dense wins.
         assert_eq!(
             EligibilityRepr::Auto.resolved(1000, 50_000, 24, 0.6),
             EligibilityRepr::Dense
@@ -1572,6 +1653,129 @@ mod tests {
             // A short mask treats the unnamed servers as up.
             let short = MaskedEligibility::new(view, &down[..1]);
             assert_eq!(short.num_eligible(), view.num_eligible());
+        }
+    }
+
+    /// User counts on either side of the 64-bit word boundaries.
+    pub(crate) const WORD_EDGES: [usize; 7] = [1, 63, 64, 65, 127, 128, 129];
+
+    /// A random `M × K × I` eligibility table, triple `(m, k, i)` at
+    /// `(m · K + k) · I + i`, each triple eligible with probability
+    /// `DENSITIES[density]` (empty, thin, half, thick or full).
+    pub(crate) fn random_table(
+        seed: u64,
+        dims: (usize, usize, usize),
+        density: usize,
+    ) -> Vec<bool> {
+        use rand::{Rng, SeedableRng};
+        const DENSITIES: [f64; 5] = [0.0, 0.03, 0.5, 0.9, 1.0];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..dims.0 * dims.1 * dims.2)
+            .map(|_| rng.gen_bool(DENSITIES[density % DENSITIES.len()]))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Dense bitsets and the sparse CSR agree on every query and
+        /// iterator when `K` sits on a word boundary, including after a
+        /// row replacement, and bits past `K` never count.
+        #[test]
+        fn dense_and_sparse_agree_across_word_boundaries(
+            seed in 0u64..1_000_000,
+            edge in 0usize..7,
+            density in 0usize..5,
+            num_servers in 1usize..4,
+            num_models in 1usize..4,
+        ) {
+            let (m_count, k_count, i_count) = (num_servers, WORD_EDGES[edge], num_models);
+            let table = random_table(seed, (m_count, k_count, i_count), density);
+            let at = |m: usize, k: usize, i: usize| table[(m * k_count + k) * i_count + i];
+            let dense = EligibilityTensor::from_fn(m_count, k_count, i_count, at);
+            let sparse = SparseEligibility::from_fn(m_count, k_count, i_count, at);
+            let truth = table.iter().filter(|b| **b).count();
+            assert_eq!(dense.num_eligible(), truth);
+            assert_eq!(sparse.num_eligible(), truth);
+            assert_views_agree(&dense, &sparse, at);
+
+            // Re-draw every third user's rows through the row-replacement
+            // path; both must equal a fresh build of the merged pattern.
+            let redrawn = random_table(seed ^ 0x5eed, (m_count, k_count, i_count), density + 2);
+            let users: Vec<usize> = (seed as usize % 3..k_count).step_by(3).collect();
+            let merged = |m: usize, k: usize, i: usize| {
+                let table = if users.binary_search(&k).is_ok() { &redrawn } else { &table };
+                table[(m * k_count + k) * i_count + i]
+            };
+            let fill = |k: usize, rows: &mut CandidateRows| -> Result<(), ()> {
+                for i in 0..i_count {
+                    for m in (0..m_count).filter(|&m| merged(m, k, i)) {
+                        rows.push_server(m);
+                    }
+                    rows.end_row();
+                }
+                Ok(())
+            };
+            let (mut dense, mut sparse) = (dense, sparse);
+            dense.replace_user_rows(&users, fill).unwrap();
+            sparse.replace_user_rows(&users, fill).unwrap();
+            assert_eq!(dense, EligibilityTensor::from_fn(m_count, k_count, i_count, merged));
+            assert_eq!(sparse, SparseEligibility::from_fn(m_count, k_count, i_count, merged));
+            assert_views_agree(&dense, &sparse, merged);
+        }
+    }
+
+    /// Requires `dense` and `sparse` to answer every point query like
+    /// `truth` and to agree on every iterator, out-of-range indices
+    /// included.
+    fn assert_views_agree(
+        dense: &EligibilityTensor,
+        sparse: &SparseEligibility,
+        truth: impl Fn(usize, usize, usize) -> bool,
+    ) {
+        let (m_count, k_count, i_count) = (dense.num_servers, dense.num_users, dense.num_models);
+        assert_eq!(dense.num_eligible(), sparse.num_eligible());
+        for m in 0..=m_count {
+            for k in 0..=k_count {
+                for i in 0..=i_count {
+                    let expected = m < m_count && k < k_count && i < i_count && truth(m, k, i);
+                    let (user, model) = (UserId(k), ModelId(i));
+                    assert_eq!(
+                        dense.eligible(m, user, model),
+                        expected,
+                        "dense ({m},{k},{i})"
+                    );
+                    assert_eq!(
+                        sparse.eligible(m, user, model),
+                        expected,
+                        "sparse ({m},{k},{i})"
+                    );
+                }
+            }
+            for i in 0..=i_count {
+                let d: Vec<UserId> = dense.users_for(m, ModelId(i)).collect();
+                let s: Vec<UserId> = sparse.users_for(m, ModelId(i)).collect();
+                assert_eq!(d, s, "users_for({m},{i})");
+            }
+            let d: Vec<ModelId> = dense.server_models(m).collect();
+            assert_eq!(
+                d,
+                sparse.server_models(m).collect::<Vec<_>>(),
+                "server_models({m})"
+            );
+            let d: Vec<_> = dense.pairs_for_server(m).collect();
+            assert_eq!(
+                d,
+                sparse.pairs_for_server(m).collect::<Vec<_>>(),
+                "pairs({m})"
+            );
+        }
+        for k in 0..=k_count {
+            for i in 0..=i_count {
+                let d: Vec<usize> = dense.servers_for(UserId(k), ModelId(i)).collect();
+                let s: Vec<usize> = sparse.servers_for(UserId(k), ModelId(i)).collect();
+                assert_eq!(d, s, "servers_for({k},{i})");
+            }
         }
     }
 

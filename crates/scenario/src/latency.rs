@@ -445,7 +445,8 @@ impl<'a> LatencyEvaluator<'a> {
     /// bit-identical to rebuilding the whole tensor with
     /// [`LatencyEvaluator::eligibility`]. The cost is the kernel's
     /// (`I × |covering|` compares per user, plus `M` pushes per relayed
-    /// class) plus `M · I` bit writes per refreshed user.
+    /// class) plus one single-bit update in each of the `M · I` cell
+    /// bitsets per refreshed user.
     ///
     /// # Errors
     ///

@@ -28,10 +28,11 @@
 //! [`EligibilityView`] trait, which has two implementations selected by
 //! [`eligibility::EligibilityRepr`] on the builder:
 //!
-//! * **Dense** ([`EligibilityTensor`]) — the full `M × K × I` cube.
-//!   `O(1)` point queries and trivially cache-friendly scans; memory is
-//!   `M · K · I` bytes, fine for paper-scale snapshots (10 servers × 30
-//!   users × 30 models) and exhaustive/small-instance work.
+//! * **Dense** ([`EligibilityTensor`]) — the full `M × K × I` cube, one
+//!   bitset of users per `(server, model)` cell. `O(1)` point queries and
+//!   word-wise marginal gains; memory is `M · I · ⌈K/64⌉` words, fine for
+//!   paper-scale snapshots (10 servers × 30 users × 30 models) up to the
+//!   paper footprint at 3 000 users (113 KB).
 //! * **Sparse** ([`eligibility::SparseEligibility`]) — coverage-pruned
 //!   CSR: per request class `(k, i)` a sorted candidate-server list, plus
 //!   a per-server model-major reverse index of eligible users. Memory

@@ -32,19 +32,22 @@
 //!
 //! The greedy solvers instead keep one
 //! [`Coverage`] per solve: the set of request classes `(k, i)` already
-//! served by the pairs placed so far. A pair's gain is then one pass
-//! over `users_for(m, i)` with one flag read per user — `|users_for(m,
-//! i)|` work (a `K`-scan on the dense tensor, the reverse row on the
-//! sparse one) with no `M` factor — and placing a pair marks its users.
-//! The coverage visits the same users in the same ascending order and
-//! skips exactly the users `is_served` would, so every gain is
-//! bit-identical to `marginal_hits`. [`HitRatioObjective::expected_hits`]
-//! scores a placement through the same coverage.
+//! served by the pairs placed so far, as one user bitset per model, next
+//! to a column of the solve's weights `p_{k,i}`. A pair's gain has no
+//! `M` factor. On the dense tensor it is `⌈K/64⌉` word ANDs of the
+//! cell's user bitset with the complement of the model's covered bits,
+//! plus one weight add per user left set. On the sparse representation
+//! it is one bit test per user of the reverse row. Placing a pair ORs its
+//! users into the covered bits. The coverage adds the same users' weights
+//! in the same ascending order and skips exactly the users `is_served`
+//! would, so every gain is bit-identical to `marginal_hits`.
+//! [`HitRatioObjective::expected_hits`] scores a placement through the
+//! same coverage.
 
 use trimcaching_modellib::ModelId;
 
 use crate::demand::DemandView;
-use crate::eligibility::{EligibilityView, ServerModels, UsersFor};
+use crate::eligibility::{bit_is_set, EligibilityView, ServerModels, UsersFor};
 use crate::entities::{ServerId, UserId};
 use crate::error::ScenarioError;
 use crate::placement::Placement;
@@ -176,10 +179,20 @@ impl<'a> HitRatioObjective<'a> {
     }
 
     /// The coverage of an empty placement: no request class is served.
+    /// Reads every weight `p_{k,i}` once, into the coverage's weight
+    /// column.
     pub fn empty_coverage(&self) -> Coverage<'a> {
+        let (users, models) = (self.num_users(), self.num_models());
+        let words = users.div_ceil(64);
+        let mut weights = Vec::with_capacity(users * models);
+        for i in 0..models {
+            weights.extend((0..users).map(|k| self.weight(UserId(k), ModelId(i))));
+        }
         Coverage {
             objective: *self,
-            covered: vec![false; self.num_users() * self.num_models()],
+            words,
+            covered: vec![0; models * words],
+            weights,
         }
     }
 
@@ -254,54 +267,72 @@ impl<'a> HitRatioObjective<'a> {
 /// covered pairs. [`Self::gain`] is therefore bit-identical to
 /// [`HitRatioObjective::marginal_hits`] on that placement, and a pair
 /// already covered scores `0` without a placement lookup, because all
-/// of its users are covered. The flags take `K · I` bytes.
+/// of its users are covered.
+///
+/// The served set is one user bitset per model, `I · ⌈K/64⌉` words laid
+/// out like a cell of the dense
+/// [`EligibilityTensor`](crate::EligibilityTensor), so a dense gain is a
+/// word-by-word `cell & !covered`. The weights are read once per solve
+/// into a `K · I` column (`8 · K · I` bytes), model-major, so the
+/// users of one model sit next to each other.
 #[derive(Debug)]
 pub struct Coverage<'a> {
     objective: HitRatioObjective<'a>,
-    /// `K · I` flags, user-major.
-    covered: Vec<bool>,
+    /// Words per model, `⌈K/64⌉`.
+    words: usize,
+    /// `covered[i · W + k / 64]` bit `k % 64`: `(k, i)` is served.
+    covered: Vec<u64>,
+    /// `weights[i · K + k] = p_{k,i}`.
+    weights: Vec<f64>,
 }
 
 impl Coverage<'_> {
     /// The marginal gain of placing `model` on `server`, in expected-hit
     /// units: `Σ p_{k,i}` over the users of `users_for(m, i)` not yet
-    /// covered, accumulated in ascending user order. Costs one pass over
-    /// `users_for(m, i)` (a `K`-scan on the dense tensor).
+    /// covered, accumulated in ascending user order. Costs `⌈K/64⌉` word
+    /// ANDs on the dense tensor and one bit test per user of the reverse
+    /// row on the sparse one, plus one add per uncovered eligible user.
     ///
     /// With the pairs of the servers already processed covered, this is
     /// the per-server weight `u(m, i)` of Eq. (14) under the `I2` mask
     /// of TrimCaching Spec's successive greedy.
     pub fn gain(&self, server: ServerId, model: ModelId) -> f64 {
-        let i = model.index();
-        let num_models = self.objective.num_models();
-        let mut gain = 0.0;
-        for user in self.objective.eligibility.users_for(server.index(), model) {
-            if !self.covered[user.index() * num_models + i] {
-                gain += self.objective.weight(user, model);
-            }
+        let (i, users) = (model.index(), self.objective.num_users());
+        let covered = self.covered.get(i * self.words..(i + 1) * self.words);
+        let weights = self.weights.get(i * users..(i + 1) * users);
+        match (covered, weights) {
+            (Some(covered), Some(weights)) => self
+                .objective
+                .eligibility
+                .users_for(server.index(), model)
+                .uncovered_weight(covered, weights),
+            _ => 0.0,
         }
-        gain
     }
 
     /// Records `model` as placed on `server`: marks every user of
     /// `users_for(m, i)` served for `model`.
     pub fn cover(&mut self, server: ServerId, model: ModelId) {
         let i = model.index();
-        let num_models = self.objective.num_models();
-        for user in self.objective.eligibility.users_for(server.index(), model) {
-            self.covered[user.index() * num_models + i] = true;
+        if let Some(covered) = self.covered.get_mut(i * self.words..(i + 1) * self.words) {
+            self.objective
+                .eligibility
+                .users_for(server.index(), model)
+                .cover(covered);
         }
     }
 
     /// Expected number of hits of the covered pairs, summed in `(k, i)`
     /// order — the same order and terms as the pointwise definition.
     fn expected_hits(&self) -> f64 {
-        let num_models = self.objective.num_models();
+        let (users, models) = (self.objective.num_users(), self.objective.num_models());
         let mut total = 0.0;
-        for (idx, _) in self.covered.iter().enumerate().filter(|(_, c)| **c) {
-            total += self
-                .objective
-                .weight(UserId(idx / num_models), ModelId(idx % num_models));
+        for k in 0..users {
+            for i in 0..models {
+                if bit_is_set(&self.covered[i * self.words..], k) {
+                    total += self.weights[i * users + k];
+                }
+            }
         }
         total
     }
@@ -417,6 +448,76 @@ mod tests {
                 for (k, i) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
                     if obj.is_served(&placement, UserId(k), ModelId(i)) {
                         pointwise += obj.weight(UserId(k), ModelId(i));
+                    }
+                }
+                assert_eq!(coverage.expected_hits().to_bits(), pointwise.to_bits());
+                assert_eq!(obj.expected_hits(&placement).to_bits(), pointwise.to_bits());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// After a random sequence of covers, every coverage gain equals
+        /// `marginal_hits` bit for bit and the coverage's expected hits
+        /// equal the pointwise sum, with `K` on a word boundary, on
+        /// dense, sparse and masked views.
+        #[test]
+        fn coverage_matches_the_pointwise_definition_across_word_boundaries(
+            seed in 0u64..1_000_000,
+            edge in 0usize..7,
+            density in 0usize..5,
+            num_servers in 1usize..4,
+            num_models in 1usize..4,
+        ) {
+            use crate::demand::DemandEstimate;
+            use crate::eligibility::tests::{random_table, WORD_EDGES};
+            use crate::eligibility::MaskedEligibility;
+            use rand::{Rng, SeedableRng};
+
+            let (m_count, k_count, i_count) = (num_servers, WORD_EDGES[edge], num_models);
+            let table = random_table(seed, (m_count, k_count, i_count), density);
+            let at = |m: usize, k: usize, i: usize| table[(m * k_count + k) * i_count + i];
+            let dense = EligibilityTensor::from_fn(m_count, k_count, i_count, at);
+            let sparse = SparseEligibility::from_fn(m_count, k_count, i_count, at);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let weights = (0..k_count)
+                .map(|_| (0..i_count).map(|_| rng.gen_range(0.0..1.0)).collect())
+                .collect();
+            let demand = DemandEstimate::new(weights).unwrap();
+            let covers: Vec<(ServerId, ModelId)> = (0..rng.gen_range(0..2 * m_count * i_count))
+                .map(|_| (ServerId(rng.gen_range(0..m_count)), ModelId(rng.gen_range(0..i_count))))
+                .collect();
+            let down: Vec<bool> = (0..m_count).map(|m| m == seed as usize % m_count).collect();
+            let masked_dense = MaskedEligibility::new(&dense, &down);
+            let masked_sparse = MaskedEligibility::new(&sparse, &down);
+            let views: [&dyn EligibilityView; 4] = [&dense, &sparse, &masked_dense, &masked_sparse];
+            for view in views {
+                let obj = HitRatioObjective::from_views(&demand, view).unwrap();
+                let mut placement = Placement::empty(m_count, i_count);
+                let mut coverage = obj.empty_coverage();
+                for &(server, model) in &covers {
+                    if !placement.contains(server, model) {
+                        placement.place(server, model).unwrap();
+                    }
+                    coverage.cover(server, model);
+                    for m in 0..m_count {
+                        for i in 0..i_count {
+                            let (m, i) = (ServerId(m), ModelId(i));
+                            assert_eq!(
+                                coverage.gain(m, i).to_bits(),
+                                obj.marginal_hits(&placement, m, i).to_bits()
+                            );
+                        }
+                    }
+                }
+                let mut pointwise = 0.0;
+                for k in 0..k_count {
+                    for i in 0..i_count {
+                        if obj.is_served(&placement, UserId(k), ModelId(i)) {
+                            pointwise += obj.weight(UserId(k), ModelId(i));
+                        }
                     }
                 }
                 assert_eq!(coverage.expected_hits().to_bits(), pointwise.to_bits());

@@ -202,13 +202,14 @@ proptest! {
     /// Every coverage gain equals `marginal_hits` at every selection
     /// step, on dense, sparse and one-server-down eligibility, under
     /// ground-truth and shifted demand; the solvers land on the
-    /// reference placement.
+    /// reference placement. The user count (plus one uncovered user)
+    /// ranges over one, two and three 64-bit words of a user bitset.
     #[test]
     fn coverage_gains_equal_marginal_hits_at_every_step(
         seed in 0u64..5000,
         special in any::<bool>(),
         num_servers in 2usize..6,
-        num_users in 4usize..24,
+        num_users in 4usize..150,
         capacity_gb in 0.1f64..0.8,
         down in 0usize..6,
         shift in 1usize..5,
@@ -235,16 +236,40 @@ fn paper_footprint(users: usize) -> Scenario {
     topology.generate(&library, 2024, 0).unwrap()
 }
 
+/// A deployment generated with the paper's backhaul, rebuilt from its
+/// parts on the sparse CSR.
+fn sparse_copy(scenario: &Scenario) -> Scenario {
+    Scenario::builder()
+        .library(scenario.library().clone())
+        .servers(scenario.servers().to_vec())
+        .users(scenario.users().to_vec())
+        .demand(scenario.demand().clone())
+        .radio(*scenario.radio())
+        .backhaul_rate_bps(TopologyConfig::paper_defaults().backhaul_rate_bps)
+        .eligibility_repr(EligibilityRepr::Sparse)
+        .build()
+        .unwrap()
+}
+
 /// The oracle check at drift-churn size: 3 000 users, 30 models, 10
-/// servers on the dense tensor. Too slow for the debug test profile;
-/// CI runs it under `--release`.
+/// servers, once on the dense tensor the deployment selects and once on
+/// the sparse CSR. Too slow for the debug test profile; CI runs it
+/// under `--release`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-profile smoke, run by CI")]
 fn placement_oracle_smoke_drift_churn() {
-    let scenario = paper_footprint(3_000);
-    assert!(!scenario.eligibility().is_sparse());
-    assert_eq!(scenario.num_models(), 30);
-    check_solvers_against_reference(&scenario, 3, 7);
+    let dense = paper_footprint(3_000);
+    assert!(!dense.eligibility().is_sparse());
+    assert_eq!(dense.num_models(), 30);
+    let sparse = sparse_copy(&dense);
+    assert!(sparse.eligibility().is_sparse());
+    assert_eq!(
+        sparse.eligibility().num_eligible(),
+        dense.eligibility().num_eligible()
+    );
+    for scenario in [&dense, &sparse] {
+        check_solvers_against_reference(scenario, 3, 7);
+    }
 }
 
 /// The benchmark's mobile-durable deployment (LoRA market of three
