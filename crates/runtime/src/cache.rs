@@ -17,8 +17,17 @@
 //! never eviction victims. Fills for models whose missing blocks are
 //! already on the wire for another fill join those transfers instead of
 //! re-downloading the bytes.
+//!
+//! The cache also keeps three **residency tables**, per model: its
+//! marginal bytes (blocks no resident model references), the bytes it
+//! alone references, and how many of its blocks have arrived. They are
+//! updated on every refcount or arrival transition of a block, through
+//! [`ModelLibrary::models_of_block`], so admission, victim ranking, fill
+//! plans and block hit counts are lookups instead of block walks. The
+//! tables are derived state: restoring a checkpoint rebuilds them from
+//! the tracker and the arrived flags, and checkpoints never store them.
 
-use trimcaching_modellib::{ModelId, ModelLibrary};
+use trimcaching_modellib::{BlockId, ModelId, ModelLibError, ModelLibrary};
 use trimcaching_scenario::StorageTracker;
 
 use crate::error::RuntimeError;
@@ -37,6 +46,32 @@ pub struct CacheView<'c, 'lib> {
     /// Whether a model's fill is still in flight. Pending models hold
     /// reserved capacity but are not servable and never victims.
     pub pending: &'c [bool],
+    /// Per-model marginal bytes (see [`CacheView::marginal_bytes`]).
+    marginal_bytes: &'c [u64],
+    /// Per-model bytes of blocks with refcount exactly one, resident or
+    /// not (see [`CacheView::release_bytes`]).
+    sole_bytes: &'c [u64],
+}
+
+impl CacheView<'_, '_> {
+    /// Bytes adding `model` would provision — what
+    /// [`StorageTracker::marginal_bytes`] computes, read from the cache's
+    /// residency table. `None` for an unknown model.
+    pub fn marginal_bytes(&self, model: ModelId) -> Option<u64> {
+        self.marginal_bytes.get(model.index()).copied()
+    }
+
+    /// Bytes evicting `model` would free (zero when it is not resident)
+    /// — what [`StorageTracker::release_bytes`] computes, read from the
+    /// cache's residency table. `None` for an unknown model.
+    pub fn release_bytes(&self, model: ModelId) -> Option<u64> {
+        let sole = self.sole_bytes.get(model.index()).copied()?;
+        Some(if self.tracker.contains(model) {
+            sole
+        } else {
+            0
+        })
+    }
 }
 
 /// What a fill of one model must move and wait for, computed *before*
@@ -56,6 +91,13 @@ pub struct FillPlan {
 
 /// One edge server's cache with online access statistics and
 /// block-granular transfer state.
+///
+/// Reads of the residency tables are O(1). Each residency change (a fill
+/// started, completed or aborted, an insert, preload or eviction)
+/// updates the table entries of every model sharing a touched block, so
+/// it costs the sum of |I_b| over the model's blocks, where |I_b| is the
+/// number of models using block `b`. The block-sharing degree times the
+/// miss rate therefore sets what the tables cost a run.
 #[derive(Debug, Clone)]
 pub struct ServerCache<'lib> {
     library: &'lib ModelLibrary,
@@ -72,6 +114,14 @@ pub struct ServerCache<'lib> {
     /// Arrival time of an in-flight block (valid while referenced and
     /// not yet arrived).
     block_eta_s: Vec<f64>,
+    /// Residency table: per model, the bytes of its blocks with
+    /// refcount zero — the tracker's marginal bytes.
+    marginal_bytes: Vec<u64>,
+    /// Residency table: per model, the bytes of its blocks with
+    /// refcount one — its release bytes while it is resident.
+    sole_bytes: Vec<u64>,
+    /// Residency table: per model, how many of its blocks have arrived.
+    arrived_blocks: Vec<u32>,
     insertions: u64,
     evictions: u64,
 }
@@ -90,8 +140,134 @@ impl<'lib> ServerCache<'lib> {
             pending_eta_s: vec![f64::NEG_INFINITY; n],
             block_arrived: vec![false; j],
             block_eta_s: vec![f64::NEG_INFINITY; j],
+            // Nothing is referenced yet: every model's blocks are
+            // marginal, none is sole or arrived. (Every id `model_ids`
+            // yields is in range, so the size lookup cannot fail.)
+            marginal_bytes: library
+                .model_ids()
+                .map(|m| library.model_size_bytes(m).unwrap_or(0))
+                .collect(),
+            sole_bytes: vec![0; n],
+            arrived_blocks: vec![0; n],
             insertions: 0,
             evictions: 0,
+        }
+    }
+
+    /// Recomputes the residency tables from the tracker's refcounts and
+    /// the arrived flags by walking every model's blocks.
+    fn rebuild_residency(&mut self) {
+        let block_bytes: Vec<u64> = self.library.blocks().map(|b| b.size_bytes()).collect();
+        self.marginal_bytes.clear();
+        self.sole_bytes.clear();
+        self.arrived_blocks.clear();
+        for model in self.library.models() {
+            let (mut marginal, mut sole, mut arrived) = (0u64, 0u64, 0u32);
+            for &b in model.blocks() {
+                match self.tracker.block_refcount(b) {
+                    0 => marginal += block_bytes[b.index()],
+                    1 => sole += block_bytes[b.index()],
+                    _ => {}
+                }
+                arrived += u32::from(self.block_arrived[b.index()]);
+            }
+            self.marginal_bytes.push(marginal);
+            self.sole_bytes.push(sole);
+            self.arrived_blocks.push(arrived);
+        }
+    }
+
+    /// Adds `model` to the tracker and folds each of its blocks'
+    /// refcount step into the byte tables of every model sharing the
+    /// block. Returns the bytes provisioned.
+    fn track_add(&mut self, model: ModelId) -> Result<u64, RuntimeError> {
+        if self.tracker.contains(model) {
+            return Ok(0);
+        }
+        let added = self.tracker.add(model)?;
+        let library = self.library;
+        for &b in library.model(model).map_err(to_runtime)?.blocks() {
+            let after = self.tracker.block_refcount(b);
+            self.note_refcount(b, after - 1, after)?;
+        }
+        Ok(added)
+    }
+
+    /// Removes `model` from the tracker, the inverse of
+    /// [`ServerCache::track_add`]. Returns the bytes freed.
+    fn track_remove(&mut self, model: ModelId) -> Result<u64, RuntimeError> {
+        if !self.tracker.contains(model) {
+            return Ok(0);
+        }
+        let freed = self.tracker.remove(model)?;
+        let library = self.library;
+        for &b in library.model(model).map_err(to_runtime)?.blocks() {
+            let after = self.tracker.block_refcount(b);
+            self.note_refcount(b, after + 1, after)?;
+        }
+        Ok(freed)
+    }
+
+    /// Moves block `b`'s bytes between the byte tables of every model
+    /// containing it, for a refcount step `before -> after`.
+    fn note_refcount(&mut self, b: BlockId, before: u32, after: u32) -> Result<(), RuntimeError> {
+        let size = self.library.block_size_bytes(b).map_err(to_runtime)?;
+        for &j in self.library.models_of_block(b).map_err(to_runtime)? {
+            let j = j.index();
+            match before {
+                0 => self.marginal_bytes[j] -= size,
+                1 => self.sole_bytes[j] -= size,
+                _ => {}
+            }
+            match after {
+                0 => self.marginal_bytes[j] += size,
+                1 => self.sole_bytes[j] += size,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Sets block `b`'s arrived flag, counting a change in the arrived
+    /// table of every model containing it.
+    fn set_arrived(&mut self, b: BlockId, arrived: bool) -> Result<(), RuntimeError> {
+        if self.block_arrived[b.index()] == arrived {
+            return Ok(());
+        }
+        self.block_arrived[b.index()] = arrived;
+        for &j in self.library.models_of_block(b).map_err(to_runtime)? {
+            let count = &mut self.arrived_blocks[j.index()];
+            if arrived {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Drops every block of `model` that no resident model references
+    /// any more: it is neither arrived nor in flight.
+    fn drop_unreferenced_blocks(&mut self, model: ModelId) -> Result<(), RuntimeError> {
+        let library = self.library;
+        for &b in library.model(model).map_err(to_runtime)?.blocks() {
+            if self.tracker.block_refcount(b) == 0 {
+                self.set_arrived(b, false)?;
+                self.block_eta_s[b.index()] = f64::NEG_INFINITY;
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the invariant the fill-plan lookup relies on: a block no
+    /// resident model references has not arrived.
+    #[cfg(test)]
+    fn assert_invariants(&self) {
+        for (j, &arrived) in self.block_arrived.iter().enumerate() {
+            assert!(
+                !arrived || self.tracker.block_refcount(BlockId(j)) > 0,
+                "block {j} is arrived with refcount 0"
+            );
         }
     }
 
@@ -102,6 +278,8 @@ impl<'lib> ServerCache<'lib> {
             last_access_s: &self.last_access_s,
             access_count: &self.access_count,
             pending: &self.pending,
+            marginal_bytes: &self.marginal_bytes,
+            sole_bytes: &self.sole_bytes,
         }
     }
 
@@ -131,7 +309,14 @@ impl<'lib> ServerCache<'lib> {
     ///
     /// Returns an error for an unknown model.
     pub fn fits(&self, model: ModelId) -> Result<bool, RuntimeError> {
-        Ok(self.tracker.fits(model)?)
+        let Some(&marginal) = self.marginal_bytes.get(model.index()) else {
+            return Err(to_runtime(ModelLibError::IndexOutOfRange {
+                entity: "model",
+                index: model.index(),
+                len: self.marginal_bytes.len(),
+            }));
+        };
+        Ok(self.tracker.used_bytes() + marginal <= self.tracker.capacity_bytes())
     }
 
     /// Deduplicated bytes currently used (including pending reservations).
@@ -192,16 +377,13 @@ impl<'lib> ServerCache<'lib> {
     ///
     /// Returns an error for an unknown model.
     pub fn arrived_blocks(&self, model: ModelId) -> Result<(usize, usize), RuntimeError> {
-        let blocks = self.library().model(model).map_err(to_runtime)?.blocks();
-        let arrived = blocks
-            .iter()
-            .filter(|b| self.block_arrived[b.index()])
-            .count();
-        Ok((arrived, blocks.len()))
-    }
-
-    fn library(&self) -> &'lib ModelLibrary {
-        self.library
+        let total = self
+            .library
+            .model(model)
+            .map_err(to_runtime)?
+            .blocks()
+            .len();
+        Ok((self.arrived_blocks[model.index()] as usize, total))
     }
 
     /// Records a request for `model` routed to this server at `now_s` —
@@ -223,24 +405,24 @@ impl<'lib> ServerCache<'lib> {
     ///
     /// Returns an error for an unknown model.
     pub fn fill_plan(&self, model: ModelId) -> Result<FillPlan, RuntimeError> {
-        let mut missing = 0u64;
-        let mut join_eta = f64::NEG_INFINITY;
-        for &b in self.library().model(model).map_err(to_runtime)?.blocks() {
-            if self.block_arrived[b.index()] {
-                continue;
-            }
-            if self.tracker.block_refcount(b) == 0 {
-                missing += self.library().block_size_bytes(b).map_err(to_runtime)?;
-            } else {
+        let blocks = self.library.model(model).map_err(to_runtime)?.blocks();
+        // A block with refcount zero has not arrived, so the bytes to
+        // move are exactly the marginal bytes.
+        let missing_bytes = self.marginal_bytes[model.index()];
+        let mut join_eta_s = f64::NEG_INFINITY;
+        if (self.arrived_blocks[model.index()] as usize) < blocks.len() {
+            for &b in blocks {
                 // Referenced but not arrived: on the wire for another
                 // fill; a block-granular fill waits for it instead of
                 // re-sending.
-                join_eta = join_eta.max(self.block_eta_s[b.index()]);
+                if !self.block_arrived[b.index()] && self.tracker.block_refcount(b) > 0 {
+                    join_eta_s = join_eta_s.max(self.block_eta_s[b.index()]);
+                }
             }
         }
         Ok(FillPlan {
-            missing_bytes: missing,
-            join_eta_s: join_eta,
+            missing_bytes,
+            join_eta_s,
         })
     }
 
@@ -266,25 +448,26 @@ impl<'lib> ServerCache<'lib> {
         transfer_finish_s: f64,
         join_inflight: bool,
     ) -> Result<(f64, u64), RuntimeError> {
+        let library = self.library;
+        let blocks = library.model(model).map_err(to_runtime)?.blocks();
         let mut eta = transfer_finish_s;
-        let mut fresh: Vec<usize> = Vec::new();
-        for &b in self.library().model(model).map_err(to_runtime)?.blocks() {
+        for &b in blocks {
             if self.block_arrived[b.index()] {
                 continue;
             }
             if self.tracker.block_refcount(b) == 0 {
-                fresh.push(b.index());
+                // Fresh: this fill puts the block on the wire.
+                self.block_eta_s[b.index()] = transfer_finish_s;
             } else if join_inflight {
                 eta = eta.max(self.block_eta_s[b.index()]);
             }
         }
-        let reserved = self.tracker.add(model)?;
-        for j in fresh {
-            self.block_eta_s[j] = transfer_finish_s;
-        }
+        let reserved = self.track_add(model)?;
         self.pending[model.index()] = true;
         self.pending_eta_s[model.index()] = eta;
         self.insertions += 1;
+        #[cfg(test)]
+        self.assert_invariants();
         Ok((eta, reserved))
     }
 
@@ -295,12 +478,15 @@ impl<'lib> ServerCache<'lib> {
     ///
     /// Returns an error for an unknown model.
     pub fn complete_fill(&mut self, model: ModelId) -> Result<(), RuntimeError> {
-        for &b in self.library().model(model).map_err(to_runtime)?.blocks() {
-            self.block_arrived[b.index()] = true;
+        let library = self.library;
+        for &b in library.model(model).map_err(to_runtime)?.blocks() {
+            self.set_arrived(b, true)?;
             self.block_eta_s[b.index()] = f64::NEG_INFINITY;
         }
         self.pending[model.index()] = false;
         self.pending_eta_s[model.index()] = f64::NEG_INFINITY;
+        #[cfg(test)]
+        self.assert_invariants();
         Ok(())
     }
 
@@ -324,15 +510,12 @@ impl<'lib> ServerCache<'lib> {
                 ),
             });
         }
-        let freed = self.tracker.remove(model)?;
+        let freed = self.track_remove(model)?;
         self.pending[model.index()] = false;
         self.pending_eta_s[model.index()] = f64::NEG_INFINITY;
-        for &b in self.library().model(model).map_err(to_runtime)?.blocks() {
-            if self.tracker.block_refcount(b) == 0 {
-                self.block_arrived[b.index()] = false;
-                self.block_eta_s[b.index()] = f64::NEG_INFINITY;
-            }
-        }
+        self.drop_unreferenced_blocks(model)?;
+        #[cfg(test)]
+        self.assert_invariants();
         Ok(freed)
     }
 
@@ -345,8 +528,7 @@ impl<'lib> ServerCache<'lib> {
     ///
     /// Returns an error for an unknown model.
     pub fn insert(&mut self, model: ModelId) -> Result<u64, RuntimeError> {
-        let added = self.tracker.add(model)?;
-        self.mark_arrived(model)?;
+        let added = self.preload(model)?;
         self.insertions += 1;
         Ok(added)
     }
@@ -359,16 +541,14 @@ impl<'lib> ServerCache<'lib> {
     ///
     /// Returns an error for an unknown model.
     pub fn preload(&mut self, model: ModelId) -> Result<u64, RuntimeError> {
-        let added = self.tracker.add(model)?;
-        self.mark_arrived(model)?;
-        Ok(added)
-    }
-
-    fn mark_arrived(&mut self, model: ModelId) -> Result<(), RuntimeError> {
-        for &b in self.library().model(model).map_err(to_runtime)?.blocks() {
-            self.block_arrived[b.index()] = true;
+        let added = self.track_add(model)?;
+        let library = self.library;
+        for &b in library.model(model).map_err(to_runtime)?.blocks() {
+            self.set_arrived(b, true)?;
         }
-        Ok(())
+        #[cfg(test)]
+        self.assert_invariants();
+        Ok(added)
     }
 
     /// Evicts `model`, returning the bytes freed (possibly zero when all
@@ -384,14 +564,11 @@ impl<'lib> ServerCache<'lib> {
     /// Returns an error for an unknown model.
     pub fn evict(&mut self, model: ModelId) -> Result<u64, RuntimeError> {
         debug_assert!(!self.is_pending(model), "pending fills must not be evicted");
-        let freed = self.tracker.remove(model)?;
-        for &b in self.library().model(model).map_err(to_runtime)?.blocks() {
-            if self.tracker.block_refcount(b) == 0 {
-                self.block_arrived[b.index()] = false;
-                self.block_eta_s[b.index()] = f64::NEG_INFINITY;
-            }
-        }
+        let freed = self.track_remove(model)?;
+        self.drop_unreferenced_blocks(model)?;
         self.evictions += 1;
+        #[cfg(test)]
+        self.assert_invariants();
         Ok(freed)
     }
 
@@ -415,14 +592,17 @@ impl<'lib> ServerCache<'lib> {
     }
 
     /// Restores the state captured by [`ServerCache::snapshot`] into a
-    /// freshly constructed cache over the same library and capacity.
+    /// freshly constructed cache over the same library and capacity, and
+    /// rebuilds the residency tables from it.
     ///
     /// # Errors
     ///
     /// Returns [`PersistError::Mismatch`] if a per-model or per-block
-    /// vector does not match the library, and an error if a resident
-    /// model id is unknown to the library or does not fit (a corrupt or
-    /// mismatched checkpoint).
+    /// vector does not match the library, [`PersistError::Corrupt`] if an
+    /// arrived block belongs to no resident model or a pending fill's
+    /// model is not resident, and an error if a resident model id is
+    /// unknown to the library (a corrupt or mismatched checkpoint).
+    /// Capacity is not checked.
     pub(crate) fn restore(&mut self, snapshot: CacheSnapshot) -> Result<(), RuntimeError> {
         let (n, j) = (self.library.num_models(), self.library.num_blocks());
         let per_model = [
@@ -444,6 +624,28 @@ impl<'lib> ServerCache<'lib> {
         for m in &snapshot.resident {
             self.tracker.add(*m)?;
         }
+        // Only a resident model's fill can deliver a block, and the fill
+        // plans read arrived blocks as referenced ones.
+        let unreferenced = (0..j)
+            .find(|&b| snapshot.block_arrived[b] && self.tracker.block_refcount(BlockId(b)) == 0);
+        if let Some(b) = unreferenced {
+            return Err(PersistError::Corrupt {
+                context: format!(
+                    "checkpointed block {b} has arrived but no resident model uses it"
+                ),
+            }
+            .into());
+        }
+        // A pending fill holds its model's reservation, so its completion
+        // only ever marks referenced blocks arrived.
+        let orphan_fill =
+            (0..n).find(|&i| snapshot.pending[i] && !self.tracker.contains(ModelId(i)));
+        if let Some(i) = orphan_fill {
+            return Err(PersistError::Corrupt {
+                context: format!("checkpointed model {i} has a pending fill but is not resident"),
+            }
+            .into());
+        }
         self.last_access_s = snapshot.last_access_s;
         self.access_count = snapshot.access_count;
         self.pending = snapshot.pending;
@@ -452,6 +654,7 @@ impl<'lib> ServerCache<'lib> {
         self.block_eta_s = snapshot.block_eta_s;
         self.insertions = snapshot.insertions;
         self.evictions = snapshot.evictions;
+        self.rebuild_residency();
         Ok(())
     }
 }
@@ -471,7 +674,7 @@ pub(crate) struct CacheSnapshot {
     pub evictions: u64,
 }
 
-fn to_runtime(e: trimcaching_modellib::ModelLibError) -> RuntimeError {
+fn to_runtime(e: ModelLibError) -> RuntimeError {
     RuntimeError::from(e)
 }
 
@@ -671,5 +874,129 @@ mod tests {
         cache.complete_fill(ModelId(1)).unwrap();
         assert!(cache.contains(ModelId(1)));
         assert_eq!(cache.arrived_blocks(ModelId(1)).unwrap(), (2, 2));
+    }
+    /// Requires every residency-table entry to equal the walk it
+    /// replaces: the tracker's `marginal_bytes`/`release_bytes` and a
+    /// count of the model's arrived blocks.
+    fn assert_tables_match_walks(cache: &ServerCache<'_>, context: &str) {
+        let view = cache.view();
+        for model in cache.library.model_ids() {
+            let blocks = cache.library.model(model).unwrap().blocks();
+            let arrived = blocks
+                .iter()
+                .filter(|b| cache.block_arrived[b.index()])
+                .count();
+            assert_eq!(
+                view.marginal_bytes(model),
+                Some(view.tracker.marginal_bytes(model).unwrap()),
+                "marginal bytes of {model:?} {context}"
+            );
+            assert_eq!(
+                view.release_bytes(model),
+                Some(view.tracker.release_bytes(model).unwrap()),
+                "release bytes of {model:?} {context}"
+            );
+            assert_eq!(
+                cache.arrived_blocks(model).unwrap(),
+                (arrived, blocks.len()),
+                "arrived blocks of {model:?} {context}"
+            );
+            assert_eq!(
+                cache.fill_plan(model).unwrap().missing_bytes,
+                blocks
+                    .iter()
+                    .filter(|b| {
+                        !cache.block_arrived[b.index()] && view.tracker.block_refcount(**b) == 0
+                    })
+                    .map(|b| cache.library.block_size_bytes(*b).unwrap())
+                    .sum::<u64>(),
+                "missing bytes of {model:?} {context}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random preload / start / complete / abort / evict sequences on
+        /// a library whose backbone blocks are shared: after every
+        /// operation, and after a snapshot/restore round trip, each
+        /// residency-table entry equals its block walk.
+        #[test]
+        fn residency_tables_equal_the_block_walks(
+            seed in 0u64..1_000_000,
+            models_per_backbone in 1usize..5,
+            steps in 1usize..60,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let lib = trimcaching_modellib::builders::SpecialCaseBuilder::paper_setup()
+                .models_per_backbone(models_per_backbone)
+                .build(seed);
+            let n = lib.num_models();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut cache = ServerCache::new(&lib, u64::MAX);
+            assert_tables_match_walks(&cache, "when empty");
+            for step in 0..steps {
+                let model = ModelId(rng.gen_range(0..n));
+                let op = rng.gen_range(0..5u32);
+                match op {
+                    0 if !cache.is_pending(model) => {
+                        cache.preload(model).unwrap();
+                    }
+                    1 if !cache.view().tracker.contains(model) => {
+                        let finish = rng.gen_range(0.0..10.0);
+                        cache.start_fill(model, finish, rng.gen_bool(0.5)).unwrap();
+                    }
+                    2 if cache.is_pending(model) => cache.complete_fill(model).unwrap(),
+                    3 if cache.is_pending(model) => {
+                        cache.abort_fill(model).unwrap();
+                    }
+                    4 if !cache.is_pending(model) => {
+                        cache.evict(model).unwrap();
+                    }
+                    _ => continue,
+                }
+                let context = format!("after op {op} on {model:?} at step {step}");
+                assert_tables_match_walks(&cache, &context);
+                let mut restored = ServerCache::new(&lib, u64::MAX);
+                restored.restore(cache.snapshot()).unwrap();
+                assert_tables_match_walks(&restored, &format!("{context}, restored"));
+                assert_eq!(restored.marginal_bytes, cache.marginal_bytes);
+                assert_eq!(restored.sole_bytes, cache.sole_bytes);
+                assert_eq!(restored.arrived_blocks, cache.arrived_blocks);
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_an_arrived_block_no_resident_model_uses() {
+        let lib = library();
+        let mut cache = ServerCache::new(&lib, 200);
+        cache.insert(ModelId(2)).unwrap();
+        let mut snapshot = cache.snapshot();
+        // Block 0 is the shared block of m0 and m1, neither resident.
+        snapshot.block_arrived[0] = true;
+        let err = ServerCache::new(&lib, 200).restore(snapshot).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Persist(PersistError::Corrupt { .. })),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_pending_fill_of_a_model_not_resident() {
+        let lib = library();
+        let mut cache = ServerCache::new(&lib, 200);
+        cache.insert(ModelId(2)).unwrap();
+        let mut snapshot = cache.snapshot();
+        // m0 holds no reservation, so completing its fill would mark
+        // blocks with refcount 0 arrived.
+        snapshot.pending[0] = true;
+        snapshot.pending_eta_s[0] = 1.0;
+        let err = ServerCache::new(&lib, 200).restore(snapshot).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Persist(PersistError::Corrupt { .. })),
+            "{err}"
+        );
     }
 }

@@ -455,16 +455,17 @@ pub(crate) struct RunState {
 /// mutability, so the regions share them by plain reference across the
 /// worker pool.
 ///
-/// The eligibility indicator does not depend on the placement, and
-/// between re-plans a user's row is read only by that user's requests.
+/// The eligibility indicator does not depend on the placement, and a
+/// request never reads a stored row: [`Region::serve_request`] scores
+/// its class straight from the radio state through
+/// [`LatencyEvaluator::scored_candidates`]. Only a re-plan reads rows.
 /// So a mobility boundary updates the snapshot's radio state only
 /// ([`Scenario::update_radio_positions`]) and marks the users whose rows
-/// could have changed `stale`; their rows are derived on read through
-/// the per-user kernel, by [`Shared::for_each_candidate`] for a request
-/// and by [`Shared::plan_target`] for a re-plan. The stale set is
-/// derived state: a row derived on read equals the fresh row whether
-/// or not it was stale, so a restored run re-derives the set from its
-/// one-shot position update, and checkpoints never store it.
+/// could have changed `stale`; [`Shared::plan_target`] brings them fresh
+/// for the solve. The stale set is derived state: a row derived on read
+/// equals the fresh row whether or not it was stale, so a restored run
+/// re-derives the set from its one-shot position update, and
+/// checkpoints never store it.
 pub(crate) struct Shared<'a> {
     /// The run's one request workload; each region samples its own
     /// users from it.
@@ -474,7 +475,7 @@ pub(crate) struct Shared<'a> {
     /// eligibility rows of `stale` users are out of date.
     pub(crate) snapshot: Cow<'a, Scenario>,
     /// `stale[k]`: user `k`'s eligibility row in `snapshot` may be out
-    /// of date and must be derived instead of read.
+    /// of date and must be derived before a solve reads it.
     pub(crate) stale: Vec<bool>,
     /// Per-user primary server (highest-rate covering server) under the
     /// snapshot; used to count handovers across mobility slots.
@@ -504,31 +505,6 @@ impl Shared<'_> {
             self.stale[k] = true;
         }
         Ok(delta)
-    }
-
-    /// Calls `visit` on each candidate server of the request class
-    /// `(user, model)` under the snapshot, ascending: the snapshot's row
-    /// for a clean user, the per-user kernel's derivation into `scratch`
-    /// for a stale one. `evaluator` must be over the snapshot. The branch
-    /// is taken once per request, outside the candidate loop.
-    pub(crate) fn for_each_candidate(
-        &self,
-        evaluator: &LatencyEvaluator<'_>,
-        scratch: &mut CandidateScratch,
-        user: UserId,
-        model: ModelId,
-        mut visit: impl FnMut(usize) -> Result<(), RuntimeError>,
-    ) -> Result<(), RuntimeError> {
-        if self.stale[user.index()] {
-            for &m in evaluator.class_candidates(user, model, scratch)? {
-                visit(m)?;
-            }
-        } else {
-            for m in self.snapshot.eligibility().servers_for(user, model) {
-                visit(m)?;
-            }
-        }
-        Ok(())
     }
 
     /// The re-plan target for `estimate` with the servers flagged in
@@ -642,7 +618,7 @@ pub(crate) struct Region<'a> {
     /// (warm start or re-plan) — the target recovered servers self-heal
     /// back to.
     last_target: Option<Placement>,
-    /// Buffers for deriving a stale user's candidate servers.
+    /// The requesting user's covering rates, reused by every request.
     candidates: CandidateScratch,
     /// Every re-plan's inputs and target, so tests can re-solve them on
     /// an eagerly updated snapshot.
@@ -811,6 +787,16 @@ impl<'a> Region<'a> {
         stop_s: f64,
         shared: &Shared<'_>,
     ) -> Result<DriveStop, RuntimeError> {
+        // The snapshot changes only at a mobility boundary, which ends
+        // this call: one evaluator serves every request of the drive.
+        let current = &*shared.snapshot;
+        let evaluator = LatencyEvaluator::new(
+            current.library(),
+            current.demand(),
+            current.coverage(),
+            current.backhaul(),
+            current.rates(),
+        )?;
         loop {
             match state.queue.peek() {
                 Some(event) if event.time_s <= stop_s => {}
@@ -835,7 +821,7 @@ impl<'a> Region<'a> {
                     let model = shared
                         .workload
                         .draw_model(user, event.time_s, &mut state.rng);
-                    self.serve_request(shared, user, model, event.time_s, &mut state.queue)?;
+                    self.serve_request(&evaluator, user, model, event.time_s, &mut state.queue)?;
                     let gap = shared.workload.next_interarrival_s(&mut state.rng);
                     state
                         .queue
@@ -1079,46 +1065,37 @@ impl<'a> Region<'a> {
         })
     }
 
-    /// Serves one request under the current snapshot.
+    /// Serves one request under the current snapshot; `evaluator` is
+    /// over that snapshot.
     fn serve_request(
         &mut self,
-        shared: &Shared<'_>,
+        evaluator: &LatencyEvaluator<'_>,
         user: UserId,
         model: ModelId,
         now_s: f64,
         queue: &mut EventQueue,
     ) -> Result<(), RuntimeError> {
-        let current = &*shared.snapshot;
-        let evaluator = LatencyEvaluator::new(
-            current.library(),
-            current.demand(),
-            current.coverage(),
-            current.backhaul(),
-            current.rates(),
-        )?;
-
         // Lowest-latency eligible server overall, and among caches
         // holding the model — both fault-obliviously (what a static
         // client would target) and over up servers only (what failover
-        // can actually reach). Only candidate servers of the request
-        // class are probed — at city scale that is a handful instead of
-        // all M — read from the snapshot's row, or derived for a user
-        // whose row a mobility boundary left stale. For fault-free runs
-        // the masks never diverge and the path reduces to the original
-        // selection.
+        // can actually reach). One kernel pass scores only the candidate
+        // servers of the request class — at city scale a handful
+        // instead of all M — from the snapshot's radio state, so a row a
+        // mobility boundary left stale is never read. For fault-free
+        // runs the masks never diverge and the path reduces to the
+        // original selection.
         let mut best_any: Option<(f64, usize)> = None;
         let mut best_hit: Option<(f64, usize)> = None;
         let mut best_up_any: Option<(f64, usize)> = None;
         let mut best_up_hit: Option<(f64, usize)> = None;
         let (member_servers, caches, server_down) =
             (&self.member_servers, &self.caches, &self.server_down);
-        shared.for_each_candidate(&evaluator, &mut self.candidates, user, model, |m| {
+        evaluator.scored_candidates(user, model, &mut self.candidates, |m, latency| {
             // Candidates outside this region are other regions'
             // capacity — invisible here, like the planner mask.
             if !member_servers[m] {
-                return Ok(());
+                return;
             }
-            let latency = evaluator.latency_s(m, user, model)?;
             let holds = caches[m].contains(model);
             if best_any.is_none_or(|(best, _)| latency < best) {
                 best_any = Some((latency, m));
@@ -1134,7 +1111,6 @@ impl<'a> Region<'a> {
                     best_up_hit = Some((latency, m));
                 }
             }
-            Ok(())
         })?;
 
         // The server a fault-oblivious client would target: the serving

@@ -3,15 +3,16 @@
 //! On a cache miss the engine fetches the model from the cloud and asks
 //! the server's policy to make room. Two classical baselines (LRU, LFU)
 //! treat models as opaque objects; the [`CostAwareLfu`] policy is
-//! *shared-block-aware*: it knows — via
-//! [`StorageTracker::release_bytes`] — that evicting a model only frees
-//! the bytes of blocks no other cached model references, so it ranks
-//! victims by observed demand per *actually reclaimable* byte and never
-//! evicts a model whose eviction frees nothing. This is the online
-//! counterpart of the marginal-cost accounting the TrimCaching greedy
-//! algorithms are built on (Eq. 7).
-//!
-//! [`StorageTracker::release_bytes`]: trimcaching_scenario::StorageTracker::release_bytes
+//! *shared-block-aware*: it knows — via [`CacheView::release_bytes`] —
+//! that evicting a model only frees the bytes of blocks no other cached
+//! model references, so it ranks victims by observed demand per
+//! *actually reclaimable* byte and never evicts a model whose eviction
+//! frees nothing; it admits by the incoming model's
+//! [`CacheView::marginal_bytes`]. This is the online counterpart of the
+//! marginal-cost accounting the TrimCaching greedy algorithms are built
+//! on (Eq. 7). Both byte counts are lookups in the cache's residency
+//! tables, so a decision costs one pass over the model ids and
+//! allocates nothing.
 
 use trimcaching_modellib::ModelId;
 
@@ -39,19 +40,18 @@ pub trait EvictionPolicy: Send + Sync {
     }
 }
 
-/// Candidate victims: cached models other than the incoming one.
-/// Models with an in-flight fill are excluded — their capacity is
-/// reserved and their blocks are (partially) on the wire; evicting them
-/// would tear down a transfer the engine has already scheduled.
+/// Candidate victims: cached models other than the incoming one,
+/// ascending. Models with an in-flight fill are excluded — their
+/// capacity is reserved and their blocks are (partially) on the wire;
+/// evicting them would tear down a transfer the engine has already
+/// scheduled.
 fn candidates<'a>(
     cache: &'a CacheView<'_, '_>,
     incoming: ModelId,
 ) -> impl Iterator<Item = ModelId> + 'a {
-    cache
-        .tracker
-        .cached_models()
-        .into_iter()
-        .filter(move |m| *m != incoming && !cache.pending[m.index()])
+    (0..cache.pending.len())
+        .map(ModelId)
+        .filter(move |&m| m != incoming && !cache.pending[m.index()] && cache.tracker.contains(m))
 }
 
 /// Least-recently-used eviction.
@@ -103,7 +103,7 @@ impl CostAwareLfu {
     /// `None` when evicting it frees no bytes (such a model is free to
     /// keep and never a victim).
     fn eviction_density(cache: &CacheView<'_, '_>, model: ModelId) -> Option<f64> {
-        let freed = cache.tracker.release_bytes(model).ok()?;
+        let freed = cache.release_bytes(model)?;
         if freed == 0 {
             return None;
         }
@@ -124,7 +124,7 @@ impl EvictionPolicy for CostAwareLfu {
     }
 
     fn admits(&self, cache: CacheView<'_, '_>, incoming: ModelId) -> bool {
-        let Ok(marginal) = cache.tracker.marginal_bytes(incoming) else {
+        let Some(marginal) = cache.marginal_bytes(incoming) else {
             return false;
         };
         // Admitting costs nothing (all blocks already present) or fits

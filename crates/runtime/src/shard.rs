@@ -1042,9 +1042,11 @@ mod tests {
 
     /// The lazy rows' contract in the engine's mobility regime: 20
     /// `paper_mix` slots over a 500-user LoRA market, at R = 1 and 4,
-    /// dense and sparse. After every merge, every request class's
-    /// candidate list as the serve path takes it must equal the row of a
-    /// full rebuild and the pointwise `LatencyEvaluator::eligible`.
+    /// dense and sparse. After every merge, every request class's scored
+    /// candidates as the serve path takes them must list the row of a
+    /// full rebuild, and equal the pointwise `LatencyEvaluator::eligible`
+    /// servers with their `latency_s` bit for bit; every clean user's
+    /// stored row must equal the rebuilt row.
     #[test]
     fn lazy_row_oracle_smoke_paper_mix() {
         for repr in [EligibilityRepr::Dense, EligibilityRepr::Sparse] {
@@ -1072,24 +1074,31 @@ mod tests {
                     for k in 0..snapshot.num_users() {
                         for i in 0..num_models {
                             let (user, model) = (UserId(k), ModelId(i));
-                            let mut served = Vec::new();
-                            shared
-                                .for_each_candidate(&lazy, &mut scratch, user, model, |m| {
-                                    served.push(m);
-                                    Ok(())
-                                })
-                                .unwrap();
+                            let mut scored = Vec::new();
+                            lazy.scored_candidates(user, model, &mut scratch, |m, latency| {
+                                scored.push((m, latency.to_bits()));
+                            })
+                            .unwrap();
+                            let served: Vec<usize> = scored.iter().map(|&(m, _)| m).collect();
                             let row: Vec<usize> =
                                 rebuilt.eligibility().servers_for(user, model).collect();
                             assert_eq!(served, row, "{repr:?} R={shards} ({k}, {i})");
-                            let eligible: Vec<usize> = (0..num_servers)
+                            let eligible: Vec<(usize, u64)> = (0..num_servers)
                                 .filter(|&m| pointwise.eligible(m, user, model).unwrap())
+                                .map(|m| {
+                                    (m, pointwise.latency_s(m, user, model).unwrap().to_bits())
+                                })
                                 .collect();
-                            assert_eq!(served, eligible, "{repr:?} R={shards} ({k}, {i})");
+                            assert_eq!(scored, eligible, "{repr:?} R={shards} ({k}, {i})");
+                            // `Shared::plan_target` reads a clean user's
+                            // stored row as fresh, so every user a merge
+                            // changed must have been marked stale.
+                            let held: Vec<usize> =
+                                snapshot.eligibility().servers_for(user, model).collect();
                             if shared.stale[k] {
-                                let held: Vec<usize> =
-                                    snapshot.eligibility().servers_for(user, model).collect();
                                 stale_rows_differ |= held != row;
+                            } else {
+                                assert_eq!(held, row, "{repr:?} R={shards} clean ({k}, {i})");
                             }
                         }
                     }

@@ -17,9 +17,9 @@
 //! materialises the dense [`EligibilityTensor`];
 //! [`LatencyEvaluator::sparse_eligibility`] builds the coverage-pruned
 //! [`SparseEligibility`] without ever allocating the `M × K × I` cube.
-//! Both, their incremental refreshes and the one-class derivation
-//! [`LatencyEvaluator::class_candidates`] derive the indicator through
-//! one per-user candidate kernel (see [`LatencyEvaluator`]).
+//! Both, their incremental refreshes and the serve path's one-class
+//! scoring [`LatencyEvaluator::scored_candidates`] derive the indicator
+//! through one candidate kernel (see [`LatencyEvaluator`]).
 
 use trimcaching_modellib::{ModelId, ModelLibrary};
 use trimcaching_wireless::allocation::PerUserAllocation;
@@ -262,9 +262,11 @@ impl RateMatrix {
 /// Every bulk derivation — the dense build
 /// ([`LatencyEvaluator::eligibility`]), the sparse build
 /// ([`LatencyEvaluator::sparse_eligibility`]) and both per-user refreshes
-/// — instead runs one **per-user candidate kernel**: for user `k` it
-/// yields, model by model, the ascending list of servers able to serve
-/// `(k, i)`, bit-identical to probing `eligible` for every server.
+/// — and the serve path's [`LatencyEvaluator::scored_candidates`]
+/// instead run one **candidate kernel**: for a request class `(k, i)` it
+/// yields, in ascending server order, every server able to serve the
+/// class together with its latency, bit-identical to probing `eligible`
+/// and `latency_s` for every server. The row builders drop the latency.
 ///
 /// * An uncovered user has no candidates.
 /// * On a **uniform** backhaul mesh the covering servers' direct rates
@@ -278,8 +280,9 @@ impl RateMatrix {
 ///
 /// A user therefore costs `I × |covering|` compares plus `M` pushes per
 /// relayed class, instead of `M × I` latency evaluations.
-/// [`LatencyEvaluator::class_candidates`] runs the kernel for one class
-/// only — the row a reader needs when the stored one is stale.
+/// [`LatencyEvaluator::scored_candidates`] runs the kernel for one class
+/// only: what a request needs to pick its server, with no stored row
+/// read, so it is exact whether or not the snapshot's row is up to date.
 #[derive(Debug, Clone)]
 pub struct LatencyEvaluator<'a> {
     library: &'a ModelLibrary,
@@ -549,7 +552,7 @@ impl<'a> LatencyEvaluator<'a> {
         Ok(KernelScratch {
             uniform_backhaul: !self.backhaul.has_overrides(),
             size_bits,
-            covering: CoveringRates::default(),
+            covering: CandidateScratch::default(),
         })
     }
 
@@ -563,8 +566,9 @@ impl<'a> LatencyEvaluator<'a> {
     /// rows to `rows`, row `i` listing ascending every server `m` with
     /// `I1(m, k, i)`. An uncovered user gets `I` empty rows. On a uniform
     /// backhaul mesh the covering servers' rates are loaded once per
-    /// user and each model is decided by `class_candidates_uniform`;
-    /// per-link overrides fall back to `class_candidates_exact`.
+    /// user and each model is decided by `class_pass_uniform`; per-link
+    /// overrides fall back to `class_pass_exact`. The latencies the
+    /// passes yield are dropped.
     fn append_user_candidates(
         &self,
         k: usize,
@@ -584,140 +588,146 @@ impl<'a> LatencyEvaluator<'a> {
         }
         for (i, &size_bits) in scratch.size_bits.iter().enumerate() {
             let model = ModelId(i);
-            let push = |m| rows.push_server(m);
+            let push = |m, _latency| rows.push_server(m);
             if scratch.uniform_backhaul {
-                self.class_candidates_uniform(
-                    user,
-                    model,
-                    size_bits,
-                    covering,
-                    &scratch.covering,
-                    push,
-                )?;
+                self.class_pass_uniform(user, model, size_bits, covering, &scratch.covering, push)?;
             } else {
-                self.class_candidates_exact(user, model, push)?;
+                self.class_pass_exact(user, model, push)?;
             }
             rows.end_row();
         }
         Ok(())
     }
 
-    /// The candidate servers of the one request class `(user, model)`,
-    /// ascending: the row the per-user kernel derives for that class
-    /// (see [`LatencyEvaluator`]), without deriving the user's other
-    /// classes. The list lives in `scratch`, so a caller deriving many
-    /// classes allocates nothing per call once the buffers have grown.
+    /// Scores the one request class `(user, model)`: calls `visit(m,
+    /// latency)` for every server `m` with `I1(m, k, i)`, in ascending
+    /// server order, where `latency` is bit-identical to
+    /// [`LatencyEvaluator::latency_s`]. This is the candidate kernel's
+    /// pass (see [`LatencyEvaluator`]) for one class, read from the radio
+    /// state and never from a stored eligibility row. `scratch` holds the
+    /// user's covering rates, so a caller scoring many classes allocates
+    /// nothing per call once its buffer has grown.
+    ///
+    /// Cost: on a uniform mesh, one walk over the user's covering servers
+    /// plus one relay decision; on a mesh with per-link overrides
+    /// ([`Backhaul::has_overrides`]), the exact pass calls
+    /// [`LatencyEvaluator::latency_s`] for every server, O(M) per class.
     ///
     /// # Errors
     ///
     /// Returns an error for unknown indices.
-    pub fn class_candidates<'s>(
+    pub fn scored_candidates(
         &self,
         user: UserId,
         model: ModelId,
-        scratch: &'s mut CandidateScratch,
-    ) -> Result<&'s [usize], ScenarioError> {
+        scratch: &mut CandidateScratch,
+        visit: impl FnMut(usize, f64),
+    ) -> Result<(), ScenarioError> {
         let k = user.index();
         let covering = self.coverage.servers_of_user(k)?;
-        scratch.servers.clear();
         if covering.is_empty() {
-            return Ok(&scratch.servers);
+            return Ok(());
         }
-        let servers = &mut scratch.servers;
-        let push = |m| servers.push(m);
         if self.backhaul.has_overrides() {
-            self.class_candidates_exact(user, model, push)?;
+            self.class_pass_exact(user, model, visit)
         } else {
             let size_bits = self.size_bits(model)?;
-            scratch.covering.load(self.rates, k, covering)?;
-            self.class_candidates_uniform(
-                user,
-                model,
-                size_bits,
-                covering,
-                &scratch.covering,
-                push,
-            )?;
+            scratch.load(self.rates, k, covering)?;
+            self.class_pass_uniform(user, model, size_bits, covering, scratch, visit)
         }
-        Ok(&scratch.servers)
     }
 
-    /// Pushes, in ascending server order, the candidate servers of one
-    /// request class under a **uniform** backhaul mesh, from the user's
-    /// covering rates loaded into `rates` and the model's download size
-    /// `size_bits`.
+    /// Yields, in ascending server order, every candidate server of one
+    /// request class under a **uniform** backhaul mesh with its latency,
+    /// from the user's covering rates loaded into `rates` and the model's
+    /// download size `size_bits`.
     ///
     /// Bit-identical to probing every server through
-    /// [`LatencyEvaluator::eligible`]: the direct test evaluates the same
-    /// `size_bits / rate + inference` expression as Eq. (4), and because
-    /// the relay transfer term of Eq. (5) is constant on a uniform mesh
-    /// while float rounding is monotone, the minimum relayed latency is
-    /// exactly the one through the best-rate covering server, evaluated
-    /// with the same operation order as `latency_s`.
-    fn class_candidates_uniform(
+    /// [`LatencyEvaluator::latency_s`] and [`LatencyEvaluator::eligible`]:
+    /// a covering server's latency is the same `size_bits / rate +
+    /// inference` expression as Eq. (4), and because the relay transfer
+    /// term of Eq. (5) is constant on a uniform mesh while float rounding
+    /// is monotone, the minimum relayed latency is exactly the one
+    /// through the best-rate covering server, evaluated with the same
+    /// operation order as `latency_s` — one value shared by every
+    /// non-covering server.
+    fn class_pass_uniform(
         &self,
         user: UserId,
         model: ModelId,
         size_bits: f64,
         covering: &[usize],
-        rates: &CoveringRates,
-        mut push: impl FnMut(usize),
+        rates: &CandidateScratch,
+        mut visit: impl FnMut(usize, f64),
     ) -> Result<(), ScenarioError> {
         let best_rate = rates.best;
         let m_count = self.coverage.num_servers();
         let inference = self.demand.inference_s(user, model)?;
         let deadline = self.demand.deadline_s(user, model)?;
-        let direct_eligible = |rate: f64| rate > 0.0 && size_bits / rate + inference <= deadline;
+        // Eq. (4) for a covering server; `None` when it misses the
+        // deadline or has no positive rate.
+        let direct = |rate: f64| {
+            let latency = size_bits / rate + inference;
+            (rate > 0.0 && latency <= deadline).then_some(latency)
+        };
         // Non-covering servers all share Eq. (5)'s latency: constant
         // backhaul transfer plus the best direct leg.
-        let relay_all = covering.len() < m_count && best_rate > 0.0 && {
+        let relay = if covering.len() < m_count && best_rate > 0.0 {
             let backhaul_rate = self.backhaul.default_rate_bps();
             let transfer = if backhaul_rate.is_infinite() {
                 0.0
             } else {
                 size_bits / backhaul_rate
             };
-            (transfer + size_bits / best_rate) + inference <= deadline
+            let latency = (transfer + size_bits / best_rate) + inference;
+            (latency <= deadline).then_some(latency)
+        } else {
+            None
         };
-        if relay_all {
+        let mut cover = covering.iter().zip(&rates.rates);
+        match relay {
             // Every non-covering server qualifies; covering servers
             // qualify when direct-eligible.
-            let mut cover = covering.iter().zip(&rates.rates).peekable();
-            for m in 0..m_count {
-                if let Some(&(&cm, &rate)) = cover.peek() {
-                    if cm == m {
-                        cover.next();
-                        if direct_eligible(rate) {
-                            push(m);
+            Some(relayed) => {
+                let mut next = cover.next();
+                for m in 0..m_count {
+                    match next {
+                        Some((&cm, &rate)) if cm == m => {
+                            next = cover.next();
+                            if let Some(latency) = direct(rate) {
+                                visit(m, latency);
+                            }
                         }
-                        continue;
+                        _ => visit(m, relayed),
                     }
                 }
-                push(m);
             }
-        } else {
-            for (&m, &rate) in covering.iter().zip(&rates.rates) {
-                if direct_eligible(rate) {
-                    push(m);
+            None => {
+                for (&m, &rate) in cover {
+                    if let Some(latency) = direct(rate) {
+                        visit(m, latency);
+                    }
                 }
             }
         }
         Ok(())
     }
 
-    /// Pushes, in ascending server order, the candidate servers of one
-    /// request class by probing every server through
-    /// [`LatencyEvaluator::eligible`] — the exact fallback for
-    /// heterogeneous (per-link override) backhaul meshes.
-    fn class_candidates_exact(
+    /// Yields, in ascending server order, every candidate server of one
+    /// request class with its [`LatencyEvaluator::latency_s`], probing
+    /// every server — the exact fallback for heterogeneous (per-link
+    /// override) backhaul meshes.
+    fn class_pass_exact(
         &self,
         user: UserId,
         model: ModelId,
-        mut push: impl FnMut(usize),
+        mut visit: impl FnMut(usize, f64),
     ) -> Result<(), ScenarioError> {
+        let deadline = self.demand.deadline_s(user, model)?;
         for m in 0..self.coverage.num_servers() {
-            if self.eligible(m, user, model)? {
-                push(m);
+            let latency = self.latency_s(m, user, model)?;
+            if latency <= deadline {
+                visit(m, latency);
             }
         }
         Ok(())
@@ -734,19 +744,20 @@ struct KernelScratch {
     /// Per-model download sizes in bits.
     size_bits: Vec<f64>,
     /// The current user's covering rates (uniform mesh only).
-    covering: CoveringRates,
+    covering: CandidateScratch,
 }
 
-/// One user's covering servers' direct downlink rates, aligned with its
-/// covering list, and their best, which realises the minimum relayed
-/// latency of Eq. (5) on a uniform mesh.
+/// Reusable buffer of the candidate kernel: one user's covering
+/// servers' direct downlink rates, aligned with its covering list, and
+/// their best, which realises the minimum relayed latency of Eq. (5) on
+/// a uniform mesh. See [`LatencyEvaluator::scored_candidates`].
 #[derive(Debug, Clone, Default)]
-struct CoveringRates {
+pub struct CandidateScratch {
     rates: Vec<f64>,
     best: f64,
 }
 
-impl CoveringRates {
+impl CandidateScratch {
     /// Loads user `k`'s rates from its `covering` servers.
     fn load(
         &mut self,
@@ -765,14 +776,6 @@ impl CoveringRates {
         }
         Ok(())
     }
-}
-
-/// Reusable buffers of [`LatencyEvaluator::class_candidates`]: the
-/// user's covering rates and the derived candidate list.
-#[derive(Debug, Clone, Default)]
-pub struct CandidateScratch {
-    covering: CoveringRates,
-    servers: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -986,6 +989,107 @@ mod tests {
             LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &f.backhaul, &f.rates)
                 .unwrap();
         assert_ne!(dense, uniform.eligibility().unwrap());
+    }
+
+    /// Requires [`LatencyEvaluator::scored_candidates`] to yield, for
+    /// every `(k, i)`, exactly `{(m, latency_s(m, k, i)) : eligible(m, k,
+    /// i)}` in ascending server order, latencies compared bit for bit.
+    /// Returns how many covering and non-covering candidates it saw.
+    fn assert_scores_match_oracle(
+        eval: &LatencyEvaluator<'_>,
+        coverage: &CoverageMap,
+    ) -> (usize, usize) {
+        let mut scratch = CandidateScratch::default();
+        let (mut direct, mut relayed) = (0, 0);
+        for k in 0..coverage.num_users() {
+            let covering = coverage.servers_of_user(k).unwrap();
+            for i in 0..eval.num_models() {
+                let (user, model) = (UserId(k), ModelId(i));
+                let mut scored = Vec::new();
+                eval.scored_candidates(user, model, &mut scratch, |m, latency| {
+                    scored.push((m, latency.to_bits()));
+                })
+                .unwrap();
+                let oracle: Vec<(usize, u64)> = (0..coverage.num_servers())
+                    .filter(|&m| eval.eligible(m, user, model).unwrap())
+                    .map(|m| (m, eval.latency_s(m, user, model).unwrap().to_bits()))
+                    .collect();
+                assert_eq!(scored, oracle, "scored candidates of ({k}, {i})");
+                for &(m, _) in &scored {
+                    if covering.contains(&m) {
+                        direct += 1;
+                    } else {
+                        relayed += 1;
+                    }
+                }
+            }
+        }
+        (direct, relayed)
+    }
+
+    #[test]
+    fn scored_candidates_equal_the_pointwise_latencies() {
+        let f = fixture();
+        for backhaul in [f.backhaul.clone(), throttled_backhaul()] {
+            let eval =
+                LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &backhaul, &f.rates)
+                    .unwrap();
+            let (direct, relayed) = assert_scores_match_oracle(&eval, &f.coverage);
+            // Both Eq. (4) and Eq. (5) candidates are exercised.
+            assert!(
+                direct > 0 && relayed > 0,
+                "{direct} direct, {relayed} relayed"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The scoring pass equals the pointwise latency definition on
+        /// random deployments: a uniform mesh, the same mesh with one
+        /// link overridden (the exact path), and always one uncovered
+        /// user.
+        #[test]
+        fn scored_candidates_match_the_pointwise_oracle(
+            seed in 0u64..1_000_000,
+            num_servers in 1usize..6,
+            num_users in 1usize..24,
+            backhaul_gbps in 0.02f64..20.0,
+            link_gbps in 0.001f64..20.0,
+            max_deadline_s in 0.1f64..3.0,
+        ) {
+            use rand::Rng;
+            let params = RadioParams::paper_defaults();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let library = SpecialCaseBuilder::paper_setup()
+                .models_per_backbone(2)
+                .build(seed);
+            let mut point = |side: f64| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
+            let servers: Vec<Point> = (0..num_servers).map(|_| point(800.0)).collect();
+            let mut users: Vec<Point> = (0..num_users).map(|_| point(800.0)).collect();
+            users.push(Point::new(5_000.0, 5_000.0));
+            let coverage = CoverageMap::build(&users, &servers, params.coverage_radius_m).unwrap();
+            let allocation = PerUserAllocation::compute(&coverage, &params).unwrap();
+            let rates = RateMatrix::expected(&coverage, &allocation, &params).unwrap();
+            let demand = DemandConfig {
+                deadline_range_s: (0.05, max_deadline_s),
+                ..DemandConfig::paper_defaults()
+            }
+            .generate(users.len(), library.num_models(), &mut rng)
+            .unwrap();
+            let mut backhaul = Backhaul::uniform(num_servers, backhaul_gbps * 1e9).unwrap();
+            let eval = LatencyEvaluator::new(&library, &demand, &coverage, &backhaul, &rates).unwrap();
+            assert_scores_match_oracle(&eval, &coverage);
+            if num_servers >= 2 {
+                let from = seed as usize % num_servers;
+                let to = (from + 1) % num_servers;
+                backhaul.set_link_rate(from, to, link_gbps * 1e9).unwrap();
+                let eval =
+                    LatencyEvaluator::new(&library, &demand, &coverage, &backhaul, &rates).unwrap();
+                assert_scores_match_oracle(&eval, &coverage);
+            }
+        }
     }
 
     /// The fixture's radio state after users 0 and 2 moved next to the

@@ -388,8 +388,8 @@ impl Scenario {
     /// still exact. The caller owns the stale set: it must not read those
     /// rows through [`Scenario::eligibility`], nor through anything built
     /// on it such as [`Scenario::hit_ratio`] or a placement solve.
-    /// Instead [`LatencyEvaluator::class_candidates`] derives any one row
-    /// from the updated radio state, and
+    /// Instead [`LatencyEvaluator::scored_candidates`] derives any one
+    /// class's candidates from the updated radio state, and
     /// [`Scenario::eligibility_with_fresh_rows`] a fresh copy for a solve.
     ///
     /// # Errors
