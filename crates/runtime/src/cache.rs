@@ -598,11 +598,11 @@ impl<'lib> ServerCache<'lib> {
     /// # Errors
     ///
     /// Returns [`PersistError::Mismatch`] if a per-model or per-block
-    /// vector does not match the library, [`PersistError::Corrupt`] if an
-    /// arrived block belongs to no resident model or a pending fill's
-    /// model is not resident, and an error if a resident model id is
-    /// unknown to the library (a corrupt or mismatched checkpoint).
-    /// Capacity is not checked.
+    /// vector does not match the library, [`PersistError::Corrupt`] if the
+    /// resident set needs more than the cache's capacity, an arrived
+    /// block belongs to no resident model or a pending fill's model is
+    /// not resident, and an error if a resident model id is unknown to
+    /// the library (a corrupt or mismatched checkpoint).
     pub(crate) fn restore(&mut self, snapshot: CacheSnapshot) -> Result<(), RuntimeError> {
         let (n, j) = (self.library.num_models(), self.library.num_blocks());
         let per_model = [
@@ -623,6 +623,18 @@ impl<'lib> ServerCache<'lib> {
         }
         for m in &snapshot.resident {
             self.tracker.add(*m)?;
+        }
+        // Every insertion and fill is admitted only if it fits, so a run
+        // never holds more than the capacity; `add` does not check it.
+        if self.tracker.used_bytes() > self.tracker.capacity_bytes() {
+            return Err(PersistError::Corrupt {
+                context: format!(
+                    "checkpointed resident models need {} bytes but the cache holds {}",
+                    self.tracker.used_bytes(),
+                    self.tracker.capacity_bytes()
+                ),
+            }
+            .into());
         }
         // Only a resident model's fill can deliver a block, and the fill
         // plans read arrived blocks as referenced ones.
@@ -966,6 +978,25 @@ mod tests {
                 assert_eq!(restored.arrived_blocks, cache.arrived_blocks);
             }
         }
+    }
+
+    #[test]
+    fn restore_rejects_a_resident_set_over_capacity() {
+        let lib = library();
+        let mut cache = ServerCache::new(&lib, 200);
+        cache.insert(ModelId(0)).unwrap();
+        cache.insert(ModelId(2)).unwrap();
+        let snapshot = cache.snapshot();
+        // 160 bytes resident: restoring at exactly 160 succeeds, one
+        // byte less is a corrupt checkpoint.
+        ServerCache::new(&lib, 160)
+            .restore(snapshot.clone())
+            .unwrap();
+        let err = ServerCache::new(&lib, 159).restore(snapshot).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Persist(PersistError::Corrupt { .. })),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1672,15 +1672,42 @@ impl<'a> Region<'a> {
 }
 
 /// Per-user primary (highest expected rate) covering server, or `None`
-/// for uncovered users.
+/// for uncovered users, derived user by user through
+/// [`primary_server_for`]: the oracle [`primary_table`] is checked
+/// against.
 pub(crate) fn primary_servers(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeError> {
     (0..scenario.num_users())
         .map(|k| primary_server_for(scenario, k))
         .collect()
 }
 
+/// Every user's primary server, as [`primary_server_for`] derives it
+/// user by user, from one ascending pass over the rate rows. A user's
+/// best rate is replaced only by a strictly greater one, so a tie goes
+/// to the lowest server index, as there.
+pub(crate) fn primary_table(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeError> {
+    // `best_server[k] == NONE` until user k's first covering row.
+    const NONE: usize = usize::MAX;
+    let mut best_server = vec![NONE; scenario.num_users()];
+    let mut best_rate = vec![0.0; scenario.num_users()];
+    let rates = scenario.rates();
+    for m in 0..rates.num_servers() {
+        for (k, rate) in rates.covered_rates(m)? {
+            if best_server[k] == NONE || rate > best_rate[k] {
+                best_server[k] = m;
+                best_rate[k] = rate;
+            }
+        }
+    }
+    Ok(best_server
+        .into_iter()
+        .map(|m| Some(m).filter(|&m| m != NONE))
+        .collect())
+}
+
 /// The primary (highest expected rate) covering server of one user, or
-/// `None` if the user is uncovered.
+/// `None` if the user is uncovered. The pointwise definition that
+/// [`primary_table`] computes in bulk.
 pub(crate) fn primary_server_for(
     scenario: &Scenario,
     k: usize,

@@ -54,8 +54,7 @@ use trimcaching_scenario::{Placement, Scenario, UserId};
 use trimcaching_wireless::geometry::Point;
 
 use crate::engine::{
-    primary_server_for, primary_servers, DriveStop, Region, RunState, ServeConfig, ServeReport,
-    Shared,
+    primary_servers, primary_table, DriveStop, Region, RunState, ServeConfig, ServeReport, Shared,
 };
 use crate::error::RuntimeError;
 use crate::event::EventKind;
@@ -176,7 +175,7 @@ impl<'a> ShardedServeEngine<'a> {
             workload: Workload::from_demand(scenario.demand(), config.request_rate_hz)?,
             snapshot: Cow::Borrowed(scenario),
             stale: vec![false; scenario.num_users()],
-            primary: primary_servers(scenario)?,
+            primary: primary_table(scenario)?,
             owner: partition.owners_of(&positions),
             generation: vec![0; scenario.num_users()],
             scheduled: Vec::new(),
@@ -363,6 +362,14 @@ impl<'a> ShardedServeEngine<'a> {
             // journals they read back.
             engine.shared.move_users(&cp.positions)?;
         }
+        // The primary table is derived state: a merge recounts only the
+        // users it refreshes, so a wrong entry would never be mended.
+        if engine.shared.primary != primary_table(&engine.shared.snapshot)? {
+            return Err(PersistError::Corrupt {
+                context: "checkpointed primary servers disagree with the restored snapshot".into(),
+            }
+            .into());
+        }
         if let Some(p) = &persist {
             engine.next_checkpoint_s = cp.time_s + p.checkpoint_every_s;
         }
@@ -529,6 +536,7 @@ impl<'a> ShardedServeEngine<'a> {
             self.merge_at(tb)?;
             if cfg!(debug_assertions) {
                 self.check_request_chains()?;
+                self.check_primaries()?;
             }
         }
     }
@@ -582,11 +590,13 @@ impl<'a> ShardedServeEngine<'a> {
             shard.engine.metrics.snapshot_rebuilds += 1;
         }
         // Primary servers are a pure function of a user's covering set
-        // and rates, both unchanged outside the refreshed set — recount
-        // handovers from the delta instead of re-deriving all K
-        // assignments.
+        // and rates, both unchanged outside the refreshed set — count
+        // handovers over the delta's users only. One pass over the rate
+        // rows yields every user's primary, cheaper than a per-user
+        // lookup of each covering server's rate.
+        let fresh = primary_table(snapshot)?;
         for &k in delta.refreshed_users() {
-            let fresh = primary_server_for(snapshot, k)?;
+            let fresh = fresh[k];
             let metrics = &mut self.shards[owner[k]].engine.metrics;
             metrics.users_refreshed += 1;
             if self.shared.primary[k] != fresh {
@@ -655,6 +665,24 @@ impl<'a> ShardedServeEngine<'a> {
         match live.iter().position(|&chains| chains != 1) {
             Some(k) => Err(RuntimeError::Internal {
                 reason: format!("user {k} has {} live request chains, not one", live[k]),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// The merge's other invariant, checked after every merge in debug
+    /// builds: the primary table the merge recounted from the refreshed
+    /// users equals the table [`primary_servers`] derives for every
+    /// user of the snapshot.
+    fn check_primaries(&self) -> Result<(), RuntimeError> {
+        let eager = primary_servers(&self.shared.snapshot)?;
+        match (0..eager.len()).find(|&k| self.shared.primary[k] != eager[k]) {
+            Some(k) => Err(RuntimeError::Internal {
+                reason: format!(
+                    "user {k}'s primary server is {:?} after the merge but {:?} under the \
+                     snapshot",
+                    self.shared.primary[k], eager[k]
+                ),
             }),
             None => Ok(()),
         }
@@ -1021,7 +1049,10 @@ mod tests {
     /// Runs `engine` to its horizon like [`ShardedServeEngine::run_to`]
     /// without checkpoints, calling `after_merge` after every mobility
     /// merge.
-    fn drive_with(engine: &mut ShardedServeEngine<'_>, mut after_merge: impl FnMut(&Shared<'_>)) {
+    fn drive_with(
+        engine: &mut ShardedServeEngine<'_>,
+        mut after_merge: impl FnMut(&ShardedServeEngine<'_>),
+    ) {
         for shard in &mut engine.shards {
             shard.state = Some(shard.engine.begin(&engine.shared).unwrap());
         }
@@ -1036,7 +1067,50 @@ mod tests {
                 return;
             };
             engine.merge_at(tb).unwrap();
-            after_merge(&engine.shared);
+            after_merge(engine);
+        }
+    }
+
+    /// The merge's contract in the benchmark's mobility regime: 20
+    /// `paper_mix` slots over the 5 000-user LoRA market at R = 1 and 4.
+    /// After every merge the snapshot's coverage and rates must equal a
+    /// full `with_user_positions` rebuild, the primary table must equal
+    /// the per-user `primary_server_for` of every user, and the
+    /// handovers counted so far must equal an eager recount that
+    /// compares every user's primary before and after each merge.
+    #[test]
+    fn merge_oracle_smoke_paper_mix() {
+        let base = lora_market(5_000, EligibilityRepr::Dense);
+        for shards in [1, 4] {
+            let config = ServeConfig::smoke()
+                .with_seed(11)
+                .with_duration_s(104.0)
+                .with_mobility_slot_s(5.0);
+            let mut engine = ShardedServeEngine::new(&base, &Lru, config, shards)
+                .unwrap()
+                .with_threads(2);
+            let mut eager = primary_servers(&base).unwrap();
+            let (mut merges, mut eager_handovers) = (0, 0u64);
+            drive_with(&mut engine, |engine| {
+                merges += 1;
+                let snapshot = &*engine.shared.snapshot;
+                let positions: Vec<Point> = snapshot.users().iter().map(|u| u.position()).collect();
+                let rebuilt = base.with_user_positions(&positions).unwrap();
+                assert_eq!(snapshot.coverage(), rebuilt.coverage(), "R={shards}");
+                assert_eq!(snapshot.rates(), rebuilt.rates(), "R={shards}");
+                let fresh = primary_servers(&rebuilt).unwrap();
+                assert_eq!(engine.shared.primary, fresh, "R={shards} merge {merges}");
+                eager_handovers += eager.iter().zip(&fresh).filter(|(a, b)| a != b).count() as u64;
+                eager = fresh;
+                let handovers: u64 = engine
+                    .shards
+                    .iter()
+                    .map(|shard| shard.engine.metrics.handovers)
+                    .sum();
+                assert_eq!(handovers, eager_handovers, "R={shards} merge {merges}");
+            });
+            assert_eq!(merges, 20, "R={shards}");
+            assert!(eager_handovers > 0, "R={shards}: no handover happened");
         }
     }
 
@@ -1063,7 +1137,8 @@ mod tests {
                     .with_threads(2);
                 let (mut merges, mut stale_rows_differ) = (0, false);
                 let mut scratch = CandidateScratch::default();
-                drive_with(&mut engine, |shared| {
+                drive_with(&mut engine, |engine| {
+                    let shared = &engine.shared;
                     merges += 1;
                     let snapshot = &*shared.snapshot;
                     let positions: Vec<Point> =
@@ -1249,6 +1324,63 @@ mod tests {
     #[test]
     fn a_hostile_fault_transition_is_corrupt() {
         assert_hostile_event_is_corrupt(EventKind::FaultTransition { index: 1 });
+    }
+
+    /// A CRC-valid checkpoint whose server holds more resident models
+    /// than its capacity must fail to restore as corrupt instead of
+    /// resuming into an over-committed cache.
+    #[test]
+    fn a_hostile_resident_set_over_capacity_is_corrupt() {
+        let s = lora_market(50, EligibilityRepr::Dense);
+        let config = ServeConfig::smoke().with_seed(5);
+        let mut engine = ShardedServeEngine::new(&s, &Lru, config, 1).unwrap();
+        engine.run_to(20.0).unwrap();
+        let mut cp = engine.capture(20.0).unwrap();
+        let every_model: Vec<ModelId> = (0..s.num_models()).map(ModelId).collect();
+        let mut needed = trimcaching_scenario::StorageTracker::new(s.library(), u64::MAX);
+        for &i in &every_model {
+            needed.add(i).unwrap();
+        }
+        let capacity = s.servers()[0].capacity_bytes();
+        assert!(needed.used_bytes() > capacity, "the library fits a cache");
+        cp.servers[0].cache.resident = every_model;
+        let resumed = ShardedServeEngine::restore(&s, &Lru, &cp, None);
+        assert!(
+            matches!(
+                resumed,
+                Err(RuntimeError::Persist(PersistError::Corrupt { .. }))
+            ),
+            "{:?}",
+            resumed.err()
+        );
+    }
+
+    /// A checkpoint whose primary table disagrees with the snapshot it
+    /// restores must fail as corrupt: merges recount only refreshed
+    /// users, so the wrong entry would otherwise miscount handovers for
+    /// the rest of the run.
+    #[test]
+    fn a_hostile_primary_table_is_corrupt() {
+        let s = scenario(8);
+        let config = ServeConfig::smoke().with_seed(5).with_mobility_slot_s(5.0);
+        let mut engine = ShardedServeEngine::new(&s, &Lru, config, 1).unwrap();
+        engine.run_to(20.0).unwrap();
+        let cp = engine.capture(20.0).unwrap();
+        assert!(ShardedServeEngine::restore(&s, &Lru, &cp, None).is_ok());
+        let k = cp.primary.iter().position(Option::is_some).unwrap();
+        for hostile in [None, Some(s.num_servers())] {
+            let mut cp = cp.clone();
+            cp.primary[k] = hostile;
+            let resumed = ShardedServeEngine::restore(&s, &Lru, &cp, None);
+            assert!(
+                matches!(
+                    resumed,
+                    Err(RuntimeError::Persist(PersistError::Corrupt { .. }))
+                ),
+                "{hostile:?}: {:?}",
+                resumed.err()
+            );
+        }
     }
 
     #[test]

@@ -505,12 +505,16 @@ impl Scenario {
         // Users whose rate rows — and hence possibly eligibility — can
         // have changed: the moved users themselves plus every user of a
         // server whose per-user share changed.
-        let mut refreshed: Vec<usize> = coverage_delta.moved_users().to_vec();
-        for &m in &reallocated {
-            refreshed.extend_from_slice(self.coverage.users_of_server(m)?);
+        let mut is_refreshed = vec![false; self.users.len()];
+        for &k in coverage_delta.moved_users() {
+            is_refreshed[k] = true;
         }
-        refreshed.sort_unstable();
-        refreshed.dedup();
+        for &m in &reallocated {
+            for &k in self.coverage.users_of_server(m)? {
+                is_refreshed[k] = true;
+            }
+        }
+        let refreshed: Vec<usize> = (0..self.users.len()).filter(|&k| is_refreshed[k]).collect();
         // In-place evolution pins the resolved representation exactly
         // like `with_user_positions` does for rebuilds.
         self.requested_repr = self.pinned_repr();

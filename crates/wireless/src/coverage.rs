@@ -46,9 +46,13 @@ impl CoverageDelta {
 /// `servers[m]` as passed to [`CoverageMap::build`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoverageMap {
-    /// `servers_of_user[k]` = sorted indices of servers covering user `k`
-    /// (the paper's `M_k`).
-    servers_of_user: Vec<Vec<usize>>,
+    /// The paper's `M_k`, row-compressed: the servers covering user `k`
+    /// are `user_servers[user_offsets[k]..user_offsets[k + 1]]`,
+    /// ascending. One flat array keeps a batch update a sequential pass
+    /// instead of one heap row per user.
+    user_offsets: Vec<usize>,
+    /// Concatenated covering-server rows (see `user_offsets`).
+    user_servers: Vec<usize>,
     /// `users_of_server[m]` = sorted indices of users covered by server `m`
     /// (the paper's `K_m`).
     users_of_server: Vec<Vec<usize>>,
@@ -97,19 +101,23 @@ impl CoverageMap {
                 value: coverage_radius_m,
             });
         }
-        let mut servers_of_user = vec![Vec::new(); users.len()];
+        let mut user_offsets = Vec::with_capacity(users.len() + 1);
+        user_offsets.push(0);
+        let mut user_servers = Vec::new();
         let mut users_of_server = vec![Vec::new(); servers.len()];
-        for (m, sp) in servers.iter().enumerate() {
-            for (k, up) in users.iter().enumerate() {
+        for (k, up) in users.iter().enumerate() {
+            for (m, sp) in servers.iter().enumerate() {
                 let d = sp.distance(*up);
                 if d <= coverage_radius_m {
-                    servers_of_user[k].push(m);
+                    user_servers.push(m);
                     users_of_server[m].push(k);
                 }
             }
+            user_offsets.push(user_servers.len());
         }
         Ok(Self {
-            servers_of_user,
+            user_offsets,
+            user_servers,
             users_of_server,
             user_points: users.to_vec(),
             server_points: servers.to_vec(),
@@ -119,17 +127,20 @@ impl CoverageMap {
     }
 
     /// Applies a batch of user moves in place, recomputing the coverage
-    /// rows of exactly the moved users and patching the per-server member
-    /// lists (which stay sorted ascending, as [`CoverageMap::build`]
-    /// produces them). The result is indistinguishable from rebuilding
-    /// the map from scratch with the updated positions, at a cost of
-    /// `O(moves × M)` distance checks instead of `O(K × M)`, plus one
-    /// merge pass over the member list of each server whose membership
-    /// changed.
+    /// rows of exactly the moved users and refilling the per-server
+    /// member lists (which stay sorted ascending, as
+    /// [`CoverageMap::build`] produces them). The result is
+    /// indistinguishable from rebuilding the map from scratch with the
+    /// updated positions, at a cost of `O(moves × M)` distance checks
+    /// instead of `O(K × M)`, plus one sequential pass over the `K`
+    /// covering rows that rewrites them and refills the member lists.
     ///
     /// Moves to the current position are ignored (they touch nothing).
     /// When `moves` lists the same user more than once the last entry
-    /// wins, matching sequential application.
+    /// wins, matching sequential application: coverage depends on the
+    /// final positions only, so the delta names exactly the users whose
+    /// final position differs and the servers covering them before or
+    /// after the batch.
     ///
     /// # Errors
     ///
@@ -139,15 +150,33 @@ impl CoverageMap {
         &mut self,
         moves: &[(usize, Point)],
     ) -> Result<CoverageDelta, WirelessError> {
+        let num_users = self.user_points.len();
         for &(k, _) in moves {
-            if k >= self.user_points.len() {
+            if k >= num_users {
                 return Err(WirelessError::IndexOutOfRange {
                     entity: "user",
                     index: k,
-                    len: self.user_points.len(),
+                    len: num_users,
                 });
             }
         }
+        if moves.is_empty() {
+            return Ok(CoverageDelta {
+                moved_users: Vec::new(),
+                touched_servers: Vec::new(),
+            });
+        }
+        // A batch in strictly ascending user order — what
+        // `Scenario::update_user_positions` builds — is applied as it
+        // stands. Any other batch is first reduced to each user's last
+        // move in user order; that is the only sort the update pays.
+        let reduced: Vec<(usize, Point)>;
+        let moves = if moves.windows(2).all(|w| w[0].0 < w[1].0) {
+            moves
+        } else {
+            reduced = last_move_per_user(moves);
+            &reduced
+        };
         // Above `GRID_MIN_SERVERS` servers a spatial bucketing of the
         // server points pays: each mover then probes only the servers of
         // its 3 × 3 cell neighbourhood instead of all M (the distance
@@ -155,81 +184,66 @@ impl CoverageMap {
         // identical to a linear rescan). The grid is built once and
         // cached in the map — server positions never change after
         // construction, so every later batch reuses it.
-        let grid = if self.server_points.len() > GRID_MIN_SERVERS {
-            if self.grid.0.is_none() {
-                self.grid.0 = Some(ServerGrid::build(
-                    &self.server_points,
-                    self.coverage_radius_m,
-                ));
-            }
-            self.grid.0.as_ref()
-        } else {
-            None
-        };
+        if self.server_points.len() > GRID_MIN_SERVERS && self.grid.0.is_none() {
+            self.grid.0 = Some(ServerGrid::build(
+                &self.server_points,
+                self.coverage_radius_m,
+            ));
+        }
+        let grid = self.grid.0.as_ref();
+        let (servers, radius_m) = (&self.server_points, self.coverage_radius_m);
+        let (old_offsets, old_servers) = (&self.user_offsets, &self.user_servers);
         let mut moved: Vec<usize> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
-        // Membership changes `(server, user, sequence, joins)`, merged
-        // into each touched member list once after the batch instead of
-        // one `Vec::insert`/`remove` per change.
-        let mut changes: Vec<(usize, usize, usize, bool)> = Vec::new();
-        for (seq, &(k, position)) in moves.iter().enumerate() {
-            if self.user_points[k] == position {
-                continue;
-            }
-            self.user_points[k] = position;
-            moved.push(k);
-            let old_servers = std::mem::take(&mut self.servers_of_user[k]);
-            let new_servers: Vec<usize> = match grid {
-                Some(grid) => {
-                    grid.covering_servers(position, &self.server_points, self.coverage_radius_m)
-                }
-                None => self
-                    .server_points
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, sp)| sp.distance(position) <= self.coverage_radius_m)
-                    .map(|(m, _)| m)
-                    .collect(),
-            };
-            // Every server covering the user before or after is touched
-            // (member set or member distance changed).
-            touched.extend(old_servers.iter().chain(&new_servers));
-            for &m in &old_servers {
-                if new_servers.binary_search(&m).is_err() {
-                    changes.push((m, k, seq, false));
-                }
-            }
-            for &m in &new_servers {
-                if old_servers.binary_search(&m).is_err() {
-                    changes.push((m, k, seq, true));
-                }
-            }
-            self.servers_of_user[k] = new_servers;
+        // Every server covering a mover before or after its move is
+        // touched (member set or member distance changed).
+        let mut touched = vec![false; servers.len()];
+        // The rows are rewritten in one pass in user order: a mover's
+        // covering set is written straight into the new flat array,
+        // every other row is copied. The member lists are the transpose
+        // of the rows, so the same pass refills them (keeping their
+        // allocations), each in ascending user order.
+        for members in &mut self.users_of_server {
+            members.clear();
         }
-        // A user listed twice can change one membership twice; sorting
-        // by sequence within `(server, user)` lets the last change win.
-        changes.sort_unstable();
-        let mut start = 0;
-        while start < changes.len() {
-            let m = changes[start].0;
-            let end = start + changes[start..].partition_point(|c| c.0 == m);
-            let row = &mut self.users_of_server[m];
-            *row = merge_members(row, &changes[start..end]);
-            start = end;
+        let mut user_offsets = Vec::with_capacity(num_users + 1);
+        user_offsets.push(0);
+        let mut user_servers = Vec::with_capacity(old_servers.len() + servers.len());
+        let mut pending = moves.iter().peekable();
+        for k in 0..num_users {
+            let old = &old_servers[old_offsets[k]..old_offsets[k + 1]];
+            let start = user_servers.len();
+            match pending.next_if(|&&(u, _)| u == k) {
+                Some(&(_, position)) if self.user_points[k] != position => {
+                    self.user_points[k] = position;
+                    moved.push(k);
+                    match grid {
+                        Some(grid) => {
+                            grid.covering_servers(position, servers, radius_m, &mut user_servers);
+                        }
+                        None => append_covering(position, servers, radius_m, &mut user_servers),
+                    }
+                    for &m in old.iter().chain(&user_servers[start..]) {
+                        touched[m] = true;
+                    }
+                }
+                _ => user_servers.extend_from_slice(old),
+            }
+            for &m in &user_servers[start..] {
+                self.users_of_server[m].push(k);
+            }
+            user_offsets.push(user_servers.len());
         }
-        moved.sort_unstable();
-        moved.dedup();
-        touched.sort_unstable();
-        touched.dedup();
+        self.user_offsets = user_offsets;
+        self.user_servers = user_servers;
         Ok(CoverageDelta {
             moved_users: moved,
-            touched_servers: touched,
+            touched_servers: (0..touched.len()).filter(|&m| touched[m]).collect(),
         })
     }
 
     /// Number of users in the topology.
     pub fn num_users(&self) -> usize {
-        self.servers_of_user.len()
+        self.user_points.len()
     }
 
     /// Number of edge servers in the topology.
@@ -248,14 +262,14 @@ impl CoverageMap {
     ///
     /// Returns [`WirelessError::IndexOutOfRange`] if `k` is out of range.
     pub fn servers_of_user(&self, k: usize) -> Result<&[usize], WirelessError> {
-        self.servers_of_user
-            .get(k)
-            .map(Vec::as_slice)
-            .ok_or(WirelessError::IndexOutOfRange {
+        match (self.user_offsets.get(k), self.user_offsets.get(k + 1)) {
+            (Some(&start), Some(&end)) => Ok(&self.user_servers[start..end]),
+            _ => Err(WirelessError::IndexOutOfRange {
                 entity: "user",
                 index: k,
-                len: self.servers_of_user.len(),
-            })
+                len: self.num_users(),
+            }),
+        }
     }
 
     /// The users associated with server `m` (the paper's `K_m`), sorted
@@ -310,8 +324,7 @@ impl CoverageMap {
         if pairs == 0 {
             return 0.0;
         }
-        let covered: usize = self.servers_of_user.iter().map(Vec::len).sum();
-        covered as f64 / pairs as f64
+        self.user_servers.len() as f64 / pairs as f64
     }
 
     /// Whether server `m` covers user `k`.
@@ -324,11 +337,8 @@ impl CoverageMap {
     /// Users without any covering server. The paper's formulation counts
     /// their requests as misses; surfacing them helps topology diagnostics.
     pub fn uncovered_users(&self) -> Vec<usize> {
-        self.servers_of_user
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_empty())
-            .map(|(k, _)| k)
+        (0..self.num_users())
+            .filter(|&k| self.user_offsets[k] == self.user_offsets[k + 1])
             .collect()
     }
 
@@ -346,40 +356,46 @@ impl CoverageMap {
     }
 }
 
-/// One server's member list after a batch: `row` (ascending) with the
-/// batch's membership `changes` for that server, sorted by user then
-/// sequence. Only a user's last change counts, and it is applied
-/// idempotently — a join of a present user or a leave of an absent one
-/// changes nothing — since a user listed twice may join and leave again.
-fn merge_members(row: &[usize], changes: &[(usize, usize, usize, bool)]) -> Vec<usize> {
-    let mut merged = Vec::with_capacity(row.len() + changes.len());
-    let mut rest = row;
-    for (j, &(_, k, _, joins)) in changes.iter().enumerate() {
-        if changes.get(j + 1).is_some_and(|next| next.1 == k) {
-            continue;
-        }
-        let before = rest.partition_point(|&u| u < k);
-        merged.extend_from_slice(&rest[..before]);
-        rest = &rest[before..];
-        if rest.first() == Some(&k) {
-            rest = &rest[1..];
-        }
-        if joins {
-            merged.push(k);
+/// Each user's last move in `moves`, in ascending user order.
+fn last_move_per_user(moves: &[(usize, Point)]) -> Vec<(usize, Point)> {
+    let mut reduced = moves.to_vec();
+    // Stable: a user's moves keep their batch order, so the last of
+    // each run is the user's last move.
+    reduced.sort_by_key(|&(k, _)| k);
+    let mut last: Vec<(usize, Point)> = Vec::with_capacity(reduced.len());
+    for (k, position) in reduced {
+        match last.last_mut() {
+            Some(prev) if prev.0 == k => prev.1 = position,
+            _ => last.push((k, position)),
         }
     }
-    merged.extend_from_slice(rest);
-    merged
+    last
+}
+
+/// Appends to `found` the ascending indices of the servers within
+/// `radius_m` of `point`, by a linear scan of every server.
+fn append_covering(point: Point, servers: &[Point], radius_m: f64, found: &mut Vec<usize>) {
+    // Branch-free: every index is written, and the length advances only
+    // past a covering server.
+    let mut len = found.len();
+    found.resize(len + servers.len(), 0);
+    for (m, sp) in servers.iter().enumerate() {
+        found[len] = m;
+        len += usize::from(sp.distance(point) <= radius_m);
+    }
+    found.truncate(len);
 }
 
 /// Server count above which [`CoverageMap::apply_user_moves`] finds a
 /// mover's servers through a [`ServerGrid`] instead of a linear scan.
 /// The grid costs nine bucket lookups per mover; a linear scan costs one
-/// distance test per server. Timed per mover on a 2-core host at ~10
-/// servers per km² and a 275 m radius, the scan wins up to ~250 servers
-/// (77 vs 214 ns at 10 servers, 619 vs 631 ns at 250) and the grid above
-/// (1.15 vs 0.80 µs at 500, 2.23 vs 0.86 µs at 1 000).
-const GRID_MIN_SERVERS: usize = 256;
+/// distance test and one write per server. Timed per mover (batches in
+/// which all 2 000 users move, so the pass over the rows is included)
+/// on a 2-core host at ~10 servers per km² and a 275 m radius, the scan
+/// wins up to ~150 servers (80 vs 215 ns at 10 servers, 350 vs 450 ns
+/// at 100, about 500 ns each at 150) and the grid above (750 vs 630 ns
+/// at 250, 1.3 vs 0.66–0.88 µs at 500, 2.7 vs 0.80–1.06 µs at 1 000).
+const GRID_MIN_SERVERS: usize = 128;
 
 /// Uniform hash grid over server points with cell side equal to the
 /// coverage radius: every server within one radius of a query point lies
@@ -412,11 +428,18 @@ impl ServerGrid {
         Self { cell_m, buckets }
     }
 
-    /// Ascending indices of the servers within `radius_m` of `point`,
-    /// using the exact distance predicate of the linear scan.
-    fn covering_servers(&self, point: Point, servers: &[Point], radius_m: f64) -> Vec<usize> {
+    /// Appends to `found` the ascending indices of the servers within
+    /// `radius_m` of `point`, using the exact distance predicate of the
+    /// linear scan.
+    fn covering_servers(
+        &self,
+        point: Point,
+        servers: &[Point],
+        radius_m: f64,
+        found: &mut Vec<usize>,
+    ) {
         let (cx, cy) = Self::cell_of(point, self.cell_m);
-        let mut found: Vec<usize> = Vec::new();
+        let start = found.len();
         for dx in -1..=1 {
             for dy in -1..=1 {
                 if let Some(bucket) = self.buckets.get(&(cx + dx, cy + dy)) {
@@ -428,8 +451,7 @@ impl ServerGrid {
                 }
             }
         }
-        found.sort_unstable();
-        found
+        found[start..].sort_unstable();
     }
 }
 

@@ -15,7 +15,8 @@ use rand::{Rng, SeedableRng};
 use trimcaching::modellib::builders::{FoundationSpec, SpecialCaseBuilder};
 use trimcaching::modellib::ModelId;
 use trimcaching::prelude::*;
-use trimcaching::scenario::LatencyEvaluator;
+use trimcaching::scenario::{LatencyEvaluator, SnapshotDelta};
+use trimcaching::wireless::allocation::PerUserAllocation;
 use trimcaching::wireless::geometry::{DeploymentArea, Point};
 
 /// A user parked far outside every server's coverage (until a move
@@ -122,12 +123,83 @@ fn random_moves(
         .collect()
 }
 
+/// Each user's last move in `moves`, in strictly ascending user order:
+/// the sorted batch that moves every user where `moves` leaves it.
+fn last_move_per_user(moves: &[(usize, Point)]) -> Vec<(usize, Point)> {
+    let mut last: Vec<Option<Point>> = Vec::new();
+    for &(k, p) in moves {
+        if last.len() <= k {
+            last.resize(k + 1, None);
+        }
+        last[k] = Some(p);
+    }
+    last.iter()
+        .enumerate()
+        .filter_map(|(k, p)| p.map(|p| (k, p)))
+        .collect()
+}
+
+/// Requires every set of `delta` to equal its definition, computed
+/// naively from the snapshots `before` and `after` the batch:
+///
+/// * moved users — users whose position differs, ascending;
+/// * touched servers — servers covering a moved user before or after;
+/// * reallocated servers — servers whose per-user share differs;
+/// * refreshed users — moved users plus every user a reallocated
+///   server covers after the batch, ascending.
+fn assert_delta_is_naive(before: &Scenario, after: &Scenario, delta: &SnapshotDelta) {
+    let moved: Vec<usize> = (0..before.num_users())
+        .filter(|&k| before.users()[k].position() != after.users()[k].position())
+        .collect();
+    assert_eq!(delta.moved_users(), moved.as_slice(), "moved users");
+    let touched: Vec<usize> = (0..before.num_servers())
+        .filter(|&m| {
+            moved.iter().any(|&k| {
+                before.coverage().servers_of_user(k).unwrap().contains(&m)
+                    || after.coverage().servers_of_user(k).unwrap().contains(&m)
+            })
+        })
+        .collect();
+    assert_eq!(
+        delta.touched_servers(),
+        touched.as_slice(),
+        "touched servers"
+    );
+    let share = |s: &Scenario| PerUserAllocation::compute(s.coverage(), s.radio()).unwrap();
+    let (old_share, new_share) = (share(before), share(after));
+    let reallocated: Vec<usize> = (0..before.num_servers())
+        .filter(|&m| old_share.share(m).unwrap() != new_share.share(m).unwrap())
+        .collect();
+    assert_eq!(
+        delta.reallocated_servers(),
+        reallocated.as_slice(),
+        "reallocated servers"
+    );
+    let refreshed: Vec<usize> = (0..before.num_users())
+        .filter(|&k| {
+            moved.contains(&k)
+                || reallocated
+                    .iter()
+                    .any(|&m| after.coverage().users_of_server(m).unwrap().contains(&k))
+        })
+        .collect();
+    assert_eq!(
+        delta.refreshed_users(),
+        refreshed.as_slice(),
+        "refreshed users"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Incremental move batches produce snapshots bit-identical to full
     /// rebuilds, for both eligibility representations, slot after slot,
     /// and every slot's eligibility equals the pointwise definition.
+    /// Each slot's batch is unsorted with repeats (one user's last move
+    /// returns it to where it started); the same moves as a sorted
+    /// batch, one per user, must yield the same snapshot and delta, and
+    /// every delta set must equal its naive definition.
     #[test]
     fn incremental_moves_match_full_rebuild(
         seed in 0u64..5000,
@@ -143,12 +215,17 @@ proptest! {
             let mut move_rng = StdRng::seed_from_u64(seed ^ 0x0B11);
             let mut placement_rng = StdRng::seed_from_u64(seed ^ 0x51A7);
             for _ in 0..slots {
-                let moves = random_moves(&incremental, &area, &mut move_rng);
+                let mut moves = random_moves(&incremental, &area, &mut move_rng);
+                let (k, start) = (moves[0].0, incremental.users()[moves[0].0].position());
+                moves.push((k, start));
+                let sorted = last_move_per_user(&moves);
+                prop_assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
+                let before = incremental.clone();
                 let delta = incremental.apply_user_moves(&moves).unwrap();
-                // The delta's refreshed set contains every mover.
-                for &k in delta.moved_users() {
-                    prop_assert!(delta.refreshed_users().contains(&k));
-                }
+                assert_delta_is_naive(&before, &incremental, &delta);
+                let mut via_sorted = before.clone();
+                prop_assert_eq!(&via_sorted.apply_user_moves(&sorted).unwrap(), &delta);
+                prop_assert_eq!(&via_sorted, &incremental);
                 // Full rebuild from the evolved positions.
                 let positions: Vec<Point> =
                     incremental.users().iter().map(|u| u.position()).collect();
