@@ -57,8 +57,9 @@ pub fn plan_target_masked(
 }
 
 /// [`plan_target_masked`] over an explicit `eligibility` in place of the
-/// scenario's own — the engine passes a copy whose stale rows were
-/// brought fresh for this solve (see [`Scenario::update_radio_positions`]).
+/// scenario's own — once a mobility merge has moved the engine's
+/// snapshot, the engine passes an indicator derived from scratch for
+/// this solve (see [`Scenario::update_radio_positions`]).
 /// Capacities and block sharing still come from `scenario`; passing the
 /// scenario's own eligibility reproduces [`plan_target_masked`], and
 /// with no server down the masking adaptor is skipped the same way.

@@ -55,14 +55,13 @@ use rand::SeedableRng;
 use trimcaching_modellib::ModelId;
 use trimcaching_scenario::mobility::MobilityModel;
 use trimcaching_scenario::{
-    CandidateScratch, DemandEstimate, LatencyEvaluator, Placement, Scenario, SnapshotDelta, UserId,
+    CandidateScratch, DemandEstimate, Eligibility, LatencyEvaluator, Placement, Scenario,
+    SnapshotDelta, UserId,
 };
 use trimcaching_wireless::geometry::{DeploymentArea, Point};
 
 use crate::cache::ServerCache;
-use crate::control::{
-    plan_target_masked, plan_target_masked_on, reconcile, ControlConfig, Controller, ReplanReason,
-};
+use crate::control::{plan_target_masked_on, reconcile, ControlConfig, Controller, ReplanReason};
 use crate::error::RuntimeError;
 use crate::event::{EventKind, EventQueue};
 use crate::fanout::par_map;
@@ -449,34 +448,29 @@ pub(crate) struct RunState {
 
 /// What every region of a run reads and only the coordinator writes: the
 /// request workload, and — updated at mobility boundaries — the one
-/// radio snapshot, the set of users whose eligibility rows it holds
-/// stale, each user's primary server, owner region and request
+/// radio snapshot, each user's primary server, owner region and request
 /// generation. Neither `Workload` nor `Scenario` has interior
 /// mutability, so the regions share them by plain reference across the
 /// worker pool.
 ///
 /// The eligibility indicator does not depend on the placement, and a
-/// request never reads a stored row: [`Region::serve_request`] scores
-/// its class straight from the radio state through
-/// [`LatencyEvaluator::scored_candidates`]. Only a re-plan reads rows.
-/// So a mobility boundary updates the snapshot's radio state only
-/// ([`Scenario::update_radio_positions`]) and marks the users whose rows
-/// could have changed `stale`; [`Shared::plan_target`] brings them fresh
-/// for the solve. The stale set is derived state: a row derived on read
-/// equals the fresh row whether or not it was stale, so a restored run
-/// re-derives the set from its one-shot position update, and
-/// checkpoints never store it.
+/// request never reads it: [`Region::serve_request`] scores its class
+/// straight from the radio state through
+/// [`LatencyEvaluator::scored_candidates`]. Only a re-plan reads the
+/// indicator, so it belongs to the planner. A mobility boundary updates
+/// the snapshot's radio state only ([`Scenario::update_radio_positions`]),
+/// which leaves the snapshot's stored indicator out of date as a whole,
+/// and [`Shared::eligibility`] derives a fresh one for each solve once a
+/// boundary has moved a user. Nothing about it is stored, so
+/// checkpoints never hold it.
 pub(crate) struct Shared<'a> {
     /// The run's one request workload; each region samples its own
     /// users from it.
     pub(crate) workload: Workload,
     /// The radio snapshot: borrowed from the caller until the first
-    /// mobility boundary moves a user, owned from then on. Its
-    /// eligibility rows of `stale` users are out of date.
+    /// mobility boundary (or a restore) moves its users, owned from then
+    /// on. An owned snapshot's stored eligibility is out of date.
     pub(crate) snapshot: Cow<'a, Scenario>,
-    /// `stale[k]`: user `k`'s eligibility row in `snapshot` may be out
-    /// of date and must be derived before a solve reads it.
-    pub(crate) stale: Vec<bool>,
     /// Per-user primary server (highest-rate covering server) under the
     /// snapshot; used to count handovers across mobility slots.
     pub(crate) primary: Vec<Option<usize>>,
@@ -494,34 +488,34 @@ pub(crate) struct Shared<'a> {
 
 impl Shared<'_> {
     /// Moves the snapshot's users to `positions`, updating its radio
-    /// state only, and marks every user whose eligibility row could
-    /// have changed stale.
+    /// state only.
     pub(crate) fn move_users(
         &mut self,
         positions: &[Point],
     ) -> Result<SnapshotDelta, RuntimeError> {
-        let delta = self.snapshot.to_mut().update_radio_positions(positions)?;
-        for &k in delta.refreshed_users() {
-            self.stale[k] = true;
-        }
-        Ok(delta)
+        Ok(self.snapshot.to_mut().update_radio_positions(positions)?)
+    }
+
+    /// The eligibility indicator a re-plan solves on: the snapshot's own
+    /// while it is still the caller's untouched scenario, derived from
+    /// scratch from the radio state once a mobility boundary or a
+    /// restore has moved it.
+    pub(crate) fn eligibility(&self) -> Result<Cow<'_, Eligibility>, RuntimeError> {
+        Ok(match &self.snapshot {
+            Cow::Borrowed(scenario) => Cow::Borrowed(scenario.eligibility()),
+            Cow::Owned(scenario) => Cow::Owned(scenario.derive_eligibility()?),
+        })
     }
 
     /// The re-plan target for `estimate` with the servers flagged in
-    /// `down` masked out: [`plan_target_masked`] on the snapshot, solved
-    /// on a copy of its eligibility whose stale rows were brought fresh
-    /// for this solve.
+    /// `down` masked out: [`plan_target_masked_on`] the snapshot and
+    /// [`Shared::eligibility`].
     pub(crate) fn plan_target(
         &self,
         estimate: &DemandEstimate,
         down: &[bool],
     ) -> Result<Placement, RuntimeError> {
-        let stale: Vec<usize> = (0..self.stale.len()).filter(|&k| self.stale[k]).collect();
-        if stale.is_empty() {
-            return plan_target_masked(&self.snapshot, estimate, down);
-        }
-        let fresh = self.snapshot.eligibility_with_fresh_rows(&stale)?;
-        plan_target_masked_on(&self.snapshot, &fresh, estimate, down)
+        plan_target_masked_on(&self.snapshot, &*self.eligibility()?, estimate, down)
     }
 }
 
@@ -627,15 +621,16 @@ pub(crate) struct Region<'a> {
 }
 
 /// One controller re-plan as solved: the estimate, the server mask, the
-/// user positions of the snapshot, whether any eligibility row was
-/// stale, and the target.
+/// user positions of the snapshot, whether it solved after a merge (the
+/// snapshot was owned, so the eligibility was derived for the solve),
+/// and the target.
 #[cfg(test)]
 #[derive(Debug, Clone)]
 pub(crate) struct ReplanProbe {
     pub(crate) estimate: DemandEstimate,
     pub(crate) mask: Vec<bool>,
     pub(crate) positions: Vec<Point>,
-    pub(crate) stale: bool,
+    pub(crate) after_merge: bool,
     pub(crate) target: Placement,
 }
 
@@ -1080,10 +1075,10 @@ impl<'a> Region<'a> {
         // client would target) and over up servers only (what failover
         // can actually reach). One kernel pass scores only the candidate
         // servers of the request class — at city scale a handful
-        // instead of all M — from the snapshot's radio state, so a row a
-        // mobility boundary left stale is never read. For fault-free
-        // runs the masks never diverge and the path reduces to the
-        // original selection.
+        // instead of all M — from the snapshot's radio state, so the
+        // stored eligibility a mobility boundary left out of date is
+        // never read. For fault-free runs the masks never diverge and
+        // the path reduces to the original selection.
         let mut best_any: Option<(f64, usize)> = None;
         let mut best_hit: Option<(f64, usize)> = None;
         let mut best_up_any: Option<(f64, usize)> = None;
@@ -1216,7 +1211,7 @@ impl<'a> Region<'a> {
         }
         if let (Some(reason), Some(estimate)) = (decision.replan, estimate) {
             // Plan against the *current* snapshot (mobility included,
-            // stale rows brought fresh for the solve) and the demand the
+            // eligibility derived fresh for the solve) and the demand the
             // controller actually observed — with down servers masked
             // out of the eligibility view, so the planner never spends
             // budget on capacity that cannot serve.
@@ -1239,7 +1234,7 @@ impl<'a> Region<'a> {
                     .iter()
                     .map(|u| u.position())
                     .collect(),
-                stale: shared.stale.contains(&true),
+                after_merge: matches!(shared.snapshot, Cow::Owned(_)),
                 target: target.clone(),
             });
             self.metrics.replans_triggered += 1;

@@ -28,8 +28,8 @@ pub enum EventKind {
         generation: u32,
     },
     /// Users move for one mobility slot and the radio snapshot's coverage
-    /// and rates are re-derived, with the eligibility rows that could
-    /// change marked stale — server handover happens here.
+    /// and rates are re-derived (the eligibility is left to the next
+    /// re-plan) — server handover happens here.
     MobilitySlot,
     /// The last missing block of a cache fill arrives at an edge server:
     /// the pending model becomes servable.

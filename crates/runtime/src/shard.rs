@@ -13,9 +13,9 @@
 //! construction.
 //!
 //! The coordinator owns the one request workload of the run, the one
-//! radio snapshot (coverage, rates and eligibility of every user, as the
-//! paper's placement reads it, with the eligibility rows a mobility
-//! boundary could change marked stale and derived on read), the
+//! radio snapshot (coverage, allocation and rates of every user; the
+//! eligibility indicator the paper's placement reads is derived from it
+//! for each re-plan once a mobility boundary has moved a user), the
 //! per-user primary servers and the ownership map. Regions borrow them
 //! read-only. City-scale scenarios are spatially local: a request only
 //! ever considers the handful of servers covering its user, so between
@@ -174,7 +174,6 @@ impl<'a> ShardedServeEngine<'a> {
         let shared = Shared {
             workload: Workload::from_demand(scenario.demand(), config.request_rate_hz)?,
             snapshot: Cow::Borrowed(scenario),
-            stale: vec![false; scenario.num_users()],
             primary: primary_table(scenario)?,
             owner: partition.owners_of(&positions),
             generation: vec![0; scenario.num_users()],
@@ -356,10 +355,10 @@ impl<'a> ShardedServeEngine<'a> {
             // One-shot position update — bit-identical to the
             // incremental slot-by-slot evolution that produced the
             // checkpoint (pinned by
-            // `incremental_slots_match_full_rebuild_serving`), with the
-            // same lazy rows as a merge. It runs after the regions
-            // restore so the snapshot copy is not live next to the
-            // journals they read back.
+            // `incremental_slots_match_full_rebuild_serving`), and like
+            // a merge it updates the radio state only. It runs after the
+            // regions restore so the snapshot copy is not live next to
+            // the journals they read back.
             engine.shared.move_users(&cp.positions)?;
         }
         // The primary table is derived state: a merge recounts only the
@@ -562,10 +561,10 @@ impl<'a> ShardedServeEngine<'a> {
     /// 2. apply the slot update to the one shared snapshot's radio
     ///    state — coverage, allocation and rates of the moved users and
     ///    of users sharing a reallocated server, bit-identical to a full
-    ///    rebuild — and mark those refreshed users' eligibility rows
-    ///    stale instead of re-deriving them: a row is derived when a
-    ///    request of its user or a re-plan reads it (see [`Shared`]).
-    ///    Then recount handovers over the refreshed users, each on its
+    ///    rebuild. The stored eligibility is left out of date as a
+    ///    whole: a request scores its class from the radio state, and a
+    ///    re-plan derives a fresh indicator (see [`Shared`]). Then
+    ///    recount handovers over the refreshed users, each on its
     ///    owner's counters;
     /// 3. migrate ownership of users that crossed a strip border: copy
     ///    the kinematic row to the new owner, flip the ownership map,
@@ -1114,15 +1113,16 @@ mod tests {
         }
     }
 
-    /// The lazy rows' contract in the engine's mobility regime: 20
-    /// `paper_mix` slots over a 500-user LoRA market, at R = 1 and 4,
-    /// dense and sparse. After every merge, every request class's scored
-    /// candidates as the serve path takes them must list the row of a
-    /// full rebuild, and equal the pointwise `LatencyEvaluator::eligible`
-    /// servers with their `latency_s` bit for bit; every clean user's
-    /// stored row must equal the rebuilt row.
+    /// What the serve path and the planner read in the engine's mobility
+    /// regime: 20 `paper_mix` slots over a 500-user LoRA market, at
+    /// R = 1 and 4, dense and sparse. After every merge, every request
+    /// class's scored candidates as the serve path takes them must list
+    /// the row of a full rebuild, and equal the pointwise
+    /// `LatencyEvaluator::eligible` servers with their `latency_s` bit
+    /// for bit; the eligibility a re-plan would solve on must equal the
+    /// rebuild's.
     #[test]
-    fn lazy_row_oracle_smoke_paper_mix() {
+    fn merge_oracle_smoke_planner_rows() {
         for repr in [EligibilityRepr::Dense, EligibilityRepr::Sparse] {
             let base = lora_market(500, repr);
             assert_eq!(base.eligibility_repr(), repr);
@@ -1135,7 +1135,7 @@ mod tests {
                 let mut engine = ShardedServeEngine::new(&base, &Lru, config, shards)
                     .unwrap()
                     .with_threads(2);
-                let (mut merges, mut stale_rows_differ) = (0, false);
+                let (mut merges, mut moved_rows) = (0, false);
                 let mut scratch = CandidateScratch::default();
                 drive_with(&mut engine, |engine| {
                     let shared = &engine.shared;
@@ -1144,6 +1144,13 @@ mod tests {
                     let positions: Vec<Point> =
                         snapshot.users().iter().map(|u| u.position()).collect();
                     let rebuilt = base.with_user_positions(&positions).unwrap();
+                    let planned = shared.eligibility().unwrap();
+                    assert_eq!(
+                        *planned,
+                        *rebuilt.eligibility(),
+                        "{repr:?} R={shards} merge {merges}"
+                    );
+                    moved_rows |= *planned != *base.eligibility();
                     let lazy = evaluator(snapshot);
                     let pointwise = evaluator(&rebuilt);
                     for k in 0..snapshot.num_users() {
@@ -1165,25 +1172,15 @@ mod tests {
                                 })
                                 .collect();
                             assert_eq!(scored, eligible, "{repr:?} R={shards} ({k}, {i})");
-                            // `Shared::plan_target` reads a clean user's
-                            // stored row as fresh, so every user a merge
-                            // changed must have been marked stale.
-                            let held: Vec<usize> =
-                                snapshot.eligibility().servers_for(user, model).collect();
-                            if shared.stale[k] {
-                                stale_rows_differ |= held != row;
-                            } else {
-                                assert_eq!(held, row, "{repr:?} R={shards} clean ({k}, {i})");
-                            }
                         }
                     }
                 });
                 assert_eq!(merges, 20, "{repr:?} R={shards}");
-                // The lazy path carried real work: some stale row in the
-                // snapshot was out of date when its class was derived.
+                // The derivation carried real work: some merge moved the
+                // planner's eligibility away from the set-up one.
                 assert!(
-                    stale_rows_differ,
-                    "{repr:?} R={shards}: no stale row differed"
+                    moved_rows,
+                    "{repr:?} R={shards}: no merge changed the eligibility"
                 );
             }
         }
@@ -1202,10 +1199,10 @@ mod tests {
 
     /// A mobile, controller-on run with server 1 down from 12 s: every
     /// re-plan's target must equal `plan_target_masked` on an eagerly
-    /// updated snapshot, and at least one re-plan must solve while rows
-    /// are stale and the down server is masked.
+    /// updated snapshot, and at least one re-plan must solve after a
+    /// merge with the down server masked.
     #[test]
-    fn replans_under_stale_rows_match_an_eager_snapshot() {
+    fn replans_after_merges_match_an_eager_snapshot() {
         use crate::control::{plan_target_masked, ControlConfig, DriftConfig};
         use crate::faults::{FaultConfig, FaultKind, FaultSpec};
 
@@ -1231,7 +1228,7 @@ mod tests {
         let mut engine = ShardedServeEngine::new(&base, &Lru, config, 1).unwrap();
         engine.run_to(90.0).unwrap();
         let replans = &engine.shards[0].engine.replans;
-        let mut stale_and_masked = 0;
+        let mut after_merge_and_masked = 0;
         for probe in replans {
             let mut eager = base.clone();
             eager.update_user_positions(&probe.positions).unwrap();
@@ -1240,11 +1237,11 @@ mod tests {
                 probe.target, expected,
                 "re-plan diverged from the eager snapshot"
             );
-            stale_and_masked += usize::from(probe.stale && probe.mask[1]);
+            after_merge_and_masked += usize::from(probe.after_merge && probe.mask[1]);
         }
         assert!(
-            stale_and_masked > 0,
-            "no re-plan solved under stale rows with a masked server ({} re-plans)",
+            after_merge_and_masked > 0,
+            "no re-plan solved after a merge with a masked server ({} re-plans)",
             replans.len()
         );
     }

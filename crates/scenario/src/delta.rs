@@ -4,15 +4,17 @@
 //! Mobility re-derivation used to rebuild the whole snapshot per slot
 //! (`with_user_positions`): coverage, allocation, rates and eligibility
 //! for all `K` users, even though only the moved users' rows can change.
-//! The incremental path recomputes exactly the affected state and
-//! returns a [`SnapshotDelta`] naming what was touched, so consumers
-//! (e.g. the runtime engine's handover accounting) can confine their own
-//! refresh work to the same sets.
+//! The incremental path recomputes exactly the affected radio state
+//! (the eligibility indicator is then re-derived whole, or left to the
+//! caller by [`crate::Scenario::update_radio_positions`]) and returns a
+//! [`SnapshotDelta`] naming what was touched, so consumers (e.g. the
+//! runtime engine's handover accounting) can confine their own refresh
+//! work to the same sets.
 //!
 //! The affected sets nest as follows:
 //!
-//! * **moved users** — positions changed; their coverage rows, rate
-//!   entries and eligibility rows are recomputed;
+//! * **moved users** — positions changed; their coverage rows and rate
+//!   entries are recomputed;
 //! * **touched servers** — covered a moved user before or after the
 //!   move; their rate rows are recomputed (member sets or member
 //!   distances changed);
@@ -77,12 +79,11 @@ impl SnapshotDelta {
     }
 
     /// Users whose rate or eligibility rows could have changed (moved
-    /// users plus the users of every reallocated server), ascending:
-    /// [`crate::Scenario::update_user_positions`] recomputed their
-    /// eligibility rows, [`crate::Scenario::update_radio_positions`] left
-    /// them stale. Any per-user state derived from the snapshot — e.g.
-    /// the runtime's primary-server assignment — is unchanged outside
-    /// this set.
+    /// users plus the users of every reallocated server), ascending. Any
+    /// per-user state derived from the snapshot's rates — e.g. the
+    /// runtime's primary-server assignment — is unchanged outside this
+    /// set. The eligibility indicator is re-derived whole, not by these
+    /// rows (see [`crate::Scenario::update_user_positions`]).
     pub fn refreshed_users(&self) -> &[usize] {
         &self.refreshed_users
     }

@@ -95,7 +95,7 @@ pub trait EligibilityView: std::fmt::Debug {
 /// eligibility kernel ([`crate::latency::LatencyEvaluator`]) emits them:
 /// row `u · I + i` holds, ascending, the servers able to serve the
 /// batch's `u`-th user for model `i`. Both representations are built
-/// and refreshed from these rows.
+/// from these rows.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CandidateRows {
     num_models: usize,
@@ -171,7 +171,7 @@ pub struct EligibilityTensor {
     bits: Vec<u64>,
     /// `cell_users[m * I + i]` — how many users are eligible at
     /// `(m, i)`; lets [`EligibilityView::server_models`] answer in `O(1)`
-    /// per model and stays exact under per-user row replacement.
+    /// per model.
     cell_users: Vec<u32>,
 }
 
@@ -226,19 +226,14 @@ impl EligibilityTensor {
         &self.bits[start..start + self.words]
     }
 
-    /// Sets or clears the `(m, k, i)` bit, keeping `cell_users` exact.
-    fn set(&mut self, m: usize, k: usize, i: usize, value: bool) {
+    /// Sets the `(m, k, i)` bit, keeping `cell_users` exact.
+    fn insert(&mut self, m: usize, k: usize, i: usize) {
         let cell = m * self.num_models + i;
         let word = &mut self.bits[cell * self.words + k / 64];
         let mask = 1u64 << (k % 64);
-        if (*word & mask != 0) != value {
-            *word ^= mask;
-            let count = &mut self.cell_users[cell];
-            if value {
-                *count += 1;
-            } else {
-                *count -= 1;
-            }
+        if *word & mask == 0 {
+            *word |= mask;
+            self.cell_users[cell] += 1;
         }
     }
 
@@ -253,7 +248,7 @@ impl EligibilityTensor {
             for k in 0..num_users {
                 for i in 0..num_models {
                     if f(m, k, i) {
-                        tensor.set(m, k, i, true);
+                        tensor.insert(m, k, i);
                     }
                 }
             }
@@ -281,48 +276,11 @@ impl EligibilityTensor {
             debug_assert_eq!(rows.num_rows(), num_models, "one user's rows per call");
             for i in 0..num_models {
                 for &m in rows.row(0, i) {
-                    tensor.set(m as usize, k, i, true);
+                    tensor.insert(m as usize, k, i);
                 }
             }
         }
         Ok(tensor)
-    }
-
-    /// Replaces every `(m, ·, i)` bit of the given users, keeping the
-    /// per-cell user counts exact: `fill(k, rows)` appends user `k`'s
-    /// `I` candidate rows to an empty one-user batch, exactly as for
-    /// [`EligibilityTensor::from_user_rows`]. `users` must be ascending,
-    /// deduplicated and in range. Every user is filled before the first
-    /// bit changes, so the tensor is left unchanged when `fill` errors.
-    /// The result is indistinguishable from a full rebuild whose rows
-    /// agree with `fill` on the named users and with the tensor
-    /// elsewhere.
-    pub(crate) fn replace_user_rows<F, E>(&mut self, users: &[usize], mut fill: F) -> Result<(), E>
-    where
-        F: FnMut(usize, &mut CandidateRows) -> Result<(), E>,
-    {
-        let plane = self.num_servers * self.num_models;
-        // Stage: fresh[u * M * I + m * I + i] for users[u].
-        let mut fresh = vec![false; users.len() * plane];
-        let mut rows = CandidateRows::with_capacity(self.num_models, 1);
-        for (u, &k) in users.iter().enumerate() {
-            rows.clear();
-            fill(k, &mut rows)?;
-            debug_assert_eq!(rows.num_rows(), self.num_models, "one user's rows per call");
-            for i in 0..self.num_models {
-                for &m in rows.row(0, i) {
-                    fresh[u * plane + m as usize * self.num_models + i] = true;
-                }
-            }
-        }
-        for (u, &k) in users.iter().enumerate() {
-            for m in 0..self.num_servers {
-                for i in 0..self.num_models {
-                    self.set(m, k, i, fresh[u * plane + m * self.num_models + i]);
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -571,188 +529,6 @@ impl SparseEligibility {
         self.pair_row(user, model)
             .binary_search(&(m as u32))
             .is_ok()
-    }
-
-    /// Replaces the forward candidate rows of the given users —
-    /// `fill(k, rows)` appends user `k`'s `I` new rows, exactly as for
-    /// [`SparseEligibility::from_user_rows`] — and patches the
-    /// per-server reverse index incrementally: only reverse rows whose
-    /// membership changed are merge-rebuilt, and every row keeps its
-    /// ascending user order, so the result is indistinguishable from a
-    /// batch rebuild. `users` must be ascending, deduplicated and in
-    /// range. Every user is filled before the first write, so the
-    /// structure is left unchanged when `fill` errors.
-    pub(crate) fn replace_user_rows<F, E>(&mut self, users: &[usize], mut fill: F) -> Result<(), E>
-    where
-        F: FnMut(usize, &mut CandidateRows) -> Result<(), E>,
-    {
-        if users.is_empty() {
-            return Ok(());
-        }
-        debug_assert!(
-            users.windows(2).all(|w| w[0] < w[1])
-                && users.last().is_some_and(|&last| last < self.num_users),
-            "users must be ascending, deduplicated and in range"
-        );
-        let i_count = self.num_models;
-        // 1. Fresh forward rows of the affected users, in a scratch CSR.
-        let mut rows = CandidateRows::with_capacity(i_count, users.len());
-        for &k in users {
-            fill(k, &mut rows)?;
-        }
-        debug_assert_eq!(rows.num_rows(), users.len() * i_count);
-        let (fresh_offsets, fresh_servers) = (&rows.offsets, &rows.servers);
-        // 2. Reverse-index deltas: `(reverse_row, user, added)` for every
-        // membership change, produced sorted by user within a row and
-        // sorted globally below.
-        let mut deltas: Vec<(usize, u32, bool)> = Vec::new();
-        for (u, &k) in users.iter().enumerate() {
-            for i in 0..i_count {
-                let old = &self.pair_servers
-                    [self.pair_offsets[k * i_count + i]..self.pair_offsets[k * i_count + i + 1]];
-                let new = &fresh_servers
-                    [fresh_offsets[u * i_count + i]..fresh_offsets[u * i_count + i + 1]];
-                let (mut a, mut b) = (0usize, 0usize);
-                while a < old.len() || b < new.len() {
-                    match (old.get(a), new.get(b)) {
-                        (Some(&mo), Some(&mn)) if mo == mn => {
-                            a += 1;
-                            b += 1;
-                        }
-                        (Some(&mo), Some(&mn)) if mo < mn => {
-                            deltas.push((mo as usize * i_count + i, k as u32, false));
-                            a += 1;
-                        }
-                        (Some(_), Some(&mn)) => {
-                            deltas.push((mn as usize * i_count + i, k as u32, true));
-                            b += 1;
-                        }
-                        (Some(&mo), None) => {
-                            deltas.push((mo as usize * i_count + i, k as u32, false));
-                            a += 1;
-                        }
-                        (None, Some(&mn)) => {
-                            deltas.push((mn as usize * i_count + i, k as u32, true));
-                            b += 1;
-                        }
-                        // Both exhausted — the loop condition is about to
-                        // fail anyway; no panic machinery needed.
-                        (None, None) => break,
-                    }
-                }
-            }
-        }
-        // 3. Splice the forward CSR. Forward rows are user-major, so the
-        // untouched users between two affected ones form one contiguous
-        // row span: its data is copied in bulk and its offsets are the
-        // old ones plus the running length shift — no per-row work.
-        let mut pair_offsets: Vec<usize> = Vec::with_capacity(self.pair_offsets.len());
-        pair_offsets.push(0usize);
-        let mut pair_servers: Vec<u32> =
-            Vec::with_capacity(self.pair_servers.len() + fresh_servers.len());
-        let copy_span = |offsets: &mut Vec<usize>,
-                         data: &mut Vec<u32>,
-                         src_offsets: &[usize],
-                         src_data: &[u32],
-                         row_a: usize,
-                         row_b: usize| {
-            if row_a >= row_b {
-                return;
-            }
-            let (start, end) = (src_offsets[row_a], src_offsets[row_b]);
-            let shift = data.len() as isize - start as isize;
-            data.extend_from_slice(&src_data[start..end]);
-            offsets.extend(
-                src_offsets[row_a + 1..=row_b]
-                    .iter()
-                    .map(|&o| (o as isize + shift) as usize),
-            );
-        };
-        let mut prev_row = 0usize;
-        for (u, &k) in users.iter().enumerate() {
-            copy_span(
-                &mut pair_offsets,
-                &mut pair_servers,
-                &self.pair_offsets,
-                &self.pair_servers,
-                prev_row,
-                k * i_count,
-            );
-            copy_span(
-                &mut pair_offsets,
-                &mut pair_servers,
-                fresh_offsets,
-                fresh_servers,
-                u * i_count,
-                (u + 1) * i_count,
-            );
-            prev_row = (k + 1) * i_count;
-        }
-        copy_span(
-            &mut pair_offsets,
-            &mut pair_servers,
-            &self.pair_offsets,
-            &self.pair_servers,
-            prev_row,
-            self.num_users * i_count,
-        );
-        // 4. Patch the reverse CSR: the spans between delta rows are
-        // copied in bulk like above; rows with deltas are merge-rebuilt
-        // (old users minus removals plus additions, sorted ascending).
-        deltas.sort_unstable();
-        let mut server_model_offsets: Vec<usize> =
-            Vec::with_capacity(self.server_model_offsets.len());
-        server_model_offsets.push(0usize);
-        let mut server_users: Vec<u32> = Vec::with_capacity(pair_servers.len());
-        let mut d = 0usize;
-        let mut prev_row = 0usize;
-        while d < deltas.len() {
-            let row = deltas[d].0;
-            copy_span(
-                &mut server_model_offsets,
-                &mut server_users,
-                &self.server_model_offsets,
-                &self.server_users,
-                prev_row,
-                row,
-            );
-            let old = &self.server_users
-                [self.server_model_offsets[row]..self.server_model_offsets[row + 1]];
-            let start = d;
-            while d < deltas.len() && deltas[d].0 == row {
-                d += 1;
-            }
-            let mut oi = 0usize;
-            for &(_, user, added) in &deltas[start..d] {
-                while oi < old.len() && old[oi] < user {
-                    server_users.push(old[oi]);
-                    oi += 1;
-                }
-                if added {
-                    debug_assert!(oi >= old.len() || old[oi] != user, "double insert");
-                    server_users.push(user);
-                } else {
-                    debug_assert!(oi < old.len() && old[oi] == user, "removing absent user");
-                    oi += 1;
-                }
-            }
-            server_users.extend_from_slice(&old[oi..]);
-            server_model_offsets.push(server_users.len());
-            prev_row = row + 1;
-        }
-        copy_span(
-            &mut server_model_offsets,
-            &mut server_users,
-            &self.server_model_offsets,
-            &self.server_users,
-            prev_row,
-            self.num_servers * i_count,
-        );
-        self.pair_offsets = pair_offsets;
-        self.pair_servers = pair_servers;
-        self.server_model_offsets = server_model_offsets;
-        self.server_users = server_users;
-        Ok(())
     }
 }
 
@@ -1518,16 +1294,6 @@ pub(crate) mod tests {
         assert_eq!(EligibilityRepr::default(), EligibilityRepr::Auto);
     }
 
-    /// A second pattern the replace tests mutate towards: user 1 swaps
-    /// its eligibility profile and user 2 gains one at server 0.
-    fn moved_pattern(m: usize, k: usize, i: usize) -> bool {
-        match k {
-            1 => matches!((m, i), (0, 0) | (2, 0)),
-            2 => m == 0 && i == 1,
-            _ => pattern(m, k, i),
-        }
-    }
-
     /// A `fill` closure answering from `f` over 3 servers and 2 models.
     fn fill_from(
         f: fn(usize, usize, usize) -> bool,
@@ -1564,45 +1330,6 @@ pub(crate) mod tests {
         // A failing fill aborts the build.
         assert!(EligibilityTensor::from_user_rows(3, 3, 2, fails_second()).is_err());
         assert!(SparseEligibility::from_user_rows(3, 3, 2, fails_second()).is_err());
-    }
-
-    #[test]
-    fn dense_replace_user_rows_matches_full_rebuild() {
-        let mut tensor = EligibilityTensor::from_fn(3, 3, 2, pattern);
-        tensor
-            .replace_user_rows(&[1, 2], fill_from(moved_pattern))
-            .unwrap();
-        let rebuilt = EligibilityTensor::from_fn(3, 3, 2, moved_pattern);
-        // Equality covers the per-cell user counts server_models reads.
-        assert_eq!(tensor, rebuilt);
-        for m in 0..3 {
-            assert_eq!(
-                tensor.server_models(m).collect::<Vec<_>>(),
-                rebuilt.server_models(m).collect::<Vec<_>>()
-            );
-        }
-        // No-op batches change nothing, and a fill failing on the second
-        // user leaves the first one's bits untouched.
-        let before = tensor.clone();
-        tensor.replace_user_rows(&[], fill_from(pattern)).unwrap();
-        assert_eq!(tensor, before);
-        assert!(tensor.replace_user_rows(&[1, 2], fails_second()).is_err());
-        assert_eq!(tensor, before);
-    }
-
-    #[test]
-    fn sparse_replace_user_rows_matches_full_rebuild() {
-        let mut sparse = SparseEligibility::from_fn(3, 3, 2, pattern);
-        sparse
-            .replace_user_rows(&[1, 2], fill_from(moved_pattern))
-            .unwrap();
-        let rebuilt = SparseEligibility::from_fn(3, 3, 2, moved_pattern);
-        assert_eq!(sparse, rebuilt);
-        // A fill failing on the second user leaves the structure
-        // untouched.
-        let before = sparse.clone();
-        assert!(sparse.replace_user_rows(&[1, 2], fails_second()).is_err());
-        assert_eq!(sparse, before);
     }
 
     #[test]
@@ -1679,8 +1406,8 @@ pub(crate) mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Dense bitsets and the sparse CSR agree on every query and
-        /// iterator when `K` sits on a word boundary, including after a
-        /// row replacement, and bits past `K` never count.
+        /// iterator when `K` sits on a word boundary, and bits past `K`
+        /// never count.
         #[test]
         fn dense_and_sparse_agree_across_word_boundaries(
             seed in 0u64..1_000_000,
@@ -1698,30 +1425,6 @@ pub(crate) mod tests {
             assert_eq!(dense.num_eligible(), truth);
             assert_eq!(sparse.num_eligible(), truth);
             assert_views_agree(&dense, &sparse, at);
-
-            // Re-draw every third user's rows through the row-replacement
-            // path; both must equal a fresh build of the merged pattern.
-            let redrawn = random_table(seed ^ 0x5eed, (m_count, k_count, i_count), density + 2);
-            let users: Vec<usize> = (seed as usize % 3..k_count).step_by(3).collect();
-            let merged = |m: usize, k: usize, i: usize| {
-                let table = if users.binary_search(&k).is_ok() { &redrawn } else { &table };
-                table[(m * k_count + k) * i_count + i]
-            };
-            let fill = |k: usize, rows: &mut CandidateRows| -> Result<(), ()> {
-                for i in 0..i_count {
-                    for m in (0..m_count).filter(|&m| merged(m, k, i)) {
-                        rows.push_server(m);
-                    }
-                    rows.end_row();
-                }
-                Ok(())
-            };
-            let (mut dense, mut sparse) = (dense, sparse);
-            dense.replace_user_rows(&users, fill).unwrap();
-            sparse.replace_user_rows(&users, fill).unwrap();
-            assert_eq!(dense, EligibilityTensor::from_fn(m_count, k_count, i_count, merged));
-            assert_eq!(sparse, SparseEligibility::from_fn(m_count, k_count, i_count, merged));
-            assert_views_agree(&dense, &sparse, merged);
         }
     }
 

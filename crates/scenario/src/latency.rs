@@ -17,9 +17,9 @@
 //! materialises the dense [`EligibilityTensor`];
 //! [`LatencyEvaluator::sparse_eligibility`] builds the coverage-pruned
 //! [`SparseEligibility`] without ever allocating the `M × K × I` cube.
-//! Both, their incremental refreshes and the serve path's one-class
-//! scoring [`LatencyEvaluator::scored_candidates`] derive the indicator
-//! through one candidate kernel (see [`LatencyEvaluator`]).
+//! Both builds and the serve path's one-class scoring
+//! [`LatencyEvaluator::scored_candidates`] derive the indicator through
+//! one candidate kernel (see [`LatencyEvaluator`]).
 
 use trimcaching_modellib::{ModelId, ModelLibrary};
 use trimcaching_wireless::allocation::PerUserAllocation;
@@ -259,10 +259,10 @@ impl RateMatrix {
 ///
 /// [`LatencyEvaluator::latency_s`] and [`LatencyEvaluator::eligible`]
 /// answer one `(m, k, i)` triple and are the pointwise definition.
-/// Every bulk derivation — the dense build
-/// ([`LatencyEvaluator::eligibility`]), the sparse build
-/// ([`LatencyEvaluator::sparse_eligibility`]) and both per-user refreshes
-/// — and the serve path's [`LatencyEvaluator::scored_candidates`]
+/// Both bulk derivations — the dense build
+/// ([`LatencyEvaluator::eligibility`]) and the sparse build
+/// ([`LatencyEvaluator::sparse_eligibility`]) — and the serve path's
+/// [`LatencyEvaluator::scored_candidates`]
 /// instead run one **candidate kernel**: for a request class `(k, i)` it
 /// yields, in ascending server order, every server able to serve the
 /// class together with its latency, bit-identical to probing `eligible`
@@ -439,106 +439,6 @@ impl<'a> LatencyEvaluator<'a> {
             self.library.num_models(),
             |k, rows| self.append_user_candidates(k, &mut scratch, rows),
         )
-    }
-
-    /// Recomputes, in place, the eligibility rows of the given users in a
-    /// dense tensor (every `(m, ·, i)` bit of those users, plus the
-    /// per-cell user counts) through the per-user candidate kernel.
-    /// `users` may be in any order and repeat. The result is
-    /// bit-identical to rebuilding the whole tensor with
-    /// [`LatencyEvaluator::eligibility`]. The cost is the kernel's
-    /// (`I × |covering|` compares per user, plus `M` pushes per relayed
-    /// class) plus one single-bit update in each of the `M · I` cell
-    /// bitsets per refreshed user.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::DimensionMismatch`] when the tensor does
-    /// not match this evaluator's dimensions,
-    /// [`ScenarioError::IndexOutOfRange`] for an unknown user, and
-    /// propagates substrate errors. Every row is derived before the
-    /// first write, so the tensor is left unchanged on error.
-    pub fn refresh_dense_users(
-        &self,
-        tensor: &mut EligibilityTensor,
-        users: &[usize],
-    ) -> Result<(), ScenarioError> {
-        let users = self.refresh_set(
-            tensor.num_servers(),
-            tensor.num_users(),
-            tensor.num_models(),
-            users,
-        )?;
-        let mut scratch = self.kernel_scratch()?;
-        tensor.replace_user_rows(&users, |k, rows| {
-            self.append_user_candidates(k, &mut scratch, rows)
-        })
-    }
-
-    /// Recomputes, in place, the forward candidate rows of the given
-    /// users in a sparse eligibility and patches the per-server reverse
-    /// index accordingly. `users` may be in any order and repeat. The
-    /// result is bit-identical to rebuilding the structure with
-    /// [`LatencyEvaluator::sparse_eligibility`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::DimensionMismatch`] when the structure
-    /// does not match this evaluator's dimensions,
-    /// [`ScenarioError::IndexOutOfRange`] for an unknown user, and
-    /// propagates substrate errors. Every row is derived before the
-    /// first write, so the structure is left unchanged on error.
-    pub fn refresh_sparse_users(
-        &self,
-        sparse: &mut SparseEligibility,
-        users: &[usize],
-    ) -> Result<(), ScenarioError> {
-        let users = self.refresh_set(
-            sparse.num_servers(),
-            sparse.num_users(),
-            sparse.num_models(),
-            users,
-        )?;
-        let mut scratch = self.kernel_scratch()?;
-        sparse.replace_user_rows(&users, |k, rows| {
-            self.append_user_candidates(k, &mut scratch, rows)
-        })
-    }
-
-    /// Validates a refresh target's dimensions and user list, returning
-    /// the users ascending and deduplicated.
-    fn refresh_set(
-        &self,
-        num_servers: usize,
-        num_users: usize,
-        num_models: usize,
-        users: &[usize],
-    ) -> Result<Vec<usize>, ScenarioError> {
-        if num_servers != self.coverage.num_servers()
-            || num_users != self.coverage.num_users()
-            || num_models != self.library.num_models()
-        {
-            return Err(ScenarioError::DimensionMismatch {
-                reason: format!(
-                    "eligibility is {num_servers}x{num_users}x{num_models} but the evaluator \
-                     covers {}x{}x{}",
-                    self.coverage.num_servers(),
-                    self.coverage.num_users(),
-                    self.library.num_models()
-                ),
-            });
-        }
-        if let Some(&k) = users.iter().find(|&&k| k >= num_users) {
-            return Err(ScenarioError::IndexOutOfRange {
-                entity: "user",
-                index: k,
-                len: num_users,
-            });
-        }
-        let mut users = users.to_vec();
-        users.sort_unstable();
-        users.dedup();
-        Ok(users)
     }
 
     /// Fresh scratch for [`LatencyEvaluator::append_user_candidates`]:
@@ -1090,65 +990,6 @@ mod tests {
                 assert_scores_match_oracle(&eval, &coverage);
             }
         }
-    }
-
-    /// The fixture's radio state after users 0 and 2 moved next to the
-    /// other server (user 2 out of its former dead zone).
-    fn moved_radio(f: &Fixture) -> (CoverageMap, RateMatrix) {
-        let servers = vec![Point::new(0.0, 0.0), Point::new(600.0, 0.0)];
-        let users = vec![
-            Point::new(580.0, 0.0),
-            Point::new(620.0, 0.0),
-            Point::new(30.0, 10.0),
-        ];
-        let coverage = CoverageMap::build(&users, &servers, f.params.coverage_radius_m).unwrap();
-        let allocation = PerUserAllocation::compute(&coverage, &f.params).unwrap();
-        let rates = RateMatrix::expected(&coverage, &allocation, &f.params).unwrap();
-        (coverage, rates)
-    }
-
-    #[test]
-    fn refreshes_accept_unsorted_and_repeated_users() {
-        let f = fixture();
-        let eval = LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &f.backhaul, &f.rates)
-            .unwrap();
-        let (dense, sparse) = (
-            eval.eligibility().unwrap(),
-            eval.sparse_eligibility().unwrap(),
-        );
-        let (coverage, rates) = moved_radio(&f);
-        let moved =
-            LatencyEvaluator::new(&f.library, &f.demand, &coverage, &f.backhaul, &rates).unwrap();
-        let (dense_moved, sparse_moved) = (
-            moved.eligibility().unwrap(),
-            moved.sparse_eligibility().unwrap(),
-        );
-        assert_ne!(dense, dense_moved, "the move must change eligibility");
-        for users in [&[0usize, 1, 2][..], &[2, 0, 1], &[2, 2, 0, 1, 0]] {
-            // Nothing moved: any refresh order leaves the structure as is.
-            let (mut d, mut s) = (dense.clone(), sparse.clone());
-            eval.refresh_dense_users(&mut d, users).unwrap();
-            eval.refresh_sparse_users(&mut s, users).unwrap();
-            assert_eq!(d, dense, "dense refresh of {users:?} in place");
-            assert_eq!(s, sparse, "sparse refresh of {users:?} in place");
-            // Everyone refreshed after the move: a full rebuild.
-            eval.refresh_dense_users(&mut d, &[]).unwrap();
-            moved.refresh_dense_users(&mut d, users).unwrap();
-            moved.refresh_sparse_users(&mut s, users).unwrap();
-            assert_eq!(d, dense_moved, "dense refresh of {users:?} after the move");
-            assert_eq!(
-                s, sparse_moved,
-                "sparse refresh of {users:?} after the move"
-            );
-        }
-        // Unknown users and mismatched dimensions are errors that leave
-        // the structures untouched.
-        let (mut d, mut s) = (dense.clone(), sparse.clone());
-        assert!(moved.refresh_dense_users(&mut d, &[1, 3]).is_err());
-        assert!(moved.refresh_sparse_users(&mut s, &[3, 0]).is_err());
-        assert_eq!((d, s), (dense, sparse));
-        let mut other = EligibilityTensor::from_fn(2, 4, 1, |_, _, _| false);
-        assert!(eval.refresh_dense_users(&mut other, &[0]).is_err());
     }
 
     #[test]

@@ -301,8 +301,8 @@ impl Scenario {
     ///
     /// Prefer [`Scenario::update_user_positions`] when evolving one
     /// snapshot along a trajectory: it produces a bit-identical result
-    /// while re-deriving only the rows a move can change (see there for
-    /// its cost, which approaches this rebuild's when most users move).
+    /// while recomputing only the radio state a move can change (its
+    /// eligibility part costs as much as this rebuild's).
     ///
     /// # Errors
     ///
@@ -346,26 +346,25 @@ impl Scenario {
         }
     }
 
-    /// Moves every user to `positions` **in place**, recomputing only the
-    /// state that can differ: the coverage rows of moved users, the rate
-    /// rows of servers whose coverage changed, the per-user resource
-    /// shares of servers whose covered-user *count* changed, and the
-    /// eligibility rows of the refreshed users (see
-    /// [`SnapshotDelta`]). The resulting scenario is bit-identical to a
-    /// full [`Scenario::with_user_positions`] rebuild — same coverage,
-    /// rates, eligibility and hit ratios.
+    /// Moves every user to `positions` **in place**: the radio update of
+    /// [`Scenario::update_radio_positions`], then the eligibility
+    /// indicator re-derived from scratch ([`Scenario::derive_eligibility`]).
+    /// The resulting scenario is bit-identical to a full
+    /// [`Scenario::with_user_positions`] rebuild — same coverage, rates,
+    /// eligibility and hit ratios.
     ///
-    /// The cost follows the *refreshed* users, not the moved ones, and
-    /// most of it is the eligibility refresh: refreshed users × `I` ×
-    /// covering servers (plus `M · I` bit writes per refreshed user on
-    /// the dense tensor). Share reallocation refreshes every user of a
-    /// server whose covered-user count changed, so under dense mobility
-    /// (the `paper_mix` model moves ~86% of users per 5 s slot) nearly
-    /// every row is refreshed, and the update costs about as much as the
-    /// eligibility part of a rebuild. A caller that reads only some rows
-    /// before the next move — the serving engine between re-plans reads
-    /// only the rows of requesting users — should use
-    /// [`Scenario::update_radio_positions`] and derive the rows it reads.
+    /// The radio part costs what the move changed (see
+    /// [`SnapshotDelta`]); the eligibility part costs as much as a
+    /// rebuild's, one kernel pass over all `K` users. A rebuild of the
+    /// rows a move can change would save little: share reallocation
+    /// changes the rates of every user of a server whose covered-user
+    /// count changed, so under dense mobility (the `paper_mix` model
+    /// moves ~86% of users per 5 s slot) nearly every row would be
+    /// re-derived anyway. A caller that does not read the indicator
+    /// after every move — the serving engine scores each request from
+    /// the radio state and needs the indicator only to re-plan — should
+    /// use [`Scenario::update_radio_positions`] and derive the
+    /// indicator when it needs one.
     ///
     /// # Errors
     ///
@@ -377,20 +376,21 @@ impl Scenario {
         positions: &[Point],
     ) -> Result<SnapshotDelta, ScenarioError> {
         let delta = self.update_radio_positions(positions)?;
-        self.refresh_eligibility_rows(delta.refreshed_users())?;
+        self.eligibility = self.derive_eligibility()?;
         Ok(delta)
     }
 
     /// The radio half of [`Scenario::update_user_positions`]: moves every
     /// user to `positions` in place and updates coverage, allocation and
-    /// rates exactly as that call does, but **leaves the eligibility rows
-    /// of [`SnapshotDelta::refreshed_users`] stale** — every other row is
-    /// still exact. The caller owns the stale set: it must not read those
-    /// rows through [`Scenario::eligibility`], nor through anything built
-    /// on it such as [`Scenario::hit_ratio`] or a placement solve.
-    /// Instead [`LatencyEvaluator::scored_candidates`] derives any one
-    /// class's candidates from the updated radio state, and
-    /// [`Scenario::eligibility_with_fresh_rows`] a fresh copy for a solve.
+    /// rates exactly as that call does, at a cost that follows what the
+    /// move changed (see [`SnapshotDelta`]). **The whole stored
+    /// eligibility indicator is out of date afterwards**: the caller
+    /// must not read it through [`Scenario::eligibility`], nor through
+    /// anything built on it such as [`Scenario::hit_ratio`] or a
+    /// placement solve. Instead [`LatencyEvaluator::scored_candidates`]
+    /// derives any one class's candidates from the updated radio state,
+    /// and [`Scenario::derive_eligibility`] a fresh indicator for a
+    /// solve.
     ///
     /// # Errors
     ///
@@ -436,40 +436,25 @@ impl Scenario {
         moves: &[(usize, Point)],
     ) -> Result<SnapshotDelta, ScenarioError> {
         let delta = self.apply_radio_moves(moves)?;
-        self.refresh_eligibility_rows(delta.refreshed_users())?;
+        self.eligibility = self.derive_eligibility()?;
         Ok(delta)
     }
 
-    /// Re-derives, in place, the eligibility rows of `users` (any order,
-    /// repeats allowed) from the current radio state through the
-    /// per-user candidate kernel.
-    fn refresh_eligibility_rows(&mut self, users: &[usize]) -> Result<(), ScenarioError> {
-        if users.is_empty() {
-            return Ok(());
-        }
-        let evaluator = LatencyEvaluator::new(
-            &self.library,
-            &self.demand,
-            &self.coverage,
-            &self.backhaul,
-            &self.rates,
-        )?;
-        refresh_rows(&evaluator, &mut self.eligibility, users)
-    }
-
-    /// A copy of the eligibility indicator with the rows of `users`
-    /// re-derived from the current radio state — the fresh view a solve
-    /// needs while [`Scenario::update_radio_positions`] left those rows
-    /// stale, without writing the snapshot.
+    /// Derives the eligibility indicator `I1(m,k,i)` from scratch from
+    /// the current radio state, in the representation this snapshot
+    /// pins (see [`Scenario::with_user_positions`]), through the same
+    /// kernel as the builder. On a snapshot whose users have not moved
+    /// since it was built or last updated by
+    /// [`Scenario::update_user_positions`] the result equals
+    /// [`Scenario::eligibility`]; after
+    /// [`Scenario::update_radio_positions`] it is the fresh indicator a
+    /// solve needs.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::IndexOutOfRange`] for an unknown user
-    /// and propagates substrate errors.
-    pub fn eligibility_with_fresh_rows(
-        &self,
-        users: &[usize],
-    ) -> Result<Eligibility, ScenarioError> {
+    /// Propagates substrate errors (which indicate an internally
+    /// inconsistent scenario).
+    pub fn derive_eligibility(&self) -> Result<Eligibility, ScenarioError> {
         let evaluator = LatencyEvaluator::new(
             &self.library,
             &self.demand,
@@ -477,14 +462,11 @@ impl Scenario {
             &self.backhaul,
             &self.rates,
         )?;
-        let mut eligibility = self.eligibility.clone();
-        refresh_rows(&evaluator, &mut eligibility, users)?;
-        Ok(eligibility)
+        derive_eligibility(&evaluator, self.pinned_repr(), &self.coverage)
     }
 
     /// Moves users in place and updates coverage, allocation and rates,
-    /// returning the delta whose refreshed users' eligibility rows are
-    /// now stale.
+    /// leaving the stored eligibility out of date.
     fn apply_radio_moves(
         &mut self,
         moves: &[(usize, Point)],
@@ -524,19 +506,6 @@ impl Scenario {
             reallocated,
             refreshed,
         ))
-    }
-}
-
-/// Re-derives the rows of `users` in `eligibility` through the per-user
-/// candidate kernel of `evaluator`.
-fn refresh_rows(
-    evaluator: &LatencyEvaluator<'_>,
-    eligibility: &mut Eligibility,
-    users: &[usize],
-) -> Result<(), ScenarioError> {
-    match eligibility {
-        Eligibility::Dense(tensor) => evaluator.refresh_dense_users(tensor, users),
-        Eligibility::Sparse(sparse) => evaluator.refresh_sparse_users(sparse, users),
     }
 }
 

@@ -55,7 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One snapshot evolved in place: each sample applies the accumulated
     // moves through the incremental delta path instead of rebuilding the
     // whole scenario (`Scenario::update_user_positions` is bit-identical
-    // to `with_user_positions`, at a cost proportional to what changed).
+    // to `with_user_positions`; its radio update costs what the moves
+    // changed, and it re-derives the whole eligibility indicator).
     let mut moved = scenario.clone();
     for step in 1..=6 {
         let positions = mobility.run_slots(slots_per_interval, &mut rng);

@@ -195,7 +195,8 @@ proptest! {
 
     /// Incremental move batches produce snapshots bit-identical to full
     /// rebuilds, for both eligibility representations, slot after slot,
-    /// and every slot's eligibility equals the pointwise definition.
+    /// and every slot's eligibility equals the pointwise definition, as
+    /// does the radio-only update's derived eligibility.
     /// Each slot's batch is unsorted with repeats (one user's last move
     /// returns it to where it started); the same moves as a sorted
     /// batch, one per user, must yield the same snapshot and delta, and
@@ -232,6 +233,11 @@ proptest! {
                 let rebuilt = base.with_user_positions(&positions).unwrap();
                 prop_assert_eq!(&incremental, &rebuilt);
                 assert_matches_oracle(&incremental);
+                // The radio-only update leaves the eligibility to the
+                // caller; deriving it afterwards gives the rebuild's.
+                let mut radio_only = before.clone();
+                prop_assert_eq!(&radio_only.update_radio_positions(&positions).unwrap(), &delta);
+                prop_assert_eq!(&radio_only.derive_eligibility().unwrap(), rebuilt.eligibility());
                 // Hit ratios are bit-identical for random placements.
                 let mut placement = incremental.empty_placement();
                 for _ in 0..6 {
