@@ -457,8 +457,9 @@ pub(crate) struct RunState {
 /// request never reads it: [`Region::serve_request`] scores its class
 /// straight from the radio state through
 /// [`LatencyEvaluator::scored_candidates`]. Only a re-plan reads the
-/// indicator, so it belongs to the planner. A mobility boundary updates
-/// the snapshot's radio state only ([`Scenario::update_radio_positions`]),
+/// indicator, so it belongs to the planner. A mobility boundary
+/// recomputes the snapshot's radio state only — coverage, shares and
+/// rates, whole, in place ([`Scenario::update_radio_positions`]) —
 /// which leaves the snapshot's stored indicator out of date as a whole,
 /// and [`Shared::eligibility`] derives a fresh one for each solve once a
 /// boundary has moved a user. Nothing about it is stored, so
@@ -487,8 +488,9 @@ pub(crate) struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// Moves the snapshot's users to `positions`, updating its radio
-    /// state only.
+    /// Moves the snapshot's users to `positions` and recomputes its
+    /// radio state (not its eligibility); the delta names the users
+    /// whose rates could have changed.
     pub(crate) fn move_users(
         &mut self,
         positions: &[Point],
@@ -2022,7 +2024,7 @@ mod tests {
         let report = serve(&s, &Lru, None, &config).unwrap();
         // 60 s / 10 s slots -> 5 rebuilds fire strictly before the end.
         assert!(report.metrics.snapshot_rebuilds >= 5);
-        // The incremental path recorded its per-slot refresh work; the
+        // Every slot recorded the users its update refreshed; the
         // mobility model moves every user every slot, so at least one
         // user per slot was refreshed (and never more than all of them).
         assert!(report.metrics.users_refreshed >= report.metrics.snapshot_rebuilds);
@@ -2032,9 +2034,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_slots_match_full_rebuild_serving() {
-        // Replaying the same mobility trajectory against incrementally
-        // evolved snapshots must serve every request exactly as full
+    fn in_place_slots_match_full_rebuild_serving() {
+        // Replaying the same mobility trajectory against one snapshot
+        // evolved in place must serve every request exactly as full
         // per-slot rebuilds would: same eligibility, same latencies,
         // same handover count. Replicate the engine's slot loop with
         // `with_user_positions` and compare the primary assignments.
@@ -2044,15 +2046,15 @@ mod tests {
         let positions: Vec<Point> = s.users().iter().map(|u| u.position()).collect();
         let mut mobility =
             trimcaching_scenario::mobility::MobilityModel::paper_mix(&positions, area, &mut rng);
-        let mut incremental = s.clone();
+        let mut in_place = s.clone();
         for _ in 0..6 {
             mobility.step(&mut rng);
             let fresh = mobility.positions();
-            incremental.update_user_positions(&fresh).unwrap();
+            in_place.update_user_positions(&fresh).unwrap();
             let rebuilt = s.with_user_positions(&fresh).unwrap();
-            assert_eq!(incremental, rebuilt);
+            assert_eq!(in_place, rebuilt);
             assert_eq!(
-                primary_servers(&incremental).unwrap(),
+                primary_servers(&in_place).unwrap(),
                 primary_servers(&rebuilt).unwrap()
             );
         }

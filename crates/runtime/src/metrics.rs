@@ -191,11 +191,15 @@ pub struct ServeMetrics {
     /// Cache evictions performed.
     pub evictions: u64,
     /// Radio-snapshot updates triggered by mobility slots (each slot
-    /// evolves the snapshot in place via the incremental delta path).
+    /// moves the snapshot's users in place and recomputes its radio
+    /// state whole).
     pub snapshot_rebuilds: u64,
-    /// Users whose radio/eligibility rows were actually re-derived
-    /// across all mobility slots — the work the incremental snapshot
-    /// path performed, versus `snapshot_rebuilds × K` for full rebuilds.
+    /// Users whose rates could have changed, summed over all mobility
+    /// slots: each slot's moved users plus the users of every server
+    /// whose per-user share changed
+    /// ([`SnapshotDelta::refreshed_users`](trimcaching_scenario::SnapshotDelta::refreshed_users)).
+    /// Handovers are recounted over these users only; at most
+    /// `snapshot_rebuilds × K`.
     pub users_refreshed: u64,
     /// Users whose primary (highest-rate covering) server changed across
     /// a mobility slot — the handovers the engine carried out.

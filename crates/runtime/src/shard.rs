@@ -353,9 +353,9 @@ impl<'a> ShardedServeEngine<'a> {
         }
         if cp.config.mobility_slot_s > 0.0 {
             // One-shot position update — bit-identical to the
-            // incremental slot-by-slot evolution that produced the
-            // checkpoint (pinned by
-            // `incremental_slots_match_full_rebuild_serving`), and like
+            // slot-by-slot evolution that produced the checkpoint
+            // (pinned by `in_place_slots_match_full_rebuild_serving`),
+            // and like
             // a merge it updates the radio state only. It runs after the
             // regions restore so the snapshot copy is not live next to
             // the journals they read back.
@@ -558,13 +558,14 @@ impl<'a> ShardedServeEngine<'a> {
     /// 1. assemble the global position vector from the owner regions'
     ///    kinematics (each region steps *all* users for RNG parity, but
     ///    only owned rows are authoritative);
-    /// 2. apply the slot update to the one shared snapshot's radio
-    ///    state — coverage, allocation and rates of the moved users and
-    ///    of users sharing a reallocated server, bit-identical to a full
-    ///    rebuild. The stored eligibility is left out of date as a
+    /// 2. move the one shared snapshot's users and recompute its radio
+    ///    state — coverage, allocation and rates, whole, through the
+    ///    build's passes and in the snapshot's own buffers, so it equals
+    ///    a full rebuild. The stored eligibility is left out of date as a
     ///    whole: a request scores its class from the radio state, and a
     ///    re-plan derives a fresh indicator (see [`Shared`]). Then
-    ///    recount handovers over the refreshed users, each on its
+    ///    recount handovers over the refreshed users (moved users and
+    ///    the users of a server whose share changed), each on its
     ///    owner's counters;
     /// 3. migrate ownership of users that crossed a strip border: copy
     ///    the kinematic row to the new owner, flip the ownership map,

@@ -1,38 +1,31 @@
-//! Summary of one incremental snapshot update
-//! ([`crate::Scenario::apply_user_moves`]).
+//! What one mobility update of a snapshot changed
+//! ([`crate::Scenario::update_radio_positions`] and
+//! [`crate::Scenario::update_user_positions`]).
 //!
-//! Mobility re-derivation used to rebuild the whole snapshot per slot
-//! (`with_user_positions`): coverage, allocation, rates and eligibility
-//! for all `K` users, even though only the moved users' rows can change.
-//! The incremental path recomputes exactly the affected radio state
-//! (the eligibility indicator is then re-derived whole, or left to the
-//! caller by [`crate::Scenario::update_radio_positions`]) and returns a
-//! [`SnapshotDelta`] naming what was touched, so consumers (e.g. the
-//! runtime engine's handover accounting) can confine their own refresh
-//! work to the same sets.
+//! A mobility update moves every user and recomputes the snapshot's
+//! radio state — coverage, per-user allocation and rates — whole,
+//! through the same passes as the build (under the paper's mobility mix
+//! most users move every slot, so there is little left to skip). It
+//! returns a [`SnapshotDelta`] naming what changed, by the sets'
+//! definitions, so consumers (e.g. the runtime engine's handover
+//! accounting) can confine their own per-user work to them:
 //!
-//! The affected sets nest as follows:
-//!
-//! * **moved users** — positions changed; their coverage rows and rate
-//!   entries are recomputed;
-//! * **touched servers** — covered a moved user before or after the
-//!   move; their rate rows are recomputed (member sets or member
-//!   distances changed);
-//! * **reallocated servers** — touched servers whose covered-user count
-//!   changed *enough* to move the expected-active-user divisor (the
-//!   floor of one active user absorbs small cells): their per-user
-//!   bandwidth/power share changed, which changes the rates — and hence
-//!   possibly the eligibility — of **every** user they cover;
+//! * **moved users** — users whose position differs;
+//! * **reallocated servers** — servers whose per-user bandwidth/power
+//!   share differs. A server's share follows its covered-user count, but
+//!   the floor of one expected active user absorbs small cells, so not
+//!   every count change reallocates. A new share changes the rates — and
+//!   hence possibly the eligibility — of **every** user the server
+//!   covers;
 //! * **refreshed users** — moved users plus all users covered by a
-//!   reallocated server: exactly the users whose rate or eligibility
-//!   rows could differ from the previous snapshot.
+//!   reallocated server after the update: exactly the users whose rate
+//!   or eligibility rows could differ from the previous snapshot.
 
-/// What one [`crate::Scenario::apply_user_moves`] call recomputed. See
-/// the [module docs](self) for how the sets relate.
+/// What one mobility update changed. See the [module docs](self) for how
+/// the sets are defined.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotDelta {
     moved_users: Vec<usize>,
-    touched_servers: Vec<usize>,
     reallocated_servers: Vec<usize>,
     refreshed_users: Vec<usize>,
 }
@@ -41,17 +34,14 @@ impl SnapshotDelta {
     /// Assembles a delta; every list must be ascending and deduplicated.
     pub(crate) fn new(
         moved_users: Vec<usize>,
-        touched_servers: Vec<usize>,
         reallocated_servers: Vec<usize>,
         refreshed_users: Vec<usize>,
     ) -> Self {
         debug_assert!(moved_users.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(touched_servers.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(reallocated_servers.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(refreshed_users.windows(2).all(|w| w[0] < w[1]));
         Self {
             moved_users,
-            touched_servers,
             reallocated_servers,
             refreshed_users,
         }
@@ -67,13 +57,7 @@ impl SnapshotDelta {
         &self.moved_users
     }
 
-    /// Servers that covered a moved user before or after the batch
-    /// (their rate rows were recomputed), ascending.
-    pub fn touched_servers(&self) -> &[usize] {
-        &self.touched_servers
-    }
-
-    /// Touched servers whose per-user resource share changed, ascending.
+    /// Servers whose per-user resource share changed, ascending.
     pub fn reallocated_servers(&self) -> &[usize] {
         &self.reallocated_servers
     }
@@ -103,7 +87,6 @@ mod tests {
         let d = SnapshotDelta::empty();
         assert!(d.is_empty());
         assert!(d.moved_users().is_empty());
-        assert!(d.touched_servers().is_empty());
         assert!(d.reallocated_servers().is_empty());
         assert!(d.refreshed_users().is_empty());
         assert_eq!(d, SnapshotDelta::default());
@@ -111,10 +94,9 @@ mod tests {
 
     #[test]
     fn accessors_expose_the_sets() {
-        let d = SnapshotDelta::new(vec![1, 4], vec![0, 2], vec![2], vec![1, 3, 4]);
+        let d = SnapshotDelta::new(vec![1, 4], vec![2], vec![1, 3, 4]);
         assert!(!d.is_empty());
         assert_eq!(d.moved_users(), &[1, 4]);
-        assert_eq!(d.touched_servers(), &[0, 2]);
         assert_eq!(d.reallocated_servers(), &[2]);
         assert_eq!(d.refreshed_users(), &[1, 3, 4]);
     }

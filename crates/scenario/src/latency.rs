@@ -81,33 +81,76 @@ impl RateMatrix {
         coverage: &CoverageMap,
         allocation: &PerUserAllocation,
         params: &RadioParams,
-        mut fading_gain: F,
+        fading_gain: F,
     ) -> Result<Self, ScenarioError>
     where
         F: FnMut(usize, usize) -> f64,
     {
-        let m_count = coverage.num_servers();
-        let k_count = coverage.num_users();
-        let mut row_offsets = Vec::with_capacity(m_count + 1);
-        row_offsets.push(0usize);
-        let mut users: Vec<u32> = Vec::new();
-        let mut rates_bps: Vec<f64> = Vec::new();
-        for m in 0..m_count {
+        let mut rates = Self {
+            num_users: 0,
+            row_offsets: Vec::new(),
+            users: Vec::new(),
+            rates_bps: Vec::new(),
+        };
+        rates.write_rows(coverage, allocation, params, fading_gain)?;
+        Ok(rates)
+    }
+
+    /// Recomputes the *expected* rates in place against an updated
+    /// coverage/allocation state: the result equals
+    /// [`RateMatrix::expected`] on the same inputs, and this matrix's
+    /// buffers are reused.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::DimensionMismatch`] when `allocation` and
+    /// `coverage` disagree on the server count; the matrix is left
+    /// unchanged in that case.
+    pub fn recompute_expected(
+        &mut self,
+        coverage: &CoverageMap,
+        allocation: &PerUserAllocation,
+        params: &RadioParams,
+    ) -> Result<(), ScenarioError> {
+        self.write_rows(coverage, allocation, params, |_m, _k| 1.0)
+    }
+
+    /// Writes every server's row from scratch, one pass in server order.
+    fn write_rows<F>(
+        &mut self,
+        coverage: &CoverageMap,
+        allocation: &PerUserAllocation,
+        params: &RadioParams,
+        mut fading_gain: F,
+    ) -> Result<(), ScenarioError>
+    where
+        F: FnMut(usize, usize) -> f64,
+    {
+        if allocation.num_servers() != coverage.num_servers() {
+            return Err(ScenarioError::DimensionMismatch {
+                reason: format!(
+                    "allocation covers {} servers but coverage has {}",
+                    allocation.num_servers(),
+                    coverage.num_servers()
+                ),
+            });
+        }
+        self.num_users = coverage.num_users();
+        self.row_offsets.clear();
+        self.row_offsets.push(0);
+        self.users.clear();
+        self.rates_bps.clear();
+        for m in 0..coverage.num_servers() {
             let share = allocation.share(m)?;
             let ctx = RateContext::new(share.bandwidth_hz, share.power_w, params);
             for &k in coverage.users_of_server(m)? {
                 let d = coverage.distance_m(m, k)?;
-                users.push(k as u32);
-                rates_bps.push(ctx.rate_bps(d, fading_gain(m, k)));
+                self.users.push(k as u32);
+                self.rates_bps.push(ctx.rate_bps(d, fading_gain(m, k)));
             }
-            row_offsets.push(users.len());
+            self.row_offsets.push(self.users.len());
         }
-        Ok(Self {
-            num_users: k_count,
-            row_offsets,
-            users,
-            rates_bps,
-        })
+        Ok(())
     }
 
     /// Number of servers (rows).
@@ -153,82 +196,6 @@ impl RateMatrix {
         })
     }
 
-    /// Recomputes the rows of the given servers in place against an
-    /// updated coverage/allocation state (unit fading gain, i.e. the
-    /// *expected* rates used for placement decisions), leaving every
-    /// other row's entries bit-identical. Row lengths may change, so the
-    /// CSR arrays are re-spliced; the cost is one pass over the stored
-    /// pairs plus the recomputation of the named rows. `rows` need not
-    /// be sorted or deduplicated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::IndexOutOfRange`] for an unknown row and
-    /// [`ScenarioError::DimensionMismatch`] when `coverage` disagrees
-    /// with this matrix on the topology dimensions; the matrix is left
-    /// unchanged on error.
-    pub fn update_rows(
-        &mut self,
-        coverage: &CoverageMap,
-        allocation: &PerUserAllocation,
-        params: &RadioParams,
-        rows: &[usize],
-    ) -> Result<(), ScenarioError> {
-        if rows.is_empty() {
-            return Ok(());
-        }
-        let m_count = self.num_servers();
-        if coverage.num_servers() != m_count || coverage.num_users() != self.num_users {
-            return Err(ScenarioError::DimensionMismatch {
-                reason: format!(
-                    "rate matrix is {}x{} but coverage is {}x{}",
-                    m_count,
-                    self.num_users,
-                    coverage.num_servers(),
-                    coverage.num_users()
-                ),
-            });
-        }
-        for &m in rows {
-            if m >= m_count {
-                return Err(ScenarioError::IndexOutOfRange {
-                    entity: "server",
-                    index: m,
-                    len: m_count,
-                });
-            }
-        }
-        let mut sorted = rows.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut row_offsets = Vec::with_capacity(m_count + 1);
-        row_offsets.push(0usize);
-        let mut users: Vec<u32> = Vec::with_capacity(self.users.len());
-        let mut rates_bps: Vec<f64> = Vec::with_capacity(self.rates_bps.len());
-        let mut pending = sorted.iter().copied().peekable();
-        for m in 0..m_count {
-            if pending.peek() == Some(&m) {
-                pending.next();
-                let share = allocation.share(m)?;
-                let ctx = RateContext::new(share.bandwidth_hz, share.power_w, params);
-                for &k in coverage.users_of_server(m)? {
-                    let d = coverage.distance_m(m, k)?;
-                    users.push(k as u32);
-                    rates_bps.push(ctx.rate_bps(d, 1.0));
-                }
-            } else {
-                let range = self.row_offsets[m]..self.row_offsets[m + 1];
-                users.extend_from_slice(&self.users[range.clone()]);
-                rates_bps.extend_from_slice(&self.rates_bps[range]);
-            }
-            row_offsets.push(users.len());
-        }
-        self.row_offsets = row_offsets;
-        self.users = users;
-        self.rates_bps = rates_bps;
-        Ok(())
-    }
-
     /// Iterates the covered `(user, rate_bps)` pairs of server `m` in
     /// ascending user order, without per-user lookups.
     ///
@@ -269,14 +236,11 @@ impl RateMatrix {
 /// and `latency_s` for every server. The row builders drop the latency.
 ///
 /// * An uncovered user has no candidates.
-/// * On a **uniform** backhaul mesh the covering servers' direct rates
-///   are loaded once per user. A covering server is decided by Eq. (4)
-///   on its own rate; all non-covering servers share one Eq. (5)
-///   latency (constant backhaul transfer plus the best direct leg), so
-///   a single compare decides them together.
-/// * With per-link backhaul **overrides** non-covering servers are no
-///   longer interchangeable, and every server is probed through
-///   `eligible` (the exact fallback).
+/// * Otherwise the covering servers' direct rates are loaded once per
+///   user. A covering server is decided by Eq. (4) on its own rate; on
+///   the uniform backhaul mesh all non-covering servers share one
+///   Eq. (5) latency (constant backhaul transfer plus the best direct
+///   leg), so a single compare decides them together.
 ///
 /// A user therefore costs `I × |covering|` compares plus `M` pushes per
 /// relayed class, instead of `M × I` latency evaluations.
@@ -443,14 +407,12 @@ impl<'a> LatencyEvaluator<'a> {
 
     /// Fresh scratch for [`LatencyEvaluator::append_user_candidates`]:
     /// the per-model download sizes in bits, exactly as
-    /// [`LatencyEvaluator::latency_s`] derives them, and the backhaul
-    /// regime.
+    /// [`LatencyEvaluator::latency_s`] derives them.
     fn kernel_scratch(&self) -> Result<KernelScratch, ScenarioError> {
         let size_bits = (0..self.library.num_models())
             .map(|i| self.size_bits(ModelId(i)))
             .collect::<Result<_, ScenarioError>>()?;
         Ok(KernelScratch {
-            uniform_backhaul: !self.backhaul.has_overrides(),
             size_bits,
             covering: CandidateScratch::default(),
         })
@@ -464,11 +426,9 @@ impl<'a> LatencyEvaluator<'a> {
 
     /// The per-user candidate kernel: appends user `k`'s `I` candidate
     /// rows to `rows`, row `i` listing ascending every server `m` with
-    /// `I1(m, k, i)`. An uncovered user gets `I` empty rows. On a uniform
-    /// backhaul mesh the covering servers' rates are loaded once per
-    /// user and each model is decided by `class_pass_uniform`; per-link
-    /// overrides fall back to `class_pass_exact`. The latencies the
-    /// passes yield are dropped.
+    /// `I1(m, k, i)`. An uncovered user gets `I` empty rows. The covering
+    /// servers' rates are loaded once per user and each model is decided
+    /// by `class_pass`; the latencies it yields are dropped.
     fn append_user_candidates(
         &self,
         k: usize,
@@ -483,17 +443,11 @@ impl<'a> LatencyEvaluator<'a> {
             return Ok(());
         }
         let user = UserId(k);
-        if scratch.uniform_backhaul {
-            scratch.covering.load(self.rates, k, covering)?;
-        }
+        scratch.covering.load(self.rates, k, covering)?;
         for (i, &size_bits) in scratch.size_bits.iter().enumerate() {
             let model = ModelId(i);
             let push = |m, _latency| rows.push_server(m);
-            if scratch.uniform_backhaul {
-                self.class_pass_uniform(user, model, size_bits, covering, &scratch.covering, push)?;
-            } else {
-                self.class_pass_exact(user, model, push)?;
-            }
+            self.class_pass(user, model, size_bits, covering, &scratch.covering, push)?;
             rows.end_row();
         }
         Ok(())
@@ -508,10 +462,8 @@ impl<'a> LatencyEvaluator<'a> {
     /// user's covering rates, so a caller scoring many classes allocates
     /// nothing per call once its buffer has grown.
     ///
-    /// Cost: on a uniform mesh, one walk over the user's covering servers
-    /// plus one relay decision; on a mesh with per-link overrides
-    /// ([`Backhaul::has_overrides`]), the exact pass calls
-    /// [`LatencyEvaluator::latency_s`] for every server, O(M) per class.
+    /// Cost: one walk over the user's covering servers plus one relay
+    /// decision, and one visit per candidate.
     ///
     /// # Errors
     ///
@@ -528,17 +480,13 @@ impl<'a> LatencyEvaluator<'a> {
         if covering.is_empty() {
             return Ok(());
         }
-        if self.backhaul.has_overrides() {
-            self.class_pass_exact(user, model, visit)
-        } else {
-            let size_bits = self.size_bits(model)?;
-            scratch.load(self.rates, k, covering)?;
-            self.class_pass_uniform(user, model, size_bits, covering, scratch, visit)
-        }
+        let size_bits = self.size_bits(model)?;
+        scratch.load(self.rates, k, covering)?;
+        self.class_pass(user, model, size_bits, covering, scratch, visit)
     }
 
     /// Yields, in ascending server order, every candidate server of one
-    /// request class under a **uniform** backhaul mesh with its latency,
+    /// request class with its latency,
     /// from the user's covering rates loaded into `rates` and the model's
     /// download size `size_bits`.
     ///
@@ -551,7 +499,7 @@ impl<'a> LatencyEvaluator<'a> {
     /// through the best-rate covering server, evaluated with the same
     /// operation order as `latency_s` — one value shared by every
     /// non-covering server.
-    fn class_pass_uniform(
+    fn class_pass(
         &self,
         user: UserId,
         model: ModelId,
@@ -612,45 +560,22 @@ impl<'a> LatencyEvaluator<'a> {
         }
         Ok(())
     }
-
-    /// Yields, in ascending server order, every candidate server of one
-    /// request class with its [`LatencyEvaluator::latency_s`], probing
-    /// every server — the exact fallback for heterogeneous (per-link
-    /// override) backhaul meshes.
-    fn class_pass_exact(
-        &self,
-        user: UserId,
-        model: ModelId,
-        mut visit: impl FnMut(usize, f64),
-    ) -> Result<(), ScenarioError> {
-        let deadline = self.demand.deadline_s(user, model)?;
-        for m in 0..self.coverage.num_servers() {
-            let latency = self.latency_s(m, user, model)?;
-            if latency <= deadline {
-                visit(m, latency);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Reusable state of the per-user candidate kernel
 /// ([`LatencyEvaluator::append_user_candidates`]).
 #[derive(Debug)]
 struct KernelScratch {
-    /// Whether every backhaul link has the default rate (no overrides),
-    /// which enables the one-probe relay decision.
-    uniform_backhaul: bool,
     /// Per-model download sizes in bits.
     size_bits: Vec<f64>,
-    /// The current user's covering rates (uniform mesh only).
+    /// The current user's covering rates.
     covering: CandidateScratch,
 }
 
 /// Reusable buffer of the candidate kernel: one user's covering
 /// servers' direct downlink rates, aligned with its covering list, and
 /// their best, which realises the minimum relayed latency of Eq. (5) on
-/// a uniform mesh. See [`LatencyEvaluator::scored_candidates`].
+/// the uniform mesh. See [`LatencyEvaluator::scored_candidates`].
 #[derive(Debug, Clone, Default)]
 pub struct CandidateScratch {
     rates: Vec<f64>,
@@ -762,6 +687,35 @@ mod tests {
     }
 
     #[test]
+    fn recomputed_rates_equal_a_fresh_matrix() {
+        let f = fixture();
+        let mut coverage = f.coverage.clone();
+        // User 2 enters server 1's cell and user 0 moves within server 0's.
+        let moved = [
+            Point::new(80.0, 10.0),
+            Point::new(620.0, 0.0),
+            Point::new(640.0, 30.0),
+        ];
+        coverage.set_user_positions(&moved).unwrap();
+        let allocation = PerUserAllocation::compute(&coverage, &f.params).unwrap();
+        let mut rates = f.rates.clone();
+        rates
+            .recompute_expected(&coverage, &allocation, &f.params)
+            .unwrap();
+        let fresh = RateMatrix::expected(&coverage, &allocation, &f.params).unwrap();
+        assert_eq!(rates, fresh);
+        assert_eq!(rates.num_covered_pairs(), 3);
+        // An allocation over another server count is rejected and leaves
+        // the matrix as it was.
+        let other = CoverageMap::build(&moved, &[Point::new(0.0, 0.0)], 275.0).unwrap();
+        let narrow = PerUserAllocation::compute(&other, &f.params).unwrap();
+        assert!(rates
+            .recompute_expected(&coverage, &narrow, &f.params)
+            .is_err());
+        assert_eq!(rates, fresh);
+    }
+
+    #[test]
     fn associated_latency_uses_direct_rate() {
         let f = fixture();
         let eval = LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &f.backhaul, &f.rates)
@@ -857,40 +811,6 @@ mod tests {
         assert_matches_oracle(&eval, &sparse);
     }
 
-    /// The fixture's backhaul with one directed link throttled, so
-    /// non-covering servers are no longer interchangeable and the
-    /// kernel takes its exact fallback.
-    fn throttled_backhaul() -> Backhaul {
-        let mut backhaul = Backhaul::paper_default(2);
-        backhaul.set_link_rate(1, 0, 1.0e6).unwrap();
-        backhaul
-    }
-
-    #[test]
-    fn sparse_eligibility_handles_backhaul_overrides_exactly() {
-        let f = fixture();
-        let backhaul = throttled_backhaul();
-        let eval =
-            LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &backhaul, &f.rates).unwrap();
-        assert_matches_oracle(&eval, &eval.sparse_eligibility().unwrap());
-    }
-
-    #[test]
-    fn dense_eligibility_handles_backhaul_overrides_exactly() {
-        let f = fixture();
-        let backhaul = throttled_backhaul();
-        let eval =
-            LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &backhaul, &f.rates).unwrap();
-        let dense = eval.eligibility().unwrap();
-        assert_matches_oracle(&eval, &dense);
-        // The throttled link changes an answer, so the fallback is
-        // exercised on a case the uniform rule would get wrong.
-        let uniform =
-            LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &f.backhaul, &f.rates)
-                .unwrap();
-        assert_ne!(dense, uniform.eligibility().unwrap());
-    }
-
     /// Requires [`LatencyEvaluator::scored_candidates`] to yield, for
     /// every `(k, i)`, exactly `{(m, latency_s(m, k, i)) : eligible(m, k,
     /// i)}` in ascending server order, latencies compared bit for bit.
@@ -930,33 +850,28 @@ mod tests {
     #[test]
     fn scored_candidates_equal_the_pointwise_latencies() {
         let f = fixture();
-        for backhaul in [f.backhaul.clone(), throttled_backhaul()] {
-            let eval =
-                LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &backhaul, &f.rates)
-                    .unwrap();
-            let (direct, relayed) = assert_scores_match_oracle(&eval, &f.coverage);
-            // Both Eq. (4) and Eq. (5) candidates are exercised.
-            assert!(
-                direct > 0 && relayed > 0,
-                "{direct} direct, {relayed} relayed"
-            );
-        }
+        let eval = LatencyEvaluator::new(&f.library, &f.demand, &f.coverage, &f.backhaul, &f.rates)
+            .unwrap();
+        let (direct, relayed) = assert_scores_match_oracle(&eval, &f.coverage);
+        // Both Eq. (4) and Eq. (5) candidates are exercised.
+        assert!(
+            direct > 0 && relayed > 0,
+            "{direct} direct, {relayed} relayed"
+        );
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// The scoring pass equals the pointwise latency definition on
-        /// random deployments: a uniform mesh, the same mesh with one
-        /// link overridden (the exact path), and always one uncovered
-        /// user.
+        /// random deployments, random mesh rates and deadlines, with
+        /// always one uncovered user.
         #[test]
         fn scored_candidates_match_the_pointwise_oracle(
             seed in 0u64..1_000_000,
             num_servers in 1usize..6,
             num_users in 1usize..24,
             backhaul_gbps in 0.02f64..20.0,
-            link_gbps in 0.001f64..20.0,
             max_deadline_s in 0.1f64..3.0,
         ) {
             use rand::Rng;
@@ -978,17 +893,9 @@ mod tests {
             }
             .generate(users.len(), library.num_models(), &mut rng)
             .unwrap();
-            let mut backhaul = Backhaul::uniform(num_servers, backhaul_gbps * 1e9).unwrap();
+            let backhaul = Backhaul::uniform(num_servers, backhaul_gbps * 1e9).unwrap();
             let eval = LatencyEvaluator::new(&library, &demand, &coverage, &backhaul, &rates).unwrap();
             assert_scores_match_oracle(&eval, &coverage);
-            if num_servers >= 2 {
-                let from = seed as usize % num_servers;
-                let to = (from + 1) % num_servers;
-                backhaul.set_link_rate(from, to, link_gbps * 1e9).unwrap();
-                let eval =
-                    LatencyEvaluator::new(&library, &demand, &coverage, &backhaul, &rates).unwrap();
-                assert_scores_match_oracle(&eval, &coverage);
-            }
         }
     }
 

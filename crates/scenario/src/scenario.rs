@@ -299,10 +299,9 @@ impl Scenario {
     /// re-resolved on the first build), so a long mobile run can never
     /// silently flip dense↔sparse as coverage density drifts.
     ///
-    /// Prefer [`Scenario::update_user_positions`] when evolving one
-    /// snapshot along a trajectory: it produces a bit-identical result
-    /// while recomputing only the radio state a move can change (its
-    /// eligibility part costs as much as this rebuild's).
+    /// [`Scenario::update_user_positions`] produces the same snapshot in
+    /// place through the same passes, reusing this snapshot's buffers
+    /// instead of cloning the library, servers and demand.
     ///
     /// # Errors
     ///
@@ -353,18 +352,13 @@ impl Scenario {
     /// [`Scenario::with_user_positions`] rebuild — same coverage, rates,
     /// eligibility and hit ratios.
     ///
-    /// The radio part costs what the move changed (see
-    /// [`SnapshotDelta`]); the eligibility part costs as much as a
-    /// rebuild's, one kernel pass over all `K` users. A rebuild of the
-    /// rows a move can change would save little: share reallocation
-    /// changes the rates of every user of a server whose covered-user
-    /// count changed, so under dense mobility (the `paper_mix` model
-    /// moves ~86% of users per 5 s slot) nearly every row would be
-    /// re-derived anyway. A caller that does not read the indicator
-    /// after every move — the serving engine scores each request from
-    /// the radio state and needs the indicator only to re-plan — should
-    /// use [`Scenario::update_radio_positions`] and derive the
-    /// indicator when it needs one.
+    /// Cost: the radio update's, plus one kernel pass over all `K`
+    /// users for the indicator — what a rebuild pays, without cloning
+    /// the inputs. A caller that does not read the indicator after every
+    /// move — the serving engine scores each request from the radio
+    /// state and needs the indicator only to re-plan — should use
+    /// [`Scenario::update_radio_positions`] and derive the indicator when
+    /// it needs one.
     ///
     /// # Errors
     ///
@@ -381,16 +375,26 @@ impl Scenario {
     }
 
     /// The radio half of [`Scenario::update_user_positions`]: moves every
-    /// user to `positions` in place and updates coverage, allocation and
-    /// rates exactly as that call does, at a cost that follows what the
-    /// move changed (see [`SnapshotDelta`]). **The whole stored
-    /// eligibility indicator is out of date afterwards**: the caller
-    /// must not read it through [`Scenario::eligibility`], nor through
-    /// anything built on it such as [`Scenario::hit_ratio`] or a
-    /// placement solve. Instead [`LatencyEvaluator::scored_candidates`]
-    /// derives any one class's candidates from the updated radio state,
-    /// and [`Scenario::derive_eligibility`] a fresh indicator for a
-    /// solve.
+    /// user to `positions` in place and recomputes coverage, allocation
+    /// and rates whole, through the same passes as the build
+    /// ([`CoverageMap::set_user_positions`], [`PerUserAllocation::compute`],
+    /// [`RateMatrix::recompute_expected`]), reusing the snapshot's
+    /// buffers. The returned [`SnapshotDelta`] names what changed by the
+    /// sets' definitions. Feeding back the current positions changes
+    /// nothing and returns an empty delta.
+    ///
+    /// **The whole stored eligibility indicator is out of date
+    /// afterwards**: the caller must not read it through
+    /// [`Scenario::eligibility`], nor through anything built on it such
+    /// as [`Scenario::hit_ratio`] or a placement solve. Instead
+    /// [`LatencyEvaluator::scored_candidates`] derives any one class's
+    /// candidates from the updated radio state, and
+    /// [`Scenario::derive_eligibility`] a fresh indicator for a solve.
+    ///
+    /// Cost: one coverage pass over all `K` users (each through the
+    /// spatial grid above its server-count threshold, else a scan of the
+    /// `M` servers), one pass over the covered pairs for the rates, and
+    /// `O(K + M)` for the delta.
     ///
     /// # Errors
     ///
@@ -410,34 +414,44 @@ impl Scenario {
                 ),
             });
         }
-        let moves: Vec<(usize, Point)> = positions
-            .iter()
-            .enumerate()
-            .filter(|(k, p)| self.users[*k].position() != **p)
-            .map(|(k, p)| (k, *p))
+        let moved: Vec<usize> = (0..positions.len())
+            .filter(|&k| self.users[k].position() != positions[k])
             .collect();
-        self.apply_radio_moves(&moves)
-    }
-
-    /// Applies a sparse batch of user moves **in place** — the primitive
-    /// behind [`Scenario::update_user_positions`]; see there for the
-    /// exact-equivalence guarantee and the cost. Moves to a user's
-    /// current position are ignored; when the batch names a user twice
-    /// the last move wins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::IndexOutOfRange`] if a move names an
-    /// unknown user (the scenario is left unchanged) and propagates
-    /// substrate errors (which indicate an internally inconsistent
-    /// scenario).
-    pub fn apply_user_moves(
-        &mut self,
-        moves: &[(usize, Point)],
-    ) -> Result<SnapshotDelta, ScenarioError> {
-        let delta = self.apply_radio_moves(moves)?;
-        self.eligibility = self.derive_eligibility()?;
-        Ok(delta)
+        if moved.is_empty() {
+            return Ok(SnapshotDelta::empty());
+        }
+        for &k in &moved {
+            self.users[k] = self.users[k].at(positions[k]);
+        }
+        self.coverage.set_user_positions(positions)?;
+        let allocation = PerUserAllocation::compute(&self.coverage, &self.radio)?;
+        let reallocated: Vec<usize> = self
+            .allocation
+            .iter()
+            .zip(allocation.iter())
+            .filter(|((_, old), (_, new))| old != new)
+            .map(|((m, _), _)| m)
+            .collect();
+        self.allocation = allocation;
+        self.rates
+            .recompute_expected(&self.coverage, &self.allocation, &self.radio)?;
+        // Users whose rate rows — and hence possibly eligibility — can
+        // have changed: the moved users themselves plus every user of a
+        // server whose per-user share changed.
+        let mut is_refreshed = vec![false; self.users.len()];
+        for &k in &moved {
+            is_refreshed[k] = true;
+        }
+        for &m in &reallocated {
+            for &k in self.coverage.users_of_server(m)? {
+                is_refreshed[k] = true;
+            }
+        }
+        let refreshed: Vec<usize> = (0..self.users.len()).filter(|&k| is_refreshed[k]).collect();
+        // In-place evolution pins the resolved representation exactly
+        // like `with_user_positions` does for rebuilds.
+        self.requested_repr = self.pinned_repr();
+        Ok(SnapshotDelta::new(moved, reallocated, refreshed))
     }
 
     /// Derives the eligibility indicator `I1(m,k,i)` from scratch from
@@ -463,49 +477,6 @@ impl Scenario {
             &self.rates,
         )?;
         derive_eligibility(&evaluator, self.pinned_repr(), &self.coverage)
-    }
-
-    /// Moves users in place and updates coverage, allocation and rates,
-    /// leaving the stored eligibility out of date.
-    fn apply_radio_moves(
-        &mut self,
-        moves: &[(usize, Point)],
-    ) -> Result<SnapshotDelta, ScenarioError> {
-        let coverage_delta = self.coverage.apply_user_moves(moves)?;
-        if coverage_delta.is_empty() {
-            return Ok(SnapshotDelta::empty());
-        }
-        for &(k, p) in moves {
-            self.users[k] = self.users[k].at(p);
-        }
-        let touched: Vec<usize> = coverage_delta.touched_servers().to_vec();
-        let reallocated =
-            self.allocation
-                .update_servers(&self.coverage, &self.radio, touched.iter().copied())?;
-        self.rates
-            .update_rows(&self.coverage, &self.allocation, &self.radio, &touched)?;
-        // Users whose rate rows — and hence possibly eligibility — can
-        // have changed: the moved users themselves plus every user of a
-        // server whose per-user share changed.
-        let mut is_refreshed = vec![false; self.users.len()];
-        for &k in coverage_delta.moved_users() {
-            is_refreshed[k] = true;
-        }
-        for &m in &reallocated {
-            for &k in self.coverage.users_of_server(m)? {
-                is_refreshed[k] = true;
-            }
-        }
-        let refreshed: Vec<usize> = (0..self.users.len()).filter(|&k| is_refreshed[k]).collect();
-        // In-place evolution pins the resolved representation exactly
-        // like `with_user_positions` does for rebuilds.
-        self.requested_repr = self.pinned_repr();
-        Ok(SnapshotDelta::new(
-            coverage_delta.moved_users().to_vec(),
-            touched,
-            reallocated,
-            refreshed,
-        ))
     }
 }
 
@@ -938,35 +909,20 @@ mod tests {
     }
 
     #[test]
-    fn apply_user_moves_validates_and_is_sparse_in_cost() {
+    fn wrong_length_radio_updates_err_and_change_nothing() {
         let mut s = build_scenario(6, 1.0);
         let before = s.clone();
-        // Unknown users are rejected without mutating anything.
-        assert!(s.apply_user_moves(&[(9, Point::new(0.0, 0.0))]).is_err());
-        assert_eq!(s, before);
-        // Wrong position count is rejected.
-        assert!(s.update_user_positions(&[Point::new(0.0, 0.0)]).is_err());
-        assert_eq!(s, before);
-        // A single short move refreshes only the mover unless a share
-        // changed (the delta never exceeds the blast radius).
-        let target = Point::new(s.users()[3].position().x + 1.0, s.users()[3].position().y);
-        let delta = s.apply_user_moves(&[(3, target)]).unwrap();
-        assert_eq!(delta.moved_users(), &[3]);
-        for &k in delta.refreshed_users() {
-            assert!(
-                k == 3
-                    || delta
-                        .reallocated_servers()
-                        .iter()
-                        .any(|&m| { s.coverage().users_of_server(m).unwrap().contains(&k) })
-            );
+        let positions: Vec<Point> = s.users().iter().map(User::position).collect();
+        let longer = [positions.as_slice(), &positions[..1]].concat();
+        for wrong in [&positions[..5], &longer[..], &[]] {
+            assert!(matches!(
+                s.update_radio_positions(wrong),
+                Err(ScenarioError::DimensionMismatch { .. })
+            ));
+            assert_eq!(s, before);
+            assert!(s.update_user_positions(wrong).is_err());
+            assert_eq!(s, before);
         }
-        assert_eq!(
-            s,
-            before
-                .with_user_positions(&s.users().iter().map(User::position).collect::<Vec<_>>(),)
-                .unwrap()
-        );
     }
 
     #[test]

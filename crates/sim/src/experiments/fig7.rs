@@ -87,10 +87,9 @@ pub fn mobility_robustness(config: &RunConfig) -> Result<ExperimentTable, SimErr
         );
         let mut mobility = MobilityModel::paper_mix(&initial_positions, area, &mut mobility_rng);
         // The snapshot evolves in place along the trajectory: each sample
-        // applies the accumulated moves through the incremental delta
-        // path (bit-identical to a full `with_user_positions` rebuild; the
-        // radio update costs what the moves changed, the eligibility is
-        // re-derived whole).
+        // moves every user and recomputes radio state and eligibility in
+        // the snapshot's own buffers (bit-identical to a full
+        // `with_user_positions` rebuild, without cloning the inputs).
         let mut moved = scenario.clone();
         for per_sample in per_time.iter_mut().skip(1).take(num_samples) {
             let positions = mobility.run_slots(slots_per_sample, &mut mobility_rng);

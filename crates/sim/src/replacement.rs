@@ -226,9 +226,8 @@ pub fn replay_with_policy(
     let initial_positions: Vec<_> = scenario.users().iter().map(|u| u.position()).collect();
     let mut mobility = MobilityModel::paper_mix(&initial_positions, area, &mut mobility_rng);
     let mut samples_since_replacement = 0usize;
-    // One snapshot evolved in place through the incremental delta path
-    // (bit-identical to per-sample full rebuilds, without re-deriving
-    // the unaffected users' radio rows).
+    // One snapshot evolved in place (bit-identical to per-sample full
+    // rebuilds, without cloning the inputs every sample).
     let mut moved = scenario.clone();
 
     for sample in 1..=config.num_samples() {

@@ -61,54 +61,6 @@ impl PerUserAllocation {
         self.shares.len()
     }
 
-    /// Recomputes the shares of the given servers against an updated
-    /// coverage relation and returns, ascending, the servers whose share
-    /// actually changed. A server whose covered-user count moved but
-    /// whose *expected active* count did not (the floor of one active
-    /// user absorbs small cells) keeps its share bit-identical and is
-    /// not reported.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::InvalidParameter`] if `params` fails
-    /// validation and [`WirelessError::IndexOutOfRange`] for an unknown
-    /// server; the allocation is only modified for servers processed
-    /// before the error.
-    pub fn update_servers<I>(
-        &mut self,
-        coverage: &CoverageMap,
-        params: &RadioParams,
-        servers: I,
-    ) -> Result<Vec<usize>, WirelessError>
-    where
-        I: IntoIterator<Item = usize>,
-    {
-        params.validate()?;
-        let mut changed = Vec::new();
-        for m in servers {
-            if m >= self.shares.len() {
-                return Err(WirelessError::IndexOutOfRange {
-                    entity: "server",
-                    index: m,
-                    len: self.shares.len(),
-                });
-            }
-            let active = coverage.expected_active_users(m, params.activity_probability);
-            let fresh = ServerShare {
-                bandwidth_hz: params.total_bandwidth_hz / active,
-                power_w: params.total_power_w() / active,
-                expected_active_users: active,
-            };
-            if fresh != self.shares[m] {
-                self.shares[m] = fresh;
-                changed.push(m);
-            }
-        }
-        changed.sort_unstable();
-        changed.dedup();
-        Ok(changed)
-    }
-
     /// The share server `m` dedicates to each associated user.
     ///
     /// # Errors
@@ -193,34 +145,6 @@ mod tests {
             ..RadioParams::paper_defaults()
         };
         assert!(PerUserAllocation::compute(&topology(2), &bad).is_err());
-    }
-
-    #[test]
-    fn update_servers_reports_only_real_share_changes() {
-        let params = RadioParams::paper_defaults();
-        let servers = vec![Point::new(0.0, 0.0), Point::new(600.0, 0.0)];
-        let users: Vec<Point> = (0..6).map(|i| Point::new(5.0 + i as f64, 0.0)).collect();
-        let mut coverage = CoverageMap::build(&users, &servers, 275.0).unwrap();
-        let mut alloc = PerUserAllocation::compute(&coverage, &params).unwrap();
-        // Move one user from server 0's cell to server 1's: both counts
-        // change (6 -> 5 and 0 -> 1), but server 1 stays at the one-active
-        // floor (0.5 * 1 < 1), so only server 0's share changes.
-        coverage
-            .apply_user_moves(&[(0, Point::new(610.0, 0.0))])
-            .unwrap();
-        let changed = alloc
-            .update_servers(&coverage, &params, [0usize, 1])
-            .unwrap();
-        assert_eq!(changed, vec![0]);
-        let rebuilt = PerUserAllocation::compute(&coverage, &params).unwrap();
-        assert_eq!(alloc, rebuilt);
-        // A second pass with no coverage change reports nothing.
-        assert!(alloc
-            .update_servers(&coverage, &params, [0usize, 1])
-            .unwrap()
-            .is_empty());
-        // Unknown servers error.
-        assert!(alloc.update_servers(&coverage, &params, [7usize]).is_err());
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! The paper assumes all edge servers are interconnected and that the
 //! transmission rate between any two servers is a constant `C_{m,m'}`
 //! (10 Gbps in the evaluation). [`Backhaul`] models that fully connected
-//! mesh and also supports per-link overrides so ablation experiments can
-//! study heterogeneous backhauls.
-
-use std::collections::BTreeMap;
+//! uniform mesh: every inter-server link runs at one rate, which lets the
+//! eligibility kernel decide all non-covering servers of a request with a
+//! single probe.
 
 use crate::error::WirelessError;
 
@@ -15,10 +14,6 @@ use crate::error::WirelessError;
 pub struct Backhaul {
     num_servers: usize,
     default_rate_bps: f64,
-    /// Overrides for specific ordered pairs `(from, to)`. Ordered so
-    /// that any future iteration (serialisation, link sweeps) visits
-    /// links in a deterministic order.
-    overrides: BTreeMap<(usize, usize), f64>,
 }
 
 impl Backhaul {
@@ -39,7 +34,6 @@ impl Backhaul {
         Ok(Self {
             num_servers,
             default_rate_bps,
-            overrides: BTreeMap::new(),
         })
     }
 
@@ -51,7 +45,6 @@ impl Backhaul {
         Self {
             num_servers,
             default_rate_bps: 10.0e9,
-            overrides: BTreeMap::new(),
         }
     }
 
@@ -60,47 +53,9 @@ impl Backhaul {
         self.num_servers
     }
 
-    /// The default (mesh-wide) link rate in bits per second.
+    /// The mesh-wide link rate in bits per second.
     pub fn default_rate_bps(&self) -> f64 {
         self.default_rate_bps
-    }
-
-    /// Whether any per-link rate override is installed. A mesh without
-    /// overrides is *uniform*: every inter-server link runs at
-    /// [`Self::default_rate_bps`], which lets eligibility builders decide
-    /// all non-covering servers of a request with a single probe.
-    pub fn has_overrides(&self) -> bool {
-        !self.overrides.is_empty()
-    }
-
-    /// Overrides the rate of the ordered link `from -> to`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::InvalidLink`] if the endpoints coincide or
-    /// are out of range, and [`WirelessError::InvalidParameter`] if the rate
-    /// is not strictly positive and finite.
-    pub fn set_link_rate(
-        &mut self,
-        from: usize,
-        to: usize,
-        rate_bps: f64,
-    ) -> Result<(), WirelessError> {
-        if from == to || from >= self.num_servers || to >= self.num_servers {
-            return Err(WirelessError::InvalidLink {
-                from,
-                to,
-                servers: self.num_servers,
-            });
-        }
-        if !(rate_bps.is_finite() && rate_bps > 0.0) {
-            return Err(WirelessError::InvalidParameter {
-                name: "rate_bps",
-                value: rate_bps,
-            });
-        }
-        self.overrides.insert((from, to), rate_bps);
-        Ok(())
     }
 
     /// The rate of the ordered link `from -> to` in bits per second.
@@ -124,11 +79,7 @@ impl Backhaul {
         if from == to {
             return Ok(f64::INFINITY);
         }
-        Ok(self
-            .overrides
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default_rate_bps))
+        Ok(self.default_rate_bps)
     }
 
     /// Time in seconds to transfer `bytes` over the link `from -> to`.
@@ -193,19 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn overrides_apply_to_one_direction_only() {
-        let mut bh = Backhaul::uniform(3, 10.0e9).unwrap();
-        bh.set_link_rate(0, 1, 1.0e9).unwrap();
-        assert_eq!(bh.rate_bps(0, 1).unwrap(), 1.0e9);
-        assert_eq!(bh.rate_bps(1, 0).unwrap(), 10.0e9);
-    }
-
-    #[test]
     fn invalid_links_and_rates_are_rejected() {
-        let mut bh = Backhaul::uniform(3, 10.0e9).unwrap();
-        assert!(bh.set_link_rate(0, 0, 1.0e9).is_err());
-        assert!(bh.set_link_rate(0, 9, 1.0e9).is_err());
-        assert!(bh.set_link_rate(0, 1, 0.0).is_err());
+        let bh = Backhaul::uniform(3, 10.0e9).unwrap();
         assert!(bh.rate_bps(0, 7).is_err());
         assert!(bh.transfer_latency_s(7, 0, 10).is_err());
         assert!(Backhaul::uniform(3, -1.0).is_err());

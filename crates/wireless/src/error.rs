@@ -41,6 +41,16 @@ pub enum WirelessError {
         /// The number of entities available.
         len: usize,
     },
+    /// A per-entity input slice had the wrong length (e.g. one position
+    /// per user).
+    LengthMismatch {
+        /// Description of the entity the slice is indexed by.
+        entity: &'static str,
+        /// The slice's length.
+        got: usize,
+        /// The number of entities.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for WirelessError {
@@ -61,6 +71,11 @@ impl fmt::Display for WirelessError {
             WirelessError::IndexOutOfRange { entity, index, len } => {
                 write!(f, "{entity} index {index} out of range (len {len})")
             }
+            WirelessError::LengthMismatch {
+                entity,
+                got,
+                expected,
+            } => write!(f, "got {got} entries for {expected} {entity}s"),
         }
     }
 }
@@ -97,6 +112,13 @@ mod tests {
             len: 3,
         };
         assert!(e.to_string().contains("user"));
+
+        let e = WirelessError::LengthMismatch {
+            entity: "user",
+            got: 2,
+            expected: 3,
+        };
+        assert_eq!(e.to_string(), "got 2 entries for 3 users");
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod shadowing;
 pub use allocation::PerUserAllocation;
 pub use backhaul::Backhaul;
 pub use channel::{expected_rate_bps, Fading, RateContext, RayleighFading};
-pub use coverage::{CoverageDelta, CoverageMap};
+pub use coverage::CoverageMap;
 pub use error::WirelessError;
 pub use geometry::{DeploymentArea, Point};
 pub use params::RadioParams;

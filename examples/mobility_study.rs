@@ -52,11 +52,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let slots_per_interval = (interval_min as f64 * 60.0 / PAPER_SLOT_SECONDS) as usize;
     let mut spec_final = spec.hit_ratio;
     let mut gen_final = gen.hit_ratio;
-    // One snapshot evolved in place: each sample applies the accumulated
-    // moves through the incremental delta path instead of rebuilding the
-    // whole scenario (`Scenario::update_user_positions` is bit-identical
-    // to `with_user_positions`; its radio update costs what the moves
-    // changed, and it re-derives the whole eligibility indicator).
+    // One snapshot evolved in place: each sample moves every user and
+    // recomputes the radio state and the eligibility indicator in the
+    // snapshot's own buffers (`Scenario::update_user_positions` is
+    // bit-identical to a `with_user_positions` rebuild). The last column
+    // counts the users whose rates could have changed: the movers plus
+    // the users of every server whose per-user share changed.
     let mut moved = scenario.clone();
     for step in 1..=6 {
         let positions = mobility.run_slots(slots_per_interval, &mut rng);

@@ -1,10 +1,10 @@
-//! Property-based equivalence of the incremental mobility path and the
-//! full snapshot rebuild: random move batches applied in place through
-//! `Scenario::apply_user_moves` / `update_user_positions` must produce a
-//! snapshot **bit-identical** to `with_user_positions` — same coverage,
+//! Property-based equivalence of the in-place mobility update and the
+//! full snapshot rebuild: random position vectors applied in place
+//! through `Scenario::update_user_positions` must produce a snapshot
+//! **bit-identical** to `with_user_positions` — same coverage,
 //! allocation, rates, eligibility (dense and sparse) and hit ratios —
-//! after every slot of a random trajectory. Because the refresh and the
-//! rebuild share one per-user eligibility kernel, every slot's
+//! after every slot of a random trajectory, and every set of the
+//! returned delta must equal its naive definition. Every slot's
 //! eligibility is also checked triple by triple against the pointwise
 //! definition `LatencyEvaluator::eligible`.
 
@@ -100,50 +100,25 @@ fn build_scenario(
         .unwrap()
 }
 
-/// Draws a random move batch: a subset of users jumps by a random step
-/// (from a small nudge within a cell to a leap across the whole area).
-fn random_moves(
-    scenario: &Scenario,
-    area: &DeploymentArea,
-    rng: &mut StdRng,
-) -> Vec<(usize, Point)> {
-    let num_users = scenario.num_users();
-    let batch = rng.gen_range(1..=num_users);
-    (0..batch)
-        .map(|_| {
-            let k = rng.gen_range(0..num_users);
-            let from = scenario.users()[k].position();
-            let step: f64 = rng.gen_range(1.0..600.0);
-            let angle: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-            (
-                k,
-                area.clamp(from.translated(step * angle.cos(), step * angle.sin())),
-            )
-        })
-        .collect()
-}
-
-/// Each user's last move in `moves`, in strictly ascending user order:
-/// the sorted batch that moves every user where `moves` leaves it.
-fn last_move_per_user(moves: &[(usize, Point)]) -> Vec<(usize, Point)> {
-    let mut last: Vec<Option<Point>> = Vec::new();
-    for &(k, p) in moves {
-        if last.len() <= k {
-            last.resize(k + 1, None);
-        }
-        last[k] = Some(p);
+/// Draws the next positions: a random subset of users jumps by a random
+/// step (from a small nudge within a cell to a leap across the whole
+/// area), everyone else stays where they are.
+fn random_positions(scenario: &Scenario, area: &DeploymentArea, rng: &mut StdRng) -> Vec<Point> {
+    let mut positions: Vec<Point> = scenario.users().iter().map(|u| u.position()).collect();
+    let movers = rng.gen_range(1..=positions.len());
+    for _ in 0..movers {
+        let k = rng.gen_range(0..positions.len());
+        let step: f64 = rng.gen_range(1.0..600.0);
+        let angle: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+        positions[k] = area.clamp(positions[k].translated(step * angle.cos(), step * angle.sin()));
     }
-    last.iter()
-        .enumerate()
-        .filter_map(|(k, p)| p.map(|p| (k, p)))
-        .collect()
+    positions
 }
 
 /// Requires every set of `delta` to equal its definition, computed
 /// naively from the snapshots `before` and `after` the batch:
 ///
 /// * moved users — users whose position differs, ascending;
-/// * touched servers — servers covering a moved user before or after;
 /// * reallocated servers — servers whose per-user share differs;
 /// * refreshed users — moved users plus every user a reallocated
 ///   server covers after the batch, ascending.
@@ -152,19 +127,6 @@ fn assert_delta_is_naive(before: &Scenario, after: &Scenario, delta: &SnapshotDe
         .filter(|&k| before.users()[k].position() != after.users()[k].position())
         .collect();
     assert_eq!(delta.moved_users(), moved.as_slice(), "moved users");
-    let touched: Vec<usize> = (0..before.num_servers())
-        .filter(|&m| {
-            moved.iter().any(|&k| {
-                before.coverage().servers_of_user(k).unwrap().contains(&m)
-                    || after.coverage().servers_of_user(k).unwrap().contains(&m)
-            })
-        })
-        .collect();
-    assert_eq!(
-        delta.touched_servers(),
-        touched.as_slice(),
-        "touched servers"
-    );
     let share = |s: &Scenario| PerUserAllocation::compute(s.coverage(), s.radio()).unwrap();
     let (old_share, new_share) = (share(before), share(after));
     let reallocated: Vec<usize> = (0..before.num_servers())
@@ -193,14 +155,12 @@ fn assert_delta_is_naive(before: &Scenario, after: &Scenario, delta: &SnapshotDe
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Incremental move batches produce snapshots bit-identical to full
-    /// rebuilds, for both eligibility representations, slot after slot,
-    /// and every slot's eligibility equals the pointwise definition, as
-    /// does the radio-only update's derived eligibility.
-    /// Each slot's batch is unsorted with repeats (one user's last move
-    /// returns it to where it started); the same moves as a sorted
-    /// batch, one per user, must yield the same snapshot and delta, and
-    /// every delta set must equal its naive definition.
+    /// In-place position updates produce snapshots bit-identical to
+    /// full rebuilds, for both eligibility representations, slot after
+    /// slot, and every slot's eligibility equals the pointwise
+    /// definition, as does the radio-only update's derived eligibility.
+    /// Every delta set must equal its naive definition, and the
+    /// radio-only update must report the same delta.
     #[test]
     fn incremental_moves_match_full_rebuild(
         seed in 0u64..5000,
@@ -216,20 +176,11 @@ proptest! {
             let mut move_rng = StdRng::seed_from_u64(seed ^ 0x0B11);
             let mut placement_rng = StdRng::seed_from_u64(seed ^ 0x51A7);
             for _ in 0..slots {
-                let mut moves = random_moves(&incremental, &area, &mut move_rng);
-                let (k, start) = (moves[0].0, incremental.users()[moves[0].0].position());
-                moves.push((k, start));
-                let sorted = last_move_per_user(&moves);
-                prop_assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
+                let positions = random_positions(&incremental, &area, &mut move_rng);
                 let before = incremental.clone();
-                let delta = incremental.apply_user_moves(&moves).unwrap();
+                let delta = incremental.update_user_positions(&positions).unwrap();
                 assert_delta_is_naive(&before, &incremental, &delta);
-                let mut via_sorted = before.clone();
-                prop_assert_eq!(&via_sorted.apply_user_moves(&sorted).unwrap(), &delta);
-                prop_assert_eq!(&via_sorted, &incremental);
                 // Full rebuild from the evolved positions.
-                let positions: Vec<Point> =
-                    incremental.users().iter().map(|u| u.position()).collect();
                 let rebuilt = base.with_user_positions(&positions).unwrap();
                 prop_assert_eq!(&incremental, &rebuilt);
                 assert_matches_oracle(&incremental);
@@ -237,6 +188,8 @@ proptest! {
                 // caller; deriving it afterwards gives the rebuild's.
                 let mut radio_only = before.clone();
                 prop_assert_eq!(&radio_only.update_radio_positions(&positions).unwrap(), &delta);
+                prop_assert_eq!(radio_only.coverage(), rebuilt.coverage());
+                prop_assert_eq!(radio_only.rates(), rebuilt.rates());
                 prop_assert_eq!(&radio_only.derive_eligibility().unwrap(), rebuilt.eligibility());
                 // Hit ratios are bit-identical for random placements.
                 let mut placement = incremental.empty_placement();
@@ -254,8 +207,8 @@ proptest! {
     }
 
     /// The full-position entry point diffs internally: feeding back the
-    /// current positions is a no-op, and a full new position slice is
-    /// equivalent to the corresponding sparse move batch.
+    /// current positions is a no-op, and moving half the users reports
+    /// exactly those users as moved and yields the rebuild.
     #[test]
     fn update_user_positions_diffs_internally(
         seed in 0u64..5000,
@@ -269,22 +222,21 @@ proptest! {
             let delta = scenario.update_user_positions(&current).unwrap();
             prop_assert!(delta.is_empty());
             prop_assert_eq!(&scenario, &base);
-            // Move half the users via the full-slice entry point...
+            prop_assert!(scenario.update_radio_positions(&current).unwrap().is_empty());
+            prop_assert_eq!(&scenario, &base);
+            // Move the even users to fresh random points.
             let area = DeploymentArea::paper_default();
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
             let mut positions = current.clone();
-            let mut moves = Vec::new();
-            for (k, p) in positions.iter_mut().enumerate().filter(|(k, _)| k % 2 == 0) {
-                let fresh = area.sample_uniform(&mut rng);
-                *p = fresh;
-                moves.push((k, fresh));
+            for p in positions.iter_mut().step_by(2) {
+                *p = area.sample_uniform(&mut rng);
             }
-            let mut via_slice = base.clone();
-            via_slice.update_user_positions(&positions).unwrap();
-            // ...and the same users via the sparse batch: same snapshot.
-            let mut via_batch = base.clone();
-            via_batch.apply_user_moves(&moves).unwrap();
-            prop_assert_eq!(&via_slice, &via_batch);
+            let expected: Vec<usize> =
+                (0..positions.len()).filter(|&k| positions[k] != current[k]).collect();
+            let delta = scenario.update_user_positions(&positions).unwrap();
+            prop_assert_eq!(delta.moved_users(), expected.as_slice());
+            prop_assert!(delta.moved_users().iter().all(|k| k % 2 == 0));
+            prop_assert_eq!(&scenario, &base.with_user_positions(&positions).unwrap());
         }
     }
 }
