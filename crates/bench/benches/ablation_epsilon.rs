@@ -1,8 +1,7 @@
 //! Ablation bench: the DP rounding parameter ε of TrimCaching Spec
 //! (Algorithm 2 / Proposition 4) — hit-ratio vs. running-time trade-off.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_placement::{PlacementAlgorithm, TrimCachingSpec};
 use trimcaching_sim::experiments::{ablation, LibraryKind, RunConfig};
 use trimcaching_sim::{MonteCarloConfig, TopologyConfig};
@@ -20,7 +19,7 @@ fn table_config() -> RunConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = table_config();
     let table = ablation::epsilon_sweep(&cfg).expect("epsilon sweep runs");
     eprintln!("{}", table.to_markdown());
@@ -30,24 +29,12 @@ fn bench(c: &mut Criterion) {
         .with_capacity_gb(0.75)
         .generate(&library, 2024, 0)
         .expect("topology generates");
-    let mut group = c.benchmark_group("ablation/epsilon");
-    group.sample_size(10);
     for epsilon in [0.0, 0.1, 0.5] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(epsilon),
-            &epsilon,
-            |b, &epsilon| {
-                b.iter(|| {
-                    TrimCachingSpec::new()
-                        .with_epsilon(epsilon)
-                        .place(&scenario)
-                        .unwrap()
-                })
-            },
-        );
+        measure(&format!("ablation/epsilon/{epsilon}"), 10, || {
+            TrimCachingSpec::new()
+                .with_epsilon(epsilon)
+                .place(&scenario)
+                .unwrap()
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

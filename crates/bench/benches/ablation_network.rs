@@ -5,10 +5,10 @@
 //! network modelling choices move the cache-hit curves, and measures the
 //! cost of one shadowed-channel evaluation.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use trimcaching_bench::measure;
 use trimcaching_placement::{PlacementAlgorithm, TrimCachingGen};
 use trimcaching_sim::experiments::{ablation, LibraryKind, RunConfig};
 use trimcaching_sim::{MonteCarloConfig, TopologyConfig};
@@ -27,7 +27,7 @@ fn table_config() -> RunConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = table_config();
     for table in [
         ablation::backhaul_sweep(&cfg).expect("backhaul sweep runs"),
@@ -48,18 +48,14 @@ fn bench(c: &mut Criterion) {
         .placement;
     let fading = ShadowedRayleigh::with_sigma_db(6.0);
 
-    let mut group = c.benchmark_group("ablation/network");
-    group.sample_size(10);
-    group.bench_function("shadowed_rayleigh_evaluation_x20", |b| {
-        b.iter(|| {
+    measure(
+        "ablation/network/shadowed_rayleigh_evaluation_x20",
+        10,
+        || {
             let mut rng = StdRng::seed_from_u64(5);
             scenario
                 .average_hit_ratio_under(&placement, &fading, 20, &mut rng)
                 .unwrap()
-        })
-    });
-    group.finish();
+        },
+    );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

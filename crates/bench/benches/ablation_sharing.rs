@@ -1,8 +1,7 @@
 //! Ablation bench: how the TrimCaching gain depends on the freezing depth
 //! (and hence on the fraction of shared bytes in the library).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_modellib::builders::SpecialCaseBuilder;
 use trimcaching_placement::{PlacementAlgorithm, TrimCachingGen};
 use trimcaching_sim::experiments::{ablation, RunConfig};
@@ -21,7 +20,7 @@ fn table_config() -> RunConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = table_config();
     let table = ablation::sharing_depth_sweep(&cfg).expect("sharing sweep runs");
     eprintln!("{}", table.to_markdown());
@@ -41,13 +40,7 @@ fn bench(c: &mut Criterion) {
         .with_capacity_gb(0.75)
         .generate(&library, 2024, 0)
         .expect("topology generates");
-    let mut group = c.benchmark_group("ablation/sharing");
-    group.sample_size(10);
-    group.bench_function("gen_on_deeply_shared_library", |b| {
-        b.iter(|| TrimCachingGen::new().place(&scenario).unwrap())
+    measure("ablation/sharing/gen_on_deeply_shared_library", 10, || {
+        TrimCachingGen::new().place(&scenario).unwrap()
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! Ablation bench: sensitivity to the Zipf request-popularity exponent.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_placement::{PlacementAlgorithm, TrimCachingGen};
 use trimcaching_sim::experiments::{ablation, LibraryKind, RunConfig};
 use trimcaching_sim::{MonteCarloConfig, TopologyConfig};
@@ -19,28 +18,20 @@ fn table_config() -> RunConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = table_config();
     let table = ablation::zipf_sweep(&cfg).expect("zipf sweep runs");
     eprintln!("{}", table.to_markdown());
 
     let library = cfg.build_library(LibraryKind::Special);
-    let mut group = c.benchmark_group("ablation/zipf");
-    group.sample_size(10);
     for exponent in [0.0, 0.8, 1.6] {
         let mut topology = TopologyConfig::paper_defaults().with_capacity_gb(0.75);
         topology.demand.zipf_exponent = exponent;
         let scenario = topology
             .generate(&library, 2024, 0)
             .expect("topology generates");
-        group.bench_with_input(
-            BenchmarkId::from_parameter(exponent),
-            &scenario,
-            |b, scenario| b.iter(|| TrimCachingGen::new().place(scenario).unwrap()),
-        );
+        measure(&format!("ablation/zipf/{exponent}"), 10, || {
+            TrimCachingGen::new().place(&scenario).unwrap()
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

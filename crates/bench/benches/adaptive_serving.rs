@@ -9,12 +9,9 @@
 //!   controller's overhead is at most **5% of steady-state replay
 //!   throughput** (fastest of repeated order-alternated paired runs);
 //! * a controller-enabled run is byte-identical across repeats (the
-//!   Criterion timing loop would silently hide nondeterminism).
+//!   timing loop would silently hide nondeterminism).
 
-use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::measure_paired;
 use trimcaching_modellib::builders::{FoundationSpec, LoraLibraryBuilder};
 use trimcaching_runtime::{serve, ControlConfig, CostAwareLfu, ServeConfig};
 use trimcaching_sim::TopologyConfig;
@@ -51,14 +48,7 @@ fn steady_control() -> ControlConfig {
     ControlConfig::paper_defaults().with_tick_s(30.0)
 }
 
-/// Fastest observed run: for a CPU-bound deterministic workload the
-/// minimum is the noise-robust estimator (anything above it is
-/// scheduler/cache interference, not the code under test).
-fn fastest(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-fn bench(c: &mut Criterion) {
+fn main() {
     // Controller-overhead acceptance: paired runs, identical seeds,
     // with and without the control loop, on 5k users of stationary
     // traffic.
@@ -85,31 +75,27 @@ fn bench(c: &mut Criterion) {
         "controller-enabled runs must be deterministic"
     );
 
+    // Every run of either side, warm-ups included, serves the same
+    // requests.
     let rounds = 25;
-    let mut off_times = Vec::with_capacity(rounds);
-    let mut on_times = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        // Alternate the pair order so slow drift (thermal, cache state)
-        // cancels instead of biasing one side.
-        let time_one = |config: &ServeConfig, times: &mut Vec<f64>| {
-            let start = Instant::now();
-            let report = serve(&scenario, &CostAwareLfu, None, config).expect("serve runs");
-            times.push(start.elapsed().as_secs_f64());
-            report.metrics.requests
-        };
-        let (a, b) = if round % 2 == 0 {
-            (
-                time_one(&base, &mut off_times),
-                time_one(&controlled, &mut on_times),
-            )
-        } else {
-            let b = time_one(&controlled, &mut on_times);
-            (time_one(&base, &mut off_times), b)
-        };
-        assert_eq!(a, b);
-    }
-    let off_best = fastest(&off_times);
-    let on_best = fastest(&on_times);
+    let mut off_requests = Vec::with_capacity(rounds + 1);
+    let mut on_requests = Vec::with_capacity(rounds + 1);
+    let run = |config: &ServeConfig, requests: &mut Vec<u64>| {
+        let report = serve(&scenario, &CostAwareLfu, None, config).expect("serve runs");
+        requests.push(report.metrics.requests);
+        report
+    };
+    let (off, on) = measure_paired(
+        [
+            "adaptive_serving/serve/static",
+            "adaptive_serving/serve/controlled",
+        ],
+        rounds,
+        || run(&base, &mut off_requests),
+        || run(&controlled, &mut on_requests),
+    );
+    assert_eq!(off_requests, on_requests);
+    let (off_best, on_best) = (off.min_s, on.min_s);
     let overhead = on_best / off_best - 1.0;
     let requests = reference.metrics.requests;
     eprintln!(
@@ -125,17 +111,4 @@ fn bench(c: &mut Criterion) {
         "steady-state controller overhead {:.2}% exceeds the 5% budget",
         overhead * 100.0
     );
-
-    // Criterion: full serving runs, control off vs on.
-    let mut group = c.benchmark_group("adaptive_serving/serve");
-    group.sample_size(10);
-    for (name, config) in [("static", base), ("controlled", controlled)] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
-            b.iter(|| serve(&scenario, &CostAwareLfu, None, config).expect("serve runs"))
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

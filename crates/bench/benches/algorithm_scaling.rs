@@ -2,8 +2,7 @@
 //! library grows (Theorem 1's `O(M·I)` claim for TrimCaching Spec in the
 //! special case, versus the greedy's growth).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_modellib::builders::SpecialCaseBuilder;
 use trimcaching_placement::{
     IndependentCaching, PlacementAlgorithm, TrimCachingGen, TrimCachingSpec,
@@ -11,7 +10,7 @@ use trimcaching_placement::{
 use trimcaching_sim::experiments::{ablation, RunConfig};
 use trimcaching_sim::{MonteCarloConfig, TopologyConfig};
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = RunConfig {
         monte_carlo: MonteCarloConfig {
             topologies: 1,
@@ -25,8 +24,6 @@ fn bench(c: &mut Criterion) {
     let table = ablation::library_scaling(&cfg).expect("scaling table runs");
     eprintln!("{}", table.to_markdown());
 
-    let mut group = c.benchmark_group("scaling/library_size");
-    group.sample_size(10);
     for per_backbone in [5usize, 10, 20] {
         let library = SpecialCaseBuilder::paper_setup()
             .models_per_backbone(per_backbone)
@@ -35,24 +32,20 @@ fn bench(c: &mut Criterion) {
             .generate(&library, 2024, 0)
             .expect("topology generates");
         let models = per_backbone * 3;
-        group.bench_with_input(
-            BenchmarkId::new("trimcaching-spec", models),
-            &scenario,
-            |b, s| b.iter(|| TrimCachingSpec::new().place(s).unwrap()),
+        measure(
+            &format!("scaling/library_size/trimcaching-spec/{models}"),
+            10,
+            || TrimCachingSpec::new().place(&scenario).unwrap(),
         );
-        group.bench_with_input(
-            BenchmarkId::new("trimcaching-gen", models),
-            &scenario,
-            |b, s| b.iter(|| TrimCachingGen::new().place(s).unwrap()),
+        measure(
+            &format!("scaling/library_size/trimcaching-gen/{models}"),
+            10,
+            || TrimCachingGen::new().place(&scenario).unwrap(),
         );
-        group.bench_with_input(
-            BenchmarkId::new("independent-caching", models),
-            &scenario,
-            |b, s| b.iter(|| IndependentCaching::new().place(s).unwrap()),
+        measure(
+            &format!("scaling/library_size/independent-caching/{models}"),
+            10,
+            || IndependentCaching::new().place(&scenario).unwrap(),
         );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

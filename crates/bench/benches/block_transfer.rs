@@ -11,10 +11,7 @@
 //!   bytes (and produce identical metrics);
 //! * same-seed block-granular runs are byte-identical.
 
-use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_modellib::ModelLibrary;
 use trimcaching_runtime::{serve, CostAwareLfu, FillGranularity, ServeConfig};
 use trimcaching_sim::TopologyConfig;
@@ -80,7 +77,7 @@ fn config(granularity: FillGranularity, congestion: bool) -> ServeConfig {
         .with_congestion_aware(congestion)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let shared = scenario(&shared_library());
     let disjoint = scenario(&disjoint_library());
 
@@ -151,41 +148,19 @@ fn bench(c: &mut Criterion) {
 
     // Wall-clock cost of the pipeline itself: complete block-granular
     // runs versus the whole-model baseline on the shared library.
-    let start = Instant::now();
-    let report = serve(
-        &shared,
-        &CostAwareLfu,
-        None,
-        &config(FillGranularity::Block, true),
-    )
-    .expect("serve runs");
-    eprintln!(
-        "[block_transfer] shared/block: {} requests in {:.2?} ({:.0} req/s), hit ratio {:.4}",
-        report.metrics.requests,
-        start.elapsed(),
-        report.metrics.requests as f64 / start.elapsed().as_secs_f64(),
-        report.metrics.hit_ratio()
-    );
-
-    let mut group = c.benchmark_group("block_transfer/serve");
-    group.sample_size(10);
     for (name, granularity) in [
         ("whole-model", FillGranularity::WholeModel),
         ("block", FillGranularity::Block),
     ] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &granularity,
-            |bench, &granularity| {
-                bench.iter(|| {
-                    serve(&shared, &CostAwareLfu, None, &config(granularity, true))
-                        .expect("serve runs")
-                })
-            },
+        let (report, stats) = measure(&format!("block_transfer/serve/{name}"), 10, || {
+            serve(&shared, &CostAwareLfu, None, &config(granularity, true)).expect("serve runs")
+        });
+        eprintln!(
+            "[block_transfer] shared/{name}: {} requests ({:.0} req/s at the median), \
+             hit ratio {:.4}",
+            report.metrics.requests,
+            report.metrics.requests as f64 / stats.median_s,
+            report.metrics.hit_ratio()
         );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

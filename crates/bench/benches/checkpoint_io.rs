@@ -24,10 +24,8 @@
 //! measured as time-to-first-new-event.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::{measure, measure_paired, measure_with_setup};
 use trimcaching_modellib::builders::{FoundationSpec, LoraLibraryBuilder};
 use trimcaching_runtime::{
     serve, ControlConfig, CostAwareLfu, FillGranularity, PersistConfig, ServeConfig, ServeEngine,
@@ -68,14 +66,7 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Fastest observed run: for a CPU-bound deterministic workload the
-/// minimum is the noise-robust estimator (anything above it is
-/// scheduler/cache interference, not the code under test).
-fn fastest(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-fn bench(c: &mut Criterion) {
+fn main() {
     // Persistence-overhead acceptance: paired runs, identical seeds,
     // with and without the journal + 60 s checkpoints, on 5k users.
     let users = 5_000;
@@ -111,38 +102,28 @@ fn bench(c: &mut Criterion) {
     let journal_only = base
         .clone()
         .with_persist(PersistConfig::new(jdir.clone()).with_checkpoint_every_s(1e9));
-    let mut j_times = Vec::with_capacity(9);
-    for _ in 0..9 {
-        let start = Instant::now();
-        serve(&scenario, &CostAwareLfu, None, &journal_only).expect("serve runs");
-        j_times.push(start.elapsed().as_secs_f64());
-    }
+    let (_, journal) = measure("checkpoint_io/serve/journal-only", 9, || {
+        serve(&scenario, &CostAwareLfu, None, &journal_only).expect("serve runs")
+    });
 
+    // Every run of either side, warm-ups included, serves the same
+    // requests.
     let rounds = 11;
-    let mut off_times = Vec::with_capacity(rounds);
-    let mut on_times = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        // Alternate the pair order so slow drift (thermal, cache state)
-        // cancels instead of biasing one side.
-        let time_one = |config: &ServeConfig, times: &mut Vec<f64>| {
-            let start = Instant::now();
-            let report = serve(&scenario, &CostAwareLfu, None, config).expect("serve runs");
-            times.push(start.elapsed().as_secs_f64());
-            report.metrics.requests
-        };
-        let (a, b) = if round % 2 == 0 {
-            (
-                time_one(&base, &mut off_times),
-                time_one(&durable, &mut on_times),
-            )
-        } else {
-            let b = time_one(&durable, &mut on_times);
-            (time_one(&base, &mut off_times), b)
-        };
-        assert_eq!(a, b);
-    }
-    let off_best = fastest(&off_times);
-    let on_best = fastest(&on_times);
+    let mut off_requests = Vec::with_capacity(rounds + 1);
+    let mut on_requests = Vec::with_capacity(rounds + 1);
+    let run = |config: &ServeConfig, requests: &mut Vec<u64>| {
+        let report = serve(&scenario, &CostAwareLfu, None, config).expect("serve runs");
+        requests.push(report.metrics.requests);
+        report
+    };
+    let (off, on) = measure_paired(
+        ["checkpoint_io/serve/plain", "checkpoint_io/serve/durable"],
+        rounds,
+        || run(&base, &mut off_requests),
+        || run(&durable, &mut on_requests),
+    );
+    assert_eq!(off_requests, on_requests);
+    let (off_best, on_best) = (off.min_s, on.min_s);
     let overhead = on_best / off_best - 1.0;
     let requests = reference.metrics.requests;
 
@@ -152,23 +133,25 @@ fn bench(c: &mut Criterion) {
     let resume_dir = scratch("resume");
     let rp = || PersistConfig::new(resume_dir.clone()).with_checkpoint_every_s(60.0);
     let killed = base.clone().with_persist(rp());
-    let mut resume_times = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        std::fs::remove_dir_all(&resume_dir).ok();
-        ServeEngine::new(&scenario, &CostAwareLfu, killed.clone())
-            .expect("engine builds")
-            .run_until(200.0)
-            .expect("interrupted run");
-        let start = Instant::now();
+    let (_, resume) = measure_with_setup(
+        "checkpoint_io/resume/load+replay",
+        rounds,
+        || {
+            std::fs::remove_dir_all(&resume_dir).ok();
+            ServeEngine::new(&scenario, &CostAwareLfu, killed.clone())
+                .expect("engine builds")
+                .run_until(200.0)
+                .expect("interrupted run");
+        },
         // Stepping just past the kill point forces the full journal
         // suffix to be replayed and verified.
-        ServeEngine::resume(&scenario, &CostAwareLfu, rp())
-            .expect("resume")
-            .run_until(200.1)
-            .expect("first new events");
-        resume_times.push(start.elapsed().as_secs_f64());
-    }
-    let resume_best = fastest(&resume_times);
+        |()| {
+            ServeEngine::resume(&scenario, &CostAwareLfu, rp())
+                .expect("resume")
+                .run_until(200.1)
+                .expect("first new events")
+        },
+    );
 
     eprintln!(
         "[checkpoint_io] {users} users, {requests} requests: \
@@ -178,10 +161,10 @@ fn bench(c: &mut Criterion) {
         requests as f64 / off_best,
         requests as f64 / on_best,
         overhead * 100.0,
-        (fastest(&j_times) / off_best - 1.0) * 100.0,
+        (journal.min_s / off_best - 1.0) * 100.0,
         checkpoint_bytes as f64 / 1e3,
         journal_bytes as f64 / 1e3,
-        resume_best * 1e3,
+        resume.min_s * 1e3,
     );
     assert!(
         overhead <= 0.05,
@@ -189,33 +172,7 @@ fn bench(c: &mut Criterion) {
         overhead * 100.0
     );
 
-    // Criterion: full serving runs, persistence off vs on, and the
-    // resume path in isolation.
-    let mut group = c.benchmark_group("checkpoint_io/serve");
-    group.sample_size(10);
-    for (name, config) in [("plain", base), ("durable", durable)] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
-            b.iter(|| serve(&scenario, &CostAwareLfu, None, config).expect("serve runs"))
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("checkpoint_io/resume");
-    group.sample_size(10);
-    group.bench_function("load+replay", |b| {
-        b.iter(|| {
-            ServeEngine::resume(&scenario, &CostAwareLfu, rp())
-                .expect("resume")
-                .run_until(200.1)
-                .expect("first new events")
-        })
-    });
-    group.finish();
-
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&jdir).ok();
     std::fs::remove_dir_all(&resume_dir).ok();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

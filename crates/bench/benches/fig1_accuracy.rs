@@ -4,19 +4,13 @@
 //! the important side effect is that running this bench prints the Fig. 1
 //! table, which EXPERIMENTS.md records.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_sim::experiments::fig1;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     // Print the regenerated figure once.
     let table = fig1::accuracy_vs_frozen_layers();
     eprintln!("{}", table.to_markdown());
 
-    c.bench_function("fig1/accuracy_curve", |b| {
-        b.iter(fig1::accuracy_vs_frozen_layers)
-    });
+    measure("fig1/accuracy_curve", 10, fig1::accuracy_vs_frozen_layers);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

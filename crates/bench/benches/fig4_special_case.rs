@@ -4,12 +4,11 @@
 //!
 //! 1. the full Fig. 4(a)/(b)/(c) tables are regenerated once at reduced
 //!    Monte-Carlo scale and printed (recorded in EXPERIMENTS.md);
-//! 2. Criterion measures the per-placement optimisation time of the three
-//!    algorithms on the Fig. 4 default topology (M = 10, K = 30, I = 30,
+//! 2. the harness times one placement by each of the three algorithms on
+//!    the Fig. 4 default topology (M = 10, K = 30, I = 30,
 //!    Q = 1 GB).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_placement::{
     IndependentCaching, PlacementAlgorithm, TrimCachingGen, TrimCachingSpec,
 };
@@ -29,7 +28,7 @@ fn table_config() -> RunConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     // Regenerate the three panels once and print them.
     let cfg = table_config();
     for table in [
@@ -52,19 +51,13 @@ fn bench(c: &mut Criterion) {
     let scenario = TopologyConfig::paper_defaults()
         .generate(&library, 2024, 0)
         .expect("topology generates");
-    let mut group = c.benchmark_group("fig4/placement");
-    group.sample_size(10);
-    group.bench_function("trimcaching-spec", |b| {
-        b.iter(|| TrimCachingSpec::new().place(&scenario).unwrap())
+    measure("fig4/placement/trimcaching-spec", 10, || {
+        TrimCachingSpec::new().place(&scenario).unwrap()
     });
-    group.bench_function("trimcaching-gen", |b| {
-        b.iter(|| TrimCachingGen::new().place(&scenario).unwrap())
+    measure("fig4/placement/trimcaching-gen", 10, || {
+        TrimCachingGen::new().place(&scenario).unwrap()
     });
-    group.bench_function("independent-caching", |b| {
-        b.iter(|| IndependentCaching::new().place(&scenario).unwrap())
+    measure("fig4/placement/independent-caching", 10, || {
+        IndependentCaching::new().place(&scenario).unwrap()
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! Bench + regeneration target for Fig. 5 (general case).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_placement::{IndependentCaching, PlacementAlgorithm, TrimCachingGen};
 use trimcaching_sim::experiments::{fig5, LibraryKind, RunConfig};
 use trimcaching_sim::{MonteCarloConfig, TopologyConfig};
@@ -19,7 +18,7 @@ fn table_config() -> RunConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = table_config();
     for table in [
         fig5::capacity_sweep(&cfg).expect("fig5a runs"),
@@ -40,16 +39,10 @@ fn bench(c: &mut Criterion) {
     let scenario = TopologyConfig::paper_defaults()
         .generate(&library, 2024, 0)
         .expect("topology generates");
-    let mut group = c.benchmark_group("fig5/placement");
-    group.sample_size(10);
-    group.bench_function("trimcaching-gen", |b| {
-        b.iter(|| TrimCachingGen::new().place(&scenario).unwrap())
+    measure("fig5/placement/trimcaching-gen", 10, || {
+        TrimCachingGen::new().place(&scenario).unwrap()
     });
-    group.bench_function("independent-caching", |b| {
-        b.iter(|| IndependentCaching::new().place(&scenario).unwrap())
+    measure("fig5/placement/independent-caching", 10, || {
+        IndependentCaching::new().place(&scenario).unwrap()
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,13 +1,12 @@
 //! Bench + regeneration target for Fig. 6 — the running-time comparison
 //! against the optimal solution.
 //!
-//! Criterion directly measures what the figure reports: the optimisation
+//! The harness directly measures what the figure reports: the optimisation
 //! time of the exhaustive search, TrimCaching Spec (ε = 0) and TrimCaching
 //! Gen on the reduced 400 m scenario, for both the special-case (Fig. 6a)
 //! and the general-case (Fig. 6b) libraries.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_placement::{
     ExhaustiveSearch, PlacementAlgorithm, TrimCachingGen, TrimCachingSpec,
 };
@@ -28,7 +27,7 @@ fn table_config() -> RunConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = table_config();
     let a = fig6::special_case_vs_optimal(&cfg).expect("fig6a runs");
     eprintln!("{}", a.to_markdown());
@@ -50,23 +49,18 @@ fn bench(c: &mut Criterion) {
         .with_capacity_gb(FIG6A_CAPACITY_GB)
         .generate(&special, 2024, 0)
         .expect("topology generates");
-    let mut group = c.benchmark_group("fig6a/placement");
-    group.sample_size(10);
-    group.bench_function("exhaustive-search", |b| {
-        b.iter(|| ExhaustiveSearch::new().place(&scenario_a).unwrap())
+    measure("fig6a/placement/exhaustive-search", 10, || {
+        ExhaustiveSearch::new().place(&scenario_a).unwrap()
     });
-    group.bench_function("trimcaching-spec-eps0", |b| {
-        b.iter(|| {
-            TrimCachingSpec::new()
-                .with_epsilon(0.0)
-                .place(&scenario_a)
-                .unwrap()
-        })
+    measure("fig6a/placement/trimcaching-spec-eps0", 10, || {
+        TrimCachingSpec::new()
+            .with_epsilon(0.0)
+            .place(&scenario_a)
+            .unwrap()
     });
-    group.bench_function("trimcaching-gen", |b| {
-        b.iter(|| TrimCachingGen::new().place(&scenario_a).unwrap())
+    measure("fig6a/placement/trimcaching-gen", 10, || {
+        TrimCachingGen::new().place(&scenario_a).unwrap()
     });
-    group.finish();
 
     // General-case scenario (Fig. 6b).
     let general = cfg.build_library(LibraryKind::General);
@@ -74,21 +68,13 @@ fn bench(c: &mut Criterion) {
         .with_capacity_gb(FIG6B_CAPACITY_GB)
         .generate(&general, 2024, 0)
         .expect("topology generates");
-    let mut group = c.benchmark_group("fig6b/placement");
-    group.sample_size(10);
-    group.bench_function("trimcaching-spec-eps0", |b| {
-        b.iter(|| {
-            TrimCachingSpec::new()
-                .with_epsilon(0.0)
-                .place(&scenario_b)
-                .unwrap()
-        })
+    measure("fig6b/placement/trimcaching-spec-eps0", 10, || {
+        TrimCachingSpec::new()
+            .with_epsilon(0.0)
+            .place(&scenario_b)
+            .unwrap()
     });
-    group.bench_function("trimcaching-gen", |b| {
-        b.iter(|| TrimCachingGen::new().place(&scenario_b).unwrap())
+    measure("fig6b/placement/trimcaching-gen", 10, || {
+        TrimCachingGen::new().place(&scenario_b).unwrap()
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -6,10 +6,10 @@
 //! the kinematics by 20 minutes of 5-second slots and re-evaluating a stale
 //! placement on the fresh snapshot.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use trimcaching_bench::measure;
 use trimcaching_placement::{PlacementAlgorithm, TrimCachingSpec};
 use trimcaching_scenario::mobility::MobilityModel;
 use trimcaching_sim::experiments::{fig7, LibraryKind, RunConfig};
@@ -29,7 +29,7 @@ fn table_config() -> RunConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = table_config();
     let table = fig7::mobility_robustness(&cfg).expect("fig7 runs");
     eprintln!("{}", table.to_markdown());
@@ -54,19 +54,11 @@ fn bench(c: &mut Criterion) {
     let area = DeploymentArea::paper_default();
     let positions: Vec<_> = scenario.users().iter().map(|u| u.position()).collect();
 
-    let mut group = c.benchmark_group("fig7/mobility");
-    group.sample_size(10);
-    group.bench_function("20min_step_and_reevaluation", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(17);
-            let mut mobility = MobilityModel::paper_mix(&positions, area, &mut rng);
-            let moved_positions = mobility.run_slots(240, &mut rng);
-            let moved = scenario.with_user_positions(&moved_positions).unwrap();
-            moved.hit_ratio(&placement)
-        })
+    measure("fig7/mobility/20min_step_and_reevaluation", 10, || {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut mobility = MobilityModel::paper_mix(&positions, area, &mut rng);
+        let moved_positions = mobility.run_slots(240, &mut rng);
+        let moved = scenario.with_user_positions(&moved_positions).unwrap();
+        moved.hit_ratio(&placement)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -12,8 +12,7 @@
 //! placement is asserted equal to an eager greedy that scores every
 //! pair through the pointwise `marginal_hits`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_modellib::builders::SpecialCaseBuilder;
 use trimcaching_placement::{PlacementAlgorithm, TrimCachingGen, TrimCachingGenLazy};
 use trimcaching_runtime::rotate_popularity;
@@ -49,9 +48,7 @@ fn pointwise_greedy(scenario: &Scenario, objective: &HitRatioObjective<'_>) -> P
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/lazy_greedy");
-    group.sample_size(10);
+fn main() {
     for models_per_backbone in [5usize, 10, 20] {
         let library = SpecialCaseBuilder::paper_setup()
             .models_per_backbone(models_per_backbone)
@@ -72,16 +69,13 @@ fn bench(c: &mut Criterion) {
             eager.evaluations.max(1) / lazy.evaluations.max(1)
         );
 
-        group.bench_with_input(
-            BenchmarkId::new("eager", library.num_models()),
-            &scenario,
-            |b, s| b.iter(|| TrimCachingGen::new().place(s).unwrap()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("lazy", library.num_models()),
-            &scenario,
-            |b, s| b.iter(|| TrimCachingGenLazy::new().place(s).unwrap()),
-        );
+        let models = library.num_models();
+        measure(&format!("ablation/lazy_greedy/eager/{models}"), 10, || {
+            TrimCachingGen::new().place(&scenario).unwrap()
+        });
+        measure(&format!("ablation/lazy_greedy/lazy/{models}"), 10, || {
+            TrimCachingGenLazy::new().place(&scenario).unwrap()
+        });
     }
 
     let library = SpecialCaseBuilder::paper_setup()
@@ -108,19 +102,13 @@ fn bench(c: &mut Criterion) {
         replan.evaluations,
         replan.placement.len()
     );
-    group.bench_with_input(
-        BenchmarkId::new("replan", scenario.num_users()),
-        &scenario,
-        |b, s| {
-            b.iter(|| {
-                TrimCachingGenLazy::new()
-                    .place_with_demand(s, &shifted)
-                    .unwrap()
-            })
+    measure(
+        &format!("ablation/lazy_greedy/replan/{}", scenario.num_users()),
+        10,
+        || {
+            TrimCachingGenLazy::new()
+                .place_with_demand(&scenario, &shifted)
+                .unwrap()
         },
     );
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -24,17 +24,15 @@
 //! triple by triple against `LatencyEvaluator::eligible`.
 //!
 //! The update is timed by flip-flopping one snapshot between the two
-//! position sets, so every iteration performs exactly one slot update of
-//! the same size. Nothing is asserted about the times, so the bench is a
-//! deterministic equivalence check plus a printed cost per slot.
-
-use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+//! position sets, so every sample performs exactly one slot update of
+//! the same size (the untimed warm-up is the first flip). Nothing is
+//! asserted about the times, so the bench is a deterministic
+//! equivalence check plus a printed cost per slot.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use trimcaching_bench::measure;
 use trimcaching_modellib::builders::{FoundationSpec, LoraLibraryBuilder, SpecialCaseBuilder};
 use trimcaching_modellib::{ModelId, ModelLibrary};
 use trimcaching_placement::{PlacementAlgorithm, TopPopularity};
@@ -157,26 +155,6 @@ fn moved_positions(scenario: &Scenario, fraction: f64, seed: u64) -> Vec<Point> 
     positions
 }
 
-/// Minimum per-iteration wall-clock of `runs` radio updates
-/// flip-flopping one snapshot between position sets `a` and `b` (one
-/// update per iteration, first flip used as warm-up). The minimum is
-/// the noise-robust statistic: scheduler interference only ever adds
-/// time, so the smallest observation is the closest to the true cost.
-fn time_slot(scenario: &Scenario, a: &[Point], b: &[Point], runs: usize) -> f64 {
-    let mut current = scenario.clone();
-    current.update_radio_positions(b).expect("update applies");
-    let mut best = f64::INFINITY;
-    for run in 0..runs {
-        let target = if run % 2 == 0 { a } else { b };
-        let start = Instant::now();
-        current
-            .update_radio_positions(target)
-            .expect("update applies");
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Equivalence gate for one regime: the in-place update at `moved` must
 /// equal a full rebuild, snapshot and hit ratio alike. Returns the
 /// updated snapshot and the update's delta.
@@ -199,48 +177,41 @@ fn assert_update_matches_rebuild(
     (updated, delta)
 }
 
-/// Times one regime's slot, prints it and registers it with the group.
+/// Prints one regime's size, then times `samples` radio updates,
+/// flip-flopping one snapshot between the original positions and
+/// `moved`.
 fn report_slot(
-    group: &mut criterion::BenchmarkGroup<'_>,
     label: &str,
     scenario: &Scenario,
     moved: &[Point],
     delta: &SnapshotDelta,
-    runs: usize,
+    samples: usize,
 ) {
     let original: Vec<Point> = scenario.users().iter().map(|u| u.position()).collect();
     let (m, k) = (scenario.num_servers(), scenario.num_users());
-    let slot_s = time_slot(scenario, &original, moved, runs);
     eprintln!(
-        "[mobility_slot] {label}: M = {m}, K = {k}, {} users moved, \
-         {} refreshed: update_radio_positions {:.2?} per slot",
+        "[mobility_slot] {label}: M = {m}, K = {k}, {} users moved, {} refreshed",
         delta.moved_users().len(),
         delta.refreshed_users().len(),
-        std::time::Duration::from_secs_f64(slot_s),
     );
     let mut flip = scenario.clone();
     let mut toggle = false;
-    group.bench_with_input(BenchmarkId::new(label, m), scenario, |b, _| {
-        b.iter(|| {
-            let target = if toggle { &original } else { moved };
-            toggle = !toggle;
-            flip.update_radio_positions(target).expect("update applies")
-        })
+    measure(&format!("mobility_slot/{label}/{m}"), samples, || {
+        toggle = !toggle;
+        let target = if toggle { moved } else { &original };
+        flip.update_radio_positions(target).expect("update applies")
     });
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mobility_slot");
-    group.sample_size(10);
-
+fn main() {
     for target in [100usize, 500, 1000] {
         let scenario = district(target);
         for fraction in [0.01f64, 0.05] {
             let moved = moved_positions(&scenario, fraction, 7 + target as u64);
             let (_, delta) = assert_update_matches_rebuild(&scenario, &moved);
-            let runs = if scenario.num_servers() >= 500 { 8 } else { 16 };
+            let samples = if scenario.num_servers() >= 500 { 8 } else { 16 };
             let label = format!("slot/{}pct", (fraction * 100.0) as usize);
-            report_slot(&mut group, &label, &scenario, &moved, &delta, runs);
+            report_slot(&label, &scenario, &moved, &delta, samples);
         }
     }
 
@@ -253,9 +224,5 @@ fn bench(c: &mut Criterion) {
     let moved = paper_mix_slot(&scenario, 2024);
     let (updated, delta) = assert_update_matches_rebuild(&scenario, &moved);
     assert_matches_oracle(&updated);
-    report_slot(&mut group, "slot/paper_mix", &scenario, &moved, &delta, 16);
-    group.finish();
+    report_slot("slot/paper_mix", &scenario, &moved, &delta, 16);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

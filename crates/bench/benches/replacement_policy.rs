@@ -6,8 +6,7 @@
 //! cost of one full two-hour mobility replay with the 5% re-placement
 //! policy.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
+use trimcaching_bench::measure;
 use trimcaching_placement::TrimCachingGen;
 use trimcaching_sim::experiments::{replacement, LibraryKind, RunConfig};
 use trimcaching_sim::replacement::{replay_with_policy, ReplacementPolicy, ReplayConfig};
@@ -27,7 +26,7 @@ fn table_config() -> RunConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cfg = table_config();
     let study = replacement::replacement_study(&cfg).expect("replacement study runs");
     eprintln!("{}", study.to_markdown());
@@ -48,15 +47,7 @@ fn bench(c: &mut Criterion) {
         fading_realisations: 0,
     };
 
-    let mut group = c.benchmark_group("replacement/replay");
-    group.sample_size(10);
-    group.bench_function("two_hour_adaptive_replay", |b| {
-        b.iter(|| {
-            replay_with_policy(&scenario, area, &algorithm, Some(&policy), &replay, 17, 23).unwrap()
-        })
+    measure("replacement/replay/two_hour_adaptive_replay", 10, || {
+        replay_with_policy(&scenario, area, &algorithm, Some(&policy), &replay, 17, 23).unwrap()
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -4,18 +4,15 @@
 //! Two parts:
 //!
 //! 1. a headline scaling run — 10 000 users served until ≥100 000
-//!    requests have fired — printing wall-clock and **per-core**
-//!    requests/second (the classic engine is single-threaded, so one
-//!    core is what it occupies; the normalised figure is the one
-//!    comparable against the sharded engine's pool) and writing
-//!    `BENCH_serve_scaling.json` at the repository root;
-//! 2. Criterion timings of complete serving runs at increasing user
-//!    counts on the paper's default radio footprint.
+//!    requests have fired, timed over 10 samples — printing median
+//!    wall-clock and **per-core** requests/second (the classic engine is
+//!    single-threaded, so one core is what it occupies; the normalised
+//!    figure is the one comparable against the sharded engine's pool)
+//!    and writing `BENCH_serve_scaling.json` at the repository root;
+//! 2. timings of complete serving runs at increasing user counts on the
+//!    paper's default radio footprint.
 
-use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::{measure, repo_root, write_bench_json};
 use trimcaching_modellib::builders::{FoundationSpec, LoraLibraryBuilder};
 use trimcaching_runtime::{serve, CostAwareLfu, ServeConfig};
 use trimcaching_sim::TopologyConfig;
@@ -48,7 +45,7 @@ fn scenario_with_users(num_users: usize) -> trimcaching_scenario::Scenario {
         .expect("topology generates")
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     // Headline run: >=100k requests over 10k users.
     let users = 10_000;
     let scenario = scenario_with_users(users);
@@ -57,25 +54,28 @@ fn bench(c: &mut Criterion) {
         .with_duration_s(200.0)
         .with_request_rate_hz(0.05)
         .with_seed(2024);
-    let start = Instant::now();
-    let report = serve(&scenario, &CostAwareLfu, None, &config).expect("serve runs");
-    let elapsed = start.elapsed();
+    let (report, stats) = measure(&format!("serve/headline/{users}"), 10, || {
+        serve(&scenario, &CostAwareLfu, None, &config).expect("serve runs")
+    });
     let requests = report.metrics.requests;
     // The classic engine replays on exactly one core; dividing by the
     // cores occupied (1) makes the figure comparable with the sharded
     // engine's per-core throughput instead of silently flattering
     // whichever run had more hardware.
     let cores_used = 1.0;
-    let throughput = requests as f64 / elapsed.as_secs_f64();
+    let throughput = requests as f64 / stats.median_s;
     eprintln!(
-        "[serve_scaling] {users} users, {requests} requests in {elapsed:.2?} \
-         ({:.0} req/s on {cores_used} core = {:.0} req/s/core), hit ratio {:.4}",
+        "[serve_scaling] {users} users, {requests} requests \
+         ({:.0} req/s at the median on {cores_used} core = {:.0} req/s/core), \
+         hit ratio {:.4}",
         throughput,
         throughput / cores_used,
         report.metrics.hit_ratio()
     );
-    trimcaching_bench::write_bench_json(
+    write_bench_json(
+        &repo_root(),
         "serve_scaling",
+        &stats,
         &[
             ("users", users as f64),
             ("requests", requests as f64),
@@ -94,25 +94,15 @@ fn bench(c: &mut Criterion) {
         ],
     );
 
-    // Criterion: complete runs at increasing user counts.
-    let mut group = c.benchmark_group("serve/users");
-    group.sample_size(10);
+    // Complete runs at increasing user counts.
     for users in [100usize, 1_000, 10_000] {
         let scenario = scenario_with_users(users);
         let config = ServeConfig::paper_defaults()
             .with_duration_s(60.0)
             .with_request_rate_hz(0.05)
             .with_seed(7);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(users),
-            &scenario,
-            |b, scenario| {
-                b.iter(|| serve(scenario, &CostAwareLfu, None, &config).expect("serve runs"))
-            },
-        );
+        measure(&format!("serve/users/{users}"), 10, || {
+            serve(&scenario, &CostAwareLfu, None, &config).expect("serve runs")
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -2,23 +2,16 @@
 //! throughput versus shard count, with the thread-count determinism
 //! check run inline.
 //!
-//! Two parts:
-//!
-//! 1. a headline sweep — a district-scale city (4 000 users on
-//!    clustered demand) served at `R ∈ {1, 2, 4}` shards, each `R` run
-//!    on a single worker thread and on the full pool, asserting the
-//!    merged reports are identical and printing **per-core**
-//!    requests/second (wall-clock divided by the workers the pool
-//!    actually occupies — on a single-core host the pool runs
-//!    sequentially and the per-core figure is the honest one). The
-//!    `R = 4` pooled row lands in `BENCH_sharded_scaling.json` at the
-//!    repository root;
-//! 2. Criterion timings of complete sharded runs per shard count.
+//! A district-scale city (4 000 users on clustered demand) is served at
+//! `R ∈ {1, 2, 4}` shards. Each `R` runs once on a single worker thread
+//! and is then timed on the full pool over 10 samples, asserting the
+//! merged reports are identical and printing **per-core**
+//! requests/second at the median (wall-clock divided by the workers the
+//! pool actually occupies — on a single-core host the pool runs
+//! sequentially and the per-core figure is the honest one). The `R = 4`
+//! row lands in `BENCH_sharded_scaling.json` at the repository root.
 
-use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::{host_cores, measure, repo_root, write_bench_json};
 use trimcaching_runtime::{CostAwareLfu, ServeConfig, ShardedServeEngine};
 use trimcaching_sim::experiments::RunConfig;
 use trimcaching_sim::CityScaleConfig;
@@ -43,48 +36,39 @@ fn serve_config() -> ServeConfig {
         .with_mobility_slot_s(10.0)
 }
 
-fn workers_used(shards: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(shards)
-        .max(1)
-}
-
-fn bench(c: &mut Criterion) {
+fn main() {
     let scenario = scenario();
     let config = serve_config();
 
-    let mut headline: Vec<(&str, f64)> = Vec::new();
     for shards in [1usize, 2, 4] {
         let serial = ShardedServeEngine::new(&scenario, &CostAwareLfu, config.clone(), shards)
             .expect("engine builds")
             .with_threads(1)
             .run()
             .expect("serial run");
-        let started = Instant::now();
-        let pooled = ShardedServeEngine::new(&scenario, &CostAwareLfu, config.clone(), shards)
-            .expect("engine builds")
-            .with_threads(0)
-            .run()
-            .expect("pooled run");
-        let elapsed = started.elapsed();
+        let (pooled, stats) = measure(&format!("sharded/shards/{shards}"), 10, || {
+            ShardedServeEngine::new(&scenario, &CostAwareLfu, config.clone(), shards)
+                .expect("engine builds")
+                .with_threads(0)
+                .run()
+                .expect("pooled run")
+        });
         assert_eq!(
             serial, pooled,
             "R={shards}: the merged trace must not depend on the worker-thread count"
         );
-        let cores = workers_used(shards) as f64;
-        let throughput = pooled.metrics.requests as f64 / elapsed.as_secs_f64();
+        let cores = host_cores().min(shards) as f64;
+        let throughput = pooled.metrics.requests as f64 / stats.median_s;
         eprintln!(
-            "[sharded_scaling] R={shards}: {} requests in {elapsed:.2?} \
-             ({throughput:.0} req/s on {cores} core(s) = {:.0} req/s/core), \
+            "[sharded_scaling] R={shards}: {} requests \
+             ({throughput:.0} req/s at the median on {cores} core(s) = {:.0} req/s/core), \
              hit ratio {:.4}, identical across thread counts",
             pooled.metrics.requests,
             throughput / cores,
             pooled.metrics.hit_ratio()
         );
         if shards == 4 {
-            headline = vec![
+            let fields = [
                 ("shards", shards as f64),
                 ("requests", pooled.metrics.requests as f64),
                 ("throughput_req_s", throughput),
@@ -101,29 +85,7 @@ fn bench(c: &mut Criterion) {
                 ),
                 ("identical_across_threads", 1.0),
             ];
+            write_bench_json(&repo_root(), "sharded_scaling", &stats, &fields);
         }
     }
-    trimcaching_bench::write_bench_json("sharded_scaling", &headline);
-
-    // Criterion: complete sharded runs per shard count (full pool).
-    let mut group = c.benchmark_group("sharded/shards");
-    group.sample_size(10);
-    for shards in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(shards),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    ShardedServeEngine::new(&scenario, &CostAwareLfu, config.clone(), shards)
-                        .expect("engine builds")
-                        .run()
-                        .expect("sharded run")
-                })
-            },
-        );
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

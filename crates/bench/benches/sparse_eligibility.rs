@@ -14,10 +14,9 @@
 //! 24-model paper library) and runs lazy greedy once, printing
 //! wall-clock numbers.
 
-use std::time::Instant;
+use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::{measure, timed};
 use trimcaching_modellib::builders::SpecialCaseBuilder;
 use trimcaching_placement::{PlacementAlgorithm, TrimCachingGenLazy};
 use trimcaching_scenario::{EligibilityRepr, Scenario};
@@ -41,9 +40,7 @@ fn district(target_servers: usize, repr: EligibilityRepr) -> Scenario {
         .expect("district generates")
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sparse_eligibility");
-    group.sample_size(10);
+fn main() {
     for target in [10usize, 100, 500] {
         let dense = district(target, EligibilityRepr::Dense);
         let sparse = district(target, EligibilityRepr::Sparse);
@@ -68,16 +65,22 @@ fn bench(c: &mut Criterion) {
 
         let m = dense.num_servers();
         let placement = &from_sparse.placement;
-        group.bench_with_input(BenchmarkId::new("objective/dense", m), &dense, |b, s| {
-            b.iter(|| s.hit_ratio(placement))
-        });
-        group.bench_with_input(BenchmarkId::new("objective/sparse", m), &sparse, |b, s| {
-            b.iter(|| s.hit_ratio(placement))
-        });
+        measure(
+            &format!("sparse_eligibility/objective/dense/{m}"),
+            10,
+            || dense.hit_ratio(placement),
+        );
+        measure(
+            &format!("sparse_eligibility/objective/sparse/{m}"),
+            10,
+            || sparse.hit_ratio(placement),
+        );
         if target <= 100 {
-            group.bench_with_input(BenchmarkId::new("lazy_greedy/dense", m), &dense, |b, s| {
-                b.iter(|| TrimCachingGenLazy::new().place(s).unwrap())
-            });
+            measure(
+                &format!("sparse_eligibility/lazy_greedy/dense/{m}"),
+                10,
+                || TrimCachingGenLazy::new().place(&dense).unwrap(),
+            );
         } else {
             // A timed loop over the dense path would dominate the whole
             // bench (tens of seconds per placement); report the one-shot
@@ -88,13 +91,12 @@ fn bench(c: &mut Criterion) {
                 from_dense.runtime, from_sparse.runtime,
             );
         }
-        group.bench_with_input(
-            BenchmarkId::new("lazy_greedy/sparse", m),
-            &sparse,
-            |b, s| b.iter(|| TrimCachingGenLazy::new().place(s).unwrap()),
+        measure(
+            &format!("sparse_eligibility/lazy_greedy/sparse/{m}"),
+            10,
+            || TrimCachingGenLazy::new().place(&sparse).unwrap(),
         );
     }
-    group.finish();
 
     // Acceptance run: the 1 000-server / 50 000-user city builds sparse
     // (never allocating the dense cube) and lazy greedy completes on it.
@@ -102,9 +104,7 @@ fn bench(c: &mut Criterion) {
         .models_per_backbone(3)
         .build(2024);
     let city = CityScaleConfig::city();
-    let build_start = Instant::now();
-    let scenario = city.generate(&library, 2024, 0).expect("city generates");
-    let build_elapsed = build_start.elapsed();
+    let (scenario, build_s) = timed(|| city.generate(&library, 2024, 0).expect("city generates"));
     assert!(scenario.eligibility().is_sparse());
     let outcome = TrimCachingGenLazy::new()
         .place(&scenario)
@@ -121,12 +121,9 @@ fn bench(c: &mut Criterion) {
             * scenario.num_models() as f64)
             / 1e9,
         scenario.eligibility().density(),
-        build_elapsed,
+        Duration::from_secs_f64(build_s),
         outcome.runtime,
         outcome.evaluations,
         outcome.hit_ratio,
     );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -6,15 +6,13 @@
 //!
 //! 1. a headline grid — the new workload families crossed with two
 //!    eviction policies and two shard counts (16 cells), executed once
-//!    on a single sweep worker and once on the full pool, asserting the
-//!    two reports are identical and printing cells/second. The pooled
-//!    row lands in `BENCH_sweep.json` at the repository root;
-//! 2. Criterion timings of a small fixed grid per worker count.
+//!    on a single sweep worker and then timed on the full pool over 10
+//!    samples, asserting the two reports are identical and printing
+//!    cells/second at the median. The pooled row lands in
+//!    `BENCH_sweep.json` at the repository root;
+//! 2. timings of a small fixed grid per worker count.
 
-use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use trimcaching_bench::{measure, repo_root, write_bench_json};
 use trimcaching_sim::{run_sweep, PolicyKind, SweepSpec, WorkloadFamily};
 
 /// The headline grid: every serving-path family the sweep ships, on a
@@ -37,10 +35,10 @@ fn headline_spec() -> SweepSpec {
     spec
 }
 
-/// A smaller grid for Criterion's repeated samples.
-fn criterion_spec() -> SweepSpec {
+/// A smaller grid timed per sweep worker count.
+fn workers_spec() -> SweepSpec {
     let mut spec = SweepSpec::smoke();
-    spec.name = "bench-criterion".into();
+    spec.name = "bench-workers".into();
     spec.duration_s = 60.0;
     spec.users = vec![120];
     spec.area_side_m = 1_000.0;
@@ -50,51 +48,45 @@ fn criterion_spec() -> SweepSpec {
     spec
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let spec = headline_spec();
     let cells = spec.num_cells();
 
     let serial = run_sweep(&spec, 1).expect("serial sweep");
-    let started = Instant::now();
-    let pooled = run_sweep(&spec, 0).expect("pooled sweep");
-    let elapsed = started.elapsed();
+    let (pooled, stats) = measure("sweep/headline/pooled", 10, || {
+        run_sweep(&spec, 0).expect("pooled sweep")
+    });
     assert_eq!(
         serial, pooled,
         "the sweep report must not depend on the worker count"
     );
     let requests: u64 = pooled.outcomes.iter().map(|o| o.requests).sum();
-    let cells_per_s = cells as f64 / elapsed.as_secs_f64();
+    let cells_per_s = cells as f64 / stats.median_s;
     eprintln!(
-        "[sweep] {cells} cells ({requests} requests) in {elapsed:.2?} \
-         ({cells_per_s:.2} cells/s), fingerprint {:016x}, \
+        "[sweep] {cells} cells ({requests} requests) \
+         ({cells_per_s:.2} cells/s at the median), fingerprint {:016x}, \
          identical across worker counts",
         pooled.fingerprint
     );
-    trimcaching_bench::write_bench_json(
+    write_bench_json(
+        &repo_root(),
         "sweep",
+        &stats,
         &[
             ("cells", cells as f64),
             ("requests", requests as f64),
-            ("wall_clock_s", elapsed.as_secs_f64()),
+            ("wall_clock_s", stats.median_s),
             ("cells_per_s", cells_per_s),
-            ("requests_per_s", requests as f64 / elapsed.as_secs_f64()),
+            ("requests_per_s", requests as f64 / stats.median_s),
             ("identical_across_workers", 1.0),
         ],
     );
 
-    // Criterion: the small grid end to end, per sweep worker count.
-    let spec = criterion_spec();
-    let mut group = c.benchmark_group("sweep/workers");
-    group.sample_size(10);
+    // The small grid end to end, per sweep worker count.
+    let spec = workers_spec();
     for workers in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(workers),
-            &workers,
-            |b, &workers| b.iter(|| run_sweep(&spec, workers).expect("sweep runs")),
-        );
+        measure(&format!("sweep/workers/{workers}"), 10, || {
+            run_sweep(&spec, workers).expect("sweep runs")
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

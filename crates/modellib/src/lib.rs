@@ -21,8 +21,8 @@
 //!   descriptions they are built from;
 //! * [`popularity`] — the Zipf request-popularity distribution;
 //! * [`accuracy`] — the synthetic accuracy-vs-frozen-layers model standing
-//!   in for the paper's Fig. 1 fine-tuning experiment (see DESIGN.md,
-//!   substitutions).
+//!   in for the paper's Fig. 1 fine-tuning experiment (its module docs
+//!   give the substitution and its calibration).
 //!
 //! # Example
 //!

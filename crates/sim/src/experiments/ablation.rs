@@ -182,8 +182,9 @@ pub const BACKHAUL_POINTS_GBPS: [f64; 5] = [0.1, 0.5, 1.0, 5.0, 10.0];
 
 /// Ablation: sensitivity to the effective edge-to-edge throughput used for
 /// relayed delivery (Eq. 5). The paper provisions 10 Gbps links; the
-/// reproduction defaults to 1 Gbps effective per transfer (see DESIGN.md),
-/// and this sweep shows how that choice moves the curves.
+/// reproduction defaults to 1 Gbps effective per transfer (see
+/// [`TopologyConfig::backhaul_rate_bps`] for why), and this sweep shows how
+/// that choice moves the curves.
 pub fn backhaul_sweep(config: &RunConfig) -> Result<ExperimentTable, SimError> {
     let library = config.build_library(LibraryKind::Special);
     let spec = TrimCachingSpec::new();

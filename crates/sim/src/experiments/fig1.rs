@@ -5,7 +5,8 @@
 //! bottom layers, showing that accuracy degrades only slightly (≈4.05% and
 //! ≈5.2% at a 90% freeze depth). Reproducing the figure verbatim requires
 //! GPU fine-tuning; this driver regenerates the curve from the calibrated
-//! analytic degradation model documented in DESIGN.md (substitutions).
+//! analytic degradation model of [`trimcaching_modellib::accuracy`],
+//! whose module docs give the substitution and its calibration.
 
 use trimcaching_modellib::accuracy::FrozenLayerAccuracy;
 

@@ -17,7 +17,7 @@ use crate::SimError;
 /// The CSV column headers, in order.
 const CSV_HEADER: &str = "index,seed,users,capacity_gb,tiers,workload,policy,granularity,\
                           control,shards,faults,requests,hit_ratio,p95_latency_ms,availability,\
-                          backhaul_bytes,req_per_s";
+                          backhaul_bytes,offered_req_per_s";
 
 /// Renders the per-cell CSV artefact.
 pub fn to_csv(report: &SweepReport) -> String {
@@ -47,7 +47,7 @@ pub fn to_csv(report: &SweepReport) -> String {
             o.p95_latency_ms,
             o.availability,
             o.backhaul_bytes,
-            o.req_per_s,
+            o.offered_req_per_s,
         ));
     }
     out
@@ -70,7 +70,7 @@ pub fn to_json(report: &SweepReport) -> String {
              \"tiers\": \"{}\", \"workload\": \"{}\", \"policy\": \"{}\", \
              \"granularity\": \"{}\", \"control\": {}, \"shards\": {}, \"faults\": {}, \
              \"requests\": {}, \"hit_ratio\": {}, \"p95_latency_ms\": {}, \
-             \"availability\": {}, \"backhaul_bytes\": {}, \"req_per_s\": {}}}{}\n",
+             \"availability\": {}, \"backhaul_bytes\": {}, \"offered_req_per_s\": {}}}{}\n",
             c.index,
             c.seed,
             c.users,
@@ -87,7 +87,7 @@ pub fn to_json(report: &SweepReport) -> String {
             o.p95_latency_ms,
             o.availability,
             o.backhaul_bytes,
-            o.req_per_s,
+            o.offered_req_per_s,
             if i + 1 == report.outcomes.len() {
                 ""
             } else {
@@ -123,11 +123,11 @@ pub fn to_markdown(report: &SweepReport) -> String {
         out.push_str(&format!("\n### Workload family `{}`\n\n", family.name()));
         out.push_str(
             "| cell | users | cap (GB) | tiers | policy | gran | ctrl | shards | faults | \
-             hit ratio | p95 (ms) | availability | backhaul (MiB) | req/s |\n",
+             hit ratio | p95 (ms) | availability | backhaul (MiB) | offered req/s |\n",
         );
         out.push_str(
             "|-----:|------:|---------:|-------|--------|------|------|-------:|--------|\
-             ----------:|---------:|-------------:|---------------:|------:|\n",
+             ----------:|---------:|-------------:|---------------:|--------------:|\n",
         );
         for o in rows {
             let c = &o.cell;
@@ -147,7 +147,7 @@ pub fn to_markdown(report: &SweepReport) -> String {
                 o.p95_latency_ms,
                 o.availability,
                 o.backhaul_bytes as f64 / (1024.0 * 1024.0),
-                o.req_per_s,
+                o.offered_req_per_s,
             ));
         }
     }
@@ -270,7 +270,7 @@ fn parse_row(line: &str) -> Result<CellOutcome, SimError> {
         p95_latency_ms: num(fields[13])?,
         availability: num(fields[14])?,
         backhaul_bytes: num(fields[15])?,
-        req_per_s: num(fields[16])?,
+        offered_req_per_s: num(fields[16])?,
     })
 }
 
@@ -302,7 +302,7 @@ mod tests {
             p95_latency_ms: 230.25,
             availability: 0.875,
             backhaul_bytes: 1_048_576 * (index as u64 + 1),
-            req_per_s: 1.5,
+            offered_req_per_s: 1.5,
         };
         SweepReport {
             name: "sample".into(),

@@ -48,8 +48,9 @@ pub struct CellOutcome {
     pub availability: f64,
     /// Bytes moved over the backhaul by fills and migrations.
     pub backhaul_bytes: u64,
-    /// Simulated request throughput (`requests / duration_s`).
-    pub req_per_s: f64,
+    /// Offered load, `requests / duration_s`: the simulated request
+    /// arrival rate, not a throughput (rejected requests count too).
+    pub offered_req_per_s: f64,
 }
 
 /// A completed sweep: the spec identity plus one outcome per cell, in
@@ -175,7 +176,7 @@ pub fn run_cell(spec: &SweepSpec, cell: &Cell) -> Result<CellOutcome, SimError> 
         p95_latency_ms: metrics.p95_latency_s().map_or(0.0, |s| s * 1e3),
         availability: metrics.availability(),
         backhaul_bytes: metrics.backhaul_bytes_moved,
-        req_per_s: metrics.requests as f64 / spec.duration_s,
+        offered_req_per_s: metrics.requests as f64 / spec.duration_s,
     })
 }
 
@@ -217,7 +218,7 @@ mod tests {
             assert!(outcome.requests > 0, "{:?} served nothing", outcome.cell);
             assert!(outcome.hit_ratio >= 0.0 && outcome.hit_ratio <= 1.0);
             assert!(outcome.availability >= 0.0 && outcome.availability <= 1.0);
-            assert!((outcome.req_per_s - outcome.requests as f64 / 60.0).abs() < 1e-12);
+            assert!((outcome.offered_req_per_s - outcome.requests as f64 / 60.0).abs() < 1e-12);
         }
         // A cell re-run standalone from (spec, cell) matches the report.
         let cells = spec.cells().unwrap();

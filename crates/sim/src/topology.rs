@@ -41,8 +41,9 @@ pub struct TopologyConfig {
     /// barely matter — any cached copy anywhere could be relayed within the
     /// latency budget, flattening the capacity dependence the paper
     /// reports. The default of 1 Gbps effective per-transfer throughput
-    /// restores the locality the evaluation exhibits; see DESIGN.md
-    /// (substitutions) and EXPERIMENTS.md.
+    /// restores the locality the evaluation exhibits;
+    /// [`backhaul_sweep`](crate::experiments::ablation::backhaul_sweep)
+    /// shows how this choice moves the curves.
     pub backhaul_rate_bps: f64,
 }
 
