@@ -820,6 +820,82 @@ mod tests {
         assert_eq!(zero, nominal);
     }
 
+    /// The Monte-Carlo evaluation draws one fading gain per covered
+    /// `(m, k)` pair, and the draw order is part of every seeded fading
+    /// result. Three overlapping cells, so users sit in several `M_k`:
+    /// the closure must see the pairs server by server, each server's
+    /// users ascending, and the seeded average must keep its bits.
+    #[test]
+    fn fading_draw_order_and_average_are_pinned() {
+        let library = SpecialCaseBuilder::paper_setup()
+            .models_per_backbone(2)
+            .build(3);
+        let servers = [(300.0, 300.0), (500.0, 300.0), (400.0, 460.0)]
+            .iter()
+            .enumerate()
+            .map(|(m, &(x, y))| EdgeServer::new(ServerId(m), Point::new(x, y), gigabytes(0.5)))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        let positions: Vec<Point> = [
+            (400.0, 350.0),
+            (150.0, 300.0),
+            (620.0, 320.0),
+            (400.0, 600.0),
+            (330.0, 420.0),
+            (900.0, 900.0),
+            (480.0, 380.0),
+        ]
+        .iter()
+        .map(|&(x, y)| Point::new(x, y))
+        .collect();
+        let mut rng = StdRng::seed_from_u64(17);
+        let demand = DemandConfig::paper_defaults()
+            .generate(positions.len(), library.num_models(), &mut rng)
+            .unwrap();
+        let s = Scenario::builder()
+            .library(library)
+            .servers(servers)
+            .users_at(&positions)
+            .demand(demand)
+            .build()
+            .unwrap();
+
+        let mut seen = Vec::new();
+        RateMatrix::with_fading(&s.coverage, &s.allocation, &s.radio, |m, k| {
+            seen.push((m, k));
+            0.5
+        })
+        .unwrap();
+        assert_eq!(
+            seen,
+            [
+                (0, 0),
+                (0, 1),
+                (0, 4),
+                (0, 6),
+                (1, 0),
+                (1, 2),
+                (1, 4),
+                (1, 6),
+                (2, 0),
+                (2, 2),
+                (2, 3),
+                (2, 4),
+                (2, 6),
+            ]
+        );
+
+        let mut placement = s.empty_placement();
+        placement.place(ServerId(0), ModelId(0)).unwrap();
+        placement.place(ServerId(1), ModelId(3)).unwrap();
+        placement.place(ServerId(2), ModelId(5)).unwrap();
+        let mut rng = StdRng::seed_from_u64(2024);
+        let faded = s
+            .average_hit_ratio_under_fading(&placement, 40, &mut rng)
+            .unwrap();
+        assert_eq!(faded.to_bits(), 0x3fdd_d5a6_8a98_27f8, "{faded}");
+    }
+
     #[test]
     fn moving_users_rebuilds_coverage_and_keeps_dimensions() {
         let s = build_scenario(6, 1.0);
