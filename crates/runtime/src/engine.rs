@@ -55,8 +55,7 @@ use rand::SeedableRng;
 use trimcaching_modellib::ModelId;
 use trimcaching_scenario::mobility::MobilityModel;
 use trimcaching_scenario::{
-    CandidateScratch, DemandEstimate, Eligibility, LatencyEvaluator, Placement, Scenario,
-    SnapshotDelta, UserId,
+    DemandEstimate, Eligibility, LatencyEvaluator, Placement, Scenario, SnapshotDelta, UserId,
 };
 use trimcaching_wireless::geometry::{DeploymentArea, Point};
 
@@ -349,8 +348,8 @@ impl<'a> ServeEngine<'a> {
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] for a non-finite or
-    /// negative time or a target whose dimensions disagree with the
-    /// scenario.
+    /// negative time (`-0.0` included) or a target whose dimensions
+    /// disagree with the scenario.
     pub fn schedule_reconcile(&mut self, at_s: f64, target: Placement) -> Result<(), RuntimeError> {
         self.0.schedule_reconcile(at_s, target)
     }
@@ -614,8 +613,6 @@ pub(crate) struct Region<'a> {
     /// (warm start or re-plan) — the target recovered servers self-heal
     /// back to.
     last_target: Option<Placement>,
-    /// The requesting user's covering rates, reused by every request.
-    candidates: CandidateScratch,
     /// Every re-plan's inputs and target, so tests can re-solve them on
     /// an eagerly updated snapshot.
     #[cfg(test)]
@@ -675,7 +672,6 @@ impl<'a> Region<'a> {
             server_down: vec![false; num_servers],
             down_servers: 0,
             last_target: None,
-            candidates: CandidateScratch::default(),
             #[cfg(test)]
             replans: Vec::new(),
         })
@@ -775,8 +771,8 @@ impl<'a> Region<'a> {
 
     /// Pumps the event loop until no pending event fires at or before
     /// `stop_s`, or a mobility boundary hands control back to the
-    /// coordinator. Events are only ever *peeked* past the horizon,
-    /// never popped and dropped, so a stopped run's queue is
+    /// coordinator. An event past the horizon is never popped and
+    /// dropped ([`EventQueue::pop_due`]), so a stopped run's queue is
     /// byte-identical to the same moment of an uninterrupted run.
     pub(crate) fn drive(
         &mut self,
@@ -795,13 +791,7 @@ impl<'a> Region<'a> {
             current.rates(),
         )?;
         loop {
-            match state.queue.peek() {
-                Some(event) if event.time_s <= stop_s => {}
-                _ => return Ok(DriveStop::Horizon),
-            }
-            // Peeked above; a concurrent mutation is impossible, but a
-            // missing event is a clean loop exit, not a panic.
-            let Some(event) = state.queue.pop() else {
+            let Some(event) = state.queue.pop_due(stop_s) else {
                 return Ok(DriveStop::Horizon);
             };
             match event.kind {
@@ -826,7 +816,7 @@ impl<'a> Region<'a> {
                 }
                 EventKind::TransferComplete { server, model } => {
                     // Fills aborted by a server failure leave their
-                    // completion events behind (a binary heap cannot
+                    // completion events behind (the queue cannot
                     // retract). A live fill's pending ETA is exactly the
                     // time its completion event was pushed at, so an
                     // event that no longer matches is a stale tombstone
@@ -1087,7 +1077,7 @@ impl<'a> Region<'a> {
         let mut best_up_hit: Option<(f64, usize)> = None;
         let (member_servers, caches, server_down) =
             (&self.member_servers, &self.caches, &self.server_down);
-        evaluator.scored_candidates(user, model, &mut self.candidates, |m, latency| {
+        evaluator.scored_candidates(user, model, |m, latency| {
             // Candidates outside this region are other regions'
             // capacity — invisible here, like the planner mask.
             if !member_servers[m] {
@@ -1668,43 +1658,18 @@ impl<'a> Region<'a> {
     }
 }
 
-/// Per-user primary (highest expected rate) covering server, or `None`
-/// for uncovered users, derived user by user through
-/// [`primary_server_for`]: the oracle [`primary_table`] is checked
-/// against.
+/// Every user's primary (highest expected rate) covering server, or
+/// `None` for uncovered users, through [`primary_server_for`].
 pub(crate) fn primary_servers(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeError> {
     (0..scenario.num_users())
         .map(|k| primary_server_for(scenario, k))
         .collect()
 }
 
-/// Every user's primary server, as [`primary_server_for`] derives it
-/// user by user, from one ascending pass over the rate rows. A user's
-/// best rate is replaced only by a strictly greater one, so a tie goes
-/// to the lowest server index, as there.
-pub(crate) fn primary_table(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeError> {
-    // `best_server[k] == NONE` until user k's first covering row.
-    const NONE: usize = usize::MAX;
-    let mut best_server = vec![NONE; scenario.num_users()];
-    let mut best_rate = vec![0.0; scenario.num_users()];
-    let rates = scenario.rates();
-    for m in 0..rates.num_servers() {
-        for (k, rate) in rates.covered_rates(m)? {
-            if best_server[k] == NONE || rate > best_rate[k] {
-                best_server[k] = m;
-                best_rate[k] = rate;
-            }
-        }
-    }
-    Ok(best_server
-        .into_iter()
-        .map(|m| Some(m).filter(|&m| m != NONE))
-        .collect())
-}
-
 /// The primary (highest expected rate) covering server of one user, or
-/// `None` if the user is uncovered. The pointwise definition that
-/// [`primary_table`] computes in bulk.
+/// `None` if the user is uncovered: one argmax over the user's own rate
+/// row. A best rate is replaced only by a strictly greater one, so a tie
+/// goes to the lowest server index.
 pub(crate) fn primary_server_for(
     scenario: &Scenario,
     k: usize,
@@ -1713,9 +1678,9 @@ pub(crate) fn primary_server_for(
         .coverage()
         .servers_of_user(k)
         .map_err(trimcaching_scenario::ScenarioError::from)?;
+    let rates = scenario.rates().user_rates(k)?;
     let mut best: Option<(f64, usize)> = None;
-    for &m in servers {
-        let rate = scenario.rates().rate_bps(m, k)?;
+    for (&m, &rate) in servers.iter().zip(rates) {
         if best.is_none_or(|(r, _)| rate > r) {
             best = Some((rate, m));
         }
@@ -2225,7 +2190,9 @@ mod tests {
         }
         // Invalid schedules are rejected up front.
         let mut engine = ServeEngine::new(&s, &Lru, ServeConfig::smoke()).unwrap();
-        assert!(engine.schedule_reconcile(f64::NAN, target.clone()).is_err());
+        for at_s in [f64::NAN, -1.0, -0.0] {
+            assert!(engine.schedule_reconcile(at_s, target.clone()).is_err());
+        }
         assert!(engine
             .schedule_reconcile(1.0, Placement::empty(9, 9))
             .is_err());

@@ -276,9 +276,10 @@ impl FaultConfig {
             }
         }
         for spec in &self.timeline {
-            if !(spec.at_s.is_finite() && spec.at_s >= 0.0) {
+            // `-0.0 >= 0.0` holds, but the event queue refuses it.
+            if !(spec.at_s.is_finite() && spec.at_s.is_sign_positive()) {
                 return invalid(format!(
-                    "fault times must be finite and non-negative, got {}",
+                    "fault times must be finite and non-negative (not -0.0), got {}",
                     spec.at_s
                 ));
             }
@@ -374,11 +375,13 @@ mod tests {
         let fc = FaultConfig::new(Vec::new())
             .with_recovery(RecoveryMode::Partial { keep_fraction: 2.0 });
         assert!(fc.validate().is_err());
-        let fc = FaultConfig::new(vec![FaultSpec {
-            at_s: f64::NAN,
-            kind: FaultKind::ServerDown { server: 0 },
-        }]);
-        assert!(fc.validate().is_err());
+        for at_s in [f64::NAN, -1.0, -0.0] {
+            let fc = FaultConfig::new(vec![FaultSpec {
+                at_s,
+                kind: FaultKind::ServerDown { server: 0 },
+            }]);
+            assert!(fc.validate().is_err(), "{at_s}");
+        }
         let fc = FaultConfig::new(vec![FaultSpec {
             at_s: 1.0,
             kind: FaultKind::LinkDegraded {

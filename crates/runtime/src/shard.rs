@@ -54,7 +54,8 @@ use trimcaching_scenario::{Placement, Scenario, UserId};
 use trimcaching_wireless::geometry::Point;
 
 use crate::engine::{
-    primary_servers, primary_table, DriveStop, Region, RunState, ServeConfig, ServeReport, Shared,
+    primary_server_for, primary_servers, DriveStop, Region, RunState, ServeConfig, ServeReport,
+    Shared,
 };
 use crate::error::RuntimeError;
 use crate::event::EventKind;
@@ -174,7 +175,7 @@ impl<'a> ShardedServeEngine<'a> {
         let shared = Shared {
             workload: Workload::from_demand(scenario.demand(), config.request_rate_hz)?,
             snapshot: Cow::Borrowed(scenario),
-            primary: primary_table(scenario)?,
+            primary: primary_servers(scenario)?,
             owner: partition.owners_of(&positions),
             generation: vec![0; scenario.num_users()],
             scheduled: Vec::new(),
@@ -264,9 +265,11 @@ impl<'a> ShardedServeEngine<'a> {
         at_s: f64,
         target: Placement,
     ) -> Result<(), RuntimeError> {
-        if !(at_s.is_finite() && at_s >= 0.0) {
+        if !(at_s.is_finite() && at_s.is_sign_positive()) {
             return Err(RuntimeError::InvalidConfig {
-                reason: format!("reconcile time must be non-negative and finite, got {at_s}"),
+                reason: format!(
+                    "reconcile time must be non-negative (not -0.0) and finite, got {at_s}"
+                ),
             });
         }
         let s = self.scenario;
@@ -336,7 +339,7 @@ impl<'a> ShardedServeEngine<'a> {
             }
             .into());
         }
-        check_event_indices(cp, scenario.num_models())?;
+        check_events(cp, scenario.num_models())?;
         let mut config = cp.config.clone();
         config.persist = persist.clone();
         let mut engine = Self::new(scenario, policy, config, cp.num_shards())?;
@@ -363,7 +366,7 @@ impl<'a> ShardedServeEngine<'a> {
         }
         // The primary table is derived state: a merge recounts only the
         // users it refreshes, so a wrong entry would never be mended.
-        if engine.shared.primary != primary_table(&engine.shared.snapshot)? {
+        if engine.shared.primary != primary_servers(&engine.shared.snapshot)? {
             return Err(PersistError::Corrupt {
                 context: "checkpointed primary servers disagree with the restored snapshot".into(),
             }
@@ -591,12 +594,10 @@ impl<'a> ShardedServeEngine<'a> {
         }
         // Primary servers are a pure function of a user's covering set
         // and rates, both unchanged outside the refreshed set — count
-        // handovers over the delta's users only. One pass over the rate
-        // rows yields every user's primary, cheaper than a per-user
-        // lookup of each covering server's rate.
-        let fresh = primary_table(snapshot)?;
+        // handovers over the delta's users only, each from its own rate
+        // row.
         for &k in delta.refreshed_users() {
-            let fresh = fresh[k];
+            let fresh = primary_server_for(snapshot, k)?;
             let metrics = &mut self.shards[owner[k]].engine.metrics;
             metrics.users_refreshed += 1;
             if self.shared.primary[k] != fresh {
@@ -689,16 +690,23 @@ impl<'a> ShardedServeEngine<'a> {
     }
 }
 
-/// Checks every index inside a checkpoint's pending events against
-/// what the restored run holds: users and servers against the
-/// checkpoint's own per-user and per-server state, models against
-/// `num_models`, and scheduled reconciliations and fault transitions
-/// against their lists. A CRC-valid checkpoint can still carry an index
-/// the run would first dereference at dispatch.
-fn check_event_indices(cp: &Checkpoint, num_models: usize) -> Result<(), PersistError> {
+/// Checks a checkpoint's pending events against what the restored run
+/// holds and against the queue's pop-order contract. Indices: users and
+/// servers against the checkpoint's own per-user and per-server state,
+/// models against `num_models`, and scheduled reconciliations and fault
+/// transitions against their lists. Order: every time finite,
+/// non-negative, not `-0.0` and not before the checkpoint's own time,
+/// and every sequence number unique within its region and below the
+/// region's next one. A CRC-valid checkpoint can still carry an index
+/// the run would first dereference at dispatch, or a time or sequence
+/// number that would silently reorder the run.
+fn check_events(cp: &Checkpoint, num_models: usize) -> Result<(), PersistError> {
     let (users, servers, scheduled) = (cp.positions.len(), cp.servers.len(), cp.scheduled.len());
     let faults = cp.config.faults.as_ref().map_or(0, |f| f.timeline.len());
     for (region, state) in cp.regions.iter().enumerate() {
+        let corrupt = |what: String| PersistError::Corrupt {
+            context: format!("checkpoint: region {region} holds {what}"),
+        };
         for event in &state.events {
             let in_range = match event.kind {
                 EventKind::Request { user, .. } => user.index() < users,
@@ -710,16 +718,22 @@ fn check_event_indices(cp: &Checkpoint, num_models: usize) -> Result<(), Persist
                 EventKind::FaultTransition { index } => index < faults,
                 EventKind::MobilitySlot | EventKind::ControlTick => true,
             };
-            if !in_range {
-                return Err(PersistError::Corrupt {
-                    context: format!(
-                        "checkpoint: region {region} holds {:?} at {} s, beyond the run's \
-                         {users} users, {servers} servers, {num_models} models, {scheduled} \
-                         scheduled reconciliations and {faults} fault transitions",
-                        event.kind, event.time_s
-                    ),
-                });
+            let t = event.time_s;
+            let in_order = t.is_finite() && t.is_sign_positive() && t >= cp.time_s;
+            if !(in_range && in_order && event.seq < state.next_seq) {
+                return Err(corrupt(format!(
+                    "{:?} at {t} s with sequence number {}: the run has {users} users, \
+                     {servers} servers, {num_models} models, {scheduled} scheduled \
+                     reconciliations and {faults} fault transitions, the checkpoint is at \
+                     {} s and the next sequence number is {}",
+                    event.kind, event.seq, cp.time_s, state.next_seq
+                )));
             }
+        }
+        let mut seqs: Vec<u64> = state.events.iter().map(|e| e.seq).collect();
+        seqs.sort_unstable();
+        if let Some(pair) = seqs.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(corrupt(format!("sequence number {} twice", pair[0])));
         }
     }
     Ok(())
@@ -750,6 +764,7 @@ fn no_run_state() -> RuntimeError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::checkpoint::RegionState;
     use crate::persist::tests::fnv1a;
     use crate::policy::Lru;
     use rand::rngs::StdRng;
@@ -758,7 +773,7 @@ mod tests {
     use trimcaching_modellib::builders::{FoundationSpec, LoraLibraryBuilder, SpecialCaseBuilder};
     use trimcaching_modellib::ModelId;
     use trimcaching_scenario::prelude::*;
-    use trimcaching_scenario::{CandidateScratch, LatencyEvaluator};
+    use trimcaching_scenario::LatencyEvaluator;
     use trimcaching_wireless::geometry::DeploymentArea;
     use trimcaching_wireless::params::RadioParams;
 
@@ -1137,7 +1152,6 @@ mod tests {
                     .unwrap()
                     .with_threads(2);
                 let (mut merges, mut moved_rows) = (0, false);
-                let mut scratch = CandidateScratch::default();
                 drive_with(&mut engine, |engine| {
                     let shared = &engine.shared;
                     merges += 1;
@@ -1158,7 +1172,7 @@ mod tests {
                         for i in 0..num_models {
                             let (user, model) = (UserId(k), ModelId(i));
                             let mut scored = Vec::new();
-                            lazy.scored_candidates(user, model, &mut scratch, |m, latency| {
+                            lazy.scored_candidates(user, model, |m, latency| {
                                 scored.push((m, latency.to_bits()));
                             })
                             .unwrap();
@@ -1248,10 +1262,10 @@ mod tests {
     }
 
     /// A one-region run of `scenario(8)` with a fault schedule and a
-    /// scheduled reconciliation, captured at 20 s with the first pending
-    /// event replaced by `kind`; restoring it must fail as corrupt
-    /// instead of dispatching the event.
-    fn assert_hostile_event_is_corrupt(kind: EventKind) {
+    /// scheduled reconciliation, captured at 20 s with its pending events
+    /// edited by `edit`; restoring it must fail as corrupt instead of
+    /// dispatching them.
+    fn assert_hostile_events_are_corrupt(edit: impl FnOnce(&mut RegionState)) {
         use crate::faults::{FaultConfig, FaultKind, FaultSpec};
 
         let s = scenario(8);
@@ -1269,15 +1283,49 @@ mod tests {
             .unwrap();
         engine.run_to(20.0).unwrap();
         let mut cp = engine.capture(20.0).unwrap();
-        cp.regions[0].events[0].kind = kind;
+        assert!(cp.regions[0].events.len() > 2);
+        edit(&mut cp.regions[0]);
         let resumed = ShardedServeEngine::restore(&s, &Lru, &cp, None).and_then(|e| e.run());
         assert!(
             matches!(
                 resumed,
                 Err(RuntimeError::Persist(PersistError::Corrupt { .. }))
             ),
-            "{kind:?}: {resumed:?}"
+            "{:?}: {resumed:?}",
+            cp.regions[0].events
         );
+    }
+
+    /// [`assert_hostile_events_are_corrupt`] with the first pending event's
+    /// kind replaced by `kind`.
+    fn assert_hostile_event_is_corrupt(kind: EventKind) {
+        assert_hostile_events_are_corrupt(|region| region.events[0].kind = kind);
+    }
+
+    #[test]
+    fn a_hostile_event_time_is_corrupt() {
+        for time_s in [f64::NAN, f64::INFINITY, -1.0, -0.0] {
+            assert_hostile_events_are_corrupt(|region| region.events[1].time_s = time_s);
+        }
+    }
+
+    #[test]
+    fn an_event_before_the_checkpoint_time_is_corrupt() {
+        assert_hostile_events_are_corrupt(|region| region.events[1].time_s = 19.5);
+    }
+
+    #[test]
+    fn a_duplicate_event_seq_is_corrupt() {
+        assert_hostile_events_are_corrupt(|region| region.events[2].seq = region.events[1].seq);
+    }
+
+    #[test]
+    fn an_event_seq_at_or_past_next_seq_is_corrupt() {
+        for ahead in [0, 7] {
+            assert_hostile_events_are_corrupt(|region| {
+                region.events[1].seq = region.next_seq + ahead;
+            });
+        }
     }
 
     #[test]

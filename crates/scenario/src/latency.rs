@@ -33,25 +33,27 @@ use crate::eligibility::{CandidateRows, EligibilityTensor, SparseEligibility};
 use crate::entities::UserId;
 use crate::error::ScenarioError;
 
-/// The `M × K` downlink rates `C_{m,k}` in bits per second, stored
-/// row-compressed: each server row keeps entries only for the users it
-/// covers (the paper never downloads directly from a non-covering server;
-/// relayed delivery uses the covering servers' rates instead).
+/// The downlink rates `C_{m,k}` in bits per second, stored user-major:
+/// user `k`'s row holds one rate per covering server, aligned with
+/// [`CoverageMap::servers_of_user`]`(k)` (ascending server index). The
+/// paper never downloads directly from a non-covering server — relayed
+/// delivery uses the covering servers' rates instead — so memory scales
+/// with the number of covered `(server, user)` pairs: megabytes instead
+/// of gigabytes at city scale (1000+ servers, 50k+ users).
 ///
-/// Point lookups for uncovered in-range pairs return `0.0`, preserving
-/// the semantics of the earlier dense matrix, while memory scales with
-/// the number of covered `(server, user)` pairs — the difference between
-/// megabytes and gigabytes at city scale (1000+ servers, 50k+ users).
-/// [`RateMatrix::covered_rates`] iterates a row without paying per-user
-/// lookups.
+/// A request by user `k` is priced only through `k`'s own row (Eqs.
+/// 4–5), so [`RateMatrix::user_rates`] hands the candidate kernel one
+/// contiguous slice with no search and no copy. Point lookups through
+/// [`RateMatrix::rate_bps`] return `0.0` for uncovered in-range pairs,
+/// the semantics of the earlier dense matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateMatrix {
-    num_users: usize,
-    /// CSR row offsets, length `M + 1`.
-    row_offsets: Vec<usize>,
-    /// Covered user indices, ascending within each row.
-    users: Vec<u32>,
-    /// Rates aligned with `users`.
+    num_servers: usize,
+    /// CSR row offsets, length `K + 1`.
+    user_offsets: Vec<usize>,
+    /// Covering server indices, ascending within each user row.
+    servers: Vec<u32>,
+    /// Rates aligned with `servers`.
     rates_bps: Vec<f64>,
 }
 
@@ -72,7 +74,9 @@ impl RateMatrix {
 
     /// Computes a rate matrix with an arbitrary per-link fading power gain
     /// supplied by `fading_gain(m, k)` for every covered pair; used by the
-    /// Monte-Carlo evaluation over Rayleigh realisations.
+    /// Monte-Carlo evaluation over Rayleigh realisations. The closure is
+    /// called server by server, each server's users ascending — the draw
+    /// order of every seeded fading result.
     ///
     /// # Errors
     ///
@@ -87,9 +91,9 @@ impl RateMatrix {
         F: FnMut(usize, usize) -> f64,
     {
         let mut rates = Self {
-            num_users: 0,
-            row_offsets: Vec::new(),
-            users: Vec::new(),
+            num_servers: 0,
+            user_offsets: Vec::new(),
+            servers: Vec::new(),
             rates_bps: Vec::new(),
         };
         rates.write_rows(coverage, allocation, params, fading_gain)?;
@@ -115,7 +119,11 @@ impl RateMatrix {
         self.write_rows(coverage, allocation, params, |_m, _k| 1.0)
     }
 
-    /// Writes every server's row from scratch, one pass in server order.
+    /// Writes every user's row from scratch in one pass in server order
+    /// (the fading draw order), scattering each rate into its user's
+    /// row. While the pass runs, `user_offsets[k + 1]` is user `k`'s
+    /// write cursor: it starts at the row's first entry and ends one past
+    /// its last, which is the next row's start.
     fn write_rows<F>(
         &mut self,
         coverage: &CoverageMap,
@@ -135,37 +143,68 @@ impl RateMatrix {
                 ),
             });
         }
-        self.num_users = coverage.num_users();
-        self.row_offsets.clear();
-        self.row_offsets.push(0);
-        self.users.clear();
+        self.num_servers = coverage.num_servers();
+        self.user_offsets.clear();
+        self.user_offsets.push(0);
+        let mut pairs = 0;
+        for k in 0..coverage.num_users() {
+            self.user_offsets.push(pairs);
+            pairs += coverage.servers_of_user(k)?.len();
+        }
+        self.servers.clear();
+        self.servers.resize(pairs, 0);
         self.rates_bps.clear();
+        self.rates_bps.resize(pairs, 0.0);
         for m in 0..coverage.num_servers() {
             let share = allocation.share(m)?;
             let ctx = RateContext::new(share.bandwidth_hz, share.power_w, params);
             for &k in coverage.users_of_server(m)? {
                 let d = coverage.distance_m(m, k)?;
-                self.users.push(k as u32);
-                self.rates_bps.push(ctx.rate_bps(d, fading_gain(m, k)));
+                let cursor = &mut self.user_offsets[k + 1];
+                self.servers[*cursor] = m as u32;
+                self.rates_bps[*cursor] = ctx.rate_bps(d, fading_gain(m, k));
+                *cursor += 1;
             }
-            self.row_offsets.push(self.users.len());
         }
         Ok(())
     }
 
-    /// Number of servers (rows).
+    /// Number of servers.
     pub fn num_servers(&self) -> usize {
-        self.row_offsets.len() - 1
+        self.num_servers
     }
 
-    /// Number of users (columns).
+    /// Number of users (rows).
     pub fn num_users(&self) -> usize {
-        self.num_users
+        self.user_offsets.len() - 1
     }
 
     /// Number of stored (covered) `(server, user)` entries.
     pub fn num_covered_pairs(&self) -> usize {
-        self.users.len()
+        self.servers.len()
+    }
+
+    /// User `k`'s row bounds in `servers` / `rates_bps`.
+    fn row(&self, k: usize) -> Result<std::ops::Range<usize>, ScenarioError> {
+        match (self.user_offsets.get(k), self.user_offsets.get(k + 1)) {
+            (Some(&start), Some(&end)) => Ok(start..end),
+            _ => Err(ScenarioError::IndexOutOfRange {
+                entity: "user",
+                index: k,
+                len: self.num_users(),
+            }),
+        }
+    }
+
+    /// User `k`'s rates, one per covering server, aligned with
+    /// [`CoverageMap::servers_of_user`]`(k)` of the coverage they were
+    /// written from. Empty for an uncovered user.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::IndexOutOfRange`] for an unknown user.
+    pub fn user_rates(&self, k: usize) -> Result<&[f64], ScenarioError> {
+        Ok(&self.rates_bps[self.row(k)?])
     }
 
     /// The rate from server `m` to user `k` in bits per second (zero when
@@ -175,49 +214,18 @@ impl RateMatrix {
     ///
     /// Returns [`ScenarioError::IndexOutOfRange`] for unknown indices.
     pub fn rate_bps(&self, m: usize, k: usize) -> Result<f64, ScenarioError> {
-        if m >= self.num_servers() {
+        if m >= self.num_servers {
             return Err(ScenarioError::IndexOutOfRange {
                 entity: "server",
                 index: m,
-                len: self.num_servers(),
+                len: self.num_servers,
             });
         }
-        if k >= self.num_users {
-            return Err(ScenarioError::IndexOutOfRange {
-                entity: "user",
-                index: k,
-                len: self.num_users,
-            });
-        }
-        let row = &self.users[self.row_offsets[m]..self.row_offsets[m + 1]];
-        Ok(match row.binary_search(&(k as u32)) {
-            Ok(pos) => self.rates_bps[self.row_offsets[m] + pos],
+        let row = self.row(k)?;
+        Ok(match self.servers[row.clone()].binary_search(&(m as u32)) {
+            Ok(pos) => self.rates_bps[row.start + pos],
             Err(_) => 0.0,
         })
-    }
-
-    /// Iterates the covered `(user, rate_bps)` pairs of server `m` in
-    /// ascending user order, without per-user lookups.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::IndexOutOfRange`] for an unknown server.
-    pub fn covered_rates(
-        &self,
-        m: usize,
-    ) -> Result<impl Iterator<Item = (usize, f64)> + '_, ScenarioError> {
-        if m >= self.num_servers() {
-            return Err(ScenarioError::IndexOutOfRange {
-                entity: "server",
-                index: m,
-                len: self.num_servers(),
-            });
-        }
-        let range = self.row_offsets[m]..self.row_offsets[m + 1];
-        Ok(self.users[range.clone()]
-            .iter()
-            .zip(&self.rates_bps[range])
-            .map(|(&k, &r)| (k as usize, r)))
     }
 }
 
@@ -236,11 +244,12 @@ impl RateMatrix {
 /// and `latency_s` for every server. The row builders drop the latency.
 ///
 /// * An uncovered user has no candidates.
-/// * Otherwise the covering servers' direct rates are loaded once per
-///   user. A covering server is decided by Eq. (4) on its own rate; on
-///   the uniform backhaul mesh all non-covering servers share one
-///   Eq. (5) latency (constant backhaul transfer plus the best direct
-///   leg), so a single compare decides them together.
+/// * Otherwise the covering servers' direct rates are the user's own
+///   row of the [`RateMatrix`], read in place. A covering server is
+///   decided by Eq. (4) on its own rate; on the uniform backhaul mesh
+///   all non-covering servers share one Eq. (5) latency (constant
+///   backhaul transfer plus the best direct leg), so a single compare
+///   decides them together.
 ///
 /// A user therefore costs `I × |covering|` compares plus `M` pushes per
 /// relayed class, instead of `M × I` latency evaluations.
@@ -372,12 +381,12 @@ impl<'a> LatencyEvaluator<'a> {
     ///
     /// Returns an error for inconsistent components.
     pub fn eligibility(&self) -> Result<EligibilityTensor, ScenarioError> {
-        let mut scratch = self.kernel_scratch()?;
+        let size_bits = self.model_sizes_bits()?;
         EligibilityTensor::from_user_rows(
             self.coverage.num_servers(),
             self.coverage.num_users(),
             self.library.num_models(),
-            |k, rows| self.append_user_candidates(k, &mut scratch, rows),
+            |k, rows| self.append_user_candidates(k, &size_bits, rows),
         )
     }
 
@@ -396,26 +405,21 @@ impl<'a> LatencyEvaluator<'a> {
     ///
     /// Returns an error for inconsistent components.
     pub fn sparse_eligibility(&self) -> Result<SparseEligibility, ScenarioError> {
-        let mut scratch = self.kernel_scratch()?;
+        let size_bits = self.model_sizes_bits()?;
         SparseEligibility::from_user_rows(
             self.coverage.num_servers(),
             self.coverage.num_users(),
             self.library.num_models(),
-            |k, rows| self.append_user_candidates(k, &mut scratch, rows),
+            |k, rows| self.append_user_candidates(k, &size_bits, rows),
         )
     }
 
-    /// Fresh scratch for [`LatencyEvaluator::append_user_candidates`]:
-    /// the per-model download sizes in bits, exactly as
+    /// Every model's download size in bits, exactly as
     /// [`LatencyEvaluator::latency_s`] derives them.
-    fn kernel_scratch(&self) -> Result<KernelScratch, ScenarioError> {
-        let size_bits = (0..self.library.num_models())
+    fn model_sizes_bits(&self) -> Result<Vec<f64>, ScenarioError> {
+        (0..self.library.num_models())
             .map(|i| self.size_bits(ModelId(i)))
-            .collect::<Result<_, ScenarioError>>()?;
-        Ok(KernelScratch {
-            size_bits,
-            covering: CandidateScratch::default(),
-        })
+            .collect()
     }
 
     /// Model `i`'s download size in bits, as [`LatencyEvaluator::latency_s`]
@@ -426,31 +430,39 @@ impl<'a> LatencyEvaluator<'a> {
 
     /// The per-user candidate kernel: appends user `k`'s `I` candidate
     /// rows to `rows`, row `i` listing ascending every server `m` with
-    /// `I1(m, k, i)`. An uncovered user gets `I` empty rows. The covering
-    /// servers' rates are loaded once per user and each model is decided
-    /// by `class_pass`; the latencies it yields are dropped.
+    /// `I1(m, k, i)`, from the models' download sizes `size_bits`. An
+    /// uncovered user gets `I` empty rows. The user's rate row is read
+    /// once and each model is decided by `class_pass`; the latencies it
+    /// yields are dropped.
     fn append_user_candidates(
         &self,
         k: usize,
-        scratch: &mut KernelScratch,
+        size_bits: &[f64],
         rows: &mut CandidateRows,
     ) -> Result<(), ScenarioError> {
-        let covering = self.coverage.servers_of_user(k)?;
-        if covering.is_empty() {
-            for _ in 0..scratch.size_bits.len() {
-                rows.end_row();
-            }
-            return Ok(());
-        }
-        let user = UserId(k);
-        scratch.covering.load(self.rates, k, covering)?;
-        for (i, &size_bits) in scratch.size_bits.iter().enumerate() {
-            let model = ModelId(i);
+        let row = self.covering_row(k)?;
+        for (i, &size_bits) in size_bits.iter().enumerate() {
             let push = |m, _latency| rows.push_server(m);
-            self.class_pass(user, model, size_bits, covering, &scratch.covering, push)?;
+            self.class_pass(UserId(k), ModelId(i), size_bits, row, push)?;
             rows.end_row();
         }
         Ok(())
+    }
+
+    /// User `k`'s covering servers, its aligned rate row and the row's
+    /// best rate, which realises the minimum relayed latency of Eq. (5)
+    /// on the uniform mesh.
+    fn covering_row(&self, k: usize) -> Result<CoveringRow<'a>, ScenarioError> {
+        let (covering, rates) = (self.coverage.servers_of_user(k)?, self.rates.user_rates(k)?);
+        if rates.len() != covering.len() {
+            return Err(ScenarioError::DimensionMismatch {
+                reason: format!("user {k}'s rate row does not match its covering servers"),
+            });
+        }
+        let best = rates
+            .iter()
+            .fold(0.0, |best, &r| if r > best { r } else { best });
+        Ok((covering, rates, best))
     }
 
     /// Scores the one request class `(user, model)`: calls `visit(m,
@@ -458,12 +470,11 @@ impl<'a> LatencyEvaluator<'a> {
     /// server order, where `latency` is bit-identical to
     /// [`LatencyEvaluator::latency_s`]. This is the candidate kernel's
     /// pass (see [`LatencyEvaluator`]) for one class, read from the radio
-    /// state and never from a stored eligibility row. `scratch` holds the
-    /// user's covering rates, so a caller scoring many classes allocates
-    /// nothing per call once its buffer has grown.
+    /// state and never from a stored eligibility row; it allocates
+    /// nothing.
     ///
-    /// Cost: one walk over the user's covering servers plus one relay
-    /// decision, and one visit per candidate.
+    /// Cost: one walk over the user's rate row plus one relay decision,
+    /// and one visit per candidate.
     ///
     /// # Errors
     ///
@@ -472,23 +483,16 @@ impl<'a> LatencyEvaluator<'a> {
         &self,
         user: UserId,
         model: ModelId,
-        scratch: &mut CandidateScratch,
         visit: impl FnMut(usize, f64),
     ) -> Result<(), ScenarioError> {
-        let k = user.index();
-        let covering = self.coverage.servers_of_user(k)?;
-        if covering.is_empty() {
-            return Ok(());
-        }
-        let size_bits = self.size_bits(model)?;
-        scratch.load(self.rates, k, covering)?;
-        self.class_pass(user, model, size_bits, covering, scratch, visit)
+        let row = self.covering_row(user.index())?;
+        self.class_pass(user, model, self.size_bits(model)?, row, visit)
     }
 
     /// Yields, in ascending server order, every candidate server of one
-    /// request class with its latency,
-    /// from the user's covering rates loaded into `rates` and the model's
-    /// download size `size_bits`.
+    /// request class with its latency, from the user's covering `row`
+    /// and the model's download size `size_bits`; none for an uncovered
+    /// user.
     ///
     /// Bit-identical to probing every server through
     /// [`LatencyEvaluator::latency_s`] and [`LatencyEvaluator::eligible`]:
@@ -504,11 +508,12 @@ impl<'a> LatencyEvaluator<'a> {
         user: UserId,
         model: ModelId,
         size_bits: f64,
-        covering: &[usize],
-        rates: &CandidateScratch,
+        (covering, rates, best_rate): CoveringRow<'_>,
         mut visit: impl FnMut(usize, f64),
     ) -> Result<(), ScenarioError> {
-        let best_rate = rates.best;
+        if covering.is_empty() {
+            return Ok(());
+        }
         let m_count = self.coverage.num_servers();
         let inference = self.demand.inference_s(user, model)?;
         let deadline = self.demand.deadline_s(user, model)?;
@@ -532,7 +537,7 @@ impl<'a> LatencyEvaluator<'a> {
         } else {
             None
         };
-        let mut cover = covering.iter().zip(&rates.rates);
+        let mut cover = covering.iter().zip(rates);
         match relay {
             // Every non-covering server qualifies; covering servers
             // qualify when direct-eligible.
@@ -562,46 +567,9 @@ impl<'a> LatencyEvaluator<'a> {
     }
 }
 
-/// Reusable state of the per-user candidate kernel
-/// ([`LatencyEvaluator::append_user_candidates`]).
-#[derive(Debug)]
-struct KernelScratch {
-    /// Per-model download sizes in bits.
-    size_bits: Vec<f64>,
-    /// The current user's covering rates.
-    covering: CandidateScratch,
-}
-
-/// Reusable buffer of the candidate kernel: one user's covering
-/// servers' direct downlink rates, aligned with its covering list, and
-/// their best, which realises the minimum relayed latency of Eq. (5) on
-/// the uniform mesh. See [`LatencyEvaluator::scored_candidates`].
-#[derive(Debug, Clone, Default)]
-pub struct CandidateScratch {
-    rates: Vec<f64>,
-    best: f64,
-}
-
-impl CandidateScratch {
-    /// Loads user `k`'s rates from its `covering` servers.
-    fn load(
-        &mut self,
-        rates: &RateMatrix,
-        k: usize,
-        covering: &[usize],
-    ) -> Result<(), ScenarioError> {
-        self.rates.clear();
-        self.best = 0.0;
-        for &m in covering {
-            let rate = rates.rate_bps(m, k)?;
-            self.rates.push(rate);
-            if rate > self.best {
-                self.best = rate;
-            }
-        }
-        Ok(())
-    }
-}
+/// A user's covering servers, aligned rate row and best rate (see
+/// `LatencyEvaluator::covering_row`).
+type CoveringRow<'r> = (&'r [usize], &'r [f64], f64);
 
 #[cfg(test)]
 mod tests {
@@ -669,13 +637,16 @@ mod tests {
         // Server 0 covers user 0, server 1 covers user 1; user 2 is
         // uncovered: two stored entries instead of a dense 2 x 3 = 6.
         assert_eq!(f.rates.num_covered_pairs(), 2);
-        let row0: Vec<(usize, f64)> = f.rates.covered_rates(0).unwrap().collect();
-        assert_eq!(row0.len(), 1);
-        assert_eq!(row0[0].0, 0);
-        assert_eq!(row0[0].1, f.rates.rate_bps(0, 0).unwrap());
-        let row1: Vec<(usize, f64)> = f.rates.covered_rates(1).unwrap().collect();
-        assert_eq!(row1, vec![(1, f.rates.rate_bps(1, 1).unwrap())]);
-        assert!(f.rates.covered_rates(5).is_err());
+        assert_eq!(
+            f.rates.user_rates(0).unwrap(),
+            [f.rates.rate_bps(0, 0).unwrap()]
+        );
+        assert_eq!(
+            f.rates.user_rates(1).unwrap(),
+            [f.rates.rate_bps(1, 1).unwrap()]
+        );
+        assert!(f.rates.user_rates(2).unwrap().is_empty());
+        assert!(f.rates.user_rates(3).is_err());
     }
 
     #[test]
@@ -819,14 +790,13 @@ mod tests {
         eval: &LatencyEvaluator<'_>,
         coverage: &CoverageMap,
     ) -> (usize, usize) {
-        let mut scratch = CandidateScratch::default();
         let (mut direct, mut relayed) = (0, 0);
         for k in 0..coverage.num_users() {
             let covering = coverage.servers_of_user(k).unwrap();
             for i in 0..eval.num_models() {
                 let (user, model) = (UserId(k), ModelId(i));
                 let mut scored = Vec::new();
-                eval.scored_candidates(user, model, &mut scratch, |m, latency| {
+                eval.scored_candidates(user, model, |m, latency| {
                     scored.push((m, latency.to_bits()));
                 })
                 .unwrap();
@@ -896,6 +866,62 @@ mod tests {
             let backhaul = Backhaul::uniform(num_servers, backhaul_gbps * 1e9).unwrap();
             let eval = LatencyEvaluator::new(&library, &demand, &coverage, &backhaul, &rates).unwrap();
             assert_scores_match_oracle(&eval, &coverage);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// On random deployments — a linear scan or, above 128 servers,
+        /// the spatial grid, with always one uncovered user — every
+        /// user's row entry `j` equals the pointwise Eq. (1) rate of its
+        /// `j`-th covering server bit for bit, and `rate_bps` answers
+        /// that rate for covered pairs, `0.0` for uncovered ones and an
+        /// error out of range.
+        #[test]
+        fn user_rate_rows_match_the_pointwise_rates(
+            seed in 0u64..1_000_000,
+            num_servers in 1usize..300,
+            num_users in 1usize..40,
+        ) {
+            use rand::Rng;
+            let params = RadioParams::paper_defaults();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let side = 250.0 * (num_servers as f64).sqrt();
+            let mut point = || Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
+            let servers: Vec<Point> = (0..num_servers).map(|_| point()).collect();
+            let mut users: Vec<Point> = (0..num_users).map(|_| point()).collect();
+            users.push(Point::new(-5_000.0, -5_000.0));
+            let coverage = CoverageMap::build(&users, &servers, params.coverage_radius_m).unwrap();
+            let allocation = PerUserAllocation::compute(&coverage, &params).unwrap();
+            let rates = RateMatrix::expected(&coverage, &allocation, &params).unwrap();
+            proptest::prop_assert_eq!(rates.num_users(), users.len());
+            proptest::prop_assert_eq!(rates.num_servers(), num_servers);
+            let mut pairs = 0;
+            for k in 0..users.len() {
+                let covering = coverage.servers_of_user(k).unwrap();
+                let row = rates.user_rates(k).unwrap();
+                proptest::prop_assert_eq!(row.len(), covering.len());
+                pairs += row.len();
+                for (&m, &rate) in covering.iter().zip(row) {
+                    let share = allocation.share(m).unwrap();
+                    let ctx = RateContext::new(share.bandwidth_hz, share.power_w, &params);
+                    let pointwise = ctx.rate_bps(coverage.distance_m(m, k).unwrap(), 1.0);
+                    proptest::prop_assert_eq!(rate.to_bits(), pointwise.to_bits());
+                }
+                for m in 0..num_servers {
+                    let expected = covering
+                        .iter()
+                        .position(|&c| c == m)
+                        .map_or(0.0, |j| row[j]);
+                    proptest::prop_assert_eq!(rates.rate_bps(m, k).unwrap().to_bits(), expected.to_bits());
+                }
+                proptest::prop_assert!(rates.rate_bps(num_servers, k).is_err());
+            }
+            proptest::prop_assert!(rates.user_rates(num_users).unwrap().is_empty());
+            proptest::prop_assert!(rates.user_rates(users.len()).is_err());
+            proptest::prop_assert!(rates.rate_bps(0, users.len()).is_err());
+            proptest::prop_assert_eq!(rates.num_covered_pairs(), pairs);
         }
     }
 

@@ -6,9 +6,9 @@
 //! * [`entities`] — edge servers (with storage capacities `Q_m`) and users;
 //! * [`demand`] — request probabilities `p_{k,i}`, QoS budgets `T̄_{k,i}`
 //!   and on-device inference latencies `t_{k,i}`;
-//! * [`latency`] — the downlink rate matrix (row-compressed to covered
-//!   pairs), end-to-end latency of Eqs. (4)–(5) and the constructors of
-//!   the service-eligibility indicator `I1(m,k,i)`;
+//! * [`latency`] — the downlink rate matrix (one row per user over its
+//!   covering servers), end-to-end latency of Eqs. (4)–(5) and the
+//!   constructors of the service-eligibility indicator `I1(m,k,i)`;
 //! * [`eligibility`] — the [`EligibilityView`] trait and its two
 //!   representations (see below);
 //! * [`placement`] — the decision variables `x_{m,i}` (and their block-level
@@ -118,7 +118,7 @@ pub use eligibility::{
 };
 pub use entities::{gigabytes, EdgeServer, ServerId, User, UserId};
 pub use error::ScenarioError;
-pub use latency::{CandidateScratch, LatencyEvaluator, RateMatrix};
+pub use latency::{LatencyEvaluator, RateMatrix};
 pub use mobility::{CommuterFlow, MobilityClass, MobilityModel};
 pub use objective::{Coverage, HitRatioObjective};
 pub use placement::Placement;
