@@ -58,7 +58,7 @@ use crate::engine::{
     Shared,
 };
 use crate::error::RuntimeError;
-use crate::event::EventKind;
+use crate::event::{Event, EventKind};
 use crate::fanout::par_map;
 use crate::persist::checkpoint::CheckpointSaver;
 use crate::persist::{Checkpoint, PersistConfig, PersistError};
@@ -347,6 +347,15 @@ impl<'a> ShardedServeEngine<'a> {
         engine.shared.primary = cp.primary.clone();
         engine.shared.owner = engine.partition.owners_of(&cp.positions);
         engine.shared.generation = cp.generation.clone();
+        // A dispatch never checks the invariant the merges keep, so a
+        // broken chain would run: one user served twice, another never.
+        let regions = cp.regions.iter().map(|r| r.events.iter().copied());
+        if let Some(breach) = request_chain_breach(regions, &engine.shared.owner, &cp.generation) {
+            return Err(PersistError::Corrupt {
+                context: format!("checkpoint: {breach}"),
+            }
+            .into());
+        }
         engine.shared.scheduled = cp.scheduled.clone();
         for (shard, region) in engine.shards.iter_mut().zip(&cp.regions) {
             let state = shard
@@ -636,37 +645,16 @@ impl<'a> ShardedServeEngine<'a> {
     }
 
     /// The merge invariant, checked after every merge in debug builds:
-    /// every user has exactly one live request chain — one pending
-    /// `Request` event of the current generation — and it sits in the
-    /// queue of the user's owner region.
+    /// [`request_chain_breach`] over every region's queue.
     fn check_request_chains(&self) -> Result<(), RuntimeError> {
-        let mut live = vec![0u32; self.shared.owner.len()];
-        for (s, shard) in self.shards.iter().enumerate() {
-            let state = shard.state.as_ref().ok_or_else(no_run_state)?;
-            for event in state.queue.iter() {
-                let EventKind::Request { user, generation } = event.kind else {
-                    continue;
-                };
-                let k = user.index();
-                if generation != self.shared.generation[k] {
-                    continue;
-                }
-                if self.shared.owner[k] != s {
-                    return Err(RuntimeError::Internal {
-                        reason: format!(
-                            "user {k} has a live request chain in region {s} but is owned by \
-                             region {}",
-                            self.shared.owner[k]
-                        ),
-                    });
-                }
-                live[k] += 1;
-            }
-        }
-        match live.iter().position(|&chains| chains != 1) {
-            Some(k) => Err(RuntimeError::Internal {
-                reason: format!("user {k} has {} live request chains, not one", live[k]),
-            }),
+        let queues = self
+            .shards
+            .iter()
+            .map(|shard| Ok(&shard.state.as_ref().ok_or_else(no_run_state)?.queue))
+            .collect::<Result<Vec<_>, RuntimeError>>()?;
+        let regions = queues.iter().map(|queue| queue.iter());
+        match request_chain_breach(regions, &self.shared.owner, &self.shared.generation) {
+            Some(reason) => Err(RuntimeError::Internal { reason }),
             None => Ok(()),
         }
     }
@@ -688,6 +676,39 @@ impl<'a> ShardedServeEngine<'a> {
             None => Ok(()),
         }
     }
+}
+
+/// The one-live-chain invariant over the pending events of every region,
+/// in region order: every user has exactly one live request chain — one
+/// pending `Request` event of the user's current generation — and it
+/// sits in the queue of the user's owner region. Names the first breach.
+fn request_chain_breach(
+    regions: impl Iterator<Item = impl Iterator<Item = Event>>,
+    owner: &[usize],
+    generations: &[u32],
+) -> Option<String> {
+    let mut live = vec![0u32; owner.len()];
+    for (s, events) in regions.enumerate() {
+        for event in events {
+            let EventKind::Request { user, generation } = event.kind else {
+                continue;
+            };
+            let k = user.index();
+            if generation != generations[k] {
+                continue;
+            }
+            if owner[k] != s {
+                let o = owner[k];
+                return Some(format!(
+                    "user {k}'s live request chain is in region {s}, not {o}"
+                ));
+            }
+            live[k] += 1;
+        }
+    }
+    let k = live.iter().position(|&chains| chains != 1)?;
+    let n = live[k];
+    Some(format!("user {k} has {n} live request chains, not one"))
 }
 
 /// Checks a checkpoint's pending events against what the restored run
@@ -1261,11 +1282,11 @@ mod tests {
         );
     }
 
-    /// A one-region run of `scenario(8)` with a fault schedule and a
-    /// scheduled reconciliation, captured at 20 s with its pending events
-    /// edited by `edit`; restoring it must fail as corrupt instead of
-    /// dispatching them.
-    fn assert_hostile_events_are_corrupt(edit: impl FnOnce(&mut RegionState)) {
+    /// A run of `scenario(8)` over `shards` regions with a fault schedule
+    /// and a scheduled reconciliation, captured at 20 s and edited by
+    /// `edit`; restoring it must fail as corrupt instead of dispatching
+    /// it. Returns the error's context.
+    fn hostile_checkpoint_context(shards: usize, edit: impl FnOnce(&mut Checkpoint)) -> String {
         use crate::faults::{FaultConfig, FaultKind, FaultSpec};
 
         let s = scenario(8);
@@ -1277,22 +1298,68 @@ mod tests {
             .with_seed(5)
             .with_mobility_slot_s(5.0)
             .with_faults(faults);
-        let mut engine = ShardedServeEngine::new(&s, &Lru, config, 1).unwrap();
+        let mut engine = ShardedServeEngine::new(&s, &Lru, config, shards).unwrap();
         engine
             .schedule_reconcile(40.0, s.empty_placement())
             .unwrap();
         engine.run_to(20.0).unwrap();
         let mut cp = engine.capture(20.0).unwrap();
         assert!(cp.regions[0].events.len() > 2);
-        edit(&mut cp.regions[0]);
+        edit(&mut cp);
         let resumed = ShardedServeEngine::restore(&s, &Lru, &cp, None).and_then(|e| e.run());
+        match resumed {
+            Err(RuntimeError::Persist(PersistError::Corrupt { context })) => context,
+            other => panic!("{:?}: {other:?}", cp.regions),
+        }
+    }
+
+    /// A one-region [`hostile_checkpoint_context`] with its pending
+    /// events edited by `edit`.
+    fn assert_hostile_events_are_corrupt(edit: impl FnOnce(&mut RegionState)) {
+        hostile_checkpoint_context(1, |cp| edit(&mut cp.regions[0]));
+    }
+
+    /// Whether `event` is a `Request` of its user's current generation.
+    fn is_live(cp: &Checkpoint, event: &Event) -> bool {
+        matches!(event.kind, EventKind::Request { user, generation }
+            if cp.generation[user.index()] == generation)
+    }
+
+    #[test]
+    fn a_broken_request_chain_is_corrupt() {
+        // One live request rewritten to another pending user: that user
+        // holds two live chains and the first holds none.
+        let context = hostile_checkpoint_context(1, |cp| {
+            let live: Vec<usize> = (0..cp.regions[0].events.len())
+                .filter(|&e| is_live(cp, &cp.regions[0].events[e]))
+                .collect();
+            let events = &mut cp.regions[0].events;
+            events[live[0]].kind = events[live[1]].kind;
+        });
         assert!(
-            matches!(
-                resumed,
-                Err(RuntimeError::Persist(PersistError::Corrupt { .. }))
-            ),
-            "{:?}: {resumed:?}",
-            cp.regions[0].events
+            context.contains("live request chains, not one"),
+            "{context}"
+        );
+        // A live request dropped: its user holds no chain.
+        let context = hostile_checkpoint_context(1, |cp| {
+            let first = cp.regions[0].events.iter().position(|e| is_live(cp, e));
+            cp.regions[0].events.remove(first.unwrap());
+        });
+        assert!(context.contains("0 live request chains"), "{context}");
+        // A live request moved to the next of four regions under a fresh
+        // sequence number there, so only ownership is wrong.
+        let context = hostile_checkpoint_context(4, |cp| {
+            let (from, e) = (0..4)
+                .find_map(|r| Some((r, cp.regions[r].events.iter().position(|e| is_live(cp, e))?)))
+                .unwrap();
+            let mut event = cp.regions[from].events.remove(e);
+            let to = &mut cp.regions[(from + 1) % 4];
+            (event.seq, to.next_seq) = (to.next_seq, to.next_seq + 1);
+            to.events.push(event);
+        });
+        assert!(
+            context.contains("live request chain is in region"),
+            "{context}"
         );
     }
 

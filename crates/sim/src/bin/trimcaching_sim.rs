@@ -8,8 +8,8 @@
 //!
 //! experiments: fig1 fig4a fig4b fig4c fig5a fig5b fig5c fig6a fig6b fig7
 //!              serve serve-trace serve-blocks serve-adapt serve-adapt-trace
-//!              serve-journal resume fork-ab journal-stats serve-faults
-//!              replacement replacement-trigger lora-market city-scale
+//!              serve-adapt-mobility serve-journal resume fork-ab
+//!              journal-stats serve-faults lora-market city-scale
 //!              serve-sharded serve-sharded-xl sweep sweep-report
 //!              ablation-epsilon ablation-sharing ablation-zipf
 //!              ablation-scaling ablation-backhaul ablation-deadline
@@ -47,8 +47,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use trimcaching_sim::experiments::{
-    ablation, adapt, city, durable, faults, fig1, fig4, fig5, fig6, fig7, lora, replacement, serve,
-    sharded, RunConfig,
+    ablation, adapt, city, durable, faults, fig1, fig4, fig5, fig6, fig7, lora, serve, sharded,
+    RunConfig,
 };
 use trimcaching_sim::montecarlo::MonteCarloConfig;
 use trimcaching_sim::{sweep, SimError, SweepSpec};
@@ -71,9 +71,9 @@ fn print_usage() {
          [--realisations N] [--models-per-backbone N] [--seed N] [--csv] [--out FILE] \
          [--dir DIR] [--shards N] [--threads N]\n\
          experiments: fig1 fig4a fig4b fig4c fig5a fig5b fig5c fig6a fig6b fig7 \
-         serve serve-trace serve-blocks serve-adapt serve-adapt-trace \
-         serve-journal resume fork-ab journal-stats serve-faults replacement \
-         replacement-trigger lora-market city-scale serve-sharded serve-sharded-xl \
+         serve serve-trace serve-blocks serve-adapt serve-adapt-trace serve-adapt-mobility \
+         serve-journal resume fork-ab journal-stats serve-faults lora-market city-scale \
+         serve-sharded serve-sharded-xl \
          sweep sweep-report ablation-epsilon ablation-sharing ablation-zipf ablation-scaling \
          ablation-backhaul ablation-deadline ablation-shadowing all"
     );
@@ -273,13 +273,12 @@ fn run_experiment(
         "serve-blocks" => render_table(serve::block_fill_comparison(config)?),
         "serve-adapt" => render_table(adapt::adaptive_serving(config)?),
         "serve-adapt-trace" => render_table(adapt::adaptive_trace(config)?),
+        "serve-adapt-mobility" => render_table(adapt::adaptive_mobility(config)?),
         "serve-journal" => render_table(durable::serve_journal(config, dir)?),
         "resume" => render_table(durable::resume_run(config, dir)?),
         "fork-ab" => render_table(durable::fork_ab(config, dir)?),
         "journal-stats" => render_table(durable::journal_stats(dir)?),
         "serve-faults" => render_table(faults::failover_study(config)?),
-        "replacement" => render_table(replacement::replacement_study(config)?),
-        "replacement-trigger" => render_table(replacement::trigger_sweep(config)?),
         "lora-market" => render_table(lora::capacity_sweep(config)?),
         "city-scale" => render_table(city::city_scale_study(config)?),
         "serve-sharded" => render_table(sharded::sharded_scaling_study(config, shards, threads)?),
@@ -311,9 +310,8 @@ fn run_experiment(
                 "serve-blocks",
                 "serve-adapt",
                 "serve-adapt-trace",
+                "serve-adapt-mobility",
                 "serve-faults",
-                "replacement",
-                "replacement-trigger",
                 "lora-market",
                 "city-scale",
                 "ablation-epsilon",

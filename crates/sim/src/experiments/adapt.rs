@@ -22,17 +22,26 @@
 //! All reconfiguration bytes cross the modelled backhaul links, so the
 //! cost of adapting is visible in the same backhaul/latency columns as
 //! regular misses.
+//!
+//! [`adaptive_mobility`] runs the same controller on the paper's other
+//! source of staleness: users moving under the `paper_mix` model for the
+//! two hours of Fig. 7. The paper re-runs the placement "when the
+//! performance degrades to a certain threshold" (Section IV-A); the
+//! study sweeps that threshold ([`DriftConfig::degradation`]) next to a
+//! static placement and reports what each setting buys and costs.
 
-use trimcaching_placement::TrimCachingGenLazy;
+use trimcaching_placement::{PlacementAlgorithm, TrimCachingGenLazy};
 use trimcaching_runtime::control::DriftConfig;
+use trimcaching_runtime::fanout::par_map;
 use trimcaching_runtime::{
-    rotate_popularity, ControlConfig, CostAwareLfu, PopularityEdit, ServeConfig, ServeEngine,
-    ServeReport, Workload,
+    rotate_popularity, serve, ControlConfig, CostAwareLfu, PopularityEdit, ServeConfig,
+    ServeEngine, ServeMetrics, ServeReport, Workload,
 };
+use trimcaching_scenario::mobility::PAPER_SLOT_SECONDS;
 use trimcaching_scenario::Scenario;
 
 use crate::experiments::{LibraryKind, RunConfig};
-use crate::report::{ExperimentTable, Measurement};
+use crate::report::{ExperimentTable, Measurement, PairedDifference};
 use crate::topology::TopologyConfig;
 use crate::SimError;
 
@@ -231,6 +240,116 @@ pub fn adaptive_serving(config: &RunConfig) -> Result<ExperimentTable, SimError>
                     mean: m.replans_triggered as f64,
                     std_dev: 0.0,
                 },
+            ],
+        );
+    }
+    Ok(table)
+}
+
+/// Drift thresholds ([`DriftConfig::degradation`]) swept by
+/// [`adaptive_mobility`], loosest last.
+pub const TRIGGER_POINTS: [f64; 4] = [0.02, 0.05, 0.10, 0.20];
+
+/// Length of a mobility run: the two hours of Fig. 7.
+const MOBILITY_DURATION_S: f64 = 7200.0;
+
+/// Serves the fig4a deployment (`M = 10`, `K = 30`, `Q = 1` GB) on every
+/// topology of the ensemble with users moving in `paper_mix` slots: a
+/// static TrimCaching Gen-lazy warm start first, then the same warm
+/// start under [`study_control_config`] at each [`TRIGGER_POINTS`]
+/// threshold. Returns the metrics indexed `[topology][variant]`, where
+/// variant 0 is static and variant `1 + j` is trigger `j`. Every variant
+/// of a topology replays the same seeded mobility and request streams.
+///
+/// # Errors
+///
+/// Fails on zero topologies; propagates topology, placement and runtime
+/// errors.
+pub fn mobility_runs(config: &RunConfig) -> Result<Vec<Vec<ServeMetrics>>, SimError> {
+    if config.monte_carlo.topologies == 0 {
+        return Err(SimError::InvalidConfig {
+            reason: "at least one topology is required".into(),
+        });
+    }
+    let library = config.build_library(LibraryKind::Special);
+    let topology = TopologyConfig::paper_defaults();
+    let mc = &config.monte_carlo;
+    par_map(
+        &mut vec![(); mc.topologies],
+        mc.threads,
+        |index, _| -> Result<Vec<ServeMetrics>, SimError> {
+            let scenario = topology.generate(&library, mc.seed, index as u64)?;
+            let initial = TrimCachingGenLazy::new().place(&scenario)?.placement;
+            let base = ServeConfig::paper_defaults()
+                .with_duration_s(MOBILITY_DURATION_S)
+                .with_request_rate_hz(RATE_HZ)
+                .with_mobility_slot_s(PAPER_SLOT_SECONDS)
+                .with_seed(mc.seed.wrapping_add(index as u64));
+            let controlled = TRIGGER_POINTS.iter().map(|&degradation| {
+                let mut control = study_control_config();
+                control.drift.degradation = degradation;
+                base.clone().with_control(control)
+            });
+            std::iter::once(base.clone())
+                .chain(controlled)
+                .map(|serve_config| {
+                    Ok(serve(&scenario, &CostAwareLfu, Some(&initial), &serve_config)?.metrics)
+                })
+                .collect()
+        },
+    )
+}
+
+/// The controller under user mobility, one row per variant (x = the
+/// drift threshold, 0 = static): mean hit ratio, its paired difference
+/// against static over the topologies, re-plans, reconfiguration MB and
+/// handovers.
+///
+/// # Errors
+///
+/// As [`mobility_runs`].
+pub fn adaptive_mobility(config: &RunConfig) -> Result<ExperimentTable, SimError> {
+    let runs = mobility_runs(config)?;
+    let mut table = ExperimentTable::new(
+        "serve-adapt-mobility",
+        format!(
+            "Re-placement under paper_mix mobility, {MOBILITY_DURATION_S} s over {} topologies \
+             (M = 10, K = 30, Q = 1 GB; cells: mean ± std over topologies, except \
+             Δ vs static: mean paired difference ± 95% CI half-width)",
+            runs.len()
+        ),
+        "Drift threshold (0 = static)",
+        "Metric value",
+        vec![
+            "hit-ratio".into(),
+            "Δ hit-ratio vs static".into(),
+            "replans".into(),
+            "reconfig-MB".into(),
+            "handovers".into(),
+        ],
+    );
+    let static_hits: Vec<f64> = runs
+        .iter()
+        .map(|topology| topology[0].hit_ratio())
+        .collect();
+    for (v, x) in std::iter::once(0.0).chain(TRIGGER_POINTS).enumerate() {
+        let samples = |f: fn(&ServeMetrics) -> f64| -> Vec<f64> {
+            runs.iter().map(|topology| f(&topology[v])).collect()
+        };
+        let hits = samples(ServeMetrics::hit_ratio);
+        let differences: Vec<f64> = hits.iter().zip(&static_hits).map(|(a, b)| a - b).collect();
+        let paired = PairedDifference::from_differences(&differences);
+        table.push_row(
+            x,
+            vec![
+                Measurement::from_samples(&hits),
+                Measurement {
+                    mean: paired.mean,
+                    std_dev: paired.half_width,
+                },
+                Measurement::from_samples(&samples(|m| m.replans_triggered as f64)),
+                Measurement::from_samples(&samples(|m| m.reconcile_bytes_moved as f64 / 1e6)),
+                Measurement::from_samples(&samples(|m| m.handovers as f64)),
             ],
         );
     }

@@ -10,9 +10,8 @@
 //! | [`fig6::special_case_vs_optimal`] / [`fig6::general_case_runtime`] | Fig. 6(a)–(b) |
 //! | [`fig7::mobility_robustness`] | Fig. 7 |
 //! | [`ablation`] | ε sweep, sharing-depth sweep, Zipf sweep, scaling, backhaul, deadline, shadowing |
-//! | [`replacement`] | online re-placement extension of Fig. 7 |
 //! | [`serve`] | online serving via `trimcaching-runtime`: eviction policies and warm starts under live traffic |
-//! | [`adapt`] | adaptive serving under demand drift: static vs oracle replan vs the online re-placement controller |
+//! | [`adapt`] | the online re-placement controller: static vs oracle replan vs controller under demand drift, and a drift-threshold sweep under user mobility (extension of Fig. 7) |
 //! | [`city`] | city-scale Poisson deployments on the sparse eligibility representation |
 //! | [`durable`] | durable serving via `runtime::persist`: journaled runs, checkpoint resume, A/B forks, offline journal analysis |
 //! | [`faults`] | fault injection via `runtime::faults`: static vs failover-enabled serving through a deterministic outage storm |
@@ -29,7 +28,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod lora;
-pub mod replacement;
 pub mod serve;
 pub mod sharded;
 

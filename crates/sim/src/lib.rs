@@ -41,14 +41,12 @@
 pub mod error;
 pub mod experiments;
 pub mod montecarlo;
-pub mod replacement;
 pub mod report;
 pub mod sweep;
 pub mod topology;
 
 pub use error::SimError;
 pub use montecarlo::{evaluate_algorithms, AlgorithmSamples, MonteCarloConfig};
-pub use replacement::{replay_with_policy, ReplacementPolicy, ReplacementTrace, ReplayConfig};
 pub use report::{ComparisonTable, ExperimentTable, Measurement};
 pub use sweep::{run_sweep, Cell, PolicyKind, SweepReport, SweepSpec, WorkloadFamily};
 pub use topology::{CityScaleConfig, TopologyConfig};

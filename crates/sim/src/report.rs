@@ -32,6 +32,60 @@ impl Measurement {
     }
 }
 
+/// The mean of paired differences (for example one variant minus a
+/// baseline on the same topologies) with the half-width of its 95%
+/// confidence interval.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PairedDifference {
+    /// Mean of the differences.
+    pub(crate) mean: f64,
+    /// Half-width of the 95% confidence interval of the mean:
+    /// `t · s / √n`, with `s` the sample standard deviation (divisor
+    /// `n − 1`) and `t` the 0.975 quantile of Student's t with `n − 1`
+    /// degrees of freedom ([`student_t_975`]). Infinite below two pairs.
+    pub(crate) half_width: f64,
+}
+
+impl PairedDifference {
+    /// Summarises the per-pair differences `a[j] − b[j]`. An empty slice
+    /// yields a zero mean.
+    pub(crate) fn from_differences(differences: &[f64]) -> Self {
+        let n = differences.len();
+        if n < 2 {
+            return Self {
+                mean: differences.first().copied().unwrap_or(0.0),
+                half_width: f64::INFINITY,
+            };
+        }
+        let mean = differences.iter().sum::<f64>() / n as f64;
+        let variance = differences.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
+        Self {
+            mean,
+            half_width: student_t_975(n - 1) * (variance / n as f64).sqrt(),
+        }
+    }
+}
+
+/// The 0.975 quantile of Student's t distribution with `dof ≥ 1` degrees
+/// of freedom: tabulated to four decimals up to 30, and above that the
+/// Cornish–Fisher expansion around the normal quantile 1.959964 (within
+/// 1e-4 of the exact value there).
+pub(crate) fn student_t_975(dof: usize) -> f64 {
+    const TABLE: [f64; 30] = [
+        12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060, 2.2622, 2.2281, 2.2010,
+        2.1788, 2.1604, 2.1448, 2.1314, 2.1199, 2.1098, 2.1009, 2.0930, 2.0860, 2.0796, 2.0739,
+        2.0687, 2.0639, 2.0595, 2.0555, 2.0518, 2.0484, 2.0452, 2.0423,
+    ];
+    if let Some(&t) = TABLE.get(dof.max(1) - 1) {
+        return t;
+    }
+    let (z, v) = (1.959_964_f64, dof as f64);
+    let g1 = (z.powi(3) + z) / 4.0;
+    let g2 = (5.0 * z.powi(5) + 16.0 * z.powi(3) + 3.0 * z) / 96.0;
+    let g3 = (3.0 * z.powi(7) + 19.0 * z.powi(5) + 17.0 * z.powi(3) - 15.0 * z) / 384.0;
+    z + g1 / v + g2 / v.powi(2) + g3 / v.powi(3)
+}
+
 /// One row of an experiment table: an x-axis value plus one measurement per
 /// series.
 #[derive(Debug, Clone, PartialEq)]
@@ -317,6 +371,39 @@ mod tests {
         let single = Measurement::from_samples(&[7.0]);
         assert_eq!(single.mean, 7.0);
         assert_eq!(single.std_dev, 0.0);
+    }
+
+    #[test]
+    fn paired_difference_matches_hand_computed_values() {
+        // d = [2, 3, 2, 3]: mean 2.5, s² = 4 · 0.25 / 3 = 1/3, so the
+        // half-width is t(3) · √(1/3) / √4 = 3.1824 · 0.288675 = 0.91868.
+        let paired = PairedDifference::from_differences(&[2.0, 3.0, 2.0, 3.0]);
+        assert!((paired.mean - 2.5).abs() < 1e-12);
+        assert!((paired.half_width - 0.918_68).abs() < 1e-5);
+        // Identical differences have no spread.
+        let flat = PairedDifference::from_differences(&[0.5; 6]);
+        assert_eq!((flat.mean, flat.half_width), (0.5, 0.0));
+        // One pair bounds nothing; no pairs mean nothing.
+        let one = PairedDifference::from_differences(&[1.5]);
+        assert_eq!((one.mean, one.half_width), (1.5, f64::INFINITY));
+        assert_eq!(PairedDifference::from_differences(&[]).mean, 0.0);
+    }
+
+    #[test]
+    fn student_quantiles_match_the_tables() {
+        assert_eq!(student_t_975(1), 12.7062);
+        assert_eq!(student_t_975(9), 2.2622);
+        assert_eq!(student_t_975(30), 2.0423);
+        // Past the table: t(40) = 2.0211, t(120) = 1.9799, t(∞) = 1.9600.
+        for (dof, exact) in [
+            (31, 2.0395),
+            (40, 2.0211),
+            (120, 1.9799),
+            (1_000_000, 1.9600),
+        ] {
+            let t = student_t_975(dof);
+            assert!((t - exact).abs() < 1e-4, "t({dof}) = {t}, not {exact}");
+        }
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Online re-placement: the in-runtime control loop under demand drift.
 //!
 //! The paper notes that the operator can re-run the placement "when the
-//! performance degrades to a certain threshold" (Section IV-A). Earlier
-//! revisions of this example quantified that loop with *offline*
-//! snapshot replays (`sim::replacement`); it now drives the real thing:
-//! the `runtime::control` subsystem closing the loop *inside* a live
-//! serving run. A popularity flip hits mid-run; the controller estimates
-//! the new demand from the requests it serves, detects the hit-ratio
-//! drift, re-solves the placement with the shared-block-aware lazy
-//! greedy and stages the delta as block-granular backhaul fills — and
-//! the printout shows what that buys over the frozen placement: replan
-//! count, hit-ratio recovery time, and the reconfiguration bytes paid.
+//! performance degrades to a certain threshold" (Section IV-A). This
+//! example drives that loop: the `runtime::control` subsystem closing
+//! it *inside* a live serving run, tuned as the recorded `serve-adapt`
+//! study (`adapt::study_control_config`). A popularity flip hits
+//! mid-run; the controller estimates the new demand from the requests
+//! it serves, detects the hit-ratio drift, re-solves the placement with
+//! the shared-block-aware lazy greedy and stages the delta as
+//! block-granular backhaul fills — and the printout shows what that
+//! buys over the frozen placement: replan count, hit-ratio recovery
+//! time, and the reconfiguration bytes paid.
 //!
 //! Run with:
 //!
@@ -20,6 +20,7 @@
 
 use trimcaching::prelude::*;
 use trimcaching::runtime::{PopularityEdit, Workload};
+use trimcaching::sim::experiments::adapt::study_control_config;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let library = SpecialCaseBuilder::paper_setup()
@@ -49,15 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_duration_s(1800.0)
         .with_request_rate_hz(0.2)
         .with_seed(17);
-    let control = ControlConfig {
-        tick_s: 30.0,
-        min_observed_requests: 300,
-        drift: DriftConfig {
-            cooldown_s: 180.0,
-            ..DriftConfig::paper_defaults()
-        },
-        ..ControlConfig::paper_defaults()
-    };
+    let control = study_control_config();
 
     let run = |config: ServeConfig| -> Result<ServeReport, Box<dyn std::error::Error>> {
         let mut engine = ServeEngine::new(&scenario, &CostAwareLfu, config)?;

@@ -111,8 +111,7 @@ pub mod prelude {
     };
     pub use trimcaching_scenario::prelude::*;
     pub use trimcaching_sim::{
-        CityScaleConfig, ComparisonTable, ExperimentTable, MonteCarloConfig, ReplacementPolicy,
-        ReplacementTrace, ReplayConfig, TopologyConfig,
+        CityScaleConfig, ComparisonTable, ExperimentTable, MonteCarloConfig, TopologyConfig,
     };
     pub use trimcaching_wireless::{
         DeploymentArea, LogNormalShadowing, Point, RadioParams, ShadowedRayleigh,

@@ -114,6 +114,28 @@ fn serve_adapt_runs() {
 }
 
 #[test]
+fn serve_adapt_mobility_runs() {
+    let config = smoke_config();
+    let table = adapt::adaptive_mobility(&config).unwrap();
+    assert_eq!(table.id, "serve-adapt-mobility");
+    assert_eq!(table.series.len(), 5);
+    assert_eq!(table.rows.len(), 1 + adapt::TRIGGER_POINTS.len());
+    let xs: Vec<f64> = table.rows.iter().map(|r| r.x).collect();
+    assert_eq!(xs[0], 0.0, "static first");
+    assert_eq!(&xs[1..], &adapt::TRIGGER_POINTS[..]);
+    // Static is its own baseline, never re-plans and moves no
+    // reconfiguration bytes.
+    let static_row = &table.rows[0].cells;
+    assert_eq!(static_row[1..4].iter().map(|c| c.mean).sum::<f64>(), 0.0);
+    assert!(static_row[4].mean > 0.0, "users hand over while moving");
+    for row in &table.rows {
+        assert!((0.0..=1.0).contains(&row.cells[0].mean), "hit ratio");
+        // Every variant replays the same mobility.
+        assert_eq!(row.cells[4].mean, static_row[4].mean, "handovers");
+    }
+}
+
+#[test]
 fn ablations_run() {
     let config = smoke_config();
     assert_eq!(ablation::epsilon_sweep(&config).unwrap().rows.len(), 5);

@@ -4,11 +4,15 @@
 //! shift at city scale, the controller's post-shift steady-state hit
 //! ratio beats the static baseline and stays within five points of an
 //! oracle replan, with every reconfiguration byte accounted on the
-//! backhaul links.
+//! backhaul links. Under user mobility (the `serve-adapt-mobility`
+//! study), the controller never trails the static placement on average
+//! and a tighter drift trigger never re-plans less.
+
+use std::sync::OnceLock;
 
 use trimcaching::modellib::builders::SpecialCaseBuilder;
 use trimcaching::prelude::*;
-use trimcaching::runtime::{PopularityEdit, Workload};
+use trimcaching::runtime::{PopularityEdit, ServeMetrics, Workload};
 // The controller tuning and steady-state accounting are shared with the
 // recorded `serve-adapt` experiment — the acceptance asserts run against
 // exactly the configuration EXPERIMENTS.md reports.
@@ -186,5 +190,48 @@ fn serve_adapt_experiment_reports_the_adaptation_ordering() {
         assert!(reconfig > 0.0);
         assert!(reconfig <= backhaul);
         assert!(table.rows[row].cells[5].mean >= 1.0, "re-plans fired");
+    }
+}
+
+/// The `serve-adapt-mobility` runs at the configuration EXPERIMENTS.md
+/// records (the CLI default), indexed `[topology][variant]`; computed
+/// once for both claims below.
+fn mobility_study() -> &'static [Vec<ServeMetrics>] {
+    static RUNS: OnceLock<Vec<Vec<ServeMetrics>>> = OnceLock::new();
+    RUNS.get_or_init(|| adapt::mobility_runs(&RunConfig::reduced()).expect("study runs"))
+}
+
+#[test]
+fn the_controller_never_trails_static_on_average_under_mobility() {
+    let runs = mobility_study();
+    let mean_hit = |v: usize| {
+        runs.iter()
+            .map(|topology| topology[v].hit_ratio())
+            .sum::<f64>()
+            / runs.len() as f64
+    };
+    for (j, trigger) in adapt::TRIGGER_POINTS.iter().enumerate() {
+        let (controller, fixed) = (mean_hit(1 + j), mean_hit(0));
+        assert!(
+            controller >= fixed,
+            "trigger {trigger}: controller {controller:.5} < static {fixed:.5}"
+        );
+    }
+    assert!(
+        runs.iter()
+            .any(|topology| topology[1].replans_triggered > 0),
+        "no run re-planned after a mobility merge"
+    );
+}
+
+#[test]
+fn a_tighter_trigger_never_replans_less_under_mobility() {
+    for (t, topology) in mobility_study().iter().enumerate() {
+        let replans: Vec<u64> = topology[1..].iter().map(|m| m.replans_triggered).collect();
+        assert!(
+            replans.windows(2).all(|pair| pair[0] >= pair[1]),
+            "topology {t}: re-plans {replans:?} over triggers {:?}",
+            adapt::TRIGGER_POINTS
+        );
     }
 }
