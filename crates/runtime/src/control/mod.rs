@@ -17,11 +17,11 @@
 //! * [`planner`] — the re-placement solve: the same shared-block-aware
 //!   CELF lazy greedy, run against the *estimated* demand on the
 //!   *current* (mobility-evolved) snapshot;
-//! * [`reconcile`] — the staged diff between target and live caches:
-//!   missing target models become ordinary block-granular fills over
-//!   the congestion-aware backhaul links (the affordable fine-grained
-//!   updates of arXiv:2509.19341); displaced models are evicted lazily,
-//!   coldest-first, only when a staged fill needs the room.
+//! * [`reconcile`] — the staged per-server diff of target and live
+//!   caches: missing target models become ordinary block-granular
+//!   fills over the congestion-aware backhaul links (the affordable
+//!   fine-grained updates of arXiv:2509.19341); displaced models are
+//!   evicted lazily, coldest-first, only when a staged fill needs room.
 //!
 //! The engine drives all of it from [`EventKind::ControlTick`] events,
 //! so a controller-enabled run remains a pure function of
@@ -45,7 +45,7 @@ pub use drift::{DriftConfig, DriftDetector, DriftVerdict, ReplanReason};
 pub use estimator::DemandEstimator;
 pub(crate) use planner::plan_target_masked_on;
 pub use planner::{plan_target, plan_target_masked};
-pub use reconcile::{diff, next_victim, ReconcilePlan, ServerDelta};
+pub use reconcile::{diff, next_victim, ServerDelta};
 
 /// Configuration of the online re-placement controller.
 #[derive(Debug, Clone, Copy, PartialEq)]

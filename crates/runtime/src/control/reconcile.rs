@@ -1,16 +1,17 @@
 //! Staged cache reconciliation: diffing a target placement against the
-//! live per-server cache state.
+//! live cache state of one server.
 //!
 //! A re-plan must never be an instantaneous swap — moving a target into
 //! place costs real backhaul bytes and real time, and the whole point of
 //! the runtime is that those costs are *modelled*. The reconciler
-//! therefore only computes a deterministic [`ReconcilePlan`]: per
+//! therefore only computes a deterministic [`ServerDelta`]: for one
 //! server, which target models are missing (and must be filled through
 //! the ordinary block-granular [`BackhaulLink`] pipeline, fine-grained
 //! updates in the spirit of arXiv:2509.19341) and which resident models
 //! the target no longer wants (the *eviction pool* fills may reclaim
-//! from). The engine executes the plan: fills reserve capacity, pin
-//! shared blocks, ride `TransferComplete` events and congest the links
+//! from). The engine stages each server's delta on its own, touching
+//! only that server's cache and link: fills reserve capacity, pin
+//! shared blocks, ride `TransferComplete` events and congest the link
 //! exactly like demand-miss fills; pool models are evicted **lazily**,
 //! coldest-first, only when a staged fill actually needs the room —
 //! until then they keep serving requests, which is what makes the
@@ -35,60 +36,29 @@ pub struct ServerDelta {
     pub eviction_pool: Vec<ModelId>,
 }
 
-/// The full diff of target versus live cache state, one entry per
-/// server.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReconcilePlan {
-    /// Per-server deltas, indexed by server.
-    pub servers: Vec<ServerDelta>,
-}
-
-impl ReconcilePlan {
-    /// Whether the live state already matches the target.
-    pub fn is_empty(&self) -> bool {
-        self.servers
-            .iter()
-            .all(|d| d.fills.is_empty() && d.eviction_pool.is_empty())
-    }
-
-    /// Total staged fills across servers.
-    pub fn num_fills(&self) -> usize {
-        self.servers.iter().map(|d| d.fills.len()).sum()
-    }
-}
-
-/// Diffs `target` against the live caches.
+/// Diffs `target`'s row for `server` against that server's live
+/// `cache`.
 ///
 /// # Errors
 ///
-/// Returns an error if the target's dimensions disagree with the cache
-/// array (an internally inconsistent re-plan).
-pub fn diff(target: &Placement, caches: &[ServerCache<'_>]) -> Result<ReconcilePlan, RuntimeError> {
-    if target.num_servers() != caches.len() {
-        return Err(RuntimeError::Control {
-            reason: format!(
-                "target plans {} servers but the engine runs {}",
-                target.num_servers(),
-                caches.len()
-            ),
-        });
-    }
-    let mut servers = Vec::with_capacity(caches.len());
-    for (m, cache) in caches.iter().enumerate() {
-        let mut delta = ServerDelta::default();
-        for model in target.models_on(ServerId(m))? {
-            if !cache.contains(model) && !cache.is_pending(model) {
-                delta.fills.push(model);
-            }
+/// Returns an error if `target` has no row for `server`.
+pub fn diff(
+    target: &Placement,
+    server: ServerId,
+    cache: &ServerCache<'_>,
+) -> Result<ServerDelta, RuntimeError> {
+    let mut delta = ServerDelta::default();
+    for model in target.models_on(server)? {
+        if !cache.contains(model) && !cache.is_pending(model) {
+            delta.fills.push(model);
         }
-        for model in cache.cached_models() {
-            if !target.contains(ServerId(m), model) {
-                delta.eviction_pool.push(model);
-            }
-        }
-        servers.push(delta);
     }
-    Ok(ReconcilePlan { servers })
+    for model in cache.cached_models() {
+        if !target.contains(server, model) {
+            delta.eviction_pool.push(model);
+        }
+    }
+    Ok(delta)
 }
 
 /// The next model a staged fill should evict to make room: the coldest
@@ -136,33 +106,23 @@ mod tests {
         cache.insert(ModelId(2)).unwrap();
         // In flight: must be neither a fill nor pool.
         cache.start_fill(ModelId(1), 5.0, true).unwrap();
-        let mut target = Placement::empty(1, 4);
-        target.place(ServerId(0), ModelId(1)).unwrap();
-        target.place(ServerId(0), ModelId(3)).unwrap();
-        let plan = diff(&target, std::slice::from_ref(&cache)).unwrap();
-        assert_eq!(plan.servers.len(), 1);
-        assert_eq!(plan.servers[0].fills, vec![ModelId(3)]);
-        assert_eq!(plan.servers[0].eviction_pool, vec![ModelId(0), ModelId(2)]);
-        assert_eq!(plan.num_fills(), 1);
-        assert!(!plan.is_empty());
-        // A target matching the live state produces an empty plan.
-        let mut settled = Placement::empty(1, 4);
+        let mut target = Placement::empty(2, 4);
+        target.place(ServerId(1), ModelId(1)).unwrap();
+        target.place(ServerId(1), ModelId(3)).unwrap();
+        let delta = diff(&target, ServerId(1), &cache).unwrap();
+        assert_eq!(delta.fills, vec![ModelId(3)]);
+        assert_eq!(delta.eviction_pool, vec![ModelId(0), ModelId(2)]);
+        // A target matching the live state produces an empty delta.
+        let mut settled = Placement::empty(2, 4);
         for m in [0, 2] {
-            settled.place(ServerId(0), ModelId(m)).unwrap();
+            settled.place(ServerId(1), ModelId(m)).unwrap();
         }
         cache.complete_fill(ModelId(1)).unwrap();
-        settled.place(ServerId(0), ModelId(1)).unwrap();
-        assert!(diff(&settled, std::slice::from_ref(&cache))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn diff_rejects_mismatched_dimensions() {
-        let lib = library();
-        let cache = ServerCache::new(&lib, 100);
-        let target = Placement::empty(3, 4);
-        assert!(diff(&target, std::slice::from_ref(&cache)).is_err());
+        settled.place(ServerId(1), ModelId(1)).unwrap();
+        assert_eq!(
+            diff(&settled, ServerId(1), &cache).unwrap(),
+            ServerDelta::default()
+        );
     }
 
     #[test]

@@ -55,7 +55,8 @@ use rand::SeedableRng;
 use trimcaching_modellib::ModelId;
 use trimcaching_scenario::mobility::MobilityModel;
 use trimcaching_scenario::{
-    DemandEstimate, Eligibility, LatencyEvaluator, Placement, Scenario, SnapshotDelta, UserId,
+    DemandEstimate, Eligibility, LatencyEvaluator, Placement, Scenario, ServerId, SnapshotDelta,
+    UserId,
 };
 use trimcaching_wireless::geometry::{DeploymentArea, Point};
 
@@ -360,7 +361,8 @@ impl<'a> ServeEngine<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates scenario errors for mismatched placements.
+    /// Returns [`RuntimeError::InvalidConfig`] for a placement whose
+    /// dimensions disagree with the scenario.
     pub fn warm_start(&mut self, placement: &Placement) -> Result<(), RuntimeError> {
         self.0.warm_start(placement)
     }
@@ -484,6 +486,26 @@ pub(crate) struct Shared<'a> {
     /// pairs each region stages for its member servers through the same
     /// pipeline as controller re-plans.
     pub(crate) scheduled: Vec<(f64, Placement)>,
+    /// `home[m]`: the region that simulates server `m` and the member
+    /// slot it holds there — the one global → member index, derived from
+    /// the strip partition and static for the run.
+    pub(crate) home: Vec<Home>,
+}
+
+/// Where server `m`'s state lives: slot `slot` of region `region`'s
+/// caches, links and down flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Home {
+    pub(crate) region: usize,
+    pub(crate) slot: usize,
+}
+
+/// Server `m`'s slot in `region` under the index `home`, or `None` when
+/// another region simulates `m`.
+pub(crate) fn member_slot(home: &[Home], region: usize, m: usize) -> Option<usize> {
+    home.get(m)
+        .filter(|home| home.region == region)
+        .map(|home| home.slot)
 }
 
 impl Shared<'_> {
@@ -530,6 +552,15 @@ pub(crate) enum DriveStop {
     /// handover recount and ownership migration are the coordinator's
     /// to merge before this queue drains any further.
     MobilityBoundary(f64),
+}
+
+/// Where [`Region::make_room`] takes its victims from.
+#[derive(Clone, Copy)]
+enum Victims<'p> {
+    /// The eviction policy, which may also veto the fill.
+    Policy,
+    /// A reconciliation's eviction pool ([`reconcile::next_victim`]).
+    Pool(&'p [ModelId]),
 }
 
 /// The journal of a durable run's region.
@@ -581,15 +612,17 @@ impl PersistState {
 /// One region of a run: the servers of one strip (caches, backhaul
 /// links, fault transitions, regional controller) and the request
 /// streams of the users it owns, with its own RNG stream and journal.
-/// A region reads the radio snapshot the coordinator shares with it and
-/// never writes it. See the module docs for the service semantics.
+/// Slot `j` of its per-server state is server `servers[j]`; events carry
+/// global server ids, which [`Shared::home`] maps to slots. A region
+/// reads the radio snapshot the coordinator shares with it and never
+/// writes it. See the module docs for the service semantics.
 pub(crate) struct Region<'a> {
     /// Region id — also the offset added to the run seed for this
     /// region's RNG stream and the index of its journal file.
     id: usize,
-    /// `member_servers[m]`: server `m`'s cache, backhaul link and fault
-    /// transitions are simulated by this region. Static for the run.
-    member_servers: Vec<bool>,
+    /// The global ids of the servers this region simulates, ascending:
+    /// its strip's servers. Static for the run.
+    pub(crate) servers: Vec<usize>,
     scenario: &'a Scenario,
     policy: &'a dyn EvictionPolicy,
     config: ServeConfig,
@@ -603,7 +636,7 @@ pub(crate) struct Region<'a> {
     /// The region's journal, present when [`ServeConfig::persist`] is
     /// set and the run has begun or been restored.
     persist: Option<PersistState>,
-    /// Per-server down mask driven by the fault schedule (all `false`
+    /// Per-server down flags driven by the fault schedule (all `false`
     /// for fault-free runs — the serve path is shared).
     server_down: Vec<bool>,
     /// How many servers are currently down (degraded mode when > 0);
@@ -634,22 +667,22 @@ pub(crate) struct ReplanProbe {
 }
 
 impl<'a> Region<'a> {
-    /// Prepares region `id` over `scenario` with empty caches. The
-    /// coordinator has validated `config`.
+    /// Prepares region `id` over `scenario` with empty caches for
+    /// `servers`, its strip's servers in ascending order. The coordinator
+    /// has validated `config`.
     pub(crate) fn new(
         scenario: &'a Scenario,
         policy: &'a dyn EvictionPolicy,
         config: ServeConfig,
         id: usize,
-        member_servers: Vec<bool>,
+        servers: Vec<usize>,
     ) -> Result<Self, RuntimeError> {
-        let caches = scenario
-            .servers()
+        let capacity = |m: usize| scenario.servers()[m].capacity_bytes();
+        let caches = servers
             .iter()
-            .map(|s| ServerCache::new(scenario.library(), s.capacity_bytes()))
+            .map(|&m| ServerCache::new(scenario.library(), capacity(m)))
             .collect();
-        let links = scenario
-            .servers()
+        let links = servers
             .iter()
             .map(|_| BackhaulLink::new(config.cloud_ingest_bps, config.congestion_aware))
             .collect::<Result<Vec<_>, _>>()?;
@@ -657,10 +690,10 @@ impl<'a> Region<'a> {
             .control
             .map(|c| Controller::new(c, scenario.num_users(), scenario.num_models()))
             .transpose()?;
-        let num_servers = scenario.num_servers();
         Ok(Self {
             id,
-            member_servers,
+            server_down: vec![false; servers.len()],
+            servers,
             scenario,
             policy,
             metrics: ServeMetrics::new(config.window_s),
@@ -669,7 +702,6 @@ impl<'a> Region<'a> {
             links,
             controller,
             persist: None,
-            server_down: vec![false; num_servers],
             down_servers: 0,
             last_target: None,
             #[cfg(test)]
@@ -677,9 +709,19 @@ impl<'a> Region<'a> {
         })
     }
 
-    /// True when this region simulates server `m`.
-    fn is_member(&self, m: usize) -> bool {
-        self.member_servers[m]
+    /// The lengths of the per-server state: caches, links and down
+    /// flags.
+    #[cfg(test)]
+    pub(crate) fn slot_counts(&self) -> [usize; 3] {
+        [self.caches.len(), self.links.len(), self.server_down.len()]
+    }
+
+    /// Server `m`'s member slot, or a typed error when another region
+    /// simulates `m`.
+    fn slot(&self, shared: &Shared<'_>, m: usize) -> Result<usize, RuntimeError> {
+        member_slot(&shared.home, self.id, m).ok_or_else(|| RuntimeError::Internal {
+            reason: format!("region {} does not simulate server {m}", self.id),
+        })
     }
 
     /// Warm-starts the member caches from an offline placement: every
@@ -687,13 +729,10 @@ impl<'a> Region<'a> {
     /// models that no longer fit (the rest of the placement is other
     /// regions' warm start).
     pub(crate) fn warm_start(&mut self, placement: &Placement) -> Result<(), RuntimeError> {
-        for m in 0..self.caches.len() {
-            if !self.is_member(m) {
-                continue;
-            }
-            for model in placement.models_on(trimcaching_scenario::ServerId(m))? {
-                if self.caches[m].fits(model)? {
-                    self.caches[m].preload(model)?;
+        for (cache, &m) in self.caches.iter_mut().zip(&self.servers) {
+            for model in placement.models_on(ServerId(m))? {
+                if cache.fits(model)? {
+                    cache.preload(model)?;
                 }
             }
         }
@@ -740,7 +779,7 @@ impl<'a> Region<'a> {
             for (index, spec) in faults.timeline.iter().enumerate() {
                 // A region replays only the transitions of its member
                 // servers; the rest belong to other regions' timelines.
-                if self.is_member(spec.kind.server()) {
+                if member_slot(&shared.home, self.id, spec.kind.server()).is_some() {
                     queue.push(spec.at_s, EventKind::FaultTransition { index });
                 }
             }
@@ -805,14 +844,13 @@ impl<'a> Region<'a> {
                     if shared.generation[user.index()] != generation {
                         continue;
                     }
-                    let model = shared
-                        .workload
-                        .draw_model(user, event.time_s, &mut state.rng);
-                    self.serve_request(&evaluator, user, model, event.time_s, &mut state.queue)?;
+                    let (now_s, home) = (event.time_s, &shared.home);
+                    let model = shared.workload.draw_model(user, now_s, &mut state.rng);
+                    self.serve_request(&evaluator, home, user, model, now_s, &mut state.queue)?;
                     let gap = shared.workload.next_interarrival_s(&mut state.rng);
                     state
                         .queue
-                        .push(event.time_s + gap, EventKind::Request { user, generation });
+                        .push(now_s + gap, EventKind::Request { user, generation });
                 }
                 EventKind::TransferComplete { server, model } => {
                     // Fills aborted by a server failure leave their
@@ -821,10 +859,10 @@ impl<'a> Region<'a> {
                     // time its completion event was pushed at, so an
                     // event that no longer matches is a stale tombstone
                     // and is ignored.
-                    if self.caches[server].is_pending(model)
-                        && self.caches[server].pending_eta_s(model) == event.time_s
-                    {
-                        self.caches[server].complete_fill(model)?;
+                    let j = self.slot(shared, server)?;
+                    let cache = &mut self.caches[j];
+                    if cache.is_pending(model) && cache.pending_eta_s(model) == event.time_s {
+                        cache.complete_fill(model)?;
                         self.metrics.fills_completed += 1;
                     }
                 }
@@ -837,14 +875,16 @@ impl<'a> Region<'a> {
                             reason: format!("no scheduled reconciliation {index}"),
                         });
                     };
-                    self.metrics.replans_triggered += 1;
                     self.reconcile_to_target(target, event.time_s, &mut state.queue)?;
-                    if let Some(controller) = self.controller.as_mut() {
-                        controller.note_replan(event.time_s);
-                    }
                 }
                 EventKind::FaultTransition { index } => {
-                    self.apply_fault(index, event.time_s, &mut state.rng, &mut state.queue)?;
+                    self.apply_fault(
+                        index,
+                        shared,
+                        event.time_s,
+                        &mut state.rng,
+                        &mut state.queue,
+                    )?;
                 }
                 EventKind::RetryFill {
                     server,
@@ -852,7 +892,7 @@ impl<'a> Region<'a> {
                     attempt,
                 } => {
                     self.retry_fill(
-                        server,
+                        self.slot(shared, server)?,
                         model,
                         attempt,
                         event.time_s,
@@ -914,20 +954,24 @@ impl<'a> Region<'a> {
         })
     }
 
-    /// The state of server `m`, which this region must own.
-    pub(crate) fn server_state(&self, m: usize) -> ServerState {
+    /// The state of the server in member slot `j`.
+    pub(crate) fn server_state(&self, j: usize) -> ServerState {
         ServerState {
-            cache: self.caches[m].snapshot(),
-            inflight: self.links[m].inflight_snapshot(),
-            down: self.server_down[m],
-            degrade: self.links[m].degrade_factor(),
+            cache: self.caches[j].snapshot(),
+            inflight: self.links[j].inflight_snapshot(),
+            down: self.server_down[j],
+            degrade: self.links[j].degrade_factor(),
         }
     }
 
     /// Closes the region at `horizon`: checks that a resumed run
-    /// re-served its whole journal suffix, flushes the journal, closes
-    /// the metrics windows and builds the region's report.
-    pub(crate) fn finish(mut self, horizon: f64) -> Result<ServeReport, RuntimeError> {
+    /// re-served its whole journal suffix, flushes the journal and
+    /// closes the metrics windows. Returns the region's metrics and the
+    /// servable models of each member server, in slot order.
+    pub(crate) fn finish(
+        mut self,
+        horizon: f64,
+    ) -> Result<(ServeMetrics, Vec<Vec<ModelId>>), RuntimeError> {
         if let Some(p) = &self.persist {
             if !p.verify.is_empty() {
                 return Err(PersistError::Diverged {
@@ -942,19 +986,15 @@ impl<'a> Region<'a> {
         }
         self.sync_journal()?;
         self.metrics.finish(horizon);
-        Ok(ServeReport {
-            policy: self.policy.name().to_string(),
-            seed: self.config.seed,
-            granularity: self.config.granularity,
-            metrics: self.metrics,
-            final_caches: self.caches.iter().map(|c| c.cached_models()).collect(),
-        })
+        let caches = self.caches.iter().map(ServerCache::cached_models).collect();
+        Ok((self.metrics, caches))
     }
 
     /// Overwrites every mutable layer of this fresh region with its
-    /// checkpointed state — `servers` holds every server's state, of
-    /// which the region restores its members — and returns the run state
-    /// (RNG words, event queue, mobility kinematics) to continue from.
+    /// checkpointed state — `servers` holds every server's state by
+    /// global id, of which the region restores its members — and returns
+    /// the run state (RNG words, event queue, mobility kinematics) to
+    /// continue from.
     /// With `persist` set the region's journal is recovered and its
     /// suffix beyond the checkpoint queued for verification (resume);
     /// without it the region runs in memory under any policy (fork).
@@ -968,14 +1008,12 @@ impl<'a> Region<'a> {
         if let Some(persist) = persist {
             self.persist = Some(self.recover_journal(policy, state.journal_offset, persist)?);
         }
-        for (m, server) in servers.iter().enumerate() {
-            if !self.is_member(m) {
-                continue;
-            }
-            self.caches[m].restore(server.cache.clone())?;
-            self.links[m].restore_inflight(server.inflight.clone());
-            self.links[m].set_degrade_factor(server.degrade);
-            self.server_down[m] = server.down;
+        for (j, &m) in self.servers.iter().enumerate() {
+            let server = &servers[m];
+            self.caches[j].restore(server.cache.clone())?;
+            self.links[j].restore_inflight(server.inflight.clone());
+            self.links[j].set_degrade_factor(server.degrade);
+            self.server_down[j] = server.down;
             self.down_servers += usize::from(server.down);
         }
         self.metrics = state.metrics.clone();
@@ -1053,10 +1091,11 @@ impl<'a> Region<'a> {
     }
 
     /// Serves one request under the current snapshot; `evaluator` is
-    /// over that snapshot.
+    /// over that snapshot and `home` is [`Shared::home`].
     fn serve_request(
         &mut self,
         evaluator: &LatencyEvaluator<'_>,
+        home: &[Home],
         user: UserId,
         model: ModelId,
         now_s: f64,
@@ -1070,39 +1109,39 @@ impl<'a> Region<'a> {
         // instead of all M — from the snapshot's radio state, so the
         // stored eligibility a mobility boundary left out of date is
         // never read. For fault-free runs the masks never diverge and
-        // the path reduces to the original selection.
+        // the path reduces to the original selection. Each best is kept
+        // as `(latency, member slot)`.
         let mut best_any: Option<(f64, usize)> = None;
         let mut best_hit: Option<(f64, usize)> = None;
         let mut best_up_any: Option<(f64, usize)> = None;
         let mut best_up_hit: Option<(f64, usize)> = None;
-        let (member_servers, caches, server_down) =
-            (&self.member_servers, &self.caches, &self.server_down);
+        let (id, caches, server_down) = (self.id, &self.caches, &self.server_down);
         evaluator.scored_candidates(user, model, |m, latency| {
             // Candidates outside this region are other regions'
             // capacity — invisible here, like the planner mask.
-            if !member_servers[m] {
+            let Some(j) = member_slot(home, id, m) else {
                 return;
-            }
-            let holds = caches[m].contains(model);
+            };
+            let holds = caches[j].contains(model);
             if best_any.is_none_or(|(best, _)| latency < best) {
-                best_any = Some((latency, m));
+                best_any = Some((latency, j));
             }
             if holds && best_hit.is_none_or(|(best, _)| latency < best) {
-                best_hit = Some((latency, m));
+                best_hit = Some((latency, j));
             }
-            if !server_down[m] {
+            if !server_down[j] {
                 if best_up_any.is_none_or(|(best, _)| latency < best) {
-                    best_up_any = Some((latency, m));
+                    best_up_any = Some((latency, j));
                 }
                 if holds && best_up_hit.is_none_or(|(best, _)| latency < best) {
-                    best_up_hit = Some((latency, m));
+                    best_up_hit = Some((latency, j));
                 }
             }
         })?;
 
         // The server a fault-oblivious client would target: the serving
         // decision of the no-fault engine.
-        let oblivious_target = best_hit.or(best_any).map(|(_, m)| m);
+        let oblivious_target = best_hit.or(best_any).map(|(_, j)| j);
         let failover = self.config.faults.as_ref().is_some_and(|f| f.failover);
         let (chosen_hit, chosen_any, failed) = if failover {
             // Candidates exist but every one of them is down: the
@@ -1113,15 +1152,15 @@ impl<'a> Region<'a> {
             // Static client: if the fault-oblivious target is down, the
             // request simply fails — no retry along the candidate list.
             match oblivious_target {
-                Some(m) if self.server_down[m] => (None, None, true),
+                Some(j) if self.server_down[j] => (None, None, true),
                 _ => (best_hit, best_any, false),
             }
         };
         if failed {
             self.metrics.requests_failed += 1;
         } else if failover && chosen_any.is_some() {
-            if let Some(m) = oblivious_target {
-                if self.server_down[m] {
+            if let Some(j) = oblivious_target {
+                if self.server_down[j] {
                     self.metrics.requests_failed_over += 1;
                 }
             }
@@ -1129,19 +1168,19 @@ impl<'a> Region<'a> {
 
         let (outcome, recorded_latency, block_hits, block_requests) = match (chosen_hit, chosen_any)
         {
-            (Some((latency, m)), _) => {
-                self.caches[m].record_access(model, now_s);
-                let (arrived, needed) = self.count_block_residency(m, model)?;
+            (Some((latency, j)), _) => {
+                self.caches[j].record_access(model, now_s);
+                let (arrived, needed) = self.count_block_residency(j, model)?;
                 (RequestOutcome::Hit, Some(latency), arrived, needed)
             }
-            (None, Some((latency, m))) => {
-                self.caches[m].record_access(model, now_s);
-                let (arrived, needed) = self.count_block_residency(m, model)?;
-                // The model must travel from the cloud to server `m`
+            (None, Some((latency, j))) => {
+                self.caches[j].record_access(model, now_s);
+                let (arrived, needed) = self.count_block_residency(j, model)?;
+                // The model must travel from the cloud to the server
                 // before edge delivery: the extra wait is the fill (or
                 // transient fetch) pipeline through the congestion-aware
                 // backhaul link, not a closed-form constant.
-                let wait_s = self.fill_or_fetch(m, model, now_s, queue)?;
+                let wait_s = self.fill_or_fetch(j, model, now_s, queue)?;
                 let total = latency + wait_s + self.config.cloud_fetch_penalty_s;
                 (RequestOutcome::MissServed, Some(total), arrived, needed)
             }
@@ -1209,12 +1248,10 @@ impl<'a> Region<'a> {
             // budget on capacity that cannot serve.
             // Non-member servers are masked the same way: they are
             // capacity some other region's controller plans.
-            let mask: Vec<bool> = self
-                .server_down
-                .iter()
-                .zip(&self.member_servers)
-                .map(|(&down, &member)| down || !member)
-                .collect();
+            let mut mask = vec![true; self.scenario.num_servers()];
+            for (&m, &down) in self.servers.iter().zip(&self.server_down) {
+                mask[m] = down;
+            }
             let target = shared.plan_target(&estimate, &mask)?;
             #[cfg(test)]
             self.replans.push(ReplanProbe {
@@ -1229,114 +1266,64 @@ impl<'a> Region<'a> {
                 after_merge: matches!(shared.snapshot, Cow::Owned(_)),
                 target: target.clone(),
             });
-            self.metrics.replans_triggered += 1;
             if reason == ReplanReason::Drift {
                 self.metrics.replans_drift += 1;
             }
             self.reconcile_to_target(&target, now_s, queue)?;
-            if let Some(controller) = self.controller.as_mut() {
-                controller.note_replan(now_s);
-            }
         }
         queue.push(now_s + tick_s, EventKind::ControlTick);
         Ok(())
     }
 
-    /// Stages the delta between `target` and the live caches: missing
-    /// target models become ordinary backhaul fills (reserving capacity,
-    /// pinning shared blocks, completing via [`EventKind::TransferComplete`]);
-    /// displaced models are evicted lazily, coldest-first, only when a
-    /// staged fill needs the room. Reconfiguration traffic is accounted
-    /// on the same links and counters as demand-miss traffic, plus the
-    /// dedicated `reconcile_*` metrics.
+    /// One re-plan, controller or scheduled: stages `target` on every
+    /// member server that is up, through [`Region::stage_server`], and
+    /// tells the controller. A down server cannot receive fills; it
+    /// converges on recovery through the self-healing pass instead.
     fn reconcile_to_target(
         &mut self,
         target: &Placement,
         now_s: f64,
         queue: &mut EventQueue,
     ) -> Result<(), RuntimeError> {
-        let plan = reconcile::diff(target, &self.caches)?;
-        for (m, delta) in plan.servers.iter().enumerate() {
-            if self.server_down[m] || !self.is_member(m) {
-                // A down server cannot receive fills; it converges on
-                // recovery via the self-healing pass instead. A
-                // non-member server is another region's to reconcile.
-                continue;
-            }
-            for &model in &delta.fills {
-                let standalone_bytes = self
-                    .scenario
-                    .library()
-                    .model_size_bytes(model)
-                    .map_err(trimcaching_scenario::ScenarioError::from)?;
-                if standalone_bytes > self.caches[m].capacity_bytes() {
-                    continue;
-                }
-                while !self.caches[m].fits(model)? {
-                    match reconcile::next_victim(&self.caches[m].view(), &delta.eviction_pool) {
-                        Some(victim) => {
-                            self.caches[m].evict(victim)?;
-                            self.metrics.evictions += 1;
-                            self.metrics.reconcile_evictions += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if !self.caches[m].fits(model)? {
-                    // The pool is exhausted (e.g. pinned by pending
-                    // fills): approach the target, never force it.
-                    continue;
-                }
-                // Same staged pipeline as a demand-miss fill.
-                let (_, wire_bytes) = self.start_fill_pipeline(m, model, now_s, queue)?;
-                self.metrics.reconcile_fills_started += 1;
-                self.metrics.reconcile_bytes_moved += wire_bytes;
+        self.metrics.replans_triggered += 1;
+        for j in 0..self.servers.len() {
+            if !self.server_down[j] {
+                self.stage_server(j, target, now_s, queue)?;
             }
         }
         self.last_target = Some(target.clone());
+        if let Some(controller) = self.controller.as_mut() {
+            controller.note_replan(now_s);
+        }
         Ok(())
     }
 
-    /// Re-replicates one recovered server towards `target` through the
-    /// ordinary staged fill pipeline — the self-healing pass run at
-    /// [`FaultKind::ServerUp`]. Only `server`'s delta is staged; the
-    /// rest of the fleet is untouched.
-    fn reconcile_server_to_target(
+    /// Stages the delta between `target` and the live cache of member
+    /// slot `j` ([`reconcile::diff`]): missing target models become
+    /// ordinary backhaul fills (reserving capacity, pinning shared
+    /// blocks, completing via [`EventKind::TransferComplete`]); displaced
+    /// models are evicted lazily, coldest-first, only when a staged fill
+    /// needs the room. The traffic is accounted like demand-miss traffic,
+    /// plus the `reconcile_*` metrics. It touches only cache and link
+    /// `j`, so a re-plan stages each up member and a
+    /// [`FaultKind::ServerUp`] self-heal stages the recovered one alone.
+    fn stage_server(
         &mut self,
-        server: usize,
+        j: usize,
         target: &Placement,
         now_s: f64,
         queue: &mut EventQueue,
     ) -> Result<(), RuntimeError> {
-        let plan = reconcile::diff(target, &self.caches)?;
-        let Some(delta) = plan.servers.get(server) else {
-            return Ok(());
-        };
+        let delta = reconcile::diff(target, ServerId(self.servers[j]), &self.caches[j])?;
         for &model in &delta.fills {
-            let standalone_bytes = self
-                .scenario
-                .library()
-                .model_size_bytes(model)
-                .map_err(trimcaching_scenario::ScenarioError::from)?;
-            if standalone_bytes > self.caches[server].capacity_bytes() {
-                continue;
+            // When the pool runs dry (e.g. pinned by pending fills) the
+            // fill is skipped: approach the target, never force it.
+            if self.make_room(j, model, Victims::Pool(&delta.eviction_pool))? {
+                // Same staged pipeline as a demand-miss fill.
+                let (_, wire_bytes) = self.start_fill_pipeline(j, model, now_s, queue)?;
+                self.metrics.reconcile_fills_started += 1;
+                self.metrics.reconcile_bytes_moved += wire_bytes;
             }
-            while !self.caches[server].fits(model)? {
-                match reconcile::next_victim(&self.caches[server].view(), &delta.eviction_pool) {
-                    Some(victim) => {
-                        self.caches[server].evict(victim)?;
-                        self.metrics.evictions += 1;
-                        self.metrics.reconcile_evictions += 1;
-                    }
-                    None => break,
-                }
-            }
-            if !self.caches[server].fits(model)? {
-                continue;
-            }
-            let (_, wire_bytes) = self.start_fill_pipeline(server, model, now_s, queue)?;
-            self.metrics.reconcile_fills_started += 1;
-            self.metrics.reconcile_bytes_moved += wire_bytes;
         }
         Ok(())
     }
@@ -1348,6 +1335,7 @@ impl<'a> Region<'a> {
     fn apply_fault(
         &mut self,
         index: usize,
+        shared: &Shared<'_>,
         now_s: f64,
         rng: &mut StdRng,
         queue: &mut EventQueue,
@@ -1366,22 +1354,23 @@ impl<'a> Region<'a> {
             },
             None => return Ok(()),
         };
+        let j = self.slot(shared, spec.kind.server())?;
         match spec.kind {
             FaultKind::ServerDown { server } => {
-                if self.server_down[server] {
+                if self.server_down[j] {
                     return Ok(());
                 }
-                self.server_down[server] = true;
+                self.server_down[j] = true;
                 self.down_servers += 1;
                 self.metrics.faults_injected += 1;
                 // The server died mid-transfer: everything on its link
                 // is lost and every pending fill is unwound, then
                 // re-queued with capped seeded-jitter backoff (ascending
                 // model order keeps the jitter draws deterministic).
-                let aborted = self.caches[server].pending_models();
-                self.links[server].clear_inflight();
+                let aborted = self.caches[j].pending_models();
+                self.links[j].clear_inflight();
                 for model in aborted {
-                    self.caches[server].abort_fill(model)?;
+                    self.caches[j].abort_fill(model)?;
                     self.metrics.fills_aborted += 1;
                     let delay = self.retry_delay(1, rng);
                     queue.push(
@@ -1394,28 +1383,28 @@ impl<'a> Region<'a> {
                     );
                 }
             }
-            FaultKind::ServerUp { server } => {
-                if !self.server_down[server] {
+            FaultKind::ServerUp { .. } => {
+                if !self.server_down[j] {
                     return Ok(());
                 }
-                self.server_down[server] = false;
+                self.server_down[j] = false;
                 self.down_servers -= 1;
                 self.metrics.faults_recovered += 1;
-                self.apply_recovery_loss(server, recovery)?;
+                self.apply_recovery_loss(j, recovery)?;
                 // Self-heal: re-replicate what the recovered server
                 // should hold (per the last reconciliation target) as
                 // ordinary staged fills over its backhaul link.
                 if let Some(target) = self.last_target.clone() {
-                    self.reconcile_server_to_target(server, &target, now_s, queue)?;
+                    self.stage_server(j, &target, now_s, queue)?;
                 }
             }
-            FaultKind::LinkDegraded { server, factor } => {
+            FaultKind::LinkDegraded { factor, .. } => {
                 self.metrics.faults_injected += 1;
-                self.links[server].set_degrade_factor(factor);
+                self.links[j].set_degrade_factor(factor);
             }
-            FaultKind::LinkRestored { server } => {
+            FaultKind::LinkRestored { .. } => {
                 self.metrics.faults_recovered += 1;
-                self.links[server].set_degrade_factor(1.0);
+                self.links[j].set_degrade_factor(1.0);
             }
         }
         Ok(())
@@ -1430,24 +1419,25 @@ impl<'a> Region<'a> {
         }
     }
 
-    /// Applies the configured cache-survival semantics when `server`
-    /// comes back up. Partial recovery keeps the most recently used
-    /// fraction (ties broken by ascending model id), so the loss is a
-    /// pure function of cache state — no RNG draw.
+    /// Applies the configured cache-survival semantics when the server in
+    /// member slot `j` comes back up. Partial recovery keeps the most
+    /// recently used fraction (ties broken by ascending model id), so the
+    /// loss is a pure function of cache state — no RNG draw.
     fn apply_recovery_loss(
         &mut self,
-        server: usize,
+        j: usize,
         recovery: RecoveryMode,
     ) -> Result<(), RuntimeError> {
+        let cache = &mut self.caches[j];
         let lost: Vec<ModelId> = match recovery {
             RecoveryMode::Intact => Vec::new(),
-            RecoveryMode::Cold => self.caches[server].cached_models(),
+            RecoveryMode::Cold => cache.cached_models(),
             RecoveryMode::Partial { keep_fraction } => {
-                let mut ranked = self.caches[server].cached_models();
+                let mut ranked = cache.cached_models();
                 ranked.sort_by(|a, b| {
-                    self.caches[server]
+                    cache
                         .last_access_s(*b)
-                        .total_cmp(&self.caches[server].last_access_s(*a))
+                        .total_cmp(&cache.last_access_s(*a))
                         .then_with(|| a.index().cmp(&b.index()))
                 });
                 let keep = ((ranked.len() as f64) * keep_fraction).floor() as usize;
@@ -1455,21 +1445,21 @@ impl<'a> Region<'a> {
             }
         };
         for model in lost {
-            self.caches[server].evict(model)?;
+            cache.evict(model)?;
             self.metrics.evictions += 1;
             self.metrics.models_lost += 1;
         }
         Ok(())
     }
 
-    /// One retry of a fill aborted by a failure: while the server is
-    /// still down the retry re-arms with the next backoff step (until
-    /// the attempt cap); once it is up the fill goes back through the
-    /// ordinary admission path — the policy may well decline a model
-    /// whose demand has moved on.
+    /// One retry of a fill aborted by a failure at the server in member
+    /// slot `j`: while the server is still down the retry re-arms with
+    /// the next backoff step (until the attempt cap); once it is up the
+    /// fill goes back through the ordinary admission path — the policy
+    /// may well decline a model whose demand has moved on.
     fn retry_fill(
         &mut self,
-        server: usize,
+        j: usize,
         model: ModelId,
         attempt: u32,
         now_s: f64,
@@ -1481,13 +1471,13 @@ impl<'a> Region<'a> {
         };
         let max_retries = fc.max_fill_retries;
         self.metrics.fill_retries += 1;
-        if self.server_down[server] {
+        if self.server_down[j] {
             if attempt < max_retries {
                 let delay = self.retry_delay(attempt + 1, rng);
                 queue.push(
                     now_s + delay,
                     EventKind::RetryFill {
-                        server,
+                        server: self.servers[j],
                         model,
                         attempt: attempt + 1,
                     },
@@ -1495,51 +1485,74 @@ impl<'a> Region<'a> {
             }
             return Ok(());
         }
-        if self.caches[server].contains(model) || self.caches[server].is_pending(model) {
+        if self.caches[j].contains(model) || self.caches[j].is_pending(model) {
             return Ok(());
         }
-        let standalone_bytes = self
-            .scenario
-            .library()
-            .model_size_bytes(model)
-            .map_err(trimcaching_scenario::ScenarioError::from)?;
-        if standalone_bytes > self.caches[server].capacity_bytes() {
-            return Ok(());
-        }
-        if !self.policy.admits(self.caches[server].view(), model) {
-            return Ok(());
-        }
-        while !self.caches[server].fits(model)? {
-            match self.policy.victim(self.caches[server].view(), model) {
-                Some(victim) => {
-                    self.caches[server].evict(victim)?;
-                    self.metrics.evictions += 1;
-                }
-                None => break,
-            }
-        }
-        if self.caches[server].fits(model)? {
-            self.start_fill_pipeline(server, model, now_s, queue)?;
+        if self.make_room(j, model, Victims::Policy)? {
+            self.start_fill_pipeline(j, model, now_s, queue)?;
         }
         Ok(())
     }
 
-    /// Adds one served request's block residency at server `m` to the
-    /// block hit-ratio counters and returns `(arrived, needed)` so the
-    /// journal can carry the same numbers.
+    /// The standalone size of `model` in bytes.
+    fn model_bytes(&self, model: ModelId) -> Result<u64, RuntimeError> {
+        let bytes = self.scenario.library().model_size_bytes(model);
+        Ok(bytes.map_err(trimcaching_scenario::ScenarioError::from)?)
+    }
+
+    /// Makes room for `model` in member slot `j`, for any fill, and says
+    /// whether it now fits. A model larger than the whole cache never
+    /// fits, so that bails out before any eviction; the policy may veto
+    /// next ([`EvictionPolicy::admits`]); then `victims` are evicted until
+    /// the model fits or the source runs dry. A pool eviction counts in
+    /// `reconcile_evictions` as well as `evictions`.
+    fn make_room(
+        &mut self,
+        j: usize,
+        model: ModelId,
+        victims: Victims<'_>,
+    ) -> Result<bool, RuntimeError> {
+        let standalone_bytes = self.model_bytes(model)?;
+        let cache = &mut self.caches[j];
+        if standalone_bytes > cache.capacity_bytes() {
+            return Ok(false);
+        }
+        if matches!(victims, Victims::Policy) && !self.policy.admits(cache.view(), model) {
+            return Ok(false);
+        }
+        while !cache.fits(model)? {
+            let victim = match victims {
+                Victims::Policy => self.policy.victim(cache.view(), model),
+                Victims::Pool(pool) => reconcile::next_victim(&cache.view(), pool),
+            };
+            let Some(victim) = victim else {
+                return Ok(false);
+            };
+            cache.evict(victim)?;
+            self.metrics.evictions += 1;
+            if let Victims::Pool(_) = victims {
+                self.metrics.reconcile_evictions += 1;
+            }
+        }
+        Ok(true)
+    }
+
+    /// Adds one served request's block residency at member slot `j` to
+    /// the block hit-ratio counters and returns `(arrived, needed)` so
+    /// the journal can carry the same numbers.
     fn count_block_residency(
         &mut self,
-        m: usize,
+        j: usize,
         model: ModelId,
     ) -> Result<(u32, u32), RuntimeError> {
-        let (arrived, total) = self.caches[m].arrived_blocks(model)?;
+        let (arrived, total) = self.caches[j].arrived_blocks(model)?;
         self.metrics.block_hits += arrived as u64;
         self.metrics.block_requests += total as u64;
         Ok((arrived as u32, total as u32))
     }
 
-    /// Brings `model` to server `m` on a miss and returns the extra wait
-    /// in seconds until the model is available there.
+    /// Brings `model` to member slot `j` on a miss and returns the extra
+    /// wait in seconds until the model is available there.
     ///
     /// All storage decisions — the oversize bail-out, policy admission,
     /// policy-driven eviction and the capacity reservation of the fill —
@@ -1557,54 +1570,34 @@ impl<'a> Region<'a> {
     /// [`StorageTracker`]: trimcaching_scenario::StorageTracker
     fn fill_or_fetch(
         &mut self,
-        m: usize,
+        j: usize,
         model: ModelId,
         now_s: f64,
         queue: &mut EventQueue,
     ) -> Result<f64, RuntimeError> {
-        let cache = &self.caches[m];
+        let cache = &self.caches[j];
         if cache.is_pending(model) {
             // Join the in-flight fill: every byte is already on the wire.
             return Ok((cache.pending_eta_s(model) - now_s).max(0.0));
         }
-        // A model larger than the whole cache can never fit, no matter
-        // how much is evicted — bail out before the eviction loop would
-        // drain the cache for nothing.
-        let standalone_bytes = self
-            .scenario
-            .library()
-            .model_size_bytes(model)
-            .map_err(trimcaching_scenario::ScenarioError::from)?;
-        if standalone_bytes <= cache.capacity_bytes() && self.policy.admits(cache.view(), model) {
-            let cache = &mut self.caches[m];
-            while !cache.fits(model)? {
-                match self.policy.victim(cache.view(), model) {
-                    Some(victim) => {
-                        cache.evict(victim)?;
-                        self.metrics.evictions += 1;
-                    }
-                    None => break,
-                }
-            }
-            if cache.fits(model)? {
-                let (eta_s, _) = self.start_fill_pipeline(m, model, now_s, queue)?;
-                return Ok((eta_s - now_s).max(0.0));
-            }
+        if self.make_room(j, model, Victims::Policy)? {
+            let (eta_s, _) = self.start_fill_pipeline(j, model, now_s, queue)?;
+            return Ok((eta_s - now_s).max(0.0));
         }
         // Transient fetch: the bytes still cross the backhaul for this
         // request, but nothing is reserved or cached. In block mode,
         // blocks already on the wire for a pending fill are waited for,
         // not re-sent; a whole-model fetch carries everything itself.
-        let plan = self.caches[m].fill_plan(model)?;
+        let plan = self.caches[j].fill_plan(model)?;
         let (wire_bytes, join_eta_s) = match self.config.granularity {
-            FillGranularity::WholeModel => (standalone_bytes, f64::NEG_INFINITY),
+            FillGranularity::WholeModel => (self.model_bytes(model)?, f64::NEG_INFINITY),
             FillGranularity::Block => (plan.missing_bytes, plan.join_eta_s),
         };
-        let finish_s = self.begin_transfer(m, now_s, wire_bytes);
+        let finish_s = self.begin_transfer(j, now_s, wire_bytes);
         Ok((finish_s.max(join_eta_s) - now_s).max(0.0))
     }
 
-    /// Starts the staged fill pipeline for `model` at server `m`
+    /// Starts the staged fill pipeline for `model` at member slot `j`
     /// (capacity must already fit): plans the fill **after** any
     /// eviction — freed shared blocks must be re-downloaded, so the
     /// plan can only have grown — moves the configured granularity's
@@ -1615,37 +1608,34 @@ impl<'a> Region<'a> {
     /// `(completion_eta_s, wire_bytes)`.
     fn start_fill_pipeline(
         &mut self,
-        m: usize,
+        j: usize,
         model: ModelId,
         now_s: f64,
         queue: &mut EventQueue,
     ) -> Result<(f64, u64), RuntimeError> {
-        let plan = self.caches[m].fill_plan(model)?;
+        let plan = self.caches[j].fill_plan(model)?;
         let join_inflight = self.config.granularity == FillGranularity::Block;
         let wire_bytes = match self.config.granularity {
-            FillGranularity::WholeModel => self
-                .scenario
-                .library()
-                .model_size_bytes(model)
-                .map_err(trimcaching_scenario::ScenarioError::from)?,
+            FillGranularity::WholeModel => self.model_bytes(model)?,
             FillGranularity::Block => plan.missing_bytes,
         };
-        let finish_s = self.begin_transfer(m, now_s, wire_bytes);
-        let (eta_s, reserved) = self.caches[m].start_fill(model, finish_s, join_inflight)?;
+        let finish_s = self.begin_transfer(j, now_s, wire_bytes);
+        let (eta_s, reserved) = self.caches[j].start_fill(model, finish_s, join_inflight)?;
         self.metrics.bytes_downloaded += reserved;
         self.metrics.insertions += 1;
-        queue.push(eta_s, EventKind::TransferComplete { server: m, model });
+        let server = self.servers[j];
+        queue.push(eta_s, EventKind::TransferComplete { server, model });
         Ok((eta_s, wire_bytes))
     }
 
-    /// Starts a backhaul transfer of `bytes` to server `m` (a no-op
+    /// Starts a backhaul transfer of `bytes` to member slot `j` (a no-op
     /// returning `now_s` for zero bytes) and folds the link statistics
     /// into the run metrics.
-    fn begin_transfer(&mut self, m: usize, now_s: f64, bytes: u64) -> f64 {
+    fn begin_transfer(&mut self, j: usize, now_s: f64, bytes: u64) -> f64 {
         if bytes == 0 {
             return now_s;
         }
-        let ticket = self.links[m].begin_transfer(now_s, bytes);
+        let ticket = self.links[j].begin_transfer(now_s, bytes);
         self.metrics.backhaul_bytes_moved += bytes;
         self.metrics.transfers_started += 1;
         self.metrics.transfer_seconds += ticket.duration_s;

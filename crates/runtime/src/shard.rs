@@ -12,6 +12,12 @@
 //! server and user, so the classic trace is the one-region trace by
 //! construction.
 //!
+//! A region holds caches, backhaul links and down flags for its own
+//! servers only, reached through one global → member slot index derived
+//! from the partition. Events and checkpoints keep global server ids;
+//! the coordinator takes each server's state and final cache from its
+//! owner.
+//!
 //! The coordinator owns the one request workload of the run, the one
 //! radio snapshot (coverage, allocation and rates of every user; the
 //! eligibility indicator the paper's placement reads is derived from it
@@ -54,27 +60,25 @@ use trimcaching_scenario::{Placement, Scenario, UserId};
 use trimcaching_wireless::geometry::Point;
 
 use crate::engine::{
-    primary_server_for, primary_servers, DriveStop, Region, RunState, ServeConfig, ServeReport,
-    Shared,
+    member_slot, primary_server_for, primary_servers, DriveStop, Home, Region, RunState,
+    ServeConfig, ServeReport, Shared,
 };
 use crate::error::RuntimeError;
 use crate::event::{Event, EventKind};
 use crate::fanout::par_map;
+use crate::faults::FaultSpec;
 use crate::persist::checkpoint::CheckpointSaver;
 use crate::persist::{Checkpoint, PersistConfig, PersistError};
 use crate::policy::EvictionPolicy;
 use crate::workload::Workload;
 
-/// The static strip partition of a scenario: which servers belong to
-/// which shard, and the geometry deciding which strip a coordinate (and
-/// therefore a user) falls into.
+/// The static strip partition of a scenario: the geometry deciding which
+/// strip a coordinate — and therefore a server or a user — falls into.
 #[derive(Debug, Clone)]
 struct Partition {
     min_x: f64,
     strip_w: f64,
     num_shards: usize,
-    /// `server_region[m]` — the shard server `m` belongs to.
-    server_region: Vec<usize>,
 }
 
 impl Partition {
@@ -82,23 +86,20 @@ impl Partition {
     /// equal strips. Degenerate spans (one server, or all servers on
     /// one vertical line) collapse into strip 0.
     fn over(scenario: &Scenario, num_shards: usize) -> Self {
-        let xs: Vec<f64> = scenario.servers().iter().map(|s| s.position().x).collect();
-        let min_x = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let max_x = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let xs = scenario.servers().iter().map(|s| s.position().x);
+        let min_x = xs.clone().fold(f64::INFINITY, f64::min);
+        let max_x = xs.fold(f64::NEG_INFINITY, f64::max);
         let span = max_x - min_x;
         let strip_w = if span.is_finite() && span > 0.0 {
             span / num_shards as f64
         } else {
             0.0
         };
-        let mut partition = Self {
+        Self {
             min_x,
             strip_w,
             num_shards,
-            server_region: Vec::new(),
-        };
-        partition.server_region = xs.iter().map(|&x| partition.strip_of(x)).collect();
-        partition
+        }
     }
 
     /// The shard whose strip contains x-coordinate `x` (positions
@@ -172,6 +173,15 @@ impl<'a> ShardedServeEngine<'a> {
         }
         let partition = Partition::over(scenario, num_shards);
         let positions: Vec<Point> = scenario.users().iter().map(|u| u.position()).collect();
+        // Each strip's servers take its slots in ascending server id.
+        let mut members = vec![Vec::new(); num_shards];
+        let mut home = Vec::with_capacity(scenario.num_servers());
+        for (m, server) in scenario.servers().iter().enumerate() {
+            let region = partition.strip_of(server.position().x);
+            let slot = members[region].len();
+            home.push(Home { region, slot });
+            members[region].push(m);
+        }
         let shared = Shared {
             workload: Workload::from_demand(scenario.demand(), config.request_rate_hz)?,
             snapshot: Cow::Borrowed(scenario),
@@ -179,16 +189,16 @@ impl<'a> ShardedServeEngine<'a> {
             owner: partition.owners_of(&positions),
             generation: vec![0; scenario.num_users()],
             scheduled: Vec::new(),
+            home,
         };
-        let shards = (0..num_shards)
-            .map(|s| {
+        let shards = members
+            .into_iter()
+            .enumerate()
+            .map(|(s, servers)| {
                 let region_config = config.clone().with_seed(config.seed.wrapping_add(s as u64));
-                let member_servers = partition.server_region.iter().map(|&r| r == s).collect();
-                Region::new(scenario, policy, region_config, s, member_servers).map(|engine| {
-                    ShardRun {
-                        engine,
-                        state: None,
-                    }
+                Region::new(scenario, policy, region_config, s, servers).map(|engine| ShardRun {
+                    engine,
+                    state: None,
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -225,8 +235,10 @@ impl<'a> ShardedServeEngine<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates scenario errors for mismatched placements.
+    /// Returns [`RuntimeError::InvalidConfig`] for a placement whose
+    /// dimensions disagree with the scenario.
     pub fn warm_start(&mut self, placement: &Placement) -> Result<(), RuntimeError> {
+        self.check_dimensions("placement", placement)?;
         for shard in &mut self.shards {
             shard.engine.warm_start(placement)?;
         }
@@ -272,19 +284,26 @@ impl<'a> ShardedServeEngine<'a> {
                 ),
             });
         }
+        self.check_dimensions("target", &target)?;
+        self.shared.scheduled.push((at_s, target));
+        Ok(())
+    }
+
+    /// Checks `placement`'s dimensions (named `what` in errors): regions
+    /// read only their own rows and would drop a surplus row silently.
+    fn check_dimensions(&self, what: &str, placement: &Placement) -> Result<(), RuntimeError> {
         let s = self.scenario;
-        if target.num_servers() != s.num_servers() || target.num_models() != s.num_models() {
+        if placement.num_servers() != s.num_servers() || placement.num_models() != s.num_models() {
             return Err(RuntimeError::InvalidConfig {
                 reason: format!(
-                    "target is {}x{} but the scenario is {}x{}",
-                    target.num_servers(),
-                    target.num_models(),
+                    "{what} is {}x{} but the scenario is {}x{}",
+                    placement.num_servers(),
+                    placement.num_models(),
                     s.num_servers(),
                     s.num_models()
                 ),
             });
         }
-        self.shared.scheduled.push((at_s, target));
         Ok(())
     }
 
@@ -339,10 +358,10 @@ impl<'a> ShardedServeEngine<'a> {
             }
             .into());
         }
-        check_events(cp, scenario.num_models())?;
         let mut config = cp.config.clone();
         config.persist = persist.clone();
         let mut engine = Self::new(scenario, policy, config, cp.num_shards())?;
+        check_events(cp, scenario.num_models(), &engine.shared.home)?;
         engine.shared.workload = cp.workload.clone();
         engine.shared.primary = cp.primary.clone();
         engine.shared.owner = engine.partition.owners_of(&cp.positions);
@@ -388,10 +407,10 @@ impl<'a> ShardedServeEngine<'a> {
     }
 
     /// Runs all regions to the configured horizon and merges the
-    /// per-region reports: counters sum, histograms add, window traces
+    /// per-region results: counters sum, histograms add, window traces
     /// merge point-wise, and each server's final cache comes from its
-    /// member region. For one region the merged report *is* that
-    /// region's report.
+    /// owner region. For one region the merged metrics *are* that
+    /// region's metrics.
     ///
     /// # Errors
     ///
@@ -400,24 +419,31 @@ impl<'a> ShardedServeEngine<'a> {
         let horizon = self.config.duration_s;
         self.run_to(horizon)?;
         self.saver.wait()?;
-        let server_region = self.partition.server_region;
-        let mut reports = Vec::with_capacity(self.shards.len());
+        let mut metrics = None;
+        let mut member_caches = Vec::with_capacity(self.shards.len());
         for shard in self.shards {
-            reports.push(shard.engine.finish(horizon)?);
-        }
-        let mut merged = reports.remove(0);
-        merged.seed = self.config.seed;
-        for report in &reports {
-            merged.metrics.merge_from(&report.metrics);
-        }
-        // Each server belongs to exactly one region; its final cache is
-        // that region's (non-member caches stay empty for the whole run).
-        for (m, &region) in server_region.iter().enumerate() {
-            if region > 0 {
-                merged.final_caches[m] = reports[region - 1].final_caches[m].clone();
+            let (region_metrics, caches) = shard.engine.finish(horizon)?;
+            match &mut metrics {
+                None => metrics = Some(region_metrics),
+                Some(merged) => merged.merge_from(&region_metrics),
             }
+            member_caches.push(caches);
         }
-        Ok(merged)
+        let final_caches = self
+            .shared
+            .home
+            .iter()
+            .map(|home| std::mem::take(&mut member_caches[home.region][home.slot]))
+            .collect();
+        Ok(ServeReport {
+            policy: self.policy.name().to_string(),
+            seed: self.config.seed,
+            granularity: self.config.granularity,
+            metrics: metrics.ok_or_else(|| RuntimeError::Internal {
+                reason: "a run without regions finished".into(),
+            })?,
+            final_caches,
+        })
     }
 
     /// Runs the regions up to simulated time `stop_s` and drops the
@@ -485,7 +511,7 @@ impl<'a> ShardedServeEngine<'a> {
             let state = shard.state.as_ref().ok_or_else(no_run_state)?;
             regions.push(shard.engine.capture(state)?);
         }
-        let servers = self.partition.server_region.iter().enumerate();
+        let servers = self.shared.home.iter();
         let mut config = self.config.clone();
         config.persist = None;
         Ok(Checkpoint {
@@ -504,7 +530,7 @@ impl<'a> ShardedServeEngine<'a> {
             generation: self.shared.generation.clone(),
             scheduled: self.shared.scheduled.clone(),
             servers: servers
-                .map(|(m, &region)| self.shards[region].engine.server_state(m))
+                .map(|home| self.shards[home.region].engine.server_state(home.slot))
                 .collect(),
             regions,
         })
@@ -715,29 +741,34 @@ fn request_chain_breach(
 /// holds and against the queue's pop-order contract. Indices: users and
 /// servers against the checkpoint's own per-user and per-server state,
 /// models against `num_models`, and scheduled reconciliations and fault
-/// transitions against their lists. Order: every time finite,
-/// non-negative, not `-0.0` and not before the checkpoint's own time,
-/// and every sequence number unique within its region and below the
-/// region's next one. A CRC-valid checkpoint can still carry an index
-/// the run would first dereference at dispatch, or a time or sequence
-/// number that would silently reorder the run.
-fn check_events(cp: &Checkpoint, num_models: usize) -> Result<(), PersistError> {
+/// transitions against their lists; the server of a transfer, a retry or
+/// a fault transition must also be one the region simulates (`home`).
+/// Order: every time finite, non-negative, not `-0.0` and not before the
+/// checkpoint's own time, and every sequence number unique within its
+/// region and below the region's next one. A CRC-valid checkpoint can
+/// still carry an index the run would first dereference at dispatch, or
+/// a time or sequence number that would silently reorder the run.
+fn check_events(cp: &Checkpoint, num_models: usize, home: &[Home]) -> Result<(), PersistError> {
     let (users, servers, scheduled) = (cp.positions.len(), cp.servers.len(), cp.scheduled.len());
-    let faults = cp.config.faults.as_ref().map_or(0, |f| f.timeline.len());
+    let timeline: &[FaultSpec] = cp.config.faults.as_ref().map_or(&[], |f| &f.timeline);
+    let faults = timeline.len();
     for (region, state) in cp.regions.iter().enumerate() {
         let corrupt = |what: String| PersistError::Corrupt {
             context: format!("checkpoint: region {region} holds {what}"),
         };
         for event in &state.events {
-            let in_range = match event.kind {
-                EventKind::Request { user, .. } => user.index() < users,
+            let (in_range, server) = match event.kind {
+                EventKind::Request { user, .. } => (user.index() < users, None),
                 EventKind::TransferComplete { server, model }
                 | EventKind::RetryFill { server, model, .. } => {
-                    server < servers && model.index() < num_models
+                    (server < servers && model.index() < num_models, Some(server))
                 }
-                EventKind::ScheduledReconcile { index } => index < scheduled,
-                EventKind::FaultTransition { index } => index < faults,
-                EventKind::MobilitySlot | EventKind::ControlTick => true,
+                EventKind::ScheduledReconcile { index } => (index < scheduled, None),
+                EventKind::FaultTransition { index } => (
+                    index < faults,
+                    timeline.get(index).map(|spec| spec.kind.server()),
+                ),
+                EventKind::MobilitySlot | EventKind::ControlTick => (true, None),
             };
             let t = event.time_s;
             let in_order = t.is_finite() && t.is_sign_positive() && t >= cp.time_s;
@@ -748,6 +779,12 @@ fn check_events(cp: &Checkpoint, num_models: usize) -> Result<(), PersistError> 
                      reconciliations and {faults} fault transitions, the checkpoint is at \
                      {} s and the next sequence number is {}",
                     event.kind, event.seq, cp.time_s, state.next_seq
+                )));
+            }
+            if let Some(m) = server.filter(|&m| member_slot(home, region, m).is_none()) {
+                let kind = event.kind;
+                return Err(corrupt(format!(
+                    "{kind:?} for server {m}, which it does not own"
                 )));
             }
         }
@@ -1404,6 +1441,20 @@ mod tests {
         });
     }
 
+    /// A two-region [`hostile_checkpoint_context`] with `kind` added to
+    /// region 1's pending events under a fresh sequence number. Region 1
+    /// simulates servers 2 and 3 of `scenario`, not server 0.
+    fn assert_foreign_event_is_corrupt(kind: EventKind) {
+        let context = hostile_checkpoint_context(2, |cp| {
+            let time_s = cp.time_s + 1.0;
+            let region = &mut cp.regions[1];
+            let seq = region.next_seq;
+            region.events.push(Event { time_s, seq, kind });
+            region.next_seq += 1;
+        });
+        assert!(context.contains("which it does not own"), "{context}");
+    }
+
     #[test]
     fn a_hostile_transfer_complete_is_corrupt() {
         let s = scenario(8);
@@ -1414,6 +1465,10 @@ mod tests {
                 model: ModelId(model),
             });
         }
+        assert_foreign_event_is_corrupt(EventKind::TransferComplete {
+            server: 0,
+            model: ModelId(0),
+        });
     }
 
     #[test]
@@ -1427,6 +1482,11 @@ mod tests {
                 attempt: 1,
             });
         }
+        assert_foreign_event_is_corrupt(EventKind::RetryFill {
+            server: 0,
+            model: ModelId(0),
+            attempt: 1,
+        });
     }
 
     #[test]
@@ -1437,6 +1497,8 @@ mod tests {
     #[test]
     fn a_hostile_fault_transition_is_corrupt() {
         assert_hostile_event_is_corrupt(EventKind::FaultTransition { index: 1 });
+        // The schedule's only transition takes server 0 down.
+        assert_foreign_event_is_corrupt(EventKind::FaultTransition { index: 0 });
     }
 
     /// A CRC-valid checkpoint whose server holds more resident models
@@ -1493,6 +1555,81 @@ mod tests {
                 "{hostile:?}: {:?}",
                 resumed.err()
             );
+        }
+    }
+
+    /// Each region holds caches, links and down flags for exactly the
+    /// servers of its strip — none at all for a strip without servers —
+    /// and the report's final caches are the owner regions' caches.
+    #[test]
+    fn regions_hold_exactly_their_strips_servers() {
+        let s = scenario(16);
+        let num_servers = s.num_servers();
+        let mut placement = s.empty_placement();
+        for m in 0..num_servers {
+            placement.place(ServerId(m), ModelId(m)).unwrap();
+        }
+        for shards in [1, 2, 4, 8] {
+            let config = ServeConfig::smoke().with_seed(3);
+            let mut engine = ShardedServeEngine::new(&s, &Lru, config, shards).unwrap();
+            engine.warm_start(&placement).unwrap();
+            let mut held = 0;
+            for (r, shard) in engine.shards.iter().enumerate() {
+                let strip: Vec<usize> = (0..num_servers)
+                    .filter(|&m| engine.partition.strip_of(s.servers()[m].position().x) == r)
+                    .collect();
+                assert_eq!(shard.engine.servers, strip, "R = {shards}, region {r}");
+                assert_eq!(shard.engine.slot_counts(), [strip.len(); 3]);
+                held += strip.len();
+            }
+            assert_eq!(held, num_servers, "R = {shards}");
+            if shards == 8 {
+                let empty = engine
+                    .shards
+                    .iter()
+                    .filter(|shard| shard.engine.servers.is_empty());
+                assert_eq!(empty.count(), 4, "four of eight strips have no server");
+            }
+            engine.run_to(engine.config.duration_s).unwrap();
+            let servable: Vec<Vec<ModelId>> = engine
+                .shared
+                .home
+                .iter()
+                .map(|home| {
+                    let cache = engine.shards[home.region]
+                        .engine
+                        .server_state(home.slot)
+                        .cache;
+                    let servable = cache.resident.iter().filter(|i| !cache.pending[i.index()]);
+                    servable.copied().collect()
+                })
+                .collect();
+            let report = engine.run().unwrap();
+            assert_eq!(report.final_caches, servable, "R = {shards}");
+            assert!(report.final_caches.iter().all(|cached| !cached.is_empty()));
+        }
+    }
+
+    /// A placement of other dimensions than the scenario fails at warm
+    /// start instead of losing its surplus rows.
+    #[test]
+    fn warm_start_rejects_a_placement_of_other_dimensions() {
+        let s = scenario(8);
+        let (servers, models) = (s.num_servers(), s.num_models());
+        for (m, i) in [
+            (servers + 1, models),
+            (servers - 1, models),
+            (servers, models + 1),
+        ] {
+            for shards in [1, 2] {
+                let config = ServeConfig::smoke();
+                let mut engine = ShardedServeEngine::new(&s, &Lru, config, shards).unwrap();
+                let warmed = engine.warm_start(&Placement::empty(m, i));
+                assert!(
+                    matches!(warmed, Err(RuntimeError::InvalidConfig { .. })),
+                    "{m}x{i} at R = {shards}: {warmed:?}"
+                );
+            }
         }
     }
 
