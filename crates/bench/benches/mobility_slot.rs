@@ -9,19 +9,25 @@
 //!
 //! * for `M ∈ {100, 500, 1000}` Poisson-deployed servers on sparse
 //!   eligibility (the largest is the 1 000-server / 50 000-user city
-//!   preset, where the coverage pass runs through the spatial server
-//!   grid) a 1% / 5% fraction of the users takes one mobility-sized
-//!   step;
+//!   preset; in all three the coverage pass runs through the spatial
+//!   server grid) a 1% / 5% fraction of the users takes one
+//!   mobility-sized step;
 //! * the regime the serving engine actually runs: the dense 5 000-user
 //!   LoRA market (10 servers, 24 models) advanced by one `paper_mix`
 //!   slot, which moves ~86% of the users and, through share
 //!   reallocation, refreshes nearly every row.
 //!
-//! Before any timing starts, `update_user_positions` (the radio update
-//! plus the eligibility re-derivation) is asserted to produce a snapshot
-//! bit-identical to a full `with_user_positions` rebuild, with
-//! bit-identical hit ratios; the LoRA row's eligibility is also checked
-//! triple by triple against `LatencyEvaluator::eligible`.
+//! Before any timing starts, every district's coverage rows, both
+//! directions, are asserted equal to the all-pairs definition
+//! `distance ≤ radius` (above 64 servers, so in every district, they
+//! are built through the spatial server grid, which the rebuild
+//! comparison below goes through on both sides; at the city that is
+//! 50 000 × 997 distance tests).
+//! Then `update_user_positions` (the radio update plus the eligibility
+//! re-derivation) is asserted to produce a snapshot bit-identical to a
+//! full `with_user_positions` rebuild, with bit-identical hit ratios;
+//! the LoRA row's eligibility is also checked triple by triple against
+//! `LatencyEvaluator::eligible`.
 //!
 //! The update is timed by flip-flopping one snapshot between the two
 //! position sets, so every sample performs exactly one slot update of
@@ -125,6 +131,37 @@ fn assert_matches_oracle(scenario: &Scenario) {
     }
 }
 
+/// Asserts that every coverage row of `scenario`, both directions,
+/// equals the all-pairs definition `distance ≤ radius`.
+fn assert_coverage_matches_definition(scenario: &Scenario) {
+    let coverage = scenario.coverage();
+    let radius_m = coverage.coverage_radius_m();
+    let servers: Vec<Point> = scenario.servers().iter().map(|s| s.position()).collect();
+    let mut members = vec![Vec::new(); servers.len()];
+    let mut row = Vec::new();
+    for (k, user) in scenario.users().iter().enumerate() {
+        row.clear();
+        for (m, server) in servers.iter().enumerate() {
+            if server.distance(user.position()) <= radius_m {
+                row.push(m);
+                members[m].push(k);
+            }
+        }
+        assert_eq!(
+            coverage.servers_of_user(k).expect("user in range"),
+            row,
+            "covering servers of user {k}"
+        );
+    }
+    for (m, expected) in members.iter().enumerate() {
+        assert_eq!(
+            coverage.users_of_server(m).expect("server in range"),
+            expected.as_slice(),
+            "users of server {m}"
+        );
+    }
+}
+
 /// Positions after moving `fraction` of the users by one 5-second slot
 /// at the speed of their paper mobility class (users are assigned to
 /// pedestrian/bike/vehicle round robin, exactly as
@@ -206,6 +243,7 @@ fn report_slot(
 fn main() {
     for target in [100usize, 500, 1000] {
         let scenario = district(target);
+        assert_coverage_matches_definition(&scenario);
         for fraction in [0.01f64, 0.05] {
             let moved = moved_positions(&scenario, fraction, 7 + target as u64);
             let (_, delta) = assert_update_matches_rebuild(&scenario, &moved);

@@ -256,7 +256,7 @@ pub(crate) fn recover_journal(path: &Path) -> Result<RecoveredJournal, PersistEr
     }
 
     let mut pos = 5usize;
-    let mut frames: Vec<(Vec<u8>, u64)> = Vec::new();
+    let mut frames: Vec<(&[u8], u64)> = Vec::new();
     let mut torn = false;
     while pos < bytes.len() {
         let start = pos;
@@ -283,7 +283,7 @@ pub(crate) fn recover_journal(path: &Path) -> Result<RecoveredJournal, PersistEr
             pos = start;
             break;
         }
-        frames.push((payload.to_vec(), pos as u64));
+        frames.push((payload, pos as u64));
     }
     let mut valid_len = if torn { pos as u64 } else { bytes.len() as u64 };
 

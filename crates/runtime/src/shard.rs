@@ -162,6 +162,20 @@ impl<'a> ShardedServeEngine<'a> {
         config: ServeConfig,
         num_shards: usize,
     ) -> Result<Self, RuntimeError> {
+        Self::build(scenario, policy, config, num_shards, None)
+    }
+
+    /// The one constructor, behind [`ShardedServeEngine::new`] and
+    /// restore: `workload` is the run's workload, `None` for the
+    /// stationary one of the scenario's demand. Restore passes the
+    /// checkpointed workload, so a resume derives none.
+    fn build(
+        scenario: &'a Scenario,
+        policy: &'a dyn EvictionPolicy,
+        config: ServeConfig,
+        num_shards: usize,
+        workload: Option<Workload>,
+    ) -> Result<Self, RuntimeError> {
         if num_shards == 0 {
             return Err(RuntimeError::InvalidConfig {
                 reason: "a sharded run needs at least one shard".into(),
@@ -183,7 +197,10 @@ impl<'a> ShardedServeEngine<'a> {
             members[region].push(m);
         }
         let shared = Shared {
-            workload: Workload::from_demand(scenario.demand(), config.request_rate_hz)?,
+            workload: match workload {
+                Some(workload) => workload,
+                None => Workload::from_demand(scenario.demand(), config.request_rate_hz)?,
+            },
             snapshot: Cow::Borrowed(scenario),
             primary: primary_servers(scenario)?,
             owner: partition.owners_of(&positions),
@@ -360,9 +377,9 @@ impl<'a> ShardedServeEngine<'a> {
         }
         let mut config = cp.config.clone();
         config.persist = persist.clone();
-        let mut engine = Self::new(scenario, policy, config, cp.num_shards())?;
+        let workload = Some(cp.workload.clone());
+        let mut engine = Self::build(scenario, policy, config, cp.num_shards(), workload)?;
         check_events(cp, scenario.num_models(), &engine.shared.home)?;
-        engine.shared.workload = cp.workload.clone();
         engine.shared.primary = cp.primary.clone();
         engine.shared.owner = engine.partition.owners_of(&cp.positions);
         engine.shared.generation = cp.generation.clone();

@@ -27,8 +27,6 @@
 //! [`Workload::flash_crowd`] and [`Workload::diurnal_tide`] build the
 //! spike and rotation families.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -190,20 +188,7 @@ impl Workload {
                 reason: format!("the first phase must start at 0 s, got {first_start}"),
             });
         }
-        // Classes whose base rows are bit-identical share a distinct row.
-        let mut index: BTreeMap<Vec<u64>, u32> = BTreeMap::new();
-        let mut rows: Vec<&[f64]> = Vec::new();
-        let class_row: Vec<u32> = base
-            .class_probabilities()
-            .iter()
-            .map(|row| {
-                let bits = row.iter().map(|p| p.to_bits()).collect();
-                *index.entry(bits).or_insert_with(|| {
-                    rows.push(row);
-                    (rows.len() - 1) as u32
-                })
-            })
-            .collect();
+        let (class_row, rows) = distinct_rows(base.class_probabilities());
         let user_row = base
             .user_classes()
             .iter()
@@ -284,6 +269,57 @@ impl Workload {
         ModelId(idx.min(cdf.len() - 1))
     }
 }
+
+/// Numbers the classes' popularity rows: classes whose rows are
+/// bit-identical share one id (so `0.0` and `-0.0` differ), and ids
+/// follow each distinct row's first class. Returns every class's id and
+/// the distinct rows in id order.
+///
+/// One `u64` key per class, the row hash's top 32 bits above the class,
+/// sorts equal rows into one run of equal hashes; each run is sorted by
+/// (bits, class), so each group of equal rows leads with its first
+/// class even under a hash collision: O(n log n) comparisons and no
+/// buffer per row.
+fn distinct_rows(rows: &[Vec<f64>]) -> (Vec<u32>, Vec<&[f64]>) {
+    let bits = |key: u64| rows[key as u32 as usize].iter().map(|p| p.to_bits());
+    let mut keys: Vec<u64> = (0..rows.len() as u32)
+        .map(|c| row_hash(&rows[c as usize]) & !0xffff_ffff | u64::from(c))
+        .collect();
+    keys.sort_unstable();
+    // `first[c]`: the first class whose row equals class `c`'s.
+    let mut first: Vec<u32> = (0..rows.len() as u32).collect();
+    for run in keys.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+        // Usually one row in class order, which the sort only checks.
+        run.sort_unstable_by(|&a, &b| bits(a).cmp(bits(b)).then(a.cmp(&b)));
+        for group in run.chunk_by(|&a, &b| bits(a).eq(bits(b))) {
+            for &key in group {
+                first[key as u32 as usize] = group[0] as u32;
+            }
+        }
+    }
+    // In class order a first class takes the next id and every other
+    // class its first class's id, already assigned (`first[c] < c`).
+    let mut distinct = Vec::new();
+    for c in 0..rows.len() {
+        let lead = first[c] as usize;
+        first[c] = if lead == c {
+            distinct.push(rows[c].as_slice());
+            (distinct.len() - 1) as u32
+        } else {
+            first[lead]
+        };
+    }
+    (first, distinct)
+}
+
+/// 64-bit FNV-1a over a row's bits, one word at a time.
+fn row_hash(row: &[f64]) -> u64 {
+    row.iter()
+        .fold(FNV_BASIS, |h, p| (h ^ p.to_bits()).wrapping_mul(FNV_PRIME))
+}
+
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The normalised CDF of popularity row `r`.
 fn cdf_of(r: usize, mut row: Vec<f64>) -> Result<Vec<f64>, RuntimeError> {
@@ -494,6 +530,8 @@ impl PopularityShift {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use rand::SeedableRng;
     use trimcaching_scenario::DemandConfig;
@@ -641,6 +679,156 @@ mod tests {
                 .num_rows(),
             50
         );
+    }
+
+    /// The first-seen numbering the workload was first built with, one
+    /// `BTreeMap<Vec<u64>, u32>` key per distinct row: the oracle
+    /// `distinct_rows` must equal.
+    fn first_seen_oracle(rows: &[Vec<f64>]) -> (Vec<u32>, Vec<&[f64]>) {
+        let mut index: BTreeMap<Vec<u64>, u32> = BTreeMap::new();
+        let mut distinct: Vec<&[f64]> = Vec::new();
+        let class_row = rows
+            .iter()
+            .map(|row| {
+                let bits = row.iter().map(|p| p.to_bits()).collect();
+                *index.entry(bits).or_insert_with(|| {
+                    distinct.push(row);
+                    (distinct.len() - 1) as u32
+                })
+            })
+            .collect();
+        (class_row, distinct)
+    }
+
+    /// A demand whose class rows are `rows`, one user per class and
+    /// then `extra` users cycling over the classes.
+    fn class_demand(rows: Vec<Vec<f64>>, extra: usize) -> Demand {
+        let (classes, models) = (rows.len(), rows[0].len());
+        let user_class = (0..classes + extra).map(|k| (k % classes) as u32).collect();
+        let ones = vec![vec![1.0; models]; classes];
+        Demand::clustered(rows, ones.clone(), ones, user_class).unwrap()
+    }
+
+    /// Requires the workload over `rows` (two phases: the base rows,
+    /// then a rotation) to equal the oracle's numbering exactly.
+    fn assert_dedup_matches_oracle(rows: Vec<Vec<f64>>) {
+        let models = rows[0].len();
+        let (class_row, distinct) = first_seen_oracle(&rows);
+        let demand = class_demand(rows.clone(), 3);
+        let edits = [
+            (0.0, PopularityEdit::Keep),
+            (10.0, PopularityEdit::rotation(models, 1)),
+        ];
+        let w = Workload::piecewise(&demand, &edits, 1.0).unwrap();
+        let user_row: Vec<u32> = demand
+            .user_classes()
+            .iter()
+            .map(|&c| class_row[c as usize])
+            .collect();
+        assert_eq!(w.user_row, user_row);
+        let phases: Vec<Vec<Vec<f64>>> = edits
+            .iter()
+            .map(|(_, edit)| {
+                distinct
+                    .iter()
+                    .enumerate()
+                    .map(|(r, row)| cdf_of(r, edit.apply(row)).unwrap())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(w.phases.len(), 2);
+        for (got, want) in w.phases.iter().zip(&phases) {
+            assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(want) {
+                assert!(a
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .eq(b.iter().map(|p| p.to_bits())));
+            }
+        }
+        assert_eq!(distinct_rows(&rows), (class_row, distinct));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn row_dedup_matches_the_first_seen_oracle(
+            seed in proptest::any::<u64>(),
+            classes in 1usize..300,
+            models in 1usize..5,
+        ) {
+            // Entries from a small alphabet, `0.0` and `-0.0` included,
+            // so random duplicates are common; every row keeps positive
+            // mass in its last entry, and a third of the rows copy an
+            // earlier row.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let alphabet = [0.0, -0.0, 0.25, 1.0, 1e-300];
+            let mut rows: Vec<Vec<f64>> = Vec::with_capacity(classes);
+            for c in 0..classes {
+                let row = if c > 0 && rng.gen_range(0..3) == 0 {
+                    rows[rng.gen_range(0..c)].clone()
+                } else {
+                    let mut row: Vec<f64> =
+                        (0..models).map(|_| alphabet[rng.gen_range(0..5)]).collect();
+                    row[models - 1] = [0.5, 2.0][rng.gen_range(0..2)];
+                    row
+                };
+                rows.push(row);
+            }
+            assert_dedup_matches_oracle(rows);
+        }
+    }
+
+    #[test]
+    fn signed_zeros_stay_distinct_rows() {
+        // The last two rows also collide under the word-wise hash (the
+        // sign bits cancel), so only their bits tell them apart.
+        let rows = vec![
+            vec![0.0, 1.0, 1.0],
+            vec![-0.0, 1.0, 1.0],
+            vec![0.0, 1.0, 1.0],
+            vec![0.0, -0.0, 1.0],
+            vec![-0.0, 0.0, 1.0],
+            vec![-0.0, 0.0, 1.0],
+        ];
+        assert_eq!(row_hash(&rows[3]), row_hash(&rows[4]));
+        assert_eq!(distinct_rows(&rows).0, [0, 1, 0, 2, 3, 3]);
+        assert_dedup_matches_oracle(rows);
+    }
+
+    #[test]
+    fn row_dedup_holds_at_city_sizes() {
+        // The drift-churn shape: one shared row.
+        let shared = vec![vec![0.1, 0.2, 0.3, 0.4]; 50_000];
+        assert_eq!(distinct_rows(&shared).1.len(), 1);
+        assert_dedup_matches_oracle(shared);
+        // The city shape: one row per user.
+        let personal: Vec<Vec<f64>> = (0..50_000)
+            .map(|k| vec![1.0, k as f64, 0.5, (k % 7) as f64])
+            .collect();
+        assert_eq!(distinct_rows(&personal).1.len(), 50_000);
+        assert_dedup_matches_oracle(personal);
+    }
+
+    #[test]
+    fn colliding_rows_are_told_apart_by_their_bits() {
+        // Word-wise FNV collides when the second words make up for the
+        // first: `(x_a ^ w) == (x_b ^ w')` with `x` the state after
+        // one word. The bits need not be valid probabilities here.
+        let state = |w: u64| (FNV_BASIS ^ w).wrapping_mul(FNV_PRIME);
+        let (a0, b0, a1) = (0.5f64.to_bits(), 0.25f64.to_bits(), 1.0f64.to_bits());
+        let a = vec![f64::from_bits(a0), f64::from_bits(a1)];
+        let b = vec![
+            f64::from_bits(b0),
+            f64::from_bits(a1 ^ state(a0) ^ state(b0)),
+        ];
+        assert_eq!(row_hash(&a), row_hash(&b));
+        let c = vec![3.0, 4.0];
+        let rows = vec![b.clone(), c.clone(), a.clone(), b, a, c];
+        assert_eq!(distinct_rows(&rows).0, [0, 1, 2, 0, 2, 1]);
+        let (ids, distinct) = first_seen_oracle(&rows);
+        assert_eq!(distinct_rows(&rows), (ids, distinct));
     }
 
     #[test]

@@ -105,9 +105,7 @@ impl CoverageMap {
         for (k, &point) in self.user_points.iter().enumerate() {
             let start = self.user_servers.len();
             match &self.grid {
-                Some(grid) => {
-                    grid.covering_servers(point, servers, radius_m, &mut self.user_servers)
-                }
+                Some(grid) => grid.covering_servers(point, radius_m, &mut self.user_servers),
                 None => append_covering(point, servers, radius_m, &mut self.user_servers),
             }
             for &m in &self.user_servers[start..] {
@@ -250,66 +248,143 @@ fn append_covering(point: Point, servers: &[Point], radius_m: f64, found: &mut V
 /// into a [`ServerGrid`], so that the row writer finds each user's
 /// servers through the grid instead of a linear scan. The choice follows
 /// the input alone (the server count), never the users. The grid costs
-/// nine bucket lookups per user; a linear scan costs one distance test
-/// and one write per server. Timed per user (all 2 000 users rewritten,
-/// so the pass over the rows is included) on a 2-core host at ~10
-/// servers per km² and a 275 m radius, the scan wins up to ~150 servers
-/// (80 vs 215 ns at 10 servers, 350 vs 450 ns at 100, about 500 ns each
-/// at 150) and the grid above (750 vs 630 ns at 250, 1.3 vs 0.66–0.88 µs
-/// at 500, 2.7 vs 0.80–1.06 µs at 1 000).
-const GRID_MIN_SERVERS: usize = 128;
+/// two offset reads per grid row it visits (usually three rows) and one
+/// distance test per server in the visited cells; the scan costs one
+/// distance test and one write per server. Timed per user (all 2 000
+/// users rewritten by `set_user_positions`, median of 41, three rounds)
+/// on a 2-core host at ~10 servers per km² and a 275 m radius, the scan
+/// wins below ~50 servers (46–48 vs 99–102 ns at 10, 89–108 vs
+/// 127–136 ns at 25), the two tie at 50 (160–188 vs 156–162 ns) and the
+/// grid wins above (239–282 vs 162–175 ns at 75, 358–376 vs 161–171 ns
+/// at 128, 0.72–0.75 µs vs 172–183 ns at 250, 2.8–2.9 µs vs 179–234 ns
+/// at 1 000). Rows are identical on either path.
+const GRID_MIN_SERVERS: usize = 64;
 
-/// Uniform hash grid over server points with cell side equal to the
-/// coverage radius: every server within one radius of a query point lies
-/// in the 3 × 3 cell neighbourhood of the query's cell.
+/// Dense uniform grid over the bounding box of the finite server
+/// points, row-major and row-compressed: cell `c = row · cols + col`
+/// holds `ids[starts[c]..starts[c + 1]]`, ascending, with each server's
+/// point copied alongside in `points`. A grid row's run of neighbouring
+/// cells is one contiguous range, so a query reads two offsets per row.
+///
+/// The cell side starts at the query reach (the radius plus rounding
+/// slack) and doubles until there are at most `4 · M` cells, so memory
+/// stays O(M) however far apart the servers lie. A server with a
+/// non-finite coordinate is left out: its distance to any point is
+/// infinite or NaN, so it covers no one.
 #[derive(Debug, Clone, PartialEq)]
 struct ServerGrid {
+    /// Lower-left corner of the bounding box.
+    origin: Point,
     cell_m: f64,
-    /// Ordered by cell coordinate so bucket iteration (if ever added)
-    /// is deterministic; lookups stay `O(log cells)`.
-    buckets: std::collections::BTreeMap<(i64, i64), Vec<u32>>,
+    /// How far from a query a covering server can lie: the radius plus
+    /// slack for the rounding of the distance predicate.
+    reach_m: f64,
+    cols: usize,
+    rows: usize,
+    starts: Vec<u32>,
+    ids: Vec<u32>,
+    points: Vec<Point>,
 }
 
 impl ServerGrid {
-    fn cell_of(point: Point, cell_m: f64) -> (i64, i64) {
-        (
-            (point.x / cell_m).floor() as i64,
-            (point.y / cell_m).floor() as i64,
-        )
+    fn build(servers: &[Point], radius_m: f64) -> Self {
+        // A computed `distance ≤ r` bounds each coordinate difference by
+        // `r · (1 + 4ε)`, and by `1.5e-154` where a square underflows, so
+        // every covering server lies within `reach_m` on both axes.
+        let reach_m = radius_m * (1.0 + 1e-9) + 1e-150;
+        let finite: Vec<(u32, Point)> = (0..)
+            .zip(servers.iter().copied())
+            .filter(|(_, p)| p.x.is_finite() && p.y.is_finite())
+            .collect();
+        let corner = finite.first().map_or(Point::default(), |&(_, p)| p);
+        let (lo, hi) = finite.iter().fold((corner, corner), |(lo, hi), &(_, p)| {
+            (
+                Point::new(lo.x.min(p.x), lo.y.min(p.y)),
+                Point::new(hi.x.max(p.x), hi.y.max(p.y)),
+            )
+        });
+        let (width, height) = (hi.x - lo.x, hi.y - lo.y);
+        let max_cells = (4 * servers.len()).max(1) as f64;
+        let mut cell_m = reach_m;
+        let (cols, rows) = loop {
+            let count = |side: f64| (side / cell_m).floor() + 1.0;
+            if count(width) * count(height) <= max_cells {
+                break (count(width) as usize, count(height) as usize);
+            }
+            // An extent that overflowed to infinity ends in one cell.
+            if !cell_m.is_finite() {
+                break (1, 1);
+            }
+            cell_m *= 2.0;
+        };
+        let mut grid = Self {
+            origin: lo,
+            cell_m,
+            reach_m,
+            cols,
+            rows,
+            starts: vec![0; cols * rows + 1],
+            ids: Vec::with_capacity(finite.len()),
+            points: Vec::with_capacity(finite.len()),
+        };
+        // A stable sort by cell keeps each cell's ids ascending.
+        let mut by_cell: Vec<(usize, u32, Point)> = finite
+            .into_iter()
+            .map(|(m, p)| (grid.cell_of(p), m, p))
+            .collect();
+        by_cell.sort_by_key(|&(c, _, _)| c);
+        for (c, m, p) in by_cell {
+            grid.starts[c + 1] += 1;
+            grid.ids.push(m);
+            grid.points.push(p);
+        }
+        for c in 1..grid.starts.len() {
+            grid.starts[c] += grid.starts[c - 1];
+        }
+        grid
     }
 
-    fn build(servers: &[Point], cell_m: f64) -> Self {
-        let mut buckets: std::collections::BTreeMap<(i64, i64), Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for (m, sp) in servers.iter().enumerate() {
-            buckets
-                .entry(Self::cell_of(*sp, cell_m))
-                .or_default()
-                .push(m as u32);
+    /// The cell holding server point `p` (finite), clamped into the grid.
+    fn cell_of(&self, p: Point) -> usize {
+        let axis = |v: f64, origin: f64, count: usize| {
+            ((((v - origin) / self.cell_m).floor().max(0.0)) as usize).min(count - 1)
+        };
+        axis(p.y, self.origin.y, self.rows) * self.cols + axis(p.x, self.origin.x, self.cols)
+    }
+
+    /// The cells `first..=last` along one axis (`count` cells from
+    /// `origin`) that can hold a server within `reach_m` of coordinate
+    /// `v`; `None` when there are none. The bounds are the server cell
+    /// formula at `v ∓ reach_m`: rounding is monotone, so a server whose
+    /// coordinate lies between the two lies between the two cells.
+    fn span(&self, v: f64, origin: f64, count: usize) -> Option<(usize, usize)> {
+        if count == 1 {
+            return Some((0, 0));
         }
-        Self { cell_m, buckets }
+        let first = ((v - self.reach_m - origin) / self.cell_m).floor();
+        let last = ((v + self.reach_m - origin) / self.cell_m).floor();
+        let end = (count - 1) as f64;
+        // NaN compares false: a NaN query reaches no cell.
+        (last >= 0.0 && first <= end).then(|| (first.max(0.0) as usize, last.min(end) as usize))
     }
 
     /// Appends to `found` the ascending indices of the servers within
     /// `radius_m` of `point`, using the exact distance predicate of the
     /// linear scan.
-    fn covering_servers(
-        &self,
-        point: Point,
-        servers: &[Point],
-        radius_m: f64,
-        found: &mut Vec<usize>,
-    ) {
-        let (cx, cy) = Self::cell_of(point, self.cell_m);
+    fn covering_servers(&self, point: Point, radius_m: f64, found: &mut Vec<usize>) {
         let start = found.len();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(bucket) = self.buckets.get(&(cx + dx, cy + dy)) {
-                    for &m in bucket {
-                        if servers[m as usize].distance(point) <= radius_m {
-                            found.push(m as usize);
-                        }
-                    }
+        let (Some((col0, col1)), Some((row0, row1))) = (
+            self.span(point.x, self.origin.x, self.cols),
+            self.span(point.y, self.origin.y, self.rows),
+        ) else {
+            return;
+        };
+        for row in row0..=row1 {
+            let first = row * self.cols;
+            let run = self.starts[first + col0] as usize..self.starts[first + col1 + 1] as usize;
+            for (&m, sp) in self.ids[run.clone()].iter().zip(&self.points[run]) {
+                if sp.distance(point) <= radius_m {
+                    found.push(m as usize);
                 }
             }
         }
@@ -320,6 +395,8 @@ impl ServerGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn square_layout() -> (Vec<Point>, Vec<Point>) {
         // Two servers on a line, three users around them.
@@ -435,7 +512,8 @@ mod tests {
     /// Requires every row of `map`, both directions, to equal the
     /// all-pairs definition `distance ≤ radius` over the given points.
     fn assert_rows_match_definition(map: &CoverageMap, users: &[Point], servers: &[Point]) {
-        let covers = |m: usize, k: usize| servers[m].distance(users[k]) <= 275.0;
+        let radius_m = map.coverage_radius_m();
+        let covers = |m: usize, k: usize| servers[m].distance(users[k]) <= radius_m;
         for k in 0..users.len() {
             let expected: Vec<usize> = (0..servers.len()).filter(|&m| covers(m, k)).collect();
             assert_eq!(map.servers_of_user(k).unwrap(), expected, "row of user {k}");
@@ -474,6 +552,136 @@ mod tests {
         }
         map.set_user_positions(&users).unwrap();
         assert_rows_match_definition(&map, &users, &servers);
+    }
+
+    /// A random layout of `kind` with its coverage radius:
+    ///
+    /// 0. servers uniform over a square anywhere in `±1e5` m;
+    /// 1. the same plus servers at `(±1e12, ±1e12)`, so the bounding
+    ///    box is huge and the cell side has to grow;
+    /// 2. a lattice whose spacing is the grid's cell side, so servers
+    ///    sit exactly on cell edges;
+    /// 3. every server inside one cell;
+    /// 4. every server on one horizontal line (a single grid row).
+    ///
+    /// Users mix uniform points over the box grown by two radii,
+    /// points exactly one radius from a server along an axis (on the
+    /// covered side of the predicate), far points at `±1e12` m and one
+    /// NaN and one infinite point.
+    fn random_layout(kind: u8, rng: &mut StdRng) -> (Vec<Point>, Vec<Point>, f64) {
+        let radius_m = [275.0, rng.gen_range(10.0..2_000.0)][rng.gen_range(0..2)];
+        let num_servers = rng.gen_range(GRID_MIN_SERVERS + 1..400);
+        let origin = Point::new(rng.gen_range(-1e5..1e5), rng.gen_range(-1e5..1e5));
+        let side_m = match kind {
+            3 => radius_m * rng.gen_range(0.01..0.9),
+            _ => rng.gen_range(1_000.0..20_000.0),
+        };
+        let uniform = |rng: &mut StdRng, pad: f64| {
+            origin.translated(
+                rng.gen_range(-pad..side_m + pad),
+                rng.gen_range(-pad..side_m + pad),
+            )
+        };
+        let mut servers: Vec<Point> = match kind {
+            2 => {
+                let cell_m = ServerGrid::build(&[origin], radius_m).reach_m;
+                (0..num_servers)
+                    .map(|m| origin.translated((m % 20) as f64 * cell_m, (m / 20) as f64 * cell_m))
+                    .collect()
+            }
+            4 => (0..num_servers)
+                .map(|_| origin.translated(rng.gen_range(0.0..side_m), 0.0))
+                .collect(),
+            _ => (0..num_servers).map(|_| uniform(rng, 0.0)).collect(),
+        };
+        if kind == 1 {
+            for (m, &(x, y)) in [(1e12, 1e12), (-1e12, 1e12), (1e12, -1e12), (-1e12, -1e12)]
+                .iter()
+                .enumerate()
+            {
+                servers[m * 7] = Point::new(x, y);
+            }
+        }
+        let mut users: Vec<Point> = (0..150).map(|_| uniform(rng, 2.0 * radius_m)).collect();
+        for _ in 0..40 {
+            let s = servers[rng.gen_range(0..servers.len())];
+            let (dx, dy) = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)][rng.gen_range(0..4)];
+            users.push(s.translated(dx * radius_m, dy * radius_m));
+        }
+        for &(x, y) in &[(1e12, 1e12), (-1e12, 3.0), (7.0, -1e12), (-1e12, -1e12)] {
+            users.push(Point::new(x, y));
+            users.push(Point::new(x, y).translated(radius_m * 0.5, -radius_m * 0.5));
+        }
+        users.push(Point::new(f64::NAN, origin.y));
+        users.push(Point::new(origin.x, f64::INFINITY));
+        (users, servers, radius_m)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn dense_grid_rows_match_the_definition(seed in proptest::any::<u64>(), kind in 0u8..5) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut users, servers, radius_m) = random_layout(kind, &mut rng);
+            let mut map = CoverageMap::build(&users, &servers, radius_m).unwrap();
+            let grid = map.grid.as_ref().expect("above the threshold the grid is built");
+            proptest::prop_assert!(grid.starts.len() - 1 <= 4 * servers.len());
+            if kind == 3 {
+                proptest::prop_assert_eq!(grid.starts.len() - 1, 1);
+            }
+            assert_rows_match_definition(&map, &users, &servers);
+            // The in-place update goes through the same grid.
+            users.reverse();
+            map.set_user_positions(&users).unwrap();
+            assert_rows_match_definition(&map, &users, &servers);
+        }
+    }
+
+    #[test]
+    fn a_one_server_grid_matches_the_scan() {
+        let server = [Point::new(-40.0, 12.5)];
+        let grid = ServerGrid::build(&server, 275.0);
+        assert_eq!((grid.cols, grid.rows), (1, 1));
+        let queries = [
+            Point::new(-40.0, 12.5),
+            server[0].translated(275.0, 0.0),
+            server[0].translated(0.0, -275.0),
+            server[0].translated(275.0, 1e-9),
+            Point::new(1e12, -1e12),
+            Point::new(f64::NAN, 0.0),
+        ];
+        for q in queries {
+            let (mut scan, mut found) = (Vec::new(), Vec::new());
+            append_covering(q, &server, 275.0, &mut scan);
+            grid.covering_servers(q, 275.0, &mut found);
+            assert_eq!(found, scan, "query {q:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_and_overflowing_servers_keep_the_grid_small() {
+        // The finite extent overflows to infinity: one cell, and the
+        // servers that are not finite are left out of it.
+        let servers = [
+            Point::new(-1.5e308, 0.0),
+            Point::new(1.5e308, 0.0),
+            Point::new(0.0, 0.0),
+            Point::new(f64::INFINITY, 0.0),
+            Point::new(3.0, f64::NAN),
+        ];
+        let grid = ServerGrid::build(&servers, 275.0);
+        assert_eq!((grid.cols, grid.rows, grid.ids.len()), (1, 1, 3));
+        for q in [
+            Point::new(1.5e308, 100.0),
+            Point::new(10.0, 0.0),
+            Point::new(f64::INFINITY, 0.0),
+        ] {
+            let (mut scan, mut found) = (Vec::new(), Vec::new());
+            append_covering(q, &servers, 275.0, &mut scan);
+            grid.covering_servers(q, 275.0, &mut found);
+            assert_eq!(found, scan, "query {q:?}");
+        }
     }
 
     #[test]
