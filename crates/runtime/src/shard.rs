@@ -842,6 +842,7 @@ mod tests {
     use crate::persist::checkpoint::RegionState;
     use crate::persist::tests::fnv1a;
     use crate::policy::Lru;
+    use crate::workload::PopularityShift;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::path::{Path, PathBuf};
@@ -987,9 +988,9 @@ mod tests {
         }
     }
 
-    /// FNV-1a of every journal in `dir` (file-name order) and of the
-    /// report's `Debug` text.
-    fn golden_hashes(dir: &Path, report: &ServeReport) -> (Vec<u64>, u64) {
+    /// FNV-1a of every journal in `dir` (file-name order), of the last
+    /// checkpoint and of the report's `Debug` text.
+    fn golden_hashes(dir: &Path, report: &ServeReport) -> (Vec<u64>, u64, u64) {
         let mut journals: Vec<PathBuf> = std::fs::read_dir(dir)
             .unwrap()
             .map(|entry| entry.unwrap().path())
@@ -1000,7 +1001,12 @@ mod tests {
             .into_iter()
             .map(|p| fnv1a(&journal_bytes(p)))
             .collect();
-        (journals, fnv1a(format!("{report:?}").as_bytes()))
+        let checkpoint = journal_bytes(PersistConfig::new(dir).checkpoint_path());
+        (
+            journals,
+            fnv1a(&checkpoint),
+            fnv1a(format!("{report:?}").as_bytes()),
+        )
     }
 
     #[test]
@@ -1049,15 +1055,34 @@ mod tests {
             live.push((key, golden_hashes(&dir, &report)));
         }
 
-        let pinned: Vec<(&str, (Vec<u64>, u64))> = vec![
+        // A shifting popularity, so the pinned checkpoints hold a
+        // workload of several phases.
+        let dir = temp_dir("golden-r2-shift");
+        let run = config(&dir);
+        let shift = PopularityShift::new(15.0, 4, 3)
+            .workload(s.demand(), run.request_rate_hz)
+            .unwrap();
+        let mut engine = ShardedServeEngine::new(&s, &Lru, run, 2)
+            .unwrap()
+            .with_threads(2);
+        engine.set_workload(shift).unwrap();
+        let report = engine.run().unwrap();
+        live.push(("r2-mobile-shift", golden_hashes(&dir, &report)));
+
+        let pinned: Vec<(&str, (Vec<u64>, u64, u64))> = vec![
             (
                 "r1-mobile-control-faults",
-                (vec![0x7a4e_402f_b0df_8a4e], 0xda29_f107_84d5_1b1f),
+                (
+                    vec![0x7a4e_402f_b0df_8a4e],
+                    0xecca_4c58_c90f_1c6e,
+                    0xda29_f107_84d5_1b1f,
+                ),
             ),
             (
                 "r2-static",
                 (
                     vec![0x31ba_93fc_9661_1096, 0xa44e_3807_d204_4341],
+                    0x3c7e_88a2_0230_4239,
                     0x18ca_3bd7_4a64_79c6,
                 ),
             ),
@@ -1070,6 +1095,7 @@ mod tests {
                         0xf977_3e52_5007_1f2f,
                         0x83bd_59ae_5808_0149,
                     ],
+                    0x475b_10f5_99a8_8d55,
                     0x5eff_8abb_1479_f2b2,
                 ),
             ),
@@ -1077,6 +1103,7 @@ mod tests {
                 "r2-mobile",
                 (
                     vec![0x5ab7_9cc8_dce5_5c74, 0xc205_6991_7f76_1f38],
+                    0x700d_8837_f2a0_d0a0,
                     0x0859_b7fc_7042_268d,
                 ),
             ),
@@ -1089,13 +1116,22 @@ mod tests {
                         0xd0ca_9c75_bf73_eae7,
                         0x1e56_27c1_5700_fcc6,
                     ],
+                    0x2b87_db4b_2f0d_88a2,
                     0x7f21_5a9f_7c8a_c4fb,
+                ),
+            ),
+            (
+                "r2-mobile-shift",
+                (
+                    vec![0x6e34_37ce_812b_9115, 0xaf79_6767_b067_4ec3],
+                    0x184c_187b_d48d_497c,
+                    0xe0af_76a7_2238_9836,
                 ),
             ),
         ];
         assert_eq!(
             live, pinned,
-            "journal or report bytes moved; the live hashes are printed on the left"
+            "journal, checkpoint or report bytes moved; the live hashes are printed on the left"
         );
     }
 
