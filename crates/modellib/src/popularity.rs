@@ -94,29 +94,33 @@ impl ZipfPopularity {
     /// their own favourite models); when `false`, item 0 is the most
     /// popular for everyone, matching a global popularity ranking.
     pub fn user_probabilities<R: Rng + ?Sized>(&self, personalised: bool, rng: &mut R) -> Vec<f64> {
-        if !personalised {
-            return self.rank_probabilities.clone();
-        }
-        let mut item_of_rank: Vec<usize> = (0..self.num_items).collect();
-        item_of_rank.shuffle(rng);
-        let mut probs = vec![0.0; self.num_items];
-        for (rank, &item) in item_of_rank.iter().enumerate() {
-            probs[item] = self.rank_probabilities[rank];
-        }
-        probs
+        self.per_user_probabilities(1, personalised, rng)
     }
 
-    /// Per-item probabilities for `num_users` users; see
-    /// [`ZipfPopularity::user_probabilities`].
+    /// Per-item probabilities for `num_users` users, row-major: user
+    /// `k`'s row is `[k · N, (k + 1) · N)` for `N` items. Each row is
+    /// drawn like [`ZipfPopularity::user_probabilities`], users in
+    /// order.
     pub fn per_user_probabilities<R: Rng + ?Sized>(
         &self,
         num_users: usize,
         personalised: bool,
         rng: &mut R,
-    ) -> Vec<Vec<f64>> {
-        (0..num_users)
-            .map(|_| self.user_probabilities(personalised, rng))
-            .collect()
+    ) -> Vec<f64> {
+        if !personalised {
+            return self.rank_probabilities.repeat(num_users);
+        }
+        let mut probs = vec![0.0; num_users * self.num_items];
+        let mut item_of_rank = Vec::with_capacity(self.num_items);
+        for row in probs.chunks_exact_mut(self.num_items) {
+            item_of_rank.clear();
+            item_of_rank.extend(0..self.num_items);
+            item_of_rank.shuffle(rng);
+            for (&item, &p) in item_of_rank.iter().zip(&self.rank_probabilities) {
+                row[item] = p;
+            }
+        }
+        probs
     }
 }
 
@@ -191,10 +195,14 @@ mod tests {
         let zipf = ZipfPopularity::new(6, 0.8).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let rows = zipf.per_user_probabilities(7, true, &mut rng);
-        assert_eq!(rows.len(), 7);
-        for row in rows {
-            assert_eq!(row.len(), 6);
+        assert_eq!(rows.len(), 7 * 6);
+        for row in rows.chunks_exact(6) {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        }
+        // Row k is the k-th single-user draw of the same stream.
+        let mut rng = StdRng::seed_from_u64(3);
+        for row in rows.chunks_exact(6) {
+            assert_eq!(row, zipf.user_probabilities(true, &mut rng));
         }
     }
 
@@ -203,6 +211,7 @@ mod tests {
         let zipf = ZipfPopularity::new(40, 1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let rows = zipf.per_user_probabilities(4, true, &mut rng);
+        let rows: Vec<&[f64]> = rows.chunks_exact(40).collect();
         // With 40 items it is (overwhelmingly) unlikely two users share the
         // exact same permutation under a fixed seed.
         assert_ne!(rows[0], rows[1]);

@@ -360,11 +360,11 @@ mod tests {
         let k = scenario.num_users();
         let i = scenario.num_models();
         let hot = 7usize;
-        let mut weights = vec![vec![0.0; i]; k];
-        for row in &mut weights {
+        let mut weights = vec![0.0; k * i];
+        for row in weights.chunks_exact_mut(i) {
             row[hot] = 1.0;
         }
-        let estimate = DemandEstimate::new(weights).unwrap();
+        let estimate = DemandEstimate::new(i, weights).unwrap();
         let skewed = TrimCachingGenLazy::new()
             .place_with_demand(&scenario, &estimate)
             .unwrap();
@@ -381,13 +381,13 @@ mod tests {
         // skewed plan cannot beat the solver run on the true demand.
         assert!(skewed.hit_ratio <= truth.hit_ratio + 1e-12);
         // A zero-mass estimate (nothing observed) plans nothing.
-        let empty = DemandEstimate::new(vec![vec![0.0; i]; k]).unwrap();
+        let empty = DemandEstimate::new(i, vec![0.0; k * i]).unwrap();
         let none = TrimCachingGenLazy::new()
             .place_with_demand(&scenario, &empty)
             .unwrap();
         assert!(none.placement.is_empty());
         // Dimension mismatches are rejected.
-        let wrong = DemandEstimate::new(vec![vec![1.0; i + 1]; k]).unwrap();
+        let wrong = DemandEstimate::new(i + 1, vec![1.0; k * (i + 1)]).unwrap();
         assert!(TrimCachingGenLazy::new()
             .place_with_demand(&scenario, &wrong)
             .is_err());

@@ -172,11 +172,7 @@ impl DemandEstimator {
         for &slot in &self.epoch_log {
             flat[slot as usize] += self.alpha;
         }
-        let weights: Vec<Vec<f64>> = flat
-            .chunks_exact(self.num_models)
-            .map(<[f64]>::to_vec)
-            .collect();
-        DemandEstimate::new(weights).map_err(RuntimeError::from)
+        DemandEstimate::new(self.num_models, flat).map_err(RuntimeError::from)
     }
 
     /// Requests recorded since construction.

@@ -123,18 +123,18 @@ mod tests {
         let s = scenario();
         let (k, i) = (s.num_users(), s.num_models());
         let hot = 2usize;
-        let mut weights = vec![vec![0.0; i]; k];
-        for row in &mut weights {
+        let mut weights = vec![0.0; k * i];
+        for row in weights.chunks_exact_mut(i) {
             row[hot] = 5.0;
         }
-        let estimate = DemandEstimate::new(weights).unwrap();
+        let estimate = DemandEstimate::new(i, weights).unwrap();
         let target = plan_target(&s, &estimate).unwrap();
         assert!(s.satisfies_capacities(&target));
         let cached_somewhere =
             (0..s.num_servers()).any(|m| target.contains(ServerId(m), ModelId(hot)));
         assert!(cached_somewhere, "the only demanded model must be placed");
         // Mismatched estimates are a control error.
-        let wrong = DemandEstimate::new(vec![vec![1.0; i + 2]; k]).unwrap();
+        let wrong = DemandEstimate::new(i + 2, vec![1.0; k * (i + 2)]).unwrap();
         let err = plan_target(&s, &wrong).unwrap_err();
         assert!(matches!(err, RuntimeError::Control { .. }));
     }
@@ -143,7 +143,7 @@ mod tests {
     fn masked_planning_avoids_down_servers() {
         let s = scenario();
         let (k, i) = (s.num_users(), s.num_models());
-        let estimate = DemandEstimate::new(vec![vec![1.0; i]; k]).unwrap();
+        let estimate = DemandEstimate::new(i, vec![1.0; k * i]).unwrap();
         // No mask: bit-identical to the unmasked planner.
         let plain = plan_target(&s, &estimate).unwrap();
         let unmasked = plan_target_masked(&s, &estimate, &[false, false]).unwrap();

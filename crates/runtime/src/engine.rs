@@ -334,7 +334,7 @@ impl<'a> ServeEngine<'a> {
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] when the workload's user
-    /// count disagrees with the scenario's.
+    /// or model count disagrees with the scenario's.
     pub fn set_workload(&mut self, workload: Workload) -> Result<(), RuntimeError> {
         self.0.set_workload(workload)
     }

@@ -364,18 +364,97 @@ wire_struct!(MobilityState {
     users: Vec<MobileUser>,
 });
 
-// Every phase must hold every row a user can draw from.
-wire_struct!(Workload {
-    rate_hz: f64,
-    starts_s: Vec<f64>,
-    phases: Vec<Vec<Vec<f64>>>,
-    user_row: Vec<u32>,
-} check |w: &Workload| {
-    let rows = w.phases.first().map_or(0, Vec::len);
-    w.starts_s.len() == w.phases.len()
-        && w.phases.iter().all(|phase| phase.len() == rows)
-        && w.user_row.iter().all(|&r| (r as usize) < rows)
-});
+/// The workload's wire image is the rate, the phase starts, then the
+/// CDF table as a sequence of phases, each a sequence of rows, each a
+/// sequence of entries (the layout of a nested `Vec<Vec<Vec<f64>>>`),
+/// then the user→row map. Decoding rejects a workload a run could not
+/// draw from: see `workload_fault`.
+impl Wire for Workload {
+    fn put(&self, e: &mut Encoder) {
+        e.put(&self.rate_hz);
+        e.put(&self.starts_s);
+        e.put(&self.num_phases());
+        for phase in 0..self.num_phases() {
+            e.put(&self.rows);
+            for row in 0..self.rows {
+                let cdf = self.cdf(phase, row);
+                e.put(&cdf.len());
+                for c in cdf {
+                    e.put(c);
+                }
+            }
+        }
+        e.put(&self.user_row);
+    }
+
+    fn get(d: &mut Decoder<'_>) -> Result<Self, PersistError> {
+        let rate_hz = d.get()?;
+        let starts_s = d.get()?;
+        let phases = d.seq_len()?;
+        let (mut rows, mut width) = (None, None);
+        let mut cdfs = Vec::new();
+        for _ in 0..phases {
+            let n = d.seq_len()?;
+            if *rows.get_or_insert(n) != n {
+                return Err(d.invalid("workload phases of unequal row counts"));
+            }
+            for _ in 0..n {
+                let w = d.seq_len()?;
+                if width.is_none() {
+                    // Every entry takes eight bytes of the input.
+                    let entries = phases.saturating_mul(n).saturating_mul(w);
+                    cdfs.reserve(entries.min(d.remaining() / 8));
+                }
+                if *width.get_or_insert(w) != w {
+                    return Err(d.invalid("workload CDF rows of unequal widths"));
+                }
+                for _ in 0..w {
+                    cdfs.push(d.get()?);
+                }
+            }
+        }
+        let workload = Workload {
+            rate_hz,
+            starts_s,
+            rows: rows.unwrap_or(0),
+            width: width.unwrap_or(0),
+            cdfs,
+            user_row: d.get()?,
+        };
+        match workload_fault(&workload) {
+            Some(fault) => Err(d.invalid(fault)),
+            None => Ok(workload),
+        }
+    }
+}
+
+/// Why a decoded workload cannot drive a run, or `None` when it can: a
+/// positive finite rate, phase starts from 0 s strictly increasing, at
+/// least one row, every row a CDF (finite, non-negative, non-decreasing,
+/// ending at exactly 1) and every user on a stored row.
+fn workload_fault(w: &Workload) -> Option<&'static str> {
+    let is_cdf = |cdf: &[f64]| {
+        cdf.first().is_some_and(|&c| c >= 0.0)
+            && cdf.windows(2).all(|pair| pair[0] <= pair[1])
+            && cdf.last() == Some(&1.0)
+    };
+    if !(w.rate_hz.is_finite() && w.rate_hz > 0.0) {
+        Some("workload rate is not positive and finite")
+    } else if w.starts_s.first() != Some(&0.0)
+        || !w.starts_s.windows(2).all(|pair| pair[0] < pair[1])
+        || !w.starts_s.iter().all(|s| s.is_finite())
+    {
+        Some("workload phase starts do not rise strictly from 0 s")
+    } else if w.rows == 0 || w.cdfs.len() != w.starts_s.len() * w.rows * w.width {
+        Some("workload phase count disagrees with its starts")
+    } else if !(0..w.num_phases()).all(|p| (0..w.rows).all(|r| is_cdf(w.cdf(p, r)))) {
+        Some("workload CDF row is not finite, non-decreasing and ending at 1")
+    } else if w.user_row.iter().any(|&r| r as usize >= w.rows) {
+        Some("workload user draws from a row no phase holds")
+    } else {
+        None
+    }
+}
 
 wire_struct!(ServeConfig {
     duration_s: f64,
@@ -841,7 +920,9 @@ mod tests {
             workload: Workload {
                 rate_hz: 0.2,
                 starts_s: vec![0.0, 300.0],
-                phases: vec![vec![vec![0.5, 1.0]], vec![vec![0.25, 1.0]]],
+                rows: 1,
+                width: 2,
+                cdfs: vec![0.5, 1.0, 0.25, 1.0],
                 user_row: vec![0, 0],
             },
             positions: vec![Point::new(1.0, 2.0), Point::new(-0.0, 999.5)],
@@ -906,6 +987,37 @@ mod tests {
         stray_row.workload.user_row[1] = 1;
         for cp in [no_regions, stray_row] {
             assert_corrupt(&cp.to_bytes());
+        }
+    }
+
+    #[test]
+    fn ragged_or_missing_workload_rows_are_corruption() {
+        // Rate, starts, then one phase of rows with widths `widths`
+        // (entries ending at 1), then two users on row 0.
+        let image = |widths: &[usize]| {
+            let mut e = Encoder::new();
+            e.put(&1.0f64);
+            e.put(&vec![0.0f64]);
+            e.put(&1usize);
+            e.put(&widths.len());
+            for &w in widths {
+                e.put(&w);
+                for _ in 0..w {
+                    e.put(&1.0f64);
+                }
+            }
+            e.put(&vec![0u32, 0]);
+            e.into_bytes()
+        };
+        assert!(decode::<Workload>(&image(&[2, 2]), "test").is_ok());
+        for widths in [&[2, 3][..], &[], &[0]] {
+            assert!(
+                matches!(
+                    decode::<Workload>(&image(widths), "test"),
+                    Err(PersistError::Corrupt { .. })
+                ),
+                "{widths:?}"
+            );
         }
     }
 

@@ -226,7 +226,7 @@ impl<'a> Decoder<'a> {
     /// (every element takes at least one byte), so a corrupt length
     /// fails instead of allocating.
     #[inline]
-    fn seq_len(&mut self) -> Result<usize, PersistError> {
+    pub(crate) fn seq_len(&mut self) -> Result<usize, PersistError> {
         let n: u64 = self.get()?;
         if n > self.remaining() as u64 {
             return Err(self.invalid("sequence length exceeds remaining input"));

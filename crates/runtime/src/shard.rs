@@ -166,15 +166,16 @@ impl<'a> ShardedServeEngine<'a> {
     }
 
     /// The one constructor, behind [`ShardedServeEngine::new`] and
-    /// restore: `workload` is the run's workload, `None` for the
-    /// stationary one of the scenario's demand. Restore passes the
-    /// checkpointed workload, so a resume derives none.
+    /// restore: `restored` is the run's workload and primary table,
+    /// `None` for a fresh run, which derives the stationary workload of
+    /// the scenario's demand and the primaries of its snapshot. Restore
+    /// passes the checkpointed ones, so a resume derives neither.
     fn build(
         scenario: &'a Scenario,
         policy: &'a dyn EvictionPolicy,
         config: ServeConfig,
         num_shards: usize,
-        workload: Option<Workload>,
+        restored: Option<(Workload, Vec<Option<usize>>)>,
     ) -> Result<Self, RuntimeError> {
         if num_shards == 0 {
             return Err(RuntimeError::InvalidConfig {
@@ -196,13 +197,17 @@ impl<'a> ShardedServeEngine<'a> {
             home.push(Home { region, slot });
             members[region].push(m);
         }
+        let (workload, primary) = match restored {
+            Some(restored) => restored,
+            None => (
+                Workload::from_demand(scenario.demand(), config.request_rate_hz)?,
+                primary_servers(scenario)?,
+            ),
+        };
         let shared = Shared {
-            workload: match workload {
-                Some(workload) => workload,
-                None => Workload::from_demand(scenario.demand(), config.request_rate_hz)?,
-            },
+            workload,
             snapshot: Cow::Borrowed(scenario),
-            primary: primary_servers(scenario)?,
+            primary,
             owner: partition.owners_of(&positions),
             generation: vec![0; scenario.num_users()],
             scheduled: Vec::new(),
@@ -269,14 +274,17 @@ impl<'a> ShardedServeEngine<'a> {
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] for a workload whose
-    /// user count differs from the scenario's.
+    /// user or model count differs from the scenario's.
     pub fn set_workload(&mut self, workload: Workload) -> Result<(), RuntimeError> {
-        if workload.num_users() != self.scenario.num_users() {
+        let s = self.scenario;
+        if (workload.num_users(), workload.num_models()) != (s.num_users(), s.num_models()) {
             return Err(RuntimeError::InvalidConfig {
                 reason: format!(
-                    "workload has {} users but the scenario has {}",
+                    "workload has {} users and {} models but the scenario has {} and {}",
                     workload.num_users(),
-                    self.scenario.num_users()
+                    workload.num_models(),
+                    s.num_users(),
+                    s.num_models()
                 ),
             });
         }
@@ -375,12 +383,21 @@ impl<'a> ShardedServeEngine<'a> {
             }
             .into());
         }
+        if cp.workload.num_models() != scenario.num_models() {
+            return Err(PersistError::Mismatch {
+                reason: format!(
+                    "checkpointed workload draws from {} models but the library has {}",
+                    cp.workload.num_models(),
+                    scenario.num_models()
+                ),
+            }
+            .into());
+        }
         let mut config = cp.config.clone();
         config.persist = persist.clone();
-        let workload = Some(cp.workload.clone());
-        let mut engine = Self::build(scenario, policy, config, cp.num_shards(), workload)?;
+        let restored = Some((cp.workload.clone(), cp.primary.clone()));
+        let mut engine = Self::build(scenario, policy, config, cp.num_shards(), restored)?;
         check_events(cp, scenario.num_models(), &engine.shared.home)?;
-        engine.shared.primary = cp.primary.clone();
         engine.shared.owner = engine.partition.owners_of(&cp.positions);
         engine.shared.generation = cp.generation.clone();
         // A dispatch never checks the invariant the merges keep, so a
@@ -988,9 +1005,12 @@ mod tests {
         }
     }
 
-    /// FNV-1a of every journal in `dir` (file-name order), of the last
+    /// FNV-1a of every journal (file-name order), of the last
     /// checkpoint and of the report's `Debug` text.
-    fn golden_hashes(dir: &Path, report: &ServeReport) -> (Vec<u64>, u64, u64) {
+    type Golden = (Vec<u64>, u64, u64);
+
+    /// The [`Golden`] hashes of the run in `dir` that reported `report`.
+    fn golden_hashes(dir: &Path, report: &ServeReport) -> Golden {
         let mut journals: Vec<PathBuf> = std::fs::read_dir(dir)
             .unwrap()
             .map(|entry| entry.unwrap().path())
@@ -1069,7 +1089,7 @@ mod tests {
         let report = engine.run().unwrap();
         live.push(("r2-mobile-shift", golden_hashes(&dir, &report)));
 
-        let pinned: Vec<(&str, (Vec<u64>, u64, u64))> = vec![
+        let pinned: Vec<(&str, Golden)> = vec![
             (
                 "r1-mobile-control-faults",
                 (
@@ -1614,6 +1634,116 @@ mod tests {
     /// Each region holds caches, links and down flags for exactly the
     /// servers of its strip — none at all for a strip without servers —
     /// and the report's final caches are the owner regions' caches.
+    /// `scenario(8)` at seed 5, captured at 20 s with its workload
+    /// edited by `edit`, sent through the checkpoint's byte image (so
+    /// the CRC is valid) and restored.
+    fn restore_hostile_workload(edit: impl FnOnce(&mut Workload)) -> Result<(), RuntimeError> {
+        let s = scenario(8);
+        let config = ServeConfig::smoke().with_seed(5).with_mobility_slot_s(5.0);
+        let mut engine = ShardedServeEngine::new(&s, &Lru, config, 1).unwrap();
+        engine.run_to(20.0).unwrap();
+        let mut cp = engine.capture(20.0).unwrap();
+        edit(&mut cp.workload);
+        let cp = Checkpoint::from_bytes(&cp.to_bytes())?;
+        ShardedServeEngine::restore(&s, &Lru, &cp, None).map(drop)
+    }
+
+    type WorkloadEdit = Box<dyn FnOnce(&mut Workload)>;
+
+    /// Requires every workload edit of `edits` to fail decoding as
+    /// corrupt, and the unedited checkpoint to restore.
+    fn assert_hostile_workloads_are_corrupt(edits: Vec<WorkloadEdit>) {
+        restore_hostile_workload(|_| {}).unwrap();
+        for (n, edit) in edits.into_iter().enumerate() {
+            let restored = restore_hostile_workload(edit);
+            assert!(
+                matches!(
+                    restored,
+                    Err(RuntimeError::Persist(PersistError::Corrupt { .. }))
+                ),
+                "edit {n}: {restored:?}"
+            );
+        }
+    }
+
+    /// A second phase copying the first, starting at `start_s`.
+    fn add_phase(w: &mut Workload, start_s: f64) {
+        w.starts_s.push(start_s);
+        w.cdfs.extend_from_within(..);
+    }
+
+    #[test]
+    fn a_hostile_workload_rate_is_corrupt() {
+        assert_hostile_workloads_are_corrupt(
+            [0.0, -1.0, f64::NAN, f64::INFINITY]
+                .into_iter()
+                .map(|rate| -> WorkloadEdit { Box::new(move |w| w.rate_hz = rate) })
+                .collect(),
+        );
+    }
+
+    #[test]
+    fn a_hostile_workload_phase_start_is_corrupt() {
+        assert_hostile_workloads_are_corrupt(vec![
+            Box::new(|w| w.starts_s[0] = 1.0),
+            Box::new(|w| w.starts_s[0] = f64::NAN),
+            Box::new(|w| add_phase(w, 0.0)),
+            Box::new(|w| add_phase(w, f64::INFINITY)),
+            Box::new(|w| {
+                add_phase(w, 30.0);
+                add_phase(w, 10.0);
+            }),
+        ]);
+        // A well-formed second phase restores.
+        restore_hostile_workload(|w| add_phase(w, 30.0)).unwrap();
+    }
+
+    #[test]
+    fn a_hostile_workload_width_is_a_mismatch() {
+        // Every row one entry wider: still CDFs, but over more models
+        // than the library holds.
+        let restored = restore_hostile_workload(|w| {
+            let width = w.width;
+            w.cdfs = w
+                .cdfs
+                .chunks_exact(width)
+                .flat_map(|cdf| cdf.iter().copied().chain([1.0]))
+                .collect();
+            w.width += 1;
+        });
+        assert!(
+            matches!(
+                restored,
+                Err(RuntimeError::Persist(PersistError::Mismatch { .. }))
+            ),
+            "{restored:?}"
+        );
+    }
+
+    #[test]
+    fn a_hostile_workload_cdf_is_corrupt() {
+        assert_hostile_workloads_are_corrupt(vec![
+            // Empty rows.
+            Box::new(|w| {
+                w.width = 0;
+                w.cdfs.clear();
+            }),
+            Box::new(|w| w.cdfs[0] = f64::NAN),
+            Box::new(|w| w.cdfs[0] = -0.25),
+            // Decreasing.
+            Box::new(|w| w.cdfs[0] = 2.0),
+            // Not ending at exactly 1.
+            Box::new(|w| {
+                let last = w.width - 1;
+                w.cdfs[last] = 1.0 - f64::EPSILON;
+            }),
+            Box::new(|w| {
+                let last = w.cdfs.len() - 1;
+                w.cdfs[last] = f64::INFINITY;
+            }),
+        ]);
+    }
+
     #[test]
     fn regions_hold_exactly_their_strips_servers() {
         let s = scenario(16);

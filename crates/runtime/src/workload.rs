@@ -23,7 +23,8 @@
 //! phase, the CDFs of the distinct rows only. A shared Zipf ranking is
 //! one row per phase however many users there are; personalised
 //! popularity keeps one row per user; a clustered city at most one per
-//! class. [`PopularityShift`] generates seeded permutation schedules;
+//! class. All CDFs sit in one row-major table, phase-major, so drawing
+//! a model reads one row at a computed offset. [`PopularityShift`] generates seeded permutation schedules;
 //! [`Workload::flash_crowd`] and [`Workload::diurnal_tide`] build the
 //! spike and rotation families.
 
@@ -96,23 +97,24 @@ impl PopularityEdit {
         Err(RuntimeError::InvalidConfig { reason })
     }
 
-    /// The edited copy of one popularity row (the edit is valid for the
-    /// row's length).
-    fn apply(&self, row: &[f64]) -> Vec<f64> {
+    /// Appends the edited copy of one popularity row to `out` (the edit
+    /// is valid for the row's length).
+    fn apply_into(&self, row: &[f64], out: &mut Vec<f64>) {
         match self {
-            Self::Keep => row.to_vec(),
-            Self::Permute(perm) => perm.iter().map(|&src| row[src]).collect(),
+            Self::Keep => out.extend_from_slice(row),
+            Self::Permute(perm) => out.extend(perm.iter().map(|&src| row[src])),
             Self::Spike { hot, boost } => {
-                let mut p = row.to_vec();
+                let start = out.len();
+                out.extend_from_slice(row);
+                let p = &mut out[start..];
                 let mass: f64 = p.iter().sum();
                 if mass > 0.0 {
                     p[hot.index()] += boost * mass;
                     let scale = 1.0 / (1.0 + boost);
-                    for v in &mut p {
+                    for v in p {
                         *v *= scale;
                     }
                 }
-                p
             }
         }
     }
@@ -120,11 +122,10 @@ impl PopularityEdit {
     /// `demand` with every popularity row edited.
     fn apply_to(&self, demand: &Demand) -> Result<Demand, RuntimeError> {
         self.validate(demand.num_models())?;
-        let rows = demand
-            .class_probabilities()
-            .iter()
-            .map(|row| self.apply(row))
-            .collect();
+        let mut rows = Vec::with_capacity(demand.num_classes() * demand.num_models());
+        for class in 0..demand.num_classes() {
+            self.apply_into(demand.class_probabilities(class), &mut rows);
+        }
         Ok(demand.with_class_probabilities(rows)?)
     }
 }
@@ -137,9 +138,14 @@ pub struct Workload {
     pub(crate) rate_hz: f64,
     /// Phase start times in seconds, ascending; the first is always 0.
     pub(crate) starts_s: Vec<f64>,
-    /// `phases[p][r]` is the normalised cumulative distribution over
-    /// models of distinct popularity row `r` during phase `p`.
-    pub(crate) phases: Vec<Vec<Vec<f64>>>,
+    /// Distinct popularity rows per phase.
+    pub(crate) rows: usize,
+    /// Models per row: the stride of `cdfs`.
+    pub(crate) width: usize,
+    /// `cdfs[(p · rows + r) · width ..][.. width]` is the normalised
+    /// cumulative distribution over models of distinct popularity row
+    /// `r` during phase `p`.
+    pub(crate) cdfs: Vec<f64>,
     /// `user_row[k]`: the distinct row user `k` draws from, in every
     /// phase.
     pub(crate) user_row: Vec<u32>,
@@ -188,14 +194,15 @@ impl Workload {
                 reason: format!("the first phase must start at 0 s, got {first_start}"),
             });
         }
-        let (class_row, rows) = distinct_rows(base.class_probabilities());
+        let (class_row, rows) = distinct_rows(base.num_classes(), |c| base.class_probabilities(c));
         let user_row = base
             .user_classes()
             .iter()
             .map(|&c| class_row[c as usize])
             .collect();
+        let width = base.num_models();
         let mut starts_s: Vec<f64> = Vec::with_capacity(segments.len());
-        let mut phases = Vec::with_capacity(segments.len());
+        let mut cdfs = Vec::with_capacity(segments.len() * rows.len() * width);
         for &(start_s, ref edit) in segments {
             if !start_s.is_finite() || starts_s.last().is_some_and(|&prev| start_s <= prev) {
                 return Err(RuntimeError::InvalidConfig {
@@ -204,19 +211,20 @@ impl Workload {
                     ),
                 });
             }
-            edit.validate(base.num_models())?;
+            edit.validate(width)?;
             starts_s.push(start_s);
-            phases.push(
-                rows.iter()
-                    .enumerate()
-                    .map(|(r, row)| cdf_of(r, edit.apply(row)))
-                    .collect::<Result<Vec<_>, _>>()?,
-            );
+            for (r, row) in rows.iter().enumerate() {
+                let start = cdfs.len();
+                edit.apply_into(row, &mut cdfs);
+                into_cdf(r, &mut cdfs[start..])?;
+            }
         }
         Ok(Self {
             rate_hz,
             starts_s,
-            phases,
+            rows: rows.len(),
+            width,
+            cdfs,
             user_row,
         })
     }
@@ -233,12 +241,22 @@ impl Workload {
 
     /// Number of piecewise-stationary phases.
     pub fn num_phases(&self) -> usize {
-        self.phases.len()
+        self.starts_s.len()
     }
 
     /// Number of distinct popularity rows stored per phase.
     pub fn num_rows(&self) -> usize {
-        self.phases[0].len()
+        self.rows
+    }
+
+    /// Number of models each popularity row spans.
+    pub fn num_models(&self) -> usize {
+        self.width
+    }
+
+    /// The CDF of distinct row `row` during phase `phase`.
+    pub(crate) fn cdf(&self, phase: usize, row: usize) -> &[f64] {
+        &self.cdfs[(phase * self.rows + row) * self.width..][..self.width]
     }
 
     /// The phase active at simulated time `now_s` (times before the
@@ -263,31 +281,31 @@ impl Workload {
     /// Panics if `user` is out of range (the engine only passes users the
     /// workload was built from).
     pub fn draw_model(&self, user: UserId, now_s: f64, rng: &mut StdRng) -> ModelId {
-        let cdf = &self.phases[self.phase_at(now_s)][self.user_row[user.index()] as usize];
+        let cdf = self.cdf(self.phase_at(now_s), self.user_row[user.index()] as usize);
         let u: f64 = rng.gen();
         let idx = cdf.partition_point(|&c| c <= u);
-        ModelId(idx.min(cdf.len() - 1))
+        ModelId(idx.min(self.width - 1))
     }
 }
 
-/// Numbers the classes' popularity rows: classes whose rows are
-/// bit-identical share one id (so `0.0` and `-0.0` differ), and ids
-/// follow each distinct row's first class. Returns every class's id and
-/// the distinct rows in id order.
+/// Numbers the popularity rows `row(0) .. row(count - 1)` of the
+/// classes: classes whose rows are bit-identical share one id (so `0.0`
+/// and `-0.0` differ), and ids follow each distinct row's first class.
+/// Returns every class's id and the distinct rows in id order.
 ///
 /// One `u64` key per class, the row hash's top 32 bits above the class,
 /// sorts equal rows into one run of equal hashes; each run is sorted by
 /// (bits, class), so each group of equal rows leads with its first
 /// class even under a hash collision: O(n log n) comparisons and no
 /// buffer per row.
-fn distinct_rows(rows: &[Vec<f64>]) -> (Vec<u32>, Vec<&[f64]>) {
-    let bits = |key: u64| rows[key as u32 as usize].iter().map(|p| p.to_bits());
-    let mut keys: Vec<u64> = (0..rows.len() as u32)
-        .map(|c| row_hash(&rows[c as usize]) & !0xffff_ffff | u64::from(c))
+fn distinct_rows<'r>(count: usize, row: impl Fn(usize) -> &'r [f64]) -> (Vec<u32>, Vec<&'r [f64]>) {
+    let bits = |key: u64| row(key as u32 as usize).iter().map(|p| p.to_bits());
+    let mut keys: Vec<u64> = (0..count as u32)
+        .map(|c| row_hash(row(c as usize)) & !0xffff_ffff | u64::from(c))
         .collect();
     keys.sort_unstable();
     // `first[c]`: the first class whose row equals class `c`'s.
-    let mut first: Vec<u32> = (0..rows.len() as u32).collect();
+    let mut first: Vec<u32> = (0..count as u32).collect();
     for run in keys.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
         // Usually one row in class order, which the sort only checks.
         run.sort_unstable_by(|&a, &b| bits(a).cmp(bits(b)).then(a.cmp(&b)));
@@ -300,10 +318,10 @@ fn distinct_rows(rows: &[Vec<f64>]) -> (Vec<u32>, Vec<&[f64]>) {
     // In class order a first class takes the next id and every other
     // class its first class's id, already assigned (`first[c] < c`).
     let mut distinct = Vec::new();
-    for c in 0..rows.len() {
+    for c in 0..count {
         let lead = first[c] as usize;
         first[c] = if lead == c {
-            distinct.push(rows[c].as_slice());
+            distinct.push(row(c));
             (distinct.len() - 1) as u32
         } else {
             first[lead]
@@ -321,22 +339,22 @@ fn row_hash(row: &[f64]) -> u64 {
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// The normalised CDF of popularity row `r`.
-fn cdf_of(r: usize, mut row: Vec<f64>) -> Result<Vec<f64>, RuntimeError> {
+/// Turns popularity row `r` into its normalised CDF, in place.
+fn into_cdf(r: usize, row: &mut [f64]) -> Result<(), RuntimeError> {
     let mut acc = 0.0;
-    for p in &mut row {
+    for p in row.iter_mut() {
         acc += *p;
         *p = acc;
     }
-    if acc <= 0.0 {
+    if !(acc > 0.0 && acc.is_finite()) {
         return Err(RuntimeError::InvalidConfig {
-            reason: format!("popularity row {r} has zero total request probability"),
+            reason: format!("popularity row {r} has a total request probability of {acc}"),
         });
     }
-    for c in &mut row {
+    for c in row {
         *c /= acc;
     }
-    Ok(row)
+    Ok(())
 }
 
 /// Rebuilds `demand` with its popularity columns permuted: the new
@@ -671,7 +689,7 @@ mod tests {
             .unwrap();
         assert_eq!(w.num_users(), 50);
         assert_eq!(w.num_rows(), 1);
-        assert!(w.phases.iter().all(|phase| phase.len() == 1));
+        assert_eq!(w.cdfs.len(), 4 * 6, "one CDF per phase");
         // Personalised popularity keeps one row per user.
         assert_eq!(
             Workload::from_demand(&demand(50, 6), 1.0)
@@ -705,8 +723,8 @@ mod tests {
     fn class_demand(rows: Vec<Vec<f64>>, extra: usize) -> Demand {
         let (classes, models) = (rows.len(), rows[0].len());
         let user_class = (0..classes + extra).map(|k| (k % classes) as u32).collect();
-        let ones = vec![vec![1.0; models]; classes];
-        Demand::clustered(rows, ones.clone(), ones, user_class).unwrap()
+        let ones = vec![1.0; models * classes];
+        Demand::clustered(models, rows.concat(), &ones, &ones, user_class).unwrap()
     }
 
     /// Requires the workload over `rows` (two phases: the base rows,
@@ -726,27 +744,23 @@ mod tests {
             .map(|&c| class_row[c as usize])
             .collect();
         assert_eq!(w.user_row, user_row);
-        let phases: Vec<Vec<Vec<f64>>> = edits
-            .iter()
-            .map(|(_, edit)| {
-                distinct
+        assert_eq!((w.num_phases(), w.num_rows()), (2, distinct.len()));
+        for (p, (_, edit)) in edits.iter().enumerate() {
+            for (r, row) in distinct.iter().enumerate() {
+                let mut want = Vec::new();
+                edit.apply_into(row, &mut want);
+                into_cdf(r, &mut want).unwrap();
+                assert!(w
+                    .cdf(p, r)
                     .iter()
-                    .enumerate()
-                    .map(|(r, row)| cdf_of(r, edit.apply(row)).unwrap())
-                    .collect()
-            })
-            .collect();
-        assert_eq!(w.phases.len(), 2);
-        for (got, want) in w.phases.iter().zip(&phases) {
-            assert_eq!(got.len(), want.len());
-            for (a, b) in got.iter().zip(want) {
-                assert!(a
-                    .iter()
-                    .map(|p| p.to_bits())
-                    .eq(b.iter().map(|p| p.to_bits())));
+                    .map(|c| c.to_bits())
+                    .eq(want.iter().map(|c| c.to_bits())));
             }
         }
-        assert_eq!(distinct_rows(&rows), (class_row, distinct));
+        assert_eq!(
+            distinct_rows(rows.len(), |c| &rows[c]),
+            (class_row, distinct)
+        );
     }
 
     proptest::proptest! {
@@ -793,7 +807,10 @@ mod tests {
             vec![-0.0, 0.0, 1.0],
         ];
         assert_eq!(row_hash(&rows[3]), row_hash(&rows[4]));
-        assert_eq!(distinct_rows(&rows).0, [0, 1, 0, 2, 3, 3]);
+        assert_eq!(
+            distinct_rows(rows.len(), |c| &rows[c]).0,
+            [0, 1, 0, 2, 3, 3]
+        );
         assert_dedup_matches_oracle(rows);
     }
 
@@ -801,13 +818,16 @@ mod tests {
     fn row_dedup_holds_at_city_sizes() {
         // The drift-churn shape: one shared row.
         let shared = vec![vec![0.1, 0.2, 0.3, 0.4]; 50_000];
-        assert_eq!(distinct_rows(&shared).1.len(), 1);
+        assert_eq!(distinct_rows(shared.len(), |c| &shared[c]).1.len(), 1);
         assert_dedup_matches_oracle(shared);
         // The city shape: one row per user.
         let personal: Vec<Vec<f64>> = (0..50_000)
             .map(|k| vec![1.0, k as f64, 0.5, (k % 7) as f64])
             .collect();
-        assert_eq!(distinct_rows(&personal).1.len(), 50_000);
+        assert_eq!(
+            distinct_rows(personal.len(), |c| &personal[c]).1.len(),
+            50_000
+        );
         assert_dedup_matches_oracle(personal);
     }
 
@@ -826,9 +846,12 @@ mod tests {
         assert_eq!(row_hash(&a), row_hash(&b));
         let c = vec![3.0, 4.0];
         let rows = vec![b.clone(), c.clone(), a.clone(), b, a, c];
-        assert_eq!(distinct_rows(&rows).0, [0, 1, 2, 0, 2, 1]);
+        assert_eq!(
+            distinct_rows(rows.len(), |c| &rows[c]).0,
+            [0, 1, 2, 0, 2, 1]
+        );
         let (ids, distinct) = first_seen_oracle(&rows);
-        assert_eq!(distinct_rows(&rows), (ids, distinct));
+        assert_eq!(distinct_rows(rows.len(), |c| &rows[c]), (ids, distinct));
     }
 
     #[test]

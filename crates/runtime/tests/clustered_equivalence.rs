@@ -32,22 +32,20 @@ fn scenario_pair(num_users: usize, seed: u64) -> (Scenario, Scenario) {
     let demand = DemandConfig::paper_defaults()
         .generate(num_users, num_models, &mut rng)
         .unwrap();
-    let row = |get: &dyn Fn(UserId, ModelId) -> f64| -> Vec<Vec<f64>> {
+    let row = |get: &dyn Fn(UserId, ModelId) -> f64| -> Vec<f64> {
         (0..num_users)
-            .map(|k| {
-                (0..num_models)
-                    .map(|i| get(UserId(k), ModelId(i)))
-                    .collect()
-            })
+            .flat_map(|k| (0..num_models).map(move |i| (k, i)))
+            .map(|(k, i)| get(UserId(k), ModelId(i)))
             .collect()
     };
     let probabilities = row(&|k, i| demand.probability(k, i).unwrap());
     let deadlines = row(&|k, i| demand.deadline_s(k, i).unwrap());
     let inference = row(&|k, i| demand.inference_s(k, i).unwrap());
     let clustered = Demand::clustered(
+        num_models,
         probabilities,
-        deadlines,
-        inference,
+        &deadlines,
+        &inference,
         (0..num_users as u32).collect(),
     )
     .unwrap();

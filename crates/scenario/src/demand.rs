@@ -13,6 +13,17 @@
 //! [`Demand`] stores those three `K × I` matrices; [`DemandConfig`] is the
 //! random generator reproducing the paper's distributions.
 //!
+//! # Layout
+//!
+//! Every per-`(user, model)` table is one row-major array with stride
+//! `I`: row `r`'s entries sit at `[r · I, (r + 1) · I)`, so a lookup is
+//! one indexed load instead of a row pointer and then the entry. The
+//! popularity `p` is one `f64` array; the budget `T̄` and the inference
+//! time `t` are interleaved as `[T̄, t]` pairs, because the serve path's
+//! candidate kernel reads both for every request it scores. Rows are
+//! stored per *demand class* (see [`Demand::clustered`]), and the
+//! [`DemandEstimate`] weights use the same row-major layout.
+//!
 //! The hit-ratio objective of Eq. (2) only consumes the *weights*
 //! `p_{k,i}` (and their total mass), not the latency matrices — that
 //! surface is the [`DemandView`] trait, implemented both by the
@@ -39,20 +50,22 @@ use crate::error::ScenarioError;
 /// objective, workload) see users, never classes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Demand {
-    /// `probabilities[row][i]` = `p_{k,i}` for every user `k` of `row`'s
-    /// class. Rows need not be normalised: the objective of Eq. (2)
+    /// `I`, the stride of every row.
+    num_models: usize,
+    /// `probabilities[r · I + i]` = `p_{k,i}` for every user `k` of
+    /// class `r`. Rows need not be normalised: the objective of Eq. (2)
     /// divides by the total mass.
-    probabilities: Vec<Vec<f64>>,
-    /// `deadlines_s[row][i]` = `T̄_{k,i}` in seconds.
-    deadlines_s: Vec<Vec<f64>>,
-    /// `inference_s[row][i]` = `t_{k,i}` in seconds.
-    inference_s: Vec<Vec<f64>>,
+    probabilities: Vec<f64>,
+    /// `budgets_s[r · I + i]` = `[T̄_{k,i}, t_{k,i}]` in seconds: the
+    /// end-to-end budget and the on-device inference time.
+    budgets_s: Vec<[f64; 2]>,
     /// User `k` reads row `user_class[k]`.
     user_class: Vec<u32>,
 }
 
 impl Demand {
-    /// Creates a demand description from explicit matrices.
+    /// Creates a demand description from explicit row-major matrices of
+    /// `num_models` columns, one row per user.
     ///
     /// # Errors
     ///
@@ -61,53 +74,27 @@ impl Demand {
     /// [`ScenarioError::InvalidValue`] if a probability is negative/non-finite
     /// or a latency is non-positive/non-finite.
     pub fn new(
-        probabilities: Vec<Vec<f64>>,
-        deadlines_s: Vec<Vec<f64>>,
-        inference_s: Vec<Vec<f64>>,
+        num_models: usize,
+        probabilities: Vec<f64>,
+        deadlines_s: &[f64],
+        inference_s: &[f64],
     ) -> Result<Self, ScenarioError> {
-        if probabilities.is_empty() || probabilities[0].is_empty() {
-            return Err(ScenarioError::DimensionMismatch {
-                reason: "demand matrices must be non-empty".into(),
-            });
-        }
-        let k = probabilities.len();
-        let i = probabilities[0].len();
-        let same_shape = |m: &Vec<Vec<f64>>| m.len() == k && m.iter().all(|row| row.len() == i);
-        if !same_shape(&probabilities) || !same_shape(&deadlines_s) || !same_shape(&inference_s) {
+        if deadlines_s.len() != probabilities.len() || inference_s.len() != probabilities.len() {
             return Err(ScenarioError::DimensionMismatch {
                 reason: format!(
-                    "expected {k} x {i} matrices for probabilities/deadlines/inference"
+                    "probabilities/deadlines/inference hold {}/{}/{} entries",
+                    probabilities.len(),
+                    deadlines_s.len(),
+                    inference_s.len()
                 ),
             });
         }
-        for row in &probabilities {
-            for &p in row {
-                if !p.is_finite() || p < 0.0 {
-                    return Err(ScenarioError::InvalidValue {
-                        name: "request probability",
-                        value: p,
-                    });
-                }
-            }
-        }
-        for (name, matrix) in [
-            ("deadline", &deadlines_s),
-            ("inference latency", &inference_s),
-        ] {
-            for row in matrix.iter() {
-                for &v in row {
-                    if !v.is_finite() || v <= 0.0 {
-                        return Err(ScenarioError::InvalidValue { name, value: v });
-                    }
-                }
-            }
-        }
-        Ok(Self {
-            user_class: (0..k as u32).collect(),
-            probabilities,
-            deadlines_s,
-            inference_s,
-        })
+        let budgets_s = deadlines_s
+            .iter()
+            .zip(inference_s)
+            .map(|(&d, &t)| [d, t])
+            .collect();
+        Self::from_rows(num_models, probabilities, budgets_s)
     }
 
     /// Creates a **clustered** demand description: the matrices hold one
@@ -122,24 +109,72 @@ impl Demand {
     /// empty or a class index is out of range, plus every validation
     /// [`Demand::new`] performs on the class matrices.
     pub fn clustered(
-        probabilities: Vec<Vec<f64>>,
-        deadlines_s: Vec<Vec<f64>>,
-        inference_s: Vec<Vec<f64>>,
+        num_models: usize,
+        probabilities: Vec<f64>,
+        deadlines_s: &[f64],
+        inference_s: &[f64],
         user_class: Vec<u32>,
     ) -> Result<Self, ScenarioError> {
-        let base = Self::new(probabilities, deadlines_s, inference_s)?;
+        Self::new(num_models, probabilities, deadlines_s, inference_s)?
+            .with_user_classes(user_class)
+    }
+
+    /// Validates row-major class rows of `num_models` columns; user `k`
+    /// reads row `k`.
+    fn from_rows(
+        num_models: usize,
+        probabilities: Vec<f64>,
+        budgets_s: Vec<[f64; 2]>,
+    ) -> Result<Self, ScenarioError> {
+        if num_models == 0 || probabilities.is_empty() {
+            return Err(ScenarioError::DimensionMismatch {
+                reason: "demand matrices must be non-empty".into(),
+            });
+        }
+        if !probabilities.len().is_multiple_of(num_models) || budgets_s.len() != probabilities.len()
+        {
+            return Err(ScenarioError::DimensionMismatch {
+                reason: format!(
+                    "{} probabilities and {} budgets are not rows of {num_models} models",
+                    probabilities.len(),
+                    budgets_s.len()
+                ),
+            });
+        }
+        if let Some(&p) = probabilities.iter().find(|p| !p.is_finite() || **p < 0.0) {
+            return Err(ScenarioError::InvalidValue {
+                name: "request probability",
+                value: p,
+            });
+        }
+        for (j, name) in [(0, "deadline"), (1, "inference latency")] {
+            if let Some(b) = budgets_s.iter().find(|b| !b[j].is_finite() || b[j] <= 0.0) {
+                return Err(ScenarioError::InvalidValue { name, value: b[j] });
+            }
+        }
+        let rows = probabilities.len() / num_models;
+        Ok(Self {
+            num_models,
+            probabilities,
+            budgets_s,
+            user_class: (0..rows as u32).collect(),
+        })
+    }
+
+    /// These rows under the class map `user_class`.
+    fn with_user_classes(self, user_class: Vec<u32>) -> Result<Self, ScenarioError> {
         if user_class.is_empty() {
             return Err(ScenarioError::DimensionMismatch {
                 reason: "clustered demand needs at least one user".into(),
             });
         }
-        let num_classes = base.probabilities.len();
+        let num_classes = self.num_classes();
         if let Some(&bad) = user_class.iter().find(|&&c| c as usize >= num_classes) {
             return Err(ScenarioError::DimensionMismatch {
                 reason: format!("user class {bad} out of range for {num_classes} classes"),
             });
         }
-        Ok(Self { user_class, ..base })
+        Ok(Self { user_class, ..self })
     }
 
     /// Number of users `K`.
@@ -150,7 +185,7 @@ impl Demand {
     /// Number of demand-class rows actually stored (equals
     /// [`Demand::num_users`] for [`Demand::new`]).
     pub fn num_classes(&self) -> usize {
-        self.probabilities.len()
+        self.probabilities.len() / self.num_models
     }
 
     /// The class map: `user_classes()[k]` names user `k`'s class.
@@ -158,49 +193,55 @@ impl Demand {
         &self.user_class
     }
 
-    /// The stored popularity rows, one per class: `p_{k,·}` of every
-    /// user `k` of that class. Lets consumers that build per-row state
-    /// — e.g. the workload's CDF tables — scale with
-    /// [`Demand::num_classes`] rather than [`Demand::num_users`].
-    pub fn class_probabilities(&self) -> &[Vec<f64>] {
-        &self.probabilities
+    /// The stored popularity row of `class`: `p_{k,·}` of every user `k`
+    /// of that class. Lets consumers that build per-row state — e.g.
+    /// the workload's CDF tables — scale with [`Demand::num_classes`]
+    /// rather than [`Demand::num_users`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class >= num_classes()`.
+    pub fn class_probabilities(&self, class: usize) -> &[f64] {
+        &self.probabilities[class * self.num_models..][..self.num_models]
     }
 
     /// This demand with its popularity rows replaced by `probabilities`
-    /// (one row per stored class); deadlines, inference latencies and
-    /// the class map are kept.
+    /// (row-major, one row per stored class); deadlines, inference
+    /// latencies and the class map are kept.
     ///
     /// # Errors
     ///
     /// Fails like [`Demand::clustered`] for rows of the wrong shape or
     /// invalid probabilities.
-    pub fn with_class_probabilities(
-        &self,
-        probabilities: Vec<Vec<f64>>,
-    ) -> Result<Self, ScenarioError> {
-        Self::clustered(
-            probabilities,
-            self.deadlines_s.clone(),
-            self.inference_s.clone(),
-            self.user_class.clone(),
-        )
+    pub fn with_class_probabilities(&self, probabilities: Vec<f64>) -> Result<Self, ScenarioError> {
+        Self::from_rows(self.num_models, probabilities, self.budgets_s.clone())?
+            .with_user_classes(self.user_class.clone())
     }
 
-    /// The matrix row index of `user`, or an error for unknown users.
-    fn row_of(&self, user: UserId) -> Result<usize, ScenarioError> {
-        self.user_class
+    /// The row-major index of `(user, model)`, or an error for unknown
+    /// indices.
+    fn entry(&self, user: UserId, model: ModelId) -> Result<usize, ScenarioError> {
+        let row = self
+            .user_class
             .get(user.index())
-            .map(|&c| c as usize)
             .ok_or(ScenarioError::IndexOutOfRange {
                 entity: "user",
                 index: user.index(),
                 len: self.user_class.len(),
-            })
+            })?;
+        if model.index() >= self.num_models {
+            return Err(ScenarioError::IndexOutOfRange {
+                entity: "model",
+                index: model.index(),
+                len: self.num_models,
+            });
+        }
+        Ok(*row as usize * self.num_models + model.index())
     }
 
     /// Number of models `I`.
     pub fn num_models(&self) -> usize {
-        self.probabilities[0].len()
+        self.num_models
     }
 
     /// Request probability `p_{k,i}`.
@@ -209,7 +250,7 @@ impl Demand {
     ///
     /// Returns [`ScenarioError::IndexOutOfRange`] for unknown indices.
     pub fn probability(&self, user: UserId, model: ModelId) -> Result<f64, ScenarioError> {
-        self.lookup(&self.probabilities, user, model)
+        Ok(self.probabilities[self.entry(user, model)?])
     }
 
     /// QoS budget `T̄_{k,i}` in seconds.
@@ -218,7 +259,7 @@ impl Demand {
     ///
     /// Returns [`ScenarioError::IndexOutOfRange`] for unknown indices.
     pub fn deadline_s(&self, user: UserId, model: ModelId) -> Result<f64, ScenarioError> {
-        self.lookup(&self.deadlines_s, user, model)
+        Ok(self.budget_s(user, model)?[0])
     }
 
     /// On-device inference latency `t_{k,i}` in seconds.
@@ -227,7 +268,17 @@ impl Demand {
     ///
     /// Returns [`ScenarioError::IndexOutOfRange`] for unknown indices.
     pub fn inference_s(&self, user: UserId, model: ModelId) -> Result<f64, ScenarioError> {
-        self.lookup(&self.inference_s, user, model)
+        Ok(self.budget_s(user, model)?[1])
+    }
+
+    /// `[T̄_{k,i}, t_{k,i}]`: the QoS budget and the on-device inference
+    /// latency in seconds, read together.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::IndexOutOfRange`] for unknown indices.
+    pub fn budget_s(&self, user: UserId, model: ModelId) -> Result<[f64; 2], ScenarioError> {
+        Ok(self.budgets_s[self.entry(user, model)?])
     }
 
     /// Total request mass `Σ_k Σ_i p_{k,i}` — the denominator of Eq. (2),
@@ -235,27 +286,11 @@ impl Demand {
     pub fn total_probability_mass(&self) -> f64 {
         let mut acc = 0.0;
         for &c in &self.user_class {
-            for &p in &self.probabilities[c as usize] {
+            for &p in self.class_probabilities(c as usize) {
                 acc += p;
             }
         }
         acc
-    }
-
-    fn lookup(
-        &self,
-        matrix: &[Vec<f64>],
-        user: UserId,
-        model: ModelId,
-    ) -> Result<f64, ScenarioError> {
-        let row = &matrix[self.row_of(user)?];
-        row.get(model.index())
-            .copied()
-            .ok_or(ScenarioError::IndexOutOfRange {
-                entity: "model",
-                index: model.index(),
-                len: row.len(),
-            })
     }
 }
 
@@ -300,57 +335,68 @@ impl DemandView for Demand {
 
 /// An estimated demand surface: a `K × I` matrix of non-negative request
 /// weights (typically EWMA request rates observed by an online
-/// estimator). Satisfies [`DemandView`], so the placement solvers accept
-/// it wherever they accept the ground-truth [`Demand`].
+/// estimator), row-major like [`Demand`]'s tables. Satisfies
+/// [`DemandView`], so the placement solvers accept it wherever they
+/// accept the ground-truth [`Demand`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DemandEstimate {
-    /// `weights[k][i]` — unnormalised request weight of `(k, i)`.
-    weights: Vec<Vec<f64>>,
+    /// `I`, the stride of every row.
+    num_models: usize,
+    /// `weights[k · I + i]` — unnormalised request weight of `(k, i)`.
+    weights: Vec<f64>,
     /// Cached `Σ weights`.
     total: f64,
 }
 
 impl DemandEstimate {
-    /// Creates an estimate from an explicit weight matrix.
+    /// Creates an estimate from an explicit row-major weight matrix of
+    /// `num_models` columns.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::DimensionMismatch`] for an empty or
-    /// ragged matrix and [`ScenarioError::InvalidValue`] for a negative
-    /// or non-finite weight. An all-zero matrix is allowed (an estimator
-    /// that has observed nothing): the objective treats it as zero mass.
-    pub fn new(weights: Vec<Vec<f64>>) -> Result<Self, ScenarioError> {
-        if weights.is_empty() || weights[0].is_empty() {
+    /// Returns [`ScenarioError::DimensionMismatch`] for an empty matrix
+    /// or one that is not whole rows, and [`ScenarioError::InvalidValue`]
+    /// for a negative or non-finite weight. An all-zero matrix is
+    /// allowed (an estimator that has observed nothing): the objective
+    /// treats it as zero mass.
+    pub fn new(num_models: usize, weights: Vec<f64>) -> Result<Self, ScenarioError> {
+        if num_models == 0 || weights.is_empty() {
             return Err(ScenarioError::DimensionMismatch {
                 reason: "estimate matrix must be non-empty".into(),
             });
         }
-        let i = weights[0].len();
-        if weights.iter().any(|row| row.len() != i) {
+        if !weights.len().is_multiple_of(num_models) {
             return Err(ScenarioError::DimensionMismatch {
-                reason: "estimate rows must all have the same length".into(),
+                reason: format!(
+                    "{} estimate weights are not rows of {num_models} models",
+                    weights.len()
+                ),
             });
         }
         let mut total = 0.0;
-        for row in &weights {
-            for &w in row {
-                if !w.is_finite() || w < 0.0 {
-                    return Err(ScenarioError::InvalidValue {
-                        name: "estimated request weight",
-                        value: w,
-                    });
-                }
-                total += w;
+        for &w in &weights {
+            if !w.is_finite() || w < 0.0 {
+                return Err(ScenarioError::InvalidValue {
+                    name: "estimated request weight",
+                    value: w,
+                });
             }
+            total += w;
         }
-        Ok(Self { weights, total })
+        Ok(Self {
+            num_models,
+            weights,
+            total,
+        })
     }
 
     /// The weight of `(user, model)`, zero for out-of-range indices.
     pub fn weight(&self, user: UserId, model: ModelId) -> f64 {
+        if model.index() >= self.num_models {
+            return 0.0;
+        }
         self.weights
-            .get(user.index())
-            .and_then(|row| row.get(model.index()))
+            .get(user.index() * self.num_models + model.index())
             .copied()
             .unwrap_or(0.0)
     }
@@ -358,11 +404,11 @@ impl DemandEstimate {
 
 impl DemandView for DemandEstimate {
     fn num_users(&self) -> usize {
-        self.weights.len()
+        self.weights.len() / self.num_models
     }
 
     fn num_models(&self) -> usize {
-        self.weights[0].len()
+        self.num_models
     }
 
     fn weight(&self, user: UserId, model: ModelId) -> f64 {
@@ -461,21 +507,17 @@ impl DemandConfig {
                 rng.gen_range(lo..=hi)
             }
         };
-        let deadlines_s = (0..num_users)
-            .map(|_| {
-                (0..num_models)
-                    .map(|_| sample_range(rng, self.deadline_range_s))
-                    .collect()
-            })
-            .collect();
-        let inference_s = (0..num_users)
-            .map(|_| {
-                (0..num_models)
-                    .map(|_| sample_range(rng, self.inference_range_s))
-                    .collect()
-            })
-            .collect();
-        Demand::new(probabilities, deadlines_s, inference_s)
+        // Every deadline, then every inference time, each user-major.
+        let mut budgets_s = vec![[0.0; 2]; num_users * num_models];
+        for (j, range) in [self.deadline_range_s, self.inference_range_s]
+            .into_iter()
+            .enumerate()
+        {
+            for budget in &mut budgets_s {
+                budget[j] = sample_range(rng, range);
+            }
+        }
+        Demand::from_rows(num_models, probabilities, budgets_s)
     }
 
     /// Generates a **clustered** demand description: `num_classes` Zipf
@@ -510,14 +552,9 @@ impl DemandConfig {
                 value: 0.0,
             });
         }
-        let rows = self.generate(num_classes, num_models, rng)?;
         let user_class = (0..num_users).map(|k| (k % num_classes) as u32).collect();
-        Demand::clustered(
-            rows.probabilities,
-            rows.deadlines_s,
-            rows.inference_s,
-            user_class,
-        )
+        self.generate(num_classes, num_models, rng)?
+            .with_user_classes(user_class)
     }
 
     /// Generates a clustered demand description with an **explicit**
@@ -552,13 +589,8 @@ impl DemandConfig {
                 value: 0.0,
             });
         }
-        let rows = self.generate(num_classes, num_models, rng)?;
-        Demand::clustered(
-            rows.probabilities,
-            rows.deadlines_s,
-            rows.inference_s,
-            user_class,
-        )
+        self.generate(num_classes, num_models, rng)?
+            .with_user_classes(user_class)
     }
 }
 
@@ -576,9 +608,10 @@ mod tests {
 
     fn small_demand() -> Demand {
         Demand::new(
-            vec![vec![0.5, 0.3], vec![0.2, 0.8]],
-            vec![vec![1.0, 0.7], vec![0.6, 0.9]],
-            vec![vec![0.05, 0.05], vec![0.1, 0.1]],
+            2,
+            vec![0.5, 0.3, 0.2, 0.8],
+            &[1.0, 0.7, 0.6, 0.9],
+            &[0.05, 0.05, 0.1, 0.1],
         )
         .unwrap()
     }
@@ -591,6 +624,8 @@ mod tests {
         assert_eq!(d.probability(UserId(0), ModelId(1)).unwrap(), 0.3);
         assert_eq!(d.deadline_s(UserId(1), ModelId(0)).unwrap(), 0.6);
         assert_eq!(d.inference_s(UserId(1), ModelId(1)).unwrap(), 0.1);
+        assert_eq!(d.budget_s(UserId(0), ModelId(1)).unwrap(), [0.7, 0.05]);
+        assert_eq!(d.class_probabilities(1), [0.2, 0.8]);
         assert!((d.total_probability_mass() - 1.8).abs() < 1e-12);
     }
 
@@ -603,16 +638,17 @@ mod tests {
 
     #[test]
     fn construction_validates_shapes_and_values() {
-        assert!(Demand::new(vec![], vec![], vec![]).is_err());
-        assert!(Demand::new(vec![vec![]], vec![vec![]], vec![vec![]]).is_err());
-        // Mismatched shapes.
-        assert!(Demand::new(vec![vec![0.1, 0.2]], vec![vec![1.0]], vec![vec![0.1, 0.1]]).is_err());
+        assert!(Demand::new(1, vec![], &[], &[]).is_err());
+        assert!(Demand::new(0, vec![], &[], &[]).is_err());
+        // Mismatched shapes, and entries that are not whole rows.
+        assert!(Demand::new(2, vec![0.1, 0.2], &[1.0], &[0.1, 0.1]).is_err());
+        assert!(Demand::new(2, vec![0.1, 0.2, 0.3], &[1.0; 3], &[0.1; 3]).is_err());
         // Negative probability.
-        assert!(Demand::new(vec![vec![-0.1]], vec![vec![1.0]], vec![vec![0.1]]).is_err());
+        assert!(Demand::new(1, vec![-0.1], &[1.0], &[0.1]).is_err());
         // Zero deadline.
-        assert!(Demand::new(vec![vec![0.1]], vec![vec![0.0]], vec![vec![0.1]]).is_err());
+        assert!(Demand::new(1, vec![0.1], &[0.0], &[0.1]).is_err());
         // Non-finite inference latency.
-        assert!(Demand::new(vec![vec![0.1]], vec![vec![1.0]], vec![vec![f64::NAN]]).is_err());
+        assert!(Demand::new(1, vec![0.1], &[1.0], &[f64::NAN]).is_err());
     }
 
     #[test]
@@ -672,28 +708,32 @@ mod tests {
 
     #[test]
     fn estimate_validates_and_exposes_weights() {
-        let e = DemandEstimate::new(vec![vec![2.0, 0.0], vec![0.5, 1.5]]).unwrap();
+        let e = DemandEstimate::new(2, vec![2.0, 0.0, 0.5, 1.5]).unwrap();
         assert_eq!(DemandView::num_users(&e), 2);
         assert_eq!(DemandView::num_models(&e), 2);
         assert_eq!(e.weight(UserId(0), ModelId(0)), 2.0);
+        assert_eq!(e.weight(UserId(1), ModelId(1)), 1.5);
         assert_eq!(e.weight(UserId(5), ModelId(0)), 0.0);
+        // A model past the row never reads into the next row.
+        assert_eq!(e.weight(UserId(0), ModelId(2)), 0.0);
         assert!((e.total_mass() - 4.0).abs() < 1e-12);
         // Zero mass is allowed; structural and value errors are not.
-        assert!(DemandEstimate::new(vec![vec![0.0; 3]; 2]).is_ok());
-        assert!(DemandEstimate::new(vec![]).is_err());
-        assert!(DemandEstimate::new(vec![vec![]]).is_err());
-        assert!(DemandEstimate::new(vec![vec![1.0], vec![1.0, 2.0]]).is_err());
-        assert!(DemandEstimate::new(vec![vec![-0.1]]).is_err());
-        assert!(DemandEstimate::new(vec![vec![f64::NAN]]).is_err());
+        assert!(DemandEstimate::new(3, vec![0.0; 6]).is_ok());
+        assert!(DemandEstimate::new(1, vec![]).is_err());
+        assert!(DemandEstimate::new(0, vec![]).is_err());
+        assert!(DemandEstimate::new(2, vec![1.0, 1.0, 2.0]).is_err());
+        assert!(DemandEstimate::new(1, vec![-0.1]).is_err());
+        assert!(DemandEstimate::new(1, vec![f64::NAN]).is_err());
     }
 
     #[test]
     fn clustered_identity_matches_singleton_bit_for_bit() {
         let d = small_demand();
         let c = Demand::clustered(
-            vec![vec![0.5, 0.3], vec![0.2, 0.8]],
-            vec![vec![1.0, 0.7], vec![0.6, 0.9]],
-            vec![vec![0.05, 0.05], vec![0.1, 0.1]],
+            2,
+            vec![0.5, 0.3, 0.2, 0.8],
+            &[1.0, 0.7, 0.6, 0.9],
+            &[0.05, 0.05, 0.1, 0.1],
             vec![0, 1],
         )
         .unwrap();
@@ -722,9 +762,10 @@ mod tests {
     #[test]
     fn clustered_users_share_class_rows() {
         let c = Demand::clustered(
-            vec![vec![0.9, 0.1], vec![0.4, 0.6]],
-            vec![vec![1.0, 1.0], vec![0.5, 0.5]],
-            vec![vec![0.05, 0.05], vec![0.02, 0.02]],
+            2,
+            vec![0.9, 0.1, 0.4, 0.6],
+            &[1.0, 1.0, 0.5, 0.5],
+            &[0.05, 0.05, 0.02, 0.02],
             vec![0, 1, 0, 1, 0],
         )
         .unwrap();
@@ -743,21 +784,14 @@ mod tests {
 
     #[test]
     fn clustered_construction_validates_the_class_map() {
-        let rows = (
-            vec![vec![0.5, 0.5]],
-            vec![vec![1.0, 1.0]],
-            vec![vec![0.05, 0.05]],
-        );
+        let class = |map| Demand::clustered(2, vec![0.5, 0.5], &[1.0, 1.0], &[0.05, 0.05], map);
+        assert!(class(vec![0, 0]).is_ok());
         // Empty map.
-        assert!(Demand::clustered(rows.0.clone(), rows.1.clone(), rows.2.clone(), vec![]).is_err());
+        assert!(class(vec![]).is_err());
         // Class index out of range.
-        assert!(
-            Demand::clustered(rows.0.clone(), rows.1.clone(), rows.2.clone(), vec![0, 1]).is_err()
-        );
+        assert!(class(vec![0, 1]).is_err());
         // Matrix validation still applies.
-        assert!(
-            Demand::clustered(vec![vec![-1.0]], vec![vec![1.0]], vec![vec![0.1]], vec![0]).is_err()
-        );
+        assert!(Demand::clustered(1, vec![-1.0], &[1.0], &[0.1], vec![0]).is_err());
     }
 
     #[test]

@@ -515,8 +515,7 @@ impl<'a> LatencyEvaluator<'a> {
             return Ok(());
         }
         let m_count = self.coverage.num_servers();
-        let inference = self.demand.inference_s(user, model)?;
-        let deadline = self.demand.deadline_s(user, model)?;
+        let [deadline, inference] = self.demand.budget_s(user, model)?;
         // Eq. (4) for a covering server; `None` when it misses the
         // deadline or has no positive rate.
         let direct = |rate: f64| {

@@ -349,12 +349,7 @@ mod tests {
     /// - server 1 can serve user 1 for model 1 only;
     /// - user 1 / model 0 can never be served.
     fn fixture() -> (Demand, EligibilityTensor) {
-        let demand = Demand::new(
-            vec![vec![0.6, 0.4], vec![0.7, 0.3]],
-            vec![vec![1.0; 2]; 2],
-            vec![vec![0.1; 2]; 2],
-        )
-        .unwrap();
+        let demand = Demand::new(2, vec![0.6, 0.4, 0.7, 0.3], &[1.0; 4], &[0.1; 4]).unwrap();
         let eligibility = EligibilityTensor::from_fn(2, 2, 2, |m, k, i| {
             matches!((m, k, i), (0, 0, _) | (1, 1, 1))
         });
@@ -482,10 +477,10 @@ mod tests {
             let dense = EligibilityTensor::from_fn(m_count, k_count, i_count, at);
             let sparse = SparseEligibility::from_fn(m_count, k_count, i_count, at);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let weights = (0..k_count)
-                .map(|_| (0..i_count).map(|_| rng.gen_range(0.0..1.0)).collect())
+            let weights = (0..k_count * i_count)
+                .map(|_| rng.gen_range(0.0..1.0))
                 .collect();
-            let demand = DemandEstimate::new(weights).unwrap();
+            let demand = DemandEstimate::new(i_count, weights).unwrap();
             let covers: Vec<(ServerId, ModelId)> = (0..rng.gen_range(0..2 * m_count * i_count))
                 .map(|_| (ServerId(rng.gen_range(0..m_count)), ModelId(rng.gen_range(0..i_count))))
                 .collect();
@@ -573,7 +568,7 @@ mod tests {
         // An estimate exactly proportional to the true probabilities (an
         // observed request stream scales every weight by the request
         // volume) produces identical hit ratios and proportional gains.
-        let scaled = DemandEstimate::new(vec![vec![6.0, 4.0], vec![7.0, 3.0]]).unwrap();
+        let scaled = DemandEstimate::new(2, vec![6.0, 4.0, 7.0, 3.0]).unwrap();
         let truth = HitRatioObjective::new(&demand, &elig).unwrap();
         let est = HitRatioObjective::new(&scaled, &elig).unwrap();
         let mut p = Placement::empty(2, 2);
@@ -585,7 +580,7 @@ mod tests {
         );
         // A skewed estimate reorders the gains — the planner would now
         // prefer model 0 at server 0 over model 1.
-        let skewed = DemandEstimate::new(vec![vec![9.0, 0.1], vec![0.1, 0.1]]).unwrap();
+        let skewed = DemandEstimate::new(2, vec![9.0, 0.1, 0.1, 0.1]).unwrap();
         let skewed_obj = HitRatioObjective::new(&skewed, &elig).unwrap();
         let empty = Placement::empty(2, 2);
         assert!(

@@ -95,13 +95,12 @@ fn shifted_estimate(scenario: &Scenario, shift: usize) -> DemandEstimate {
     let demand = scenario.demand();
     let models = scenario.num_models();
     let weights = (0..scenario.num_users())
-        .map(|k| {
+        .flat_map(|k| {
             (0..models)
-                .map(|i| 1_000.0 * demand.weight(UserId(k), ModelId((i + shift) % models)))
-                .collect()
+                .map(move |i| 1_000.0 * demand.weight(UserId(k), ModelId((i + shift) % models)))
         })
         .collect();
-    DemandEstimate::new(weights).unwrap()
+    DemandEstimate::new(models, weights).unwrap()
 }
 
 /// Runs the reference greedy on `scenario` over its own eligibility, a

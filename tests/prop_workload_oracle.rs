@@ -33,10 +33,11 @@ fn demand(kind: usize, users: usize, models: usize, pool: usize, seed: u64) -> D
         return config.generate(users, models, &mut rng).unwrap();
     }
     let rows = config.generate(pool, models, &mut rng).unwrap();
-    let copy = |picks: &[usize], get: &dyn Fn(UserId, ModelId) -> f64| -> Vec<Vec<f64>> {
+    let copy = |picks: &[usize], get: &dyn Fn(UserId, ModelId) -> f64| -> Vec<f64> {
         picks
             .iter()
-            .map(|&r| (0..models).map(|i| get(UserId(r), ModelId(i))).collect())
+            .flat_map(|&r| (0..models).map(move |i| (r, i)))
+            .map(|(r, i)| get(UserId(r), ModelId(i)))
             .collect()
     };
     let matrices = |picks: &[usize]| {
@@ -49,14 +50,14 @@ fn demand(kind: usize, users: usize, models: usize, pool: usize, seed: u64) -> D
     if kind == 0 {
         let picks: Vec<usize> = (0..users).map(|_| rng.gen_range(0..pool)).collect();
         let (p, d, t) = matrices(&picks);
-        return Demand::new(p, d, t).unwrap();
+        return Demand::new(models, p, &d, &t).unwrap();
     }
     let classes: Vec<usize> = (0..2 * pool).map(|c| c % pool).collect();
     let map = (0..users)
         .map(|_| rng.gen_range(0..2 * pool) as u32)
         .collect();
     let (p, d, t) = matrices(&classes);
-    Demand::clustered(p, d, t, map).unwrap()
+    Demand::clustered(models, p, &d, &t, map).unwrap()
 }
 
 /// User `k`'s popularity row under `demand`.
@@ -117,10 +118,11 @@ fn assert_draws_match(
 
 /// Number of distinct stored popularity rows, by bit pattern.
 fn distinct_rows(demand: &Demand) -> usize {
-    demand
-        .class_probabilities()
-        .iter()
-        .map(|r| r.iter().map(|p| p.to_bits()).collect::<Vec<_>>())
+    (0..demand.num_classes())
+        .map(|c| {
+            let row = demand.class_probabilities(c);
+            row.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+        })
         .collect::<std::collections::BTreeSet<_>>()
         .len()
 }
