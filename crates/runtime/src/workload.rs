@@ -24,9 +24,9 @@
 //! one row per phase however many users there are; personalised
 //! popularity keeps one row per user; a clustered city at most one per
 //! class. All CDFs sit in one row-major table, phase-major, so drawing
-//! a model reads one row at a computed offset. [`PopularityShift`] generates seeded permutation schedules;
-//! [`Workload::flash_crowd`] and [`Workload::diurnal_tide`] build the
-//! spike and rotation families.
+//! a model reads one row at a computed offset. [`PopularityShift`]
+//! generates seeded permutation schedules; [`Workload::flash_crowd`] and
+//! [`Workload::diurnal_tide`] build the spike and rotation families.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
