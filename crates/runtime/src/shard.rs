@@ -1817,6 +1817,25 @@ mod tests {
     }
 
     #[test]
+    fn set_workload_rejects_a_workload_of_other_dimensions() {
+        let s = scenario(8);
+        let mut engine = ShardedServeEngine::new(&s, &Lru, ServeConfig::smoke(), 1).unwrap();
+        let fits = Workload::from_demand(s.demand(), 1.0).unwrap();
+        engine.set_workload(fits).unwrap();
+        for (users, models) in [(9, s.num_models()), (8, s.num_models() + 1)] {
+            let demand = DemandConfig::paper_defaults()
+                .generate(users, models, &mut StdRng::seed_from_u64(1))
+                .unwrap();
+            let workload = Workload::from_demand(&demand, 1.0).unwrap();
+            let set = engine.set_workload(workload);
+            assert!(
+                matches!(set, Err(RuntimeError::InvalidConfig { .. })),
+                "{users}x{models}: {set:?}"
+            );
+        }
+    }
+
+    #[test]
     fn zero_shards_are_rejected_and_degenerate_partitions_collapse() {
         let s = scenario(6);
         let err = ShardedServeEngine::new(&s, &Lru, ServeConfig::smoke(), 0);
