@@ -460,7 +460,8 @@ pub(crate) struct RunState {
 /// [`LatencyEvaluator::scored_candidates`]. Only a re-plan reads the
 /// indicator, so it belongs to the planner. A mobility boundary
 /// recomputes the snapshot's radio state only — coverage, shares and
-/// rates, whole, in place ([`Scenario::update_radio_positions`]) —
+/// rates, whole, in place ([`Scenario::stage_radio_positions`], the
+/// rate rows in chunks, [`Scenario::install_rates`]) —
 /// which leaves the snapshot's stored indicator out of date as a whole,
 /// and [`Shared::eligibility`] derives a fresh one for each solve once a
 /// boundary has moved a user. Nothing about it is stored, so
@@ -1649,33 +1650,15 @@ impl<'a> Region<'a> {
 }
 
 /// Every user's primary (highest expected rate) covering server, or
-/// `None` for uncovered users, through [`primary_server_for`].
+/// `None` for uncovered users: one argmax over each user's own rate row
+/// ([`RateMatrix::best_server`], ties to the lowest server index).
+///
+/// [`RateMatrix::best_server`]: trimcaching_scenario::RateMatrix::best_server
 pub(crate) fn primary_servers(scenario: &Scenario) -> Result<Vec<Option<usize>>, RuntimeError> {
-    (0..scenario.num_users())
-        .map(|k| primary_server_for(scenario, k))
-        .collect()
-}
-
-/// The primary (highest expected rate) covering server of one user, or
-/// `None` if the user is uncovered: one argmax over the user's own rate
-/// row. A best rate is replaced only by a strictly greater one, so a tie
-/// goes to the lowest server index.
-pub(crate) fn primary_server_for(
-    scenario: &Scenario,
-    k: usize,
-) -> Result<Option<usize>, RuntimeError> {
-    let servers = scenario
-        .coverage()
-        .servers_of_user(k)
-        .map_err(trimcaching_scenario::ScenarioError::from)?;
-    let rates = scenario.rates().user_rates(k)?;
-    let mut best: Option<(f64, usize)> = None;
-    for (&m, &rate) in servers.iter().zip(rates) {
-        if best.is_none_or(|(r, _)| rate > r) {
-            best = Some((rate, m));
-        }
-    }
-    Ok(best.map(|(_, m)| m))
+    let rates = scenario.rates();
+    Ok((0..scenario.num_users())
+        .map(|k| rates.best_server(k))
+        .collect::<Result<_, _>>()?)
 }
 
 /// Runs one serving replay: build engine, optional warm start, run.

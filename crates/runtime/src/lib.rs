@@ -68,9 +68,11 @@
 //!   deterministically, so the trace is byte-identical across any
 //!   thread count; regions run on a worker pool between boundaries
 //!   ([`ShardedServeEngine`]; `R = 1` is [`ServeEngine`]);
-//! * [`fanout`] — the one scoped-thread fan-out behind shard driving,
-//!   ensembles, Monte-Carlo topologies and sweeps: results in index
-//!   order, and the lowest-index error for any thread count.
+//! * [`fanout`] — the thread fan-out: a scoped-thread map behind shard
+//!   driving, ensembles, Monte-Carlo topologies and sweeps, and the one
+//!   helper thread a mobile or durable run keeps for its checkpoint
+//!   saves and its merges' rate passes. Results come back in index
+//!   order, with the lowest-index error, for any thread count.
 //!
 //! # Example
 //!

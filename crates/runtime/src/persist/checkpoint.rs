@@ -199,10 +199,15 @@ impl Checkpoint {
     /// Fails on I/O errors.
     pub fn save_with(&self, path: &Path, fsync: bool) -> Result<(), PersistError> {
         let tmp = path.with_extension("tmp");
-        let bytes = self.to_bytes();
+        // The image goes out as three writes around the payload, so a
+        // save holds one copy of the encoded state, not two.
+        let payload = encode(self);
+        let (header, trailer) = frame(&payload);
         File::create(&tmp)
             .and_then(|mut f| {
-                f.write_all(&bytes)?;
+                f.write_all(&header)?;
+                f.write_all(&payload)?;
+                f.write_all(&trailer)?;
                 if fsync {
                     f.sync_all()?;
                 }
@@ -217,13 +222,8 @@ impl Checkpoint {
     /// always yields the same bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload = encode(self);
-        let mut out = Vec::with_capacity(payload.len() + 13);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.push(CHECKPOINT_VERSION);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out
+        let (header, trailer) = frame(&payload);
+        [&header[..], &payload, &trailer].concat()
     }
 
     /// Parses and CRC-verifies a complete file image.
@@ -288,44 +288,14 @@ impl Checkpoint {
     }
 }
 
-/// Background checkpoint writer: encoding, writing, (optionally)
-/// fsyncing and the atomic rename happen off the simulation thread,
-/// with at most one write in flight. The state itself is captured
-/// synchronously at the boundary, so resumability and determinism are
-/// unaffected — only the disk latency is taken off the serving path.
-#[derive(Debug, Default)]
-pub(crate) struct CheckpointSaver {
-    pending: Option<std::thread::JoinHandle<Result<(), PersistError>>>,
-}
-
-impl CheckpointSaver {
-    /// Hands `checkpoint` to the writer thread, first waiting out any
-    /// write still in flight — so a slow disk back-pressures the run
-    /// instead of queueing unbounded state copies, and a write failure
-    /// surfaces at the next boundary.
-    pub(crate) fn save(
-        &mut self,
-        path: std::path::PathBuf,
-        checkpoint: Checkpoint,
-        fsync: bool,
-    ) -> Result<(), PersistError> {
-        self.wait()?;
-        self.pending = Some(std::thread::spawn(move || {
-            checkpoint.save_with(&path, fsync)
-        }));
-        Ok(())
-    }
-
-    /// Blocks until the in-flight write, if any, has completed, and
-    /// reports its outcome.
-    pub(crate) fn wait(&mut self) -> Result<(), PersistError> {
-        match self.pending.take() {
-            None => Ok(()),
-            Some(handle) => handle.join().map_err(|_| PersistError::Corrupt {
-                context: "checkpoint: background writer panicked".into(),
-            })?,
-        }
-    }
+/// The frame around a checkpoint payload: the header (magic, version,
+/// payload length) and the CRC-32 trailer.
+fn frame(payload: &[u8]) -> ([u8; 9], [u8; 4]) {
+    let mut header = [0; 9];
+    header[..4].copy_from_slice(&CHECKPOINT_MAGIC);
+    header[4] = CHECKPOINT_VERSION;
+    header[5..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    (header, crc32(payload).to_le_bytes())
 }
 
 wire_struct!(Checkpoint {

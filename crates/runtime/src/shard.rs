@@ -33,9 +33,12 @@
 //! that crossed a strip border (ascending user id; the user's request
 //! generation is bumped so the old chain's pending request becomes a
 //! tombstone, and the new owner copies the kinematics and starts a
-//! fresh chain). Because every merge is single-threaded and ordered,
-//! **the trace is a pure function of `(scenario, policy, config, R)` —
-//! byte-identical across any worker thread count**.
+//! fresh chain). Every merge is ordered, and the one part of it that
+//! runs on two threads — the rate rows, split by user range with the
+//! run's helper thread — writes each row from its own user's inputs and
+//! is assembled in user order, so **the trace is a pure function of
+//! `(scenario, policy, config, R)` — byte-identical across any worker
+//! thread count**.
 //!
 //! Sharding *is* a model change for `R > 1`: a request is served only
 //! by eligible servers of its owner's strip, and each strip plans its
@@ -44,7 +47,8 @@
 //! and it is what makes the strips independent enough to parallelise.
 //!
 //! Durable runs journal per region (`journal_<id>.tcj`) and write one
-//! checkpoint file that stores each fact once: the run-wide facts
+//! checkpoint file (saved by the helper thread when the pool has two
+//! threads) that stores each fact once: the run-wide facts
 //! (workload, positions, primaries, generations, staged
 //! reconciliations), one state per server taken from its owner region,
 //! and per region only what the region owns (RNG, events, metrics,
@@ -56,18 +60,17 @@
 
 use std::borrow::Cow;
 
-use trimcaching_scenario::{Placement, Scenario, UserId};
+use trimcaching_scenario::{Placement, RatePass, RateRows, Scenario, UserId};
 use trimcaching_wireless::geometry::Point;
 
 use crate::engine::{
-    member_slot, primary_server_for, primary_servers, DriveStop, Home, Region, RunState,
-    ServeConfig, ServeReport, Shared,
+    member_slot, primary_servers, DriveStop, Home, Region, RunState, ServeConfig, ServeReport,
+    Shared,
 };
 use crate::error::RuntimeError;
 use crate::event::{Event, EventKind};
-use crate::fanout::par_map;
+use crate::fanout::{par_map, with_worker, worker_threads, Board, Chunked, Worker, WorkerLost};
 use crate::faults::FaultSpec;
-use crate::persist::checkpoint::CheckpointSaver;
 use crate::persist::{Checkpoint, PersistConfig, PersistError};
 use crate::policy::EvictionPolicy;
 use crate::workload::Workload;
@@ -143,7 +146,6 @@ pub struct ShardedServeEngine<'a> {
     /// Simulated time of the next checkpoint boundary (`f64::INFINITY`
     /// for in-memory runs).
     next_checkpoint_s: f64,
-    saver: CheckpointSaver,
 }
 
 impl<'a> ShardedServeEngine<'a> {
@@ -238,7 +240,6 @@ impl<'a> ShardedServeEngine<'a> {
             shared,
             shards,
             next_checkpoint_s,
-            saver: CheckpointSaver::default(),
         })
     }
 
@@ -452,7 +453,6 @@ impl<'a> ShardedServeEngine<'a> {
     pub fn run(mut self) -> Result<ServeReport, RuntimeError> {
         let horizon = self.config.duration_s;
         self.run_to(horizon)?;
-        self.saver.wait()?;
         let mut metrics = None;
         let mut member_caches = Vec::with_capacity(self.shards.len());
         for shard in self.shards {
@@ -500,7 +500,7 @@ impl<'a> ShardedServeEngine<'a> {
         for shard in &mut self.shards {
             shard.engine.sync_journal()?;
         }
-        Ok(self.saver.wait()?)
+        Ok(())
     }
 
     /// Drives every region to `horizon` through checkpoint-bounded
@@ -510,15 +510,36 @@ impl<'a> ShardedServeEngine<'a> {
     /// A boundary `T` is written once no pending event fires at or before
     /// `T` — events *at* the boundary are simulated state of the
     /// boundary, so they process first.
+    ///
+    /// A run with mobility or persistence gets one helper thread for its
+    /// whole length when the pool has at least two threads (see
+    /// [`with_worker`]): it writes each checkpoint — encoding, writing,
+    /// the optional fsync and the atomic rename — off the simulation
+    /// thread, with at most one save in flight, and helps with each
+    /// merge's rate pass. The state itself is captured synchronously at
+    /// the boundary, so resumability and determinism are unaffected; a
+    /// slow disk back-pressures the run at the next boundary, where a
+    /// failed save surfaces. Without the helper both run inline.
     fn run_to(&mut self, horizon: f64) -> Result<(), RuntimeError> {
         for shard in &mut self.shards {
             if shard.state.is_none() {
                 shard.state = Some(shard.engine.begin(&self.shared)?);
             }
         }
+        let busy = self.config.mobility_slot_s > 0.0 || self.config.persist.is_some();
+        let helper = busy && worker_threads(self.threads) >= 2;
+        let board = Board::new(RatePass::default(), RADIO_CHUNKS);
+        with_worker(&board, helper, |worker| {
+            self.drive_to(horizon, worker)?;
+            worker.wait_jobs()
+        })
+    }
+
+    /// The body of [`ShardedServeEngine::run_to`] on its worker.
+    fn drive_to(&mut self, horizon: f64, worker: &RadioWorker<'_>) -> Result<(), RuntimeError> {
         loop {
             let window_end = horizon.min(self.next_checkpoint_s);
-            self.drive_window(window_end)?;
+            self.drive_window(window_end, worker)?;
             let Some(pc) = self.config.persist.clone() else {
                 return Ok(());
             };
@@ -527,8 +548,9 @@ impl<'a> ShardedServeEngine<'a> {
                 return Ok(());
             }
             let checkpoint = self.capture(due)?;
-            self.saver
-                .save(pc.checkpoint_path(), checkpoint, pc.fsync)?;
+            let (path, fsync) = (pc.checkpoint_path(), pc.fsync);
+            worker.wait_jobs()?;
+            worker.submit(move || Ok(checkpoint.save_with(&path, fsync)?))?;
             self.next_checkpoint_s = due + pc.checkpoint_every_s;
             if window_end >= horizon {
                 return Ok(());
@@ -572,7 +594,11 @@ impl<'a> ShardedServeEngine<'a> {
 
     /// Drives every region to `window_end`, running the deterministic
     /// merge at each mobility boundary on the way.
-    fn drive_window(&mut self, window_end: f64) -> Result<(), RuntimeError> {
+    fn drive_window(
+        &mut self,
+        window_end: f64,
+        worker: &RadioWorker<'_>,
+    ) -> Result<(), RuntimeError> {
         loop {
             let outcomes = self.drive_all(window_end)?;
             let mut boundary: Option<f64> = None;
@@ -604,7 +630,7 @@ impl<'a> ShardedServeEngine<'a> {
                     ),
                 });
             }
-            self.merge_at(tb)?;
+            self.merge_at(tb, worker)?;
             if cfg!(debug_assertions) {
                 self.check_request_chains()?;
                 self.check_primaries()?;
@@ -624,8 +650,10 @@ impl<'a> ShardedServeEngine<'a> {
         })
     }
 
-    /// The deterministic merge at mobility boundary `tb`, entirely
-    /// single-threaded and ordered by region id then user id:
+    /// The deterministic merge at mobility boundary `tb`, ordered by
+    /// region id then user id. Only the rate rows of step 2 are split
+    /// across threads, by user range and assembled in user order, so
+    /// the result is the same on any thread:
     ///
     /// 1. assemble the global position vector from the owner regions'
     ///    kinematics (each region steps *all* users for RNG parity, but
@@ -633,18 +661,22 @@ impl<'a> ShardedServeEngine<'a> {
     /// 2. move the one shared snapshot's users and recompute its radio
     ///    state — coverage, allocation and rates, whole, through the
     ///    build's passes and in the snapshot's own buffers, so it equals
-    ///    a full rebuild. The stored eligibility is left out of date as a
-    ///    whole: a request scores its class from the radio state, and a
-    ///    re-plan derives a fresh indicator (see [`Shared`]). Then
-    ///    recount handovers over the refreshed users (moved users and
-    ///    the users of a server whose share changed), each on its
-    ///    owner's counters;
+    ///    a full rebuild. Coverage and shares are computed here; the
+    ///    rate rows, each with its user's strongest server, run as
+    ///    [`RADIO_CHUNKS`] chunks on the coordinator and the run's helper
+    ///    (see [`with_worker`]). The stored eligibility is left out of
+    ///    date as a whole: a request scores its class from the radio
+    ///    state, and a re-plan derives a fresh indicator (see
+    ///    [`Shared`]). A user whose strongest server changed is a
+    ///    handover, counted on its owner's counters, as is every
+    ///    refreshed user (moved users and the users of a server whose
+    ///    share changed);
     /// 3. migrate ownership of users that crossed a strip border: copy
     ///    the kinematic row to the new owner, flip the ownership map,
     ///    bump the user's request generation and let the new owner start
     ///    a fresh chain of that generation (the old chain's pending
     ///    request dies as a tombstone, for good).
-    fn merge_at(&mut self, tb: f64) -> Result<(), RuntimeError> {
+    fn merge_at(&mut self, tb: f64, worker: &RadioWorker<'_>) -> Result<(), RuntimeError> {
         let owner = &self.shared.owner;
         let mut global = vec![Point::new(0.0, 0.0); owner.len()];
         for (s, shard) in self.shards.iter().enumerate() {
@@ -656,23 +688,34 @@ impl<'a> ShardedServeEngine<'a> {
             }
         }
 
-        let delta = self.shared.move_users(&global)?;
-        let (snapshot, owner) = (&*self.shared.snapshot, &self.shared.owner);
+        let snapshot = self.shared.snapshot.to_mut();
+        let delta = snapshot.stage_radio_positions(&global, &mut worker.task_mut())?;
         for shard in &mut self.shards {
             shard.engine.metrics.snapshot_rebuilds += 1;
         }
-        // Primary servers are a pure function of a user's covering set
-        // and rates, both unchanged outside the refreshed set — count
-        // handovers over the delta's users only, each from its own rate
-        // row.
-        for &k in delta.refreshed_users() {
-            let fresh = primary_server_for(snapshot, k)?;
-            let metrics = &mut self.shards[owner[k]].engine.metrics;
-            metrics.users_refreshed += 1;
-            if self.shared.primary[k] != fresh {
-                metrics.handovers += 1;
+        if !delta.is_empty() {
+            worker.run_chunks()?;
+            let rows = worker.outputs();
+            let rows = rows.iter().map(|rows| -> &RateRows { rows });
+            snapshot.install_rates(&mut worker.task_mut(), rows.clone())?;
+            let (owner, primary) = (&self.shared.owner, &mut self.shared.primary);
+            let mut handovers = vec![0; self.shards.len()];
+            let mut refreshed = vec![0; self.shards.len()];
+            for chunk in rows {
+                let users = chunk.users();
+                let fresh = primary[users.clone()].iter_mut().zip(chunk.best_servers());
+                for ((primary, &fresh), &o) in fresh.zip(&owner[users]) {
+                    handovers[o] += u64::from(*primary != fresh);
+                    *primary = fresh;
+                }
             }
-            self.shared.primary[k] = fresh;
+            for &k in delta.refreshed_users() {
+                refreshed[owner[k]] += 1;
+            }
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                shard.engine.metrics.handovers += handovers[s];
+                shard.engine.metrics.users_refreshed += refreshed[s];
+            }
         }
 
         // Migration order is part of the determinism contract: strictly
@@ -734,6 +777,39 @@ impl<'a> ShardedServeEngine<'a> {
                 ),
             }),
             None => Ok(()),
+        }
+    }
+}
+
+/// Chunks of a merge's rate pass: enough for the coordinator and the
+/// helper to even out, few enough that claiming one costs nothing next
+/// to its rows (~600 users each on the 5 000-user mobile deployment).
+const RADIO_CHUNKS: usize = 8;
+
+/// The run's worker, over the merge's rate pass.
+type RadioWorker<'b> = Worker<'b, RatePass>;
+
+/// Chunk `index` of `count` of a rate pass is the `index`-th of `count`
+/// equal ranges of users.
+impl Chunked for RatePass {
+    type Output = RateRows;
+    type Error = RuntimeError;
+
+    fn run_chunk(
+        &self,
+        index: usize,
+        count: usize,
+        out: &mut RateRows,
+    ) -> Result<(), RuntimeError> {
+        let users = self.num_users();
+        Ok(self.write_rows(users * index / count..users * (index + 1) / count, out)?)
+    }
+}
+
+impl From<WorkerLost> for RuntimeError {
+    fn from(_: WorkerLost) -> Self {
+        RuntimeError::Internal {
+            reason: "the run's helper thread ended with work unfinished".into(),
         }
     }
 }
@@ -1193,17 +1269,19 @@ mod tests {
     }
 
     /// Runs `engine` to its horizon like [`ShardedServeEngine::run_to`]
-    /// without checkpoints, calling `after_merge` after every mobility
-    /// merge.
+    /// without checkpoints, with or without the run's helper thread,
+    /// calling `after_merge` after every mobility merge.
     fn drive_with(
         engine: &mut ShardedServeEngine<'_>,
+        helper: bool,
         mut after_merge: impl FnMut(&ShardedServeEngine<'_>),
     ) {
         for shard in &mut engine.shards {
             shard.state = Some(shard.engine.begin(&engine.shared).unwrap());
         }
         let horizon = engine.config.duration_s;
-        loop {
+        let board = Board::new(RatePass::default(), RADIO_CHUNKS);
+        with_worker(&board, helper, |worker| loop {
             let outcomes = engine.drive_all(horizon).unwrap();
             let boundary = outcomes.iter().find_map(|outcome| match outcome {
                 DriveStop::MobilityBoundary(t) => Some(*t),
@@ -1212,22 +1290,24 @@ mod tests {
             let Some(tb) = boundary else {
                 return;
             };
-            engine.merge_at(tb).unwrap();
+            engine.merge_at(tb, worker).unwrap();
             after_merge(engine);
-        }
+        });
     }
 
     /// The merge's contract in the benchmark's mobility regime: 20
-    /// `paper_mix` slots over the 5 000-user LoRA market at R = 1 and 4.
-    /// After every merge the snapshot's coverage and rates must equal a
-    /// full `with_user_positions` rebuild, the primary table must equal
-    /// the per-user `primary_server_for` of every user, and the
-    /// handovers counted so far must equal an eager recount that
-    /// compares every user's primary before and after each merge.
+    /// `paper_mix` slots over the 5 000-user LoRA market at R = 1 and 4,
+    /// with the rate pass split between the coordinator and the helper
+    /// thread and, at R = 1, also run inline. After every merge the
+    /// snapshot's coverage and rates must equal a full
+    /// `with_user_positions` rebuild, the primary table must equal the
+    /// rebuild's per-user `RateMatrix::best_server`, and the handovers
+    /// counted so far must equal an eager recount that compares every
+    /// user's primary before and after each merge.
     #[test]
     fn merge_oracle_smoke_paper_mix() {
         let base = lora_market(5_000, EligibilityRepr::Dense);
-        for shards in [1, 4] {
+        for (shards, helper) in [(1, false), (1, true), (4, true)] {
             let config = ServeConfig::smoke()
                 .with_seed(11)
                 .with_duration_s(104.0)
@@ -1237,7 +1317,7 @@ mod tests {
                 .with_threads(2);
             let mut eager = primary_servers(&base).unwrap();
             let (mut merges, mut eager_handovers) = (0, 0u64);
-            drive_with(&mut engine, |engine| {
+            drive_with(&mut engine, helper, |engine| {
                 merges += 1;
                 let snapshot = &*engine.shared.snapshot;
                 let positions: Vec<Point> = snapshot.users().iter().map(|u| u.position()).collect();
@@ -1283,7 +1363,7 @@ mod tests {
                     .unwrap()
                     .with_threads(2);
                 let (mut merges, mut moved_rows) = (0, false);
-                drive_with(&mut engine, |engine| {
+                drive_with(&mut engine, shards > 1, |engine| {
                     let shared = &engine.shared;
                     merges += 1;
                     let snapshot = &*shared.snapshot;

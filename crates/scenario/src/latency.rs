@@ -21,10 +21,13 @@
 //! [`LatencyEvaluator::scored_candidates`] derive the indicator through
 //! one candidate kernel (see [`LatencyEvaluator`]).
 
+use std::ops::Range;
+
 use trimcaching_modellib::{ModelId, ModelLibrary};
 use trimcaching_wireless::allocation::PerUserAllocation;
 use trimcaching_wireless::channel::RateContext;
 use trimcaching_wireless::coverage::CoverageMap;
+use trimcaching_wireless::geometry::Point;
 use trimcaching_wireless::params::RadioParams;
 use trimcaching_wireless::Backhaul;
 
@@ -169,6 +172,56 @@ impl RateMatrix {
         Ok(())
     }
 
+    /// Installs the rows a prepared `pass` wrote, given as chunks in user
+    /// order that together cover every user once: the pass's coverage
+    /// rows become this matrix's row layout (the buffers are swapped, so
+    /// the pass keeps this matrix's old ones for reuse) and the chunks'
+    /// rates are copied in. The pass is spent afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::DimensionMismatch`] unless the chunks
+    /// cover the pass's users in order with one rate per covered pair;
+    /// the matrix is left unchanged in that case.
+    pub(crate) fn install<'r>(
+        &mut self,
+        pass: &mut RatePass,
+        chunks: impl IntoIterator<Item = &'r RateRows> + Clone,
+    ) -> Result<(), ScenarioError> {
+        let mut next_user = 0;
+        for chunk in chunks.clone() {
+            let pairs = pass.pairs(chunk.users.clone());
+            if chunk.users.start != next_user
+                || pairs.map(|p| p.len()) != Some(chunk.rates_bps.len())
+            {
+                return Err(ScenarioError::DimensionMismatch {
+                    reason: format!(
+                        "rate rows of users {:?} do not continue the pass at user {next_user}",
+                        chunk.users
+                    ),
+                });
+            }
+            next_user = chunk.users.end;
+        }
+        if next_user != pass.num_users() || pass.offsets.is_empty() {
+            return Err(ScenarioError::DimensionMismatch {
+                reason: format!(
+                    "rate rows end at user {next_user} but the pass has {} users",
+                    pass.num_users()
+                ),
+            });
+        }
+        self.rates_bps.clear();
+        for chunk in chunks {
+            self.rates_bps.extend_from_slice(&chunk.rates_bps);
+        }
+        self.num_servers = pass.contexts.len();
+        std::mem::swap(&mut self.user_offsets, &mut pass.offsets);
+        std::mem::swap(&mut self.servers, &mut pass.servers);
+        pass.offsets.clear();
+        Ok(())
+    }
+
     /// Number of servers.
     pub fn num_servers(&self) -> usize {
         self.num_servers
@@ -207,6 +260,17 @@ impl RateMatrix {
         Ok(&self.rates_bps[self.row(k)?])
     }
 
+    /// User `k`'s strongest covering server: the highest rate in its
+    /// row, the lowest server index on ties; `None` when uncovered.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::IndexOutOfRange`] for an unknown user.
+    pub fn best_server(&self, k: usize) -> Result<Option<usize>, ScenarioError> {
+        let row = self.row(k)?;
+        Ok(best_of(&self.servers[row.clone()], &self.rates_bps[row]))
+    }
+
     /// The rate from server `m` to user `k` in bits per second (zero when
     /// `m` does not cover `k`).
     ///
@@ -226,6 +290,156 @@ impl RateMatrix {
             Ok(pos) => self.rates_bps[row.start + pos],
             Err(_) => 0.0,
         })
+    }
+}
+
+/// The strongest server of one row: the highest rate, the lowest server
+/// (the first in the ascending row) on ties.
+fn best_of(servers: &[u32], rates_bps: &[f64]) -> Option<usize> {
+    let mut best: Option<(f64, u32)> = None;
+    for (&m, &rate) in servers.iter().zip(rates_bps) {
+        if best.is_none_or(|(r, _)| rate > r) {
+            best = Some((rate, m));
+        }
+    }
+    best.map(|(_, m)| m as usize)
+}
+
+/// One pass over the expected rate rows, split so that any range of
+/// users can be written anywhere: everything a row reads — the coverage
+/// rows, the user and server positions and each server's
+/// [`RateContext`] — is copied out of the snapshot into the pass's own
+/// buffers, which later passes reuse.
+///
+/// [`RatePass::write_rows`] writes a range of users' rows into a
+/// [`RateRows`] buffer; [`Scenario::install_rates`] puts the rows of
+/// ranges that cover every user, in user order, into the snapshot. A row
+/// depends on its own user alone, so the split never changes a bit:
+/// every rate is the one [`RateMatrix::expected`] writes, server by
+/// server, for the build.
+///
+/// [`Scenario::install_rates`]: crate::Scenario::install_rates
+#[derive(Debug, Clone, Default)]
+pub struct RatePass {
+    user_points: Vec<Point>,
+    server_points: Vec<Point>,
+    /// The coverage rows, row-compressed: user `k`'s covering servers
+    /// are `servers[offsets[k]..offsets[k + 1]]`, ascending. Empty while
+    /// the pass is spent.
+    offsets: Vec<usize>,
+    servers: Vec<u32>,
+    contexts: Vec<RateContext>,
+}
+
+impl RatePass {
+    /// Copies the coverage rows, the positions and each server's rate
+    /// constants out of `coverage` and `allocation` (expected rates).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::DimensionMismatch`] when `allocation` and
+    /// `coverage` disagree on the server count.
+    pub(crate) fn prepare(
+        &mut self,
+        coverage: &CoverageMap,
+        allocation: &PerUserAllocation,
+        params: &RadioParams,
+    ) -> Result<(), ScenarioError> {
+        if allocation.num_servers() != coverage.num_servers() {
+            return Err(ScenarioError::DimensionMismatch {
+                reason: format!(
+                    "allocation covers {} servers but coverage has {}",
+                    allocation.num_servers(),
+                    coverage.num_servers()
+                ),
+            });
+        }
+        self.user_points.clear();
+        self.user_points.extend_from_slice(coverage.user_points());
+        self.server_points.clear();
+        self.server_points
+            .extend_from_slice(coverage.server_points());
+        let (offsets, servers) = coverage.rows();
+        self.offsets.clear();
+        self.offsets.extend_from_slice(offsets);
+        self.servers.clear();
+        self.servers.extend(servers.iter().map(|&m| m as u32));
+        self.contexts.clear();
+        for (_, share) in allocation.iter() {
+            let ctx = RateContext::new(share.bandwidth_hz, share.power_w, params);
+            self.contexts.push(ctx);
+        }
+        Ok(())
+    }
+
+    /// Number of users the pass covers (`0` once spent).
+    pub fn num_users(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// The covered pairs of `users` in row order, `None` outside the
+    /// pass.
+    fn pairs(&self, users: Range<usize>) -> Option<Range<usize>> {
+        let (start, end) = (self.offsets.get(users.start)?, self.offsets.get(users.end)?);
+        (users.start <= users.end).then_some(*start..*end)
+    }
+
+    /// Writes the rate rows of `users` into `out`, reusing its buffers:
+    /// each user's rates in the order of its covering servers, and its
+    /// strongest server (see [`RateMatrix::best_server`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::IndexOutOfRange`] for a range outside
+    /// the pass (or a spent pass).
+    pub fn write_rows(&self, users: Range<usize>, out: &mut RateRows) -> Result<(), ScenarioError> {
+        let pairs = self
+            .pairs(users.clone())
+            .ok_or(ScenarioError::IndexOutOfRange {
+                entity: "user",
+                index: users.end,
+                len: self.num_users(),
+            })?;
+        out.rates_bps.clear();
+        out.rates_bps.reserve(pairs.len());
+        out.best.clear();
+        for k in users.clone() {
+            let row = self.offsets[k]..self.offsets[k + 1];
+            let user = self.user_points[k];
+            let first = out.rates_bps.len();
+            for pair in row.clone() {
+                let m = self.servers[pair] as usize;
+                let d = self.server_points[m].distance(user);
+                out.rates_bps.push(self.contexts[m].rate_bps(d, 1.0));
+            }
+            let rates = &out.rates_bps[first..];
+            out.best.push(best_of(&self.servers[row], rates));
+        }
+        out.users = users;
+        Ok(())
+    }
+}
+
+/// The rate rows of one range of users, written by
+/// [`RatePass::write_rows`]: a chunk's output buffer, reused across
+/// passes.
+#[derive(Debug, Clone, Default)]
+pub struct RateRows {
+    users: Range<usize>,
+    rates_bps: Vec<f64>,
+    best: Vec<Option<usize>>,
+}
+
+impl RateRows {
+    /// The users whose rows these are.
+    pub fn users(&self) -> Range<usize> {
+        self.users.clone()
+    }
+
+    /// Each user's strongest covering server, in user order (see
+    /// [`RateMatrix::best_server`]).
+    pub fn best_servers(&self) -> &[Option<usize>] {
+        &self.best
     }
 }
 
@@ -683,6 +897,74 @@ mod tests {
             .recompute_expected(&coverage, &narrow, &f.params)
             .is_err());
         assert_eq!(rates, fresh);
+    }
+
+    /// A layout of 40 users around three servers, some uncovered.
+    fn busy_layout() -> (CoverageMap, PerUserAllocation, RadioParams) {
+        let params = RadioParams::paper_defaults();
+        let servers = [
+            Point::new(0.0, 0.0),
+            Point::new(300.0, 0.0),
+            Point::new(150.0, 200.0),
+        ];
+        let users: Vec<Point> = (0..40)
+            .map(|k| {
+                Point::new(
+                    (k * 97 % 1000) as f64 - 300.0,
+                    (k * 53 % 700) as f64 - 250.0,
+                )
+            })
+            .collect();
+        let coverage = CoverageMap::build(&users, &servers, params.coverage_radius_m).unwrap();
+        let allocation = PerUserAllocation::compute(&coverage, &params).unwrap();
+        (coverage, allocation, params)
+    }
+
+    #[test]
+    fn rows_written_in_chunks_equal_one_pass() {
+        let (coverage, allocation, params) = busy_layout();
+        let whole = RateMatrix::expected(&coverage, &allocation, &params).unwrap();
+        // Uncovered users and users under two or three servers.
+        assert!(coverage.uncovered_users().len() > 1 && whole.num_covered_pairs() > 30);
+        for cuts in [
+            vec![0, 40],
+            vec![0, 1, 17, 17, 39, 40],
+            vec![0, 5, 10, 20, 30, 40],
+        ] {
+            let mut pass = RatePass::default();
+            pass.prepare(&coverage, &allocation, &params).unwrap();
+            let chunks: Vec<RateRows> = cuts
+                .windows(2)
+                .map(|w| {
+                    let mut rows = RateRows::default();
+                    pass.write_rows(w[0]..w[1], &mut rows).unwrap();
+                    rows
+                })
+                .collect();
+            let best: Vec<Option<usize>> = chunks
+                .iter()
+                .flat_map(|rows| rows.best_servers().iter().copied())
+                .collect();
+            // Out of order, the chunks are refused and nothing changes.
+            let nobody = CoverageMap::build(&[], &[], params.coverage_radius_m).unwrap();
+            let none = PerUserAllocation::compute(&nobody, &params).unwrap();
+            let empty = RateMatrix::expected(&nobody, &none, &params).unwrap();
+            let mut rates = empty.clone();
+            if chunks.len() > 1 {
+                let backwards: Vec<&RateRows> = chunks.iter().rev().collect();
+                assert!(rates.install(&mut pass, backwards).is_err());
+                assert!(rates.install(&mut pass, &chunks[1..]).is_err());
+                assert_eq!(rates, empty);
+            }
+            rates.install(&mut pass, &chunks).unwrap();
+            assert_eq!(rates, whole, "cuts {cuts:?}");
+            let eager: Vec<Option<usize>> =
+                (0..40).map(|k| whole.best_server(k).unwrap()).collect();
+            assert_eq!(best, eager, "cuts {cuts:?}");
+            // A spent pass writes nothing.
+            assert_eq!(pass.num_users(), 0);
+            assert!(pass.write_rows(0..1, &mut RateRows::default()).is_err());
+        }
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub use eligibility::{
 };
 pub use entities::{gigabytes, EdgeServer, ServerId, User, UserId};
 pub use error::ScenarioError;
-pub use latency::{LatencyEvaluator, RateMatrix};
+pub use latency::{LatencyEvaluator, RateMatrix, RatePass, RateRows};
 pub use mobility::{CommuterFlow, MobilityClass, MobilityModel};
 pub use objective::{Coverage, HitRatioObjective};
 pub use placement::Placement;

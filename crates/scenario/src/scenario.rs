@@ -25,7 +25,7 @@ use crate::demand::Demand;
 use crate::eligibility::{Eligibility, EligibilityRepr};
 use crate::entities::{EdgeServer, ServerId, User, UserId};
 use crate::error::ScenarioError;
-use crate::latency::{LatencyEvaluator, RateMatrix};
+use crate::latency::{LatencyEvaluator, RateMatrix, RatePass, RateRows};
 use crate::objective::HitRatioObjective;
 use crate::placement::Placement;
 use crate::storage::StorageTracker;
@@ -393,8 +393,12 @@ impl Scenario {
     ///
     /// Cost: one coverage pass over all `K` users (each through the
     /// spatial grid above its server-count threshold, else a scan of the
-    /// `M` servers), one pass over the covered pairs for the rates, and
-    /// `O(K + M)` for the delta.
+    /// `M` servers), one pass over the covered pairs for the rates (a
+    /// `powf` and a `log2` per pair, the largest part), and `O(K + M)`
+    /// for the delta. A caller with a spare core splits the rate pass:
+    /// [`Scenario::stage_radio_positions`], then
+    /// [`RatePass::write_rows`] over ranges of users anywhere, then
+    /// [`Scenario::install_rates`].
     ///
     /// # Errors
     ///
@@ -405,6 +409,44 @@ impl Scenario {
         &mut self,
         positions: &[Point],
     ) -> Result<SnapshotDelta, ScenarioError> {
+        let delta = self.move_radio(positions)?;
+        if !delta.is_empty() {
+            self.rates
+                .recompute_expected(&self.coverage, &self.allocation, &self.radio)?;
+        }
+        Ok(delta)
+    }
+
+    /// [`Scenario::update_radio_positions`] split for a caller that writes
+    /// the rate rows elsewhere: moves the users, recomputes coverage and
+    /// allocation and prepares `pass` for the rate rows, reusing its
+    /// buffers. [`RatePass::write_rows`] over ranges of users and
+    /// [`Scenario::install_rates`] complete the update, bit for bit the
+    /// same. Unless the delta is empty (nobody moved, `pass` untouched),
+    /// the snapshot's rates are out of date until then: read nothing of
+    /// the snapshot in between.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::DimensionMismatch`] if the number of
+    /// positions differs from the number of users; the scenario is left
+    /// unchanged in that case.
+    pub fn stage_radio_positions(
+        &mut self,
+        positions: &[Point],
+        pass: &mut RatePass,
+    ) -> Result<SnapshotDelta, ScenarioError> {
+        let delta = self.move_radio(positions)?;
+        if !delta.is_empty() {
+            pass.prepare(&self.coverage, &self.allocation, &self.radio)?;
+        }
+        Ok(delta)
+    }
+
+    /// Moves the users and recomputes coverage and allocation: what both
+    /// [`Scenario::update_radio_positions`] and
+    /// [`Scenario::stage_radio_positions`] do before the rate rows.
+    fn move_radio(&mut self, positions: &[Point]) -> Result<SnapshotDelta, ScenarioError> {
         if positions.len() != self.users.len() {
             return Err(ScenarioError::DimensionMismatch {
                 reason: format!(
@@ -433,8 +475,6 @@ impl Scenario {
             .map(|((m, _), _)| m)
             .collect();
         self.allocation = allocation;
-        self.rates
-            .recompute_expected(&self.coverage, &self.allocation, &self.radio)?;
         // Users whose rate rows — and hence possibly eligibility — can
         // have changed: the moved users themselves plus every user of a
         // server whose per-user share changed.
@@ -452,6 +492,25 @@ impl Scenario {
         // like `with_user_positions` does for rebuilds.
         self.requested_repr = self.pinned_repr();
         Ok(SnapshotDelta::new(moved, reallocated, refreshed))
+    }
+
+    /// Completes [`Scenario::stage_radio_positions`]: installs the rows of
+    /// the pass it prepared,
+    /// given as [`RatePass::write_rows`] outputs over ranges of users in
+    /// user order that cover every user once. The pass is spent
+    /// afterwards and keeps the snapshot's old row buffers for reuse.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::DimensionMismatch`] unless the rows cover
+    /// the pass's users in order; the rates are left unchanged in that
+    /// case.
+    pub fn install_rates<'r>(
+        &mut self,
+        pass: &mut RatePass,
+        rows: impl IntoIterator<Item = &'r RateRows> + Clone,
+    ) -> Result<(), ScenarioError> {
+        self.rates.install(pass, rows)
     }
 
     /// Derives the eligibility indicator `I1(m,k,i)` from scratch from

@@ -31,6 +31,10 @@ pub struct CoverageMap {
     /// Server positions (see `user_points`).
     server_points: Vec<Point>,
     coverage_radius_m: f64,
+    /// The largest squared distance within the radius (see
+    /// [`squared_reach`]): the row writer's exact, root-free form of
+    /// `distance ≤ radius`.
+    reach_sq: f64,
     /// Spatial bucketing of `server_points`, present above
     /// `GRID_MIN_SERVERS` servers. Derived from the server points and
     /// the radius alone, both fixed at construction.
@@ -62,6 +66,7 @@ impl CoverageMap {
             user_points: users.to_vec(),
             server_points: servers.to_vec(),
             coverage_radius_m,
+            reach_sq: squared_reach(coverage_radius_m),
             grid: (servers.len() > GRID_MIN_SERVERS)
                 .then(|| ServerGrid::build(servers, coverage_radius_m)),
         };
@@ -95,7 +100,7 @@ impl CoverageMap {
     /// user order, refilling the per-server member lists — the transpose
     /// of the rows — in the same pass, each in ascending user order.
     fn write_rows(&mut self) {
-        let (servers, radius_m) = (&self.server_points, self.coverage_radius_m);
+        let (servers, reach_sq) = (&self.server_points, self.reach_sq);
         self.user_offsets.clear();
         self.user_offsets.push(0);
         self.user_servers.clear();
@@ -105,8 +110,8 @@ impl CoverageMap {
         for (k, &point) in self.user_points.iter().enumerate() {
             let start = self.user_servers.len();
             match &self.grid {
-                Some(grid) => grid.covering_servers(point, radius_m, &mut self.user_servers),
-                None => append_covering(point, servers, radius_m, &mut self.user_servers),
+                Some(grid) => grid.covering_servers(point, reach_sq, &mut self.user_servers),
+                None => append_covering(point, servers, reach_sq, &mut self.user_servers),
             }
             for &m in &self.user_servers[start..] {
                 self.users_of_server[m].push(k);
@@ -123,6 +128,16 @@ impl CoverageMap {
     /// Number of edge servers in the topology.
     pub fn num_servers(&self) -> usize {
         self.users_of_server.len()
+    }
+
+    /// The user positions the rows were written from, by user index.
+    pub fn user_points(&self) -> &[Point] {
+        &self.user_points
+    }
+
+    /// The server positions, by server index.
+    pub fn server_points(&self) -> &[Point] {
+        &self.server_points
     }
 
     /// The coverage radius used to build the map, in metres.
@@ -144,6 +159,14 @@ impl CoverageMap {
                 len: self.num_users(),
             }),
         }
+    }
+
+    /// Every user's covering servers at once, row-compressed: user `k`'s
+    /// row ([`CoverageMap::servers_of_user`]) is
+    /// `servers[offsets[k]..offsets[k + 1]]`, with `offsets` of length
+    /// `K + 1`. Returns `(offsets, servers)`.
+    pub fn rows(&self) -> (&[usize], &[usize]) {
+        (&self.user_offsets, &self.user_servers)
     }
 
     /// The users associated with server `m` (the paper's `K_m`), sorted
@@ -230,16 +253,35 @@ impl CoverageMap {
     }
 }
 
-/// Appends to `found` the ascending indices of the servers within
-/// `radius_m` of `point`, by a linear scan of every server.
-fn append_covering(point: Point, servers: &[Point], radius_m: f64, found: &mut Vec<usize>) {
+/// The largest `f64` whose square root is at most `radius_m`. `sqrt` is
+/// correctly rounded and monotone, so for every squared distance `s`
+/// (NaN and infinity included) `s.sqrt() <= radius_m` holds exactly when
+/// `s <= squared_reach(radius_m)`: comparing `dx² + dy²` against it is
+/// the `distance ≤ radius` predicate without the root. `radius_m` must be
+/// positive; `radius_m²` lies within an ulp or two of the answer, so
+/// each walk takes a step or two.
+fn squared_reach(radius_m: f64) -> f64 {
+    let mut reach_sq = radius_m * radius_m;
+    while reach_sq > 0.0 && reach_sq.sqrt() > radius_m {
+        reach_sq = reach_sq.next_down();
+    }
+    while reach_sq.next_up().sqrt() <= radius_m {
+        reach_sq = reach_sq.next_up();
+    }
+    reach_sq
+}
+
+/// Appends to `found` the ascending indices of the servers whose squared
+/// distance to `point` is at most `reach_sq` (see [`squared_reach`]), by
+/// a linear scan of every server.
+fn append_covering(point: Point, servers: &[Point], reach_sq: f64, found: &mut Vec<usize>) {
     // Branch-free: every index is written, and the length advances only
     // past a covering server.
     let mut len = found.len();
     found.resize(len + servers.len(), 0);
     for (m, sp) in servers.iter().enumerate() {
         found[len] = m;
-        len += usize::from(sp.distance(point) <= radius_m);
+        len += usize::from(sp.distance_squared(point) <= reach_sq);
     }
     found.truncate(len);
 }
@@ -250,7 +292,8 @@ fn append_covering(point: Point, servers: &[Point], radius_m: f64, found: &mut V
 /// the input alone (the server count), never the users. The grid costs
 /// two offset reads per grid row it visits (usually three rows) and one
 /// distance test per server in the visited cells; the scan costs one
-/// distance test and one write per server. Timed per user (all 2 000
+/// distance test and one write per server. (Both tests compared the
+/// root when these were timed; both now compare squares.) Timed per user (all 2 000
 /// users rewritten by `set_user_positions`, median of 41, three rounds)
 /// on a 2-core host at ~10 servers per km² and a 275 m radius, the scan
 /// wins below ~50 servers (46–48 vs 99–102 ns at 10, 89–108 vs
@@ -369,9 +412,9 @@ impl ServerGrid {
     }
 
     /// Appends to `found` the ascending indices of the servers within
-    /// `radius_m` of `point`, using the exact distance predicate of the
-    /// linear scan.
-    fn covering_servers(&self, point: Point, radius_m: f64, found: &mut Vec<usize>) {
+    /// the radius of `point`, using the linear scan's exact predicate
+    /// (squared distance at most `reach_sq`, see [`squared_reach`]).
+    fn covering_servers(&self, point: Point, reach_sq: f64, found: &mut Vec<usize>) {
         let start = found.len();
         let (Some((col0, col1)), Some((row0, row1))) = (
             self.span(point.x, self.origin.x, self.cols),
@@ -383,7 +426,7 @@ impl ServerGrid {
             let first = row * self.cols;
             let run = self.starts[first + col0] as usize..self.starts[first + col1 + 1] as usize;
             for (&m, sp) in self.ids[run.clone()].iter().zip(&self.points[run]) {
-                if sp.distance(point) <= radius_m {
+                if sp.distance_squared(point) <= reach_sq {
                     found.push(m as usize);
                 }
             }
@@ -653,8 +696,8 @@ mod tests {
         ];
         for q in queries {
             let (mut scan, mut found) = (Vec::new(), Vec::new());
-            append_covering(q, &server, 275.0, &mut scan);
-            grid.covering_servers(q, 275.0, &mut found);
+            append_covering(q, &server, squared_reach(275.0), &mut scan);
+            grid.covering_servers(q, squared_reach(275.0), &mut found);
             assert_eq!(found, scan, "query {q:?}");
         }
     }
@@ -678,9 +721,100 @@ mod tests {
             Point::new(f64::INFINITY, 0.0),
         ] {
             let (mut scan, mut found) = (Vec::new(), Vec::new());
-            append_covering(q, &servers, 275.0, &mut scan);
-            grid.covering_servers(q, 275.0, &mut found);
+            append_covering(q, &servers, squared_reach(275.0), &mut scan);
+            grid.covering_servers(q, squared_reach(275.0), &mut found);
             assert_eq!(found, scan, "query {q:?}");
+        }
+    }
+
+    /// The root-free predicate against `distance ≤ radius` right at the
+    /// circle: for several radii, points a few ULPs either side of it
+    /// along many directions, plus NaN, infinite and `±1e12`
+    /// coordinates, through both the scan and the grid.
+    #[test]
+    fn squared_reach_is_the_distance_predicate_at_the_circle() {
+        let mut rng = StdRng::seed_from_u64(2024);
+        for radius_m in [
+            275.0,
+            1.0,
+            0.1,
+            1e-3,
+            1e6,
+            123.456_789,
+            rng.gen_range(1.0..5e3),
+        ] {
+            let reach_sq = squared_reach(radius_m);
+            assert!(reach_sq.sqrt() <= radius_m && reach_sq.next_up().sqrt() > radius_m);
+            let center = Point::new(rng.gen_range(-1e4..1e4), rng.gen_range(-1e4..1e4));
+            // A ring of servers around the centre, so the grid is built.
+            let servers: Vec<Point> = (0..=GRID_MIN_SERVERS)
+                .map(|j| {
+                    let angle = j as f64 * 0.1;
+                    center.translated(3.0 * radius_m * angle.cos(), 3.0 * radius_m * angle.sin())
+                })
+                .chain([center])
+                .collect();
+            let mut queries = Vec::new();
+            for _ in 0..2_000 {
+                let angle = rng.gen_range(0.0..std::f64::consts::TAU);
+                let on = center.translated(radius_m * angle.cos(), radius_m * angle.sin());
+                let (mut x, mut y) = (on.x, on.y);
+                for _ in 0..rng.gen_range(0..4) {
+                    x = if rng.gen_bool(0.5) {
+                        x.next_up()
+                    } else {
+                        x.next_down()
+                    };
+                    y = if rng.gen_bool(0.5) {
+                        y.next_up()
+                    } else {
+                        y.next_down()
+                    };
+                }
+                queries.push(Point::new(x, y));
+            }
+            for &(x, y) in &[
+                (f64::NAN, 0.0),
+                (0.0, f64::NAN),
+                (f64::INFINITY, center.y),
+                (center.x, f64::NEG_INFINITY),
+                (1e12, 1e12),
+                (-1e12, center.y),
+                (center.x, -1e12),
+            ] {
+                queries.push(Point::new(x, y));
+            }
+            let map = CoverageMap::build(&queries, &servers, radius_m).unwrap();
+            assert!(map.grid.is_some());
+            let mut inside = 0;
+            for (k, &q) in queries.iter().enumerate() {
+                let expected: Vec<usize> = (0..servers.len())
+                    .filter(|&m| servers[m].distance(q) <= radius_m)
+                    .collect();
+                let mut scan = Vec::new();
+                append_covering(q, &servers, reach_sq, &mut scan);
+                assert_eq!(scan, expected, "r = {radius_m}, query {q:?}");
+                assert_eq!(map.servers_of_user(k).unwrap(), expected, "r = {radius_m}");
+                inside += usize::from(expected.contains(&servers.len().wrapping_sub(1)));
+            }
+            // The points straddle the circle: both sides occur.
+            assert!(
+                inside > 100 && inside < 1_900,
+                "r = {radius_m}: {inside} inside"
+            );
+        }
+    }
+
+    #[test]
+    fn squared_reach_handles_extreme_radii() {
+        for radius_m in [f64::MIN_POSITIVE, 5e-324, 1e-200, 1e154, 1.5e154, f64::MAX] {
+            let reach_sq = squared_reach(radius_m);
+            assert!(reach_sq.sqrt() <= radius_m, "r = {radius_m}");
+            let next = reach_sq.next_up();
+            assert!(
+                next.is_infinite() || next.sqrt() > radius_m,
+                "r = {radius_m}"
+            );
         }
     }
 

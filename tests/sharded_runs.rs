@@ -7,7 +7,9 @@
 //! * the merged trace of a sharded run is **byte-identical for any
 //!   worker-thread count** (journal files compared byte for byte);
 //! * a sharded run killed mid-window resumes from the shared checkpoint
-//!   and its per-shard journals into a byte-identical continuation.
+//!   and its per-shard journals into a byte-identical continuation;
+//! * neither holds less when the run's worker thread writes checkpoints
+//!   and shares the merges' rate passes.
 //!
 //! One shard *is* the classic engine by construction (`ServeEngine` is
 //! the one-shard coordinator), so no test compares the two.
@@ -132,5 +134,76 @@ fn sharded_determinism_smoke() {
             journal_bytes(persist.journal_shard_path(shard)),
             "shard {shard} journal must be byte-identical after kill/resume"
         );
+    }
+}
+
+/// The run-scoped worker's contract under the release profile: a
+/// mobile, durable run with a checkpoint at every mobility slot (so each
+/// save is still being written while the next merge splits its rate pass
+/// with the worker), at R ∈ {1, 4} regions and 1 or 2 threads, run
+/// uninterrupted and killed mid-slot then resumed. For each R every
+/// variant must write the same journal and final checkpoint bytes and
+/// report the same run, handovers included.
+#[test]
+fn worker_byte_identity_smoke() {
+    let scenario = city_scenario();
+    let config = |dir: &Path| {
+        ServeConfig::smoke()
+            .with_duration_s(60.0)
+            .with_request_rate_hz(0.05)
+            .with_seed(5)
+            .with_mobility_slot_s(5.0)
+            .with_persist(PersistConfig::new(dir.to_path_buf()).with_checkpoint_every_s(5.0))
+    };
+    for shards in [1, 4] {
+        let mut reference = None;
+        for threads in [1, 2] {
+            for killed in [false, true] {
+                let dir = scratch_dir(&format!("worker-r{shards}-t{threads}-{killed}"));
+                let engine =
+                    ShardedServeEngine::new(&scenario, &CostAwareLfu, config(&dir), shards)
+                        .expect("engine builds")
+                        .with_threads(threads);
+                let report = if killed {
+                    engine.run_until(27.5).expect("killed run");
+                    let persist = PersistConfig::new(&dir).with_checkpoint_every_s(5.0);
+                    ShardedServeEngine::resume(&scenario, &CostAwareLfu, persist)
+                        .expect("resume")
+                        .with_threads(threads)
+                        .run()
+                        .expect("resumed run")
+                } else {
+                    engine.run().expect("run")
+                };
+                assert!(report.metrics.handovers > 0, "the users must hand over");
+                let persist = PersistConfig::new(&dir);
+                let bytes = (
+                    (0..shards)
+                        .map(|s| journal_bytes(persist.journal_shard_path(s)))
+                        .collect::<Vec<_>>(),
+                    journal_bytes(persist.checkpoint_path()),
+                    format!("{report:?}"),
+                );
+                let variant = format!("R = {shards}, {threads} thread(s), killed: {killed}");
+                match &reference {
+                    None => reference = Some((variant, bytes)),
+                    Some((first, expected)) => {
+                        assert!(
+                            expected.0 == bytes.0,
+                            "{variant}: journals differ from {first}"
+                        );
+                        assert!(
+                            expected.1 == bytes.1,
+                            "{variant}: checkpoint differs from {first}"
+                        );
+                        assert_eq!(
+                            expected.2, bytes.2,
+                            "{variant}: report differs from {first}"
+                        );
+                    }
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
     }
 }
